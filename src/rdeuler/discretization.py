@@ -142,39 +142,42 @@ class Discretization:
 
     # -- lazy integral tables -----------------------------------------
 
+    def cached(self, key, build):
+        """Geometry-only table ``build()``, computed on first use only."""
+        if key not in self._cache:
+            self._cache[key] = build()
+        return self._cache[key]
+
     @property
     def phi_grad_integrals(self):
         """int_K phi_sigma grad(phi_sigma') dx, shape (M, N, N, 2)."""
-        if "pgi" not in self._cache:
-            tab = np.einsum(
-                "q,qn,mqki->mnki", self.int_weights, self.int_vals, self.int_grads
-            )
-            self._cache["pgi"] = tab * self.mesh.areas[:, None, None, None]
-        return self._cache["pgi"]
+        return self.cached("pgi", lambda: np.einsum(
+            "q,qn,mqki->mnki", self.int_weights, self.int_vals, self.int_grads
+        ) * self.mesh.areas[:, None, None, None])
 
     @property
     def grad_integrals(self):
         """int_K grad(phi_sigma) dx, shape (M, N, 2)."""
-        if "gi" not in self._cache:
-            tab = np.einsum("q,mqni->mni", self.int_weights, self.int_grads)
-            self._cache["gi"] = tab * self.mesh.areas[:, None, None]
-        return self._cache["gi"]
+        return self.cached("gi", lambda: np.einsum(
+            "q,mqni->mni", self.int_weights, self.int_grads
+        ) * self.mesh.areas[:, None, None])
 
     @property
     def phi_phi_normal_integrals(self):
         """oint_dK phi_sigma phi_sigma' n dgamma, shape (M, N, N, 2)."""
-        if "ppn" not in self._cache:
-            mesh = self.mesh
-            out = np.zeros((mesh.n_tris, self.dofmap.n_local, self.dofmap.n_local, 2))
-            for loc in range(3):
-                v = self.edge_vals[loc]                                  # (nq, N)
-                pp = np.einsum("q,qn,qk->nk", self.edge_weights, v, v)
-                seg = mesh.elem_edge_length[:, loc, None, None, None] * (
-                    pp[None, :, :, None] * mesh.elem_edge_normal[:, loc][:, None, None, :]
-                )
-                out += seg
-            self._cache["ppn"] = out
-        return self._cache["ppn"]
+        return self.cached("ppn", self._phi_phi_normal_integrals)
+
+    def _phi_phi_normal_integrals(self):
+        mesh = self.mesh
+        out = np.zeros((mesh.n_tris, self.dofmap.n_local, self.dofmap.n_local, 2))
+        for loc in range(3):
+            v = self.edge_vals[loc]                                      # (nq, N)
+            pp = np.einsum("q,qn,qk->nk", self.edge_weights, v, v)
+            seg = mesh.elem_edge_length[:, loc, None, None, None] * (
+                pp[None, :, :, None] * mesh.elem_edge_normal[:, loc][:, None, None, :]
+            )
+            out += seg
+        return out
 
     # -- field helpers -------------------------------------------------
 

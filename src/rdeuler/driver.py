@@ -93,6 +93,11 @@ def initial_state(cfg: RunConfig, disc: Discretization, gas):
         U, t, meta = read_snapshot(cfg.problem_file)
         if U.shape[0] != disc.dofmap.n_dofs:
             raise MeshMismatch("snapshot DOF count does not match the mesh")
+        mesh_hash = disc.mesh.content_hash()
+        if meta.get("mesh_hash", mesh_hash) != mesh_hash:
+            raise MeshMismatch(
+                f"snapshot was written on mesh {meta['mesh_hash']}, not on {mesh_hash}"
+            )
         return stepping.FieldState(t=t, U=U, disc=disc, provenance="from_file"), None
     kwargs = {"beta": cfg.beta} if cfg.problem == "vortex" else {}
     prob = problems.make_problem(cfg.problem, disc.mesh.bbox, gas, **kwargs)
@@ -100,9 +105,9 @@ def initial_state(cfg: RunConfig, disc: Discretization, gas):
     return stepping.FieldState(t=0.0, U=U, disc=disc), prob
 
 
-def compute_dt(disc, gas, U, cfl, dt_max=None):
-    alpha = positivity.alpha_noninterpolated(disc, gas, U)
-    return positivity.admissible_timestep(disc, alpha, cfl, dt_max=dt_max)
+def compute_dt(state: stepping.FieldState, gas, cfl, dt_max=None):
+    """CFL step from the pointwise LxF bound, shared with the LxF residuals."""
+    return positivity.admissible_timestep(state.disc, state.alpha(gas), cfl, dt_max=dt_max)
 
 
 def _diag_row(disc, gas, state, scheme, step, dt, mood_counts):
@@ -166,7 +171,7 @@ def run(cfg: RunConfig, record=False) -> RunResult:
     rows = [_diag_row(disc, gas, state, scheme, 0, 0.0, {})]
     step = 0
     while state.t < cfg.t_end - 1e-12 and step < cfg.max_steps:
-        dt = min(compute_dt(disc, gas, state.U, cfg.cfl, cfg.dt_max), cfg.t_end - state.t)
+        dt = min(compute_dt(state, gas, cfg.cfl, cfg.dt_max), cfg.t_end - state.t)
         if cfg.mood_enabled:
             state, report = mood.mood_step(state, dt, mood_cfg, plain_step, gas)
             counts = report.counts
@@ -203,13 +208,22 @@ def _write_diag_csv(path, rows):
     with open(path, "w") as fh:
         fh.write(DIAG_HEADER + "\n")
         for r in rows:
-            fh.write(",".join(repr(r[k]) if isinstance(r[k], float) else str(r[k]) for k in keys) + "\n")
+            fh.write(",".join(_csv_cell(r[k]) for k in keys) + "\n")
+
+
+def _csv_cell(value):
+    """Integers as is, every other number as the repr of a plain float
+    (numpy scalars would otherwise write ``np.float64(...)``)."""
+    if isinstance(value, (int, np.integer)):
+        return str(value)
+    return repr(float(value))
 
 
 def convergence(cfg: RunConfig, mesh_specs, norm="L1"):
     """Run one problem over a mesh family; report errors and orders."""
     if cfg.problem not in ("vortex", "constant"):
         raise ConfigError("convergence needs a problem with a known solution")
+    workers = _worker_count()
 
     def one(spec):
         from dataclasses import replace
@@ -234,7 +248,6 @@ def convergence(cfg: RunConfig, mesh_specs, norm="L1"):
             "err_p_L1": errs["p"],
         }
 
-    workers = int(os.environ.get("RDEULER_THREADS", "1"))
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(one, mesh_specs))
@@ -259,6 +272,19 @@ def convergence(cfg: RunConfig, mesh_specs, norm="L1"):
         for r in rows:
             fh.write(",".join(repr(float(r[k])) if k != "n_elems" else str(r[k]) for k in keys) + "\n")
     return rows
+
+
+def _worker_count():
+    """Concurrent convergence meshes from RDEULER_THREADS (default 1)."""
+    raw = os.environ.get("RDEULER_THREADS", "1")
+    bad = ConfigError(f"RDEULER_THREADS must be a positive integer, got {raw!r}")
+    try:
+        workers = int(raw)
+    except ValueError:
+        raise bad from None
+    if workers < 1:
+        raise bad
+    return workers
 
 
 def _safe(spec):

@@ -56,31 +56,16 @@ class DetectorReport:
 
 def _stencil_dofs(disc: Discretization):
     """Own plus edge-neighbor DOFs per element, padded with own DOFs."""
-    if "stencil" in disc._cache:
-        return disc._cache["stencil"]
-    dofs = disc.dofmap.elem_dofs
-    nbr = disc.elem_neighbors
-    cols = [dofs]
-    for j in range(3):
-        nb = nbr[:, j]
-        cols.append(np.where(nb[:, None] >= 0, dofs[np.maximum(nb, 0)], dofs))
-    out = np.concatenate(cols, axis=1)
-    disc._cache["stencil"] = out
-    return out
+    def build():
+        dofs = disc.dofmap.elem_dofs
+        nbr = disc.elem_neighbors
+        cols = [dofs]
+        for j in range(3):
+            nb = nbr[:, j]
+            cols.append(np.where(nb[:, None] >= 0, dofs[np.maximum(nb, 0)], dofs))
+        return np.concatenate(cols, axis=1)
 
-
-def _stencil2_dofs(disc: Discretization, elem):
-    """Two-ring DOF set used by the smoothness fit (unique ids)."""
-    nbr = disc.elem_neighbors
-    ring = {int(elem)}
-    for k in nbr[elem]:
-        if k >= 0:
-            ring.add(int(k))
-    for k in list(ring):
-        for k2 in nbr[k]:
-            if k2 >= 0:
-                ring.add(int(k2))
-    return np.unique(disc.dofmap.elem_dofs[sorted(ring)])
+    return disc.cached("stencil", build)
 
 
 def _wrap(delta, period):
@@ -89,31 +74,77 @@ def _wrap(delta, period):
     return delta - period * np.round(delta / period)
 
 
-def _smooth_extremum(disc, cfg, rho, elem):
-    """Pardon test: a quadratic over the two-ring stencil reproduces the
-    data to within smooth_tol times its spread.
+def _two_ring_dofs(disc: Discretization):
+    """Sorted unique DOF ids of each element's two-ring, left-aligned.
+
+    Returns (table, mask) of shape (M, S); padded slots repeat the
+    row's first DOF and are False in the mask.
+    """
+    nbr = disc.elem_neighbors
+    M = nbr.shape[0]
+    ring1 = np.concatenate([np.arange(M)[:, None], nbr], axis=1)
+    ring2 = np.where(ring1[:, :, None] >= 0, nbr[np.maximum(ring1, 0)], -1)
+    ring = np.concatenate([ring1, ring2.reshape(M, -1)], axis=1)
+    dofs = disc.dofmap.elem_dofs
+    absent = disc.dofmap.n_dofs
+    ids = np.where(ring[:, :, None] >= 0, dofs[np.maximum(ring, 0)], absent)
+    ids = np.sort(ids.reshape(M, -1), axis=1)
+    mask = ids < absent
+    mask[:, 1:] &= ids[:, 1:] != ids[:, :-1]
+    order = np.argsort(~mask, axis=1, kind="stable")
+    ids = np.take_along_axis(ids, order, axis=1)
+    mask = np.take_along_axis(mask, order, axis=1)
+    width = int(mask.sum(axis=1).max())
+    ids, mask = ids[:, :width], mask[:, :width]
+    return np.where(mask, ids, ids[:, :1]), mask
+
+
+def _smooth_fit(disc: Discretization):
+    """Two-ring table, mask and least-squares residual projector per element.
+
+    The projector I - Q Q^+ of the wrapped, centred quadratic design
+    matrix Q maps stencil data to the residual of its least-squares
+    quadratic fit.  Singular values at or below eps * max(rows, 6) times
+    the largest are dropped, the cutoff of ``lstsq(rcond=None)``.  Rows
+    and columns of padded slots are zero.
+    """
+    table, mask = _two_ring_dofs(disc)
+    pts = disc.dofmap.dof_points
+    center = pts[disc.dofmap.elem_dofs].mean(axis=1)
+    (x0, x1, y0, y1) = disc.mesh.bbox
+    per = (x1 - x0, y1 - y0) if disc.mesh.periodic else (None, None)
+    dx = _wrap(pts[table, 0] - center[:, :1], per[0])
+    dy = _wrap(pts[table, 1] - center[:, 1:], per[1])
+    quad = np.stack([np.ones_like(dx), dx, dy, dx * dx, dx * dy, dy * dy], axis=-1)
+    quad *= mask[..., None]
+    u, sv, _ = np.linalg.svd(quad, full_matrices=False)
+    cutoff = np.finfo(float).eps * np.maximum(mask.sum(axis=1), quad.shape[-1]) * sv[:, 0]
+    u *= (sv > cutoff[:, None])[:, None, :]
+    proj = np.matmul(u, u.swapaxes(1, 2))
+    np.negative(proj, out=proj)
+    diag = np.arange(table.shape[1])
+    proj[:, diag, diag] += 1.0
+    proj *= mask[:, :, None] & mask[:, None, :]
+    return table, mask, proj
+
+
+def smooth_pardon(disc: Discretization, rho, elems, smooth_tol):
+    """Pardon test per element of ``elems``: a quadratic over the
+    two-ring stencil reproduces the data to within smooth_tol times its
+    spread.
 
     A smooth extremum is locally parabolic, so the least-squares
     quadratic leaves a residual far below the data spread; grid-scale
     oscillations cannot be captured by one parabola and keep an O(1)
-    relative residual.
+    relative residual.  The fit depends only on geometry and is built
+    once per discretization.
     """
-    sten = _stencil2_dofs(disc, elem)
-    pts = disc.dofmap.dof_points[sten]
-    own = disc.dofmap.dof_points[disc.dofmap.elem_dofs[elem]]
-    center = own.mean(axis=0)
-    (x0, x1, y0, y1) = disc.mesh.bbox
-    per = (x1 - x0, y1 - y0) if disc.mesh.periodic else (None, None)
-    dx = _wrap(pts[:, 0] - center[0], per[0])
-    dy = _wrap(pts[:, 1] - center[1], per[1])
-    vals = rho[sten]
-    quad = np.column_stack(
-        [np.ones_like(dx), dx, dy, dx * dx, dx * dy, dy * dy]
-    )
-    cq, *_ = np.linalg.lstsq(quad, vals, rcond=None)
-    resid = float(np.max(np.abs(quad @ cq - vals)))
-    spread = max(float(vals.max() - vals.min()), 1e-300)
-    return resid <= cfg.smooth_tol * spread
+    table, mask, proj = disc.cached("smooth_fit", lambda: _smooth_fit(disc))
+    vals = rho[table[elems]]
+    keep = mask[elems]
+    resid = np.abs(np.matmul(proj[elems], vals[..., None])[..., 0]).max(axis=1)
+    spread = np.where(keep, vals, -np.inf).max(axis=1) - np.where(keep, vals, np.inf).min(axis=1)
+    return resid <= smooth_tol * np.maximum(spread, 1e-300)
 
 
 def detect(disc: Discretization, gas, cfg: CascadeConfig, candidate_U, previous_U):
@@ -152,10 +183,10 @@ def detect(disc: Discretization, gas, cfg: CascadeConfig, candidate_U, previous_
     nad_fail = nad_viol.any(axis=1) & ~plateau & ~fail
     skips = int(np.sum(plateau & nad_viol.any(axis=1) & ~fail))
 
-    rho_full = np.asarray(candidate_U)[:, 0]
-    for k in np.nonzero(nad_fail)[0]:
-        if _smooth_extremum(disc, cfg, rho_full, int(k)):
-            nad_fail[k] = False
+    flagged = np.nonzero(nad_fail)[0]
+    if flagged.size:
+        rho_full = np.asarray(candidate_U)[:, 0]
+        nad_fail[flagged[smooth_pardon(disc, rho_full, flagged, cfg.smooth_tol)]] = False
     code[nad_fail] = DET_NAD
     worst[nad_fail] = dofs[nad_fail, np.argmax(nad_viol[nad_fail], axis=1)]
     fail = fail | nad_fail

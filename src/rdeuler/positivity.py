@@ -30,6 +30,18 @@ def scaled_normals(disc: Discretization):
     return 2.0 * disc.dofmap.n_local * disc.phi_grad_integrals
 
 
+def _norms_and_units(omega):
+    """|omega| (M,N,N) and omega/|omega| (M,N,N,2), zero vectors kept at zero."""
+    norms = np.linalg.norm(omega, axis=-1)
+    safe = np.where(norms > 0, norms, 1.0)
+    return norms, omega / safe[..., None]
+
+
+def _max_norms(vectors):
+    """Largest vector norm per element of an (M, N, N, 2) table."""
+    return np.linalg.norm(vectors, axis=-1).max(axis=(1, 2))
+
+
 def _check_admissible(U, gas):
     if not np.all(euler.admissible(U, gas)):
         raise VacuumState("inadmissible state in alpha bound")
@@ -44,10 +56,9 @@ def alpha_interpolated(disc: Discretization, gas, U) -> AlphaBound:
     """
     U_elem = disc.elem_values(U)
     _check_admissible(U_elem, gas)
-    omega = scaled_normals(disc)                                   # (M,N,N,2)
-    norms = np.linalg.norm(omega, axis=-1)                         # (M,N,N)
-    safe = np.where(norms > 0, norms, 1.0)
-    unit = omega / safe[..., None]
+    norms, unit = disc.cached(
+        "omega_norms_units", lambda: _norms_and_units(scaled_normals(disc))
+    )
     u = euler.velocity(U_elem)                                     # (M,N,2)
     a = euler.sound_speed(U_elem, gas)                             # (M,N)
     proj = np.abs(np.einsum("mdi,mnki->mdnk", u, unit)) + a[:, :, None, None]
@@ -74,7 +85,7 @@ def alpha_noninterpolated(disc: Discretization, gas, U, safety=1.0) -> AlphaBoun
     """Wavespeed maximum times the largest ||N_{sigma sigma'}||."""
     U_elem = disc.elem_values(U)
     _check_admissible(U_elem, gas)
-    norms = np.linalg.norm(geometry_vectors(disc), axis=-1).max(axis=(1, 2))
+    norms = disc.cached("geometry_vector_norms", lambda: _max_norms(geometry_vectors(disc)))
     s = _element_max_wavespeed(disc, gas, U_elem)
     return AlphaBound(value=safety * s * norms, case="NonInterpolated", geometry=norms)
 
@@ -87,7 +98,7 @@ def alpha_implicit(disc: Discretization, gas, U) -> AlphaBound:
     ||int phi grad(phi')|| times the wavespeed bound on the velocity.
     """
     U_elem = disc.elem_values(U)
-    norms = np.linalg.norm(disc.phi_grad_integrals, axis=-1).max(axis=(1, 2))
+    norms = disc.cached("phi_grad_norms", lambda: _max_norms(disc.phi_grad_integrals))
     s = _element_max_wavespeed(disc, gas, U_elem)
     nk = disc.dofmap.n_local
     return AlphaBound(value=nk * s * norms, case="Implicit", geometry=norms)

@@ -173,36 +173,43 @@ class CorrectedResidual:
     theta: np.ndarray             # (M, N, 4)
     e_corr: np.ndarray            # (M,)
     alpha_corr: np.ndarray        # (M,)
-    g_boundary: np.ndarray        # (M,)
+    g_boundary: np.ndarray        # (M,); None without +ec and +jump
     production: np.ndarray        # (M,) achieved entropy production
     edge_production: np.ndarray   # (E,)
 
 
 def corrected_residual(disc: Discretization, gas, U, scheme: Scheme, alpha=None):
-    """Base residual plus entropy correction and jump diffusion."""
+    """Base residual plus entropy correction and jump diffusion.
+
+    A scheme with neither term does no entropy work: theta is base.phi.
+    """
     base = base_residual(disc, gas, U, scheme, alpha=alpha)
-    U_elem = disc.elem_values(U)
-    V_elem = euler.entropy_vars(U_elem, gas)
-    g_bnd = element_entropy_boundary(disc, gas, U_elem)
     M = base.phi.shape[0]
     r = np.zeros_like(base.phi)
     e_corr = np.zeros(M)
     alpha_corr = np.zeros(M)
-    if scheme.correction:
-        r, alpha_corr, e_corr = correction_term(V_elem, base.phi, g_bnd)
     psi = np.zeros_like(base.phi)
     production = np.zeros(M)
     edge_production = np.zeros(disc.if_length.shape[0])
-    if scheme.diffusion:
-        psi, production, edge_production = jump_diffusion(
-            disc, gas, U, lam=scheme.lambda_jump, zeta=scheme.zeta,
-            U_elem=U_elem, V_elem=V_elem,
-        )
+    g_bnd = None
+    theta = base.phi
+    if scheme.correction or scheme.diffusion:
+        U_elem = disc.elem_values(U)
+        V_elem = euler.entropy_vars(U_elem, gas)
+        g_bnd = element_entropy_boundary(disc, gas, U_elem)
+        if scheme.correction:
+            r, alpha_corr, e_corr = correction_term(V_elem, base.phi, g_bnd)
+        if scheme.diffusion:
+            psi, production, edge_production = jump_diffusion(
+                disc, gas, U, lam=scheme.lambda_jump, zeta=scheme.zeta,
+                U_elem=U_elem, V_elem=V_elem,
+            )
+        theta = base.phi + r + psi
     return CorrectedResidual(
         base=base,
         correction=r,
         diffusion=psi,
-        theta=base.phi + r + psi,
+        theta=theta,
         e_corr=e_corr,
         alpha_corr=alpha_corr,
         g_boundary=g_bnd,

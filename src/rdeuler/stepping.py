@@ -8,7 +8,7 @@ step solves the interpolated-flux LxF scheme through Picard iterations
 preconditioned by a frozen-velocity M-matrix.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -20,6 +20,8 @@ from .errors import AlphaTooSmall, PicardDivergence
 from .residuals import Scheme
 from .stabilization import corrected_residual
 
+LXF_FAMILY = ("lxf", "limited_lxf")
+
 
 @dataclass
 class FieldState:
@@ -27,9 +29,30 @@ class FieldState:
     U: np.ndarray            # (n_dofs, 4)
     disc: Discretization
     provenance: str = "init"
+    # Alpha bounds and residuals of U, each computed on first use.  The
+    # field is never copied (copy_with starts empty), so nothing cached
+    # outlives the state it was computed from; U must not be edited in
+    # place once a cached value has been read.
+    _memo: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def copy_with(self, **kw):
         return replace(self, **kw)
+
+    def alpha(self, gas, flux_mode="pointwise"):
+        """LxF dissipation bound of U for ``flux_mode``, (M,)."""
+        key = ("alpha", gas, flux_mode)
+        if key not in self._memo:
+            lxf = Scheme(base="lxf", flux_mode=flux_mode)
+            self._memo[key] = scheme_alpha(self.disc, gas, self.U, lxf)
+        return self._memo[key]
+
+    def theta(self, gas, scheme: Scheme):
+        """Corrected per-element residuals of U for one scheme, (M, N, 4)."""
+        key = ("theta", gas, scheme)
+        if key not in self._memo:
+            alpha = self.alpha(gas, scheme.flux_mode) if scheme.base in LXF_FAMILY else None
+            self._memo[key] = element_theta(self.disc, gas, self.U, scheme, alpha=alpha).theta
+        return self._memo[key]
 
 
 def conserved_totals(disc: Discretization, U):
@@ -39,7 +62,7 @@ def conserved_totals(disc: Discretization, U):
 
 def scheme_alpha(disc: Discretization, gas, U, scheme: Scheme):
     """Dissipation bound matching the scheme's flux mode (LxF family only)."""
-    if scheme.base not in ("lxf", "limited_lxf"):
+    if scheme.base not in LXF_FAMILY:
         return None
     if scheme.flux_mode == "interpolated":
         return positivity.alpha_interpolated(disc, gas, U).value
@@ -78,10 +101,14 @@ def assemble_rhs(disc: Discretization, gas, U, scheme, levels=None):
 
 
 def mixed_theta(disc: Discretization, gas, U, cascade, levels):
-    """Per-element residuals with a cascade level chosen per element."""
+    """Per-element residuals with a cascade level chosen per element.
+
+    ``U`` may be a FieldState, whose cached residuals are then reused.
+    """
+    state = U if isinstance(U, FieldState) else FieldState(0.0, U, disc)
     theta = None
     for lv in np.unique(levels):
-        res = element_theta(disc, gas, U, cascade[int(lv)]).theta
+        res = state.theta(gas, cascade[int(lv)])
         if theta is None:
             theta = res.copy()
         else:
@@ -93,9 +120,9 @@ def mixed_theta(disc: Discretization, gas, U, cascade, levels):
 def forward_euler_step(state: FieldState, scheme, dt, gas, levels=None) -> FieldState:
     disc = state.disc
     if levels is None:
-        R = scatter_residuals(disc, element_theta(disc, gas, state.U, scheme).theta)
+        R = scatter_residuals(disc, state.theta(gas, scheme))
     else:
-        R = scatter_residuals(disc, mixed_theta(disc, gas, state.U, scheme, levels))
+        R = scatter_residuals(disc, mixed_theta(disc, gas, state, scheme, levels))
     U = state.U - (dt / disc.dual.c_sigma)[:, None] * R
     return FieldState(t=state.t + dt, U=U, disc=disc, provenance="fe")
 

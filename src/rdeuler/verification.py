@@ -97,8 +97,7 @@ def positivity_stress(
         U = random_admissible_field(disc, gas, rng, near_vacuum=True)
         state = FieldState(t=0.0, U=U, disc=disc)
         for _ in range(n_steps):
-            alpha = positivity.alpha_interpolated(disc, gas, state.U).value
-            dt = positivity.admissible_timestep(disc, alpha, cfl)
+            dt = positivity.admissible_timestep(disc, state.alpha(gas, "interpolated"), cfl)
             state = stepping.forward_euler_step(state, scheme, dt, gas)
             if not np.all(euler.admissible(state.U, gas)):
                 violations += 1
@@ -168,8 +167,7 @@ def run_mood_sod(nx=32, ny=4, t_end=0.6, cfl=0.3, cascade=None, integrator="sspr
     activations = 0
     steps = 0
     while state.t < t_end - 1e-12:
-        alpha = positivity.alpha_noninterpolated(disc, gas, state.U)
-        dt = min(positivity.admissible_timestep(disc, alpha, cfl), t_end - state.t)
+        dt = min(positivity.admissible_timestep(disc, state.alpha(gas), cfl), t_end - state.t)
         state, report = mood.mood_step(state, dt, mood_cfg, integ, gas)
         activations += int(np.sum(report.level > 0))
         steps += 1

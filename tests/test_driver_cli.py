@@ -9,6 +9,16 @@ from rdeuler.config import parse_config
 from rdeuler.errors import ConfigError
 
 
+def _assert_numeric_csv(path):
+    """Every cell below the header parses as a plain float."""
+    with open(path) as fh:
+        rows = fh.read().splitlines()[1:]
+    assert rows
+    for row in rows:
+        for cell in row.split(","):
+            float(cell)
+
+
 def _cfg_text(tmp_path, **over):
     base = {
         "mesh": "structured:6",
@@ -44,7 +54,7 @@ def test_run_vortex_completes_and_conserves(tmp_path):
     for key in ("mass", "mom_x", "mom_y", "energy"):
         assert abs(rn[key] - r0[key]) / scale < 1e-12
     assert os.path.exists(os.path.join(cfg.output_dir, "snap_final.csv"))
-    assert os.path.exists(os.path.join(cfg.output_dir, "diagnostics.csv"))
+    _assert_numeric_csv(os.path.join(cfg.output_dir, "diagnostics.csv"))
 
 
 def test_run_determinism_bitwise(tmp_path):
@@ -105,6 +115,27 @@ def test_snapshot_mesh_mismatch(tmp_path):
         driver.run(cfg2)
 
 
+def test_snapshot_from_other_mesh_same_dof_count(tmp_path):
+    from rdeuler.errors import MeshMismatch
+    from rdeuler.mesh import structured_square, write_mesh
+
+    cfg = parse_config(_cfg_text(tmp_path, problem="vortex", mesh="structured:6", t_end="0.05"))
+    driver.run(cfg)
+    snap = os.path.join(cfg.output_dir, "snap_final.csv")
+    other = tmp_path / "square6_side8.txt"
+    write_mesh(other, structured_square(6, side=8.0))
+    cfg2 = parse_config(
+        _cfg_text(
+            tmp_path,
+            problem="from_file",
+            mesh=str(other),
+            **{"problem.file": snap, "output.dir": str(tmp_path / "restart")},
+        )
+    )
+    with pytest.raises(MeshMismatch):
+        driver.run(cfg2)
+
+
 def test_convergence_harness(tmp_path):
     cfg = parse_config(
         _cfg_text(tmp_path, problem="vortex", t_end="0.2", cfl="0.3",
@@ -114,7 +145,7 @@ def test_convergence_harness(tmp_path):
     assert rows[0]["err_rho_L1"] > rows[1]["err_rho_L1"]
     assert np.isnan(rows[0]["order_rho"])
     assert rows[1]["order_rho"] > 1.0
-    assert os.path.exists(os.path.join(cfg.output_dir, "errors.csv"))
+    _assert_numeric_csv(os.path.join(cfg.output_dir, "errors.csv"))
 
 
 def test_convergence_identical_mesh_nan_order(tmp_path):
@@ -168,6 +199,17 @@ def test_rdeuler_threads_env(tmp_path, monkeypatch):
     cfg = parse_config(_cfg_text(tmp_path, problem="vortex", t_end="0.05", cfl="0.4"))
     rows = driver.convergence(cfg, ["structured:4", "structured:6"])
     assert len(rows) == 2 and rows[0]["n_elems"] < rows[1]["n_elems"]
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-1", ""])
+def test_rdeuler_threads_malformed(tmp_path, monkeypatch, value):
+    monkeypatch.setenv("RDEULER_THREADS", value)
+    text = _cfg_text(tmp_path, problem="vortex", t_end="0.05")
+    with pytest.raises(ConfigError):
+        driver.convergence(parse_config(text), ["structured:4"])
+    path = tmp_path / "conv.cfg"
+    path.write_text(text)
+    assert main(["convergence", str(path), "--meshes", "structured:4"]) == 2
 
 
 def test_driver_implicit_integrator(tmp_path):

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from conftest import make_disc, smooth_field
-from rdeuler import euler
+from rdeuler import euler, make_discretization, mood
+from rdeuler.mesh import structured_rect
 from rdeuler.mood import (
     DET_CAD,
     DET_NAD,
@@ -11,8 +12,10 @@ from rdeuler.mood import (
     default_cascade,
     detect,
     mood_step,
+    smooth_pardon,
 )
 from rdeuler.positivity import admissible_timestep, alpha_noninterpolated
+from rdeuler.problems import make_problem
 from rdeuler.residuals import Scheme
 from rdeuler.stepping import FieldState, forward_euler_step, ssp_rk2_step
 from rdeuler.verification import run_mood_sod
@@ -20,6 +23,75 @@ from rdeuler.verification import run_mood_sod
 
 def uniform_field(disc, gas):
     return np.tile(euler.conserved(1.0, 0.1, 0.0, 1.0, gas), (disc.dofmap.n_dofs, 1))
+
+
+# -- reference pardon: one least-squares fit per element ----------------
+
+
+def _stencil2_dofs(disc, elem):
+    """Two-ring DOF set used by the smoothness fit (unique ids)."""
+    nbr = disc.elem_neighbors
+    ring = {int(elem)}
+    for k in nbr[elem]:
+        if k >= 0:
+            ring.add(int(k))
+    for k in list(ring):
+        for k2 in nbr[k]:
+            if k2 >= 0:
+                ring.add(int(k2))
+    return np.unique(disc.dofmap.elem_dofs[sorted(ring)])
+
+
+def _wrap(delta, period):
+    if period is None:
+        return delta
+    return delta - period * np.round(delta / period)
+
+
+def _smooth_extremum(disc, smooth_tol, rho, elem):
+    """Oracle for smooth_pardon: lstsq quadratic over the two-ring stencil."""
+    sten = _stencil2_dofs(disc, elem)
+    pts = disc.dofmap.dof_points[sten]
+    own = disc.dofmap.dof_points[disc.dofmap.elem_dofs[elem]]
+    center = own.mean(axis=0)
+    (x0, x1, y0, y1) = disc.mesh.bbox
+    per = (x1 - x0, y1 - y0) if disc.mesh.periodic else (None, None)
+    dx = _wrap(pts[:, 0] - center[0], per[0])
+    dy = _wrap(pts[:, 1] - center[1], per[1])
+    vals = rho[sten]
+    quad = np.column_stack(
+        [np.ones_like(dx), dx, dy, dx * dx, dx * dy, dy * dy]
+    )
+    cq, *_ = np.linalg.lstsq(quad, vals, rcond=None)
+    resid = float(np.max(np.abs(quad @ cq - vals)))
+    spread = max(float(vals.max() - vals.min()), 1e-300)
+    return resid <= smooth_tol * spread
+
+
+def _assert_pardon_matches_oracle(disc, rho, elems, smooth_tol=0.01):
+    """Batched decisions equal the per-element fit's; returns them."""
+    got = smooth_pardon(disc, rho, elems, smooth_tol)
+    want = np.array([_smooth_extremum(disc, smooth_tol, rho, int(k)) for k in elems])
+    assert np.array_equal(got, want), np.nonzero(got != want)[0]
+    return got
+
+
+def _strip_disc(nx, ny):
+    """The smoothed-Sod strip of run_mood_sod."""
+    return make_discretization(structured_rect(nx, ny, width=10.0, height=10.0 * ny / nx))
+
+
+def _pardon_fields(disc, rng):
+    """Random data (rejected) and smooth quadratic/periodic data (pardoned)."""
+    pts = disc.dofmap.dof_points
+    (x0, x1, y0, y1) = disc.mesh.bbox
+    wave_x = np.cos(2 * np.pi * (pts[:, 0] - x0) / (x1 - x0))
+    wave_y = np.sin(2 * np.pi * (pts[:, 1] - y0) / (y1 - y0))
+    n = disc.dofmap.n_dofs
+    yield rng.uniform(0.5, 1.5, n)
+    yield 1.3 - 0.01 * (pts[:, 0] ** 2 + 0.5 * pts[:, 1] ** 2)
+    yield 1.0 + 0.2 * wave_x * wave_y
+    yield 1.0 + 0.2 * wave_x + 1e-3 * rng.standard_normal(n)
 
 
 def test_detect_pad_failure(gas, small_disc):
@@ -144,3 +216,79 @@ def test_default_cascade_shape():
     assert schemes[-1].base == "lxf"
     with pytest.raises(Exception):
         CascadeConfig(schemes=())
+
+
+def test_pardon_matches_oracle_periodic_square():
+    disc = make_disc(8, 10.0)
+    rng = np.random.default_rng(5)
+    elems = np.arange(disc.mesh.n_tris)
+    decisions = np.concatenate(
+        [_assert_pardon_matches_oracle(disc, rho, elems) for rho in _pardon_fields(disc, rng)]
+    )
+    assert decisions.any() and not decisions.all()
+
+
+def test_pardon_matches_oracle_quadratic_case(gas):
+    # the non-periodic quadratic data of test_detect_nad_and_smooth_pardon
+    disc = make_disc(16, 10.0)
+    pts = disc.dofmap.dof_points
+    rho_q = 1.3 - 0.01 * (pts[:, 0] ** 2 + 0.5 * pts[:, 1] ** 2)
+    decisions = _assert_pardon_matches_oracle(disc, rho_q, np.arange(disc.mesh.n_tris))
+    assert decisions.any() and not decisions.all()
+
+
+def test_pardon_matches_oracle_on_thin_strip(gas):
+    # 16x2 cells: two-ring stencils wrap around the short period and the
+    # quadratic fit is rank deficient
+    disc = _strip_disc(16, 2)
+    elems = np.arange(disc.mesh.n_tris)
+    rng = np.random.default_rng(9)
+    for rho in _pardon_fields(disc, rng):
+        _assert_pardon_matches_oracle(disc, rho, elems)
+    prob = make_problem("sod_smooth", disc.mesh.bbox, gas)
+    _assert_pardon_matches_oracle(disc, disc.interpolate(prob.initial)[:, 0], elems)
+
+
+def test_pardon_matches_oracle_on_criterion_7_run(monkeypatch):
+    calls = []
+    batched = mood.smooth_pardon
+
+    def spy(disc, rho, elems, smooth_tol):
+        out = batched(disc, rho, elems, smooth_tol)
+        calls.append((disc, rho.copy(), elems.copy(), smooth_tol, out))
+        return out
+
+    monkeypatch.setattr(mood, "smooth_pardon", spy)
+    info = run_mood_sod(nx=32, ny=4, t_end=0.8)
+    assert info["ok_pad"] and calls
+    n_decisions = 0
+    for disc, rho, elems, tol, out in calls:
+        want = [_smooth_extremum(disc, tol, rho, int(k)) for k in elems]
+        assert np.array_equal(out, want)
+        n_decisions += len(want)
+    assert n_decisions > 1000
+
+
+def test_consecutive_mood_steps_match_fresh_ones(gas):
+    # cached residuals and alpha of one step must not leak into the next
+    disc = _strip_disc(24, 3)
+    prob = make_problem("sod_smooth", disc.mesh.bbox, gas)
+    cfg = CascadeConfig(schemes=tuple(Scheme.parse(s) for s in ("galerkin", "limited_lxf", "lxf")))
+
+    def integ(s, dt, levels=None):
+        return ssp_rk2_step(s, cfg.schemes if levels is not None else cfg.schemes[0], dt, gas,
+                            levels=levels)
+
+    def advance(state):
+        dt = admissible_timestep(disc, alpha_noninterpolated(disc, gas, state.U), cfl=0.3)
+        return mood_step(state, dt, cfg, integ, gas)
+
+    chained = FieldState(0.0, disc.interpolate(prob.initial), disc)
+    fresh = FieldState(0.0, chained.U.copy(), disc)
+    bumped = 0
+    for _ in range(23):
+        chained, report = advance(chained)
+        fresh, _ = advance(FieldState(fresh.t, fresh.U.copy(), disc))
+        bumped += int(np.sum(report.level > 0))
+        assert np.array_equal(chained.U, fresh.U)
+    assert bumped > 0

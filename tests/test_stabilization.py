@@ -208,3 +208,17 @@ def test_corrections_do_not_degrade_vortex_error(gas):
         errs[label] = primitive_errors(disc, gas, st.U, prob.state, st.t)["rho"]
     rel = abs(errs["galerkin+ec+jump"] - errs["galerkin"]) / errs["galerkin"]
     assert rel < 0.2
+
+
+@pytest.mark.parametrize("name", ["lxf", "limited_lxf", "galerkin"])
+def test_plain_scheme_theta_is_base_residual(gas, small_disc, monkeypatch, name):
+    # without +ec or +jump no entropy variable or entropy flux is evaluated
+    def forbidden(*args, **kwargs):
+        raise AssertionError("entropy work for a plain scheme")
+
+    monkeypatch.setattr(euler, "entropy_vars", forbidden)
+    monkeypatch.setattr(euler, "entropy_flux", forbidden)
+    U = random_states(np.random.default_rng(4), small_disc.dofmap.n_dofs)
+    alpha = np.full(small_disc.mesh.n_tris, 3.0)
+    res = corrected_residual(small_disc, gas, U, Scheme.parse(name), alpha=alpha)
+    assert res.theta.tobytes() == res.base.phi.tobytes()

@@ -8,6 +8,7 @@ from rdeuler.positivity import (
     admissible_timestep,
     alpha_implicit,
     alpha_interpolated,
+    alpha_noninterpolated,
 )
 from rdeuler.residuals import Scheme
 from rdeuler.stepping import (
@@ -253,3 +254,20 @@ def test_entropy_monotone_parachute_steps(gas):
             st = forward_euler_step(st, scheme, dt, gas)
             S1 = float(np.sum(disc.dual.c_sigma * euler.entropy_eta(st.U, gas)))
             assert S1 - S0 <= 1e-10 * abs(S0)
+
+
+def test_field_state_cache_is_not_copied(gas, small_disc):
+    # copy_with and replace start with an empty cache, so a new U never
+    # sees the alpha or residuals of the old one
+    from dataclasses import replace
+
+    U = smooth_field(small_disc, gas)
+    U2 = smooth_field(small_disc, gas, amp=0.05)
+    scheme = Scheme.parse("limited_lxf")
+    st = FieldState(0.0, U, small_disc)
+    st.theta(gas, scheme)
+    for moved in (st.copy_with(U=U2), replace(st, U=U2)):
+        assert np.array_equal(moved.alpha(gas), alpha_noninterpolated(small_disc, gas, U2).value)
+        assert np.array_equal(
+            moved.theta(gas, scheme), element_theta(small_disc, gas, U2, scheme).theta
+        )
