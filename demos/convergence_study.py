@@ -11,11 +11,10 @@ import time
 import numpy as np
 
 from rdeuler import GasModel, make_discretization, structured_square
-from rdeuler import positivity
 from rdeuler.diagnostics import convergence_order, primitive_errors
 from rdeuler.problems import init_vortex
 from rdeuler.residuals import Scheme
-from rdeuler.stepping import FieldState, ssp_rk2_step
+from rdeuler.stepping import FieldState, advance
 
 gas = GasModel()
 
@@ -24,10 +23,8 @@ def run(n, scheme, t_end, cfl=0.3):
     disc = make_discretization(structured_square(n), "s2", "lagrange", 1)
     U0, problem = init_vortex(disc, gas)
     state = FieldState(0.0, U0, disc)
-    while state.t < t_end - 1e-12:
-        alpha = positivity.alpha_noninterpolated(disc, gas, state.U)
-        dt = min(positivity.admissible_timestep(disc, alpha, cfl), t_end - state.t)
-        state = ssp_rk2_step(state, scheme, dt, gas)
+    for state, _, _ in advance(state, gas, scheme, "ssprk2", t_end, cfl):
+        pass
     errs = primitive_errors(disc, gas, state.U, problem.state, state.t)
     return errs, disc.mesh.diameters.max()
 

@@ -9,11 +9,10 @@ the forward-Euler time-discretization remainder.
 """
 
 from rdeuler import GasModel, make_discretization, structured_square
-from rdeuler import positivity
 from rdeuler.diagnostics import RunRecord, entropy_budget
 from rdeuler.problems import init_vortex
 from rdeuler.residuals import Scheme
-from rdeuler.stepping import FieldState, forward_euler_step
+from rdeuler.stepping import FieldState, advance
 
 gas = GasModel()
 disc = make_discretization(structured_square(12), "s2", "lagrange", 1)
@@ -25,10 +24,7 @@ state = FieldState(0.0, U0, disc)
 record.times.append(0.0)
 record.states.append(state.U.copy())
 
-while state.t < 0.5 - 1e-12:
-    alpha = positivity.alpha_noninterpolated(disc, gas, state.U)
-    dt = min(positivity.admissible_timestep(disc, alpha, 0.3), 0.5 - state.t)
-    state = forward_euler_step(state, scheme, dt, gas)
+for state, dt, _ in advance(state, gas, scheme, "fe", 0.5, 0.3):
     record.times.append(state.t)
     record.states.append(state.U.copy())
     record.dts.append(dt)

@@ -9,35 +9,24 @@ totals remain conserved.
 
 import numpy as np
 
-from rdeuler import GasModel, make_discretization, structured_rect
-from rdeuler import euler, mood, positivity, problems
+from rdeuler import GasModel, euler
 from rdeuler.config import RunConfig
-from rdeuler.stepping import FieldState, conserved_totals, ssp_rk2_step
+from rdeuler.driver import build_discretization, cascade_config, initial_state
+from rdeuler.stepping import advance, conserved_totals
 
 gas = GasModel()
-mesh = structured_rect(32, 4, width=10.0, height=1.25)
-disc = make_discretization(mesh, "s2", "lagrange", 1)
-problem = problems.make_problem("sod_smooth", mesh.bbox, gas)
-state = FieldState(0.0, disc.interpolate(problem.initial), disc)
-
-cfg = RunConfig(mesh="strip", cascade="galerkin,limited_lxf,lxf")
-cfg.raw = {}
-cascade = cfg.cascade_objs()
-mood_cfg = mood.CascadeConfig(schemes=cascade)
-
-
-def integrator(st, dt, levels=None):
-    scheme = cascade if levels is not None else cascade[0]
-    return ssp_rk2_step(st, scheme, dt, gas, levels=levels)
-
+cfg = RunConfig(
+    problem="sod_smooth", mesh="structured:32x4", basis="lagrange",
+    cascade="galerkin,limited_lxf,lxf",
+).validate()
+disc = build_discretization(cfg)
+state, _ = initial_state(cfg, disc, gas)
+mood_cfg = cascade_config(cfg)
 
 t_end, cfl = 0.8, 0.3
 start = conserved_totals(disc, state.U)
 print("   t     flagged  parachute  rho_min   mass drift")
-while state.t < t_end - 1e-12:
-    alpha = positivity.alpha_noninterpolated(disc, gas, state.U)
-    dt = min(positivity.admissible_timestep(disc, alpha, cfl), t_end - state.t)
-    state, report = mood.mood_step(state, dt, mood_cfg, integrator, gas)
+for state, _, report in advance(state, gas, None, "ssprk2", t_end, cfl, mood_cfg=mood_cfg):
     flagged = int(np.sum(report.level > 0))
     totals = conserved_totals(disc, state.U)
     print(

@@ -9,11 +9,11 @@ put to round-off; total entropy may only decrease.
 import numpy as np
 
 from rdeuler import GasModel, make_discretization, structured_square
-from rdeuler import euler, positivity
+from rdeuler import euler
 from rdeuler.diagnostics import primitive_errors, weak_bv_norm
 from rdeuler.problems import init_vortex
 from rdeuler.residuals import Scheme
-from rdeuler.stepping import FieldState, conserved_totals, ssp_rk2_step
+from rdeuler.stepping import FieldState, advance, conserved_totals
 
 gas = GasModel()
 disc = make_discretization(structured_square(24), "s2", "lagrange", 1)
@@ -26,12 +26,7 @@ t_end, cfl = 1.0, 0.3
 start = conserved_totals(disc, state.U)
 print(f"mesh: {disc.mesh.n_tris} triangles, {disc.dofmap.n_dofs} DOFs")
 print("   t        mass drift    entropy       bv-seminorm^2")
-step = 0
-while state.t < t_end - 1e-12:
-    alpha = positivity.alpha_noninterpolated(disc, gas, state.U)
-    dt = min(positivity.admissible_timestep(disc, alpha, cfl), t_end - state.t)
-    state = ssp_rk2_step(state, scheme, dt, gas)
-    step += 1
+for step, (state, _, _) in enumerate(advance(state, gas, scheme, "ssprk2", t_end, cfl), 1):
     if step % 10 == 0 or state.t >= t_end - 1e-12:
         totals = conserved_totals(disc, state.U)
         entropy = float(np.sum(disc.dual.c_sigma * euler.entropy_eta(state.U, gas)))

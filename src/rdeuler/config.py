@@ -71,7 +71,8 @@ class RunConfig:
             raise ConfigError("bad output cadence")
         if self.mood_enabled and self.integrator == "implicit":
             raise ConfigError("the detection cascade needs an explicit integrator")
-        Scheme.parse(self.scheme)
+        if Scheme.parse(self.scheme).label() != "lxf+interp" and self.integrator == "implicit":
+            raise ConfigError("integrator = implicit needs scheme = lxf+interp, the scheme it solves")
         for s in self.cascade.split(","):
             Scheme.parse(s)
         return self

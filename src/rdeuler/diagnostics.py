@@ -18,7 +18,7 @@ import numpy as np
 from . import euler
 from .discretization import Discretization
 from .errors import MeshMismatch
-from .residuals import dg_residual, galerkin_residual
+from .residuals import galerkin_residual
 from .stepping import element_theta
 
 
@@ -43,12 +43,6 @@ def weak_bv_norm(disc: Discretization, gas, U, lam=1.0, zeta=2.0):
     d = 2.0
     contrib = lam * disc.if_h**zeta * d * disc.if_length * sq
     return float(np.sum(np.where(disc.if_has_right, contrib, 0.0)))
-
-
-def galerkin_form_residual(disc: Discretization, gas, U):
-    if disc.dofmap.space == "s2":
-        return galerkin_residual(disc, gas, U).phi
-    return dg_residual(disc, gas, U).phi
 
 
 def _phi_at(phi, t, X):
@@ -132,7 +126,7 @@ def consistency_error(run: RunRecord, phi, grad_phi, component):
         U = run.states[n]
         res = element_theta(disc, gas, U, run.scheme)
         theta = res.theta
-        gal = galerkin_form_residual(disc, gas, U)
+        gal = galerkin_residual(disc, gas, U).phi
         phv = _phi_at(phi, run.times[n], dofs_x)      # (n_dofs,) or (n_dofs, 2)
         phe = phv[disc.dofmap.elem_dofs]              # (M, N) or (M, N, 2)
         if is_eta:

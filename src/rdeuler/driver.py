@@ -8,12 +8,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import diagnostics, euler, mood, positivity, problems, stepping
+from . import diagnostics, euler, mood, problems, stepping
 from .config import RunConfig
 from .discretization import Discretization
 from .errors import ConfigError, MeshMismatch
 from .basis import build_dofmap
-from .mesh import read_mesh, structured_square
+from .mesh import read_mesh, structured_rect, structured_square
 
 DIAG_HEADER = (
     "step,t,dt,mass,mom_x,mom_y,energy,entropy,bv_norm,"
@@ -21,15 +21,35 @@ DIAG_HEADER = (
 )
 
 
+def load_mesh(spec):
+    """Mesh from a file path or a built-in spec: ``structured:N`` is the
+    N x N square, ``structured:NXxNY`` a strip of NX x NY cells, 10 wide
+    and 10 * NY / NX high."""
+    if not spec.startswith("structured:"):
+        return read_mesh(spec)
+    dims = spec.split(":", 1)[1].split("x")
+    if len(dims) > 2 or not all(d.isdigit() and int(d) > 0 for d in dims):
+        raise ConfigError(f"bad mesh spec {spec!r}; expected structured:N or structured:NXxNY")
+    if len(dims) == 1:
+        return structured_square(int(dims[0]))
+    nx, ny = (int(d) for d in dims)
+    return structured_rect(nx, ny, width=10.0, height=10.0 * ny / nx)
+
+
 def build_discretization(cfg: RunConfig) -> Discretization:
-    if cfg.mesh.startswith("structured:"):
-        n = int(cfg.mesh.split(":", 1)[1])
-        mesh = structured_square(n)
-    else:
-        mesh = read_mesh(cfg.mesh)
+    mesh = load_mesh(cfg.mesh)
     if not mesh.periodic:
         raise ConfigError("the solver requires a periodic mesh")
     return Discretization(mesh, build_dofmap(mesh, cfg.space, cfg.basis, cfg.degree))
+
+
+def cascade_config(cfg: RunConfig) -> mood.CascadeConfig:
+    return mood.CascadeConfig(
+        schemes=cfg.cascade_objs(),
+        delta_dmp=cfg.mood_delta_dmp,
+        plateau_eps=cfg.mood_plateau,
+        smooth_tol=cfg.mood_smooth_tol,
+    )
 
 
 def config_hash(cfg: RunConfig):
@@ -56,23 +76,27 @@ def write_snapshot(path, state: stepping.FieldState, cfg_hash=""):
 
 
 def read_snapshot(path):
+    """(U, t, meta) of a snapshot file; a malformed header value or row
+    raises ConfigError naming the file and the line."""
     meta = {}
     rows = []
+    t = 0.0
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
-            if line.startswith("#"):
-                for tok in line.lstrip("# ").split():
-                    if "=" in tok:
-                        k, v = tok.split("=", 1)
-                        meta[k] = v
-                continue
-            if line.startswith("dof_id") or not line:
-                continue
-            rows.append(line.split(","))
-    rows.sort(key=lambda r: int(r[0]))
-    U = np.array([[float(v) for v in r[3:7]] for r in rows])
-    t = float(meta.get("t", "0.0"))
+            try:
+                if line.startswith("#"):
+                    meta.update(tok.split("=", 1) for tok in line.lstrip("# ").split() if "=" in tok)
+                    t = float(meta.get("t", t))
+                elif line and not line.startswith("dof_id"):
+                    cells = line.split(",")
+                    if len(cells) != 7:
+                        raise ValueError(f"{len(cells)} cells, expected 7")
+                    rows.append((int(cells[0]), [float(v) for v in cells[3:7]]))
+            except ValueError as exc:
+                raise ConfigError(f"{path}:{lineno}: malformed snapshot line ({exc})") from None
+    rows.sort(key=lambda r: r[0])
+    U = np.array([r[1] for r in rows])
     return U, t, meta
 
 
@@ -103,11 +127,6 @@ def initial_state(cfg: RunConfig, disc: Discretization, gas):
     prob = problems.make_problem(cfg.problem, disc.mesh.bbox, gas, **kwargs)
     U = disc.interpolate(prob.initial)
     return stepping.FieldState(t=0.0, U=U, disc=disc), prob
-
-
-def compute_dt(state: stepping.FieldState, gas, cfl, dt_max=None):
-    """CFL step from the pointwise LxF bound, shared with the LxF residuals."""
-    return positivity.admissible_timestep(state.disc, state.alpha(gas), cfl, dt_max=dt_max)
 
 
 def _diag_row(disc, gas, state, scheme, step, dt, mood_counts):
@@ -145,21 +164,7 @@ def run(cfg: RunConfig, record=False) -> RunResult:
     disc = build_discretization(cfg)
     state, prob = initial_state(cfg, disc, gas)
     scheme = cfg.scheme_obj()
-    cascade = cfg.cascade_objs()
-    mood_cfg = mood.CascadeConfig(
-        schemes=cascade,
-        delta_dmp=cfg.mood_delta_dmp,
-        plateau_eps=cfg.mood_plateau,
-        smooth_tol=cfg.mood_smooth_tol,
-    )
-
-    def plain_step(st, dt, levels=None):
-        sch = cascade if levels is not None else scheme
-        if cfg.integrator == "fe":
-            return stepping.forward_euler_step(st, sch, dt, gas, levels=levels)
-        if cfg.integrator == "ssprk2":
-            return stepping.ssp_rk2_step(st, sch, dt, gas, levels=levels)
-        return stepping.implicit_euler_step(st, dt, gas)
+    mood_cfg = cascade_config(cfg)  # checks the cascade even when it is off
 
     rec = diagnostics.RunRecord(disc=disc, gas=gas, scheme=scheme) if record else None
     if rec is not None:
@@ -170,16 +175,14 @@ def run(cfg: RunConfig, record=False) -> RunResult:
     chash = config_hash(cfg)
     rows = [_diag_row(disc, gas, state, scheme, 0, 0.0, {})]
     step = 0
-    while state.t < cfg.t_end - 1e-12 and step < cfg.max_steps:
-        dt = min(compute_dt(state, gas, cfg.cfl, cfg.dt_max), cfg.t_end - state.t)
-        if cfg.mood_enabled:
-            state, report = mood.mood_step(state, dt, mood_cfg, plain_step, gas)
-            counts = report.counts
-        else:
-            state = plain_step(state, dt)
-            counts = {}
+    for state, dt, report in stepping.advance(
+        state, gas, scheme, cfg.integrator, cfg.t_end, cfg.cfl,
+        mood_cfg=mood_cfg if cfg.mood_enabled else None,
+        dt_max=cfg.dt_max, max_steps=cfg.max_steps,
+    ):
         step += 1
         if step % cfg.diag_every == 0:
+            counts = report.counts if report is not None else {}
             rows.append(_diag_row(disc, gas, state, scheme, step, dt, counts))
         if cfg.output_every and step % cfg.output_every == 0:
             write_snapshot(

@@ -137,7 +137,11 @@ def _galerkin_parts(disc: Discretization, gas, U_elem, fnum):
 
 
 def galerkin_residual(disc: Discretization, gas, U) -> ElementResidual:
-    """Galerkin distribution: oint phi f.n - int grad(phi).f per DOF."""
+    """Galerkin distribution: oint phi f.n - int grad(phi).f per DOF.
+
+    On the discontinuous space f.n is the Rusanov interface flux, which
+    makes this the discontinuous (``dg``) distribution.
+    """
     U_elem = disc.elem_values(U)
     fnum = interface_flux(disc, gas, U_elem)
     bnd, vol = _galerkin_parts(disc, gas, U_elem, fnum)
@@ -180,16 +184,6 @@ def galerkin_jump_residual(disc: Discretization, gas, U, lambda_e=1.0) -> Elemen
     return ElementResidual(
         phi=base.phi + jumps, total=base.total, scheme="galerkin_jump"
     )
-
-
-def dg_residual(disc: Discretization, gas, U) -> ElementResidual:
-    """Discontinuous distribution with the Rusanov interface flux."""
-    if disc.dofmap.space != "s1":
-        raise ConfigError("the discontinuous distribution needs the S1 space")
-    U_elem = disc.elem_values(U)
-    fnum = interface_flux(disc, gas, U_elem)
-    bnd, vol = _galerkin_parts(disc, gas, U_elem, fnum)
-    return ElementResidual(phi=bnd - vol, total=boundary_totals(disc, fnum), scheme="dg")
 
 
 def _interpolated_lxf(disc: Discretization, gas, U_elem, alpha):
@@ -288,7 +282,9 @@ def base_residual(disc: Discretization, gas, U, scheme: Scheme, alpha=None) -> E
         lam = 1.0 if scheme.lambda_jump is None else scheme.lambda_jump
         return galerkin_jump_residual(disc, gas, U, lambda_e=lam)
     if scheme.base == "dg":
-        return dg_residual(disc, gas, U)
+        if disc.dofmap.space != "s1":
+            raise ConfigError("the discontinuous distribution needs the S1 space")
+        return galerkin_residual(disc, gas, U)
     if alpha is None:
         raise ValueError("LxF-family schemes need the dissipation bound alpha")
     if scheme.base == "lxf":

@@ -5,7 +5,8 @@ elements) followed by an ordered scatter into the global DOF vector, so
 results are bitwise reproducible.  Forward Euler and the two-stage SSP
 Runge-Kutta method advance the semidiscrete system; the implicit Euler
 step solves the interpolated-flux LxF scheme through Picard iterations
-preconditioned by a frozen-velocity M-matrix.
+preconditioned by a frozen-velocity M-matrix.  ``advance`` is the one
+time loop: it picks dt, dispatches the integrator and runs the cascade.
 """
 
 from dataclasses import dataclass, field, replace
@@ -14,9 +15,9 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from . import euler, positivity
+from . import euler, mood, positivity
 from .discretization import Discretization
-from .errors import AlphaTooSmall, PicardDivergence
+from .errors import AlphaTooSmall, ConfigError, PicardDivergence
 from .residuals import Scheme
 from .stabilization import corrected_residual
 
@@ -149,23 +150,27 @@ class DensitySystem:
         return np.asarray(self.matrix.sum(axis=1)).ravel()
 
 
-def _advection_coefficients(disc: Discretization, alpha, u_frozen):
-    """Element tables c[m, n, k] of the frozen-velocity LxF operator.
+def _lxf_operator(disc: Discretization, alpha, u_frozen):
+    """Unscaled frozen-velocity LxF operator A and its element tables c.
 
-    The advective part contracts int phi grad(phi') with the element
-    mean of the frozen velocity (so rows sum to zero for any data); the
-    LxF correction adds alpha (delta - 1/N_K).
+    c[m, n, k] contracts int phi grad(phi') with the element mean of the
+    frozen velocity (so rows sum to zero for any data) and adds the LxF
+    correction alpha (delta - 1/N_K); A is their assembly, (n_dofs, n_dofs).
     """
-    u_elem = u_frozen[disc.dofmap.elem_dofs]            # (M, N, 2)
-    u_bar = u_elem.mean(axis=1)                         # (M, 2)
+    u_bar = u_frozen[disc.dofmap.elem_dofs].mean(axis=1)           # (M, 2)
     adv = np.einsum("mnki,mi->mnk", disc.phi_grad_integrals, u_bar)
     nk = disc.dofmap.n_local
-    corr = np.eye(nk) - 1.0 / nk
-    return adv + alpha[:, None, None] * corr
+    c = adv + alpha[:, None, None] * (np.eye(nk) - 1.0 / nk)
+    dofs = disc.dofmap.elem_dofs
+    rows = np.repeat(dofs, nk, axis=1).ravel()
+    cols = np.tile(dofs, (1, nk)).ravel()
+    n = disc.dofmap.n_dofs
+    A = sp.coo_matrix((c.reshape(disc.mesh.n_tris, -1).ravel(), (rows, cols)), shape=(n, n))
+    return A.tocsr(), c
 
 
 def assemble_density_system(disc: Discretization, gas, U, dt, alpha, u_frozen=None):
-    """Implicit-Euler density matrix with frozen velocities.
+    """Implicit-Euler density matrix diag(|C_sigma|) + dt A, frozen velocities.
 
     Diagonal entries are |C_sigma| plus a nonnegative dissipation term,
     off-diagonals must come out nonpositive (otherwise AlphaTooSmall),
@@ -176,18 +181,11 @@ def assemble_density_system(disc: Discretization, gas, U, dt, alpha, u_frozen=No
     alpha = np.broadcast_to(alpha, (disc.mesh.n_tris,))
     if u_frozen is None:
         u_frozen = euler.velocity(U)
-    c = _advection_coefficients(disc, alpha, u_frozen)
-    nk = disc.dofmap.n_local
-    mask_off = ~np.eye(nk, dtype=bool)
+    A, c = _lxf_operator(disc, alpha, u_frozen)
+    mask_off = ~np.eye(disc.dofmap.n_local, dtype=bool)
     if np.any(c[:, mask_off] > 1e-13 * np.maximum(alpha, 1.0)[:, None]):
         raise AlphaTooSmall("off-diagonal sign condition violated")
-    dofs = disc.dofmap.elem_dofs
-    rows = np.repeat(dofs, nk, axis=1).ravel()
-    cols = np.tile(dofs, (1, nk)).ravel()
-    data = dt * c.reshape(disc.mesh.n_tris, -1).ravel()
-    n = disc.dofmap.n_dofs
-    mat = sp.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
-    mat = mat + sp.diags(disc.dual.c_sigma)
+    mat = sp.diags(disc.dual.c_sigma) + dt * A
     return DensitySystem(matrix=mat, rhs=disc.dual.c_sigma * U[:, 0], dt=dt, alpha=alpha)
 
 
@@ -220,15 +218,7 @@ def implicit_euler_step(
     imp_alpha = positivity.alpha_implicit(disc, gas, Un).value
     alpha = np.maximum(alpha, imp_alpha)
 
-    c = _advection_coefficients(disc, alpha, euler.velocity(Un))
-    nk = disc.dofmap.n_local
-    dofs = disc.dofmap.elem_dofs
-    rows = np.repeat(dofs, nk, axis=1).ravel()
-    cols = np.tile(dofs, (1, nk)).ravel()
-    n = disc.dofmap.n_dofs
-    A = sp.coo_matrix(
-        (c.reshape(disc.mesh.n_tris, -1).ravel(), (rows, cols)), shape=(n, n)
-    ).tocsr()
+    A, _ = _lxf_operator(disc, alpha, euler.velocity(Un))
     Mmat = sp.diags(disc.dual.c_sigma) + dt * A
     lu = spla.splu(Mmat.tocsc())
 
@@ -262,3 +252,49 @@ def implicit_euler_step(
         if change <= tol or nonlinear <= tol:
             return FieldState(t=state.t + dt, U=Uk, disc=disc, provenance="implicit")
     raise PicardDivergence(f"no contraction after {max_iter} sweeps")
+
+
+def advance(
+    state: FieldState, gas, scheme, integrator, t_end, cfl, *,
+    mood_cfg=None, dt_max=None, max_steps=None,
+):
+    """Step ``state`` toward ``t_end``; yields (state, dt, report) per step.
+
+    ``integrator`` is ``fe``, ``ssprk2`` or ``implicit`` (which always
+    steps ``lxf+interp``).  With ``mood_cfg`` every step runs the
+    detection cascade over ``mood_cfg.schemes`` in place of ``scheme``
+    and ``report`` is its DetectorReport; otherwise it is None.  The loop
+    stops at ``t_end`` (the last step is clamped to land on it) or after
+    ``max_steps`` steps.
+
+    dt is ``cfl`` times the admissible step of the dissipation bound of
+    the schemes being stepped: for explicit integrators the elementwise
+    max of alpha over the flux modes of the LxF-family schemes (the one
+    scheme, or every cascade level), the pointwise bound when none is in
+    the LxF family.  The implicit step is positive for any dt, so the
+    pointwise bound only sets its accuracy clock.
+    """
+    if mood_cfg is not None and integrator == "implicit":
+        raise ConfigError("the detection cascade needs an explicit integrator")
+    stepped = (scheme,) if mood_cfg is None else mood_cfg.schemes
+    modes = sorted({s.flux_mode for s in stepped if s.base in LXF_FAMILY})
+    if integrator == "implicit" or not modes:
+        modes = ["pointwise"]
+
+    def step(st, dt, levels=None):
+        if integrator == "implicit":
+            return implicit_euler_step(st, dt, gas)
+        sch = scheme if levels is None else mood_cfg.schemes
+        explicit = forward_euler_step if integrator == "fe" else ssp_rk2_step
+        return explicit(st, sch, dt, gas, levels=levels)
+
+    n = 0
+    while state.t < t_end - 1e-12 and (max_steps is None or n < max_steps):
+        alpha = np.maximum.reduce([state.alpha(gas, m) for m in modes])
+        dt = min(positivity.admissible_timestep(state.disc, alpha, cfl, dt_max), t_end - state.t)
+        if mood_cfg is None:
+            state, report = step(state, dt), None
+        else:
+            state, report = mood.mood_step(state, dt, mood_cfg, step, gas)
+        n += 1
+        yield state, dt, report

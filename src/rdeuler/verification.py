@@ -6,12 +6,12 @@ acceptance scale while the command line uses quicker settings.
 
 import numpy as np
 
-from . import diagnostics, euler, mood, positivity, stepping
+from . import diagnostics, euler, stepping
 from .basis import bernstein_to_lagrange, build_dofmap
 from .config import parse_config
 from .discretization import Discretization
 from .errors import ConfigError
-from .mesh import structured_rect, structured_square
+from .mesh import structured_square
 from .residuals import Scheme
 from .stabilization import corrected_residual
 from .stepping import FieldState
@@ -95,10 +95,10 @@ def positivity_stress(
         Mmap = bernstein_to_lagrange(disc.dofmap.degree)
     for _ in range(n_fields):
         U = random_admissible_field(disc, gas, rng, near_vacuum=True)
-        state = FieldState(t=0.0, U=U, disc=disc)
-        for _ in range(n_steps):
-            dt = positivity.admissible_timestep(disc, state.alpha(gas, "interpolated"), cfl)
-            state = stepping.forward_euler_step(state, scheme, dt, gas)
+        steps = stepping.advance(
+            FieldState(t=0.0, U=U, disc=disc), gas, scheme, "fe", np.inf, cfl, max_steps=n_steps
+        )
+        for state, _, _ in steps:
             if not np.all(euler.admissible(state.U, gas)):
                 violations += 1
                 break
@@ -128,47 +128,28 @@ def check_positivity(n_fields=500, n_steps=50, n=4, seed=11):
 def run_mood_sod(nx=32, ny=4, t_end=0.6, cfl=0.3, cascade=None, integrator="ssprk2"):
     """Smoothed-Sod strip under the cascade; returns summary data."""
     from .config import RunConfig
-    from .driver import run
+    from .driver import build_discretization, cascade_config, initial_state
 
     cfg = RunConfig(
         problem="sod_smooth",
-        mesh="strip",
+        mesh=f"structured:{nx}x{ny}",
+        basis="lagrange",
         integrator=integrator,
         cfl=cfl,
         t_end=t_end,
         mood_enabled=True,
         cascade=cascade or "galerkin,limited_lxf,lxf",
         scheme="lxf",
-        output_dir="out/verify_mood",
-        diag_every=1,
-    )
-    cfg.validate()
+    ).validate()
     gas = euler.GasModel()
-    mesh = structured_rect(nx, ny, width=10.0, height=10.0 * ny / nx)
-    disc = Discretization(mesh, build_dofmap(mesh, "s2", "lagrange", 1))
-    from . import problems
-
-    prob = problems.make_problem("sod_smooth", mesh.bbox, gas)
-    state = FieldState(t=0.0, U=disc.interpolate(prob.initial), disc=disc)
+    disc = build_discretization(cfg)
+    state, _ = initial_state(cfg, disc, gas)
     U0 = state.U.copy()
-    mood_cfg = mood.CascadeConfig(schemes=cfg.cascade_objs())
-
-    def integ(st, dt, levels=None):
-        if integrator == "fe":
-            return stepping.forward_euler_step(
-                st, cfg.cascade_objs() if levels is not None else cfg.scheme_obj(),
-                dt, gas, levels=levels,
-            )
-        return stepping.ssp_rk2_step(
-            st, cfg.cascade_objs() if levels is not None else cfg.scheme_obj(),
-            dt, gas, levels=levels,
-        )
-
     activations = 0
     steps = 0
-    while state.t < t_end - 1e-12:
-        dt = min(positivity.admissible_timestep(disc, state.alpha(gas), cfl), t_end - state.t)
-        state, report = mood.mood_step(state, dt, mood_cfg, integ, gas)
+    for state, _, report in stepping.advance(
+        state, gas, cfg.scheme_obj(), integrator, t_end, cfl, mood_cfg=cascade_config(cfg)
+    ):
         activations += int(np.sum(report.level > 0))
         steps += 1
         if not np.all(euler.admissible(state.U, gas)):

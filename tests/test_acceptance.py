@@ -25,10 +25,10 @@ from rdeuler.problems import init_vortex
 from rdeuler.residuals import Scheme
 from rdeuler.stepping import (
     FieldState,
+    advance,
     assemble_density_system,
     conserved_totals,
     forward_euler_step,
-    ssp_rk2_step,
 )
 from rdeuler.verification import (
     check_entropy_balance,
@@ -44,17 +44,14 @@ def _report(name, ok, detail):
     assert ok, f"{name}: {detail}"
 
 
-def _advance(disc, U0, scheme, t_end, cfl, stepper=ssp_rk2_step, record=False):
+def _advance(disc, U0, scheme, t_end, cfl, integrator="ssprk2", record=False):
     st = FieldState(0.0, U0.copy(), disc)
     rec = None
     if record:
         rec = RunRecord(disc=disc, gas=GAS, scheme=scheme)
         rec.times.append(0.0)
         rec.states.append(st.U.copy())
-    while st.t < t_end - 1e-12:
-        a = alpha_noninterpolated(disc, GAS, st.U)
-        dt = min(admissible_timestep(disc, a, cfl), t_end - st.t)
-        st = stepper(st, scheme, dt, GAS)
+    for st, dt, _ in advance(st, GAS, scheme, integrator, t_end, cfl):
         if rec is not None:
             rec.times.append(st.t)
             rec.states.append(st.U.copy())
@@ -231,7 +228,7 @@ def test_criterion_8_entropy_consistency_scaling():
         U0, _ = init_vortex(disc, GAS)
         _, rec = _advance(
             disc, U0, Scheme.parse("galerkin+ec+jump"), 0.4, 0.3,
-            stepper=forward_euler_step, record=True,
+            integrator="fe", record=True,
         )
         terms = consistency_error(rec, phi, grad_phi, "eta")
         totals.append(abs(terms["total"]))
@@ -301,7 +298,7 @@ def test_criterion_10_consistency_oracle_equivalence():
     U0, _ = init_vortex(disc, GAS)
     _, rec = _advance(
         disc, U0, Scheme.parse("galerkin+ec+jump"), 0.2, 0.3,
-        stepper=forward_euler_step, record=True,
+        integrator="fe", record=True,
     )
     k = 2.0 * np.pi / 10.0
 

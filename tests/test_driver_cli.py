@@ -3,7 +3,7 @@ import os
 import numpy as np
 import pytest
 
-from rdeuler import driver
+from rdeuler import driver, euler
 from rdeuler.cli import main
 from rdeuler.config import parse_config
 from rdeuler.errors import ConfigError
@@ -219,6 +219,7 @@ def test_driver_implicit_integrator(tmp_path):
             problem="vortex",
             mesh="structured:4",
             integrator="implicit",
+            scheme="lxf+interp",
             t_end="0.02",
             cfl="0.4",
         )
@@ -226,3 +227,77 @@ def test_driver_implicit_integrator(tmp_path):
     result = driver.run(cfg)
     assert result.n_steps > 0
     assert np.all(result.state.U[:, 0] > 0)
+
+
+@pytest.mark.parametrize("scheme", ["galerkin+ec+jump", "lxf", "limited_lxf+interp"])
+def test_implicit_integrator_needs_lxf_interp(tmp_path, scheme):
+    text = _cfg_text(tmp_path, problem="vortex", integrator="implicit", scheme=scheme)
+    with pytest.raises(ConfigError):
+        parse_config(text)
+    path = tmp_path / "implicit.cfg"
+    path.write_text(text)
+    assert main(["run", str(path)]) == 2
+
+
+@pytest.mark.parametrize("basis,degree", [("lagrange", 1), ("bernstein", 2)])
+@pytest.mark.parametrize("scheme", ["lxf+interp"])
+def test_near_vacuum_run_stays_admissible(tmp_path, gas, scheme, basis, degree):
+    # at cfl = 1 only the bound of the scheme being stepped keeps every DOF
+    # admissible; the pointwise bound is several times too small for +interp
+    from rdeuler.mesh import structured_square, write_mesh
+    from rdeuler.stepping import FieldState
+    from rdeuler.verification import random_admissible_field
+
+    mesh_path = tmp_path / "square4_side2.txt"
+    write_mesh(mesh_path, structured_square(4, side=2.0))
+    snap = tmp_path / "near_vacuum.csv"
+    cfg = parse_config(
+        _cfg_text(
+            tmp_path, problem="from_file", mesh=str(mesh_path), basis=basis,
+            degree=degree, scheme=scheme, cfl="1.0", t_end="1e9", max_steps="5",
+            **{"problem.file": str(snap)},
+        )
+    )
+    disc = driver.build_discretization(cfg)
+    rng = np.random.default_rng(2024)
+    for _ in range(100):
+        U = random_admissible_field(disc, gas, rng, near_vacuum=True)
+        driver.write_snapshot(snap, FieldState(0.0, U, disc))
+        result = driver.run(cfg)
+        assert result.n_steps == 5
+        assert np.all(euler.admissible(result.state.U, gas))
+
+
+@pytest.mark.parametrize("spec", ["structured:abc", "structured:0", "structured:4x", "structured:2x3x4"])
+def test_bad_structured_mesh_spec(tmp_path, spec):
+    with pytest.raises(ConfigError):
+        driver.load_mesh(spec)
+    path = tmp_path / "bad_mesh.cfg"
+    path.write_text(_cfg_text(tmp_path, mesh=spec))
+    assert main(["run", str(path)]) == 2
+
+
+def test_structured_strip_spec():
+    from rdeuler.mesh import structured_rect, structured_square
+
+    strip = structured_rect(64, 8, width=10.0, height=1.25)
+    assert driver.load_mesh("structured:64x8").content_hash() == strip.content_hash()
+    assert driver.load_mesh("structured:6").content_hash() == structured_square(6).content_hash()
+
+
+@pytest.mark.parametrize("column,value", [(4, "oops"), (0, "1.5")])
+def test_malformed_snapshot_is_config_error(tmp_path, capsys, column, value):
+    cfg = parse_config(_cfg_text(tmp_path, problem="vortex", mesh="structured:4", t_end="0.02"))
+    driver.run(cfg)
+    lines = open(os.path.join(cfg.output_dir, "snap_final.csv")).read().splitlines()
+    cells = lines[5].split(",")
+    cells[column] = value
+    lines[5] = ",".join(cells)
+    bad = tmp_path / "bad_snap.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    path = tmp_path / "restart.cfg"
+    path.write_text(
+        _cfg_text(tmp_path, problem="from_file", mesh="structured:4", **{"problem.file": str(bad)})
+    )
+    assert main(["run", str(path)]) == 2
+    assert f"{bad}:6" in capsys.readouterr().err

@@ -5,12 +5,14 @@ from conftest import make_disc, random_states, smooth_field
 from rdeuler import euler
 from rdeuler.basis import build_dofmap
 from rdeuler.discretization import Discretization
+from rdeuler.errors import ConfigError
 from rdeuler.mesh import build_mesh, structured_square
 from rdeuler.positivity import alpha_noninterpolated
 from rdeuler.residuals import (
+    Scheme,
+    base_residual,
     beta_coefficients,
     conservation_defect,
-    dg_residual,
     galerkin_jump_residual,
     galerkin_residual,
     interface_flux,
@@ -191,14 +193,20 @@ def test_jump_term_h2_scaling(gas):
 
 def test_dg_constant_zero(gas, small_disc_s1):
     U = constant_state_field(small_disc_s1, gas)
-    res = dg_residual(small_disc_s1, gas, U)
+    res = galerkin_residual(small_disc_s1, gas, U)
     assert np.abs(res.phi).max() < 1e-14
+
+
+def test_dg_base_needs_s1_space(gas, small_disc):
+    U = constant_state_field(small_disc, gas)
+    with pytest.raises(ConfigError):
+        base_residual(small_disc, gas, U, Scheme(base="dg"))
 
 
 def test_dg_conservation_requadrature(gas, small_disc_s1):
     disc = small_disc_s1
     U = smooth_field(disc, gas)
-    res = dg_residual(disc, gas, U)
+    res = galerkin_residual(disc, gas, U)
     # per-element sum equals the Rusanov boundary quadrature computed
     # independently from the interface traces
     U_elem = disc.elem_values(U)
@@ -220,7 +228,7 @@ def test_dg_two_element_periodic_telescoping(gas):
     disc = Discretization(mesh, build_dofmap(mesh, "s1", "lagrange", 1))
     rng = np.random.default_rng(2)
     U = random_states(rng, disc.dofmap.n_dofs)
-    res = dg_residual(disc, gas, U)
+    res = galerkin_residual(disc, gas, U)
     total = res.phi.sum(axis=(0, 1))
     scale = np.abs(res.phi).sum()
     assert np.abs(total).max() < 1e-12 * max(scale, 1.0)
