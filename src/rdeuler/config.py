@@ -6,7 +6,7 @@ coefficient from the local wavespeed, plateau tolerance from h_K^3,
 time-step cap from the domain size).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .errors import ConfigError
 from .residuals import Scheme
@@ -14,11 +14,17 @@ from .residuals import Scheme
 _BOOL = {"true": True, "false": False, "on": True, "off": False}
 
 
+def _key(default, key=None, auto=False):
+    """A field read from config key ``key`` (default: the field name);
+    with ``auto`` the value ``auto`` stands for None."""
+    return field(default=default, metadata={"key": key, "auto": auto})
+
+
 @dataclass
 class RunConfig:
     problem: str = "vortex"
-    problem_file: str = None
-    beta: float = 5.0
+    problem_file: str = _key(None, "problem.file")
+    beta: float = _key(5.0, "problem.beta")
     mesh: str = None
     space: str = "s2"
     basis: str = "bernstein"
@@ -31,18 +37,18 @@ class RunConfig:
     gamma: float = 1.4
     rho_floor: float = 1e-12
     e_floor: float = 1e-12
-    lambda_jump: float = None        # None: local max wavespeed
+    lambda_jump: float = _key(None, auto=True)  # None: local max wavespeed
     zeta: float = 2.0
-    mood_enabled: bool = False
-    mood_delta_dmp: float = 1e-3
-    mood_plateau: float = None       # None: h_K^3
-    mood_smooth_tol: float = 0.01
-    output_dir: str = "out"
-    output_every: int = 0            # snapshot cadence in steps; 0 = final only
-    diag_every: int = 1
-    dt_max: float = None
+    mood_enabled: bool = _key(False, "mood.enabled")
+    mood_delta_dmp: float = _key(1e-3, "mood.delta_dmp")
+    mood_plateau: float = _key(None, "mood.plateau", auto=True)  # None: h_K^3
+    mood_smooth_tol: float = _key(0.01, "mood.smooth_tol")
+    output_dir: str = _key("out", "output.dir")
+    output_every: int = _key(0, "output.every")  # snapshot cadence in steps; 0 = final only
+    diag_every: int = _key(1, "output.diag_every")
+    dt_max: float = _key(None, auto=True)
     max_steps: int = 10_000_000
-    raw: dict = field(default_factory=dict)
+    raw: dict = field(default_factory=dict)  # key -> value text as parsed; not a key
 
     def validate(self):
         if self.problem not in ("vortex", "sod_smooth", "constant", "from_file"):
@@ -93,33 +99,11 @@ def _with_jump_params(scheme, cfg):
     return replace(scheme, lambda_jump=cfg.lambda_jump, zeta=cfg.zeta)
 
 
+# config key -> (field, conversion), from the field metadata
 _KEYMAP = {
-    "problem": ("problem", str),
-    "problem.file": ("problem_file", str),
-    "problem.beta": ("beta", float),
-    "mesh": ("mesh", str),
-    "space": ("space", str),
-    "basis": ("basis", str),
-    "degree": ("degree", int),
-    "scheme": ("scheme", str),
-    "cascade": ("cascade", str),
-    "integrator": ("integrator", str),
-    "cfl": ("cfl", float),
-    "t_end": ("t_end", float),
-    "gamma": ("gamma", float),
-    "rho_floor": ("rho_floor", float),
-    "e_floor": ("e_floor", float),
-    "lambda_jump": ("lambda_jump", "auto_float"),
-    "zeta": ("zeta", float),
-    "mood.enabled": ("mood_enabled", bool),
-    "mood.delta_dmp": ("mood_delta_dmp", float),
-    "mood.plateau": ("mood_plateau", "auto_float"),
-    "mood.smooth_tol": ("mood_smooth_tol", float),
-    "output.dir": ("output_dir", str),
-    "output.every": ("output_every", int),
-    "output.diag_every": ("diag_every", int),
-    "dt_max": ("dt_max", "auto_float"),
-    "max_steps": ("max_steps", int),
+    f.metadata.get("key") or f.name: (f.name, "auto_float" if f.metadata.get("auto") else f.type)
+    for f in fields(RunConfig)
+    if f.name != "raw"
 }
 
 

@@ -19,6 +19,7 @@ from . import euler
 from .discretization import Discretization
 from .errors import MeshMismatch
 from .residuals import galerkin_residual
+from .stabilization import grad_jump_integral
 from .stepping import element_theta
 
 
@@ -38,10 +39,8 @@ def weak_bv_norm(disc: Discretization, gas, U, lam=1.0, zeta=2.0):
     """Edge-jump seminorm (squared): sum_e lam h_e^zeta d oint ||[grad V]||^2."""
     U_elem = disc.elem_values(U)
     V_elem = euler.entropy_vars(U_elem, gas)
-    jump = disc.trace_grad_R(V_elem) - disc.trace_grad_L(V_elem)
-    sq = np.einsum("q,eqci,eqci->e", disc.edge_weights, jump, jump)
     d = 2.0
-    contrib = lam * disc.if_h**zeta * d * disc.if_length * sq
+    contrib = lam * disc.if_h**zeta * d * disc.if_length * grad_jump_integral(disc, V_elem)
     return float(np.sum(np.where(disc.if_has_right, contrib, 0.0)))
 
 

@@ -117,7 +117,6 @@ class Discretization:
 
     def _build_neighbors(self):
         mesh = self.mesh
-        nbr = np.full((mesh.n_tris, 3), -1, dtype=np.int64)
         e = mesh.elem_edges
         side = mesh.elem_edge_side
         left = mesh.edge_left[e]
@@ -215,26 +214,24 @@ class Discretization:
         return out.swapaxes(-1, -2)
 
     def scatter_interface(self, contrib_L, contrib_R):
-        """Accumulate per-interface DOF contributions into element arrays.
+        """Accumulate per-interface contributions into element arrays.
 
-        contrib_L/contrib_R have shape (E, N_K, ...) and are added to the
-        left/right owner rows of a fresh (M, N_K, ...) array.
+        contrib_L/contrib_R have shape (E, ...) and are added to the
+        left/right owner rows of a fresh (M, ...) array; this is the one
+        edge-to-element reduction.  Each element sums its left-owned
+        contributions, then its right-owned ones, in interface order.
         """
         M = self.mesh.n_tris
-        tail = contrib_L.shape[1:]
-        flatL = contrib_L.reshape(contrib_L.shape[0], -1)
-        out = np.column_stack(
-            [
-                np.bincount(self.if_left, weights=flatL[:, c], minlength=M)
-                for c in range(flatL.shape[1])
-            ]
-        )
         has_r = self.if_has_right
+        flatL = contrib_L.reshape(contrib_L.shape[0], -1)
         flatR = contrib_R[has_r].reshape(-1, flatL.shape[1])
-        right = self.if_right[has_r]
-        for c in range(flatL.shape[1]):
-            out[:, c] += np.bincount(right, weights=flatR[:, c], minlength=M)
-        return out.reshape((M,) + tail)
+        left, right = self.if_left, self.if_right[has_r]
+        out = np.column_stack([
+            np.bincount(left, weights=flatL[:, c], minlength=M)
+            + np.bincount(right, weights=flatR[:, c], minlength=M)
+            for c in range(flatL.shape[1])
+        ])
+        return out.reshape((M,) + contrib_L.shape[1:])
 
     def interpolate(self, fn):
         """Interpolate fn(x, y) -> (..., ncomp) onto the DOF vector.
@@ -253,7 +250,6 @@ class Discretization:
         # reversed scan leaves the FIRST occurrence in place
         for i in range(flat_dofs.size - 1, -1, -1):
             first[flat_dofs[i]] = i
-        nk = self.dofmap.n_local
         flat_vals = vals.reshape((-1,) + vals.shape[2:])
         return flat_vals[first]
 

@@ -76,8 +76,9 @@ def write_snapshot(path, state: stepping.FieldState, cfg_hash=""):
 
 
 def read_snapshot(path):
-    """(U, t, meta) of a snapshot file; a malformed header value or row
-    raises ConfigError naming the file and the line."""
+    """(U, t, meta) of a snapshot file; a malformed header value or row,
+    or dof_ids that are not a permutation of 0..n-1 for n rows, raise
+    ConfigError naming the file and the line."""
     meta = {}
     rows = []
     t = 0.0
@@ -92,11 +93,20 @@ def read_snapshot(path):
                     cells = line.split(",")
                     if len(cells) != 7:
                         raise ValueError(f"{len(cells)} cells, expected 7")
-                    rows.append((int(cells[0]), [float(v) for v in cells[3:7]]))
+                    rows.append((lineno, int(cells[0]), [float(v) for v in cells[3:7]]))
             except ValueError as exc:
                 raise ConfigError(f"{path}:{lineno}: malformed snapshot line ({exc})") from None
-    rows.sort(key=lambda r: r[0])
-    U = np.array([r[1] for r in rows])
+    U = np.empty((len(rows), 4))
+    line_of = {}
+    for lineno, i, vals in rows:
+        if not 0 <= i < len(rows):
+            raise ConfigError(
+                f"{path}:{lineno}: dof_id {i} outside 0..{len(rows) - 1}, so another one is missing"
+            )
+        if i in line_of:
+            raise ConfigError(f"{path}:{lineno}: dof_id {i} repeats line {line_of[i]}")
+        line_of[i] = lineno
+        U[i] = vals
     return U, t, meta
 
 
@@ -133,15 +143,8 @@ def _diag_row(disc, gas, state, scheme, step, dt, mood_counts):
     totals = stepping.conserved_totals(disc, state.U)
     entropy = float(np.sum(disc.dual.c_sigma * euler.entropy_eta(state.U, gas)))
     bv = diagnostics.weak_bv_norm(disc, gas, state.U, zeta=scheme.zeta)
-    if scheme.diffusion:
-        from .stabilization import jump_diffusion
-
-        _, achieved, _ = jump_diffusion(
-            disc, gas, state.U, lam=scheme.lambda_jump, zeta=scheme.zeta
-        )
-        prod = float(np.sum(achieved))
-    else:
-        prod = 0.0
+    # The state's memoised residual: the next step's first stage reuses it.
+    prod = float(np.sum(state.residual(gas, scheme).production)) if scheme.diffusion else 0.0
     return {
         "step": step,
         "t": state.t,

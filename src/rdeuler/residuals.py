@@ -110,17 +110,8 @@ def boundary_totals(disc: Discretization, fnum):
     One quadrature per interface feeds both owners with opposite signs,
     so the global sum telescopes to round-off.
     """
-    w = disc.edge_weights
-    T = disc.if_length[:, None] * np.tensordot(fnum, w, axes=([1], [0]))
-    M = disc.mesh.n_tris
-    out = np.zeros((M, 4))
-    has_r = disc.if_has_right
-    for c in range(4):
-        out[:, c] = np.bincount(disc.if_left, weights=T[:, c], minlength=M)
-        out[:, c] -= np.bincount(
-            disc.if_right[has_r], weights=T[has_r, c], minlength=M
-        )
-    return out
+    T = disc.if_length[:, None] * np.tensordot(fnum, disc.edge_weights, axes=([1], [0]))
+    return disc.scatter_interface(T, -T)
 
 
 def _galerkin_parts(disc: Discretization, gas, U_elem, fnum):
@@ -261,15 +252,10 @@ def conservation_defect(disc: Discretization, gas, U, res: ElementResidual):
     """
     U_elem = disc.elem_values(U)
     fnum = interface_flux(disc, gas, U_elem)
-    mag = disc.if_length[:, None] * np.einsum(
+    mag = disc.if_length * np.einsum(
         "q,eq->e", disc.edge_weights, np.linalg.norm(fnum, axis=-1)
-    )[:, None]
-    M = disc.mesh.n_tris
-    scale = np.zeros((M, 1))
-    np.add.at(scale, disc.if_left, mag)
-    has_r = disc.if_has_right
-    np.add.at(scale, disc.if_right[has_r], mag[has_r])
-    scale = np.maximum(scale[:, 0], 1.0)
+    )
+    scale = np.maximum(disc.scatter_interface(mag, mag), 1.0)
     defect = np.linalg.norm(res.phi.sum(axis=1) - res.total, axis=-1)
     return defect / scale
 

@@ -57,11 +57,7 @@ def element_entropy_boundary(disc: Discretization, gas, U_elem):
     """oint_dK g_num per element, (M,); telescopes globally."""
     gq = interface_entropy_flux(disc, gas, U_elem)
     G = disc.if_length * (gq @ disc.edge_weights)
-    M = disc.mesh.n_tris
-    has_r = disc.if_has_right
-    out = np.bincount(disc.if_left, weights=G, minlength=M)
-    out -= np.bincount(disc.if_right[has_r], weights=G[has_r], minlength=M)
-    return out
+    return disc.scatter_interface(G, -G)
 
 
 def _deviations(V_elem):
@@ -87,6 +83,16 @@ def correction_term(V_elem, phi, g_boundary):
     return alpha[:, None, None] * dev, alpha, E
 
 
+def grad_jump_integral(disc: Discretization, V_elem):
+    """oint_e ||[grad V]||^2 per interface, (E,).
+
+    An interface without a right owner gets a placeholder value that
+    callers mask out.
+    """
+    jump = disc.trace_grad_R(V_elem) - disc.trace_grad_L(V_elem)      # (E,nq,C,2)
+    return (jump * jump).sum(axis=(2, 3)) @ disc.edge_weights
+
+
 def edge_jump_production(disc: Discretization, gas, U_elem, V_elem, lam=None, zeta=2.0):
     """Entropy production per interface, (E,), plus the lambda_e used.
 
@@ -94,27 +100,19 @@ def edge_jump_production(disc: Discretization, gas, U_elem, V_elem, lam=None, ze
     space: lam_e oint ||[V]||^2.  lam defaults to the maximum wavespeed
     over the interface traces.
     """
-    w = disc.edge_weights
     if lam is None:
         tL = disc.trace_L(U_elem)
-        lam_e = euler.max_wavespeed(tL, gas).max(axis=1)
-        has_r = disc.if_has_right
-        if np.any(has_r):
-            tR = disc.trace_R(U_elem)
-            sR = euler.max_wavespeed(
-                np.where(has_r[:, None, None], tR, tL), gas
-            ).max(axis=1)
-            lam_e = np.maximum(lam_e, sR)
-        lam_e = JUMP_COEFF * lam_e
+        tR = np.where(disc.if_has_right[:, None, None], disc.trace_R(U_elem), tL)
+        lam_e = JUMP_COEFF * np.maximum(
+            euler.max_wavespeed(tL, gas).max(axis=1), euler.max_wavespeed(tR, gas).max(axis=1)
+        )
     else:
         lam_e = np.full(disc.if_length.shape[0], float(lam))
     if disc.dofmap.space == "s2":
-        jump = disc.trace_grad_R(V_elem) - disc.trace_grad_L(V_elem)  # (E,nq,4,2)
-        sq = (jump * jump).sum(axis=(2, 3)) @ w
-        D = lam_e * disc.if_h**zeta * disc.if_length * sq
+        D = lam_e * disc.if_h**zeta * disc.if_length * grad_jump_integral(disc, V_elem)
     else:
         jump = disc.trace_R(V_elem) - disc.trace_L(V_elem)            # (E,nq,4)
-        sq = (jump * jump).sum(axis=2) @ w
+        sq = (jump * jump).sum(axis=2) @ disc.edge_weights
         D = lam_e * disc.if_length * sq
     D = np.where(disc.if_has_right, D, 0.0)
     return D, lam_e
@@ -153,10 +151,9 @@ def jump_diffusion(disc: Discretization, gas, U, lam=None, zeta=2.0, cap=1.0,
     if V_elem is None:
         V_elem = euler.entropy_vars(U_elem, gas)
     D, lam_e = edge_jump_production(disc, gas, U_elem, V_elem, lam=lam, zeta=zeta)
+    share = disc.scatter_interface(0.5 * D, 0.5 * D)
     M = disc.mesh.n_tris
     has_r = disc.if_has_right
-    share = np.bincount(disc.if_left, weights=0.5 * D, minlength=M)
-    share += np.bincount(disc.if_right[has_r], weights=0.5 * D[has_r], minlength=M)
     lam_k = np.zeros(M)
     np.maximum.at(lam_k, disc.if_left, lam_e)
     np.maximum.at(lam_k, disc.if_right[has_r], lam_e[has_r])
@@ -168,8 +165,7 @@ def jump_diffusion(disc: Discretization, gas, U, lam=None, zeta=2.0, cap=1.0,
 @dataclass
 class CorrectedResidual:
     base: ElementResidual
-    correction: np.ndarray        # (M, N, 4)
-    diffusion: np.ndarray         # (M, N, 4)
+    correction: np.ndarray        # (M, N, 4); None without +ec and +jump
     theta: np.ndarray             # (M, N, 4)
     e_corr: np.ndarray            # (M,)
     alpha_corr: np.ndarray        # (M,)
@@ -185,18 +181,17 @@ def corrected_residual(disc: Discretization, gas, U, scheme: Scheme, alpha=None)
     """
     base = base_residual(disc, gas, U, scheme, alpha=alpha)
     M = base.phi.shape[0]
-    r = np.zeros_like(base.phi)
     e_corr = np.zeros(M)
     alpha_corr = np.zeros(M)
-    psi = np.zeros_like(base.phi)
     production = np.zeros(M)
     edge_production = np.zeros(disc.if_length.shape[0])
-    g_bnd = None
+    g_bnd = r = None
     theta = base.phi
     if scheme.correction or scheme.diffusion:
         U_elem = disc.elem_values(U)
         V_elem = euler.entropy_vars(U_elem, gas)
         g_bnd = element_entropy_boundary(disc, gas, U_elem)
+        r = psi = np.zeros_like(base.phi)
         if scheme.correction:
             r, alpha_corr, e_corr = correction_term(V_elem, base.phi, g_bnd)
         if scheme.diffusion:
@@ -208,7 +203,6 @@ def corrected_residual(disc: Discretization, gas, U, scheme: Scheme, alpha=None)
     return CorrectedResidual(
         base=base,
         correction=r,
-        diffusion=psi,
         theta=theta,
         e_corr=e_corr,
         alpha_corr=alpha_corr,

@@ -47,12 +47,12 @@ class FieldState:
             self._memo[key] = scheme_alpha(self.disc, gas, self.U, lxf)
         return self._memo[key]
 
-    def theta(self, gas, scheme: Scheme):
-        """Corrected per-element residuals of U for one scheme, (M, N, 4)."""
-        key = ("theta", gas, scheme)
+    def residual(self, gas, scheme: Scheme):
+        """Corrected residual of U for one scheme (CorrectedResidual)."""
+        key = ("residual", gas, scheme)
         if key not in self._memo:
             alpha = self.alpha(gas, scheme.flux_mode) if scheme.base in LXF_FAMILY else None
-            self._memo[key] = element_theta(self.disc, gas, self.U, scheme, alpha=alpha).theta
+            self._memo[key] = element_theta(self.disc, gas, self.U, scheme, alpha=alpha)
         return self._memo[key]
 
 
@@ -109,7 +109,7 @@ def mixed_theta(disc: Discretization, gas, U, cascade, levels):
     state = U if isinstance(U, FieldState) else FieldState(0.0, U, disc)
     theta = None
     for lv in np.unique(levels):
-        res = state.theta(gas, cascade[int(lv)])
+        res = state.residual(gas, cascade[int(lv)]).theta
         if theta is None:
             theta = res.copy()
         else:
@@ -121,7 +121,7 @@ def mixed_theta(disc: Discretization, gas, U, cascade, levels):
 def forward_euler_step(state: FieldState, scheme, dt, gas, levels=None) -> FieldState:
     disc = state.disc
     if levels is None:
-        R = scatter_residuals(disc, state.theta(gas, scheme))
+        R = scatter_residuals(disc, state.residual(gas, scheme).theta)
     else:
         R = scatter_residuals(disc, mixed_theta(disc, gas, state, scheme, levels))
     U = state.U - (dt / disc.dual.c_sigma)[:, None] * R

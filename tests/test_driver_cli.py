@@ -6,7 +6,7 @@ import pytest
 from rdeuler import driver, euler
 from rdeuler.cli import main
 from rdeuler.config import parse_config
-from rdeuler.errors import ConfigError
+from rdeuler.errors import ConfigError, NonPositivePressure, VacuumState
 
 
 def _assert_numeric_csv(path):
@@ -239,8 +239,22 @@ def test_implicit_integrator_needs_lxf_interp(tmp_path, scheme):
     assert main(["run", str(path)]) == 2
 
 
+# Known defect: under its own bound only lxf+interp stays positive on
+# near-vacuum data.  The other LxF-family schemes lose admissibility,
+# which the check after the run or the next step's bound reports.
+_NOT_POSITIVE = pytest.mark.xfail(
+    strict=True,
+    raises=(AssertionError, NonPositivePressure, VacuumState),
+    reason="not positive under its own bound",
+)
+
+
 @pytest.mark.parametrize("basis,degree", [("lagrange", 1), ("bernstein", 2)])
-@pytest.mark.parametrize("scheme", ["lxf+interp"])
+@pytest.mark.parametrize(
+    "scheme",
+    ["lxf+interp"]
+    + [pytest.param(s, marks=_NOT_POSITIVE) for s in ("lxf", "limited_lxf", "limited_lxf+interp")],
+)
 def test_near_vacuum_run_stays_admissible(tmp_path, gas, scheme, basis, degree):
     # at cfl = 1 only the bound of the scheme being stepped keeps every DOF
     # admissible; the pointwise bound is several times too small for +interp
@@ -285,7 +299,11 @@ def test_structured_strip_spec():
     assert driver.load_mesh("structured:6").content_hash() == structured_square(6).content_hash()
 
 
-@pytest.mark.parametrize("column,value", [(4, "oops"), (0, "1.5")])
+# The last three repeat dof_id 0 or fall outside 0..n-1: restarting would
+# run on a permuted field.
+@pytest.mark.parametrize(
+    "column,value", [(4, "oops"), (0, "1.5"), (0, "0"), (0, "99"), (0, "-1")]
+)
 def test_malformed_snapshot_is_config_error(tmp_path, capsys, column, value):
     cfg = parse_config(_cfg_text(tmp_path, problem="vortex", mesh="structured:4", t_end="0.02"))
     driver.run(cfg)
@@ -301,3 +319,42 @@ def test_malformed_snapshot_is_config_error(tmp_path, capsys, column, value):
     )
     assert main(["run", str(path)]) == 2
     assert f"{bad}:6" in capsys.readouterr().err
+
+
+def test_diag_row_reuses_the_step_residual(tmp_path, monkeypatch):
+    # each row reads the production of its state's memoised residual, which
+    # the next step's first stage then reuses: one jump diffusion per stage
+    # plus one for the final row
+    from rdeuler import stabilization
+
+    calls = []
+    original = stabilization.jump_diffusion
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(stabilization, "jump_diffusion", counted)
+    n = 4
+    cfg = parse_config(
+        _cfg_text(tmp_path, problem="vortex", mesh="structured:8", integrator="ssprk2",
+                  scheme="galerkin+ec+jump", t_end="10.0", max_steps=str(n),
+                  **{"output.diag_every": "1"})
+    )
+    result = driver.run(cfg, record=True)
+    assert result.n_steps == n
+    assert len(calls) == 2 * n + 1
+
+    with open(os.path.join(cfg.output_dir, "diagnostics.csv")) as fh:
+        header, *lines = fh.read().splitlines()
+    col = header.split(",").index("entropy_production")
+    got = [float(line.split(",")[col]) for line in lines]
+    scheme = cfg.scheme_obj()
+    want = [
+        float(np.sum(original(result.disc, result.gas, U, lam=scheme.lambda_jump,
+                              zeta=scheme.zeta)[1]))
+        for U in result.record.states
+    ]
+    assert len(got) == n + 1
+    assert got == want
+    assert all(p > 0.0 for p in got)

@@ -117,6 +117,59 @@ def test_config_defaults_and_parse():
     assert cfg2.mood_enabled and cfg2.zeta == 3.0 and cfg2.lambda_jump is None
 
 
+# Every config key, a value for it and the field it must set.
+_EVERY_KEY = {
+    "problem": ("problem", "constant", "constant"),
+    "problem.file": ("problem_file", "snap.csv", "snap.csv"),
+    "problem.beta": ("beta", "3.5", 3.5),
+    "mesh": ("mesh", "structured:8", "structured:8"),
+    "space": ("space", "s1", "s1"),
+    "basis": ("basis", "lagrange", "lagrange"),
+    "degree": ("degree", "2", 2),
+    "scheme": ("scheme", "lxf", "lxf"),
+    "cascade": ("cascade", "galerkin,lxf", "galerkin,lxf"),
+    "integrator": ("integrator", "fe", "fe"),
+    "cfl": ("cfl", "0.5", 0.5),
+    "t_end": ("t_end", "1.5", 1.5),
+    "gamma": ("gamma", "1.67", 1.67),
+    "rho_floor": ("rho_floor", "1e-10", 1e-10),
+    "e_floor": ("e_floor", "1e-9", 1e-9),
+    "lambda_jump": ("lambda_jump", "0.5", 0.5),
+    "zeta": ("zeta", "3", 3.0),
+    "mood.enabled": ("mood_enabled", "on", True),
+    "mood.delta_dmp": ("mood_delta_dmp", "0.01", 0.01),
+    "mood.plateau": ("mood_plateau", "1e-6", 1e-6),
+    "mood.smooth_tol": ("mood_smooth_tol", "0.02", 0.02),
+    "output.dir": ("output_dir", "elsewhere", "elsewhere"),
+    "output.every": ("output_every", "5", 5),
+    "output.diag_every": ("diag_every", "3", 3),
+    "dt_max": ("dt_max", "0.1", 0.1),
+    "max_steps": ("max_steps", "7", 7),
+}
+
+
+def test_config_every_key_sets_its_field():
+    from dataclasses import fields
+
+    from rdeuler.config import RunConfig, _KEYMAP
+
+    assert set(_KEYMAP) == set(_EVERY_KEY)
+    base = parse_config("mesh = structured:4\n")
+    for key, (attr, text, value) in _EVERY_KEY.items():
+        cfg = parse_config(f"mesh = structured:4\n{key} = {text}\n")
+        assert getattr(cfg, attr) == value and type(getattr(cfg, attr)) is type(value), key
+        assert cfg.raw[key] == text
+        moved = [f.name for f in fields(RunConfig)
+                 if f.name != "raw" and getattr(cfg, f.name) != getattr(base, f.name)]
+        assert moved == [attr], key
+    for key in ("lambda_jump", "mood.plateau", "dt_max"):
+        assert getattr(parse_config(f"mesh = structured:4\n{key} = auto\n"), _KEYMAP[key][0]) is None
+    with pytest.raises(ConfigError, match="bad value 'often' for key 'output.every'"):
+        parse_config("mesh = structured:4\noutput.every = often\n")
+    with pytest.raises(ConfigError, match="bad value 'maybe' for key 'mood.enabled'"):
+        parse_config("mesh = structured:4\nmood.enabled = maybe\n")
+
+
 def test_config_rejects_unknown_key():
     with pytest.raises(ConfigError):
         parse_config("mesh = structured:8\nbogus = 1\n")

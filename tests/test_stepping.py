@@ -265,9 +265,9 @@ def test_field_state_cache_is_not_copied(gas, small_disc):
     U2 = smooth_field(small_disc, gas, amp=0.05)
     scheme = Scheme.parse("limited_lxf")
     st = FieldState(0.0, U, small_disc)
-    st.theta(gas, scheme)
+    st.residual(gas, scheme)
     for moved in (st.copy_with(U=U2), replace(st, U=U2)):
         assert np.array_equal(moved.alpha(gas), alpha_noninterpolated(small_disc, gas, U2).value)
         assert np.array_equal(
-            moved.theta(gas, scheme), element_theta(small_disc, gas, U2, scheme).theta
+            moved.residual(gas, scheme).theta, element_theta(small_disc, gas, U2, scheme).theta
         )
