@@ -35,12 +35,16 @@ class RunRecord:
     dts: list = field(default_factory=list)
 
 
-def weak_bv_norm(disc: Discretization, gas, U, lam=1.0, zeta=2.0):
-    """Edge-jump seminorm (squared): sum_e lam h_e^zeta d oint ||[grad V]||^2."""
-    U_elem = disc.elem_values(U)
-    V_elem = euler.entropy_vars(U_elem, gas)
+def weak_bv_norm(disc: Discretization, gas, U, lam=1.0, zeta=2.0, grad_jump=None):
+    """Edge-jump seminorm (squared): sum_e lam h_e^zeta d oint ||[grad V]||^2.
+
+    ``grad_jump`` is the per-interface integral of U when the caller has
+    it (CorrectedResidual.grad_jump); otherwise it is computed here.
+    """
+    if grad_jump is None:
+        grad_jump = grad_jump_integral(disc, euler.entropy_vars(disc.elem_values(U), gas))
     d = 2.0
-    contrib = lam * disc.if_h**zeta * d * disc.if_length * grad_jump_integral(disc, V_elem)
+    contrib = lam * disc.if_h**zeta * d * disc.if_length * grad_jump
     return float(np.sum(np.where(disc.if_has_right, contrib, 0.0)))
 
 

@@ -142,9 +142,12 @@ def initial_state(cfg: RunConfig, disc: Discretization, gas):
 def _diag_row(disc, gas, state, scheme, step, dt, mood_counts):
     totals = stepping.conserved_totals(disc, state.U)
     entropy = float(np.sum(disc.dual.c_sigma * euler.entropy_eta(state.U, gas)))
-    bv = diagnostics.weak_bv_norm(disc, gas, state.U, zeta=scheme.zeta)
-    # The state's memoised residual: the next step's first stage reuses it.
-    prod = float(np.sum(state.residual(gas, scheme).production)) if scheme.diffusion else 0.0
+    prod, grad_jump = 0.0, None
+    if scheme.diffusion:
+        # The state's memoised residual: the next step's first stage reuses it.
+        res = state.residual(gas, scheme)
+        prod, grad_jump = float(np.sum(res.production)), res.grad_jump
+    bv = diagnostics.weak_bv_norm(disc, gas, state.U, zeta=scheme.zeta, grad_jump=grad_jump)
     return {
         "step": step,
         "t": state.t,

@@ -23,6 +23,7 @@ class AlphaBound:
     value: np.ndarray        # (M,)
     case: str                # Interpolated | NonInterpolated | Implicit
     geometry: np.ndarray     # (M,) max geometric factor norm used
+    wavespeed: np.ndarray = None  # (M,) wavespeed sweep used (NonInterpolated, Implicit)
 
 
 def scaled_normals(disc: Discretization):
@@ -71,37 +72,61 @@ def geometry_vectors(disc: Discretization):
     return -disc.phi_grad_integrals.swapaxes(1, 2) + disc.phi_phi_normal_integrals
 
 
+# Elements per stacked wavespeed sweep.  A P1 block's point table is
+# about 1 MB; tables of a whole large mesh are large enough to raise the
+# allocator's mmap threshold, which then grows the resident heap.
+SWEEP_BLOCK = 2048
+
+
 def _element_max_wavespeed(disc: Discretization, gas, U_elem):
-    """Max wavespeed over DOF values, interior and edge quadrature points."""
-    s = euler.max_wavespeed(U_elem, gas).max(axis=1)
-    s = np.maximum(s, euler.max_wavespeed(disc.interior_field(U_elem), gas).max(axis=1))
-    for loc in range(3):
-        Ue = np.einsum("qn,mnc->mqc", disc.edge_vals[loc], U_elem)
-        s = np.maximum(s, euler.max_wavespeed(Ue, gas).max(axis=1))
+    """Max wavespeed over DOF values, interior and edge quadrature points.
+
+    One ``max_wavespeed`` call per block of SWEEP_BLOCK elements, on the
+    stacked point values of the block.  The interior points are
+    ``interior_field`` and the three edges are one einsum over the
+    stacked edge table (a view of ``edge_vals``), so every point value,
+    and hence every maximum, is the one separate sweeps give.
+    """
+    edge_table = disc.edge_vals.reshape(-1, U_elem.shape[1])      # (3 nq, N)
+    s = np.empty(U_elem.shape[0])
+    for b in range(0, len(s), SWEEP_BLOCK):
+        Ub = U_elem[b:b + SWEEP_BLOCK]
+        points = np.concatenate(
+            [Ub, disc.interior_field(Ub), np.einsum("pn,mnc->mpc", edge_table, Ub)], axis=1
+        )
+        s[b:b + SWEEP_BLOCK] = euler.max_wavespeed(points, gas).max(axis=1)
     return s
 
 
-def alpha_noninterpolated(disc: Discretization, gas, U, safety=1.0) -> AlphaBound:
-    """Wavespeed maximum times the largest ||N_{sigma sigma'}||."""
+def alpha_noninterpolated(disc: Discretization, gas, U, safety=1.0, wavespeed=None) -> AlphaBound:
+    """Wavespeed maximum times the largest ||N_{sigma sigma'}||.
+
+    ``wavespeed`` is a sweep of U already at hand (AlphaBound.wavespeed).
+    """
     U_elem = disc.elem_values(U)
     _check_admissible(U_elem, gas)
     norms = disc.cached("geometry_vector_norms", lambda: _max_norms(geometry_vectors(disc)))
-    s = _element_max_wavespeed(disc, gas, U_elem)
-    return AlphaBound(value=safety * s * norms, case="NonInterpolated", geometry=norms)
+    s = _element_max_wavespeed(disc, gas, U_elem) if wavespeed is None else wavespeed
+    return AlphaBound(
+        value=safety * s * norms, case="NonInterpolated", geometry=norms, wavespeed=s
+    )
 
 
-def alpha_implicit(disc: Discretization, gas, U) -> AlphaBound:
+def alpha_implicit(disc: Discretization, gas, U, wavespeed=None) -> AlphaBound:
     """Sign-condition bound for the implicit density system.
 
     The mean-value correction splits as alpha/N_K per off-diagonal
     entry, so alpha must dominate N_K times the advective coefficient
     ||int phi grad(phi')|| times the wavespeed bound on the velocity.
+    ``wavespeed`` is a sweep of U already at hand (AlphaBound.wavespeed).
     """
-    U_elem = disc.elem_values(U)
     norms = disc.cached("phi_grad_norms", lambda: _max_norms(disc.phi_grad_integrals))
-    s = _element_max_wavespeed(disc, gas, U_elem)
+    if wavespeed is None:
+        wavespeed = _element_max_wavespeed(disc, gas, disc.elem_values(U))
     nk = disc.dofmap.n_local
-    return AlphaBound(value=nk * s * norms, case="Implicit", geometry=norms)
+    return AlphaBound(
+        value=nk * wavespeed * norms, case="Implicit", geometry=norms, wavespeed=wavespeed
+    )
 
 
 def admissible_timestep(disc: Discretization, alpha, cfl, dt_max=None):

@@ -179,8 +179,11 @@ def galerkin_jump_residual(disc: Discretization, gas, U, lambda_e=1.0) -> Elemen
 
 def _interpolated_lxf(disc: Discretization, gas, U_elem, alpha):
     f_dofs = euler.flux(U_elem, gas)                               # (M, N, 4, 2)
-    div_part = np.einsum("mnki,mkci->mnc", disc.phi_grad_integrals, f_dofs)
-    total = np.einsum("mki,mkci->mc", disc.grad_integrals, f_dofs)
+    M, N = U_elem.shape[:2]
+    # contract over (k, i) as batched matmuls against views of the tables
+    f2 = f_dofs.transpose(0, 1, 3, 2).reshape(M, 2 * N, 4)
+    div_part = np.matmul(disc.phi_grad_integrals.reshape(M, N, 2 * N), f2)
+    total = np.matmul(disc.grad_integrals.reshape(M, 1, 2 * N), f2)[:, 0]
     dev = U_elem - U_elem.mean(axis=1, keepdims=True)
     return div_part + alpha[:, None, None] * dev, total
 

@@ -93,12 +93,14 @@ def grad_jump_integral(disc: Discretization, V_elem):
     return (jump * jump).sum(axis=(2, 3)) @ disc.edge_weights
 
 
-def edge_jump_production(disc: Discretization, gas, U_elem, V_elem, lam=None, zeta=2.0):
+def edge_jump_production(disc: Discretization, gas, U_elem, V_elem, lam=None, zeta=2.0,
+                         grad_jump=None):
     """Entropy production per interface, (E,), plus the lambda_e used.
 
     Continuous space: lam_e h_e^zeta oint ||[grad V]||^2; discontinuous
     space: lam_e oint ||[V]||^2.  lam defaults to the maximum wavespeed
-    over the interface traces.
+    over the interface traces.  ``grad_jump`` is grad_jump_integral of
+    V_elem when the caller has it.
     """
     if lam is None:
         tL = disc.trace_L(U_elem)
@@ -109,7 +111,9 @@ def edge_jump_production(disc: Discretization, gas, U_elem, V_elem, lam=None, ze
     else:
         lam_e = np.full(disc.if_length.shape[0], float(lam))
     if disc.dofmap.space == "s2":
-        D = lam_e * disc.if_h**zeta * disc.if_length * grad_jump_integral(disc, V_elem)
+        if grad_jump is None:
+            grad_jump = grad_jump_integral(disc, V_elem)
+        D = lam_e * disc.if_h**zeta * disc.if_length * grad_jump
     else:
         jump = disc.trace_R(V_elem) - disc.trace_L(V_elem)            # (E,nq,4)
         sq = (jump * jump).sum(axis=2) @ disc.edge_weights
@@ -137,7 +141,7 @@ def distribute_production(V_elem, target, a_max=None):
 
 
 def jump_diffusion(disc: Discretization, gas, U, lam=None, zeta=2.0, cap=1.0,
-                   U_elem=None, V_elem=None):
+                   U_elem=None, V_elem=None, grad_jump=None):
     """Entropy-dissipative interface diffusion.
 
     Returns (psi, achieved, edge_production): per-DOF signals (M, N, 4)
@@ -150,7 +154,9 @@ def jump_diffusion(disc: Discretization, gas, U, lam=None, zeta=2.0, cap=1.0,
         U_elem = disc.elem_values(U)
     if V_elem is None:
         V_elem = euler.entropy_vars(U_elem, gas)
-    D, lam_e = edge_jump_production(disc, gas, U_elem, V_elem, lam=lam, zeta=zeta)
+    D, lam_e = edge_jump_production(
+        disc, gas, U_elem, V_elem, lam=lam, zeta=zeta, grad_jump=grad_jump
+    )
     share = disc.scatter_interface(0.5 * D, 0.5 * D)
     M = disc.mesh.n_tris
     has_r = disc.if_has_right
@@ -172,6 +178,7 @@ class CorrectedResidual:
     g_boundary: np.ndarray        # (M,); None without +ec and +jump
     production: np.ndarray        # (M,) achieved entropy production
     edge_production: np.ndarray   # (E,)
+    grad_jump: np.ndarray = None  # (E,) grad_jump_integral; +jump on the continuous space only
 
 
 def corrected_residual(disc: Discretization, gas, U, scheme: Scheme, alpha=None):
@@ -185,7 +192,7 @@ def corrected_residual(disc: Discretization, gas, U, scheme: Scheme, alpha=None)
     alpha_corr = np.zeros(M)
     production = np.zeros(M)
     edge_production = np.zeros(disc.if_length.shape[0])
-    g_bnd = r = None
+    g_bnd = r = grad_jump = None
     theta = base.phi
     if scheme.correction or scheme.diffusion:
         U_elem = disc.elem_values(U)
@@ -195,9 +202,11 @@ def corrected_residual(disc: Discretization, gas, U, scheme: Scheme, alpha=None)
         if scheme.correction:
             r, alpha_corr, e_corr = correction_term(V_elem, base.phi, g_bnd)
         if scheme.diffusion:
+            if disc.dofmap.space == "s2":
+                grad_jump = grad_jump_integral(disc, V_elem)
             psi, production, edge_production = jump_diffusion(
                 disc, gas, U, lam=scheme.lambda_jump, zeta=scheme.zeta,
-                U_elem=U_elem, V_elem=V_elem,
+                U_elem=U_elem, V_elem=V_elem, grad_jump=grad_jump,
             )
         theta = base.phi + r + psi
     return CorrectedResidual(
@@ -209,4 +218,5 @@ def corrected_residual(disc: Discretization, gas, U, scheme: Scheme, alpha=None)
         g_boundary=g_bnd,
         production=production,
         edge_production=edge_production,
+        grad_jump=grad_jump,
     )

@@ -358,3 +358,42 @@ def test_diag_row_reuses_the_step_residual(tmp_path, monkeypatch):
     assert len(got) == n + 1
     assert got == want
     assert all(p > 0.0 for p in got)
+
+
+def test_diag_row_bv_norm_reuses_the_residual_jump_integral(tmp_path, monkeypatch):
+    # the row's bv_norm is the weighted sum of the gradient-jump integral
+    # the state's memoised residual already holds: the row computes no
+    # integral of its own, and every cell equals weak_bv_norm from scratch
+    from rdeuler import diagnostics
+
+    calls = []
+    original = diagnostics.grad_jump_integral
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(diagnostics, "grad_jump_integral", counted)
+    n = 4
+    cfg = parse_config(
+        _cfg_text(tmp_path, problem="vortex", mesh="structured:8", integrator="ssprk2",
+                  scheme="galerkin+ec+jump", t_end="10.0", max_steps=str(n),
+                  **{"output.diag_every": "1"})
+    )
+    result = driver.run(cfg, record=True)
+    assert result.n_steps == n
+    assert calls == []
+    monkeypatch.undo()
+
+    with open(os.path.join(cfg.output_dir, "diagnostics.csv")) as fh:
+        header, *lines = fh.read().splitlines()
+    col = header.split(",").index("bv_norm")
+    got = [float(line.split(",")[col]) for line in lines]
+    zeta = cfg.scheme_obj().zeta
+    want = [
+        diagnostics.weak_bv_norm(result.disc, result.gas, U, zeta=zeta)
+        for U in result.record.states
+    ]
+    assert len(got) == n + 1
+    assert got == want
+    assert all(bv > 0.0 for bv in got)

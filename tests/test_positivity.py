@@ -211,3 +211,48 @@ def test_explicit_positivity_reduced(gas):
         )
         == 0
     )
+
+
+def _element_max_wavespeed_loop(disc, gas, U_elem):
+    """One sweep per point set: DOFs, interior points, each edge (oracle)."""
+    s = euler.max_wavespeed(U_elem, gas).max(axis=1)
+    s = np.maximum(s, euler.max_wavespeed(disc.interior_field(U_elem), gas).max(axis=1))
+    for loc in range(3):
+        Ue = np.einsum("qn,mnc->mqc", disc.edge_vals[loc], U_elem)
+        s = np.maximum(s, euler.max_wavespeed(Ue, gas).max(axis=1))
+    return s
+
+
+@pytest.mark.parametrize("space", ["s2", "s1"])
+@pytest.mark.parametrize("basis,degree", [("lagrange", 1), ("bernstein", 2)])
+@pytest.mark.parametrize("block", [None, 7])
+def test_stacked_wavespeed_sweep_is_bitwise_the_loop(
+    gas, space, basis, degree, block, monkeypatch
+):
+    from rdeuler import positivity
+    from rdeuler.positivity import _element_max_wavespeed
+
+    if block is not None:
+        # several blocks and a ragged last one (72 elements)
+        monkeypatch.setattr(positivity, "SWEEP_BLOCK", block)
+    disc = make_disc(6, 10.0, space, basis, degree)
+    rng = np.random.default_rng(12)
+    for near_vacuum in (False, True):
+        for _ in range(5):
+            # P1 Lagrange and Bernstein point values are convex combinations
+            # of the DOF values, hence admissible
+            U = random_states(rng, disc.dofmap.n_dofs, near_vacuum=near_vacuum)
+            U_elem = disc.elem_values(U)
+            got = _element_max_wavespeed(disc, gas, U_elem)
+            assert np.array_equal(got, _element_max_wavespeed_loop(disc, gas, U_elem))
+
+
+def test_bounds_reuse_a_given_wavespeed_sweep(gas, small_disc):
+    rng = np.random.default_rng(13)
+    U = random_states(rng, small_disc.dofmap.n_dofs)
+    pointwise = alpha_noninterpolated(small_disc, gas, U)
+    implicit = alpha_implicit(small_disc, gas, U)
+    assert np.array_equal(pointwise.wavespeed, implicit.wavespeed)
+    for fn, bound in ((alpha_noninterpolated, pointwise), (alpha_implicit, implicit)):
+        again = fn(small_disc, gas, U, wavespeed=bound.wavespeed)
+        assert np.array_equal(again.value, bound.value)

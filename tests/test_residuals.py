@@ -355,3 +355,30 @@ def test_h2_bound_stable_under_refinement(gas):
     r2 = max_ratio(make_disc(8, 2.0), smooth_random(make_disc(8, 2.0)))
     for name in r1:
         assert r2[name] < 3.0 * r1[name] and r1[name] < 3.0 * r2[name], name
+
+
+def _interpolated_lxf_einsum(disc, gas, U_elem, alpha):
+    """The einsum form of the interpolated-flux LxF residual (oracle)."""
+    f_dofs = euler.flux(U_elem, gas)
+    div_part = np.einsum("mnki,mkci->mnc", disc.phi_grad_integrals, f_dofs)
+    total = np.einsum("mki,mkci->mc", disc.grad_integrals, f_dofs)
+    dev = U_elem - U_elem.mean(axis=1, keepdims=True)
+    return div_part + alpha[:, None, None] * dev, total
+
+
+@pytest.mark.parametrize("space", ["s2", "s1"])
+@pytest.mark.parametrize("basis,degree", [("lagrange", 1), ("bernstein", 2)])
+def test_interpolated_lxf_matches_einsum_oracle(gas, space, basis, degree):
+    from rdeuler.residuals import _interpolated_lxf
+
+    disc = make_disc(6, 10.0, space, basis, degree)
+    rng = np.random.default_rng(11)
+    for U in (smooth_field(disc, gas), random_states(rng, disc.dofmap.n_dofs)):
+        U_elem = disc.elem_values(U)
+        alpha = rng.uniform(0.0, 3.0, disc.mesh.n_tris)
+        for got, want in zip(
+            _interpolated_lxf(disc, gas, U_elem, alpha),
+            _interpolated_lxf_einsum(disc, gas, U_elem, alpha),
+        ):
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()

@@ -3,7 +3,7 @@ import pytest
 
 from conftest import make_disc, random_states, smooth_field
 from rdeuler import euler
-from rdeuler.errors import AlphaTooSmall
+from rdeuler.errors import AlphaTooSmall, ConfigError
 from rdeuler.positivity import (
     admissible_timestep,
     alpha_implicit,
@@ -271,3 +271,117 @@ def test_field_state_cache_is_not_copied(gas, small_disc):
         assert np.array_equal(
             moved.residual(gas, scheme).theta, element_theta(small_disc, gas, U2, scheme).theta
         )
+
+
+# -- implicit LxF kernels and solve ---------------------------------------
+
+
+def _lxf_advective_einsum(disc, u_frozen):
+    """The einsum form of the frozen-velocity advective table (oracle)."""
+    u_bar = u_frozen[disc.dofmap.elem_dofs].mean(axis=1)
+    return np.einsum("mnki,mi->mnk", disc.phi_grad_integrals, u_bar)
+
+
+@pytest.mark.parametrize("space", ["s2", "s1"])
+@pytest.mark.parametrize("basis,degree", [("lagrange", 1), ("bernstein", 2)])
+def test_lxf_operator_matches_einsum_oracle(gas, space, basis, degree):
+    from rdeuler.stepping import _lxf_operator
+
+    disc = make_disc(6, 10.0, space, basis, degree)
+    rng = np.random.default_rng(21)
+    nk = disc.dofmap.n_local
+    for U in (smooth_field(disc, gas), random_states(rng, disc.dofmap.n_dofs)):
+        alpha = rng.uniform(0.0, 3.0, disc.mesh.n_tris)
+        u = euler.velocity(U)
+        _, c = _lxf_operator(disc, alpha, u)
+        want = _lxf_advective_einsum(disc, u) + alpha[:, None, None] * (np.eye(nk) - 1.0 / nk)
+        assert np.abs(c - want).max() <= 1e-14 * np.abs(want).max()
+
+
+def _vortex_state(gas, n=16):
+    from rdeuler.mesh import structured_square
+    from rdeuler.problems import init_vortex
+    from rdeuler.discretization import make_discretization
+
+    disc = make_discretization(structured_square(n), "s2", "lagrange", 1)
+    U0, _ = init_vortex(disc, gas)
+    return FieldState(0.0, U0, disc)
+
+
+def test_lu_multi_rhs_solve_is_bitwise_the_column_solves(gas):
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+
+    from rdeuler.stepping import _lxf_operator
+
+    st = _vortex_state(gas)
+    disc = st.disc
+    alpha = np.maximum(st.alpha(gas, "interpolated"), st.alpha(gas, "implicit"))
+    dt = admissible_timestep(disc, st.alpha(gas), cfl=1.0)
+    A, _ = _lxf_operator(disc, alpha, euler.velocity(st.U))
+    lu = spla.splu((sp.diags(disc.dual.c_sigma) + dt * A).tocsc(), permc_spec="MMD_AT_PLUS_A")
+    rhs = disc.dual.c_sigma[:, None] * st.U
+    rhs = rhs + np.random.default_rng(22).normal(size=rhs.shape)
+    columns = np.column_stack([lu.solve(rhs[:, c]) for c in range(4)])
+    assert np.array_equal(lu.solve(rhs), columns)
+
+
+def test_implicit_step_ordering_matches_colamd(gas, monkeypatch):
+    # minimum degree on A^T + A reorders the same factorisation: the step
+    # agrees with the default COLAMD ordering to round-off, in as many sweeps
+    import scipy.sparse.linalg as spla
+
+    from rdeuler import stepping
+
+    st = _vortex_state(gas)
+    dt = admissible_timestep(st.disc, st.alpha(gas), cfl=1.0)
+    original_splu, original_theta = spla.splu, stepping.element_theta
+    orders, sweeps = [], []
+
+    def splu(A, permc_spec=None, **kw):
+        orders.append(permc_spec)
+        return original_splu(A, permc_spec=ordering, **kw)
+
+    def theta(*args, **kwargs):
+        sweeps[-1] += 1
+        return original_theta(*args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", splu)
+    monkeypatch.setattr(stepping, "element_theta", theta)
+    out = {}
+    for ordering in ("MMD_AT_PLUS_A", "COLAMD"):
+        sweeps.append(0)
+        out[ordering] = implicit_euler_step(st.copy_with(), dt, gas).U
+    assert orders == ["MMD_AT_PLUS_A", "MMD_AT_PLUS_A"]
+    assert sweeps[0] == sweeps[1] > 1
+    got, want = out["MMD_AT_PLUS_A"], out["COLAMD"]
+    assert np.all(np.abs(got - want).max(axis=0) <= 1e-13 * np.abs(want).max(axis=0))
+
+
+def test_implicit_advance_sweeps_wavespeed_once_per_step(gas, small_disc, monkeypatch):
+    # the dt clock's pointwise bound and the implicit sign-condition bound
+    # of one state share its wavespeed sweep
+    from rdeuler import positivity
+    from rdeuler.stepping import advance
+
+    calls = []
+    original = positivity._element_max_wavespeed
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(positivity, "_element_max_wavespeed", counted)
+    st = FieldState(0.0, smooth_field(small_disc, gas), small_disc)
+    steps = list(advance(st, gas, Scheme.parse("lxf+interp"), "implicit", 10.0, 1.0, max_steps=3))
+    assert len(steps) == 3
+    assert len(calls) == 3
+
+
+def test_field_state_implicit_bound(gas, small_disc):
+    U = smooth_field(small_disc, gas)
+    st = FieldState(0.0, U, small_disc)
+    assert np.array_equal(st.alpha(gas, "implicit"), alpha_implicit(small_disc, gas, U).value)
+    assert np.array_equal(st.alpha(gas), alpha_noninterpolated(small_disc, gas, U).value)
+    with pytest.raises(ConfigError):
+        st.alpha(gas, "pointwise+interp")
