@@ -20,7 +20,7 @@ from .discretization import Discretization
 from .errors import MeshMismatch
 from .residuals import galerkin_residual
 from .stabilization import grad_jump_integral
-from .stepping import element_theta
+from .stepping import FieldState, scatter_residuals
 
 
 @dataclass
@@ -127,7 +127,7 @@ def consistency_error(run: RunRecord, phi, grad_phi, component):
     term_IV = 0.0
     for n, dt in enumerate(run.dts):
         U = run.states[n]
-        res = element_theta(disc, gas, U, run.scheme)
+        res = FieldState(run.times[n], U, disc).residual(gas, run.scheme)
         theta = res.theta
         gal = galerkin_residual(disc, gas, U).phi
         phv = _phi_at(phi, run.times[n], dofs_x)      # (n_dofs,) or (n_dofs, 2)
@@ -218,7 +218,7 @@ def entropy_budget(run: RunRecord):
         S1 = float(
             np.sum(disc.dual.c_sigma * euler.entropy_eta(run.states[n + 1], gas))
         )
-        res = element_theta(disc, gas, run.states[n], run.scheme)
+        res = FieldState(run.times[n], run.states[n], disc).residual(gas, run.scheme)
         prod = dt * float(np.sum(res.production))
         rows.append(
             {
@@ -238,10 +238,7 @@ def entropy_production_monitor(disc: Discretization, gas, U_n, U_np1, dt, scheme
     vanishes for a reproduced constant state and is quadratically small
     in dt.
     """
-    from .stepping import scatter_residuals
-
-    theta = element_theta(disc, gas, U_n, scheme).theta
-    R = scatter_residuals(disc, theta)
+    R = scatter_residuals(disc, FieldState(0.0, U_n, disc).residual(gas, scheme).theta)
     V = euler.entropy_vars(U_n, gas)
     d = (
         euler.entropy_eta(U_np1, gas)

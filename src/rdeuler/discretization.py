@@ -67,7 +67,6 @@ class Discretization:
         self.int_gradw_mat = np.ascontiguousarray(
             gw.transpose(0, 2, 1, 3).reshape(M, nk, nq * 2)
         )
-        self.int_grads_T = np.ascontiguousarray(self.int_grads.transpose(0, 1, 3, 2))
 
     def _build_edge_tables(self):
         q = self.quad
@@ -100,8 +99,6 @@ class Discretization:
         self.if_vals_R = self.edge_vals[rl][:, ::-1]
         self.if_grads_R = self.edge_grads[rs, rl][:, ::-1]
         self.if_has_right = has_r
-        self.if_dofs_L = self.dofmap.elem_dofs[li]
-        self.if_dofs_R = self.dofmap.elem_dofs[rs]
         # weight- and length-folded tables for fast contractions
         w = self.edge_weights
         self.if_vals_L_wl = np.ascontiguousarray(
@@ -190,13 +187,6 @@ class Discretization:
             return U_elem @ self.int_vals.T
         return np.matmul(self.int_vals[None], U_elem)
 
-    def interior_gradient(self, U_elem):
-        """Field gradient at interior quadrature points, (M, nq, ncomp, 2)."""
-        if U_elem.ndim == 2:
-            return np.matmul(self.int_grads_T, U_elem[:, None, :, None])[..., 0]
-        out = np.matmul(self.int_grads_T, U_elem[:, None])    # (M, nq, 2, C)
-        return out.swapaxes(-1, -2)
-
     def trace_L(self, U_elem):
         return np.matmul(self.if_vals_L, U_elem[self.if_left])
 
@@ -225,12 +215,8 @@ class Discretization:
         has_r = self.if_has_right
         flatL = contrib_L.reshape(contrib_L.shape[0], -1)
         flatR = contrib_R[has_r].reshape(-1, flatL.shape[1])
-        left, right = self.if_left, self.if_right[has_r]
-        out = np.column_stack([
-            np.bincount(left, weights=flatL[:, c], minlength=M)
-            + np.bincount(right, weights=flatR[:, c], minlength=M)
-            for c in range(flatL.shape[1])
-        ])
+        out = (column_bincount(self.if_left, flatL, M)
+               + column_bincount(self.if_right[has_r], flatR, M))
         return out.reshape((M,) + contrib_L.shape[1:])
 
     def interpolate(self, fn):
@@ -300,6 +286,17 @@ class Discretization:
         l12 = np.einsum("pij,pj->pi", Jinv, rel)
         l0 = 1.0 - l12.sum(axis=1)
         return np.concatenate([l0[:, None], l12], axis=1)
+
+
+def column_bincount(index, weights, n):
+    """Sum the rows of ``weights`` (K, C) into ``n`` bins by ``index`` (K,).
+
+    One ``np.bincount`` per column, so each bin adds its rows in index
+    order and the result is bitwise reproducible; shape (n, C).
+    """
+    return np.column_stack(
+        [np.bincount(index, weights=weights[:, c], minlength=n) for c in range(weights.shape[1])]
+    )
 
 
 def make_discretization(mesh, space="s2", basis="lagrange", degree=1):

@@ -59,7 +59,8 @@ def config_hash(cfg: RunConfig):
 
 def write_snapshot(path, state: stepping.FieldState, cfg_hash=""):
     disc = state.disc
-    pts = disc.dofmap.dof_points
+    pts = np.asarray(disc.dofmap.dof_points, dtype=float).tolist()
+    U = np.asarray(state.U, dtype=float).tolist()
     with open(path, "w") as fh:
         fh.write("# rdeuler snapshot\n")
         fh.write(
@@ -67,12 +68,10 @@ def write_snapshot(path, state: stepping.FieldState, cfg_hash=""):
             f"config_hash={cfg_hash}\n"
         )
         fh.write("dof_id,x,y,rho,mx,my,E\n")
-        for i in range(disc.dofmap.n_dofs):
-            row = [float(v) for v in state.U[i]]
-            fh.write(
-                f"{i},{float(pts[i, 0])!r},{float(pts[i, 1])!r},"
-                f"{row[0]!r},{row[1]!r},{row[2]!r},{row[3]!r}\n"
-            )
+        fh.writelines(
+            f"{i},{x!r},{y!r},{rho!r},{mx!r},{my!r},{E!r}\n"
+            for i, ((x, y), (rho, mx, my, E)) in enumerate(zip(pts, U))
+        )
 
 
 def read_snapshot(path):

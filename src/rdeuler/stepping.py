@@ -16,7 +16,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import euler, mood, positivity
-from .discretization import Discretization
+from .discretization import Discretization, column_bincount
 from .errors import AlphaTooSmall, ConfigError, PicardDivergence
 from .residuals import Scheme
 from .stabilization import corrected_residual
@@ -66,7 +66,7 @@ class FieldState:
         key = ("residual", gas, scheme)
         if key not in self._memo:
             alpha = self.alpha(gas, scheme.flux_mode) if scheme.base in LXF_FAMILY else None
-            self._memo[key] = element_theta(self.disc, gas, self.U, scheme, alpha=alpha)
+            self._memo[key] = element_theta(self.disc, gas, self.U, scheme, alpha)
         return self._memo[key]
 
 
@@ -75,52 +75,24 @@ def conserved_totals(disc: Discretization, U):
     return np.einsum("s,sc->c", disc.dual.c_sigma, np.asarray(U))
 
 
-def scheme_alpha(disc: Discretization, gas, U, scheme: Scheme):
-    """Dissipation bound matching the scheme's flux mode (LxF family only)."""
-    if scheme.base not in LXF_FAMILY:
-        return None
-    if scheme.flux_mode == "interpolated":
-        return positivity.alpha_interpolated(disc, gas, U).value
-    return positivity.alpha_noninterpolated(disc, gas, U).value
+def element_theta(disc: Discretization, gas, U, scheme: Scheme, alpha):
+    """Corrected per-element residuals for one scheme.
 
-
-def element_theta(disc: Discretization, gas, U, scheme: Scheme, alpha=None):
-    """Corrected per-element residuals for one scheme."""
-    if alpha is None:
-        alpha = scheme_alpha(disc, gas, U, scheme)
+    ``alpha`` is the LxF dissipation bound (None outside the LxF family):
+    the state's bound of the scheme's flux mode from ``FieldState.residual``,
+    or the implicit step's bound in its Picard sweeps.
+    """
     return corrected_residual(disc, gas, U, scheme, alpha=alpha)
 
 
 def scatter_residuals(disc: Discretization, theta):
     """Ordered gather of per-element signals into the global DOF vector."""
-    n = disc.dofmap.n_dofs
-    flat = disc.dofmap.elem_dofs.ravel()
-    t2 = theta.reshape(-1, 4)
-    return np.column_stack(
-        [np.bincount(flat, weights=t2[:, c], minlength=n) for c in range(4)]
-    )
+    return column_bincount(disc.dofmap.elem_dofs.ravel(), theta.reshape(-1, 4), disc.dofmap.n_dofs)
 
 
-def assemble_rhs(disc: Discretization, gas, U, scheme, levels=None):
-    """Global residual sum R_sigma = sum over owner elements of theta.
-
-    ``U`` may be a FieldState or a DOF array; ``scheme`` is a single
-    Scheme or, with ``levels`` given, a cascade list indexed per element.
-    """
-    U = getattr(U, "U", U)
-    if levels is None:
-        theta = element_theta(disc, gas, U, scheme).theta
-    else:
-        theta = mixed_theta(disc, gas, U, scheme, levels)
-    return scatter_residuals(disc, theta)
-
-
-def mixed_theta(disc: Discretization, gas, U, cascade, levels):
-    """Per-element residuals with a cascade level chosen per element.
-
-    ``U`` may be a FieldState, whose cached residuals are then reused.
-    """
-    state = U if isinstance(U, FieldState) else FieldState(0.0, U, disc)
+def mixed_theta(state: FieldState, gas, cascade, levels):
+    """Per-element residuals with a cascade level chosen per element,
+    from the state's memoised residuals."""
     theta = None
     for lv in np.unique(levels):
         res = state.residual(gas, cascade[int(lv)]).theta
@@ -137,7 +109,7 @@ def forward_euler_step(state: FieldState, scheme, dt, gas, levels=None) -> Field
     if levels is None:
         R = scatter_residuals(disc, state.residual(gas, scheme).theta)
     else:
-        R = scatter_residuals(disc, mixed_theta(disc, gas, state, scheme, levels))
+        R = scatter_residuals(disc, mixed_theta(state, gas, scheme, levels))
     U = state.U - (dt / disc.dual.c_sigma)[:, None] * R
     return FieldState(t=state.t + dt, U=U, disc=disc, provenance="fe")
 
@@ -156,6 +128,7 @@ class DensitySystem:
     rhs: np.ndarray           # |C_sigma| rho^n
     dt: float
     alpha: np.ndarray
+    operator: sp.csr_matrix   # A, the unscaled frozen-velocity LxF operator
 
     def solve(self):
         return spla.spsolve(self.matrix, self.rhs)
@@ -184,8 +157,8 @@ def _lxf_operator(disc: Discretization, alpha, u_frozen):
     return A.tocsr(), c
 
 
-def assemble_density_system(disc: Discretization, gas, U, dt, alpha, u_frozen=None):
-    """Implicit-Euler density matrix diag(|C_sigma|) + dt A, frozen velocities.
+def assemble_density_system(disc: Discretization, gas, U, dt, alpha):
+    """Implicit-Euler density matrix diag(|C_sigma|) + dt A, velocities frozen at U.
 
     Diagonal entries are |C_sigma| plus a nonnegative dissipation term,
     off-diagonals must come out nonpositive (otherwise AlphaTooSmall),
@@ -194,49 +167,35 @@ def assemble_density_system(disc: Discretization, gas, U, dt, alpha, u_frozen=No
     U = np.asarray(U, dtype=float)
     alpha = np.asarray(getattr(alpha, "value", alpha), dtype=float)
     alpha = np.broadcast_to(alpha, (disc.mesh.n_tris,))
-    if u_frozen is None:
-        u_frozen = euler.velocity(U)
-    A, c = _lxf_operator(disc, alpha, u_frozen)
+    A, c = _lxf_operator(disc, alpha, euler.velocity(U))
     mask_off = ~np.eye(disc.dofmap.n_local, dtype=bool)
     if np.any(c[:, mask_off] > 1e-13 * np.maximum(alpha, 1.0)[:, None]):
         raise AlphaTooSmall("off-diagonal sign condition violated")
     mat = sp.diags(disc.dual.c_sigma) + dt * A
-    return DensitySystem(matrix=mat, rhs=disc.dual.c_sigma * U[:, 0], dt=dt, alpha=alpha)
+    return DensitySystem(
+        matrix=mat, rhs=disc.dual.c_sigma * U[:, 0], dt=dt, alpha=alpha, operator=A
+    )
 
 
-def implicit_euler_step(
-    state: FieldState,
-    dt,
-    gas,
-    alpha=None,
-    tol=1e-10,
-    max_iter=50,
-) -> FieldState:
+def implicit_euler_step(state: FieldState, dt, gas, tol=1e-10, max_iter=50) -> FieldState:
     """Implicit Euler for the interpolated-flux LxF scheme.
 
     Picard iterations solve the frozen-velocity M-matrix system with a
     defect-correction right-hand side; the first sweep omits the defect,
     which makes the density update a pure M-matrix solve and hence
     positive.  At the fixed point |C|(U - U^n) + dt R(U) = 0 holds for
-    the true nonlinear residual.
+    the true nonlinear residual.  alpha is the larger of the scheme's
+    bound and the sign-condition bound, and the matrix builder checks
+    the sign condition in every step.
     """
     disc = state.disc
     Un = state.U
     scheme = Scheme(base="lxf", flux_mode="interpolated")
-    if alpha is None:
-        alpha = state.alpha(gas, "interpolated")
-    else:
-        alpha = np.broadcast_to(
-            np.asarray(getattr(alpha, "value", alpha), dtype=float),
-            (disc.mesh.n_tris,),
-        )
-    alpha = np.maximum(alpha, state.alpha(gas, "implicit"))
-
-    A, _ = _lxf_operator(disc, alpha, euler.velocity(Un))
-    Mmat = sp.diags(disc.dual.c_sigma) + dt * A
+    alpha = np.maximum(state.alpha(gas, "interpolated"), state.alpha(gas, "implicit"))
+    system = assemble_density_system(disc, gas, Un, dt, alpha)
     # Minimum degree on A^T + A fills the LU of this pattern about half
     # as much as the default COLAMD ordering.
-    lu = spla.splu(Mmat.tocsc(), permc_spec="MMD_AT_PLUS_A")
+    lu = spla.splu(system.matrix.tocsc(), permc_spec="MMD_AT_PLUS_A")
 
     csig = disc.dual.c_sigma[:, None]
     scale = max(float(np.max(np.abs(Un))), 1e-300)
@@ -258,10 +217,8 @@ def implicit_euler_step(
                 raise PicardDivergence("density positivity lost in Picard sweep")
         change = float(np.max(np.abs(X - Uk))) / scale
         Uk = X
-        R = scatter_residuals(
-            disc, element_theta(disc, gas, Uk, scheme, alpha=alpha).theta
-        )
-        defect = R - (A @ Uk)
+        R = scatter_residuals(disc, element_theta(disc, gas, Uk, scheme, alpha).theta)
+        defect = R - (system.operator @ Uk)
         nonlinear = float(np.max(np.abs(csig * (Uk - Un) + dt * R))) / max(
             float(np.max(np.abs(csig * Un))), 1e-300
         )

@@ -17,7 +17,7 @@ from rdeuler.diagnostics import (
 )
 from rdeuler.discretization import Discretization
 from rdeuler.mesh import structured_square
-from rdeuler.positivity import admissible_timestep, alpha_noninterpolated
+from rdeuler.positivity import admissible_timestep, alpha_interpolated, alpha_noninterpolated
 from rdeuler.residuals import Scheme
 from rdeuler.stepping import FieldState, forward_euler_step
 
@@ -106,7 +106,7 @@ def test_consistency_term_three_zero_for_discrete_phi(gas, small_disc):
     # phi is a member of the approximation space: a single hat function
     w = np.zeros((disc.dofmap.n_dofs, 1))
     w[7, 0] = 1.0
-    grads = disc.interior_gradient(disc.elem_values(w))[..., 0, :]
+    grads = np.einsum("mqni,mn->mqi", disc.int_grads, disc.elem_values(w)[..., 0])
 
     def phi(t, x, y):
         x = np.asarray(x, dtype=float)
@@ -242,6 +242,72 @@ def test_entropy_production_monitor_dt_decay(gas):
     dt0 = admissible_timestep(disc, a, 0.2)
     r = monitor(dt0) / monitor(dt0 / 2)
     assert 3.0 <= r <= 5.0
+
+
+# Dissipation bound of each LxF flux mode, as the schemes step with it.
+MATCHING_BOUND = {"interpolated": alpha_interpolated, "pointwise": alpha_noninterpolated}
+
+
+@pytest.mark.parametrize(
+    "name", ["lxf+interp", "limited_lxf", "lxf+interp+ec+jump", "limited_lxf+ec+jump"]
+)
+def test_diagnostics_residuals_use_the_matching_bound(gas, small_disc, name, monkeypatch):
+    # consistency_error, entropy_budget and entropy_production_monitor
+    # equal, bit for bit, a recomputation through corrected_residual with
+    # the bound of the scheme's flux mode
+    from rdeuler import diagnostics
+    from rdeuler.stabilization import corrected_residual
+
+    disc = small_disc
+    scheme = Scheme.parse(name)
+    rec = _record_run(disc, gas, scheme, smooth_field(disc, gas), 3)
+    k = 2 * np.pi / 2.0
+
+    def phi(t, x, y):
+        return np.cos(k * x) * np.sin(k * y)
+
+    def grad_phi(t, x, y):
+        return np.stack(
+            [-k * np.sin(k * x) * np.sin(k * y), k * np.cos(k * x) * np.cos(k * y)], axis=-1
+        )
+
+    def phi_m(t, x, y):
+        return np.stack([phi(t, x, y), 2.0 * phi(t, x, y)], axis=-1)
+
+    def grad_phi_m(t, x, y):
+        return np.stack([grad_phi(t, x, y), 2.0 * grad_phi(t, x, y)], axis=-2)
+
+    def outputs():
+        return (
+            consistency_error(rec, phi, grad_phi, "rho"),
+            consistency_error(rec, phi_m, grad_phi_m, "m"),
+            consistency_error(rec, phi, grad_phi, "eta"),
+            entropy_budget(rec),
+            entropy_production_monitor(disc, gas, rec.states[0], rec.states[1], rec.dts[0], scheme),
+        )
+
+    def oracle(bound):
+        class Residual:
+            def __init__(self, t, U, disc):
+                self.U, self.disc = U, disc
+
+            def residual(self, gas, scheme):
+                alpha = bound(self.disc, gas, self.U).value
+                return corrected_residual(self.disc, gas, self.U, scheme, alpha=alpha)
+
+        return Residual
+
+    got = outputs()
+    monkeypatch.setattr(diagnostics, "FieldState", oracle(MATCHING_BOUND[scheme.flux_mode]))
+    want = outputs()
+    for g, w in zip(got[:3], want[:3]):
+        assert g == w
+    assert got[3] == want[3]
+    assert np.array_equal(got[4], want[4])
+    # the other flux mode's bound gives other residuals, so the check bites
+    other = next(b for m, b in MATCHING_BOUND.items() if m != scheme.flux_mode)
+    monkeypatch.setattr(diagnostics, "FieldState", oracle(other))
+    assert consistency_error(rec, phi, grad_phi, "rho")["I"] != got[0]["I"]
 
 
 def test_cesaro_identical_and_alternating(gas, small_disc):

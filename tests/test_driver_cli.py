@@ -97,6 +97,43 @@ def test_snapshot_roundtrip_restart(tmp_path):
     assert a == b
 
 
+def _write_snapshot_per_row(path, state, cfg_hash=""):
+    """The per-row snapshot writer the vectorised one replaced (oracle)."""
+    disc = state.disc
+    pts = disc.dofmap.dof_points
+    with open(path, "w") as fh:
+        fh.write("# rdeuler snapshot\n")
+        fh.write(
+            f"# mesh_hash={disc.mesh.content_hash()} t={float(state.t)!r} "
+            f"config_hash={cfg_hash}\n"
+        )
+        fh.write("dof_id,x,y,rho,mx,my,E\n")
+        for i in range(disc.dofmap.n_dofs):
+            row = [float(v) for v in state.U[i]]
+            fh.write(
+                f"{i},{float(pts[i, 0])!r},{float(pts[i, 1])!r},"
+                f"{row[0]!r},{row[1]!r},{row[2]!r},{row[3]!r}\n"
+            )
+
+
+@pytest.mark.parametrize("space,basis,degree", [("s2", "lagrange", 1), ("s1", "bernstein", 2)])
+def test_snapshot_bytes_match_the_per_row_writer(tmp_path, gas, space, basis, degree):
+    from rdeuler.discretization import make_discretization
+    from rdeuler.mesh import structured_square
+    from rdeuler.stepping import FieldState
+    from rdeuler.verification import random_admissible_field
+
+    disc = make_discretization(structured_square(6, side=3.0), space, basis, degree)
+    U = random_admissible_field(disc, gas, np.random.default_rng(11), near_vacuum=True)
+    state = FieldState(0.1 / 3.0, U, disc)
+    new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+    driver.write_snapshot(new, state, "abc123")
+    _write_snapshot_per_row(old, state, "abc123")
+    assert new.read_bytes() == old.read_bytes()
+    U_back, t_back, _ = driver.read_snapshot(new)
+    assert np.array_equal(U_back, U) and t_back == state.t
+
+
 def test_snapshot_mesh_mismatch(tmp_path):
     cfg = parse_config(_cfg_text(tmp_path, problem="vortex", mesh="structured:6", t_end="0.05"))
     driver.run(cfg)

@@ -14,7 +14,6 @@ from rdeuler.residuals import Scheme
 from rdeuler.stepping import (
     FieldState,
     assemble_density_system,
-    assemble_rhs,
     conserved_totals,
     element_theta,
     forward_euler_step,
@@ -29,15 +28,20 @@ def constant_field(disc, gas, u=(0.2, -0.1)):
     return np.tile(U0, (disc.dofmap.n_dofs, 1))
 
 
+def assembled_residual(disc, gas, U, scheme):
+    """Global residual sum R_sigma over the owner elements of theta."""
+    return scatter_residuals(disc, FieldState(0.0, U, disc).residual(gas, scheme).theta)
+
+
 def test_assemble_rhs_constant_zero(gas, small_disc):
     U = constant_field(small_disc, gas)
-    R = assemble_rhs(small_disc, gas, U, Scheme.parse("galerkin+ec+jump"))
+    R = assembled_residual(small_disc, gas, U, Scheme.parse("galerkin+ec+jump"))
     assert np.abs(R).max() < 1e-13
 
 
 def test_assemble_rhs_global_conservation(gas, small_disc):
     U = smooth_field(small_disc, gas)
-    R = assemble_rhs(small_disc, gas, U, Scheme.parse("galerkin+ec+jump"))
+    R = assembled_residual(small_disc, gas, U, Scheme.parse("galerkin+ec+jump"))
     scale = np.abs(euler.flux(U, gas)).max() * small_disc.mesh.n_tris
     assert np.abs(R.sum(axis=0)).max() < 1e-11 * scale
 
@@ -51,8 +55,8 @@ def test_single_element_rhs_equals_theta(gas):
     disc = Discretization(mesh, build_dofmap(mesh, "s2", "lagrange", 1))
     rng = np.random.default_rng(0)
     U = random_states(rng, 3)
-    res = element_theta(disc, gas, U, Scheme.parse("galerkin"))
-    R = assemble_rhs(disc, gas, U, Scheme.parse("galerkin"))
+    res = element_theta(disc, gas, U, Scheme.parse("galerkin"), None)
+    R = assembled_residual(disc, gas, U, Scheme.parse("galerkin"))
     assert np.array_equal(R, res.theta[0])
 
 
@@ -151,8 +155,8 @@ def test_ssp_rk2_temporal_order(gas):
 
 def test_assembly_determinism(gas, small_disc):
     U = smooth_field(small_disc, gas)
-    R1 = assemble_rhs(small_disc, gas, U, Scheme.parse("galerkin+ec+jump"))
-    R2 = assemble_rhs(small_disc, gas, U.copy(), Scheme.parse("galerkin+ec+jump"))
+    R1 = assembled_residual(small_disc, gas, U, Scheme.parse("galerkin+ec+jump"))
+    R2 = assembled_residual(small_disc, gas, U.copy(), Scheme.parse("galerkin+ec+jump"))
     assert np.array_equal(R1, R2)
 
 
@@ -205,12 +209,11 @@ def test_implicit_matches_explicit_at_small_dt(gas):
     disc = make_disc(4, 2.0)
     U = smooth_field(disc, gas)
     scheme = Scheme(base="lxf", flux_mode="interpolated")
-    alpha = alpha_interpolated(disc, gas, U).value
 
     def gap(dt):
         st = FieldState(0.0, U.copy(), disc)
         ex = forward_euler_step(st, scheme, dt, gas)
-        im = implicit_euler_step(st, dt, gas, alpha=alpha, tol=1e-13)
+        im = implicit_euler_step(st, dt, gas, tol=1e-13)
         return np.abs(ex.U - im.U).max()
 
     g1, g2 = gap(2e-3), gap(1e-3)
@@ -230,10 +233,24 @@ def test_implicit_large_dt_density_positive(gas, small_disc):
     rho = sys.solve()
     assert np.all(rho > 0)
     # and the full Picard step reports positive density as well
-    out = implicit_euler_step(
-        FieldState(0.0, U, disc), 10 * dt_exp, gas, alpha=alpha, max_iter=200
-    )
+    out = implicit_euler_step(FieldState(0.0, U, disc), 10 * dt_exp, gas, max_iter=200)
     assert np.all(out.U[:, 0] > 0)
+
+
+def test_implicit_step_checks_the_sign_condition(gas, small_disc, monkeypatch):
+    # the step builds its matrix through assemble_density_system, so a
+    # bound too small for the frozen velocity fails the M-matrix check
+    from rdeuler import positivity
+
+    def tiny(disc, gas, U, wavespeed=None):
+        small = np.full(disc.mesh.n_tris, 1e-6)
+        return positivity.AlphaBound(value=small, case="tiny", geometry=small, wavespeed=small)
+
+    monkeypatch.setattr(positivity, "alpha_implicit", tiny)
+    monkeypatch.setattr(positivity, "alpha_interpolated", tiny)
+    st = FieldState(0.0, constant_field(small_disc, gas, u=(3.0, 0.0)), small_disc)
+    with pytest.raises(AlphaTooSmall):
+        implicit_euler_step(st, 0.1, gas)
 
 
 def test_entropy_monotone_parachute_steps(gas):
@@ -266,10 +283,11 @@ def test_field_state_cache_is_not_copied(gas, small_disc):
     scheme = Scheme.parse("limited_lxf")
     st = FieldState(0.0, U, small_disc)
     st.residual(gas, scheme)
+    alpha2 = alpha_noninterpolated(small_disc, gas, U2).value
     for moved in (st.copy_with(U=U2), replace(st, U=U2)):
-        assert np.array_equal(moved.alpha(gas), alpha_noninterpolated(small_disc, gas, U2).value)
+        assert np.array_equal(moved.alpha(gas), alpha2)
         assert np.array_equal(
-            moved.residual(gas, scheme).theta, element_theta(small_disc, gas, U2, scheme).theta
+            moved.residual(gas, scheme).theta, element_theta(small_disc, gas, U2, scheme, alpha2).theta
         )
 
 
