@@ -18,14 +18,19 @@ import numpy as np
 from . import euler
 from .discretization import Discretization
 from .errors import MeshMismatch
-from .residuals import galerkin_residual
+from .residuals import Scheme
 from .stabilization import grad_jump_integral
 from .stepping import FieldState, scatter_residuals
 
 
 @dataclass
 class RunRecord:
-    """Every-step snapshot trail of one run, for post-processing."""
+    """Every-step snapshot trail of one run, for post-processing.
+
+    ``states`` holds the DOF arrays; ``state(n)`` wraps one of them in a
+    FieldState on first use, so every diagnostic of a record shares the
+    residuals and stage fields of each stored state.
+    """
 
     disc: Discretization
     gas: euler.GasModel
@@ -33,6 +38,15 @@ class RunRecord:
     times: list = field(default_factory=list)
     states: list = field(default_factory=list)
     dts: list = field(default_factory=list)
+    _field_states: dict = field(init=False, repr=False, compare=False, default_factory=dict)
+
+    def state(self, n):
+        """FieldState of stored state n, built once per stored array."""
+        U = self.states[n]
+        st = self._field_states.get(n)
+        if st is None or st.U is not U:
+            st = self._field_states[n] = FieldState(self.times[n], U, self.disc)
+        return st
 
 
 def weak_bv_norm(disc: Discretization, gas, U, lam=1.0, zeta=2.0, grad_jump=None):
@@ -126,10 +140,12 @@ def consistency_error(run: RunRecord, phi, grad_phi, component):
     term_III = 0.0
     term_IV = 0.0
     for n, dt in enumerate(run.dts):
-        U = run.states[n]
-        res = FieldState(run.times[n], U, disc).residual(gas, run.scheme)
+        state = run.state(n)
+        U = state.U
+        res = state.residual(gas, run.scheme)
         theta = res.theta
-        gal = galerkin_residual(disc, gas, U).phi
+        galerkin = res if res.base.scheme == "galerkin" else state.residual(gas, Scheme())
+        gal = galerkin.base.phi
         phv = _phi_at(phi, run.times[n], dofs_x)      # (n_dofs,) or (n_dofs, 2)
         phe = phv[disc.dofmap.elem_dofs]              # (M, N) or (M, N, 2)
         if is_eta:
@@ -218,8 +234,7 @@ def entropy_budget(run: RunRecord):
         S1 = float(
             np.sum(disc.dual.c_sigma * euler.entropy_eta(run.states[n + 1], gas))
         )
-        res = FieldState(run.times[n], run.states[n], disc).residual(gas, run.scheme)
-        prod = dt * float(np.sum(res.production))
+        prod = dt * float(np.sum(run.state(n).residual(gas, run.scheme).production))
         rows.append(
             {
                 "t": run.times[n + 1],

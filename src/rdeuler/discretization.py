@@ -5,12 +5,16 @@ arrays every kernel needs: physical basis gradients at interior and
 edge quadrature points, interface trace tables (with the right side
 enumerated in reversed order so both sides see the same physical
 points), dual volumes and neighbor lists.  All arrays are immutable
-after construction.
+after construction.  :class:`StageFields` holds the point values of one
+state on those tables.
 """
+
+from functools import cached_property
 
 import numpy as np
 
 from . import basis as fb
+from . import euler
 from .errors import NonConforming
 from .mesh import Mesh, dual_volumes
 
@@ -187,21 +191,34 @@ class Discretization:
             return U_elem @ self.int_vals.T
         return np.matmul(self.int_vals[None], U_elem)
 
-    def trace_L(self, U_elem):
-        return np.matmul(self.if_vals_L, U_elem[self.if_left])
+    def traces(self, X_elem):
+        """Left and right interface traces of X, each (E, nq, C).
 
-    def trace_R(self, U_elem):
+        One product per element with the stacked edge table gives the
+        element's own edge points; the traces are gathered from them,
+        the right one reversed to pair with the left points.  An
+        interface without a right owner gets a placeholder right trace
+        that callers mask out.
+        """
+        M, N = X_elem.shape[:2]
+        pts = np.matmul(self.edge_vals.reshape(-1, N), X_elem)
+        pts = pts.reshape(M, 3, len(self.edge_weights), -1)                # (M, 3, nq, C)
         rs = np.maximum(self.if_right, 0)
-        return np.matmul(self.if_vals_R, U_elem[rs])
+        return (pts[self.if_left, self.mesh.edge_left_loc],
+                pts[rs, self.mesh.edge_right_loc][:, ::-1])
 
     def trace_grad_L(self, U_elem):
-        out = np.matmul(self.if_grads_L_T, U_elem[self.if_left][:, None])
-        return out.swapaxes(-1, -2)                           # (E, nq, C, 2)
+        return self._trace_grad(self.if_grads_L_T, U_elem[self.if_left])
 
     def trace_grad_R(self, U_elem):
-        rs = np.maximum(self.if_right, 0)
-        out = np.matmul(self.if_grads_R_T, U_elem[rs][:, None])
-        return out.swapaxes(-1, -2)
+        return self._trace_grad(self.if_grads_R_T, U_elem[np.maximum(self.if_right, 0)])
+
+    @staticmethod
+    def _trace_grad(grads_T, owner_vals):
+        """One (nq 2, N) x (N, C) product per interface, viewed as (E, nq, C, 2)."""
+        E, nq, _, N = grads_T.shape
+        out = np.matmul(grads_T.reshape(E, nq * 2, N), owner_vals)
+        return out.reshape(E, nq, 2, -1).swapaxes(-1, -2)
 
     def scatter_interface(self, contrib_L, contrib_R):
         """Accumulate per-interface contributions into element arrays.
@@ -213,8 +230,10 @@ class Discretization:
         """
         M = self.mesh.n_tris
         has_r = self.if_has_right
+        if not has_r.all():
+            contrib_R = contrib_R[has_r]
         flatL = contrib_L.reshape(contrib_L.shape[0], -1)
-        flatR = contrib_R[has_r].reshape(-1, flatL.shape[1])
+        flatR = contrib_R.reshape(-1, flatL.shape[1])
         out = (column_bincount(self.if_left, flatL, M)
                + column_bincount(self.if_right[has_r], flatR, M))
         return out.reshape((M,) + contrib_L.shape[1:])
@@ -286,6 +305,111 @@ class Discretization:
         l12 = np.einsum("pij,pj->pi", Jinv, rel)
         l0 = 1.0 - l12.sum(axis=1)
         return np.concatenate([l0[:, None], l12], axis=1)
+
+
+class PointValues:
+    """States at one set of points and their pressure, checked once.
+
+    The wavespeed and the flux are computed from that pressure, so the
+    point set costs one pressure evaluation however many consumers read
+    it.  Of these only the largest wavespeed per row is kept.
+    """
+
+    def __init__(self, U, gas):
+        self.U = U
+        self.gas = gas
+        self.p = euler.pressure(U, gas)
+
+    @property
+    def wavespeed(self):
+        return euler.max_wavespeed(self.U, self.gas, p=self.p)
+
+    @cached_property
+    def peak_wavespeed(self):
+        """Largest wavespeed of each row of points (element or interface)."""
+        return last_axis_max(self.wavespeed)
+
+    @property
+    def flux(self):
+        return euler.flux(self.U, self.gas, p=self.p)
+
+
+class StageFields:
+    """Point values of one state for one gas, each set built on first use.
+
+    - ``U_elem``: the element DOF values (M, N, 4); ``dofs`` is their
+      PointValues and ``V_elem`` their entropy variables;
+    - ``interior``: PointValues at the interior quadrature points, (M, nq, 4);
+    - ``trace_L``, ``trace_R``: PointValues of the interface traces of the
+      left and right owners, (E, nq, 4), from one ``Discretization.traces``;
+      an interface without a right owner repeats the left trace;
+    - ``cached(key, build)``: values derived from these, such as the
+      gradient-jump integral of V or the element wavespeed sweep, which
+      the modules that define them memoise here.
+
+    The residual, its entropy terms and the alpha bounds of one state
+    read one StageFields (``FieldState.fields``); a caller with a bare DOF
+    vector gets a throwaway set through ``StageFields.of``.  A set built
+    on a block of elements serves the element point sets only.
+    """
+
+    def __init__(self, disc: Discretization, gas, U_elem):
+        self.disc = disc
+        self.gas = gas
+        self.U_elem = U_elem
+        self._cache = {}
+
+    @classmethod
+    def of(cls, disc: Discretization, gas, U):
+        """U itself when it is already a StageFields, else the set of the DOF vector U."""
+        return U if isinstance(U, cls) else cls(disc, gas, disc.elem_values(U))
+
+    def cached(self, key, build):
+        """Value ``build()`` derived from these fields, computed on first use."""
+        if key not in self._cache:
+            self._cache[key] = build()
+        return self._cache[key]
+
+    def built(self, *names):
+        """True when every named point set has been built already."""
+        return all(name in vars(self) for name in names)
+
+    @cached_property
+    def dofs(self):
+        return PointValues(self.U_elem, self.gas)
+
+    @cached_property
+    def V_elem(self):
+        return euler.entropy_vars(self.U_elem, self.gas, p=self.dofs.p)
+
+    @cached_property
+    def interior(self):
+        return PointValues(self.disc.interior_field(self.U_elem), self.gas)
+
+    @cached_property
+    def _traces(self):
+        tL, tR = self.disc.traces(self.U_elem)
+        has_r = self.disc.if_has_right
+        return tL, (tR if has_r.all() else np.where(has_r[:, None, None], tR, tL))
+
+    @cached_property
+    def trace_L(self):
+        return PointValues(self._traces[0], self.gas)
+
+    @cached_property
+    def trace_R(self):
+        return PointValues(self._traces[1], self.gas)
+
+
+def last_axis_max(a):
+    """Maximum over the last axis, one ``np.maximum`` per entry of that axis.
+
+    Equal to ``a.max(axis=-1)``, and much faster when the axis is short.
+    """
+    out = a[..., 0].copy()
+    for j in range(1, a.shape[-1]):
+        np.maximum(out, a[..., j], out=out)
+    return out
 
 
 def column_bincount(index, weights, n):

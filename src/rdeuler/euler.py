@@ -59,24 +59,31 @@ def pressure(U, gas: GasModel, check=True):
     return p
 
 
-def sound_speed(U, gas: GasModel, check=True):
-    return np.sqrt(gas.gamma * pressure(U, gas, check=check) / np.asarray(U)[..., 0])
+def _given_or_pressure(U, gas, check, p):
+    return pressure(U, gas, check=check) if p is None else p
 
 
-def flux(U, gas: GasModel, check=True):
+def sound_speed(U, gas: GasModel, check=True, p=None):
+    return np.sqrt(gas.gamma * _given_or_pressure(U, gas, check, p) / np.asarray(U)[..., 0])
+
+
+def flux(U, gas: GasModel, check=True, p=None):
     """Euler flux table, shape (..., 4, 2).
 
-    Column m holds (rho u_m, u_m m + p e_m, u_m (E + p)).
+    Column m holds (rho u_m, u_m m + p e_m, u_m (E + p)).  Here and in
+    the functions below, ``p`` is the pressure of U when the caller has
+    it (checked when it was computed); it is then not recomputed.
     """
     U = np.asarray(U, dtype=float)
-    p = pressure(U, gas, check=check)
+    p = _given_or_pressure(U, gas, check, p)
     rho = U[..., 0]
     mx = U[..., 1]
     my = U[..., 2]
     ux = mx / rho
     uy = my / rho
     Ep = U[..., 3] + p
-    f = np.empty(U.shape + (2,))
+    # one contiguous column per direction: f views a (..., 2, 4) array
+    f = np.empty(U.shape[:-1] + (2, 4)).swapaxes(-1, -2)
     f[..., 0, 0] = mx
     f[..., 1, 0] = mx * ux + p
     f[..., 2, 0] = my * ux
@@ -88,18 +95,18 @@ def flux(U, gas: GasModel, check=True):
     return f
 
 
-def entropy_eta(U, gas: GasModel, check=True):
+def entropy_eta(U, gas: GasModel, check=True, p=None):
     """Mathematical entropy eta = -rho s / (gamma - 1), s = log(p / rho^gamma)."""
     U = np.asarray(U, dtype=float)
-    p = pressure(U, gas, check=check)
+    p = _given_or_pressure(U, gas, check, p)
     rho = U[..., 0]
     s = np.log(p) - gas.gamma * np.log(rho)
     return -rho * s / (gas.gamma - 1.0)
 
 
-def entropy_flux(U, gas: GasModel, check=True):
+def entropy_flux(U, gas: GasModel, check=True, p=None):
     """Entropy flux g = eta * u, shape (..., 2)."""
-    eta = entropy_eta(U, gas, check=check)
+    eta = entropy_eta(U, gas, check=check, p=p)
     return eta[..., None] * velocity(U)
 
 
@@ -108,10 +115,10 @@ def entropy_potential(U):
     return np.asarray(U, dtype=float)[..., 1:3].copy()
 
 
-def entropy_vars(U, gas: GasModel, check=True):
+def entropy_vars(U, gas: GasModel, check=True, p=None):
     """Entropy variables V = d eta / d U, shape (..., 4)."""
     U = np.asarray(U, dtype=float)
-    p = pressure(U, gas, check=check)
+    p = _given_or_pressure(U, gas, check, p)
     rho = U[..., 0]
     g = gas.gamma
     s = np.log(p) - g * np.log(rho)
@@ -155,12 +162,12 @@ def entropy_hessian(U, gas: GasModel, step=1e-6):
     return A
 
 
-def max_wavespeed(U, gas: GasModel, check=True):
+def max_wavespeed(U, gas: GasModel, check=True, p=None):
     """|u| + a with sound speed a = sqrt(gamma p / rho)."""
     U = np.asarray(U, dtype=float)
-    a = sound_speed(U, gas, check=check)
-    u = U[..., 1:3] / U[..., 0:1]
-    return np.hypot(u[..., 0], u[..., 1]) + a
+    a = sound_speed(U, gas, check=check, p=p)
+    rho = U[..., 0]
+    return np.hypot(U[..., 1] / rho, U[..., 2] / rho) + a
 
 
 def admissible(U, gas: GasModel):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import euler
-from .discretization import Discretization
+from .discretization import Discretization, PointValues, StageFields
 from .errors import CFLViolation, VacuumState
 
 
@@ -55,13 +55,14 @@ def alpha_interpolated(disc: Discretization, gas, U) -> AlphaBound:
     so (|u.unit(omega)| + a) * |omega| dominates them; the maximum runs
     over every DOF state of the element and every (sigma, sigma') pair.
     """
-    U_elem = disc.elem_values(U)
+    fields = StageFields.of(disc, gas, U)
+    U_elem = fields.U_elem
     _check_admissible(U_elem, gas)
     norms, unit = disc.cached(
         "omega_norms_units", lambda: _norms_and_units(scaled_normals(disc))
     )
     u = euler.velocity(U_elem)                                     # (M,N,2)
-    a = euler.sound_speed(U_elem, gas)                             # (M,N)
+    a = euler.sound_speed(U_elem, gas, p=fields.dofs.p)            # (M,N)
     proj = np.abs(np.einsum("mdi,mnki->mdnk", u, unit)) + a[:, :, None, None]
     alpha = np.max(proj * norms[:, None, :, :], axis=(1, 2, 3))
     return AlphaBound(value=alpha, case="Interpolated", geometry=norms.max(axis=(1, 2)))
@@ -72,57 +73,86 @@ def geometry_vectors(disc: Discretization):
     return -disc.phi_grad_integrals.swapaxes(1, 2) + disc.phi_phi_normal_integrals
 
 
-# Elements per stacked wavespeed sweep.  A P1 block's point table is
-# about 1 MB; tables of a whole large mesh are large enough to raise the
-# allocator's mmap threshold, which then grows the resident heap.
+# Elements per block of a wavespeed sweep that builds its own point
+# values.  A P1 block's point table is about 1 MB; tables of a whole
+# large mesh are large enough to raise the allocator's mmap threshold,
+# which then grows the resident heap.
 SWEEP_BLOCK = 2048
 
 
-def _element_max_wavespeed(disc: Discretization, gas, U_elem):
+def _edge_peak(disc: Discretization, gas, U_elem):
+    """Largest wavespeed over each element's edge quadrature points, (M,).
+
+    The points are summed one basis function at a time, as ``np.einsum``
+    sums them.  The interface traces are BLAS products that can round
+    1 ulp apart from these sums, and dt would carry such an ulp into the
+    solution, where the entropy correction magnifies it to 1e-10 on
+    near-constant elements.  So the sweep keeps its own edge points.
+    """
+    table = disc.edge_vals.reshape(-1, U_elem.shape[1])           # (3 nq, N)
+    pts = table[None, :, 0, None] * U_elem[:, None, 0, :]
+    for n in range(1, U_elem.shape[1]):
+        pts += table[None, :, n, None] * U_elem[:, None, n, :]
+    return PointValues(pts, gas).peak_wavespeed
+
+
+def _element_max_wavespeed(fields: StageFields):
     """Max wavespeed over DOF values, interior and edge quadrature points.
 
-    One ``max_wavespeed`` call per block of SWEEP_BLOCK elements, on the
-    stacked point values of the block.  The interior points are
-    ``interior_field`` and the three edges are one einsum over the
-    stacked edge table (a view of ``edge_vals``), so every point value,
-    and hence every maximum, is the one separate sweeps give.
+    The DOF and interior values are the fields' own when a residual has
+    built them or the mesh fits in one block; otherwise the sweep runs
+    over blocks of SWEEP_BLOCK elements, so that a state only the bounds
+    read keeps no whole-mesh point table.  Every point value, and hence
+    every maximum, is the same either way.
     """
-    edge_table = disc.edge_vals.reshape(-1, U_elem.shape[1])      # (3 nq, N)
-    s = np.empty(U_elem.shape[0])
-    for b in range(0, len(s), SWEEP_BLOCK):
-        Ub = U_elem[b:b + SWEEP_BLOCK]
-        points = np.concatenate(
-            [Ub, disc.interior_field(Ub), np.einsum("pn,mnc->mpc", edge_table, Ub)], axis=1
+    disc, gas, U_elem = fields.disc, fields.gas, fields.U_elem
+    M = U_elem.shape[0]
+    if M <= SWEEP_BLOCK or fields.built("interior"):
+        blocks = [(slice(None), fields)]
+    else:
+        blocks = [
+            (slice(b, b + SWEEP_BLOCK), StageFields(disc, gas, U_elem[b:b + SWEEP_BLOCK]))
+            for b in range(0, M, SWEEP_BLOCK)
+        ]
+    s = np.empty(M)
+    for rows, block in blocks:
+        s[rows] = np.maximum(
+            np.maximum(block.dofs.peak_wavespeed, block.interior.peak_wavespeed),
+            _edge_peak(disc, gas, block.U_elem),
         )
-        s[b:b + SWEEP_BLOCK] = euler.max_wavespeed(points, gas).max(axis=1)
     return s
 
 
-def alpha_noninterpolated(disc: Discretization, gas, U, safety=1.0, wavespeed=None) -> AlphaBound:
+def _wavespeed_sweep(fields: StageFields):
+    """The element wavespeed sweep of the fields, computed once per fields."""
+    return fields.cached("wavespeed", lambda: _element_max_wavespeed(fields))
+
+
+def alpha_noninterpolated(disc: Discretization, gas, U, safety=1.0) -> AlphaBound:
     """Wavespeed maximum times the largest ||N_{sigma sigma'}||.
 
-    ``wavespeed`` is a sweep of U already at hand (AlphaBound.wavespeed).
+    U is a DOF vector or its StageFields; the pointwise and implicit
+    bounds of one StageFields share its wavespeed sweep.
     """
-    U_elem = disc.elem_values(U)
-    _check_admissible(U_elem, gas)
+    fields = StageFields.of(disc, gas, U)
+    _check_admissible(fields.U_elem, gas)
     norms = disc.cached("geometry_vector_norms", lambda: _max_norms(geometry_vectors(disc)))
-    s = _element_max_wavespeed(disc, gas, U_elem) if wavespeed is None else wavespeed
+    s = _wavespeed_sweep(fields)
     return AlphaBound(
         value=safety * s * norms, case="NonInterpolated", geometry=norms, wavespeed=s
     )
 
 
-def alpha_implicit(disc: Discretization, gas, U, wavespeed=None) -> AlphaBound:
+def alpha_implicit(disc: Discretization, gas, U) -> AlphaBound:
     """Sign-condition bound for the implicit density system.
 
     The mean-value correction splits as alpha/N_K per off-diagonal
     entry, so alpha must dominate N_K times the advective coefficient
     ||int phi grad(phi')|| times the wavespeed bound on the velocity.
-    ``wavespeed`` is a sweep of U already at hand (AlphaBound.wavespeed).
+    U is a DOF vector or its StageFields.
     """
     norms = disc.cached("phi_grad_norms", lambda: _max_norms(disc.phi_grad_integrals))
-    if wavespeed is None:
-        wavespeed = _element_max_wavespeed(disc, gas, disc.elem_values(U))
+    wavespeed = _wavespeed_sweep(StageFields.of(disc, gas, U))
     nk = disc.dofmap.n_local
     return AlphaBound(
         value=nk * wavespeed * norms, case="Implicit", geometry=norms, wavespeed=wavespeed

@@ -13,8 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import euler
-from .discretization import Discretization
+from .discretization import Discretization, PointValues, StageFields
 from .errors import ConfigError
 
 BASES = ("galerkin", "galerkin_jump", "dg", "lxf", "limited_lxf")
@@ -77,31 +76,45 @@ class ElementResidual:
     alpha: np.ndarray = field(default=None)   # (M,) for the LxF family
 
 
+def _normal_flux(f, n):
+    """f . n for a flux table f (..., 4, 2) and normals n (..., 2).
+
+    The sum runs over the two directions from zero, as ``np.einsum``
+    sums, so that the bits do not depend on the memory order of f.
+    """
+    n = n[..., None, :]
+    out = np.multiply(f[..., 0], n[..., 0])
+    np.add(0.0, out, out=out)
+    out += f[..., 1] * n[..., 1]
+    return out
+
+
+def _rusanov(L, R, n):
+    """Rusanov flux of the PointValues L and R through normal n."""
+    s = np.maximum(L.wavespeed, R.wavespeed)
+    central = 0.5 * _normal_flux(L.flux + R.flux, n)
+    return central - 0.5 * s[..., None] * (R.U - L.U)
+
+
 def rusanov_flux(U_L, U_R, n, gas):
     """Rusanov (local Lax-Friedrichs) numerical flux through normal n."""
-    U_L = np.asarray(U_L, dtype=float)
-    U_R = np.asarray(U_R, dtype=float)
-    n = np.asarray(n, dtype=float)
-    fL = euler.flux(U_L, gas)
-    fR = euler.flux(U_R, gas)
-    s = np.maximum(euler.max_wavespeed(U_L, gas), euler.max_wavespeed(U_R, gas))
-    central = 0.5 * np.einsum("...ci,...i->...c", fL + fR, n)
-    return central - 0.5 * s[..., None] * (U_R - U_L)
+    L = PointValues(np.asarray(U_L, dtype=float), gas)
+    R = PointValues(np.asarray(U_R, dtype=float), gas)
+    return _rusanov(L, R, np.asarray(n, dtype=float))
 
 
-def interface_flux(disc: Discretization, gas, U_elem):
+def interface_flux(disc: Discretization, gas, U):
     """Numerical flux (already dotted with the left normal) per interface.
 
     Continuous spaces use the single-valued trace evaluated once from
     the left owner; discontinuous spaces use the Rusanov flux of the two
-    traces.  Returns shape (E, nq, 4).
+    traces.  Returns shape (E, nq, 4).  Here and in the residuals below,
+    U is a DOF vector or its StageFields.
     """
-    tL = disc.trace_L(U_elem)
+    fields = StageFields.of(disc, gas, U)
     if disc.dofmap.space == "s2":
-        f = euler.flux(tL, gas)
-        return np.einsum("eqci,ei->eqc", f, disc.if_normal)
-    tR = np.where(disc.if_has_right[:, None, None], disc.trace_R(U_elem), tL)
-    return rusanov_flux(tL, tR, disc.if_normal[:, None, :], gas)
+        return _normal_flux(fields.trace_L.flux, disc.if_normal[:, None, :])
+    return _rusanov(fields.trace_L, fields.trace_R, disc.if_normal[:, None, :])
 
 
 def boundary_totals(disc: Discretization, fnum):
@@ -114,13 +127,13 @@ def boundary_totals(disc: Discretization, fnum):
     return disc.scatter_interface(T, -T)
 
 
-def _galerkin_parts(disc: Discretization, gas, U_elem, fnum):
+def _galerkin_parts(fields: StageFields, fnum):
     """Boundary scatter and volume term of the Galerkin-form residual."""
+    disc = fields.disc
     coef = np.matmul(disc.if_vals_L_wl, fnum)             # (E, N, 4)
     coef_R = np.matmul(disc.if_vals_R_wl, -fnum)
     bnd = disc.scatter_interface(coef, coef_R)
-    Uq = disc.interior_field(U_elem)
-    fq = euler.flux(Uq, gas)                              # (M, nq, 4, 2)
+    fq = fields.interior.flux                             # (M, nq, 4, 2)
     M, nq = fq.shape[:2]
     f2 = fq.transpose(0, 1, 3, 2).reshape(M, nq * 2, 4)
     vol = np.matmul(disc.int_gradw_mat, f2)               # (M, N, 4)
@@ -133,9 +146,9 @@ def galerkin_residual(disc: Discretization, gas, U) -> ElementResidual:
     On the discontinuous space f.n is the Rusanov interface flux, which
     makes this the discontinuous (``dg``) distribution.
     """
-    U_elem = disc.elem_values(U)
-    fnum = interface_flux(disc, gas, U_elem)
-    bnd, vol = _galerkin_parts(disc, gas, U_elem, fnum)
+    fields = StageFields.of(disc, gas, U)
+    fnum = interface_flux(disc, gas, fields)
+    bnd, vol = _galerkin_parts(fields, fnum)
     return ElementResidual(
         phi=bnd - vol, total=boundary_totals(disc, fnum), scheme="galerkin"
     )
@@ -168,17 +181,18 @@ def galerkin_jump_residual(disc: Discretization, gas, U, lambda_e=1.0) -> Elemen
     """Galerkin distribution plus lambda_e h_e^2 gradient-jump stabilization."""
     if disc.dofmap.space != "s2":
         raise ConfigError("jump-stabilized Galerkin needs the continuous space")
-    base = galerkin_residual(disc, gas, U)
+    fields = StageFields.of(disc, gas, U)
+    base = galerkin_residual(disc, gas, fields)
     coeff = np.where(disc.if_has_right, lambda_e * disc.if_length**2, 0.0)
-    U_elem = disc.elem_values(U)
-    jumps = gradient_jump_terms(disc, U_elem, coeff)
+    jumps = gradient_jump_terms(disc, fields.U_elem, coeff)
     return ElementResidual(
         phi=base.phi + jumps, total=base.total, scheme="galerkin_jump"
     )
 
 
-def _interpolated_lxf(disc: Discretization, gas, U_elem, alpha):
-    f_dofs = euler.flux(U_elem, gas)                               # (M, N, 4, 2)
+def _interpolated_lxf(fields: StageFields, alpha):
+    disc, U_elem = fields.disc, fields.U_elem
+    f_dofs = fields.dofs.flux                                      # (M, N, 4, 2)
     M, N = U_elem.shape[:2]
     # contract over (k, i) as batched matmuls against views of the tables
     f2 = f_dofs.transpose(0, 1, 3, 2).reshape(M, 2 * N, 4)
@@ -199,12 +213,12 @@ def lxf_residual(disc: Discretization, gas, U, alpha, flux_mode="pointwise") -> 
     alpha = np.broadcast_to(np.asarray(alpha, dtype=float), (disc.mesh.n_tris,))
     if np.any(alpha < 0):
         raise ValueError("alpha must be nonnegative")
-    U_elem = disc.elem_values(U)
+    fields = StageFields.of(disc, gas, U)
     if flux_mode == "interpolated":
-        phi, total = _interpolated_lxf(disc, gas, U_elem, alpha)
+        phi, total = _interpolated_lxf(fields, alpha)
         return ElementResidual(phi=phi, total=total, scheme="lxf", alpha=alpha)
-    fnum = interface_flux(disc, gas, U_elem)
-    total = boundary_totals(disc, fnum)
+    total = boundary_totals(disc, interface_flux(disc, gas, fields))
+    U_elem = fields.U_elem
     dev = U_elem - U_elem.mean(axis=1, keepdims=True)
     phi = total[:, None, :] / disc.dofmap.n_local + alpha[:, None, None] * dev
     return ElementResidual(phi=phi, total=total, scheme="lxf", alpha=alpha)
@@ -253,8 +267,7 @@ def conservation_defect(disc: Discretization, gas, U, res: ElementResidual):
     The scale is the boundary quadrature of the flux magnitude, floored
     at one so that injected O(1) errors read off directly.
     """
-    U_elem = disc.elem_values(U)
-    fnum = interface_flux(disc, gas, U_elem)
+    fnum = interface_flux(disc, gas, U)
     mag = disc.if_length * np.einsum(
         "q,eq->e", disc.edge_weights, np.linalg.norm(fnum, axis=-1)
     )
@@ -265,17 +278,18 @@ def conservation_defect(disc: Discretization, gas, U, res: ElementResidual):
 
 def base_residual(disc: Discretization, gas, U, scheme: Scheme, alpha=None) -> ElementResidual:
     """Dispatch on the scheme base; alpha is required for the LxF family."""
+    fields = StageFields.of(disc, gas, U)
     if scheme.base == "galerkin":
-        return galerkin_residual(disc, gas, U)
+        return galerkin_residual(disc, gas, fields)
     if scheme.base == "galerkin_jump":
         lam = 1.0 if scheme.lambda_jump is None else scheme.lambda_jump
-        return galerkin_jump_residual(disc, gas, U, lambda_e=lam)
+        return galerkin_jump_residual(disc, gas, fields, lambda_e=lam)
     if scheme.base == "dg":
         if disc.dofmap.space != "s1":
             raise ConfigError("the discontinuous distribution needs the S1 space")
-        return galerkin_residual(disc, gas, U)
+        return galerkin_residual(disc, gas, fields)
     if alpha is None:
         raise ValueError("LxF-family schemes need the dissipation bound alpha")
     if scheme.base == "lxf":
-        return lxf_residual(disc, gas, U, alpha, flux_mode=scheme.flux_mode)
-    return limited_lxf_residual(disc, gas, U, alpha, flux_mode=scheme.flux_mode)
+        return lxf_residual(disc, gas, fields, alpha, flux_mode=scheme.flux_mode)
+    return limited_lxf_residual(disc, gas, fields, alpha, flux_mode=scheme.flux_mode)

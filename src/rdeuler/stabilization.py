@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import euler
-from .discretization import Discretization
+from .discretization import Discretization, PointValues, StageFields, last_axis_max
 from .residuals import ElementResidual, Scheme, base_residual
 
 DENOM_GUARD = 1e-14
@@ -31,31 +31,41 @@ DENOM_GUARD = 1e-14
 JUMP_COEFF = 0.005
 
 
+def _entropy_rusanov(L, R, n):
+    """Rusanov-form entropy flux of the PointValues L and R through normal n."""
+    gas = L.gas
+    gL = euler.entropy_flux(L.U, gas, p=L.p)
+    gR = euler.entropy_flux(R.U, gas, p=R.p)
+    s = np.maximum(L.wavespeed, R.wavespeed)
+    central = 0.5 * np.einsum("...i,...i->...", gL + gR, n)
+    return central - 0.5 * s * (
+        euler.entropy_eta(R.U, gas, p=R.p) - euler.entropy_eta(L.U, gas, p=L.p)
+    )
+
+
 def entropy_numerical_flux(U_L, U_R, n, gas):
     """Rusanov-form numerical entropy flux, consistent with g = eta u."""
-    U_L = np.asarray(U_L, dtype=float)
-    U_R = np.asarray(U_R, dtype=float)
-    n = np.asarray(n, dtype=float)
-    gL = euler.entropy_flux(U_L, gas)
-    gR = euler.entropy_flux(U_R, gas)
-    s = np.maximum(euler.max_wavespeed(U_L, gas), euler.max_wavespeed(U_R, gas))
-    central = 0.5 * np.einsum("...i,...i->...", gL + gR, n)
-    return central - 0.5 * s * (euler.entropy_eta(U_R, gas) - euler.entropy_eta(U_L, gas))
+    L = PointValues(np.asarray(U_L, dtype=float), gas)
+    R = PointValues(np.asarray(U_R, dtype=float), gas)
+    return _entropy_rusanov(L, R, np.asarray(n, dtype=float))
 
 
-def interface_entropy_flux(disc: Discretization, gas, U_elem):
-    """g_num per interface quadrature point (E, nq), left normal."""
-    tL = disc.trace_L(U_elem)
+def interface_entropy_flux(disc: Discretization, gas, U):
+    """g_num per interface quadrature point (E, nq), left normal.
+
+    Here and below, U is a DOF vector or its StageFields.
+    """
+    fields = StageFields.of(disc, gas, U)
+    tL = fields.trace_L
     if disc.dofmap.space == "s2":
-        g = euler.entropy_flux(tL, gas)
+        g = euler.entropy_flux(tL.U, gas, p=tL.p)
         return np.einsum("eqi,ei->eq", g, disc.if_normal)
-    tR = np.where(disc.if_has_right[:, None, None], disc.trace_R(U_elem), tL)
-    return entropy_numerical_flux(tL, tR, disc.if_normal[:, None, :], gas)
+    return _entropy_rusanov(tL, fields.trace_R, disc.if_normal[:, None, :])
 
 
-def element_entropy_boundary(disc: Discretization, gas, U_elem):
+def element_entropy_boundary(disc: Discretization, gas, U):
     """oint_dK g_num per element, (M,); telescopes globally."""
-    gq = interface_entropy_flux(disc, gas, U_elem)
+    gq = interface_entropy_flux(disc, gas, U)
     G = disc.if_length * (gq @ disc.edge_weights)
     return disc.scatter_interface(G, -G)
 
@@ -76,11 +86,20 @@ def correction_term(V_elem, phi, g_boundary):
     vanishes as well.  Returns (r, alpha, E).
     """
     V_elem = np.asarray(V_elem, dtype=float)
+    return _correction(V_elem, _deviations(V_elem), phi, g_boundary)
+
+
+def _correction(V_elem, deviations, phi, g_boundary):
     phi = np.asarray(phi, dtype=float)
     E = np.asarray(g_boundary, dtype=float) - np.einsum("mnc,mnc->m", V_elem, phi)
-    dev, denom, ok = _deviations(V_elem)
+    dev, denom, ok = deviations
     alpha = np.where(ok, E / np.where(ok, denom, 1.0), 0.0)
     return alpha[:, None, None] * dev, alpha, E
+
+
+def _field_deviations(fields: StageFields):
+    """_deviations of the fields' entropy variables, computed once per fields."""
+    return fields.cached("deviations", lambda: _deviations(fields.V_elem))
 
 
 def grad_jump_integral(disc: Discretization, V_elem):
@@ -89,33 +108,36 @@ def grad_jump_integral(disc: Discretization, V_elem):
     An interface without a right owner gets a placeholder value that
     callers mask out.
     """
-    jump = disc.trace_grad_R(V_elem) - disc.trace_grad_L(V_elem)      # (E,nq,C,2)
-    return (jump * jump).sum(axis=(2, 3)) @ disc.edge_weights
+    jump = disc.trace_grad_R(V_elem)                                  # (E,nq,C,2)
+    jump -= disc.trace_grad_L(V_elem)
+    jump *= jump
+    return jump.sum(axis=(2, 3)) @ disc.edge_weights
 
 
-def edge_jump_production(disc: Discretization, gas, U_elem, V_elem, lam=None, zeta=2.0,
-                         grad_jump=None):
+def _field_grad_jump(fields: StageFields):
+    """grad_jump_integral of the fields' entropy variables, computed once per fields."""
+    return fields.cached("grad_jump", lambda: grad_jump_integral(fields.disc, fields.V_elem))
+
+
+def edge_jump_production(disc: Discretization, gas, U, lam=None, zeta=2.0):
     """Entropy production per interface, (E,), plus the lambda_e used.
 
     Continuous space: lam_e h_e^zeta oint ||[grad V]||^2; discontinuous
     space: lam_e oint ||[V]||^2.  lam defaults to the maximum wavespeed
-    over the interface traces.  ``grad_jump`` is grad_jump_integral of
-    V_elem when the caller has it.
+    over the interface traces.
     """
+    fields = StageFields.of(disc, gas, U)
     if lam is None:
-        tL = disc.trace_L(U_elem)
-        tR = np.where(disc.if_has_right[:, None, None], disc.trace_R(U_elem), tL)
         lam_e = JUMP_COEFF * np.maximum(
-            euler.max_wavespeed(tL, gas).max(axis=1), euler.max_wavespeed(tR, gas).max(axis=1)
+            fields.trace_L.peak_wavespeed, fields.trace_R.peak_wavespeed
         )
     else:
         lam_e = np.full(disc.if_length.shape[0], float(lam))
     if disc.dofmap.space == "s2":
-        if grad_jump is None:
-            grad_jump = grad_jump_integral(disc, V_elem)
-        D = lam_e * disc.if_h**zeta * disc.if_length * grad_jump
+        D = lam_e * disc.if_h**zeta * disc.if_length * _field_grad_jump(fields)
     else:
-        jump = disc.trace_R(V_elem) - disc.trace_L(V_elem)            # (E,nq,4)
+        VL, VR = disc.traces(fields.V_elem)
+        jump = VR - VL                                                # (E,nq,4)
         sq = (jump * jump).sum(axis=2) @ disc.edge_weights
         D = lam_e * disc.if_length * sq
     D = np.where(disc.if_has_right, D, 0.0)
@@ -131,7 +153,11 @@ def distribute_production(V_elem, target, a_max=None):
     compared to the neighboring jumps; the achieved production
     a * sum||V - mean V||^2 <= target is reported alongside.
     """
-    dev, denom, ok = _deviations(V_elem)
+    return _distribute(_deviations(V_elem), target, a_max)
+
+
+def _distribute(deviations, target, a_max):
+    dev, denom, ok = deviations
     a = np.where(ok, np.asarray(target) / np.where(ok, denom, 1.0), 0.0)
     if a_max is not None:
         a = np.minimum(a, a_max)
@@ -140,8 +166,7 @@ def distribute_production(V_elem, target, a_max=None):
     return psi, achieved
 
 
-def jump_diffusion(disc: Discretization, gas, U, lam=None, zeta=2.0, cap=1.0,
-                   U_elem=None, V_elem=None, grad_jump=None):
+def jump_diffusion(disc: Discretization, gas, U, lam=None, zeta=2.0, cap=1.0):
     """Entropy-dissipative interface diffusion.
 
     Returns (psi, achieved, edge_production): per-DOF signals (M, N, 4)
@@ -150,21 +175,12 @@ def jump_diffusion(disc: Discretization, gas, U, lam=None, zeta=2.0, cap=1.0,
     carry half of its interfaces' production, up to the capped
     redistribution coefficient.
     """
-    if U_elem is None:
-        U_elem = disc.elem_values(U)
-    if V_elem is None:
-        V_elem = euler.entropy_vars(U_elem, gas)
-    D, lam_e = edge_jump_production(
-        disc, gas, U_elem, V_elem, lam=lam, zeta=zeta, grad_jump=grad_jump
-    )
+    fields = StageFields.of(disc, gas, U)
+    D, lam_e = edge_jump_production(disc, gas, fields, lam=lam, zeta=zeta)
     share = disc.scatter_interface(0.5 * D, 0.5 * D)
-    M = disc.mesh.n_tris
-    has_r = disc.if_has_right
-    lam_k = np.zeros(M)
-    np.maximum.at(lam_k, disc.if_left, lam_e)
-    np.maximum.at(lam_k, disc.if_right[has_r], lam_e[has_r])
+    lam_k = last_axis_max(lam_e[disc.mesh.elem_edges])
     a_max = cap * lam_k * disc.mesh.diameters
-    psi, achieved = distribute_production(V_elem, share, a_max=a_max)
+    psi, achieved = _distribute(_field_deviations(fields), share, a_max)
     return psi, achieved, D
 
 
@@ -185,8 +201,10 @@ def corrected_residual(disc: Discretization, gas, U, scheme: Scheme, alpha=None)
     """Base residual plus entropy correction and jump diffusion.
 
     A scheme with neither term does no entropy work: theta is base.phi.
+    U is a DOF vector or its StageFields.
     """
-    base = base_residual(disc, gas, U, scheme, alpha=alpha)
+    fields = StageFields.of(disc, gas, U)
+    base = base_residual(disc, gas, fields, scheme, alpha=alpha)
     M = base.phi.shape[0]
     e_corr = np.zeros(M)
     alpha_corr = np.zeros(M)
@@ -195,20 +213,20 @@ def corrected_residual(disc: Discretization, gas, U, scheme: Scheme, alpha=None)
     g_bnd = r = grad_jump = None
     theta = base.phi
     if scheme.correction or scheme.diffusion:
-        U_elem = disc.elem_values(U)
-        V_elem = euler.entropy_vars(U_elem, gas)
-        g_bnd = element_entropy_boundary(disc, gas, U_elem)
+        g_bnd = element_entropy_boundary(disc, gas, fields)
         r = psi = np.zeros_like(base.phi)
         if scheme.correction:
-            r, alpha_corr, e_corr = correction_term(V_elem, base.phi, g_bnd)
+            r, alpha_corr, e_corr = _correction(
+                fields.V_elem, _field_deviations(fields), base.phi, g_bnd
+            )
         if scheme.diffusion:
             if disc.dofmap.space == "s2":
-                grad_jump = grad_jump_integral(disc, V_elem)
+                grad_jump = _field_grad_jump(fields)
             psi, production, edge_production = jump_diffusion(
-                disc, gas, U, lam=scheme.lambda_jump, zeta=scheme.zeta,
-                U_elem=U_elem, V_elem=V_elem, grad_jump=grad_jump,
+                disc, gas, fields, lam=scheme.lambda_jump, zeta=scheme.zeta
             )
-        theta = base.phi + r + psi
+        theta = base.phi + r
+        theta += psi
     return CorrectedResidual(
         base=base,
         correction=r,

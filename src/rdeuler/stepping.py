@@ -16,7 +16,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import euler, mood, positivity
-from .discretization import Discretization, column_bincount
+from .discretization import Discretization, StageFields, column_bincount
 from .errors import AlphaTooSmall, ConfigError, PicardDivergence
 from .residuals import Scheme
 from .stabilization import corrected_residual
@@ -30,14 +30,32 @@ class FieldState:
     U: np.ndarray            # (n_dofs, 4)
     disc: Discretization
     provenance: str = "init"
-    # Alpha bounds and residuals of U, each computed on first use.  The
-    # field is never copied (copy_with starts empty), so nothing cached
-    # outlives the state it was computed from; U must not be edited in
-    # place once a cached value has been read.
+    # Point values, alpha bounds and residuals of U, each computed on
+    # first use.  The field is never copied (copy_with starts empty), so
+    # nothing cached outlives the state it was computed from; U must not
+    # be edited in place once a cached value has been read.
     _memo: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def copy_with(self, **kw):
         return replace(self, **kw)
+
+    def fields(self, gas):
+        """Point values of U for ``gas`` (StageFields), filled on first use."""
+        key = ("fields", gas)
+        if key not in self._memo:
+            self._memo[key] = StageFields.of(self.disc, gas, self.U)
+        return self._memo[key]
+
+    def release_fields(self):
+        """Drop the stage fields; the bounds and residuals read from them stay.
+
+        An explicit step releases its input state once it has applied the
+        state's residual, so the start state of an SSP-RK2 step carries no
+        point values through the second stage.  A residual asked for later
+        (another cascade level) builds the fields again.
+        """
+        for key in [k for k in self._memo if k[0] == "fields"]:
+            del self._memo[key]
 
     def alpha(self, gas, mode="pointwise"):
         """Dissipation bound of U, (M,).
@@ -49,13 +67,13 @@ class FieldState:
         key = ("alpha", gas, mode)
         if key not in self._memo:
             if mode == "interpolated":
+                # reads the DOF values only; a throwaway field set keeps
+                # the state of an implicit step free of point values
                 bound = positivity.alpha_interpolated(self.disc, gas, self.U)
-            elif mode in ("pointwise", "implicit"):
-                fn = (positivity.alpha_noninterpolated if mode == "pointwise"
-                      else positivity.alpha_implicit)
-                sweep = ("wavespeed", gas)
-                bound = fn(self.disc, gas, self.U, wavespeed=self._memo.get(sweep))
-                self._memo[sweep] = bound.wavespeed
+            elif mode == "pointwise":
+                bound = positivity.alpha_noninterpolated(self.disc, gas, self.fields(gas))
+            elif mode == "implicit":
+                bound = positivity.alpha_implicit(self.disc, gas, self.fields(gas))
             else:
                 raise ConfigError(f"unknown flux mode {mode!r}")
             self._memo[key] = bound.value
@@ -66,7 +84,7 @@ class FieldState:
         key = ("residual", gas, scheme)
         if key not in self._memo:
             alpha = self.alpha(gas, scheme.flux_mode) if scheme.base in LXF_FAMILY else None
-            self._memo[key] = element_theta(self.disc, gas, self.U, scheme, alpha)
+            self._memo[key] = element_theta(self.disc, gas, self.fields(gas), scheme, alpha)
         return self._memo[key]
 
 
@@ -78,9 +96,11 @@ def conserved_totals(disc: Discretization, U):
 def element_theta(disc: Discretization, gas, U, scheme: Scheme, alpha):
     """Corrected per-element residuals for one scheme.
 
-    ``alpha`` is the LxF dissipation bound (None outside the LxF family):
-    the state's bound of the scheme's flux mode from ``FieldState.residual``,
-    or the implicit step's bound in its Picard sweeps.
+    U is a DOF vector or its StageFields (``FieldState.residual`` passes
+    the state's).  ``alpha`` is the LxF dissipation bound (None outside
+    the LxF family): the state's bound of the scheme's flux mode from
+    ``FieldState.residual``, or the implicit step's bound in its Picard
+    sweeps.
     """
     return corrected_residual(disc, gas, U, scheme, alpha=alpha)
 
@@ -110,6 +130,7 @@ def forward_euler_step(state: FieldState, scheme, dt, gas, levels=None) -> Field
         R = scatter_residuals(disc, state.residual(gas, scheme).theta)
     else:
         R = scatter_residuals(disc, mixed_theta(state, gas, scheme, levels))
+    state.release_fields()
     U = state.U - (dt / disc.dual.c_sigma)[:, None] * R
     return FieldState(t=state.t + dt, U=U, disc=disc, provenance="fe")
 

@@ -1,0 +1,94 @@
+"""The committed performance trajectory and the A/B command that writes it."""
+
+import importlib.util
+import json
+import os
+
+import pytest
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+END_TO_END = {"run_s", "setup_s", "elem_steps_per_s", "peak_rss_mb"}
+WORKLOADS = {"vortex_ec", "sod_mood", "implicit_lxf"}
+
+
+def _load_tool():
+    spec = importlib.util.spec_from_file_location(
+        "bench_ab", os.path.join(ROOT, "tools", "bench_ab.py")
+    )
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def test_every_trajectory_entry_names_its_script_environment_and_parent():
+    with open(os.path.join(ROOT, "BENCH_trajectory.json")) as fh:
+        entries = json.load(fh)
+    assert isinstance(entries, list) and entries
+    for entry in entries:
+        assert isinstance(entry["script"], str) and entry["script"]
+        assert isinstance(entry["environment"], dict) and entry["environment"].get("python")
+        parent = entry["parent_commit"]
+        assert len(parent) >= 7 and all(c in "0123456789abcdef" for c in parent)
+        assert entry["workload"] in WORKLOADS
+        assert set(entry["metrics"]) == END_TO_END
+        for metric in entry["metrics"].values():
+            for side in ("parent", "change"):
+                assert isinstance(metric[side]["median"], (int, float))
+        if entry["script"] != "tools/bench_ab.py":
+            # hand-interleaved runs copied from the change log
+            assert entry["source"] == "CHANGES.md"
+
+
+def _result(run_s, digest, ok=True):
+    reps = [
+        {"ok": ok, "traced": False, "run_s": t, "setup_s": 0.1, "n_elems": 10, "n_steps": 5,
+         "peak_rss_mb": 70.0, "facts": {"digest": digest}}
+        for t in run_s
+    ]
+    return {"env": {"python": "3.x", "numpy": "n", "scipy": "s", "blas": "b"}, "reps": reps}
+
+
+def test_ab_summary_alternates_sides_and_records(tmp_path, monkeypatch):
+    tool = _load_tool()
+    calls = []
+
+    def fake_run(tree, workload, seed, seconds):
+        calls.append((os.path.basename(tree), seed))
+        # the change is faster on every pair but the second
+        times = {"parent": [2.0, 2.2, 1.8], "change": [1.0, 1.1, 0.9]}[os.path.basename(tree)]
+        if os.path.basename(tree) == "change" and seed == 8:
+            times = [3.0, 3.0, 3.0]
+        return _result(times, "abc")
+
+    for side in ("parent", "change"):
+        (tmp_path / side).mkdir()
+        (tmp_path / side / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [
+            {"name": "run_s", "better": "lower"}, {"name": "elem_steps_per_s", "better": "higher"},
+        ]}))
+    trajectory = tmp_path / "BENCH_trajectory.json"
+    monkeypatch.setattr(tool, "run_side", fake_run)
+    monkeypatch.setattr(tool, "TRAJECTORY", str(trajectory))
+    code = tool.main([
+        "--base", str(tmp_path / "parent"), "--change", str(tmp_path / "change"),
+        "--workload", "vortex_ec", "--pairs", "3", "--seconds", "1", "--first-seed", "7",
+        "--record", "test",
+    ])
+    assert code == 0
+    assert calls == [("parent", 7), ("change", 7), ("change", 8), ("parent", 8),
+                     ("parent", 9), ("change", 9)]
+    entry = json.loads(trajectory.read_text())[-1]
+    assert entry["script"] == "tools/bench_ab.py" and entry["seeds"] == [7, 8, 9]
+    assert entry["metrics"]["run_s"]["change_wins"] == 2
+    assert entry["metrics"]["elem_steps_per_s"]["change_wins"] == 2
+    assert entry["metrics"]["run_s"]["parent"]["median"] == pytest.approx(2.0)
+    assert entry["digests_equal"] is True
+
+
+def test_ab_run_metrics_skip_failed_repetitions():
+    tool = _load_tool()
+    result = _result([1.0, 3.0], "d")
+    result["reps"].append(_result([0.1], "d", ok=False)["reps"][0])
+    m = tool.run_metrics(result)
+    assert m["run_s"] == pytest.approx(2.0)
+    # like bench/run.py: the median of the per-repetition rates
+    assert m["elem_steps_per_s"] == pytest.approx(0.5 * (50.0 + 50.0 / 3.0))

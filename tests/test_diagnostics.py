@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -278,11 +280,14 @@ def test_diagnostics_residuals_use_the_matching_bound(gas, small_disc, name, mon
         return np.stack([grad_phi(t, x, y), 2.0 * grad_phi(t, x, y)], axis=-2)
 
     def outputs():
+        # a copy of the record holds no FieldState yet, so the diagnostics
+        # build theirs from the FieldState in force
+        fresh = replace(rec)
         return (
-            consistency_error(rec, phi, grad_phi, "rho"),
-            consistency_error(rec, phi_m, grad_phi_m, "m"),
-            consistency_error(rec, phi, grad_phi, "eta"),
-            entropy_budget(rec),
+            consistency_error(fresh, phi, grad_phi, "rho"),
+            consistency_error(fresh, phi_m, grad_phi_m, "m"),
+            consistency_error(fresh, phi, grad_phi, "eta"),
+            entropy_budget(fresh),
             entropy_production_monitor(disc, gas, rec.states[0], rec.states[1], rec.dts[0], scheme),
         )
 
@@ -307,7 +312,7 @@ def test_diagnostics_residuals_use_the_matching_bound(gas, small_disc, name, mon
     # the other flux mode's bound gives other residuals, so the check bites
     other = next(b for m, b in MATCHING_BOUND.items() if m != scheme.flux_mode)
     monkeypatch.setattr(diagnostics, "FieldState", oracle(other))
-    assert consistency_error(rec, phi, grad_phi, "rho")["I"] != got[0]["I"]
+    assert consistency_error(replace(rec), phi, grad_phi, "rho")["I"] != got[0]["I"]
 
 
 def test_cesaro_identical_and_alternating(gas, small_disc):
@@ -374,3 +379,43 @@ def test_cesaro_vortex_family(gas):
     coarse = snaps[0][0].evaluate_at_points(snaps[0][1], pts)
     err_coarse = np.abs(coarse[:, 0] - exact[:, 0]).mean()
     assert err_avg <= err_coarse
+
+
+def test_record_diagnostics_share_one_residual_per_state(gas, small_disc, monkeypatch):
+    # rho and eta consistency plus the entropy budget of a 5-step record
+    # evaluate each stored state's residual once (5 calls, not 15), and
+    # give the numbers each diagnostic gives on a record of its own
+    from rdeuler import stepping
+
+    scheme = Scheme.parse("galerkin+ec+jump")
+    rec = _record_run(small_disc, gas, scheme, smooth_field(small_disc, gas), 5)
+    k = 2 * np.pi / 2.0
+
+    def phi(t, x, y):
+        return np.cos(k * x) * np.sin(k * y) * (1.0 + t)
+
+    def grad_phi(t, x, y):
+        return (1.0 + t) * np.stack(
+            [-k * np.sin(k * x) * np.sin(k * y), k * np.cos(k * x) * np.cos(k * y)], axis=-1
+        )
+
+    def outputs(records):
+        return (
+            consistency_error(next(records), phi, grad_phi, "rho"),
+            consistency_error(next(records), phi, grad_phi, "eta"),
+            entropy_budget(next(records)),
+        )
+
+    calls = []
+    original = stepping.element_theta
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(stepping, "element_theta", counted)
+    shared = outputs(iter([rec] * 3))
+    assert len(calls) == 5
+    separate = outputs(replace(rec) for _ in range(3))
+    assert len(calls) == 5 + 3 * 5
+    assert shared == separate

@@ -230,6 +230,7 @@ def test_stacked_wavespeed_sweep_is_bitwise_the_loop(
     gas, space, basis, degree, block, monkeypatch
 ):
     from rdeuler import positivity
+    from rdeuler.discretization import StageFields
     from rdeuler.positivity import _element_max_wavespeed
 
     if block is not None:
@@ -243,16 +244,27 @@ def test_stacked_wavespeed_sweep_is_bitwise_the_loop(
             # of the DOF values, hence admissible
             U = random_states(rng, disc.dofmap.n_dofs, near_vacuum=near_vacuum)
             U_elem = disc.elem_values(U)
-            got = _element_max_wavespeed(disc, gas, U_elem)
-            assert np.array_equal(got, _element_max_wavespeed_loop(disc, gas, U_elem))
+            want = _element_max_wavespeed_loop(disc, gas, U_elem)
+            # blocked (block 7), or on the fields' own point sets
+            got = _element_max_wavespeed(StageFields(disc, gas, U_elem))
+            assert np.array_equal(got, want)
+            # on point sets a residual has built, whatever the block
+            filled = StageFields(disc, gas, U_elem)
+            filled.dofs, filled.interior
+            assert np.array_equal(_element_max_wavespeed(filled), want)
 
 
 def test_bounds_reuse_a_given_wavespeed_sweep(gas, small_disc):
+    # the pointwise and implicit bounds of one StageFields share its sweep,
+    # and equal the bounds of the bare DOF vector
+    from rdeuler.discretization import StageFields
+
     rng = np.random.default_rng(13)
     U = random_states(rng, small_disc.dofmap.n_dofs)
-    pointwise = alpha_noninterpolated(small_disc, gas, U)
-    implicit = alpha_implicit(small_disc, gas, U)
-    assert np.array_equal(pointwise.wavespeed, implicit.wavespeed)
+    fields = StageFields.of(small_disc, gas, U)
+    pointwise = alpha_noninterpolated(small_disc, gas, fields)
+    implicit = alpha_implicit(small_disc, gas, fields)
+    assert pointwise.wavespeed is implicit.wavespeed
     for fn, bound in ((alpha_noninterpolated, pointwise), (alpha_implicit, implicit)):
-        again = fn(small_disc, gas, U, wavespeed=bound.wavespeed)
+        again = fn(small_disc, gas, U)
         assert np.array_equal(again.value, bound.value)

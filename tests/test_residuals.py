@@ -209,8 +209,7 @@ def test_dg_conservation_requadrature(gas, small_disc_s1):
     res = galerkin_residual(disc, gas, U)
     # per-element sum equals the Rusanov boundary quadrature computed
     # independently from the interface traces
-    U_elem = disc.elem_values(U)
-    fnum = interface_flux(disc, gas, U_elem)
+    fnum = interface_flux(disc, gas, U)
     w = disc.edge_weights
     T = disc.if_length[:, None] * np.einsum("q,eqc->ec", w, fnum)
     totals = np.zeros((disc.mesh.n_tris, 4))
@@ -369,6 +368,7 @@ def _interpolated_lxf_einsum(disc, gas, U_elem, alpha):
 @pytest.mark.parametrize("space", ["s2", "s1"])
 @pytest.mark.parametrize("basis,degree", [("lagrange", 1), ("bernstein", 2)])
 def test_interpolated_lxf_matches_einsum_oracle(gas, space, basis, degree):
+    from rdeuler.discretization import StageFields
     from rdeuler.residuals import _interpolated_lxf
 
     disc = make_disc(6, 10.0, space, basis, degree)
@@ -377,7 +377,7 @@ def test_interpolated_lxf_matches_einsum_oracle(gas, space, basis, degree):
         U_elem = disc.elem_values(U)
         alpha = rng.uniform(0.0, 3.0, disc.mesh.n_tris)
         for got, want in zip(
-            _interpolated_lxf(disc, gas, U_elem, alpha),
+            _interpolated_lxf(StageFields.of(disc, gas, U), alpha),
             _interpolated_lxf_einsum(disc, gas, U_elem, alpha),
         ):
             assert got.shape == want.shape

@@ -1,0 +1,259 @@
+"""The stage fields against the per-function composition they replace.
+
+The oracle below evaluates every point set where each consumer used to:
+the traces in the interface flux, the entropy flux and the jump
+coefficient, the interior points in the volume term, the entropy
+variables and the deviations once per consumer, and the alpha sweep on
+its own einsum evaluation of the edge points.
+"""
+
+import numpy as np
+import pytest
+
+from conftest import make_disc, random_states, smooth_field
+from rdeuler import euler
+from rdeuler.discretization import Discretization, StageFields
+from rdeuler.positivity import alpha_implicit, alpha_noninterpolated, geometry_vectors
+from rdeuler.residuals import Scheme, beta_coefficients
+from rdeuler.stabilization import JUMP_COEFF, corrected_residual, correction_term, distribute_production
+from rdeuler.stepping import FieldState
+
+RTOL = 1e-13
+
+
+def _trace_pair(disc, X_elem):
+    rs = np.maximum(disc.if_right, 0)
+    return np.matmul(disc.if_vals_L, X_elem[disc.if_left]), np.matmul(disc.if_vals_R, X_elem[rs])
+
+
+def _traces(disc, U_elem):
+    tL, tR = _trace_pair(disc, U_elem)
+    return tL, np.where(disc.if_has_right[:, None, None], tR, tL)
+
+
+def _trace_grad(grads_T, owner_vals):
+    return np.matmul(grads_T, owner_vals[:, None]).swapaxes(-1, -2)
+
+
+def _grad_jump(disc, X_elem):
+    rs = np.maximum(disc.if_right, 0)
+    return (_trace_grad(disc.if_grads_R_T, X_elem[rs])
+            - _trace_grad(disc.if_grads_L_T, X_elem[disc.if_left]))
+
+
+def _oracle_fnum(disc, gas, U_elem):
+    tL, tR = _traces(disc, U_elem)
+    if disc.dofmap.space == "s2":
+        return np.einsum("eqci,ei->eqc", euler.flux(tL, gas), disc.if_normal)
+    n = disc.if_normal[:, None, :]
+    s = np.maximum(euler.max_wavespeed(tL, gas), euler.max_wavespeed(tR, gas))
+    central = 0.5 * np.einsum("...ci,...i->...c", euler.flux(tL, gas) + euler.flux(tR, gas), n)
+    return central - 0.5 * s[..., None] * (tR - tL)
+
+
+def _oracle_totals(disc, fnum):
+    T = disc.if_length[:, None] * np.tensordot(fnum, disc.edge_weights, axes=([1], [0]))
+    return disc.scatter_interface(T, -T)
+
+
+def _oracle_galerkin(disc, gas, U_elem):
+    fnum = _oracle_fnum(disc, gas, U_elem)
+    bnd = disc.scatter_interface(
+        np.matmul(disc.if_vals_L_wl, fnum), np.matmul(disc.if_vals_R_wl, -fnum)
+    )
+    fq = euler.flux(disc.interior_field(U_elem), gas)
+    M, nq = fq.shape[:2]
+    vol = np.matmul(disc.int_gradw_mat, fq.transpose(0, 1, 3, 2).reshape(M, nq * 2, 4))
+    return bnd - vol, _oracle_totals(disc, fnum)
+
+
+def _oracle_base(disc, gas, U_elem, scheme, alpha):
+    if scheme.base in ("galerkin", "dg"):
+        return _oracle_galerkin(disc, gas, U_elem)
+    if scheme.base == "galerkin_jump":
+        phi, total = _oracle_galerkin(disc, gas, U_elem)
+        jump = _grad_jump(disc, U_elem)
+        E, nq, C = jump.shape[:3]
+        jw2 = (jump * disc.edge_weights[None, :, None, None]).transpose(0, 1, 3, 2).reshape(E, nq * 2, C)
+        gL = disc.if_grads_L.transpose(0, 2, 1, 3).reshape(E, -1, nq * 2)
+        gR = disc.if_grads_R.transpose(0, 2, 1, 3).reshape(E, -1, nq * 2)
+        w = (np.where(disc.if_has_right, disc.if_length**2, 0.0) * disc.if_length)[:, None, None]
+        return phi + disc.scatter_interface(-np.matmul(gL, jw2) * w, np.matmul(gR, jw2) * w), total
+    dev = U_elem - U_elem.mean(axis=1, keepdims=True)
+    if scheme.flux_mode == "interpolated":
+        M, N = U_elem.shape[:2]
+        f2 = euler.flux(U_elem, gas).transpose(0, 1, 3, 2).reshape(M, 2 * N, 4)
+        phi = np.matmul(disc.phi_grad_integrals.reshape(M, N, 2 * N), f2) + alpha[:, None, None] * dev
+        total = np.matmul(disc.grad_integrals.reshape(M, 1, 2 * N), f2)[:, 0]
+    else:
+        total = _oracle_totals(disc, _oracle_fnum(disc, gas, U_elem))
+        phi = total[:, None, :] / disc.dofmap.n_local + alpha[:, None, None] * dev
+    if scheme.base == "lxf":
+        return phi, total
+    small = np.abs(total) < 1e-14
+    x = phi / np.where(small, 1.0, total)[:, None, :]
+    beta, valid = beta_coefficients(np.moveaxis(x, 1, 0))
+    limited = np.moveaxis(beta, 0, 1) * total[:, None, :]
+    return np.where((small | ~valid)[:, None, :], phi, limited), total
+
+
+def _oracle_entropy_boundary(disc, gas, U_elem):
+    tL, tR = _traces(disc, U_elem)
+    if disc.dofmap.space == "s2":
+        gq = np.einsum("eqi,ei->eq", euler.entropy_flux(tL, gas), disc.if_normal)
+    else:
+        n = disc.if_normal[:, None, :]
+        s = np.maximum(euler.max_wavespeed(tL, gas), euler.max_wavespeed(tR, gas))
+        central = 0.5 * np.einsum(
+            "...i,...i->...", euler.entropy_flux(tL, gas) + euler.entropy_flux(tR, gas), n
+        )
+        gq = central - 0.5 * s * (euler.entropy_eta(tR, gas) - euler.entropy_eta(tL, gas))
+    G = disc.if_length * (gq @ disc.edge_weights)
+    return disc.scatter_interface(G, -G)
+
+
+def _oracle_jump(disc, gas, U_elem, V_elem, zeta):
+    tL, tR = _traces(disc, U_elem)
+    lam_e = JUMP_COEFF * np.maximum(
+        euler.max_wavespeed(tL, gas).max(axis=1), euler.max_wavespeed(tR, gas).max(axis=1)
+    )
+    if disc.dofmap.space == "s2":
+        jump = _grad_jump(disc, V_elem)
+        D = lam_e * disc.if_h**zeta * disc.if_length * ((jump * jump).sum(axis=(2, 3)) @ disc.edge_weights)
+    else:
+        VL, VR = _trace_pair(disc, V_elem)
+        jump = VR - VL
+        D = lam_e * disc.if_length * ((jump * jump).sum(axis=2) @ disc.edge_weights)
+    D = np.where(disc.if_has_right, D, 0.0)
+    lam_k = np.zeros(disc.mesh.n_tris)
+    np.maximum.at(lam_k, disc.if_left, lam_e)
+    has_r = disc.if_has_right
+    np.maximum.at(lam_k, disc.if_right[has_r], lam_e[has_r])
+    share = disc.scatter_interface(0.5 * D, 0.5 * D)
+    psi, achieved = distribute_production(V_elem, share, a_max=lam_k * disc.mesh.diameters)
+    return psi, achieved, D
+
+
+def _oracle_theta(disc, gas, U, scheme, alpha):
+    U_elem = disc.elem_values(U)
+    phi, total = _oracle_base(disc, gas, U_elem, scheme, alpha)
+    out = {"phi": phi, "total": total, "theta": phi}
+    if scheme.correction or scheme.diffusion:
+        V_elem = euler.entropy_vars(U_elem, gas)
+        g = _oracle_entropy_boundary(disc, gas, U_elem)
+        r = psi = np.zeros_like(phi)
+        if scheme.correction:
+            r, out["alpha_corr"], out["e_corr"] = correction_term(V_elem, phi, g)
+        if scheme.diffusion:
+            psi, out["production"], out["edge_production"] = _oracle_jump(
+                disc, gas, U_elem, V_elem, scheme.zeta
+            )
+        out.update(theta=phi + r + psi, g_boundary=g)
+    return out
+
+
+def _oracle_sweep(disc, gas, U_elem):
+    edge_table = disc.edge_vals.reshape(-1, U_elem.shape[1])
+    points = np.concatenate(
+        [U_elem, disc.interior_field(U_elem), np.einsum("pn,mnc->mpc", edge_table, U_elem)], axis=1
+    )
+    return euler.max_wavespeed(points, gas).max(axis=1)
+
+
+def _close(got, want):
+    scale = max(float(np.abs(want).max()), 1e-300)
+    return float(np.abs(got - want).max()) <= RTOL * scale
+
+
+SPACES = [("s2", "lagrange", 1), ("s1", "lagrange", 1), ("s2", "bernstein", 2), ("s1", "bernstein", 2)]
+
+
+def _schemes(space):
+    bases = ["galerkin", "lxf", "limited_lxf", "lxf+interp", "limited_lxf+interp"]
+    bases.append("galerkin_jump" if space == "s2" else "dg")
+    return [Scheme.parse(b + m) for b in bases for m in ("", "+ec", "+jump", "+ec+jump")]
+
+
+@pytest.mark.parametrize("space,basis,degree", SPACES)
+@pytest.mark.parametrize("data", ["smooth", "random"])
+def test_stage_fields_match_the_per_function_composition(gas, space, basis, degree, data):
+    disc = make_disc(5, 10.0, space, basis, degree)
+    if data == "smooth":
+        U = smooth_field(disc, gas, amp=0.3)
+    else:
+        U = random_states(np.random.default_rng(31), disc.dofmap.n_dofs)
+    U_elem = disc.elem_values(U)
+    norms = np.linalg.norm(geometry_vectors(disc), axis=-1).max(axis=(1, 2))
+    # every scheme once on a throwaway field set and all of them on one
+    # FieldState, whose fields the later schemes find filled
+    state = FieldState(0.0, U, disc)
+    assert _close(state.alpha(gas), _oracle_sweep(disc, gas, U_elem) * norms)
+    for scheme in _schemes(space):
+        alpha = state.alpha(gas, scheme.flux_mode)
+        want = _oracle_theta(disc, gas, U, scheme, alpha)
+        for res in (corrected_residual(disc, gas, U, scheme, alpha=alpha),
+                    state.residual(gas, scheme)):
+            assert _close(res.base.phi, want["phi"]), scheme.label()
+            assert _close(res.base.total, want["total"]), scheme.label()
+            assert _close(res.theta, want["theta"]), scheme.label()
+            for key in ("g_boundary", "alpha_corr", "e_corr", "production", "edge_production"):
+                if key in want:
+                    assert _close(getattr(res, key), want[key]), (scheme.label(), key)
+
+
+def _count_calls(monkeypatch, owner, name, log):
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        log[name] = log.get(name, 0) + 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+
+
+@pytest.mark.parametrize("space,basis,degree", SPACES)
+def test_residual_and_sweep_evaluate_each_point_set_once(gas, space, basis, degree, monkeypatch):
+    # one +ec+jump residual plus the pointwise and implicit bounds of one
+    # state: the traces come from one product per element, and each point
+    # set gets one pressure (DOFs, interior points, left and right traces,
+    # and the edge points the sweep sums in its own order); the
+    # per-function composition made 4 trace evaluations and 7 pressure
+    # calls on S2
+    disc = make_disc(4, 2.0, space, basis, degree)
+    U = smooth_field(disc, gas)
+    log = {}
+    _count_calls(monkeypatch, Discretization, "traces", log)
+    _count_calls(monkeypatch, euler, "pressure", log)
+    state = FieldState(0.0, U, disc)
+    state.residual(gas, Scheme.parse("galerkin+ec+jump" if space == "s2" else "dg+ec+jump"))
+    state.alpha(gas)
+    state.alpha(gas, "implicit")
+    # on S1 the jump of V takes the traces of the entropy variables too
+    assert log["traces"] == (1 if space == "s2" else 2)
+    assert log["pressure"] == 5
+
+
+def test_bounds_on_fields_equal_bounds_on_the_dof_vector(gas):
+    disc = make_disc(6, 10.0, "s2", "bernstein", 2)
+    U = random_states(np.random.default_rng(8), disc.dofmap.n_dofs)
+    fields = StageFields.of(disc, gas, U)
+    assert StageFields.of(disc, gas, fields) is fields
+    for bound in (alpha_noninterpolated, alpha_implicit):
+        assert np.array_equal(bound(disc, gas, fields).value, bound(disc, gas, U).value)
+
+
+def test_explicit_step_releases_the_fields_of_its_input(gas):
+    # the residual and bound of the stepped state stay memoised; a later
+    # residual of another scheme builds the fields again and is unchanged
+    from rdeuler.stepping import forward_euler_step
+
+    disc = make_disc(4, 2.0)
+    U = smooth_field(disc, gas)
+    scheme, other = Scheme.parse("galerkin+ec+jump"), Scheme.parse("lxf")
+    state = FieldState(0.0, U, disc)
+    res, alpha = state.residual(gas, scheme), state.alpha(gas)
+    forward_euler_step(state, scheme, 1e-3, gas)
+    assert ("fields", gas) not in state._memo
+    assert state.residual(gas, scheme) is res and state.alpha(gas) is alpha
+    again = state.residual(gas, other).theta
+    assert np.array_equal(again, FieldState(0.0, U, disc).residual(gas, other).theta)

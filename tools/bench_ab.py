@@ -1,0 +1,186 @@
+"""A/B benchmark of two source trees: interleaved runs of bench/run.py.
+
+Usage (from the repository root):
+
+    python3 tools/bench_ab.py --base DIR --change DIR --workload vortex_ec \\
+        --pairs 10 --seconds 42 [--first-seed 1] [--record LABEL]
+
+Pair i runs ``python3 bench/run.py --workload W --seed S --seconds SEC
+--trace 0`` in both trees, one after the other, with S = first seed + i
+on both sides; the parent (``--base``) goes first in even pairs and the
+change in odd ones.  A run's end-to-end metrics are the medians over its
+repetitions, read from ``.bench_out/<W>/result_seed<S>_trace0.json`` in
+its tree.  The summary gives, per metric and side, the median and the
+quartiles over the pairs, the number of pairs the change won, and
+whether the final-U digests of the two sides are equal.
+
+``--record LABEL`` appends the summary as one entry to
+``BENCH_trajectory.json`` at the root of this script's repository.  The
+exit code is 1 if any run failed its output checks or gave no result.
+"""
+
+import argparse
+import datetime
+import json
+import os
+import statistics
+import subprocess
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+TRAJECTORY = os.path.join(ROOT, "BENCH_trajectory.json")
+SCRIPT = "tools/bench_ab.py"
+ENV_KEYS = ("cpu_model", "nproc", "python", "numpy", "scipy", "blas", "blas_threads")
+
+
+def quartiles(values):
+    """(p25, median, p75); a single value is all three."""
+    if len(values) == 1:
+        return values[0], values[0], values[0]
+    q1, q2, q3 = statistics.quantiles(values, n=4)
+    return q1, statistics.median(values), q3
+
+
+def run_metrics(result):
+    """End-to-end metrics of one bench/run.py result: medians over the
+    untraced repetitions that passed their checks, as bench/run.py prints."""
+    good = [r for r in result["reps"] if r["ok"] and not r.get("traced")]
+    samples = {
+        "run_s": [r["run_s"] for r in good],
+        "setup_s": [r["setup_s"] for r in good if "setup_s" in r],
+        "elem_steps_per_s": [r["n_elems"] * r["n_steps"] / r["run_s"] for r in good],
+        "peak_rss_mb": [r["peak_rss_mb"] for r in good],
+    }
+    return {k: statistics.median(v) for k, v in samples.items() if v}
+
+
+def digests(result):
+    return sorted({r["facts"]["digest"] for r in result["reps"] if "digest" in r.get("facts", {})})
+
+
+def run_side(tree, workload, seed, seconds):
+    """Run the benchmark in ``tree``; returns its result JSON, or None."""
+    proc = subprocess.run(
+        [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
+         "--seconds", str(seconds), "--trace", "0"],
+        cwd=tree, capture_output=True, text=True,
+    )
+    path = os.path.join(tree, ".bench_out", workload, f"result_seed{seed}_trace0.json")
+    if proc.returncode != 0 or not os.path.exists(path):
+        sys.stderr.write(proc.stdout[-2000:] + proc.stderr[-2000:])
+        return None
+    with open(path) as fh:
+        return json.load(fh)
+
+
+def summarize(pairs, directions):
+    """Per-metric medians, quartiles and change wins over the pairs.
+
+    ``pairs`` holds (parent metrics, change metrics) per pair and
+    ``directions`` maps a metric to "lower" or "higher".
+    """
+    out = {}
+    for name, better in directions.items():
+        both = [(p[name], c[name]) for p, c in pairs if name in p and name in c]
+        if not both:
+            continue
+        wins = sum(c < p if better == "lower" else c > p for p, c in both)
+        sides = {}
+        for label, vals in (("parent", [p for p, _ in both]), ("change", [c for _, c in both])):
+            q1, med, q3 = quartiles(vals)
+            sides[label] = {"median": med, "p25": q1, "p75": q3}
+        out[name] = dict(sides, better=better, change_wins=wins, pairs=len(both))
+    return out
+
+
+def git_commit(tree):
+    """HEAD of the tree and whether its library differs from it."""
+    try:
+        head = subprocess.run(["git", "-C", tree, "rev-parse", "HEAD"],
+                              capture_output=True, text=True, timeout=10).stdout.strip()
+        dirty = subprocess.run(["git", "-C", tree, "status", "--porcelain", "--", "src"],
+                               capture_output=True, text=True, timeout=10).stdout.strip()
+    except (OSError, subprocess.TimeoutExpired):
+        return "unknown", False
+    return head or "unknown", bool(dirty)
+
+
+def directions_of(tree):
+    with open(os.path.join(tree, "BENCHMARK.json")) as fh:
+        return {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--base", required=True, help="source tree of the parent")
+    parser.add_argument("--change", required=True, help="source tree of the change")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--pairs", type=int, required=True)
+    parser.add_argument("--seconds", type=float, required=True)
+    parser.add_argument("--first-seed", type=int, default=1)
+    parser.add_argument("--record", metavar="LABEL")
+    args = parser.parse_args(argv)
+
+    trees = {"parent": os.path.abspath(args.base), "change": os.path.abspath(args.change)}
+    pairs, seeds, digest_pairs, env, failed = [], [], [], {}, 0
+    for i in range(args.pairs):
+        seed = args.first_seed + i
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        results = {side: run_side(trees[side], args.workload, seed, args.seconds) for side in order}
+        if any(r is None for r in results.values()):
+            failed += 1
+            print(f"# pair {i + 1} seed {seed}: a run failed")
+            continue
+        metrics = {side: run_metrics(r) for side, r in results.items()}
+        env = {k: results["change"]["env"].get(k) for k in ENV_KEYS}
+        pairs.append((metrics["parent"], metrics["change"]))
+        digest_pairs.append((digests(results["parent"]), digests(results["change"])))
+        seeds.append(seed)
+        print(f"# pair {i + 1} seed {seed}: {order[0]} first; run_s "
+              f"{metrics['parent'].get('run_s', float('nan')):.4f} -> "
+              f"{metrics['change'].get('run_s', float('nan')):.4f}")
+
+    summary = summarize(pairs, directions_of(trees["change"]))
+    for name, s in summary.items():
+        p, c = s["parent"], s["change"]
+        print(f"{name} [{s['better']}]: parent {p['median']:.6g} (p25 {p['p25']:.6g}, "
+              f"p75 {p['p75']:.6g}); change {c['median']:.6g} (p25 {c['p25']:.6g}, "
+              f"p75 {c['p75']:.6g}); change better in {s['change_wins']} of {s['pairs']} pairs; "
+              f"ratio {c['median'] / p['median']:.3f}")
+    equal = bool(digest_pairs) and all(p == c for p, c in digest_pairs)
+    shown = sorted({d for _, c in digest_pairs for d in c})
+    print(f"digests equal: {'yes' if equal else 'no'} (change {', '.join(shown)})")
+
+    if args.record:
+        parent_commit, _ = git_commit(trees["parent"])
+        commit, uncommitted = git_commit(trees["change"])
+        entry = {
+            "label": args.record,
+            "date": datetime.date.today().isoformat(),
+            "script": SCRIPT,
+            "command": (f"python3 {SCRIPT} --base PARENT --change CHANGE --workload "
+                        f"{args.workload} --pairs {args.pairs} --seconds {args.seconds:g} "
+                        f"--first-seed {args.first_seed}"),
+            "parent_commit": parent_commit,
+            "commit": commit + (" with uncommitted library changes" if uncommitted else ""),
+            "environment": env,
+            "workload": args.workload,
+            "seeds": seeds,
+            "metrics": summary,
+            "digests_equal": equal,
+            "digests": {"parent": sorted({d for p, _ in digest_pairs for d in p}), "change": shown},
+        }
+        entries = []
+        if os.path.exists(TRAJECTORY):
+            with open(TRAJECTORY) as fh:
+                entries = json.load(fh)
+        entries.append(entry)
+        with open(TRAJECTORY, "w") as fh:
+            json.dump(entries, fh, indent=1)
+            fh.write("\n")
+        print(f"# recorded {args.record!r} in {os.path.basename(TRAJECTORY)}")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
