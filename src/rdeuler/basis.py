@@ -205,27 +205,19 @@ def build_dofmap(mesh: Mesh, space="s2", basis="lagrange", degree=1) -> DofMap:
     # S2: vertices share through periodic-identified nodes, midpoints
     # through the interface table.
     reps = np.unique(mesh.node_rep)
-    vert_id = {int(r): i for i, r in enumerate(reps)}
     n_vert = len(reps)
     elem_dofs = np.empty((M, nk), dtype=np.int64)
-    for k in range(M):
-        for v in range(3):
-            elem_dofs[k, v] = vert_id[int(mesh.node_rep[mesh.tris[k, v]])]
+    elem_dofs[:, :3] = np.searchsorted(reps, mesh.node_rep[mesh.tris])
     n_dofs = n_vert
     if degree == 2:
         elem_dofs[:, 3:6] = n_vert + mesh.elem_edges
         n_dofs = n_vert + mesh.n_edges
 
-    dof_points = np.zeros((n_dofs, 2))
-    seen = np.zeros(n_dofs, dtype=bool)
     phys = np.einsum("lk,mkx->mlx", pts, mesh.nodes[mesh.tris])
     # First owner in element order fixes the coordinates of a shared DOF.
-    for k in range(M):
-        for l in range(nk):
-            d = elem_dofs[k, l]
-            if not seen[d]:
-                dof_points[d] = phys[k, l]
-                seen[d] = True
+    owned, first = np.unique(elem_dofs.ravel(), return_index=True)
+    dof_points = np.zeros((n_dofs, 2))
+    dof_points[owned] = phys.reshape(M * nk, 2)[first]
     return DofMap(mesh, space, basis, degree, elem_dofs, dof_points, n_dofs)
 
 

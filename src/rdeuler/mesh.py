@@ -9,6 +9,7 @@ translation vector maps left-side coordinates onto the right side.
 """
 
 import hashlib
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -91,8 +92,9 @@ def _signed_area2(nodes, tris):
 def build_mesh(raw_nodes, raw_triangles, periodic=False, periodic_tolerance=None):
     """Build connectivity, geometry and (optionally) periodic pairing.
 
-    Clockwise triangles are re-oriented in place; zero-area triangles,
-    hanging nodes and edges with more than two owners are rejected.
+    Clockwise triangles are re-oriented in place; non-finite nodes,
+    zero-area triangles, hanging nodes and edges with more than two
+    owners are rejected.
     """
     nodes = np.asarray(raw_nodes, dtype=float).copy()
     tris = np.asarray(raw_triangles, dtype=np.int64).copy()
@@ -100,6 +102,9 @@ def build_mesh(raw_nodes, raw_triangles, periodic=False, periodic_tolerance=None
         raise NonConforming("need at least one index triple")
     if tris.min() < 0 or tris.max() >= nodes.shape[0]:
         raise NonConforming("triangle index out of range")
+    finite = np.isfinite(nodes).all(axis=-1)
+    if not finite.all():
+        raise NonConforming(f"node {int(np.argmin(finite))} has a non-finite coordinate")
 
     extent = nodes.max(axis=0) - nodes.min(axis=0)
     scale = max(float(np.max(np.abs(nodes))), float(extent.max()), 1.0)
@@ -113,72 +118,77 @@ def build_mesh(raw_nodes, raw_triangles, periodic=False, periodic_tolerance=None
         raise DegenerateTriangle(f"triangle {bad} has zero area")
     areas = 0.5 * area2
 
-    # Edge ownership keyed by the unordered node pair.
-    owners = {}
-    for k in range(tris.shape[0]):
-        for loc in range(3):
-            a = int(tris[k, loc])
-            b = int(tris[k, (loc + 1) % 3])
-            key = (a, b) if a < b else (b, a)
-            owners.setdefault(key, []).append((k, loc))
-    for key, lst in owners.items():
-        if len(lst) > 2:
-            raise NonConforming(f"edge {key} shared by {len(lst)} triangles")
+    # Half-edge h = 3 k + loc runs from a[h] = tris[k, loc] to b[h] =
+    # tris[k, loc + 1].  An edge is keyed by its unordered node pair; the
+    # stable sort keeps the owners of a key in element order, so owner1
+    # is the first in the file.
+    M = tris.shape[0]
+    a = tris.ravel()
+    b = tris[:, [1, 2, 0]].ravel()
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    order = np.lexsort((hi, lo))
+    lo, hi = lo[order], hi[order]
+    is_new = np.ones(3 * M, dtype=bool)
+    is_new[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
+    starts = np.flatnonzero(is_new)
+    count = np.diff(np.append(starts, 3 * M))
+    owner1 = order[starts]
+    owner2 = order[np.minimum(starts + 1, 3 * M - 1)]   # valid where count == 2
+    key_lo, key_hi = lo[starts], hi[starts]
 
-    boundary = [(key, lst[0]) for key, lst in owners.items() if len(lst) == 1]
-    _reject_hanging_nodes(nodes, boundary, tol=1e-12 * scale)
+    def key(g):
+        return f"({key_lo[g]}, {key_hi[g]})"
 
-    pairs = {}
-    translations = {}
+    crowded = np.flatnonzero(count > 2)
+    if crowded.size:
+        g = crowded[np.argmin(owner1[crowded])]
+        raise NonConforming(f"edge {key(g)} shared by {count[g]} triangles")
+
+    boundary = np.flatnonzero(count == 1)
+    boundary = boundary[np.argsort(owner1[boundary])]   # file order
+    _reject_hanging_nodes(nodes, key_lo[boundary], key_hi[boundary], tol=1e-12 * scale)
+
+    matched = np.zeros(count.size, dtype=bool)
+    low = high = np.zeros(0, dtype=np.int64)
+    shift = np.zeros((0, 2))
     if periodic:
-        pairs, translations = _pair_periodic_edges(
-            nodes, tris, boundary, periodic_tolerance, scale
+        low, high, shift = _pair_periodic_edges(
+            nodes, key_lo[boundary], key_hi[boundary], periodic_tolerance
         )
+        low, high = boundary[low], boundary[high]
+        by_left = np.lexsort((key_hi[low], key_lo[low]))
+        low, high, shift = low[by_left], high[by_left], shift[by_left]
+        matched[low] = matched[high] = True
 
-    matched = set(pairs) | set(pairs.values())
-    edge_rows = []
-    for key, lst in sorted(owners.items()):
-        if len(lst) == 2:
-            (k1, loc1), (k2, loc2) = sorted(lst)
-            a1 = int(tris[k1, loc1])
-            b1 = int(tris[k1, (loc1 + 1) % 3])
-            a2 = int(tris[k2, loc2])
-            b2 = int(tris[k2, (loc2 + 1) % 3])
-            if (a1, b1) == (a2, b2):
-                raise NonConforming(f"edge {key} traversed twice in the same sense")
-            edge_rows.append((a1, b1, k1, loc1, k2, loc2, False, 0.0, 0.0))
-        elif key not in matched:
-            (k1, loc1) = lst[0]
-            a1 = int(tris[k1, loc1])
-            b1 = int(tris[k1, (loc1 + 1) % 3])
-            if periodic:
-                raise UnmatchedPeriodicEdge(f"boundary edge {key} has no partner")
-            edge_rows.append((a1, b1, k1, loc1, -1, -1, False, 0.0, 0.0))
-    for key_l, key_r in sorted(pairs.items()):
-        (k1, loc1) = owners[key_l][0]
-        (k2, loc2) = owners[key_r][0]
-        a1 = int(tris[k1, loc1])
-        b1 = int(tris[k1, (loc1 + 1) % 3])
-        t = translations[key_l]
-        edge_rows.append((a1, b1, k1, loc1, k2, loc2, True, t[0], t[1]))
+    same_sense = (count == 2) & (a[owner1] == a[owner2])   # same start node
+    unmatched = (count == 1) & ~matched & bool(periodic)
+    bad = np.flatnonzero(same_sense | unmatched)
+    if bad.size:
+        g = bad[0]
+        if same_sense[g]:
+            raise NonConforming(f"edge {key(g)} traversed twice in the same sense")
+        raise UnmatchedPeriodicEdge(f"boundary edge {key(g)} has no partner")
 
-    n_edges = len(edge_rows)
-    edge_nodes = np.array([(r[0], r[1]) for r in edge_rows], dtype=np.int64)
-    edge_left = np.array([r[2] for r in edge_rows], dtype=np.int64)
-    edge_left_loc = np.array([r[3] for r in edge_rows], dtype=np.int64)
-    edge_right = np.array([r[4] for r in edge_rows], dtype=np.int64)
-    edge_right_loc = np.array([r[5] for r in edge_rows], dtype=np.int64)
-    edge_periodic = np.array([r[6] for r in edge_rows], dtype=bool)
-    edge_translation = np.array([(r[7], r[8]) for r in edge_rows], dtype=float)
+    # Interfaces: edges in key order, then periodic couples in left-key order.
+    plain = np.flatnonzero(~matched)
+    left = np.concatenate([owner1[plain], owner1[low]])
+    right = np.concatenate([np.where(count[plain] == 2, owner2[plain], -1), owner1[high]])
+    n_edges = left.size
+    paired = right >= 0
+    edge_nodes = np.stack([a[left], b[left]], axis=1)
+    edge_left, edge_left_loc = left // 3, left % 3
+    edge_right = np.where(paired, right // 3, -1)
+    edge_right_loc = np.where(paired, right % 3, -1)
+    edge_periodic = np.arange(n_edges) >= plain.size
+    edge_translation = np.concatenate([np.zeros((plain.size, 2)), shift])
 
-    elem_edges = np.full((tris.shape[0], 3), -1, dtype=np.int64)
-    elem_edge_side = np.zeros((tris.shape[0], 3), dtype=np.int64)
-    for e in range(n_edges):
-        elem_edges[edge_left[e], edge_left_loc[e]] = e
-        elem_edge_side[edge_left[e], edge_left_loc[e]] = 0
-        if edge_right[e] >= 0:
-            elem_edges[edge_right[e], edge_right_loc[e]] = e
-            elem_edge_side[edge_right[e], edge_right_loc[e]] = 1
+    elem_edges = np.full(3 * M, -1, dtype=np.int64)
+    elem_edge_side = np.zeros(3 * M, dtype=np.int64)
+    elem_edges[left] = np.arange(n_edges)
+    elem_edges[right[paired]] = np.flatnonzero(paired)
+    elem_edge_side[right[paired]] = 1
+    elem_edges = elem_edges.reshape(M, 3)
+    elem_edge_side = elem_edge_side.reshape(M, 3)
     if np.any(elem_edges < 0):
         raise NonConforming("element edge without interface entry")
 
@@ -197,7 +207,7 @@ def build_mesh(raw_nodes, raw_triangles, periodic=False, periodic_tolerance=None
         if np.any(rel > 1e-9):
             raise UnmatchedPeriodicEdge("paired edges differ in length")
 
-    node_rep = _identify_nodes(nodes, edge_rows, tris)
+    node_rep = _identify_nodes(nodes, a, b, owner1[low], owner1[high], shift)
 
     return Mesh(
         nodes=nodes,
@@ -227,107 +237,144 @@ def build_mesh(raw_nodes, raw_triangles, periodic=False, periodic_tolerance=None
     )
 
 
-def _reject_hanging_nodes(nodes, boundary_edges, tol):
-    for (a, b), _ in boundary_edges:
-        pa, pb = nodes[a], nodes[b]
-        d = pb - pa
+def _reject_hanging_nodes(nodes, ends_a, ends_b, tol):
+    """Reject a node that lies inside a boundary edge (a, b).
+
+    Edges are tested in the given order and the smallest such node is
+    named.  A node passing the test lies within tol of the edge, so only
+    the nodes in the edge's bounding box grown by 2 tol (a margin for
+    rounding) are tested; they are found by bisection in the nodes
+    sorted by x.
+    """
+    by_x = np.argsort(nodes[:, 0], kind="stable")
+    xs = nodes[by_x, 0]
+    pa, pb = nodes[ends_a], nodes[ends_b]
+    box_lo = np.minimum(pa, pb) - 2 * tol
+    box_hi = np.maximum(pa, pb) + 2 * tol
+    first = np.searchsorted(xs, box_lo[:, 0], side="left")
+    stop = np.searchsorted(xs, box_hi[:, 0], side="right")
+    # a and b are always in their box; an edge whose box holds no other
+    # node in x needs no test.
+    for e in np.flatnonzero(stop - first > 2):
+        near = by_x[first[e]:stop[e]]
+        y = nodes[near, 1]
+        near = near[(y >= box_lo[e, 1]) & (y <= box_hi[e, 1])]
+        d = pb[e] - pa[e]
         L2 = d @ d
-        rel = nodes - pa
+        rel = nodes[near] - pa[e]
         t = (rel @ d) / L2
         perp = rel - t[:, None] * d
         dist = np.hypot(perp[:, 0], perp[:, 1])
         on_open_segment = (dist < tol) & (t > 1e-9) & (t < 1 - 1e-9)
-        on_open_segment[[a, b]] = False
+        on_open_segment &= (near != ends_a[e]) & (near != ends_b[e])
         if np.any(on_open_segment):
             raise NonConforming(
-                f"node {int(np.argmax(on_open_segment))} hangs on edge ({a}, {b})"
+                f"node {near[on_open_segment].min()} hangs on edge ({ends_a[e]}, {ends_b[e]})"
             )
 
 
-def _edge_side_of_box(nodes, key, bbox, tol):
-    (xmin, xmax, ymin, ymax) = bbox
-    pts = nodes[list(key)]
-    if np.all(np.abs(pts[:, 0] - xmin) < tol):
-        return "xmin"
-    if np.all(np.abs(pts[:, 0] - xmax) < tol):
-        return "xmax"
-    if np.all(np.abs(pts[:, 1] - ymin) < tol):
-        return "ymin"
-    if np.all(np.abs(pts[:, 1] - ymax) < tol):
-        return "ymax"
-    return None
+def _pair_periodic_edges(nodes, ends_a, ends_b, tol):
+    """Pair the boundary edges (a, b) across the bounding box.
 
-
-def _pair_periodic_edges(nodes, tris, boundary, tol, scale):
+    Returns (low, high, shift): boundary edge low[i], on the xmin or ymin
+    side, maps onto edge high[i] on the opposite side by x + shift[i].
+    Each low edge, in the given order, takes the nearest edge of the
+    opposite side whose midpoint is within tol of its translated
+    midpoint (the first on a tie).  A low edge whose nearest edge an
+    earlier one took is rejected, not paired with a farther edge.
+    """
     xmin, ymin = nodes.min(axis=0)
     xmax, ymax = nodes.max(axis=0)
     if tol is None:
         tol = 1e-9 * max(xmax - xmin, ymax - ymin)
-    bbox = (xmin, xmax, ymin, ymax)
-    sides = {"xmin": [], "xmax": [], "ymin": [], "ymax": []}
-    for key, _ in boundary:
-        side = _edge_side_of_box(nodes, key, bbox, tol)
-        if side is None:
-            raise UnmatchedPeriodicEdge(f"boundary edge {key} off the bounding box")
-        sides[side].append(key)
+    pa, pb = nodes[ends_a], nodes[ends_b]
+    names = ("xmin", "xmax", "ymin", "ymax")
+    on_side = [
+        (np.abs(pa[:, axis] - v) < tol) & (np.abs(pb[:, axis] - v) < tol)
+        for axis, v in ((0, xmin), (0, xmax), (1, ymin), (1, ymax))
+    ]
+    side = np.select(on_side, range(4), default=-1)
+    off = np.flatnonzero(side < 0)
+    if off.size:
+        e = off[0]
+        raise UnmatchedPeriodicEdge(
+            f"boundary edge ({ends_a[e]}, {ends_b[e]}) off the bounding box"
+        )
+    mids = 0.5 * (pa + pb)
 
-    pairs = {}
-    translations = {}
+    def match(low_side, high_side, axis):
+        low = np.flatnonzero(side == low_side)
+        high = np.flatnonzero(side == high_side)
+        t = np.zeros(2)
+        t[axis] = (xmax - xmin, ymax - ymin)[axis]
+        target = mids[low] + t
+        # Candidates: high edges within 2 tol along the side, by bisection.
+        along = 1 - axis
+        by_pos = np.argsort(mids[high, along], kind="stable")
+        pos = mids[high[by_pos], along]
+        first = np.searchsorted(pos, target[:, along] - 2 * tol, side="left")
+        n_cand = np.searchsorted(pos, target[:, along] + 2 * tol, side="right") - first
+        # Low edge r owns the flat candidates offset[r] .. offset[r] + n_cand[r] - 1.
+        offset = np.cumsum(n_cand) - n_cand
+        row = np.repeat(np.arange(low.size), n_cand)
+        col = by_pos[first[row] + np.arange(row.size) - offset[row]]
+        hm = mids[high[col]]
+        dist = np.hypot(hm[:, 0] - target[row, 0], hm[:, 1] - target[row, 1])
+        near = dist <= tol
+        row, col, dist = row[near], col[near], dist[near]
+        # The nearest candidate of each low edge, the first on a tie.
+        by_dist = np.lexsort((col, dist, row))
+        row, col = row[by_dist], col[by_dist]
+        lead = np.ones(row.size, dtype=bool)
+        lead[1:] = row[1:] != row[:-1]
+        best = np.full(low.size, -1)
+        best[row[lead]] = col[lead]
+        # A low edge fails when it has no candidate, or when an earlier
+        # low edge took its nearest one.
+        taken = np.ones(low.size, dtype=bool)
+        chosen = np.flatnonzero(best >= 0)
+        taken[chosen[np.unique(best[chosen], return_index=True)[1]]] = False
+        fail = np.flatnonzero(taken)
+        if fail.size:
+            i = fail[0]
+            edge = f"({ends_a[low[i]]}, {ends_b[low[i]]})"
+            if not np.all(np.isin(col[row == i], best[:i])):
+                raise UnmatchedPeriodicEdge(f"no unique partner for boundary edge {edge}")
+            raise UnmatchedPeriodicEdge(f"no partner for boundary edge {edge}")
+        if low.size != high.size:
+            raise UnmatchedPeriodicEdge(f"unpaired edges remain on side {names[high_side]}")
+        return low, high[best], np.broadcast_to(t, (low.size, 2))
 
-    def match(low, high, t):
-        t = np.asarray(t, dtype=float)
-        high_mids = {k: 0.5 * (nodes[k[0]] + nodes[k[1]]) for k in sides[high]}
-        used = set()
-        for key in sides[low]:
-            mid = 0.5 * (nodes[key[0]] + nodes[key[1]]) + t
-            best, best_d = None, np.inf
-            for hk, hm in high_mids.items():
-                if hk in used:
-                    continue
-                d = np.hypot(*(hm - mid))
-                if d < best_d:
-                    best, best_d = hk, d
-            if best is None or best_d > tol:
-                raise UnmatchedPeriodicEdge(f"no partner for boundary edge {key}")
-            used.add(best)
-            pairs[key] = best
-            translations[key] = t
-        if len(used) != len(sides[high]):
-            raise UnmatchedPeriodicEdge(f"unpaired edges remain on side {high}")
-
-    match("xmin", "xmax", (xmax - xmin, 0.0))
-    match("ymin", "ymax", (0.0, ymax - ymin))
-    return pairs, translations
+    x = match(0, 1, axis=0)
+    y = match(2, 3, axis=1)
+    return tuple(np.concatenate(parts) for parts in zip(x, y))
 
 
-def _identify_nodes(nodes, edge_rows, tris):
-    """Union-find over nodes joined through periodic edge couples."""
-    parent = np.arange(nodes.shape[0])
+def _identify_nodes(nodes, a, b, left, right, shift):
+    """Periodic-identified representative of each node.
 
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def union(i, j):
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[max(ri, rj)] = min(ri, rj)
-
-    for row in edge_rows:
-        a1, b1, k1, loc1, k2, loc2, is_per = row[:7]
-        if not is_per:
-            continue
-        t = np.array(row[7:9])
-        a2 = int(tris[k2, loc2])
-        b2 = int(tris[k2, (loc2 + 1) % 3])
-        for left_node in (a1, b1):
-            target = nodes[left_node] + t
-            d2 = np.hypot(*(nodes[a2] - target))
-            d3 = np.hypot(*(nodes[b2] - target))
-            union(left_node, a2 if d2 <= d3 else b2)
-    return np.array([find(i) for i in range(nodes.shape[0])])
+    Half-edge left[i] maps onto half-edge right[i] by x + shift[i]; each
+    of its end nodes is identified with the nearer end of right[i] (the
+    start on a tie).  The representative is the smallest node index of
+    each class, found by propagating the minimum label.
+    """
+    ends = np.concatenate([a[left], b[left]])
+    starts_r = np.tile(a[right], 2)
+    stops_r = np.tile(b[right], 2)
+    target = nodes[ends] + np.tile(shift, (2, 1))
+    d_start = np.hypot(*(nodes[starts_r] - target).T)
+    d_stop = np.hypot(*(nodes[stops_r] - target).T)
+    partner = np.where(d_start <= d_stop, starts_r, stops_r)
+    rep = np.arange(nodes.shape[0])
+    while True:
+        low = np.minimum(rep[ends], rep[partner])
+        nxt = rep.copy()
+        np.minimum.at(nxt, ends, low)
+        np.minimum.at(nxt, partner, low)
+        nxt = nxt[nxt]
+        if np.array_equal(nxt, rep):
+            return rep
+        rep = nxt
 
 
 def shape_regularity(mesh: Mesh):
@@ -351,17 +398,13 @@ def structured_rect(nx, ny, width=10.0, height=10.0, center=(0.0, 0.0), periodic
     X, Y = np.meshgrid(xs, ys, indexing="ij")
     nodes = np.stack([X.ravel(), Y.ravel()], axis=-1)
 
-    def nid(i, j):
-        return i * (ny + 1) + j
-
-    tris = []
-    for i in range(nx):
-        for j in range(ny):
-            a, b = nid(i, j), nid(i + 1, j)
-            c, d = nid(i + 1, j + 1), nid(i, j + 1)
-            tris.append((a, b, c))
-            tris.append((a, c, d))
-    return build_mesh(nodes, np.array(tris), periodic=periodic)
+    # Cell (i, j) has corners a = (i, j), b = (i+1, j), c = (i+1, j+1) and
+    # d = (i, j+1); it is split into (a, b, c) and (a, c, d).
+    i, j = np.meshgrid(np.arange(nx), np.arange(ny), indexing="ij")
+    a = i * (ny + 1) + j
+    b, c, d = a + ny + 1, a + ny + 2, a + 1
+    tris = np.stack([a, b, c, a, c, d], axis=-1).reshape(-1, 3)
+    return build_mesh(nodes, tris, periodic=periodic)
 
 
 def structured_square(n, side=10.0, center=(0.0, 0.0), periodic=True):
@@ -370,43 +413,69 @@ def structured_square(n, side=10.0, center=(0.0, 0.0), periodic=True):
 
 
 def read_mesh(path):
-    """Read the plain-text mesh format (header ``rdmesh 1``)."""
-    tokens = []
+    """Read the plain-text mesh format (header ``rdmesh 1``).
+
+    A malformed file raises ``NonConforming`` naming the file and, for a
+    bad number, the token.
+    """
     with open(path) as fh:
-        for line in fh:
-            line = line.split("#", 1)[0].strip()
-            if line:
-                tokens.extend(line.split())
-    it = iter(tokens)
+        tokens = re.sub(r"#.*", "", fh.read()).split()
+    pos = 0
+
+    def bad(msg):
+        return NonConforming(f"{path}: {msg}")
 
     def take(what):
+        nonlocal pos
+        if pos == len(tokens):
+            raise bad(f"truncated mesh file, expected {what}")
+        pos += 1
+        return tokens[pos - 1]
+
+    def take_count(what):
+        tok = take(what)
         try:
-            return next(it)
-        except StopIteration:
-            raise NonConforming(f"truncated mesh file, expected {what}") from None
+            n = int(tok)
+        except ValueError:
+            n = -1
+        if n < 0:
+            raise bad(f"bad {what} {tok!r}")
+        return n
+
+    def take_rows(n, names, dtype, what):
+        """n rows of len(names) numbers, converted in one call."""
+        nonlocal pos
+        width = len(names)
+        block = tokens[pos:pos + n * width]
+        pos += len(block)
+        try:
+            values = np.array(block, dtype=dtype)
+        except (ValueError, OverflowError):
+            for tok in block:
+                try:
+                    np.array(tok, dtype=dtype)
+                except (ValueError, OverflowError):
+                    raise bad(f"bad {what} {tok!r}") from None
+            raise
+        if len(block) < n * width:
+            raise bad(f"truncated mesh file, expected {names[len(block) % width]}")
+        return values.reshape(n, width)
 
     if take("magic") != "rdmesh" or take("version") != "1":
-        raise NonConforming("not an rdmesh-1 file")
+        raise bad("not an rdmesh-1 file")
     if take("nodes") != "nodes":
-        raise NonConforming("expected 'nodes'")
-    n = int(take("node count"))
-    nodes = np.array(
-        [[float(take("x")), float(take("y"))] for _ in range(n)], dtype=float
-    )
+        raise bad("expected 'nodes'")
+    nodes = take_rows(take_count("node count"), "xy", float, "coordinate")
     if take("triangles") != "triangles":
-        raise NonConforming("expected 'triangles'")
-    m = int(take("triangle count"))
-    tris = np.array(
-        [[int(take("i")), int(take("j")), int(take("k"))] for _ in range(m)],
-        dtype=np.int64,
-    )
+        raise bad("expected 'triangles'")
+    tris = take_rows(take_count("triangle count"), "ijk", np.int64, "triangle index")
     periodic = False
-    rest = list(it)
+    rest = tokens[pos:]
     if rest[:2] == ["periodic", "auto"]:
         periodic = True
         rest = rest[2:]
     if rest:
-        raise NonConforming(f"trailing tokens in mesh file: {rest[:4]}")
+        raise bad(f"trailing tokens in mesh file: {rest[:4]}")
     return build_mesh(nodes, tris, periodic=periodic)
 
 

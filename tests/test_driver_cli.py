@@ -434,3 +434,23 @@ def test_diag_row_bv_norm_reuses_the_residual_jump_integral(tmp_path, monkeypatc
     assert len(got) == n + 1
     assert got == want
     assert all(bv > 0.0 for bv in got)
+
+
+@pytest.mark.parametrize(
+    "lines, token",
+    [
+        (["nodes abc"], "abc"),
+        (["nodes 3", "0 0", "1 zz", "0 1", "triangles 1", "0 1 2"], "zz"),
+        (["nodes 3", "0 0", "1 0", "0 1", "triangles 1", "0 1 2.5"], "2.5"),
+    ],
+)
+def test_malformed_mesh_token_is_an_error_line(tmp_path, capsys, lines, token):
+    mesh_path = tmp_path / "bad.rdmesh"
+    mesh_path.write_text("\n".join(["rdmesh 1"] + lines) + "\n")
+    path = tmp_path / "run.cfg"
+    path.write_text(_cfg_text(tmp_path, mesh=str(mesh_path)))
+    assert main(["run", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert str(mesh_path) in err and repr(token) in err
+    assert "Traceback" not in err

@@ -1,13 +1,18 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from rdeuler.basis import build_dofmap
+from rdeuler.basis import DofMap, build_dofmap, lagrange_points, n_local_dofs
 from rdeuler.errors import DegenerateTriangle, NonConforming, UnmatchedPeriodicEdge
 from rdeuler.mesh import (
+    Mesh,
+    _signed_area2,
     build_mesh,
     dual_volumes,
     read_mesh,
     shape_regularity,
+    structured_rect,
     structured_square,
     write_mesh,
 )
@@ -166,3 +171,447 @@ def test_mesh_file_rejects_garbage(tmp_path):
     path.write_text("rdmesh 2\nnodes 0\ntriangles 0\n")
     with pytest.raises(NonConforming):
         read_mesh(path)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_node_named(bad):
+    nodes = np.array([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)])
+    nodes[2, 1] = bad
+    with pytest.raises(NonConforming, match="node 2 "):
+        build_mesh(nodes, [(0, 1, 2), (1, 3, 2)])
+    nodes[3, 0] = bad
+    with pytest.raises(NonConforming, match="node 2 "):
+        build_mesh(nodes, [(0, 1, 2), (1, 3, 2)], periodic=True)
+
+
+# -- reference set-up: the element-by-element loops ---------------------
+
+
+def _ref_build_mesh(raw_nodes, raw_triangles, periodic=False, periodic_tolerance=None):
+    """Oracle for build_mesh: an owner dict and one row per interface."""
+    nodes = np.asarray(raw_nodes, dtype=float).copy()
+    tris = np.asarray(raw_triangles, dtype=np.int64).copy()
+    if tris.ndim != 2 or tris.shape[1] != 3 or tris.shape[0] < 1:
+        raise NonConforming("need at least one index triple")
+    if tris.min() < 0 or tris.max() >= nodes.shape[0]:
+        raise NonConforming("triangle index out of range")
+
+    extent = nodes.max(axis=0) - nodes.min(axis=0)
+    scale = max(float(np.max(np.abs(nodes))), float(extent.max()), 1.0)
+
+    area2 = _signed_area2(nodes, tris)
+    flip = area2 < 0
+    tris[flip] = tris[flip][:, [0, 2, 1]]
+    area2 = np.abs(area2)
+    if np.any(area2 <= 1e-14 * scale * scale):
+        bad = int(np.argmin(area2))
+        raise DegenerateTriangle(f"triangle {bad} has zero area")
+    areas = 0.5 * area2
+
+    # Edge ownership keyed by the unordered node pair.
+    owners = {}
+    for k in range(tris.shape[0]):
+        for loc in range(3):
+            a = int(tris[k, loc])
+            b = int(tris[k, (loc + 1) % 3])
+            key = (a, b) if a < b else (b, a)
+            owners.setdefault(key, []).append((k, loc))
+    for key, lst in owners.items():
+        if len(lst) > 2:
+            raise NonConforming(f"edge {key} shared by {len(lst)} triangles")
+
+    boundary = [(key, lst[0]) for key, lst in owners.items() if len(lst) == 1]
+    _ref_reject_hanging_nodes(nodes, boundary, tol=1e-12 * scale)
+
+    pairs = {}
+    translations = {}
+    if periodic:
+        pairs, translations = _ref_pair_periodic_edges(
+            nodes, tris, boundary, periodic_tolerance, scale
+        )
+
+    matched = set(pairs) | set(pairs.values())
+    edge_rows = []
+    for key, lst in sorted(owners.items()):
+        if len(lst) == 2:
+            (k1, loc1), (k2, loc2) = sorted(lst)
+            a1 = int(tris[k1, loc1])
+            b1 = int(tris[k1, (loc1 + 1) % 3])
+            a2 = int(tris[k2, loc2])
+            b2 = int(tris[k2, (loc2 + 1) % 3])
+            if (a1, b1) == (a2, b2):
+                raise NonConforming(f"edge {key} traversed twice in the same sense")
+            edge_rows.append((a1, b1, k1, loc1, k2, loc2, False, 0.0, 0.0))
+        elif key not in matched:
+            (k1, loc1) = lst[0]
+            a1 = int(tris[k1, loc1])
+            b1 = int(tris[k1, (loc1 + 1) % 3])
+            if periodic:
+                raise UnmatchedPeriodicEdge(f"boundary edge {key} has no partner")
+            edge_rows.append((a1, b1, k1, loc1, -1, -1, False, 0.0, 0.0))
+    for key_l, key_r in sorted(pairs.items()):
+        (k1, loc1) = owners[key_l][0]
+        (k2, loc2) = owners[key_r][0]
+        a1 = int(tris[k1, loc1])
+        b1 = int(tris[k1, (loc1 + 1) % 3])
+        t = translations[key_l]
+        edge_rows.append((a1, b1, k1, loc1, k2, loc2, True, t[0], t[1]))
+
+    n_edges = len(edge_rows)
+    edge_nodes = np.array([(r[0], r[1]) for r in edge_rows], dtype=np.int64)
+    edge_left = np.array([r[2] for r in edge_rows], dtype=np.int64)
+    edge_left_loc = np.array([r[3] for r in edge_rows], dtype=np.int64)
+    edge_right = np.array([r[4] for r in edge_rows], dtype=np.int64)
+    edge_right_loc = np.array([r[5] for r in edge_rows], dtype=np.int64)
+    edge_periodic = np.array([r[6] for r in edge_rows], dtype=bool)
+    edge_translation = np.array([(r[7], r[8]) for r in edge_rows], dtype=float)
+
+    elem_edges = np.full((tris.shape[0], 3), -1, dtype=np.int64)
+    elem_edge_side = np.zeros((tris.shape[0], 3), dtype=np.int64)
+    for e in range(n_edges):
+        elem_edges[edge_left[e], edge_left_loc[e]] = e
+        elem_edge_side[edge_left[e], edge_left_loc[e]] = 0
+        if edge_right[e] >= 0:
+            elem_edges[edge_right[e], edge_right_loc[e]] = e
+            elem_edge_side[edge_right[e], edge_right_loc[e]] = 1
+    if np.any(elem_edges < 0):
+        raise NonConforming("element edge without interface entry")
+
+    # Outward normals: rotate the ccw edge tangent by -90 degrees.
+    p = nodes[tris]                                   # (M, 3, 2)
+    tangents = p[:, [1, 2, 0], :] - p                 # local edge k: vk -> vk+1
+    lengths = np.hypot(tangents[..., 0], tangents[..., 1])
+    normals = np.stack([tangents[..., 1], -tangents[..., 0]], axis=-1)
+    normals /= lengths[..., None]
+    diameters = lengths.max(axis=1)
+    edge_length = lengths[edge_left, edge_left_loc]
+
+    if periodic:
+        right_len = lengths[edge_right, edge_right_loc]
+        rel = np.abs(edge_length - right_len) / edge_length
+        if np.any(rel > 1e-9):
+            raise UnmatchedPeriodicEdge("paired edges differ in length")
+
+    node_rep = _ref_identify_nodes(nodes, edge_rows, tris)
+
+    return Mesh(
+        nodes=nodes,
+        tris=tris,
+        areas=areas,
+        diameters=diameters,
+        edge_nodes=edge_nodes,
+        edge_left=edge_left,
+        edge_left_loc=edge_left_loc,
+        edge_right=edge_right,
+        edge_right_loc=edge_right_loc,
+        edge_periodic=edge_periodic,
+        edge_translation=edge_translation,
+        edge_length=edge_length,
+        elem_edges=elem_edges,
+        elem_edge_side=elem_edge_side,
+        elem_edge_normal=normals,
+        elem_edge_length=lengths,
+        node_rep=node_rep,
+        periodic=periodic,
+        bbox=(
+            float(nodes[:, 0].min()),
+            float(nodes[:, 0].max()),
+            float(nodes[:, 1].min()),
+            float(nodes[:, 1].max()),
+        ),
+    )
+
+
+def _ref_reject_hanging_nodes(nodes, boundary_edges, tol):
+    for (a, b), _ in boundary_edges:
+        pa, pb = nodes[a], nodes[b]
+        d = pb - pa
+        L2 = d @ d
+        rel = nodes - pa
+        t = (rel @ d) / L2
+        perp = rel - t[:, None] * d
+        dist = np.hypot(perp[:, 0], perp[:, 1])
+        on_open_segment = (dist < tol) & (t > 1e-9) & (t < 1 - 1e-9)
+        on_open_segment[[a, b]] = False
+        if np.any(on_open_segment):
+            raise NonConforming(
+                f"node {int(np.argmax(on_open_segment))} hangs on edge ({a}, {b})"
+            )
+
+
+def _ref_edge_side_of_box(nodes, key, bbox, tol):
+    (xmin, xmax, ymin, ymax) = bbox
+    pts = nodes[list(key)]
+    if np.all(np.abs(pts[:, 0] - xmin) < tol):
+        return "xmin"
+    if np.all(np.abs(pts[:, 0] - xmax) < tol):
+        return "xmax"
+    if np.all(np.abs(pts[:, 1] - ymin) < tol):
+        return "ymin"
+    if np.all(np.abs(pts[:, 1] - ymax) < tol):
+        return "ymax"
+    return None
+
+
+def _ref_pair_periodic_edges(nodes, tris, boundary, tol, scale):
+    xmin, ymin = nodes.min(axis=0)
+    xmax, ymax = nodes.max(axis=0)
+    if tol is None:
+        tol = 1e-9 * max(xmax - xmin, ymax - ymin)
+    bbox = (xmin, xmax, ymin, ymax)
+    sides = {"xmin": [], "xmax": [], "ymin": [], "ymax": []}
+    for key, _ in boundary:
+        side = _ref_edge_side_of_box(nodes, key, bbox, tol)
+        if side is None:
+            raise UnmatchedPeriodicEdge(f"boundary edge {key} off the bounding box")
+        sides[side].append(key)
+
+    pairs = {}
+    translations = {}
+
+    def match(low, high, t):
+        t = np.asarray(t, dtype=float)
+        high_mids = {k: 0.5 * (nodes[k[0]] + nodes[k[1]]) for k in sides[high]}
+        used = set()
+        for key in sides[low]:
+            mid = 0.5 * (nodes[key[0]] + nodes[key[1]]) + t
+            best, best_d = None, np.inf
+            for hk, hm in high_mids.items():
+                if hk in used:
+                    continue
+                d = np.hypot(*(hm - mid))
+                if d < best_d:
+                    best, best_d = hk, d
+            if best is None or best_d > tol:
+                raise UnmatchedPeriodicEdge(f"no partner for boundary edge {key}")
+            used.add(best)
+            pairs[key] = best
+            translations[key] = t
+        if len(used) != len(sides[high]):
+            raise UnmatchedPeriodicEdge(f"unpaired edges remain on side {high}")
+
+    match("xmin", "xmax", (xmax - xmin, 0.0))
+    match("ymin", "ymax", (0.0, ymax - ymin))
+    return pairs, translations
+
+
+def _ref_identify_nodes(nodes, edge_rows, tris):
+    """Oracle for the node representatives: union-find over periodic couples."""
+    parent = np.arange(nodes.shape[0])
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    def union(i, j):
+        ri, rj = find(i), find(j)
+        if ri != rj:
+            parent[max(ri, rj)] = min(ri, rj)
+
+    for row in edge_rows:
+        a1, b1, k1, loc1, k2, loc2, is_per = row[:7]
+        if not is_per:
+            continue
+        t = np.array(row[7:9])
+        a2 = int(tris[k2, loc2])
+        b2 = int(tris[k2, (loc2 + 1) % 3])
+        for left_node in (a1, b1):
+            target = nodes[left_node] + t
+            d2 = np.hypot(*(nodes[a2] - target))
+            d3 = np.hypot(*(nodes[b2] - target))
+            union(left_node, a2 if d2 <= d3 else b2)
+    return np.array([find(i) for i in range(nodes.shape[0])])
+
+
+def _ref_build_dofmap(mesh, space, basis, degree):
+    """Oracle for build_dofmap: S2 numbering and coordinates element by element."""
+    nk = n_local_dofs(degree)
+    M = mesh.n_tris
+    pts = lagrange_points(degree)
+    phys = np.einsum("lk,mkx->mlx", pts, mesh.nodes[mesh.tris])
+    if space == "s1":
+        elem_dofs = np.arange(M * nk, dtype=np.int64).reshape(M, nk)
+        return DofMap(mesh, space, basis, degree, elem_dofs, phys.reshape(M * nk, 2), M * nk)
+    reps = np.unique(mesh.node_rep)
+    vert_id = {int(r): i for i, r in enumerate(reps)}
+    n_vert = len(reps)
+    elem_dofs = np.empty((M, nk), dtype=np.int64)
+    for k in range(M):
+        for v in range(3):
+            elem_dofs[k, v] = vert_id[int(mesh.node_rep[mesh.tris[k, v]])]
+    n_dofs = n_vert
+    if degree == 2:
+        elem_dofs[:, 3:6] = n_vert + mesh.elem_edges
+        n_dofs = n_vert + mesh.n_edges
+    dof_points = np.zeros((n_dofs, 2))
+    seen = np.zeros(n_dofs, dtype=bool)
+    for k in range(M):
+        for l in range(nk):
+            d = elem_dofs[k, l]
+            if not seen[d]:
+                dof_points[d] = phys[k, l]
+                seen[d] = True
+    return DofMap(mesh, space, basis, degree, elem_dofs, dof_points, n_dofs)
+
+
+def _ref_structured_rect(nx, ny, width=10.0, height=10.0, center=(0.0, 0.0), periodic=True):
+    """Oracle for structured_rect: triangles cell by cell."""
+    xs = np.linspace(center[0] - width / 2.0, center[0] + width / 2.0, nx + 1)
+    ys = np.linspace(center[1] - height / 2.0, center[1] + height / 2.0, ny + 1)
+    X, Y = np.meshgrid(xs, ys, indexing="ij")
+    nodes = np.stack([X.ravel(), Y.ravel()], axis=-1)
+
+    def nid(i, j):
+        return i * (ny + 1) + j
+
+    tris = []
+    for i in range(nx):
+        for j in range(ny):
+            a, b = nid(i, j), nid(i + 1, j)
+            c, d = nid(i + 1, j + 1), nid(i, j + 1)
+            tris.append((a, b, c))
+            tris.append((a, c, d))
+    return _ref_build_mesh(nodes, np.array(tris), periodic=periodic)
+
+
+def _assert_same_fields(got, want):
+    """Every array field byte-equal with its dtype and shape; the rest equal."""
+    assert type(got) is type(want)
+    for f in dataclasses.fields(want):
+        g, w = getattr(got, f.name), getattr(want, f.name)
+        if isinstance(w, np.ndarray):
+            assert (g.dtype, g.shape) == (w.dtype, w.shape), f.name
+            assert g.tobytes() == w.tobytes(), f.name
+        elif isinstance(w, Mesh):
+            _assert_same_fields(g, w)
+        else:
+            assert type(g) is type(w) and g == w, f.name
+
+
+def _assert_same_setup(got, want):
+    _assert_same_fields(got, want)
+    for space in ("s1", "s2"):
+        for degree in (1, 2):
+            _assert_same_fields(
+                build_dofmap(got, space, "lagrange", degree),
+                _ref_build_dofmap(want, space, "lagrange", degree),
+            )
+
+
+def _hexagon():
+    ring = [(np.cos(a), np.sin(a)) for a in np.linspace(0, 2 * np.pi, 7)[:-1]]
+    return [(0.0, 0.0)] + ring, [(0, 1 + i, 1 + (i + 1) % 6) for i in range(6)]
+
+
+def _scrambled(nx, ny, seed):
+    """A rectangle mesh with jittered interior nodes, relabelled nodes,
+    shuffled triangles, rotated vertex order and every third triangle
+    clockwise; its boundary nodes stay on the grid."""
+    rng = np.random.default_rng(seed)
+    grid = _ref_structured_rect(nx, ny, width=3.0, height=2.0, periodic=False)
+    nodes = grid.nodes.copy()
+    x0, x1, y0, y1 = grid.bbox
+    inner = (nodes[:, 0] > x0) & (nodes[:, 0] < x1) & (nodes[:, 1] > y0) & (nodes[:, 1] < y1)
+    h = min(3.0 / nx, 2.0 / ny)
+    nodes[inner] += rng.uniform(-0.2 * h, 0.2 * h, (int(inner.sum()), 2))
+    label = rng.permutation(len(nodes))
+    relabelled = np.empty_like(nodes)
+    relabelled[label] = nodes
+    tris = label[grid.tris][rng.permutation(grid.n_tris)]
+    roll = (np.arange(3) + rng.integers(0, 3, (len(tris), 1))) % 3
+    tris = np.take_along_axis(tris, roll, axis=1)
+    tris[::3] = tris[::3, [0, 2, 1]]
+    return relabelled, tris
+
+
+@pytest.mark.parametrize(
+    "nx, ny", [(1, 1), (2, 2), (3, 3), (4, 4), (5, 3), (16, 16), (64, 8), (64, 64)]
+)
+def test_structured_setup_matches_oracle(nx, ny):
+    _assert_same_setup(
+        structured_rect(nx, ny, width=7.0, height=3.0),
+        _ref_structured_rect(nx, ny, width=7.0, height=3.0),
+    )
+
+
+@pytest.mark.parametrize("nx, ny", [(1, 1), (3, 3), (5, 3)])
+def test_open_structured_setup_matches_oracle(nx, ny):
+    _assert_same_setup(
+        structured_rect(nx, ny, periodic=False), _ref_structured_rect(nx, ny, periodic=False)
+    )
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        lambda: _hexagon() + (False,),
+        lambda: _scrambled(7, 5, seed=11) + (False,),
+        lambda: _scrambled(6, 9, seed=12) + (True,),
+    ],
+    ids=["hexagon", "scrambled", "scrambled_periodic"],
+)
+def test_unstructured_setup_matches_oracle(raw):
+    nodes, tris, periodic = raw()
+    _assert_same_setup(
+        build_mesh(nodes, tris, periodic=periodic),
+        _ref_build_mesh(nodes, tris, periodic=periodic),
+    )
+
+
+_SQUARE = [(0, 0), (1, 0), (0, 1), (1, 1)]
+
+_OPEN, _PERIODIC = {"periodic": False}, {"periodic": True}
+
+_MALFORMED = {
+    "triple_owner": ([(0, 0), (1, 0), (0, 1), (1, 1), (-1, 1)],
+                     [(0, 1, 2), (1, 3, 2), (2, 0, 4), (0, 2, 3)], _OPEN),
+    "hanging_node": ([(0, 0), (2, 0), (2, 2), (2, 1), (3, 1)],
+                     [(0, 1, 3), (0, 3, 2), (1, 4, 2)], _OPEN),
+    "same_sense": (_SQUARE, [(0, 1, 2), (0, 1, 3)], _OPEN),
+    "degenerate": ([(0, 0), (1, 0), (2, 0)], [(0, 1, 2)], _OPEN),
+    "off_the_box": ([(0, 0), (1, 0), (0.6, 1.0)], [(0, 1, 2)], _PERIODIC),
+    # xmin is split at y = 0.5, xmax is not
+    "no_partner": ([(0, 0), (1, 0), (1, 1), (0, 1), (0, 0.5)],
+                   [(0, 1, 4), (1, 2, 4), (2, 3, 4)], _PERIODIC),
+    # xmax is split at y = 0.5, xmin is not; the tolerance lets the one
+    # xmin edge reach either xmax edge
+    "unpaired_remain": ([(0, 0), (1, 0), (1, 1), (0, 1), (1, 0.5)],
+                        [(0, 4, 3), (4, 2, 3), (0, 1, 4)],
+                        {"periodic": True, "periodic_tolerance": 0.3}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED))
+def test_malformed_mesh_error_matches_oracle(case):
+    nodes, tris, kwargs = _MALFORMED[case]
+    with pytest.raises(Exception) as want:
+        _ref_build_mesh(nodes, tris, **kwargs)
+    with pytest.raises(want.type) as got:
+        build_mesh(nodes, tris, **kwargs)
+    assert str(got.value) == str(want.value)
+
+
+def test_periodic_edge_whose_nearest_partner_is_taken_rejected():
+    # xmin is split at y = 0.2 and xmax at y = 0.9.  Within the tolerance
+    # the xmin edge (3, 4) is nearest to the xmax edge that (0, 4), first
+    # in the file, already took; it is not paired with a farther edge.
+    nodes = [(0, 0), (1, 0), (1, 1), (0, 1), (0, 0.2), (1, 0.9)]
+    tris = [(0, 1, 4), (1, 5, 4), (5, 2, 3), (5, 3, 4)]
+    with pytest.raises(UnmatchedPeriodicEdge, match=r"no unique partner for boundary edge \(3, 4\)"):
+        build_mesh(nodes, tris, periodic=True, periodic_tolerance=0.4)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: structured_rect(5, 3), lambda: build_mesh(*_scrambled(7, 5, seed=11))],
+    ids=["structured", "scrambled"],
+)
+def test_mesh_file_keeps_content_hash(tmp_path, make):
+    mesh = make()
+    path = tmp_path / "m.rdmesh"
+    write_mesh(path, mesh)
+    back = read_mesh(path)
+    assert back.content_hash() == mesh.content_hash()
+    _assert_same_fields(back, mesh)
