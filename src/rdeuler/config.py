@@ -138,5 +138,9 @@ def parse_config(text) -> RunConfig:
 
 
 def load_config(path) -> RunConfig:
-    with open(path) as fh:
-        return parse_config(fh.read())
+    try:
+        with open(path) as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot read config file ({exc.strerror})") from None
+    return parse_config(text)

@@ -29,7 +29,6 @@ class Discretization:
         self._cache = {}
         self._build_geometry()
         self._build_interior_tables()
-        self._build_edge_tables()
         self._build_interface_tables()
         self.dual = dual_volumes(mesh, dofmap)
         self._build_neighbors()
@@ -58,7 +57,6 @@ class Discretization:
         q = self.quad
         kind, p = self.dofmap.basis, self.dofmap.degree
         self.int_weights = q.interior_weights
-        self.int_points = q.interior_points
         self.int_vals = fb.basis_values(kind, p, q.interior_points)      # (nq, N)
         ref = fb.basis_ref_grads(kind, p, q.interior_points)             # (nq, N, 2)
         self.int_grads = np.einsum("mij,qnj->mqni", self.jinv_T, ref)
@@ -72,19 +70,18 @@ class Discretization:
             gw.transpose(0, 2, 1, 3).reshape(M, nk, nq * 2)
         )
 
-    def _build_edge_tables(self):
-        q = self.quad
-        kind, p = self.dofmap.basis, self.dofmap.degree
-        lam = np.stack([fb.edge_barycentric(loc, q.edge_t) for loc in range(3)])
-        self.edge_weights = q.edge_weights
-        self.edge_lam = lam                                              # (3, nq, 3)
-        self.edge_vals = fb.basis_values(kind, p, lam)                   # (3, nq, N)
-        ref = fb.basis_ref_grads(kind, p, lam)                           # (3, nq, N, 2)
-        self.edge_grads = np.einsum("mij,lqnj->mlqni", self.jinv_T, ref)
-        self.edge_phys = np.einsum("lqk,mkx->mlqx", lam, self.corner_coords)
+    def _edge_lam(self):
+        """Barycentric coordinates of the edge quadrature points, (3, nq, 3)."""
+        return np.stack([fb.edge_barycentric(loc, self.quad.edge_t) for loc in range(3)])
 
     def _build_interface_tables(self):
         mesh = self.mesh
+        kind, p = self.dofmap.basis, self.dofmap.degree
+        lam = self._edge_lam()
+        self.edge_weights = self.quad.edge_weights
+        self.edge_vals = fb.basis_values(kind, p, lam)                   # (3, nq, N)
+        ref = fb.basis_ref_grads(kind, p, lam)                           # (3, nq, N, 2)
+        edge_grads = np.einsum("mij,lqnj->mlqni", self.jinv_T, ref)      # (M, 3, nq, N, 2)
         li, ll = mesh.edge_left, mesh.edge_left_loc
         ri, rl = mesh.edge_right, mesh.edge_right_loc
         self.if_left = li
@@ -93,28 +90,20 @@ class Discretization:
         self.if_length = mesh.edge_length
         hk = mesh.diameters
         self.if_h = np.where(ri >= 0, np.maximum(hk[li], hk[np.maximum(ri, 0)]), hk[li])
-        self.if_vals_L = self.edge_vals[ll]                              # (E, nq, N)
-        self.if_grads_L = self.edge_grads[li, ll]                        # (E, nq, N, 2)
-        self.if_phys_L = self.edge_phys[li, ll]                          # (E, nq, 2)
-        has_r = ri >= 0
+        self.if_has_right = ri >= 0
         rs = np.maximum(ri, 0)
         # The right owner traverses the shared edge backwards, so its
         # quadrature points coincide with the left ones in reversed order.
-        self.if_vals_R = self.edge_vals[rl][:, ::-1]
-        self.if_grads_R = self.edge_grads[rs, rl][:, ::-1]
-        self.if_has_right = has_r
-        # weight- and length-folded tables for fast contractions
-        w = self.edge_weights
-        self.if_vals_L_wl = np.ascontiguousarray(
-            (self.if_vals_L * (w[None, :, None] * self.if_length[:, None, None]))
-            .transpose(0, 2, 1)
-        )                                                                # (E, N, nq)
-        self.if_vals_R_wl = np.ascontiguousarray(
-            (self.if_vals_R * (w[None, :, None] * self.if_length[:, None, None]))
-            .transpose(0, 2, 1)
+        vals_L, vals_R = self.edge_vals[ll], self.edge_vals[rl][:, ::-1]  # (E, nq, N)
+        # weight- and length-folded value tables (E, N, nq) and gradient
+        # tables (E, nq, 2, N) for fast contractions
+        wl = self.edge_weights[None, :, None] * self.if_length[:, None, None]
+        self.if_vals_L_wl = np.ascontiguousarray((vals_L * wl).transpose(0, 2, 1))
+        self.if_vals_R_wl = np.ascontiguousarray((vals_R * wl).transpose(0, 2, 1))
+        self.if_grads_L_T = np.ascontiguousarray(edge_grads[li, ll].transpose(0, 1, 3, 2))
+        self.if_grads_R_T = np.ascontiguousarray(
+            edge_grads[rs, rl][:, ::-1].transpose(0, 1, 3, 2)
         )
-        self.if_grads_L_T = np.ascontiguousarray(self.if_grads_L.transpose(0, 1, 3, 2))
-        self.if_grads_R_T = np.ascontiguousarray(self.if_grads_R.transpose(0, 1, 3, 2))
 
     def _build_neighbors(self):
         mesh = self.mesh
@@ -131,10 +120,10 @@ class Discretization:
         if not np.any(has_r):
             return
         mesh = self.mesh
+        edge_phys = np.einsum("lqk,mkx->mlqx", self._edge_lam(), self.corner_coords)
         rs = np.maximum(self.if_right, 0)
-        rl = mesh.edge_right_loc
-        x_r = self.edge_phys[rs, rl][:, ::-1]                            # (E, nq, 2)
-        x_l = self.if_phys_L + mesh.edge_translation[:, None, :]
+        x_r = edge_phys[rs, mesh.edge_right_loc][:, ::-1]                # (E, nq, 2)
+        x_l = edge_phys[self.if_left, mesh.edge_left_loc] + mesh.edge_translation[:, None, :]
         err = np.abs(x_r - x_l)[has_r]
         scale = max(1.0, float(np.max(np.abs(mesh.nodes))))
         if err.size and err.max() > 1e-12 * scale:
@@ -250,11 +239,8 @@ class Discretization:
         if self.dofmap.basis == "bernstein" and self.dofmap.degree > 1:
             Minv = np.linalg.inv(fb.bernstein_to_lagrange(self.dofmap.degree))
             vals = np.einsum("ln,mn...->ml...", Minv, vals)
-        flat_dofs = self.dofmap.elem_dofs.ravel()
-        first = np.full(self.dofmap.n_dofs, -1, dtype=np.int64)
-        # reversed scan leaves the FIRST occurrence in place
-        for i in range(flat_dofs.size - 1, -1, -1):
-            first[flat_dofs[i]] = i
+        # every DOF 0..n-1 occurs, so the first occurrences come in DOF order
+        _, first = np.unique(self.dofmap.elem_dofs.ravel(), return_index=True)
         flat_vals = vals.reshape((-1,) + vals.shape[2:])
         return flat_vals[first]
 
@@ -349,8 +335,7 @@ class StageFields:
 
     The residual, its entropy terms and the alpha bounds of one state
     read one StageFields (``FieldState.fields``); a caller with a bare DOF
-    vector gets a throwaway set through ``StageFields.of``.  A set built
-    on a block of elements serves the element point sets only.
+    vector gets a throwaway set through ``StageFields.of``.
     """
 
     def __init__(self, disc: Discretization, gas, U_elem):
@@ -369,10 +354,6 @@ class StageFields:
         if key not in self._cache:
             self._cache[key] = build()
         return self._cache[key]
-
-    def built(self, *names):
-        """True when every named point set has been built already."""
-        return all(name in vars(self) for name in names)
 
     @cached_property
     def dofs(self):

@@ -75,26 +75,31 @@ def write_snapshot(path, state: stepping.FieldState, cfg_hash=""):
 
 
 def read_snapshot(path):
-    """(U, t, meta) of a snapshot file; a malformed header value or row,
-    or dof_ids that are not a permutation of 0..n-1 for n rows, raise
-    ConfigError naming the file and the line."""
+    """(U, t, meta) of a snapshot file; a file that cannot be read, a
+    malformed header value or row, or dof_ids that are not a permutation
+    of 0..n-1 for n rows, raise ConfigError naming the file (and the
+    line)."""
     meta = {}
     rows = []
     t = 0.0
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            try:
-                if line.startswith("#"):
-                    meta.update(tok.split("=", 1) for tok in line.lstrip("# ").split() if "=" in tok)
-                    t = float(meta.get("t", t))
-                elif line and not line.startswith("dof_id"):
-                    cells = line.split(",")
-                    if len(cells) != 7:
-                        raise ValueError(f"{len(cells)} cells, expected 7")
-                    rows.append((lineno, int(cells[0]), [float(v) for v in cells[3:7]]))
-            except ValueError as exc:
-                raise ConfigError(f"{path}:{lineno}: malformed snapshot line ({exc})") from None
+    try:
+        with open(path) as fh:
+            lines = fh.readlines()
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot read snapshot file ({exc.strerror})") from None
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        try:
+            if line.startswith("#"):
+                meta.update(tok.split("=", 1) for tok in line.lstrip("# ").split() if "=" in tok)
+                t = float(meta.get("t", t))
+            elif line and not line.startswith("dof_id"):
+                cells = line.split(",")
+                if len(cells) != 7:
+                    raise ValueError(f"{len(cells)} cells, expected 7")
+                rows.append((lineno, int(cells[0]), [float(v) for v in cells[3:7]]))
+        except ValueError as exc:
+            raise ConfigError(f"{path}:{lineno}: malformed snapshot line ({exc})") from None
     U = np.empty((len(rows), 4))
     line_of = {}
     for lineno, i, vals in rows:

@@ -415,11 +415,15 @@ def structured_square(n, side=10.0, center=(0.0, 0.0), periodic=True):
 def read_mesh(path):
     """Read the plain-text mesh format (header ``rdmesh 1``).
 
-    A malformed file raises ``NonConforming`` naming the file and, for a
-    bad number, the token.
+    A missing or malformed file raises ``NonConforming`` naming the file
+    and, for a bad number, the token.
     """
-    with open(path) as fh:
-        tokens = re.sub(r"#.*", "", fh.read()).split()
+    try:
+        with open(path) as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise NonConforming(f"{path}: cannot read mesh file ({exc.strerror})") from None
+    tokens = re.sub(r"#.*", "", text).split()
     pos = 0
 
     def bad(msg):
@@ -483,10 +487,8 @@ def write_mesh(path, mesh: Mesh):
     with open(path, "w") as fh:
         fh.write("rdmesh 1\n")
         fh.write(f"nodes {mesh.n_nodes}\n")
-        for x, y in mesh.nodes:
-            fh.write(f"{float(x)!r} {float(y)!r}\n")
+        fh.writelines(f"{x!r} {y!r}\n" for x, y in np.asarray(mesh.nodes, dtype=float).tolist())
         fh.write(f"triangles {mesh.n_tris}\n")
-        for i, j, k in mesh.tris:
-            fh.write(f"{i} {j} {k}\n")
+        fh.writelines(f"{i} {j} {k}\n" for i, j, k in np.asarray(mesh.tris).tolist())
         if mesh.periodic:
             fh.write("periodic auto\n")

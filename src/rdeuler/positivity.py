@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import euler
-from .discretization import Discretization, PointValues, StageFields
+from .discretization import Discretization, StageFields, last_axis_max
 from .errors import CFLViolation, VacuumState
 
 
@@ -73,54 +73,21 @@ def geometry_vectors(disc: Discretization):
     return -disc.phi_grad_integrals.swapaxes(1, 2) + disc.phi_phi_normal_integrals
 
 
-# Elements per block of a wavespeed sweep that builds its own point
-# values.  A P1 block's point table is about 1 MB; tables of a whole
-# large mesh are large enough to raise the allocator's mmap threshold,
-# which then grows the resident heap.
-SWEEP_BLOCK = 2048
-
-
-def _edge_peak(disc: Discretization, gas, U_elem):
-    """Largest wavespeed over each element's edge quadrature points, (M,).
-
-    The points are summed one basis function at a time, as ``np.einsum``
-    sums them.  The interface traces are BLAS products that can round
-    1 ulp apart from these sums, and dt would carry such an ulp into the
-    solution, where the entropy correction magnifies it to 1e-10 on
-    near-constant elements.  So the sweep keeps its own edge points.
-    """
-    table = disc.edge_vals.reshape(-1, U_elem.shape[1])           # (3 nq, N)
-    pts = table[None, :, 0, None] * U_elem[:, None, 0, :]
-    for n in range(1, U_elem.shape[1]):
-        pts += table[None, :, n, None] * U_elem[:, None, n, :]
-    return PointValues(pts, gas).peak_wavespeed
-
-
 def _element_max_wavespeed(fields: StageFields):
     """Max wavespeed over DOF values, interior and edge quadrature points.
 
-    The DOF and interior values are the fields' own when a residual has
-    built them or the mesh fits in one block; otherwise the sweep runs
-    over blocks of SWEEP_BLOCK elements, so that a state only the bounds
-    read keeps no whole-mesh point table.  Every point value, and hence
-    every maximum, is the same either way.
+    An element's edge points are its own side of the interface traces:
+    the left trace where it owns an interface on the left, the right
+    trace where it owns it on the right.
     """
-    disc, gas, U_elem = fields.disc, fields.gas, fields.U_elem
-    M = U_elem.shape[0]
-    if M <= SWEEP_BLOCK or fields.built("interior"):
-        blocks = [(slice(None), fields)]
-    else:
-        blocks = [
-            (slice(b, b + SWEEP_BLOCK), StageFields(disc, gas, U_elem[b:b + SWEEP_BLOCK]))
-            for b in range(0, M, SWEEP_BLOCK)
-        ]
-    s = np.empty(M)
-    for rows, block in blocks:
-        s[rows] = np.maximum(
-            np.maximum(block.dofs.peak_wavespeed, block.interior.peak_wavespeed),
-            _edge_peak(disc, gas, block.U_elem),
-        )
-    return s
+    mesh = fields.disc.mesh
+    e = mesh.elem_edges
+    edge = np.where(mesh.elem_edge_side == 0,
+                    fields.trace_L.peak_wavespeed[e], fields.trace_R.peak_wavespeed[e])
+    return np.maximum(
+        np.maximum(fields.dofs.peak_wavespeed, fields.interior.peak_wavespeed),
+        last_axis_max(edge),
+    )
 
 
 def _wavespeed_sweep(fields: StageFields):

@@ -169,8 +169,8 @@ def gradient_jump_terms(disc: Discretization, U_elem, coeff):
     # contract gradients against the jump over (q, i)
     E, nq, C = jump.shape[:3]
     jw2 = jw.transpose(0, 1, 3, 2).reshape(E, nq * 2, C)
-    gL = disc.if_grads_L.transpose(0, 2, 1, 3).reshape(E, -1, nq * 2)
-    gR = disc.if_grads_R.transpose(0, 2, 1, 3).reshape(E, -1, nq * 2)
+    gL = disc.if_grads_L_T.reshape(E, nq * 2, -1).swapaxes(1, 2)
+    gR = disc.if_grads_R_T.reshape(E, nq * 2, -1).swapaxes(1, 2)
     base = (coeff * disc.if_length)[:, None, None]
     con_L = -np.matmul(gL, jw2) * base
     con_R = np.matmul(gR, jw2) * base

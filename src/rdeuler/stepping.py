@@ -51,8 +51,9 @@ class FieldState:
 
         An explicit step releases its input state once it has applied the
         state's residual, so the start state of an SSP-RK2 step carries no
-        point values through the second stage.  A residual asked for later
-        (another cascade level) builds the fields again.
+        point values through the second stage; the implicit step releases
+        it once it has both bounds.  A residual asked for later (another
+        cascade level) builds the fields again.
         """
         for key in [k for k in self._memo if k[0] == "fields"]:
             del self._memo[key]
@@ -66,16 +67,14 @@ class FieldState:
         """
         key = ("alpha", gas, mode)
         if key not in self._memo:
-            if mode == "interpolated":
-                # reads the DOF values only; a throwaway field set keeps
-                # the state of an implicit step free of point values
-                bound = positivity.alpha_interpolated(self.disc, gas, self.U)
-            elif mode == "pointwise":
-                bound = positivity.alpha_noninterpolated(self.disc, gas, self.fields(gas))
-            elif mode == "implicit":
-                bound = positivity.alpha_implicit(self.disc, gas, self.fields(gas))
-            else:
+            bounds = {
+                "interpolated": positivity.alpha_interpolated,
+                "pointwise": positivity.alpha_noninterpolated,
+                "implicit": positivity.alpha_implicit,
+            }
+            if mode not in bounds:
                 raise ConfigError(f"unknown flux mode {mode!r}")
+            bound = bounds[mode](self.disc, gas, self.fields(gas))
             self._memo[key] = bound.value
         return self._memo[key]
 
@@ -213,6 +212,7 @@ def implicit_euler_step(state: FieldState, dt, gas, tol=1e-10, max_iter=50) -> F
     Un = state.U
     scheme = Scheme(base="lxf", flux_mode="interpolated")
     alpha = np.maximum(state.alpha(gas, "interpolated"), state.alpha(gas, "implicit"))
+    state.release_fields()
     system = assemble_density_system(disc, gas, Un, dt, alpha)
     # Minimum degree on A^T + A fills the LU of this pattern about half
     # as much as the default COLAMD ordering.

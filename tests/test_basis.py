@@ -157,11 +157,41 @@ def test_shared_edge_quadrature_points_match():
     mesh = structured_square(3)
     dm = build_dofmap(mesh, "s2", "lagrange", 2)
     disc = Discretization(mesh, dm)
-    rs = np.maximum(disc.if_right, 0)
-    x_r = disc.edge_phys[rs, mesh.edge_right_loc][:, ::-1]
-    x_l = disc.if_phys_L + mesh.edge_translation[:, None, :]
+    # the physical points are the traces of the corner coordinates on
+    # the P1 Lagrange space of the same mesh
+    p1 = Discretization(mesh, build_dofmap(mesh, "s1", "lagrange", 1))
+    x_l, x_r = p1.traces(disc.corner_coords)
+    x_l = x_l + mesh.edge_translation[:, None, :]
     has = disc.if_has_right
     assert np.abs((x_r - x_l)[has]).max() < 1e-13
+
+
+def _interpolate_by_scan(disc, fn):
+    """Reversed per-DOF scan: the first owner element fixes a shared DOF (oracle)."""
+    X = disc.lagrange_phys
+    vals = np.asarray(fn(X[..., 0], X[..., 1]), dtype=float)
+    if disc.dofmap.basis == "bernstein" and disc.dofmap.degree > 1:
+        Minv = np.linalg.inv(bernstein_to_lagrange(disc.dofmap.degree))
+        vals = np.einsum("ln,mn...->ml...", Minv, vals)
+    flat_dofs = disc.dofmap.elem_dofs.ravel()
+    first = np.full(disc.dofmap.n_dofs, -1, dtype=np.int64)
+    for i in range(flat_dofs.size - 1, -1, -1):
+        first[flat_dofs[i]] = i
+    return vals.reshape((-1,) + vals.shape[2:])[first]
+
+
+@pytest.mark.parametrize("space", ["s1", "s2"])
+@pytest.mark.parametrize("kind,p", [("lagrange", 1), ("lagrange", 2), ("bernstein", 2)])
+def test_interpolate_takes_the_first_owner_like_the_scan(space, kind, p):
+    # a field that differs between the owners of a shared DOF: the
+    # periodic images of a node sit a side length apart
+    mesh = structured_square(5, side=2.0)
+    disc = Discretization(mesh, build_dofmap(mesh, space, kind, p))
+
+    def fn(x, y):
+        return np.stack([np.sin(3 * x) + y, x * y, np.exp(x - y), 1.0 + x], axis=-1)
+
+    assert np.array_equal(disc.interpolate(fn), _interpolate_by_scan(disc, fn))
 
 
 def test_s2_shared_edge_dofs_identical():

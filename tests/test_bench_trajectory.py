@@ -92,3 +92,65 @@ def test_ab_run_metrics_skip_failed_repetitions():
     assert m["run_s"] == pytest.approx(2.0)
     # like bench/run.py: the median of the per-repetition rates
     assert m["elem_steps_per_s"] == pytest.approx(0.5 * (50.0 + 50.0 / 3.0))
+
+
+def _write_final_snapshot(tree, workload, U):
+    out = tree / ".bench_out" / workload / "out"
+    out.mkdir(parents=True, exist_ok=True)
+    rows = "".join(f"{i},0.0,0.0,{','.join(repr(v) for v in u)}\n" for i, u in enumerate(U))
+    (out / "snap_final.csv").write_text(
+        "# rdeuler snapshot\n# mesh_hash=x t=0.25 config_hash=y\ndof_id,x,y,rho,mx,my,E\n" + rows
+    )
+
+
+def test_ab_states_the_final_u_change_of_differing_digests(tmp_path, monkeypatch, capsys):
+    tool = _load_tool()
+    base = [[1.0, 0.5, -0.25, 2.0], [2.0, -1.0, 0.5, 4.0]]
+    # the change moves rho by 1e-10 and E by 4e-12 of their largest values
+    moved = [[1.0, 0.5, -0.25, 2.0], [2.0 + 2e-10, -1.0, 0.5, 4.0 - 1.6e-11]]
+
+    def fake_run(tree, workload, seed, seconds):
+        side = os.path.basename(tree)
+        _write_final_snapshot(tmp_path / side, workload, moved if side == "change" else base)
+        return _result([1.0], "new" if side == "change" else "old")
+
+    for side in ("parent", "change"):
+        (tmp_path / side).mkdir()
+        (tmp_path / side / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [
+            {"name": "run_s", "better": "lower"}]}))
+    monkeypatch.setattr(tool, "run_side", fake_run)
+    code = tool.main(["--base", str(tmp_path / "parent"), "--change", str(tmp_path / "change"),
+                      "--workload", "vortex_ec", "--pairs", "2", "--seconds", "1"])
+    assert code == 0
+    out = capsys.readouterr().out
+    assert "digests equal: no" in out
+    for pair in (1, 2):
+        assert f"# pair {pair} seed {pair}: final U max relative change per component 1e-10 0 0 4e-12" in out
+    rel = tool.relative_change(tool.final_u(str(tmp_path / "parent"), "vortex_ec"),
+                               tool.final_u(str(tmp_path / "change"), "vortex_ec"))
+    assert rel == pytest.approx([1e-10, 0.0, 0.0, 4e-12], rel=1e-5)
+    # a tree against itself reads 0 in every component
+    same = tool.final_u(str(tmp_path / "parent"), "vortex_ec")
+    assert tool.relative_change(same, same) == [0.0, 0.0, 0.0, 0.0]
+
+
+def test_ab_reads_each_final_u_before_the_other_side_runs(tmp_path, monkeypatch, capsys):
+    # a tree against itself: both sides write the same snapshot file, and
+    # a second run that moves rho must still show up
+    tool = _load_tool()
+    runs = []
+
+    def fake_run(tree, workload, seed, seconds):
+        runs.append(seed)
+        U = [[1.0 + (1e-9 if len(runs) == 2 else 0.0), 0.0, 0.0, 2.0]]
+        _write_final_snapshot(tmp_path / "tree", workload, U)
+        return _result([1.0], "d")
+
+    (tmp_path / "tree").mkdir()
+    (tmp_path / "tree" / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [
+        {"name": "run_s", "better": "lower"}]}))
+    monkeypatch.setattr(tool, "run_side", fake_run)
+    tree = str(tmp_path / "tree")
+    assert tool.main(["--base", tree, "--change", tree, "--workload", "sod_mood",
+                      "--pairs", "1", "--seconds", "1"]) == 0
+    assert "# pair 1 seed 1: final U max relative change per component 1e-09 0 0 0" in capsys.readouterr().out

@@ -454,3 +454,22 @@ def test_malformed_mesh_token_is_an_error_line(tmp_path, capsys, lines, token):
     assert err.startswith("error: ")
     assert str(mesh_path) in err and repr(token) in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("missing, code", [("config", 2), ("mesh", 1), ("snapshot", 2)])
+def test_missing_input_file_is_an_error_line(tmp_path, capsys, missing, code):
+    # config and snapshot are configuration errors (exit 2), a mesh file
+    # is a mesh error (exit 1); each names the path and shows no traceback
+    absent = tmp_path / f"absent_{missing}"
+    path = tmp_path / "run.cfg"
+    if missing == "config":
+        path = absent
+    elif missing == "mesh":
+        path.write_text(_cfg_text(tmp_path, mesh=str(absent)))
+    else:
+        path.write_text(_cfg_text(tmp_path, problem="from_file", **{"problem.file": str(absent)}))
+    assert main(["run", str(path)]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: " if code == 2 else "error: ")
+    assert len(err.splitlines()) == 1 and str(absent) in err
+    assert "Traceback" not in err

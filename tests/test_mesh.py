@@ -615,3 +615,30 @@ def test_mesh_file_keeps_content_hash(tmp_path, make):
     back = read_mesh(path)
     assert back.content_hash() == mesh.content_hash()
     _assert_same_fields(back, mesh)
+
+
+def _write_mesh_per_row(path, mesh):
+    """One f-string per node and per triangle (oracle)."""
+    with open(path, "w") as fh:
+        fh.write("rdmesh 1\n")
+        fh.write(f"nodes {mesh.n_nodes}\n")
+        for x, y in mesh.nodes:
+            fh.write(f"{float(x)!r} {float(y)!r}\n")
+        fh.write(f"triangles {mesh.n_tris}\n")
+        for i, j, k in mesh.tris:
+            fh.write(f"{i} {j} {k}\n")
+        if mesh.periodic:
+            fh.write("periodic auto\n")
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: structured_square(16), lambda: structured_rect(5, 3, periodic=False),
+     lambda: build_mesh(*_scrambled(7, 5, seed=11))],
+    ids=["square", "open_rect", "scrambled"],
+)
+def test_mesh_file_bytes_match_the_per_row_writer(tmp_path, make):
+    mesh = make()
+    write_mesh(tmp_path / "new.rdmesh", mesh)
+    _write_mesh_per_row(tmp_path / "old.rdmesh", mesh)
+    assert (tmp_path / "new.rdmesh").read_bytes() == (tmp_path / "old.rdmesh").read_bytes()

@@ -213,29 +213,31 @@ def test_explicit_positivity_reduced(gas):
     )
 
 
+def _own_trace_peaks(disc, gas, U_elem):
+    """Per element, the max wavespeed over its own side of the interface
+    traces of its three edges, one element and edge at a time (oracle)."""
+    peaks = [euler.max_wavespeed(t, gas).max(axis=1) for t in disc.traces(U_elem)]
+    mesh = disc.mesh
+    out = np.zeros(mesh.n_tris)
+    for m in range(mesh.n_tris):
+        for loc in range(3):
+            out[m] = max(out[m], peaks[mesh.elem_edge_side[m, loc]][mesh.elem_edges[m, loc]])
+    return out
+
+
 def _element_max_wavespeed_loop(disc, gas, U_elem):
-    """One sweep per point set: DOFs, interior points, each edge (oracle)."""
+    """One sweep per point set: DOFs, interior points, own edge traces (oracle)."""
     s = euler.max_wavespeed(U_elem, gas).max(axis=1)
     s = np.maximum(s, euler.max_wavespeed(disc.interior_field(U_elem), gas).max(axis=1))
-    for loc in range(3):
-        Ue = np.einsum("qn,mnc->mqc", disc.edge_vals[loc], U_elem)
-        s = np.maximum(s, euler.max_wavespeed(Ue, gas).max(axis=1))
-    return s
+    return np.maximum(s, _own_trace_peaks(disc, gas, U_elem))
 
 
 @pytest.mark.parametrize("space", ["s2", "s1"])
 @pytest.mark.parametrize("basis,degree", [("lagrange", 1), ("bernstein", 2)])
-@pytest.mark.parametrize("block", [None, 7])
-def test_stacked_wavespeed_sweep_is_bitwise_the_loop(
-    gas, space, basis, degree, block, monkeypatch
-):
-    from rdeuler import positivity
+def test_stacked_wavespeed_sweep_is_bitwise_the_loop(gas, space, basis, degree):
     from rdeuler.discretization import StageFields
     from rdeuler.positivity import _element_max_wavespeed
 
-    if block is not None:
-        # several blocks and a ragged last one (72 elements)
-        monkeypatch.setattr(positivity, "SWEEP_BLOCK", block)
     disc = make_disc(6, 10.0, space, basis, degree)
     rng = np.random.default_rng(12)
     for near_vacuum in (False, True):
@@ -245,13 +247,11 @@ def test_stacked_wavespeed_sweep_is_bitwise_the_loop(
             U = random_states(rng, disc.dofmap.n_dofs, near_vacuum=near_vacuum)
             U_elem = disc.elem_values(U)
             want = _element_max_wavespeed_loop(disc, gas, U_elem)
-            # blocked (block 7), or on the fields' own point sets
-            got = _element_max_wavespeed(StageFields(disc, gas, U_elem))
-            assert np.array_equal(got, want)
-            # on point sets a residual has built, whatever the block
-            filled = StageFields(disc, gas, U_elem)
-            filled.dofs, filled.interior
-            assert np.array_equal(_element_max_wavespeed(filled), want)
+            assert np.array_equal(_element_max_wavespeed(StageFields(disc, gas, U_elem)), want)
+            # the own-side traces are the element's edge points, to round-off
+            pts = np.einsum("lqn,mnc->mlqc", disc.edge_vals, U_elem).reshape(len(U_elem), -1, 4)
+            assert np.allclose(_own_trace_peaks(disc, gas, U_elem),
+                               euler.max_wavespeed(pts, gas).max(axis=1), rtol=1e-13, atol=0.0)
 
 
 def test_bounds_reuse_a_given_wavespeed_sweep(gas, small_disc):

@@ -12,7 +12,11 @@ change in odd ones.  A run's end-to-end metrics are the medians over its
 repetitions, read from ``.bench_out/<W>/result_seed<S>_trace0.json`` in
 its tree.  The summary gives, per metric and side, the median and the
 quartiles over the pairs, the number of pairs the change won, and
-whether the final-U digests of the two sides are equal.
+whether the final-U digests of the two sides are equal.  Each pair also
+prints the largest relative change of the final U per component, read
+from the two trees' ``.bench_out/<W>/out/snap_final.csv`` (the last
+repetition of that seed): 0 when the digests are equal, and otherwise a
+bound on the change of bits.
 
 ``--record LABEL`` appends the summary as one entry to
 ``BENCH_trajectory.json`` at the root of this script's repository.  The
@@ -56,6 +60,29 @@ def run_metrics(result):
 
 def digests(result):
     return sorted({r["facts"]["digest"] for r in result["reps"] if "digest" in r.get("facts", {})})
+
+
+def final_u(tree, workload):
+    """Conserved variables of the last run's final snapshot in ``tree``, or None."""
+    path = os.path.join(tree, ".bench_out", workload, "out", "snap_final.csv")
+    try:
+        with open(path) as fh:
+            # data rows start with their dof_id; the rest is header
+            return [[float(v) for v in line.split(",")[3:7]] for line in fh if line[:1].isdigit()]
+    except (OSError, ValueError):
+        return None
+
+
+def relative_change(parent, change):
+    """Per component, max |change - parent| over max |parent|; None if
+    either side is missing or the DOF counts differ."""
+    if not parent or not change or len(parent) != len(change):
+        return None
+    out = []
+    for c in range(len(parent[0])):
+        scale = max(abs(row[c]) for row in parent) or 1.0
+        out.append(max(abs(a[c] - b[c]) for a, b in zip(parent, change)) / scale)
+    return out
 
 
 def run_side(tree, workload, seed, seconds):
@@ -126,7 +153,11 @@ def main(argv=None):
     for i in range(args.pairs):
         seed = args.first_seed + i
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-        results = {side: run_side(trees[side], args.workload, seed, args.seconds) for side in order}
+        results, finals = {}, {}
+        for side in order:
+            results[side] = run_side(trees[side], args.workload, seed, args.seconds)
+            # read before the other side runs: a tree against itself shares the file
+            finals[side] = final_u(trees[side], args.workload)
         if any(r is None for r in results.values()):
             failed += 1
             print(f"# pair {i + 1} seed {seed}: a run failed")
@@ -139,6 +170,10 @@ def main(argv=None):
         print(f"# pair {i + 1} seed {seed}: {order[0]} first; run_s "
               f"{metrics['parent'].get('run_s', float('nan')):.4f} -> "
               f"{metrics['change'].get('run_s', float('nan')):.4f}")
+        rel = relative_change(finals["parent"], finals["change"])
+        if rel is not None:
+            print(f"# pair {i + 1} seed {seed}: final U max relative change per component "
+                  + " ".join(f"{r:.3g}" for r in rel))
 
     summary = summarize(pairs, directions_of(trees["change"]))
     for name, s in summary.items():
