@@ -168,6 +168,27 @@ def edge_barycentric(loc, t):
     return np.stack(lam, axis=-1)
 
 
+def physical_points(lam, corners):
+    """Points with barycentric coordinates lam (..., 3) on each element.
+
+    corners (M, 3, 2) are the element vertices; the result has shape
+    (M,) + lam.shape[:-1] + (2,).  The vertices are summed in order and
+    from zero, as ``np.einsum("...k,mkx->m...x", lam, corners)`` sums,
+    so the bits are the einsum's.
+    """
+    lam = np.asarray(lam, dtype=float)
+    M = corners.shape[0]
+    out = np.empty((M,) + lam.shape[:-1] + (2,))
+    c = corners.reshape((M,) + (1,) * (lam.ndim - 1) + (3, 2))
+    for x in range(2):                           # one coordinate at a time: long inner loops
+        o = out[..., x]
+        np.multiply(lam[..., 0], c[..., 0, x], out=o)
+        o += lam[..., 1] * c[..., 1, x]
+        o += lam[..., 2] * c[..., 2, x]
+    out += 0.0                                   # the zero start: no -0.0
+    return out
+
+
 @dataclass
 class DofMap:
     """Global DOF layout for a continuous (S2) or discontinuous (S1) space."""
@@ -198,8 +219,7 @@ def build_dofmap(mesh: Mesh, space="s2", basis="lagrange", degree=1) -> DofMap:
 
     if space == "s1":
         elem_dofs = np.arange(M * nk, dtype=np.int64).reshape(M, nk)
-        phys = np.einsum("lk,mkx->mlx", pts, mesh.nodes[mesh.tris])
-        dof_points = phys.reshape(M * nk, 2)
+        dof_points = physical_points(pts, mesh.nodes[mesh.tris]).reshape(M * nk, 2)
         return DofMap(mesh, space, basis, degree, elem_dofs, dof_points, M * nk)
 
     # S2: vertices share through periodic-identified nodes, midpoints
@@ -213,7 +233,7 @@ def build_dofmap(mesh: Mesh, space="s2", basis="lagrange", degree=1) -> DofMap:
         elem_dofs[:, 3:6] = n_vert + mesh.elem_edges
         n_dofs = n_vert + mesh.n_edges
 
-    phys = np.einsum("lk,mkx->mlx", pts, mesh.nodes[mesh.tris])
+    phys = physical_points(pts, mesh.nodes[mesh.tris])
     # First owner in element order fixes the coordinates of a shared DOF.
     owned, first = np.unique(elem_dofs.ravel(), return_index=True)
     dof_points = np.zeros((n_dofs, 2))

@@ -53,10 +53,12 @@ def weak_bv_norm(disc: Discretization, gas, U, lam=1.0, zeta=2.0, grad_jump=None
     """Edge-jump seminorm (squared): sum_e lam h_e^zeta d oint ||[grad V]||^2.
 
     ``grad_jump`` is the per-interface integral of U when the caller has
-    it (CorrectedResidual.grad_jump); otherwise it is computed here.
+    it (CorrectedResidual.grad_jump); otherwise it is computed here,
+    without keeping gradient tables that no kernel has built.
     """
     if grad_jump is None:
-        grad_jump = grad_jump_integral(disc, euler.entropy_vars(disc.elem_values(U), gas))
+        V_elem = euler.entropy_vars(disc.elem_values(U), gas)
+        grad_jump = grad_jump_integral(disc, V_elem, keep=False)
     d = 2.0
     contrib = lam * disc.if_h**zeta * d * disc.if_length * grad_jump
     return float(np.sum(np.where(disc.if_has_right, contrib, 0.0)))

@@ -4,9 +4,14 @@ A :class:`Discretization` binds a mesh and a DOF map and caches the
 arrays every kernel needs: physical basis gradients at interior and
 edge quadrature points, interface trace tables (with the right side
 enumerated in reversed order so both sides see the same physical
-points), dual volumes and neighbor lists.  All arrays are immutable
-after construction.  :class:`StageFields` holds the point values of one
-state on those tables.
+points), dual volumes and neighbor lists.  The tables that only some
+runs read are built on first use: the interface gradient tables
+``if_grads_L_T``/``if_grads_R_T`` (gradient-jump kernels), the
+weighted volume table ``int_gradw_mat`` (Galerkin volume term), the
+interior quadrature points ``int_phys`` (diagnostics) and the integral
+tables behind ``cached``.  No array changes once built.
+:class:`StageFields` holds the point values of one state on those
+tables.
 """
 
 from functools import cached_property
@@ -50,8 +55,7 @@ class Discretization:
         self.jinv_T = np.swapaxes(Jinv, -1, -2)
         self.corner_coords = p
         # Physical coordinates of the local Lagrange points.
-        pts = fb.lagrange_points(self.dofmap.degree)
-        self.lagrange_phys = np.einsum("lk,mkx->mlx", pts, p)
+        self.lagrange_phys = fb.physical_points(fb.lagrange_points(self.dofmap.degree), p)
 
     def _build_interior_tables(self):
         q = self.quad
@@ -59,16 +63,21 @@ class Discretization:
         self.int_weights = q.interior_weights
         self.int_vals = fb.basis_values(kind, p, q.interior_points)      # (nq, N)
         ref = fb.basis_ref_grads(kind, p, q.interior_points)             # (nq, N, 2)
-        self.int_grads = np.einsum("mij,qnj->mqni", self.jinv_T, ref)
-        self.int_phys = np.einsum("qk,mkx->mqx", q.interior_points, self.corner_coords)
-        # area- and weight-folded gradient table (M, N, nq*2) for volume terms
+        self.int_grads = physical_grads(self.jinv_T[:, None], ref)       # (M, nq, N, 2)
+
+    @cached_property
+    def int_phys(self):
+        """Physical interior quadrature points, (M, nq, 2)."""
+        return fb.physical_points(self.quad.interior_points, self.corner_coords)
+
+    @cached_property
+    def int_gradw_mat(self):
+        """Area- and weight-folded gradient table (M, N, nq*2) for volume terms."""
         M = self.mesh.n_tris
         nq, nk = self.int_vals.shape
         gw = self.int_grads * (self.mesh.areas[:, None, None, None]
                                * self.int_weights[None, :, None, None])
-        self.int_gradw_mat = np.ascontiguousarray(
-            gw.transpose(0, 2, 1, 3).reshape(M, nk, nq * 2)
-        )
+        return np.ascontiguousarray(gw.transpose(0, 2, 1, 3).reshape(M, nk, nq * 2))
 
     def _edge_lam(self):
         """Barycentric coordinates of the edge quadrature points, (3, nq, 3)."""
@@ -80,8 +89,6 @@ class Discretization:
         lam = self._edge_lam()
         self.edge_weights = self.quad.edge_weights
         self.edge_vals = fb.basis_values(kind, p, lam)                   # (3, nq, N)
-        ref = fb.basis_ref_grads(kind, p, lam)                           # (3, nq, N, 2)
-        edge_grads = np.einsum("mij,lqnj->mlqni", self.jinv_T, ref)      # (M, 3, nq, N, 2)
         li, ll = mesh.edge_left, mesh.edge_left_loc
         ri, rl = mesh.edge_right, mesh.edge_right_loc
         self.if_left = li
@@ -91,7 +98,6 @@ class Discretization:
         hk = mesh.diameters
         self.if_h = np.where(ri >= 0, np.maximum(hk[li], hk[np.maximum(ri, 0)]), hk[li])
         self.if_has_right = ri >= 0
-        rs = np.maximum(ri, 0)
         # The right owner traverses the shared edge backwards, so its
         # quadrature points coincide with the left ones in reversed order.
         vals_L, vals_R = self.edge_vals[ll], self.edge_vals[rl][:, ::-1]  # (E, nq, N)
@@ -100,10 +106,31 @@ class Discretization:
         wl = self.edge_weights[None, :, None] * self.if_length[:, None, None]
         self.if_vals_L_wl = np.ascontiguousarray((vals_L * wl).transpose(0, 2, 1))
         self.if_vals_R_wl = np.ascontiguousarray((vals_R * wl).transpose(0, 2, 1))
-        self.if_grads_L_T = np.ascontiguousarray(edge_grads[li, ll].transpose(0, 1, 3, 2))
-        self.if_grads_R_T = np.ascontiguousarray(
-            edge_grads[rs, rl][:, ::-1].transpose(0, 1, 3, 2)
-        )
+
+    def _if_grads_T(self, right=False):
+        """Owner basis gradients at the interface points, (E, nq, 2, N): the
+        left owner's, or the right owner's with its points reversed to
+        pair with the left ones."""
+        if right:
+            elems, locs = np.maximum(self.if_right, 0), self.mesh.edge_right_loc
+        else:
+            elems, locs = self.if_left, self.mesh.edge_left_loc
+        ref = fb.basis_ref_grads(self.dofmap.basis, self.dofmap.degree, self._edge_lam())[locs]
+        E, nq, N = ref.shape[:3]
+        g = np.empty((E, nq, 2, N))
+        physical_grads(self.jinv_T[elems, None], ref[:, ::-1] if right else ref,
+                       out=g.swapaxes(-1, -2))
+        return g
+
+    @cached_property
+    def if_grads_L_T(self):
+        """Left-owner gradient table of the gradient-jump kernels."""
+        return self._if_grads_T()
+
+    @cached_property
+    def if_grads_R_T(self):
+        """Right-owner gradient table of the gradient-jump kernels."""
+        return self._if_grads_T(right=True)
 
     def _build_neighbors(self):
         mesh = self.mesh
@@ -120,7 +147,7 @@ class Discretization:
         if not np.any(has_r):
             return
         mesh = self.mesh
-        edge_phys = np.einsum("lqk,mkx->mlqx", self._edge_lam(), self.corner_coords)
+        edge_phys = fb.physical_points(self._edge_lam(), self.corner_coords)  # (M, 3, nq, 2)
         rs = np.maximum(self.if_right, 0)
         x_r = edge_phys[rs, mesh.edge_right_loc][:, ::-1]                # (E, nq, 2)
         x_l = edge_phys[self.if_left, mesh.edge_left_loc] + mesh.edge_translation[:, None, :]
@@ -201,6 +228,21 @@ class Discretization:
 
     def trace_grad_R(self, U_elem):
         return self._trace_grad(self.if_grads_R_T, U_elem[np.maximum(self.if_right, 0)])
+
+    def trace_grad_jump(self, X_elem, keep=True):
+        """[grad X], the right minus the left trace gradient, (E, nq, C, 2).
+
+        With ``keep=False`` (a one-off reader, such as the weak-BV norm of
+        a diagnostics row) gradient tables not built yet are built for
+        this call only.
+        """
+        if keep or {"if_grads_L_T", "if_grads_R_T"} <= self.__dict__.keys():
+            gL, gR = self.if_grads_L_T, self.if_grads_R_T
+        else:
+            gL, gR = self._if_grads_T(), self._if_grads_T(right=True)
+        jump = self._trace_grad(gR, X_elem[np.maximum(self.if_right, 0)])
+        jump -= self._trace_grad(gL, X_elem[self.if_left])
+        return jump
 
     @staticmethod
     def _trace_grad(grads_T, owner_vals):
@@ -380,6 +422,38 @@ class StageFields:
     @cached_property
     def trace_R(self):
         return PointValues(self._traces[1], self.gas)
+
+
+def physical_grads(jinv_T, ref, out=None):
+    """Physical basis gradients from reference ones, (..., N, 2).
+
+    jinv_T (..., 2, 2) holds the transposed inverse Jacobians and ref
+    (..., N, 2) the gradients with respect to (lambda_1, lambda_2); their
+    leading axes broadcast.  Summed over j in order and from zero, as
+    ``np.einsum("mij,...nj->m...ni")`` sums, so the bits are the einsum's.
+    ``out`` may be a view of another layout, such as a swapped (..., 2, N).
+    """
+    if out is None:
+        out = np.empty(np.broadcast_shapes(jinv_T.shape[:-2], ref.shape[:-2]) + ref.shape[-2:])
+    for i in range(2):                           # one component at a time: long inner loops
+        o = out[..., i]
+        np.multiply(ref[..., 0], jinv_T[..., i, 0, None], out=o)
+        o += ref[..., 1] * jinv_T[..., i, 1, None]
+    out += 0.0                                   # the zero start: no -0.0
+    return out
+
+
+def elem_mean(X):
+    """Mean over axis 1, summed in order: ((x0 + x1) + ...) / N.
+
+    Equal to ``X.mean(axis=1)``, and much faster when the axis is short.
+    """
+    out = X[:, 0] + X[:, 1]
+    for j in range(2, X.shape[1]):
+        out += X[:, j]
+    out += 0.0                                   # the zero start: no -0.0
+    out /= X.shape[1]
+    return out
 
 
 def last_axis_max(a):

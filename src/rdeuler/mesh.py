@@ -237,14 +237,18 @@ def build_mesh(raw_nodes, raw_triangles, periodic=False, periodic_tolerance=None
     )
 
 
-def _reject_hanging_nodes(nodes, ends_a, ends_b, tol):
+def _reject_hanging_nodes(nodes, ends_a, ends_b, tol, max_pairs=1 << 16):
     """Reject a node that lies inside a boundary edge (a, b).
 
     Edges are tested in the given order and the smallest such node is
     named.  A node passing the test lies within tol of the edge, so only
     the nodes in the edge's bounding box grown by 2 tol (a margin for
     rounding) are tested; they are found by bisection in the nodes
-    sorted by x.
+    sorted by x.  The (edge, node) pairs are tested in runs of whole
+    edges of about ``max_pairs`` pairs, so a tall strip whose boundary
+    edges share their x-range with many nodes needs no (edges x nodes)
+    table.  ``max_pairs`` is fixed in production; it is a parameter only
+    so that tests can put run boundaries anywhere.
     """
     by_x = np.argsort(nodes[:, 0], kind="stable")
     xs = nodes[by_x, 0]
@@ -255,22 +259,33 @@ def _reject_hanging_nodes(nodes, ends_a, ends_b, tol):
     stop = np.searchsorted(xs, box_hi[:, 0], side="right")
     # a and b are always in their box; an edge whose box holds no other
     # node in x needs no test.
-    for e in np.flatnonzero(stop - first > 2):
-        near = by_x[first[e]:stop[e]]
+    edges = np.flatnonzero(stop - first > 2)
+    ends = np.cumsum(stop[edges] - first[edges])        # pairs up to each edge
+    lo = 0
+    while lo < edges.size:
+        done = ends[lo - 1] if lo else 0
+        hi = max(int(np.searchsorted(ends, done + max_pairs, side="right")), lo + 1)
+        run = edges[lo:hi]
+        count = stop[run] - first[run]
+        e = np.repeat(run, count)
+        rank = np.arange(e.size) - np.repeat(np.cumsum(count) - count, count)
+        near = by_x[first[e] + rank]
         y = nodes[near, 1]
-        near = near[(y >= box_lo[e, 1]) & (y <= box_hi[e, 1])]
+        keep = (y >= box_lo[e, 1]) & (y <= box_hi[e, 1])
+        e, near = e[keep], near[keep]
         d = pb[e] - pa[e]
-        L2 = d @ d
+        L2 = d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]
         rel = nodes[near] - pa[e]
-        t = (rel @ d) / L2
+        t = (rel[:, 0] * d[:, 0] + rel[:, 1] * d[:, 1]) / L2
         perp = rel - t[:, None] * d
         dist = np.hypot(perp[:, 0], perp[:, 1])
         on_open_segment = (dist < tol) & (t > 1e-9) & (t < 1 - 1e-9)
         on_open_segment &= (near != ends_a[e]) & (near != ends_b[e])
         if np.any(on_open_segment):
-            raise NonConforming(
-                f"node {near[on_open_segment].min()} hangs on edge ({ends_a[e]}, {ends_b[e]})"
-            )
+            g = e[on_open_segment].min()
+            node = near[on_open_segment & (e == g)].min()
+            raise NonConforming(f"node {node} hangs on edge ({ends_a[g]}, {ends_b[g]})")
+        lo = hi
 
 
 def _pair_periodic_edges(nodes, ends_a, ends_b, tol):

@@ -54,6 +54,8 @@ def alpha_interpolated(disc: Discretization, gas, U) -> AlphaBound:
     The Euler eigenvalues along a direction n are u.n and u.n +- a|n|,
     so (|u.unit(omega)| + a) * |omega| dominates them; the maximum runs
     over every DOF state of the element and every (sigma, sigma') pair.
+    It runs over the DOF states first: rounding is monotone, so the
+    product of their maximum with |omega| >= 0 is the maximum product.
     """
     fields = StageFields.of(disc, gas, U)
     U_elem = fields.U_elem
@@ -63,8 +65,17 @@ def alpha_interpolated(disc: Discretization, gas, U) -> AlphaBound:
     )
     u = euler.velocity(U_elem)                                     # (M,N,2)
     a = euler.sound_speed(U_elem, gas, p=fields.dofs.p)            # (M,N)
-    proj = np.abs(np.einsum("mdi,mnki->mdnk", u, unit)) + a[:, :, None, None]
-    alpha = np.max(proj * norms[:, None, :, :], axis=(1, 2, 3))
+    best = None
+    for d in range(u.shape[1]):
+        # u_d . unit summed over the two directions from zero, as np.einsum
+        # sums; the sign of a zero does not survive the abs
+        proj = u[:, d, 0, None, None] * unit[..., 0]               # (M, N, N)
+        proj += u[:, d, 1, None, None] * unit[..., 1]
+        np.abs(proj, out=proj)
+        proj += a[:, d, None, None]
+        best = proj if best is None else np.maximum(best, proj, out=best)
+    best *= norms
+    alpha = best.reshape(len(best), -1).max(axis=1)
     return AlphaBound(value=alpha, case="Interpolated", geometry=norms.max(axis=(1, 2)))
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .discretization import Discretization, PointValues, StageFields
+from .discretization import Discretization, PointValues, StageFields, elem_mean
 from .errors import ConfigError
 
 BASES = ("galerkin", "galerkin_jump", "dg", "lxf", "limited_lxf")
@@ -163,7 +163,7 @@ def gradient_jump_terms(disc: Discretization, U_elem, coeff):
     because the basis gradients do.  ``coeff`` has shape (E,) and carries
     the lambda_e h_e^2 weight.
     """
-    jump = disc.trace_grad_R(U_elem) - disc.trace_grad_L(U_elem)   # (E, nq, C, 2)
+    jump = disc.trace_grad_jump(U_elem)                              # (E, nq, C, 2)
     w = disc.edge_weights
     jw = jump * w[None, :, None, None]
     # contract gradients against the jump over (q, i)
@@ -198,7 +198,7 @@ def _interpolated_lxf(fields: StageFields, alpha):
     f2 = f_dofs.transpose(0, 1, 3, 2).reshape(M, 2 * N, 4)
     div_part = np.matmul(disc.phi_grad_integrals.reshape(M, N, 2 * N), f2)
     total = np.matmul(disc.grad_integrals.reshape(M, 1, 2 * N), f2)[:, 0]
-    dev = U_elem - U_elem.mean(axis=1, keepdims=True)
+    dev = U_elem - elem_mean(U_elem)[:, None]
     return div_part + alpha[:, None, None] * dev, total
 
 
@@ -219,7 +219,7 @@ def lxf_residual(disc: Discretization, gas, U, alpha, flux_mode="pointwise") -> 
         return ElementResidual(phi=phi, total=total, scheme="lxf", alpha=alpha)
     total = boundary_totals(disc, interface_flux(disc, gas, fields))
     U_elem = fields.U_elem
-    dev = U_elem - U_elem.mean(axis=1, keepdims=True)
+    dev = U_elem - elem_mean(U_elem)[:, None]
     phi = total[:, None, :] / disc.dofmap.n_local + alpha[:, None, None] * dev
     return ElementResidual(phi=phi, total=total, scheme="lxf", alpha=alpha)
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import euler
-from .discretization import Discretization, PointValues, StageFields, last_axis_max
+from .discretization import Discretization, PointValues, StageFields, elem_mean, last_axis_max
 from .residuals import ElementResidual, Scheme, base_residual
 
 DENOM_GUARD = 1e-14
@@ -71,7 +71,7 @@ def element_entropy_boundary(disc: Discretization, gas, U):
 
 
 def _deviations(V_elem):
-    dev = V_elem - V_elem.mean(axis=1, keepdims=True)
+    dev = V_elem - elem_mean(V_elem)[:, None]
     denom = np.einsum("mnc,mnc->m", dev, dev)
     scale = np.einsum("mnc,mnc->m", V_elem, V_elem) / V_elem.shape[1]
     ok = denom >= DENOM_GUARD * np.maximum(scale, 1.0)
@@ -102,14 +102,13 @@ def _field_deviations(fields: StageFields):
     return fields.cached("deviations", lambda: _deviations(fields.V_elem))
 
 
-def grad_jump_integral(disc: Discretization, V_elem):
+def grad_jump_integral(disc: Discretization, V_elem, keep=True):
     """oint_e ||[grad V]||^2 per interface, (E,).
 
     An interface without a right owner gets a placeholder value that
-    callers mask out.
+    callers mask out.  ``keep`` is passed to ``Discretization.trace_grad_jump``.
     """
-    jump = disc.trace_grad_R(V_elem)                                  # (E,nq,C,2)
-    jump -= disc.trace_grad_L(V_elem)
+    jump = disc.trace_grad_jump(V_elem, keep)                         # (E,nq,C,2)
     jump *= jump
     return jump.sum(axis=(2, 3)) @ disc.edge_weights
 

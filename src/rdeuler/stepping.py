@@ -16,7 +16,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import euler, mood, positivity
-from .discretization import Discretization, StageFields, column_bincount
+from .discretization import Discretization, StageFields, column_bincount, elem_mean
 from .errors import AlphaTooSmall, ConfigError, PicardDivergence
 from .residuals import Scheme
 from .stabilization import corrected_residual
@@ -164,7 +164,7 @@ def _lxf_operator(disc: Discretization, alpha, u_frozen):
     frozen velocity (so rows sum to zero for any data) and adds the LxF
     correction alpha (delta - 1/N_K); A is their assembly, (n_dofs, n_dofs).
     """
-    u_bar = u_frozen[disc.dofmap.elem_dofs].mean(axis=1)           # (M, 2)
+    u_bar = elem_mean(u_frozen[disc.dofmap.elem_dofs])             # (M, 2)
     M, nk = u_bar.shape[0], disc.dofmap.n_local
     pgi = disc.phi_grad_integrals.reshape(M, nk * nk, 2)
     adv = np.matmul(pgi, u_bar[:, :, None]).reshape(M, nk, nk)

@@ -7,6 +7,7 @@ from rdeuler.basis import DofMap, build_dofmap, lagrange_points, n_local_dofs
 from rdeuler.errors import DegenerateTriangle, NonConforming, UnmatchedPeriodicEdge
 from rdeuler.mesh import (
     Mesh,
+    _reject_hanging_nodes,
     _signed_area2,
     build_mesh,
     dual_volumes,
@@ -591,6 +592,82 @@ def test_malformed_mesh_error_matches_oracle(case):
     with pytest.raises(want.type) as got:
         build_mesh(nodes, tris, **kwargs)
     assert str(got.value) == str(want.value)
+
+
+def _first_boundary_owners(tris):
+    """The boundary edges of a triangle list, keyed as the oracle keys them."""
+    owners = {}
+    for k, tri in enumerate(np.asarray(tris)):
+        for loc in range(3):
+            a, b = int(tri[loc]), int(tri[(loc + 1) % 3])
+            owners.setdefault((min(a, b), max(a, b)), []).append((k, loc))
+    return [(key, lst[0]) for key, lst in owners.items() if len(lst) == 1]
+
+
+def _hanging_node_outcomes(nodes, boundary, max_pairs):
+    """(oracle, vectorised) outcome of the hanging-node test: None or the message."""
+    nodes = np.asarray(nodes, dtype=float)
+    ends = np.array([key for key, _ in boundary], dtype=np.int64).reshape(-1, 2)
+    scale = max(float(np.max(np.abs(nodes))), float(np.ptp(nodes, axis=0).max()), 1.0)
+    tol = 1e-12 * scale
+    out = []
+    for test in (lambda: _ref_reject_hanging_nodes(nodes, boundary, tol),
+                 lambda: _reject_hanging_nodes(nodes, ends[:, 0], ends[:, 1], tol,
+                                               max_pairs=max_pairs)):
+        try:
+            test()
+            out.append(None)
+        except NonConforming as exc:
+            out.append(str(exc))
+    return out
+
+
+def _strip_with_hanging_nodes():
+    """A one-cell strip of 40 rows and three loose nodes on boundary edges."""
+    strip = structured_rect(1, 40, width=0.5, height=20.0, periodic=False)
+    x0, x1, y0, y1 = strip.bbox
+    extra = [(x1, y0 + 30.25), (x0, y0 + 7.25), (0.5 * (x0 + x1), y1)]
+    return np.vstack([strip.nodes, extra]), strip.tris
+
+
+_HANGING = {
+    "hexagon": _hexagon,
+    "scrambled": lambda: _scrambled(7, 5, seed=11),
+    "open_rect": lambda: (lambda m: (m.nodes, m.tris))(structured_rect(5, 3, periodic=False)),
+    "tall_strip": lambda: (lambda m: (m.nodes, m.tris))(
+        structured_rect(1, 40, width=0.5, height=20.0, periodic=False)
+    ),
+    "tall_strip_hanging": _strip_with_hanging_nodes,
+    "hanging_node": lambda: _MALFORMED["hanging_node"][:2],
+}
+
+
+@pytest.mark.parametrize("max_pairs", [1, 7, 1 << 16])
+@pytest.mark.parametrize("case", sorted(_HANGING))
+def test_hanging_node_test_matches_oracle(case, max_pairs):
+    nodes, tris = _HANGING[case]()
+    want, got = _hanging_node_outcomes(nodes, _first_boundary_owners(tris), max_pairs)
+    assert got == want
+    assert (want is not None) == ("hanging" in case)
+
+
+@pytest.mark.parametrize("max_pairs", [1, 5, 1 << 16])
+def test_hanging_node_test_matches_oracle_on_lattice_segments(max_pairs):
+    # segments between points of an integer lattice pass through the
+    # lattice points in between: several edges hang several nodes, and
+    # the first edge in order names its smallest node
+    rng = np.random.default_rng(3)
+    g = np.arange(9.0)
+    nodes = np.stack(np.meshgrid(g, g, indexing="ij"), axis=-1).reshape(-1, 2)
+    raised = 0
+    for _ in range(40):
+        pairs = rng.choice(len(nodes), size=(3, 2))
+        pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+        boundary = [((int(a), int(b)), None) for a, b in pairs]
+        want, got = _hanging_node_outcomes(nodes, boundary, max_pairs)
+        assert got == want
+        raised += want is not None
+    assert 0 < raised < 40
 
 
 def test_periodic_edge_whose_nearest_partner_is_taken_rejected():
