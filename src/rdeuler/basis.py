@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import OutOfElement, UnsupportedDegree
+from .errors import UnsupportedDegree
 from .mesh import Mesh
 
 
@@ -140,8 +140,6 @@ class Quadrature:
     interior_weights: np.ndarray
     edge_t: np.ndarray
     edge_weights: np.ndarray
-    interior_degree: int = 4
-    edge_degree: int = 5
 
 
 def default_quadrature():
@@ -239,50 +237,3 @@ def build_dofmap(mesh: Mesh, space="s2", basis="lagrange", degree=1) -> DofMap:
     dof_points = np.zeros((n_dofs, 2))
     dof_points[owned] = phys.reshape(M * nk, 2)[first]
     return DofMap(mesh, space, basis, degree, elem_dofs, dof_points, n_dofs)
-
-
-def element_jacobian(mesh: Mesh, element):
-    p = mesh.nodes[mesh.tris[element]]
-    return np.stack([p[1] - p[0], p[2] - p[0]], axis=-1)
-
-
-def eval_basis(dofmap: DofMap, element, lam, tol=1e-12):
-    """Values and physical gradients of the element basis at one point."""
-    lam = np.asarray(lam, dtype=float)
-    if lam.shape != (3,):
-        raise OutOfElement("expected a barycentric triple")
-    if abs(lam.sum() - 1.0) > 1e-10 or np.any(lam < -tol) or np.any(lam > 1 + tol):
-        raise OutOfElement(f"point {lam} outside the closed simplex")
-    vals = basis_values(dofmap.basis, dofmap.degree, lam)
-    ref = basis_ref_grads(dofmap.basis, dofmap.degree, lam)
-    J = element_jacobian(dofmap.mesh, element)
-    JinvT = np.linalg.inv(J).T
-    grads = ref @ JinvT.T
-    return {"values": vals, "gradients": grads}
-
-
-def integrate_element(mesh: Mesh, element, f, quad: Quadrature = None):
-    """Quadrature of a pointwise integrand f(x) over one element."""
-    quad = quad or default_quadrature()
-    p = mesh.nodes[mesh.tris[element]]
-    xq = quad.interior_points @ p
-    vals = np.array([f(x) for x in xq])
-    return mesh.areas[element] * np.tensordot(quad.interior_weights, vals, axes=1)
-
-
-def integrate_edge(mesh: Mesh, edge, side, f, quad: Quadrature = None):
-    """Quadrature of f(x) over an interface, traversed by the given side."""
-    quad = quad or default_quadrature()
-    if side == 0:
-        elem, loc = mesh.edge_left[edge], mesh.edge_left_loc[edge]
-    else:
-        elem, loc = mesh.edge_right[edge], mesh.edge_right_loc[edge]
-        if elem < 0:
-            raise ValueError("interface has no right side")
-    lam = edge_barycentric(int(loc), quad.edge_t)
-    p = mesh.nodes[mesh.tris[elem]]
-    xq = lam @ p
-    vals = np.array([f(x) for x in xq])
-    return mesh.elem_edge_length[elem, loc] * np.tensordot(
-        quad.edge_weights, vals, axes=1
-    )

@@ -64,8 +64,14 @@ def weak_bv_norm(disc: Discretization, gas, U, lam=1.0, zeta=2.0, grad_jump=None
     return float(np.sum(np.where(disc.if_has_right, contrib, 0.0)))
 
 
-def _phi_at(phi, t, X):
-    return np.asarray(phi(t, X[..., 0], X[..., 1]), dtype=float)
+def _test_values(fn, t, X, component, grad=False):
+    """A test function (or, with ``grad``, its gradient) at the points X
+    with a trailing component axis, (..., C) (or (..., C, 2)); a scalar
+    'rho' or 'eta' function has C = 1."""
+    out = np.asarray(fn(t, X[..., 0], X[..., 1]), dtype=float)
+    if component == "m":
+        return out
+    return out[..., None, :] if grad else out[..., None]
 
 
 def _volume_quad(disc, integrand_q):
@@ -95,28 +101,23 @@ def weak_form_defect(run: RunRecord, phi, grad_phi, component):
     disc, gas = run.disc, run.gas
     comps = _component_slice(component)
     X = disc.int_phys
+
+    def at_points(n):
+        return disc.interior_field(disc.elem_values(run.states[n]))
+
+    def pairing(Uq, ph):
+        return _volume_quad(disc, np.einsum("mqc,mqc->mq", Uq[..., comps], ph))
+
     total = 0.0
     for i, n in ((1, len(run.states) - 1), (-1, 0)):
-        Uq = disc.interior_field(disc.elem_values(run.states[n]))
-        ph = _phi_at(phi, run.times[n], X)
-        if component == "m":
-            total += i * _volume_quad(disc, np.einsum("mqc,mqc->mq", Uq[..., 1:3], ph))
-        else:
-            total += i * _volume_quad(disc, Uq[..., 0] * ph)
+        total += i * pairing(at_points(n), _test_values(phi, run.times[n], X, component))
     for n, dt in enumerate(run.dts):
-        Uq1 = disc.interior_field(disc.elem_values(run.states[n + 1]))
-        dph = _phi_at(phi, run.times[n + 1], X) - _phi_at(phi, run.times[n], X)
-        if component == "m":
-            total -= _volume_quad(disc, np.einsum("mqc,mqc->mq", Uq1[..., 1:3], dph))
-        else:
-            total -= _volume_quad(disc, Uq1[..., 0] * dph)
-        Uq = disc.interior_field(disc.elem_values(run.states[n]))
-        f = euler.flux(Uq, gas)
-        gph = np.asarray(grad_phi(run.times[n], X[..., 0], X[..., 1]), dtype=float)
-        if component == "m":
-            total -= dt * _volume_quad(disc, np.einsum("mqci,mqci->mq", f[..., 1:3, :], gph))
-        else:
-            total -= dt * _volume_quad(disc, np.einsum("mqi,mqi->mq", f[..., 0, :], gph))
+        dph = (_test_values(phi, run.times[n + 1], X, component)
+               - _test_values(phi, run.times[n], X, component))
+        total -= pairing(at_points(n + 1), dph)
+        f = euler.flux(at_points(n), gas)[..., comps, :]
+        gph = _test_values(grad_phi, run.times[n], X, component, grad=True)
+        total -= dt * _volume_quad(disc, np.einsum("mqci,mqci->mq", f, gph))
     return total
 
 
@@ -148,72 +149,42 @@ def consistency_error(run: RunRecord, phi, grad_phi, component):
         theta = res.theta
         galerkin = res if res.base.scheme == "galerkin" else state.residual(gas, Scheme())
         gal = galerkin.base.phi
-        phv = _phi_at(phi, run.times[n], dofs_x)      # (n_dofs,) or (n_dofs, 2)
-        phe = phv[disc.dofmap.elem_dofs]              # (M, N) or (M, N, 2)
+        phe = _test_values(phi, run.times[n], dofs_x, component)[disc.dofmap.elem_dofs]  # (M, N, C)
         if is_eta:
             V_elem = euler.entropy_vars(disc.elem_values(U), gas)
             xi = np.einsum("mnc,mnc->mn", V_elem, theta)
             xig = np.einsum("mnc,mnc->mn", V_elem, gal)
-            term_I -= dt * float(np.sum(phe * (xi - xig)))
+            term_I -= dt * float(np.sum(phe[..., 0] * (xi - xig)))
             term_IV += dt * float(np.sum(res.production))
         else:
             dev = theta[..., comps] - gal[..., comps]
-            if component == "m":
-                ph_shift = phe - phe.mean(axis=1, keepdims=True)
-                term_I -= dt * float(np.einsum("mnc,mnc->", ph_shift, dev))
-            else:
-                ph_shift = phe - phe.mean(axis=1, keepdims=True)
-                term_I -= dt * float(np.einsum("mn,mn->", ph_shift, dev[..., 0]))
+            ph_shift = phe - phe.mean(axis=1, keepdims=True)
+            term_I -= dt * float(np.einsum("mnc,mnc->", ph_shift, dev))
 
         # (III): interpolation defect of phi against the flux
         Uq = disc.interior_field(disc.elem_values(U))
-        gph = np.asarray(grad_phi(run.times[n], X[..., 0], X[..., 1]), dtype=float)
+        gph = _test_values(grad_phi, run.times[n], X, component, grad=True)  # (M, nq, C, 2)
+        gint = np.einsum("mqni,mnc->mqci", disc.int_grads, phe)
         if is_eta:
-            gint = np.einsum("mqni,mn->mqi", disc.int_grads, phv[disc.dofmap.elem_dofs])
-            gfield = euler.entropy_flux(Uq, gas)
-            term_III += dt * _volume_quad(
-                disc, np.einsum("mqi,mqi->mq", gint - gph, gfield)
-            )
+            f = euler.entropy_flux(Uq, gas)[..., None, :]
         else:
             f = euler.flux(Uq, gas)[..., comps, :]
-            if component == "m":
-                gint = np.einsum("mqni,mnc->mqci", disc.int_grads, phe)
-                term_III += dt * _volume_quad(
-                    disc, np.einsum("mqci,mqci->mq", gint - gph, f)
-                )
-            else:
-                gint = np.einsum("mqni,mn->mqi", disc.int_grads, phe)
-                term_III += dt * _volume_quad(
-                    disc, np.einsum("mqi,mqi->mq", gint - gph, f[..., 0, :])
-                )
+        term_III += dt * _volume_quad(disc, np.einsum("mqci,mqci->mq", gint - gph, f))
 
     term_II = 0.0
     for n in range(len(run.dts)):
         U0, U1 = run.states[n], run.states[n + 1]
-        phv = _phi_at(phi, run.times[n], dofs_x)
+        phv = _test_values(phi, run.times[n], dofs_x, component)         # (n_dofs, C)
+        ph_q = _test_values(phi, run.times[n], X, component)             # (M, nq, C)
         if is_eta:
-            d_q = euler.entropy_eta(
-                disc.interior_field(disc.elem_values(U1)), gas
-            ) - euler.entropy_eta(disc.interior_field(disc.elem_values(U0)), gas)
-            ph_q = _phi_at(phi, run.times[n], X)
-            quad = _volume_quad(disc, d_q * ph_q)
-            lump = float(
-                np.sum(
-                    disc.dual.c_sigma
-                    * phv
-                    * (euler.entropy_eta(U1, gas) - euler.entropy_eta(U0, gas))
-                )
-            )
+            d_q = (euler.entropy_eta(disc.interior_field(disc.elem_values(U1)), gas)
+                   - euler.entropy_eta(disc.interior_field(disc.elem_values(U0)), gas))[..., None]
+            dU = (euler.entropy_eta(U1, gas) - euler.entropy_eta(U0, gas))[:, None]
         else:
-            dU = (U1 - U0)[:, comps]
             d_q = disc.interior_field(disc.elem_values(U1 - U0))[..., comps]
-            ph_q = _phi_at(phi, run.times[n], X)
-            if component == "m":
-                quad = _volume_quad(disc, np.einsum("mqc,mqc->mq", d_q, ph_q))
-                lump = float(np.einsum("s,sc,sc->", disc.dual.c_sigma, phv, dU))
-            else:
-                quad = _volume_quad(disc, d_q[..., 0] * ph_q)
-                lump = float(np.sum(disc.dual.c_sigma * phv * dU[:, 0]))
+            dU = (U1 - U0)[:, comps]
+        quad = _volume_quad(disc, np.einsum("mqc,mqc->mq", d_q, ph_q))
+        lump = float(np.sum(disc.dual.c_sigma[:, None] * phv * dU))
         term_II += quad - lump
 
     out = {"I": term_I, "II": term_II, "III": term_III}

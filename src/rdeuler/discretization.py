@@ -223,18 +223,16 @@ class Discretization:
         return (pts[self.if_left, self.mesh.edge_left_loc],
                 pts[rs, self.mesh.edge_right_loc][:, ::-1])
 
-    def trace_grad_L(self, U_elem):
-        return self._trace_grad(self.if_grads_L_T, U_elem[self.if_left])
-
-    def trace_grad_R(self, U_elem):
-        return self._trace_grad(self.if_grads_R_T, U_elem[np.maximum(self.if_right, 0)])
-
     def trace_grad_jump(self, X_elem, keep=True):
         """[grad X], the right minus the left trace gradient, (E, nq, C, 2).
 
         With ``keep=False`` (a one-off reader, such as the weak-BV norm of
         a diagnostics row) gradient tables not built yet are built for
-        this call only.
+        this call only.  Keeping them instead would hold them for the
+        whole run: on the ``implicit_lxf`` benchmark (n = 64, P1, about
+        3.5 MB of tables) that raised ``peak_rss_mb`` from 92.45 to
+        95.73 MB in 5 of 5 A/B pairs (2-core x86 box, Python 3.11,
+        numpy 2.4), while ``run_s`` went from 0.728 to 0.697 s.
         """
         if keep or {"if_grads_L_T", "if_grads_R_T"} <= self.__dict__.keys():
             gL, gR = self.if_grads_L_T, self.if_grads_R_T

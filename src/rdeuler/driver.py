@@ -136,7 +136,7 @@ def initial_state(cfg: RunConfig, disc: Discretization, gas):
             raise MeshMismatch(
                 f"snapshot was written on mesh {meta['mesh_hash']}, not on {mesh_hash}"
             )
-        return stepping.FieldState(t=t, U=U, disc=disc, provenance="from_file"), None
+        return stepping.FieldState(t=t, U=U, disc=disc), None
     kwargs = {"beta": cfg.beta} if cfg.problem == "vortex" else {}
     prob = problems.make_problem(cfg.problem, disc.mesh.bbox, gas, **kwargs)
     U = disc.interpolate(prob.initial)
@@ -203,7 +203,7 @@ def run(cfg: RunConfig, record=False) -> RunResult:
             rec.states.append(state.U.copy())
             rec.dts.append(dt)
     write_snapshot(os.path.join(cfg.output_dir, "snap_final.csv"), state, chash)
-    _write_diag_csv(os.path.join(cfg.output_dir, "diagnostics.csv"), rows)
+    _write_csv(os.path.join(cfg.output_dir, "diagnostics.csv"), DIAG_HEADER.split(","), rows)
     return RunResult(
         cfg=cfg,
         disc=disc,
@@ -216,10 +216,10 @@ def run(cfg: RunConfig, record=False) -> RunResult:
     )
 
 
-def _write_diag_csv(path, rows):
-    keys = DIAG_HEADER.split(",")
+def _write_csv(path, keys, rows):
+    """A header of ``keys``, then one line of ``_csv_cell``s per row."""
     with open(path, "w") as fh:
-        fh.write(DIAG_HEADER + "\n")
+        fh.write(",".join(keys) + "\n")
         for r in rows:
             fh.write(",".join(_csv_cell(r[k]) for k in keys) + "\n")
 
@@ -275,15 +275,11 @@ def convergence(cfg: RunConfig, mesh_specs, norm="L1"):
             r[f"order_{key}"] = o
 
     os.makedirs(cfg.output_dir, exist_ok=True)
-    path = os.path.join(cfg.output_dir, "errors.csv")
     keys = [
         "mesh_h", "n_elems", "err_rho_L1", "err_u_L1", "err_p_L1",
         "order_rho", "order_u", "order_p",
     ]
-    with open(path, "w") as fh:
-        fh.write(",".join(keys) + "\n")
-        for r in rows:
-            fh.write(",".join(repr(float(r[k])) if k != "n_elems" else str(r[k]) for k in keys) + "\n")
+    _write_csv(os.path.join(cfg.output_dir, "errors.csv"), keys, rows)
     return rows
 
 

@@ -21,10 +21,6 @@ class UnmatchedPeriodicEdge(RDError):
     """Boundary edge without a periodic partner."""
 
 
-class OutOfElement(RDError):
-    """Barycentric coordinates outside the closed reference simplex."""
-
-
 class UnsupportedDegree(RDError):
     """Polynomial degree outside the supported range {1, 2}."""
 
@@ -35,10 +31,6 @@ class VacuumState(RDError):
 
 class NonPositivePressure(RDError):
     """Pressure at or below the admissibility floor."""
-
-
-class CFLViolation(RDError):
-    """Time-step ratio too large for the stability bound."""
 
 
 class AlphaTooSmall(RDError):

@@ -110,11 +110,6 @@ def entropy_flux(U, gas: GasModel, check=True, p=None):
     return eta[..., None] * velocity(U)
 
 
-def entropy_potential(U):
-    """Entropy potential rho*u, i.e. the momentum components."""
-    return np.asarray(U, dtype=float)[..., 1:3].copy()
-
-
 def entropy_vars(U, gas: GasModel, check=True, p=None):
     """Entropy variables V = d eta / d U, shape (..., 4)."""
     U = np.asarray(U, dtype=float)
@@ -130,36 +125,6 @@ def entropy_vars(U, gas: GasModel, check=True, p=None):
     V[..., 2] = rho * u[..., 1] / p
     V[..., 3] = -rho / p
     return V
-
-
-def state_from_entropy_vars(V, gas: GasModel):
-    """Invert the entropy-variable map (useful to manufacture fields)."""
-    V = np.asarray(V, dtype=float)
-    g = gas.gamma
-    rho_over_p = -V[..., 3]
-    if np.any(~(rho_over_p > 0.0)):
-        raise NonPositivePressure("V[3] must be negative")
-    u = V[..., 1:3] / rho_over_p[..., None]
-    u2 = u[..., 0] ** 2 + u[..., 1] ** 2
-    s = g - (g - 1.0) * (V[..., 0] + 0.5 * rho_over_p * u2)
-    # p / rho^gamma = exp(s) combined with rho/p known gives rho.
-    rho = (rho_over_p * np.exp(s)) ** (-1.0 / (g - 1.0))
-    p = rho / rho_over_p
-    return conserved(rho, u[..., 0], u[..., 1], p, gas)
-
-
-def entropy_hessian(U, gas: GasModel, step=1e-6):
-    """Hessian of eta at a single state, by central differences of V."""
-    U = np.asarray(U, dtype=float)
-    A = np.empty((4, 4))
-    for j in range(4):
-        h = step * max(1.0, abs(U[j]))
-        Up = U.copy()
-        Um = U.copy()
-        Up[j] += h
-        Um[j] -= h
-        A[:, j] = (entropy_vars(Up, gas) - entropy_vars(Um, gas)) / (2.0 * h)
-    return A
 
 
 def max_wavespeed(U, gas: GasModel, check=True, p=None):
@@ -182,31 +147,3 @@ def admissible(U, gas: GasModel):
         e = U[..., 3] - 0.5 * (U[..., 1] ** 2 + U[..., 2] ** 2) / U[..., 0]
         e_ok = e >= gas.e_floor
     return ok & rho_ok & np.where(np.isfinite(e), e_ok, False)
-
-
-def wu_shu_functional(U, v_star):
-    """Linear functional (|v*|^2/2, -v*, 1) . U.
-
-    Nonnegative for every velocity vector v* exactly when the internal
-    energy of U is nonnegative; used as a half-space test for
-    admissibility.
-    """
-    U = np.asarray(U, dtype=float)
-    v = np.asarray(v_star, dtype=float)
-    v2 = 0.5 * (v[..., 0] ** 2 + v[..., 1] ** 2)
-    return (
-        v2 * U[..., 0]
-        - v[..., 0] * U[..., 1]
-        - v[..., 1] * U[..., 2]
-        + U[..., 3]
-    )
-
-
-def bernstein_admissible(dof_states, gas: GasModel):
-    """True when every DOF state of an element is admissible.
-
-    For Bernstein coefficients this is the convex sufficient condition:
-    coefficientwise admissibility implies nonnegative density and
-    internal energy of the reconstruction everywhere on the element.
-    """
-    return bool(np.all(admissible(np.asarray(dof_states, dtype=float), gas)))

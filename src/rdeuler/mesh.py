@@ -57,18 +57,6 @@ class Mesh:
     def n_edges(self):
         return self.edge_left.shape[0]
 
-    @property
-    def num_internal_edges(self):
-        return int(np.sum((self.edge_right >= 0) & ~self.edge_periodic))
-
-    @property
-    def num_periodic_pairs(self):
-        return int(np.sum(self.edge_periodic))
-
-    @property
-    def num_unpaired_boundary_edges(self):
-        return int(np.sum(self.edge_right < 0))
-
     def content_hash(self):
         h = hashlib.sha256()
         h.update(np.ascontiguousarray(self.nodes).tobytes())

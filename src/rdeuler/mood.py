@@ -246,5 +246,4 @@ def mood_step(state, dt, cfg: CascadeConfig, integrator, gas):
         plateau_skips=skips_total,
         counts=counts,
     )
-    next_state = candidate.copy_with(provenance="mood")
-    return next_state, report
+    return candidate, report

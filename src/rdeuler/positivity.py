@@ -9,21 +9,11 @@ The admissible time step turns alpha into a CFL bound under which the
 forward-Euler LxF update is a convex combination of admissible states.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import euler
 from .discretization import Discretization, StageFields, last_axis_max
-from .errors import CFLViolation, VacuumState
-
-
-@dataclass
-class AlphaBound:
-    value: np.ndarray        # (M,)
-    case: str                # Interpolated | NonInterpolated | Implicit
-    geometry: np.ndarray     # (M,) max geometric factor norm used
-    wavespeed: np.ndarray = None  # (M,) wavespeed sweep used (NonInterpolated, Implicit)
+from .errors import VacuumState
 
 
 def scaled_normals(disc: Discretization):
@@ -48,8 +38,8 @@ def _check_admissible(U, gas):
         raise VacuumState("inadmissible state in alpha bound")
 
 
-def alpha_interpolated(disc: Discretization, gas, U) -> AlphaBound:
-    """Upper bound on the spectral radius of A(U).omega over DOFs and pairs.
+def alpha_interpolated(disc: Discretization, gas, U):
+    """Upper bound on the spectral radius of A(U).omega over DOFs and pairs, (M,).
 
     The Euler eigenvalues along a direction n are u.n and u.n +- a|n|,
     so (|u.unit(omega)| + a) * |omega| dominates them; the maximum runs
@@ -75,8 +65,7 @@ def alpha_interpolated(disc: Discretization, gas, U) -> AlphaBound:
         proj += a[:, d, None, None]
         best = proj if best is None else np.maximum(best, proj, out=best)
     best *= norms
-    alpha = best.reshape(len(best), -1).max(axis=1)
-    return AlphaBound(value=alpha, case="Interpolated", geometry=norms.max(axis=(1, 2)))
+    return best.reshape(len(best), -1).max(axis=1)
 
 
 def geometry_vectors(disc: Discretization):
@@ -106,8 +95,8 @@ def _wavespeed_sweep(fields: StageFields):
     return fields.cached("wavespeed", lambda: _element_max_wavespeed(fields))
 
 
-def alpha_noninterpolated(disc: Discretization, gas, U, safety=1.0) -> AlphaBound:
-    """Wavespeed maximum times the largest ||N_{sigma sigma'}||.
+def alpha_noninterpolated(disc: Discretization, gas, U):
+    """Wavespeed maximum times the largest ||N_{sigma sigma'}||, (M,).
 
     U is a DOF vector or its StageFields; the pointwise and implicit
     bounds of one StageFields share its wavespeed sweep.
@@ -115,14 +104,11 @@ def alpha_noninterpolated(disc: Discretization, gas, U, safety=1.0) -> AlphaBoun
     fields = StageFields.of(disc, gas, U)
     _check_admissible(fields.U_elem, gas)
     norms = disc.cached("geometry_vector_norms", lambda: _max_norms(geometry_vectors(disc)))
-    s = _wavespeed_sweep(fields)
-    return AlphaBound(
-        value=safety * s * norms, case="NonInterpolated", geometry=norms, wavespeed=s
-    )
+    return _wavespeed_sweep(fields) * norms
 
 
-def alpha_implicit(disc: Discretization, gas, U) -> AlphaBound:
-    """Sign-condition bound for the implicit density system.
+def alpha_implicit(disc: Discretization, gas, U):
+    """Sign-condition bound for the implicit density system, (M,).
 
     The mean-value correction splits as alpha/N_K per off-diagonal
     entry, so alpha must dominate N_K times the advective coefficient
@@ -131,10 +117,7 @@ def alpha_implicit(disc: Discretization, gas, U) -> AlphaBound:
     """
     norms = disc.cached("phi_grad_norms", lambda: _max_norms(disc.phi_grad_integrals))
     wavespeed = _wavespeed_sweep(StageFields.of(disc, gas, U))
-    nk = disc.dofmap.n_local
-    return AlphaBound(
-        value=nk * wavespeed * norms, case="Implicit", geometry=norms, wavespeed=wavespeed
-    )
+    return disc.dofmap.n_local * wavespeed * norms
 
 
 def admissible_timestep(disc: Discretization, alpha, cfl, dt_max=None):
@@ -145,7 +128,7 @@ def admissible_timestep(disc: Discretization, alpha, cfl, dt_max=None):
     """
     if not 0.0 < cfl <= 1.0:
         raise ValueError("cfl must lie in (0, 1]")
-    alpha = np.asarray(getattr(alpha, "value", alpha), dtype=float)
+    alpha = np.asarray(alpha, dtype=float)
     nk = disc.dofmap.n_local
     k_sigma = disc.dual.k_sigma
     if dt_max is None:
@@ -155,25 +138,3 @@ def admissible_timestep(disc: Discretization, alpha, cfl, dt_max=None):
     if not np.any(active):
         return cfl * dt_max
     return cfl * float(np.min(k_sigma[active] / (nk * alpha[active])))
-
-
-def split_1d_oracle(U_left, U_mid, U_right, nu, ratio, gas):
-    """One LLF update of the middle state, as the mean of two split steps.
-
-    The flux splitting f +- nu U is admissibility preserving when nu
-    dominates the local wavespeeds and 2 nu ratio <= 1; their average is
-    the classical three-point LLF update.
-    """
-    states = np.array([U_left, U_mid, U_right], dtype=float)
-    if not np.all(euler.admissible(states, gas)):
-        raise VacuumState("oracle needs admissible input states")
-    if nu < euler.max_wavespeed(states, gas).max() - 1e-13:
-        raise CFLViolation("nu below the local wavespeed maximum")
-    if 2.0 * nu * ratio > 1.0 + 1e-13:
-        raise CFLViolation("2 nu dt/dx exceeds one")
-    f = euler.flux(states, gas)[..., 0]          # x-direction columns
-    fl, fm, fr = f
-    Ul, Um, Ur = states
-    up = Um - ratio * ((fm + nu * Um) - (fl + nu * Ul))
-    down = Um - ratio * ((fr - nu * Ur) - (fm - nu * Um))
-    return 0.5 * (up + down)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import euler
-from .discretization import Discretization, PointValues, StageFields, elem_mean, last_axis_max
+from .discretization import Discretization, StageFields, elem_mean, last_axis_max
 from .residuals import ElementResidual, Scheme, base_residual
 
 DENOM_GUARD = 1e-14
@@ -32,7 +32,8 @@ JUMP_COEFF = 0.005
 
 
 def _entropy_rusanov(L, R, n):
-    """Rusanov-form entropy flux of the PointValues L and R through normal n."""
+    """Rusanov-form entropy flux of the PointValues L and R through normal n,
+    consistent with g = eta u."""
     gas = L.gas
     gL = euler.entropy_flux(L.U, gas, p=L.p)
     gR = euler.entropy_flux(R.U, gas, p=R.p)
@@ -41,13 +42,6 @@ def _entropy_rusanov(L, R, n):
     return central - 0.5 * s * (
         euler.entropy_eta(R.U, gas, p=R.p) - euler.entropy_eta(L.U, gas, p=L.p)
     )
-
-
-def entropy_numerical_flux(U_L, U_R, n, gas):
-    """Rusanov-form numerical entropy flux, consistent with g = eta u."""
-    L = PointValues(np.asarray(U_L, dtype=float), gas)
-    R = PointValues(np.asarray(U_R, dtype=float), gas)
-    return _entropy_rusanov(L, R, np.asarray(n, dtype=float))
 
 
 def interface_entropy_flux(disc: Discretization, gas, U):
@@ -78,20 +72,15 @@ def _deviations(V_elem):
     return dev, denom, ok
 
 
-def correction_term(V_elem, phi, g_boundary):
+def _correction(V_elem, deviations, phi, g_boundary):
     """Entropy correction r_sigma = alpha (V_sigma - mean V).
 
     alpha matches the mismatch E = g_boundary - sum<V, phi>; the guard
     zeroes the correction on (numerically) constant elements, where E
-    vanishes as well.  Returns (r, alpha, E).
+    vanishes as well.  ``deviations`` is ``_deviations(V_elem)``.
+    Returns (r, alpha, E).
     """
-    V_elem = np.asarray(V_elem, dtype=float)
-    return _correction(V_elem, _deviations(V_elem), phi, g_boundary)
-
-
-def _correction(V_elem, deviations, phi, g_boundary):
-    phi = np.asarray(phi, dtype=float)
-    E = np.asarray(g_boundary, dtype=float) - np.einsum("mnc,mnc->m", V_elem, phi)
+    E = g_boundary - np.einsum("mnc,mnc->m", V_elem, phi)
     dev, denom, ok = deviations
     alpha = np.where(ok, E / np.where(ok, denom, 1.0), 0.0)
     return alpha[:, None, None] * dev, alpha, E
@@ -143,23 +132,18 @@ def edge_jump_production(disc: Discretization, gas, U, lam=None, zeta=2.0):
     return D, lam_e
 
 
-def distribute_production(V_elem, target, a_max=None):
+def _distribute(deviations, target, a_max):
     """Per-DOF signals a(V - mean V) carrying a prescribed entropy production.
 
-    Conservative per element by construction.  The coefficient is capped
-    at ``a_max`` (the magnitude scale of a gradient-jump penalty), which
-    keeps the term bounded on elements whose internal variation is small
-    compared to the neighboring jumps; the achieved production
+    ``deviations`` is ``_deviations(V_elem)``.  Conservative per element
+    by construction.  The coefficient is capped at ``a_max`` (the
+    magnitude scale of a gradient-jump penalty), which keeps the term
+    bounded on elements whose internal variation is small compared to
+    the neighboring jumps; the achieved production
     a * sum||V - mean V||^2 <= target is reported alongside.
     """
-    return _distribute(_deviations(V_elem), target, a_max)
-
-
-def _distribute(deviations, target, a_max):
     dev, denom, ok = deviations
-    a = np.where(ok, np.asarray(target) / np.where(ok, denom, 1.0), 0.0)
-    if a_max is not None:
-        a = np.minimum(a, a_max)
+    a = np.minimum(np.where(ok, target / np.where(ok, denom, 1.0), 0.0), a_max)
     psi = a[:, None, None] * dev
     achieved = a * denom
     return psi, achieved

@@ -9,7 +9,7 @@ preconditioned by a frozen-velocity M-matrix.  ``advance`` is the one
 time loop: it picks dt, dispatches the integrator and runs the cascade.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -29,15 +29,11 @@ class FieldState:
     t: float
     U: np.ndarray            # (n_dofs, 4)
     disc: Discretization
-    provenance: str = "init"
     # Point values, alpha bounds and residuals of U, each computed on
-    # first use.  The field is never copied (copy_with starts empty), so
-    # nothing cached outlives the state it was computed from; U must not
-    # be edited in place once a cached value has been read.
+    # first use.  The field is never copied (dataclasses.replace starts
+    # it empty), so nothing cached outlives the state it was computed
+    # from; U must not be edited in place once a cached value has been read.
     _memo: dict = field(init=False, repr=False, compare=False, default_factory=dict)
-
-    def copy_with(self, **kw):
-        return replace(self, **kw)
 
     def fields(self, gas):
         """Point values of U for ``gas`` (StageFields), filled on first use."""
@@ -74,8 +70,7 @@ class FieldState:
             }
             if mode not in bounds:
                 raise ConfigError(f"unknown flux mode {mode!r}")
-            bound = bounds[mode](self.disc, gas, self.fields(gas))
-            self._memo[key] = bound.value
+            self._memo[key] = bounds[mode](self.disc, gas, self.fields(gas))
         return self._memo[key]
 
     def residual(self, gas, scheme: Scheme):
@@ -99,7 +94,8 @@ def element_theta(disc: Discretization, gas, U, scheme: Scheme, alpha):
     the state's).  ``alpha`` is the LxF dissipation bound (None outside
     the LxF family): the state's bound of the scheme's flux mode from
     ``FieldState.residual``, or the implicit step's bound in its Picard
-    sweeps.
+    sweeps.  It stays a function of its own so that each right-hand
+    side is one call to count (per step, and per Picard sweep).
     """
     return corrected_residual(disc, gas, U, scheme, alpha=alpha)
 
@@ -131,7 +127,7 @@ def forward_euler_step(state: FieldState, scheme, dt, gas, levels=None) -> Field
         R = scatter_residuals(disc, mixed_theta(state, gas, scheme, levels))
     state.release_fields()
     U = state.U - (dt / disc.dual.c_sigma)[:, None] * R
-    return FieldState(t=state.t + dt, U=U, disc=disc, provenance="fe")
+    return FieldState(t=state.t + dt, U=U, disc=disc)
 
 
 def ssp_rk2_step(state: FieldState, scheme, dt, gas, levels=None) -> FieldState:
@@ -139,22 +135,13 @@ def ssp_rk2_step(state: FieldState, scheme, dt, gas, levels=None) -> FieldState:
     s1 = forward_euler_step(state, scheme, dt, gas, levels=levels)
     s2 = forward_euler_step(s1, scheme, dt, gas, levels=levels)
     U = 0.5 * (state.U + s2.U)
-    return FieldState(t=state.t + dt, U=U, disc=state.disc, provenance="ssprk2")
+    return FieldState(t=state.t + dt, U=U, disc=state.disc)
 
 
 @dataclass
 class DensitySystem:
     matrix: sp.csr_matrix     # (n_dofs, n_dofs)
-    rhs: np.ndarray           # |C_sigma| rho^n
-    dt: float
-    alpha: np.ndarray
     operator: sp.csr_matrix   # A, the unscaled frozen-velocity LxF operator
-
-    def solve(self):
-        return spla.spsolve(self.matrix, self.rhs)
-
-    def row_sums(self):
-        return np.asarray(self.matrix.sum(axis=1)).ravel()
 
 
 def _lxf_operator(disc: Discretization, alpha, u_frozen):
@@ -185,16 +172,12 @@ def assemble_density_system(disc: Discretization, gas, U, dt, alpha):
     and every row sums to |C_sigma| exactly.
     """
     U = np.asarray(U, dtype=float)
-    alpha = np.asarray(getattr(alpha, "value", alpha), dtype=float)
-    alpha = np.broadcast_to(alpha, (disc.mesh.n_tris,))
+    alpha = np.broadcast_to(np.asarray(alpha, dtype=float), (disc.mesh.n_tris,))
     A, c = _lxf_operator(disc, alpha, euler.velocity(U))
     mask_off = ~np.eye(disc.dofmap.n_local, dtype=bool)
     if np.any(c[:, mask_off] > 1e-13 * np.maximum(alpha, 1.0)[:, None]):
         raise AlphaTooSmall("off-diagonal sign condition violated")
-    mat = sp.diags(disc.dual.c_sigma) + dt * A
-    return DensitySystem(
-        matrix=mat, rhs=disc.dual.c_sigma * U[:, 0], dt=dt, alpha=alpha, operator=A
-    )
+    return DensitySystem(matrix=sp.diags(disc.dual.c_sigma) + dt * A, operator=A)
 
 
 def implicit_euler_step(state: FieldState, dt, gas, tol=1e-10, max_iter=50) -> FieldState:
@@ -244,7 +227,7 @@ def implicit_euler_step(state: FieldState, dt, gas, tol=1e-10, max_iter=50) -> F
             float(np.max(np.abs(csig * Un))), 1e-300
         )
         if change <= tol or nonlinear <= tol:
-            return FieldState(t=state.t + dt, U=Uk, disc=disc, provenance="implicit")
+            return FieldState(t=state.t + dt, U=Uk, disc=disc)
     raise PicardDivergence(f"no contraction after {max_iter} sweeps")
 
 

@@ -1,0 +1,138 @@
+"""Independent re-derivations that the tests check the library against.
+
+They live beside the tests, not in the library, so that an oracle and
+the code it checks stay apart: a change to the library cannot change
+the reference it is measured by.
+"""
+
+import numpy as np
+
+from rdeuler import euler
+from rdeuler.basis import basis_ref_grads, basis_values, default_quadrature, edge_barycentric
+from rdeuler.errors import NonPositivePressure, VacuumState
+
+
+def wu_shu_functional(U, v_star):
+    """Linear functional (|v*|^2/2, -v*, 1) . U.
+
+    Nonnegative for every velocity vector v* exactly when the internal
+    energy of U is nonnegative; used as a half-space test for
+    admissibility.
+    """
+    U = np.asarray(U, dtype=float)
+    v = np.asarray(v_star, dtype=float)
+    v2 = 0.5 * (v[..., 0] ** 2 + v[..., 1] ** 2)
+    return (
+        v2 * U[..., 0]
+        - v[..., 0] * U[..., 1]
+        - v[..., 1] * U[..., 2]
+        + U[..., 3]
+    )
+
+
+def state_from_entropy_vars(V, gas):
+    """Invert the entropy-variable map (useful to manufacture fields)."""
+    V = np.asarray(V, dtype=float)
+    g = gas.gamma
+    rho_over_p = -V[..., 3]
+    if np.any(~(rho_over_p > 0.0)):
+        raise NonPositivePressure("V[3] must be negative")
+    u = V[..., 1:3] / rho_over_p[..., None]
+    u2 = u[..., 0] ** 2 + u[..., 1] ** 2
+    s = g - (g - 1.0) * (V[..., 0] + 0.5 * rho_over_p * u2)
+    # p / rho^gamma = exp(s) combined with rho/p known gives rho.
+    rho = (rho_over_p * np.exp(s)) ** (-1.0 / (g - 1.0))
+    p = rho / rho_over_p
+    return euler.conserved(rho, u[..., 0], u[..., 1], p, gas)
+
+
+def entropy_hessian(U, gas, step=1e-6):
+    """Hessian of eta at a single state, by central differences of V."""
+    U = np.asarray(U, dtype=float)
+    A = np.empty((4, 4))
+    for j in range(4):
+        h = step * max(1.0, abs(U[j]))
+        Up = U.copy()
+        Um = U.copy()
+        Up[j] += h
+        Um[j] -= h
+        A[:, j] = (euler.entropy_vars(Up, gas) - euler.entropy_vars(Um, gas)) / (2.0 * h)
+    return A
+
+
+def element_jacobian(mesh, element):
+    p = mesh.nodes[mesh.tris[element]]
+    return np.stack([p[1] - p[0], p[2] - p[0]], axis=-1)
+
+
+def eval_basis(dofmap, element, lam, tol=1e-12):
+    """Values and physical gradients of the element basis at one point."""
+    lam = np.asarray(lam, dtype=float)
+    if lam.shape != (3,):
+        raise ValueError("expected a barycentric triple")
+    if abs(lam.sum() - 1.0) > 1e-10 or np.any(lam < -tol) or np.any(lam > 1 + tol):
+        raise ValueError(f"point {lam} outside the closed simplex")
+    vals = basis_values(dofmap.basis, dofmap.degree, lam)
+    ref = basis_ref_grads(dofmap.basis, dofmap.degree, lam)
+    J = element_jacobian(dofmap.mesh, element)
+    JinvT = np.linalg.inv(J).T
+    grads = ref @ JinvT.T
+    return {"values": vals, "gradients": grads}
+
+
+def integrate_element(mesh, element, f, quad=None):
+    """Quadrature of a pointwise integrand f(x) over one element."""
+    quad = quad or default_quadrature()
+    p = mesh.nodes[mesh.tris[element]]
+    xq = quad.interior_points @ p
+    vals = np.array([f(x) for x in xq])
+    return mesh.areas[element] * np.tensordot(quad.interior_weights, vals, axes=1)
+
+
+def integrate_edge(mesh, edge, side, f, quad=None):
+    """Quadrature of f(x) over an interface, traversed by the given side."""
+    quad = quad or default_quadrature()
+    if side == 0:
+        elem, loc = mesh.edge_left[edge], mesh.edge_left_loc[edge]
+    else:
+        elem, loc = mesh.edge_right[edge], mesh.edge_right_loc[edge]
+        if elem < 0:
+            raise ValueError("interface has no right side")
+    lam = edge_barycentric(int(loc), quad.edge_t)
+    p = mesh.nodes[mesh.tris[elem]]
+    xq = lam @ p
+    vals = np.array([f(x) for x in xq])
+    return mesh.elem_edge_length[elem, loc] * np.tensordot(
+        quad.edge_weights, vals, axes=1
+    )
+
+
+def trace_grads(disc, X_elem):
+    """Left- and right-owner gradients of X at the interface points, each
+    (E, nq, C, 2): the einsum of the owner's gradient table with its
+    DOF values (the right owner's points reversed, as in the tables)."""
+    right = np.maximum(disc.if_right, 0)
+    return (np.einsum("eqin,enc->eqci", disc.if_grads_L_T, X_elem[disc.if_left]),
+            np.einsum("eqin,enc->eqci", disc.if_grads_R_T, X_elem[right]))
+
+
+def split_1d_oracle(U_left, U_mid, U_right, nu, ratio, gas):
+    """One LLF update of the middle state, as the mean of two split steps.
+
+    The flux splitting f +- nu U is admissibility preserving when nu
+    dominates the local wavespeeds and 2 nu ratio <= 1; their average is
+    the classical three-point LLF update.
+    """
+    states = np.array([U_left, U_mid, U_right], dtype=float)
+    if not np.all(euler.admissible(states, gas)):
+        raise VacuumState("oracle needs admissible input states")
+    if nu < euler.max_wavespeed(states, gas).max() - 1e-13:
+        raise ValueError("nu below the local wavespeed maximum")
+    if 2.0 * nu * ratio > 1.0 + 1e-13:
+        raise ValueError("2 nu dt/dx exceeds one")
+    f = euler.flux(states, gas)[..., 0]          # x-direction columns
+    fl, fm, fr = f
+    Ul, Um, Ur = states
+    up = Um - ratio * ((fm + nu * Um) - (fl + nu * Ul))
+    down = Um - ratio * ((fr - nu * Ur) - (fm - nu * Um))
+    return 0.5 * (up + down)

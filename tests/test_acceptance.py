@@ -2,8 +2,10 @@
 line with the measured quantities at its stated tolerance."""
 
 import numpy as np
+import scipy.sparse.linalg as spla
 
 from conftest import make_disc, random_states
+from oracles import trace_grads
 from rdeuler import euler
 from rdeuler.basis import basis_values, build_dofmap
 from rdeuler.diagnostics import (
@@ -27,10 +29,10 @@ from rdeuler.stepping import (
     FieldState,
     advance,
     assemble_density_system,
-    conserved_totals,
     forward_euler_step,
 )
 from rdeuler.verification import (
+    _drift,
     check_entropy_balance,
     positivity_stress,
     run_mood_sod,
@@ -65,10 +67,7 @@ def test_criterion_1_conservation():
     disc = make_discretization(structured_square(32), "s2", "lagrange", 1)
     U0, _ = init_vortex(disc, GAS)
     st, _ = _advance(disc, U0, Scheme.parse("galerkin+ec+jump"), 1.0, 0.2)
-    t0 = conserved_totals(disc, U0)
-    t1 = conserved_totals(disc, st.U)
-    scale = np.einsum("s,sc->c", disc.dual.c_sigma, np.abs(U0)).max()
-    drift = np.abs(t1 - t0) / scale
+    drift = _drift(disc, U0, st.U)
     _report(
         "criterion-1 conservation",
         bool(np.all(drift <= 1e-11)),
@@ -144,16 +143,17 @@ def test_criterion_5_implicit_m_matrix():
         disc = make_disc(n, side=2.0)
         U = random_states(rng, disc.dofmap.n_dofs)
         a_imp = alpha_implicit(disc, GAS, U)
-        a_exp = alpha_interpolated(disc, GAS, U).value
+        a_exp = alpha_interpolated(disc, GAS, U)
         dt_exp = admissible_timestep(disc, a_exp, cfl=1.0)
         sys = assemble_density_system(disc, GAS, U, 10.0 * dt_exp, a_imp)
         A = sys.matrix.toarray()
         diag = np.diag(A)
         off = A - np.diag(diag)
-        row_defect = np.abs(sys.row_sums() - disc.dual.c_sigma).max() / max(
+        row_sums = np.asarray(sys.matrix.sum(axis=1)).ravel()
+        row_defect = np.abs(row_sums - disc.dual.c_sigma).max() / max(
             disc.dual.c_sigma.max(), 1e-300
         )
-        rho = sys.solve()
+        rho = spla.spsolve(sys.matrix, disc.dual.c_sigma * U[:, 0])
         good = (
             np.all(diag > 0)
             and off.max() <= 1e-13 * max(1.0, np.abs(A).max())
@@ -269,7 +269,7 @@ def test_criterion_9_entropy_production_monitor():
                 # DOFs against h^2 times the boundary gradient integral
                 dofs = disc.dofmap.elem_dofs
                 delem = np.abs(d[dofs]).max(axis=1)
-                gradU = disc.trace_grad_L(disc.elem_values(st.U))
+                gradU, _ = trace_grads(disc, disc.elem_values(st.U))
                 g2 = (gradU**2).sum(axis=(2, 3)) @ disc.edge_weights
                 edge_int = disc.if_length * g2
                 G = np.zeros(disc.mesh.n_tris)

@@ -3,6 +3,8 @@
 import importlib.util
 import json
 import os
+import re
+import shutil
 
 import pytest
 
@@ -28,7 +30,8 @@ def test_every_trajectory_entry_names_its_script_environment_and_parent():
         assert isinstance(entry["script"], str) and entry["script"]
         assert isinstance(entry["environment"], dict) and entry["environment"].get("python")
         parent = entry["parent_commit"]
-        assert len(parent) >= 7 and all(c in "0123456789abcdef" for c in parent)
+        assert (re.fullmatch(r"[0-9a-f]{7,}", parent)
+                or re.fullmatch(r"src-sha256:[0-9a-f]{16}", parent))
         assert entry["workload"] in WORKLOADS
         assert set(entry["metrics"]) == END_TO_END
         for metric in entry["metrics"].values():
@@ -154,3 +157,24 @@ def test_ab_reads_each_final_u_before_the_other_side_runs(tmp_path, monkeypatch,
     assert tool.main(["--base", tree, "--change", tree, "--workload", "sod_mood",
                       "--pairs", "1", "--seconds", "1"]) == 0
     assert "# pair 1 seed 1: final U max relative change per component 1e-09 0 0 0" in capsys.readouterr().out
+
+
+def test_a_tree_without_git_is_named_by_a_hash_of_its_src(tmp_path, monkeypatch):
+    tool = _load_tool()
+    tree = tmp_path / "tree"
+    shutil.copytree(os.path.join(ROOT, "src", "rdeuler"), tree / "src" / "rdeuler",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    commit, uncommitted = tool.git_commit(str(tree))
+    assert re.fullmatch(r"src-sha256:[0-9a-f]{16}", commit) and not uncommitted
+    # the hash bench/run.py records for the same tree
+    spec = importlib.util.spec_from_file_location("bench_run", os.path.join(ROOT, "bench", "run.py"))
+    bench_run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_run)
+    monkeypatch.chdir(tree)
+    assert commit == "src-sha256:" + bench_run.environment(1)["src_sha256"]
+    # one changed byte of the library changes the name
+    path = tree / "src" / "rdeuler" / "euler.py"
+    data = bytearray(path.read_bytes())
+    data[-1] ^= 1
+    path.write_bytes(bytes(data))
+    assert tool.git_commit(str(tree))[0] != commit

@@ -143,7 +143,7 @@ def _einsum_alpha_interpolated(disc, gas, U):
     u = euler.velocity(U_elem)
     a = euler.sound_speed(U_elem, gas)
     proj = np.abs(np.einsum("mdi,mnki->mdnk", u, unit)) + a[:, :, None, None]
-    return np.max(proj * norms[:, None, :, :], axis=(1, 2, 3)), norms.max(axis=(1, 2))
+    return np.max(proj * norms[:, None, :, :], axis=(1, 2, 3))
 
 
 @pytest.mark.parametrize("space, basis, degree", SPACES)
@@ -176,10 +176,8 @@ def test_alpha_interpolated_equals_its_einsum(mesh, space, basis, degree, gas):
         random_admissible_field(disc, gas, rng, near_vacuum=nv) for nv in (False, True)
     ]
     for U in fields:
-        bound = positivity.alpha_interpolated(disc, gas, U)
-        value, geometry = _einsum_alpha_interpolated(disc, gas, U)
-        _assert_same_bytes(bound.value, value)
-        _assert_same_bytes(bound.geometry, geometry)
+        _assert_same_bytes(positivity.alpha_interpolated(disc, gas, U),
+                           _einsum_alpha_interpolated(disc, gas, U))
 
 
 @pytest.mark.parametrize("shape", [(50, 3, 4), (50, 6, 4), (50, 3, 2), (50, 6, 2), (50, 3)])
@@ -206,8 +204,9 @@ def test_one_off_trace_grad_jump_keeps_no_table(gas):
     V = euler.entropy_vars(disc.elem_values(disc.interpolate(_smooth)), gas)
     once = disc.trace_grad_jump(V, keep=False)
     assert "if_grads_L_T" not in disc.__dict__ and "if_grads_R_T" not in disc.__dict__
-    _assert_same_bytes(once, disc.trace_grad_R(V) - disc.trace_grad_L(V))
     _assert_same_bytes(once, disc.trace_grad_jump(V, keep=False))
+    _assert_same_bytes(once, disc.trace_grad_jump(V))
+    assert "if_grads_L_T" in disc.__dict__ and "if_grads_R_T" in disc.__dict__
 
 
 def test_implicit_interpolated_run_builds_no_lazy_table(tmp_path):

@@ -19,20 +19,24 @@ from rdeuler.mesh import (
 )
 
 
+def _edge_counts(mesh):
+    """Interior edges, periodic pairs and unpaired boundary edges."""
+    paired = mesh.edge_right >= 0
+    return (int(np.sum(paired & ~mesh.edge_periodic)), int(np.sum(mesh.edge_periodic)),
+            int(np.sum(~paired)))
+
+
 def test_single_reference_triangle():
     mesh = build_mesh([(0, 0), (1, 0), (0, 1)], [(0, 1, 2)])
     assert mesh.n_tris == 1
-    assert mesh.num_internal_edges == 0
-    assert mesh.num_unpaired_boundary_edges == 3
+    assert _edge_counts(mesh) == (0, 0, 3)
     assert mesh.areas[0] == pytest.approx(0.5, abs=1e-15)
 
 
 def test_two_triangle_periodic_square():
     nodes = [(0, 0), (1, 0), (1, 1), (0, 1)]
     mesh = build_mesh(nodes, [(0, 1, 2), (0, 2, 3)], periodic=True)
-    assert mesh.num_internal_edges == 1
-    assert mesh.num_periodic_pairs == 2
-    assert mesh.num_unpaired_boundary_edges == 0
+    assert _edge_counts(mesh) == (1, 2, 0)
 
 
 def test_hanging_node_rejected():

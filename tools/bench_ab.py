@@ -19,12 +19,15 @@ repetition of that seed): 0 when the digests are equal, and otherwise a
 bound on the change of bits.
 
 ``--record LABEL`` appends the summary as one entry to
-``BENCH_trajectory.json`` at the root of this script's repository.  The
-exit code is 1 if any run failed its output checks or gave no result.
+``BENCH_trajectory.json`` at the root of this script's repository.  Each
+side is named by its git HEAD or, for a tree that is not a git checkout,
+by a content hash of its library source (``src-sha256:<16 hex>``).  The exit
+code is 1 if any run failed its output checks or gave no result.
 """
 
 import argparse
 import datetime
+import hashlib
 import json
 import os
 import statistics
@@ -120,8 +123,28 @@ def summarize(pairs, directions):
     return out
 
 
+def src_hash(tree):
+    """``src-sha256:`` and the first 16 hex digits of a hash over the name
+    and bytes of every ``.py`` file of ``tree/src/rdeuler``, in name
+    order: the rule by which bench/run.py records ``src_sha256``."""
+    h = hashlib.sha256()
+    lib = os.path.join(tree, "src", "rdeuler")
+    try:
+        names = sorted(os.listdir(lib))
+    except OSError:                              # no library source to name it by
+        return "unknown"
+    for name in names:
+        if name.endswith(".py"):
+            with open(os.path.join(lib, name), "rb") as fh:
+                h.update(name.encode() + fh.read())
+    return "src-sha256:" + h.hexdigest()[:16]
+
+
 def git_commit(tree):
-    """HEAD of the tree and whether its library differs from it."""
+    """HEAD of the tree and whether its library differs from it; a tree
+    that is not a git checkout is named by ``src_hash``."""
+    if not os.path.exists(os.path.join(tree, ".git")):
+        return src_hash(tree), False
     try:
         head = subprocess.run(["git", "-C", tree, "rev-parse", "HEAD"],
                               capture_output=True, text=True, timeout=10).stdout.strip()
