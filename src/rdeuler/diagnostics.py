@@ -7,7 +7,8 @@ test-function time derivative is folded exactly as a telescoping sum,
 and the lumped pairing against the piecewise-constant shadow of the test
 function uses the dual volumes.  Under these conventions the three terms
 for density and momentum reproduce the directly evaluated weak-form
-defect to round-off, which is asserted by the test suite.
+defect to round-off for every scheme, the interpolated-flux ones
+included, which is asserted by the test suite.
 """
 
 import warnings
@@ -126,10 +127,14 @@ def consistency_error(run: RunRecord, phi, grad_phi, component):
 
     ``phi(t, x, y)`` returns a scalar for 'rho'/'eta' and a 2-vector for
     'm'; ``grad_phi`` returns the matching spatial gradient.  Terms:
-    (I) non-Galerkin residual deviation weighted by test-function
-    differences, (II) mismatch between the quadrature and lumped
-    pairings, (III) interpolation defect of the test function against
-    the flux, and for the entropy component (IV) the dissipation total.
+    (I) the deviation of the residual from the Galerkin one, paired with
+    the test function at the DOFs, (II) mismatch between the quadrature
+    and lumped pairings, (III) interpolation defect of the test function
+    against the flux, and for the entropy component (IV) the dissipation
+    total.  Where the two residuals have equal element totals, term I is
+    the pairing with test-function differences phi_sigma - mean_K phi;
+    the interpolated-flux LxF totals differ from the Galerkin ones, and
+    term I keeps that difference.
     """
     disc, gas = run.disc, run.gas
     if any(s.shape[0] != disc.dofmap.n_dofs for s in run.states):
@@ -154,12 +159,11 @@ def consistency_error(run: RunRecord, phi, grad_phi, component):
             V_elem = euler.entropy_vars(disc.elem_values(U), gas)
             xi = np.einsum("mnc,mnc->mn", V_elem, theta)
             xig = np.einsum("mnc,mnc->mn", V_elem, gal)
-            term_I -= dt * float(np.sum(phe[..., 0] * (xi - xig)))
+            dev = (xi - xig)[..., None]
             term_IV += dt * float(np.sum(res.production))
         else:
             dev = theta[..., comps] - gal[..., comps]
-            ph_shift = phe - phe.mean(axis=1, keepdims=True)
-            term_I -= dt * float(np.einsum("mnc,mnc->", ph_shift, dev))
+        term_I -= dt * float(np.sum(phe * dev))
 
         # (III): interpolation defect of phi against the flux
         Uq = disc.interior_field(disc.elem_values(U))

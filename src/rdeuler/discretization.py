@@ -8,8 +8,10 @@ points), dual volumes and neighbor lists.  The tables that only some
 runs read are built on first use: the interface gradient tables
 ``if_grads_L_T``/``if_grads_R_T`` (gradient-jump kernels), the
 weighted volume table ``int_gradw_mat`` (Galerkin volume term), the
-interior quadrature points ``int_phys`` (diagnostics) and the integral
-tables behind ``cached``.  No array changes once built.
+interior quadrature points ``int_phys`` (diagnostics), the integral
+tables behind ``cached``, among them the element-to-CSR map with which
+``assemble`` sums element tables into sparse matrices.  No array
+changes once built.
 :class:`StageFields` holds the point values of one state on those
 tables.
 """
@@ -17,6 +19,7 @@ tables.
 from functools import cached_property
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import basis as fb
 from . import euler
@@ -195,6 +198,35 @@ class Discretization:
             out += seg
         return out
 
+    # -- element-to-CSR assembly --------------------------------------
+
+    def _element_csr(self):
+        """CSR pattern of the couplings elem_dofs x elem_dofs, (indptr, indices,
+        slot): columns sorted within each row, and ``slot`` the position in
+        the CSR data of each element-table entry, flattened in (m, n, k) order."""
+        dofs = self.dofmap.elem_dofs
+        n = self.dofmap.n_dofs
+        keys = (dofs[:, :, None] * np.int64(n) + dofs[:, None, :]).ravel()
+        pairs, slot = np.unique(keys, return_inverse=True)
+        rows, cols = np.divmod(pairs, n)
+        idx = np.int32 if max(n, len(pairs)) < 2**31 else np.int64
+        indptr = np.zeros(n + 1, dtype=idx)
+        np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+        return indptr, cols.astype(idx), slot
+
+    def assemble(self, tables):
+        """(n_dofs, n_dofs) CSR matrix of element tables (M, N, N).
+
+        Row dofs[m, n], column dofs[m, k] receives tables[m, n, k]; each
+        entry sums its element contributions in element order.  Every
+        matrix shares one pattern and one element-to-CSR map, built from
+        the DOF map on first use.
+        """
+        indptr, indices, slot = self.cached("element_csr", self._element_csr)
+        n = self.dofmap.n_dofs
+        data = np.bincount(slot, weights=tables.ravel(), minlength=len(indices))
+        return sp.csr_matrix((data, indices, indptr), shape=(n, n))
+
     # -- field helpers -------------------------------------------------
 
     def elem_values(self, U):
@@ -363,7 +395,8 @@ class PointValues:
 class StageFields:
     """Point values of one state for one gas, each set built on first use.
 
-    - ``U_elem``: the element DOF values (M, N, 4); ``dofs`` is their
+    - ``U``: the DOF vector the set was built from (n_dofs, 4);
+    - ``U_elem``: its element DOF values (M, N, 4); ``dofs`` is their
       PointValues and ``V_elem`` their entropy variables;
     - ``interior``: PointValues at the interior quadrature points, (M, nq, 4);
     - ``trace_L``, ``trace_R``: PointValues of the interface traces of the
@@ -378,22 +411,26 @@ class StageFields:
     vector gets a throwaway set through ``StageFields.of``.
     """
 
-    def __init__(self, disc: Discretization, gas, U_elem):
+    def __init__(self, disc: Discretization, gas, U):
         self.disc = disc
         self.gas = gas
-        self.U_elem = U_elem
+        self.U = U
         self._cache = {}
 
     @classmethod
     def of(cls, disc: Discretization, gas, U):
         """U itself when it is already a StageFields, else the set of the DOF vector U."""
-        return U if isinstance(U, cls) else cls(disc, gas, disc.elem_values(U))
+        return U if isinstance(U, cls) else cls(disc, gas, U)
 
     def cached(self, key, build):
         """Value ``build()`` derived from these fields, computed on first use."""
         if key not in self._cache:
             self._cache[key] = build()
         return self._cache[key]
+
+    @cached_property
+    def U_elem(self):
+        return self.disc.elem_values(self.U)
 
     @cached_property
     def dofs(self):

@@ -33,8 +33,9 @@ def _max_norms(vectors):
     return np.linalg.norm(vectors, axis=-1).max(axis=(1, 2))
 
 
-def _check_admissible(U, gas):
-    if not np.all(euler.admissible(U, gas)):
+def _check_admissible(fields: StageFields):
+    """Every DOF state admissible; the element DOF values are copies of them."""
+    if not np.all(euler.admissible(fields.U, fields.gas)):
         raise VacuumState("inadmissible state in alpha bound")
 
 
@@ -48,8 +49,8 @@ def alpha_interpolated(disc: Discretization, gas, U):
     product of their maximum with |omega| >= 0 is the maximum product.
     """
     fields = StageFields.of(disc, gas, U)
+    _check_admissible(fields)
     U_elem = fields.U_elem
-    _check_admissible(U_elem, gas)
     norms, unit = disc.cached(
         "omega_norms_units", lambda: _norms_and_units(scaled_normals(disc))
     )
@@ -102,7 +103,7 @@ def alpha_noninterpolated(disc: Discretization, gas, U):
     bounds of one StageFields share its wavespeed sweep.
     """
     fields = StageFields.of(disc, gas, U)
-    _check_admissible(fields.U_elem, gas)
+    _check_admissible(fields)
     norms = disc.cached("geometry_vector_norms", lambda: _max_norms(geometry_vectors(disc)))
     return _wavespeed_sweep(fields) * norms
 

@@ -1,11 +1,12 @@
 """Right-hand-side assembly and time integrators.
 
-Assembly is two-phase: per-element residual evaluation (vectorized over
-elements) followed by an ordered scatter into the global DOF vector, so
-results are bitwise reproducible.  Forward Euler and the two-stage SSP
-Runge-Kutta method advance the semidiscrete system; the implicit Euler
-step solves the interpolated-flux LxF scheme through Picard iterations
-preconditioned by a frozen-velocity M-matrix.  ``advance`` is the one
+Explicit assembly is two-phase: per-element residual evaluation
+(vectorized over elements) followed by an ordered scatter into the
+global DOF vector, so results are bitwise reproducible.  Forward Euler
+and the two-stage SSP Runge-Kutta method advance the semidiscrete
+system; the implicit Euler step solves the interpolated-flux LxF scheme
+through Picard iterations preconditioned by a frozen-velocity M-matrix,
+on operators assembled into sparse matrices.  ``advance`` is the one
 time loop: it picks dt, dispatches the integrator and runs the cascade.
 """
 
@@ -93,9 +94,9 @@ def element_theta(disc: Discretization, gas, U, scheme: Scheme, alpha):
     U is a DOF vector or its StageFields (``FieldState.residual`` passes
     the state's).  ``alpha`` is the LxF dissipation bound (None outside
     the LxF family): the state's bound of the scheme's flux mode from
-    ``FieldState.residual``, or the implicit step's bound in its Picard
-    sweeps.  It stays a function of its own so that each right-hand
-    side is one call to count (per step, and per Picard sweep).
+    ``FieldState.residual``.  It stays a function of its own so that
+    each explicit right-hand side is one call to count; a Picard sweep
+    of the implicit step is one ``interpolated_lxf_rhs`` call instead.
     """
     return corrected_residual(disc, gas, U, scheme, alpha=alpha)
 
@@ -140,8 +141,14 @@ def ssp_rk2_step(state: FieldState, scheme, dt, gas, levels=None) -> FieldState:
 
 @dataclass
 class DensitySystem:
-    matrix: sp.csr_matrix     # (n_dofs, n_dofs)
-    operator: sp.csr_matrix   # A, the unscaled frozen-velocity LxF operator
+    matrix: sp.csr_matrix       # (n_dofs, n_dofs)
+    operator: sp.csr_matrix     # A, the unscaled frozen-velocity LxF operator
+    dissipation: sp.csr_matrix  # L_alpha, the LxF correction part of A
+
+
+def _lxf_dissipation(alpha, nk):
+    """Element tables alpha (delta - 1/N_K) of the LxF correction, (M, N, N)."""
+    return alpha[:, None, None] * (np.eye(nk) - 1.0 / nk)
 
 
 def _lxf_operator(disc: Discretization, alpha, u_frozen):
@@ -155,13 +162,26 @@ def _lxf_operator(disc: Discretization, alpha, u_frozen):
     M, nk = u_bar.shape[0], disc.dofmap.n_local
     pgi = disc.phi_grad_integrals.reshape(M, nk * nk, 2)
     adv = np.matmul(pgi, u_bar[:, :, None]).reshape(M, nk, nk)
-    c = adv + alpha[:, None, None] * (np.eye(nk) - 1.0 / nk)
-    dofs = disc.dofmap.elem_dofs
-    rows = np.repeat(dofs, nk, axis=1).ravel()
-    cols = np.tile(dofs, (1, nk)).ravel()
-    n = disc.dofmap.n_dofs
-    A = sp.coo_matrix((c.reshape(M, -1).ravel(), (rows, cols)), shape=(n, n))
-    return A.tocsr(), c
+    c = adv + _lxf_dissipation(alpha, nk)
+    return disc.assemble(c), c
+
+
+def interpolated_lxf_rhs(disc: Discretization, gas, U, dissipation):
+    """Assembled interpolated-LxF residual R(U) = B_x f_x(U) + B_y f_y(U) + L_alpha U.
+
+    The scatter of the element residual of ``lxf+interp``, written on the
+    DOF vector: B_x, B_y are the assembled components of
+    ``phi_grad_integrals`` (built once per discretization) and
+    ``dissipation`` is L_alpha of the step's DensitySystem.  One checked
+    pressure and one flux over the DOFs; each Picard sweep is one call.
+    """
+    Bx, By = disc.cached("phi_grad_csr", lambda: tuple(
+        disc.assemble(disc.phi_grad_integrals[..., i]) for i in range(2)))
+    f = euler.flux(U, gas)
+    R = Bx @ f[..., 0]
+    R += By @ f[..., 1]
+    R += dissipation @ U
+    return R
 
 
 def assemble_density_system(disc: Discretization, gas, U, dt, alpha):
@@ -174,17 +194,20 @@ def assemble_density_system(disc: Discretization, gas, U, dt, alpha):
     U = np.asarray(U, dtype=float)
     alpha = np.broadcast_to(np.asarray(alpha, dtype=float), (disc.mesh.n_tris,))
     A, c = _lxf_operator(disc, alpha, euler.velocity(U))
-    mask_off = ~np.eye(disc.dofmap.n_local, dtype=bool)
+    nk = disc.dofmap.n_local
+    mask_off = ~np.eye(nk, dtype=bool)
     if np.any(c[:, mask_off] > 1e-13 * np.maximum(alpha, 1.0)[:, None]):
         raise AlphaTooSmall("off-diagonal sign condition violated")
-    return DensitySystem(matrix=sp.diags(disc.dual.c_sigma) + dt * A, operator=A)
+    return DensitySystem(matrix=sp.diags(disc.dual.c_sigma) + dt * A, operator=A,
+                         dissipation=disc.assemble(_lxf_dissipation(alpha, nk)))
 
 
 def implicit_euler_step(state: FieldState, dt, gas, tol=1e-10, max_iter=50) -> FieldState:
     """Implicit Euler for the interpolated-flux LxF scheme.
 
     Picard iterations solve the frozen-velocity M-matrix system with a
-    defect-correction right-hand side; the first sweep omits the defect,
+    defect-correction right-hand side, R(U_k) - A U_k, where R comes from
+    ``interpolated_lxf_rhs``; the first sweep omits the defect,
     which makes the density update a pure M-matrix solve and hence
     positive.  At the fixed point |C|(U - U^n) + dt R(U) = 0 holds for
     the true nonlinear residual.  alpha is the larger of the scheme's
@@ -193,7 +216,6 @@ def implicit_euler_step(state: FieldState, dt, gas, tol=1e-10, max_iter=50) -> F
     """
     disc = state.disc
     Un = state.U
-    scheme = Scheme(base="lxf", flux_mode="interpolated")
     alpha = np.maximum(state.alpha(gas, "interpolated"), state.alpha(gas, "implicit"))
     state.release_fields()
     system = assemble_density_system(disc, gas, Un, dt, alpha)
@@ -221,7 +243,7 @@ def implicit_euler_step(state: FieldState, dt, gas, tol=1e-10, max_iter=50) -> F
                 raise PicardDivergence("density positivity lost in Picard sweep")
         change = float(np.max(np.abs(X - Uk))) / scale
         Uk = X
-        R = scatter_residuals(disc, element_theta(disc, gas, Uk, scheme, alpha).theta)
+        R = interpolated_lxf_rhs(disc, gas, Uk, system.dissipation)
         defect = R - (system.operator @ Uk)
         nonlinear = float(np.max(np.abs(csig * (Uk - Un) + dt * R))) / max(
             float(np.max(np.abs(csig * Un))), 1e-300

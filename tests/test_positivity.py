@@ -247,7 +247,7 @@ def test_stacked_wavespeed_sweep_is_bitwise_the_loop(gas, space, basis, degree):
             U = random_states(rng, disc.dofmap.n_dofs, near_vacuum=near_vacuum)
             U_elem = disc.elem_values(U)
             want = _element_max_wavespeed_loop(disc, gas, U_elem)
-            assert np.array_equal(_element_max_wavespeed(StageFields(disc, gas, U_elem)), want)
+            assert np.array_equal(_element_max_wavespeed(StageFields(disc, gas, U)), want)
             # the own-side traces are the element's edge points, to round-off
             pts = np.einsum("lqn,mnc->mlqc", disc.edge_vals, U_elem).reshape(len(U_elem), -1, 4)
             assert np.allclose(_own_trace_peaks(disc, gas, U_elem),

@@ -357,19 +357,19 @@ def test_implicit_step_ordering_matches_colamd(gas, monkeypatch):
 
     st = _vortex_state(gas)
     dt = admissible_timestep(st.disc, st.alpha(gas), cfl=1.0)
-    original_splu, original_theta = spla.splu, stepping.element_theta
+    original_splu, original_rhs = spla.splu, stepping.interpolated_lxf_rhs
     orders, sweeps = [], []
 
     def splu(A, permc_spec=None, **kw):
         orders.append(permc_spec)
         return original_splu(A, permc_spec=ordering, **kw)
 
-    def theta(*args, **kwargs):
+    def rhs(*args, **kwargs):
         sweeps[-1] += 1
-        return original_theta(*args, **kwargs)
+        return original_rhs(*args, **kwargs)
 
     monkeypatch.setattr(spla, "splu", splu)
-    monkeypatch.setattr(stepping, "element_theta", theta)
+    monkeypatch.setattr(stepping, "interpolated_lxf_rhs", rhs)
     out = {}
     for ordering in ("MMD_AT_PLUS_A", "COLAMD"):
         sweeps.append(0)
@@ -407,3 +407,93 @@ def test_field_state_implicit_bound(gas, small_disc):
     assert np.array_equal(st.alpha(gas), alpha_noninterpolated(small_disc, gas, U))
     with pytest.raises(ConfigError):
         st.alpha(gas, "pointwise+interp")
+
+
+# -- assembled operators of the implicit step ------------------------------
+
+SPACES = [("s2", "lagrange", 1), ("s1", "lagrange", 1), ("s2", "lagrange", 2),
+          ("s1", "lagrange", 2), ("s2", "bernstein", 2), ("s1", "bernstein", 2)]
+
+
+def _fields(disc, gas, rng):
+    return {
+        "smooth": smooth_field(disc, gas),
+        "random": random_states(rng, disc.dofmap.n_dofs),
+        "near_vacuum": random_states(rng, disc.dofmap.n_dofs, near_vacuum=True),
+    }
+
+
+@pytest.mark.parametrize("space,basis,degree", SPACES)
+def test_assembled_rhs_equals_scattered_element_residual(gas, space, basis, degree):
+    # alpha is the interpolated bound, which reads the DOF states only
+    # (P2 Lagrange point values of random data need not be admissible)
+    from rdeuler.stepping import _lxf_dissipation, interpolated_lxf_rhs
+
+    disc = make_disc(6, 10.0, space, basis, degree)
+    scheme = Scheme(base="lxf", flux_mode="interpolated")
+    for name, U in _fields(disc, gas, np.random.default_rng(31)).items():
+        alpha = alpha_interpolated(disc, gas, U)
+        dissipation = disc.assemble(_lxf_dissipation(alpha, disc.dofmap.n_local))
+        want = scatter_residuals(disc, element_theta(disc, gas, U, scheme, alpha).theta)
+        got = interpolated_lxf_rhs(disc, gas, U, dissipation)
+        gap = np.abs(got - want).max(axis=0)
+        assert np.all(gap <= 1e-13 * np.abs(want).max(axis=0)), (name, gap)
+
+
+@pytest.mark.parametrize("space,basis,degree", SPACES)
+def test_assembled_operator_matches_coo_oracle(gas, space, basis, degree):
+    from oracles import coo_lxf_operator
+    from rdeuler.stepping import _lxf_operator
+
+    disc = make_disc(6, 10.0, space, basis, degree)
+    rng = np.random.default_rng(32)
+    for U in _fields(disc, gas, rng).values():
+        alpha = rng.uniform(0.0, 3.0, disc.mesh.n_tris)
+        u = euler.velocity(U)
+        A, _ = _lxf_operator(disc, alpha, u)
+        want = coo_lxf_operator(disc, alpha, u)
+        assert np.array_equal(A.indptr, want.indptr)
+        assert np.array_equal(A.indices, want.indices)
+        assert np.abs(A.data - want.data).max() <= 1e-14 * np.abs(want.data).max()
+
+
+def test_implicit_run_matches_element_path_oracle(gas):
+    # each sweep's right-hand side from the assembled operators against
+    # the element residual: same sweeps in every step, final U to round-off
+    from oracles import picard_elementwise
+    from rdeuler import stepping
+
+    st = _vortex_state(gas)
+    sweeps = []
+    original = stepping.interpolated_lxf_rhs
+
+    def rhs(*args, **kwargs):
+        sweeps[-1] += 1
+        return original(*args, **kwargs)
+
+    oracle, oracle_sweeps = st, []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(stepping, "interpolated_lxf_rhs", rhs)
+        for _ in range(4):
+            sweeps.append(0)
+            st = implicit_euler_step(st, admissible_timestep(st.disc, st.alpha(gas), 1.0), gas)
+    for _ in range(4):
+        dt = admissible_timestep(oracle.disc, oracle.alpha(gas), 1.0)
+        U, n = picard_elementwise(oracle, dt, gas)
+        oracle = FieldState(oracle.t + dt, U, oracle.disc)
+        oracle_sweeps.append(n)
+    assert sweeps == oracle_sweeps and min(sweeps) > 1
+    assert np.all(np.abs(st.U - oracle.U).max(axis=0) <= 1e-13 * np.abs(oracle.U).max(axis=0))
+
+
+def test_implicit_step_makes_no_element_residual(gas, small_disc, monkeypatch):
+    from rdeuler import stepping
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("element path called")
+
+    monkeypatch.setattr(stepping, "element_theta", forbidden)
+    monkeypatch.setattr(stepping, "scatter_residuals", forbidden)
+    st = FieldState(0.0, smooth_field(small_disc, gas), small_disc)
+    out = implicit_euler_step(st, admissible_timestep(small_disc, st.alpha(gas), 1.0), gas)
+    assert np.all(out.U[:, 0] > 0)
