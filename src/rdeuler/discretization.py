@@ -23,17 +23,26 @@ import scipy.sparse as sp
 
 from . import basis as fb
 from . import euler
-from .errors import NonConforming
+from .errors import ConfigError, NonConforming
 from .mesh import Mesh, dual_volumes
+
+# Nearest element centroids that evaluate_at_points tries for each point
+# before its brute-force search.
+EVAL_CANDIDATES = 12
 
 
 class Discretization:
-    def __init__(self, mesh: Mesh, dofmap: fb.DofMap, quad: fb.Quadrature = None):
+    """The tables of one space on a periodic mesh, where every interface
+    has a left and a right owner."""
+
+    def __init__(self, mesh: Mesh, dofmap: fb.DofMap):
+        if not mesh.periodic:
+            raise ConfigError("the solver requires a periodic mesh")
         if dofmap.mesh is not mesh:
             raise ValueError("dofmap was built on a different mesh")
         self.mesh = mesh
         self.dofmap = dofmap
-        self.quad = quad or fb.default_quadrature()
+        self.quad = fb.default_quadrature()
         self._cache = {}
         self._build_geometry()
         self._build_interior_tables()
@@ -98,9 +107,7 @@ class Discretization:
         self.if_right = ri
         self.if_normal = mesh.elem_edge_normal[li, ll]
         self.if_length = mesh.edge_length
-        hk = mesh.diameters
-        self.if_h = np.where(ri >= 0, np.maximum(hk[li], hk[np.maximum(ri, 0)]), hk[li])
-        self.if_has_right = ri >= 0
+        self.if_h = np.maximum(mesh.diameters[li], mesh.diameters[ri])
         # The right owner traverses the shared edge backwards, so its
         # quadrature points coincide with the left ones in reversed order.
         vals_L, vals_R = self.edge_vals[ll], self.edge_vals[rl][:, ::-1]  # (E, nq, N)
@@ -115,7 +122,7 @@ class Discretization:
         left owner's, or the right owner's with its points reversed to
         pair with the left ones."""
         if right:
-            elems, locs = np.maximum(self.if_right, 0), self.mesh.edge_right_loc
+            elems, locs = self.if_right, self.mesh.edge_right_loc
         else:
             elems, locs = self.if_left, self.mesh.edge_left_loc
         ref = fb.basis_ref_grads(self.dofmap.basis, self.dofmap.degree, self._edge_lam())[locs]
@@ -146,17 +153,13 @@ class Discretization:
 
     def _check_trace_pairing(self):
         """Both owners must enumerate the same physical quadrature points."""
-        has_r = self.if_has_right
-        if not np.any(has_r):
-            return
         mesh = self.mesh
         edge_phys = fb.physical_points(self._edge_lam(), self.corner_coords)  # (M, 3, nq, 2)
-        rs = np.maximum(self.if_right, 0)
-        x_r = edge_phys[rs, mesh.edge_right_loc][:, ::-1]                # (E, nq, 2)
+        x_r = edge_phys[self.if_right, mesh.edge_right_loc][:, ::-1]     # (E, nq, 2)
         x_l = edge_phys[self.if_left, mesh.edge_left_loc] + mesh.edge_translation[:, None, :]
-        err = np.abs(x_r - x_l)[has_r]
+        err = np.abs(x_r - x_l)
         scale = max(1.0, float(np.max(np.abs(mesh.nodes))))
-        if err.size and err.max() > 1e-12 * scale:
+        if err.max() > 1e-12 * scale:
             raise NonConforming("interface quadrature points do not pair up")
 
     # -- lazy integral tables -----------------------------------------
@@ -244,16 +247,13 @@ class Discretization:
 
         One product per element with the stacked edge table gives the
         element's own edge points; the traces are gathered from them,
-        the right one reversed to pair with the left points.  An
-        interface without a right owner gets a placeholder right trace
-        that callers mask out.
+        the right one reversed to pair with the left points.
         """
         M, N = X_elem.shape[:2]
         pts = np.matmul(self.edge_vals.reshape(-1, N), X_elem)
         pts = pts.reshape(M, 3, len(self.edge_weights), -1)                # (M, 3, nq, C)
-        rs = np.maximum(self.if_right, 0)
         return (pts[self.if_left, self.mesh.edge_left_loc],
-                pts[rs, self.mesh.edge_right_loc][:, ::-1])
+                pts[self.if_right, self.mesh.edge_right_loc][:, ::-1])
 
     def trace_grad_jump(self, X_elem, keep=True):
         """[grad X], the right minus the left trace gradient, (E, nq, C, 2).
@@ -270,7 +270,7 @@ class Discretization:
             gL, gR = self.if_grads_L_T, self.if_grads_R_T
         else:
             gL, gR = self._if_grads_T(), self._if_grads_T(right=True)
-        jump = self._trace_grad(gR, X_elem[np.maximum(self.if_right, 0)])
+        jump = self._trace_grad(gR, X_elem[self.if_right])
         jump -= self._trace_grad(gL, X_elem[self.if_left])
         return jump
 
@@ -290,13 +290,10 @@ class Discretization:
         contributions, then its right-owned ones, in interface order.
         """
         M = self.mesh.n_tris
-        has_r = self.if_has_right
-        if not has_r.all():
-            contrib_R = contrib_R[has_r]
         flatL = contrib_L.reshape(contrib_L.shape[0], -1)
-        flatR = contrib_R.reshape(-1, flatL.shape[1])
+        flatR = contrib_R.reshape(flatL.shape)
         out = (column_bincount(self.if_left, flatL, M)
-               + column_bincount(self.if_right[has_r], flatR, M))
+               + column_bincount(self.if_right, flatR, M))
         return out.reshape((M,) + contrib_L.shape[1:])
 
     def interpolate(self, fn):
@@ -316,14 +313,14 @@ class Discretization:
         flat_vals = vals.reshape((-1,) + vals.shape[2:])
         return flat_vals[first]
 
-    def evaluate_at_points(self, U, points, k_candidates=12):
+    def evaluate_at_points(self, U, points):
         """Evaluate the finite-element field at arbitrary physical points."""
         from scipy.spatial import cKDTree
 
         points = np.atleast_2d(np.asarray(points, dtype=float))
         centroids = self.corner_coords.mean(axis=1)
         tree = cKDTree(centroids)
-        k = min(k_candidates, self.mesh.n_tris)
+        k = min(EVAL_CANDIDATES, self.mesh.n_tris)
         _, cand = tree.query(points, k=k)
         cand = np.atleast_2d(cand)
         U_elem = self.elem_values(U)
@@ -401,7 +398,6 @@ class StageFields:
     - ``interior``: PointValues at the interior quadrature points, (M, nq, 4);
     - ``trace_L``, ``trace_R``: PointValues of the interface traces of the
       left and right owners, (E, nq, 4), from one ``Discretization.traces``;
-      an interface without a right owner repeats the left trace;
     - ``cached(key, build)``: values derived from these, such as the
       gradient-jump integral of V or the element wavespeed sweep, which
       the modules that define them memoise here.
@@ -446,9 +442,7 @@ class StageFields:
 
     @cached_property
     def _traces(self):
-        tL, tR = self.disc.traces(self.U_elem)
-        has_r = self.disc.if_has_right
-        return tL, (tR if has_r.all() else np.where(has_r[:, None, None], tR, tL))
+        return self.disc.traces(self.U_elem)
 
     @cached_property
     def trace_L(self):

@@ -55,22 +55,16 @@ class DetectorReport:
 
 
 def _stencil_dofs(disc: Discretization):
-    """Own plus edge-neighbor DOFs per element, padded with own DOFs."""
+    """Own plus edge-neighbor DOFs per element."""
     def build():
-        dofs = disc.dofmap.elem_dofs
-        nbr = disc.elem_neighbors
-        cols = [dofs]
-        for j in range(3):
-            nb = nbr[:, j]
-            cols.append(np.where(nb[:, None] >= 0, dofs[np.maximum(nb, 0)], dofs))
-        return np.concatenate(cols, axis=1)
+        dofs, nbr = disc.dofmap.elem_dofs, disc.elem_neighbors
+        return np.concatenate([dofs] + [dofs[nbr[:, j]] for j in range(3)], axis=1)
 
     return disc.cached("stencil", build)
 
 
 def _wrap(delta, period):
-    if period is None:
-        return delta
+    """The minimal image of an offset on the periodic box."""
     return delta - period * np.round(delta / period)
 
 
@@ -83,14 +77,10 @@ def _two_ring_dofs(disc: Discretization):
     nbr = disc.elem_neighbors
     M = nbr.shape[0]
     ring1 = np.concatenate([np.arange(M)[:, None], nbr], axis=1)
-    ring2 = np.where(ring1[:, :, None] >= 0, nbr[np.maximum(ring1, 0)], -1)
-    ring = np.concatenate([ring1, ring2.reshape(M, -1)], axis=1)
-    dofs = disc.dofmap.elem_dofs
-    absent = disc.dofmap.n_dofs
-    ids = np.where(ring[:, :, None] >= 0, dofs[np.maximum(ring, 0)], absent)
-    ids = np.sort(ids.reshape(M, -1), axis=1)
-    mask = ids < absent
-    mask[:, 1:] &= ids[:, 1:] != ids[:, :-1]
+    ring = np.concatenate([ring1, nbr[ring1].reshape(M, -1)], axis=1)
+    ids = np.sort(disc.dofmap.elem_dofs[ring].reshape(M, -1), axis=1)
+    mask = np.ones(ids.shape, dtype=bool)
+    mask[:, 1:] = ids[:, 1:] != ids[:, :-1]
     order = np.argsort(~mask, axis=1, kind="stable")
     ids = np.take_along_axis(ids, order, axis=1)
     mask = np.take_along_axis(mask, order, axis=1)
@@ -112,9 +102,8 @@ def _smooth_fit(disc: Discretization):
     pts = disc.dofmap.dof_points
     center = pts[disc.dofmap.elem_dofs].mean(axis=1)
     (x0, x1, y0, y1) = disc.mesh.bbox
-    per = (x1 - x0, y1 - y0) if disc.mesh.periodic else (None, None)
-    dx = _wrap(pts[table, 0] - center[:, :1], per[0])
-    dy = _wrap(pts[table, 1] - center[:, 1:], per[1])
+    dx = _wrap(pts[table, 0] - center[:, :1], x1 - x0)
+    dy = _wrap(pts[table, 1] - center[:, 1:], y1 - y0)
     quad = np.stack([np.ones_like(dx), dx, dy, dx * dx, dx * dy, dy * dy], axis=-1)
     quad *= mask[..., None]
     u, sv, _ = np.linalg.svd(quad, full_matrices=False)

@@ -17,6 +17,9 @@ from .discretization import Discretization, PointValues, StageFields, elem_mean
 from .errors import ConfigError
 
 BASES = ("galerkin", "galerkin_jump", "dg", "lxf", "limited_lxf")
+LXF_FAMILY = ("lxf", "limited_lxf")
+MODIFIERS = {"ec": ("correction", True), "jump": ("diffusion", True),
+             "interp": ("flux_mode", "interpolated")}
 
 
 @dataclass(frozen=True)
@@ -35,35 +38,29 @@ class Scheme:
             raise ConfigError(f"unknown scheme base {self.base!r}")
         if self.flux_mode not in ("pointwise", "interpolated"):
             raise ConfigError(f"unknown flux mode {self.flux_mode!r}")
+        if self.flux_mode == "interpolated" and self.base not in LXF_FAMILY:
+            raise ConfigError(f"+interp applies to the LxF family only, not to {self.base!r}")
         if self.zeta < 2.0:
             raise ConfigError("zeta must be >= 2")
 
     @classmethod
     def parse(cls, text):
-        """Parse strings like ``galerkin+ec+jump`` or ``lxf``."""
-        parts = text.strip().lower().split("+")
-        base, mods = parts[0], parts[1:]
+        """Parse strings like ``galerkin+ec+jump`` or ``lxf``: a base and
+        each modifier at most once."""
+        base, *mods = text.strip().lower().split("+")
         kwargs = {"base": base}
         for m in mods:
-            if m == "ec":
-                kwargs["correction"] = True
-            elif m == "jump":
-                kwargs["diffusion"] = True
-            elif m == "interp":
-                kwargs["flux_mode"] = "interpolated"
-            else:
+            if m not in MODIFIERS:
                 raise ConfigError(f"unknown scheme modifier {m!r}")
+            key, value = MODIFIERS[m]
+            if key in kwargs:
+                raise ConfigError(f"scheme modifier {m!r} repeats in {text!r}")
+            kwargs[key] = value
         return cls(**kwargs)
 
     def label(self):
-        s = self.base
-        if self.correction:
-            s += "+ec"
-        if self.diffusion:
-            s += "+jump"
-        if self.flux_mode == "interpolated":
-            s += "+interp"
-        return s
+        mods = (m for m, (key, value) in MODIFIERS.items() if getattr(self, key) == value)
+        return "+".join((self.base, *mods))
 
 
 @dataclass
@@ -183,8 +180,7 @@ def galerkin_jump_residual(disc: Discretization, gas, U, lambda_e=1.0) -> Elemen
         raise ConfigError("jump-stabilized Galerkin needs the continuous space")
     fields = StageFields.of(disc, gas, U)
     base = galerkin_residual(disc, gas, fields)
-    coeff = np.where(disc.if_has_right, lambda_e * disc.if_length**2, 0.0)
-    jumps = gradient_jump_terms(disc, fields.U_elem, coeff)
+    jumps = gradient_jump_terms(disc, fields.U_elem, lambda_e * disc.if_length**2)
     return ElementResidual(
         phi=base.phi + jumps, total=base.total, scheme="galerkin_jump"
     )

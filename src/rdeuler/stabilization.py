@@ -94,8 +94,7 @@ def _field_deviations(fields: StageFields):
 def grad_jump_integral(disc: Discretization, V_elem, keep=True):
     """oint_e ||[grad V]||^2 per interface, (E,).
 
-    An interface without a right owner gets a placeholder value that
-    callers mask out.  ``keep`` is passed to ``Discretization.trace_grad_jump``.
+    ``keep`` is passed to ``Discretization.trace_grad_jump``.
     """
     jump = disc.trace_grad_jump(V_elem, keep)                         # (E,nq,C,2)
     jump *= jump
@@ -128,7 +127,6 @@ def edge_jump_production(disc: Discretization, gas, U, lam=None, zeta=2.0):
         jump = VR - VL                                                # (E,nq,4)
         sq = (jump * jump).sum(axis=2) @ disc.edge_weights
         D = lam_e * disc.if_length * sq
-    D = np.where(disc.if_has_right, D, 0.0)
     return D, lam_e
 
 
@@ -149,20 +147,21 @@ def _distribute(deviations, target, a_max):
     return psi, achieved
 
 
-def jump_diffusion(disc: Discretization, gas, U, lam=None, zeta=2.0, cap=1.0):
+def jump_diffusion(disc: Discretization, gas, U, lam=None, zeta=2.0):
     """Entropy-dissipative interface diffusion.
 
     Returns (psi, achieved, edge_production): per-DOF signals (M, N, 4)
     with zero element sums, the per-element achieved production, and the
     per-interface target production.  Each owner element is asked to
-    carry half of its interfaces' production, up to the capped
-    redistribution coefficient.
+    carry half of its interfaces' production, with the redistribution
+    coefficient capped at lam_K h_K (lam_K the largest lambda_e of its
+    interfaces).
     """
     fields = StageFields.of(disc, gas, U)
     D, lam_e = edge_jump_production(disc, gas, fields, lam=lam, zeta=zeta)
     share = disc.scatter_interface(0.5 * D, 0.5 * D)
     lam_k = last_axis_max(lam_e[disc.mesh.elem_edges])
-    a_max = cap * lam_k * disc.mesh.diameters
+    a_max = lam_k * disc.mesh.diameters
     psi, achieved = _distribute(_field_deviations(fields), share, a_max)
     return psi, achieved, D
 

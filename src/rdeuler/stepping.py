@@ -19,10 +19,8 @@ import scipy.sparse.linalg as spla
 from . import euler, mood, positivity
 from .discretization import Discretization, StageFields, column_bincount, elem_mean
 from .errors import AlphaTooSmall, ConfigError, PicardDivergence
-from .residuals import Scheme
+from .residuals import LXF_FAMILY, Scheme
 from .stabilization import corrected_residual
-
-LXF_FAMILY = ("lxf", "limited_lxf")
 
 
 @dataclass

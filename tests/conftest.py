@@ -25,14 +25,62 @@ def small_disc_s1():
     return Discretization(mesh, build_dofmap(mesh, "s1", "lagrange", 1))
 
 
-@pytest.fixture(scope="session")
-def reference_triangle():
-    return build_mesh([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)], [(0, 1, 2)])
-
-
 def make_disc(n=4, side=2.0, space="s2", basis="lagrange", degree=1):
     mesh = structured_square(n, side=side)
     return Discretization(mesh, build_dofmap(mesh, space, basis, degree))
+
+
+def reference_pair(scale=1.0, basis="lagrange", degree=1):
+    """The periodic square [0, s]^2 cut into two triangles, on the
+    discontinuous space: element 0 is the reference triangle (0,0),
+    (s,0), (0,s) with DOFs 0..N-1, and its tables equal those of the
+    lone triangle byte for byte."""
+    s = scale
+    mesh = build_mesh([(0, 0), (s, 0), (0, s), (s, s)], [(0, 1, 2), (1, 3, 2)], periodic=True)
+    return Discretization(mesh, build_dofmap(mesh, "s1", basis, degree))
+
+
+def off_seam(disc):
+    """Interfaces off the periodic seam whose two owners hold their DOFs
+    at their own Lagrange points rather than at a periodic image, (E,).
+
+    A field given by its values at the DOF points, such as a linear field
+    that is not periodic, is that field on both owners of these
+    interfaces; there it has no jump.
+    """
+    dm = disc.dofmap
+    own = np.abs(dm.dof_points[dm.elem_dofs] - disc.lagrange_phys).max(axis=(1, 2)) < 1e-12
+    return ~disc.mesh.edge_periodic & own[disc.if_left] & own[disc.if_right]
+
+
+def off_seam_elements(disc):
+    """Elements all of whose interfaces are ``off_seam``, (M,)."""
+    return off_seam(disc)[disc.mesh.elem_edges].all(axis=1)
+
+
+def scrambled(nx, ny, seed):
+    """Nodes and triangles of a 3 x 2 rectangle of nx x ny cells with
+    jittered interior nodes, relabelled nodes, shuffled triangles,
+    rotated vertex order and every third triangle clockwise; its boundary
+    nodes stay on the grid, so ``periodic=True`` pairs them."""
+    rng = np.random.default_rng(seed)
+    X, Y = np.meshgrid(np.linspace(-1.5, 1.5, nx + 1), np.linspace(-1.0, 1.0, ny + 1),
+                       indexing="ij")
+    nodes = np.stack([X.ravel(), Y.ravel()], axis=-1)
+    a = (np.arange(nx)[:, None] * (ny + 1) + np.arange(ny)[None, :]).ravel()
+    b, c, d = a + ny + 1, a + ny + 2, a + 1
+    grid_tris = np.stack([np.stack([a, b, c], -1), np.stack([a, c, d], -1)], 1).reshape(-1, 3)
+    inner = (np.abs(nodes[:, 0]) < 1.5) & (np.abs(nodes[:, 1]) < 1.0)
+    h = min(3.0 / nx, 2.0 / ny)
+    nodes[inner] += rng.uniform(-0.2 * h, 0.2 * h, (int(inner.sum()), 2))
+    label = rng.permutation(len(nodes))
+    relabelled = np.empty_like(nodes)
+    relabelled[label] = nodes
+    tris = label[grid_tris][rng.permutation(len(grid_tris))]
+    roll = (np.arange(3) + rng.integers(0, 3, (len(tris), 1))) % 3
+    tris = np.take_along_axis(tris, roll, axis=1)
+    tris[::3] = tris[::3, [0, 2, 1]]
+    return relabelled, tris
 
 
 def random_states(rng, n, near_vacuum=False, gas=None):

@@ -113,9 +113,8 @@ def trace_grads(disc, X_elem):
     """Left- and right-owner gradients of X at the interface points, each
     (E, nq, C, 2): the einsum of the owner's gradient table with its
     DOF values (the right owner's points reversed, as in the tables)."""
-    right = np.maximum(disc.if_right, 0)
     return (np.einsum("eqin,enc->eqci", disc.if_grads_L_T, X_elem[disc.if_left]),
-            np.einsum("eqin,enc->eqci", disc.if_grads_R_T, X_elem[right]))
+            np.einsum("eqin,enc->eqci", disc.if_grads_R_T, X_elem[disc.if_right]))
 
 
 def split_1d_oracle(U_left, U_mid, U_right, nu, ratio, gas):

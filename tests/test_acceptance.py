@@ -274,11 +274,7 @@ def test_criterion_9_entropy_production_monitor():
                 edge_int = disc.if_length * g2
                 G = np.zeros(disc.mesh.n_tris)
                 np.add.at(G, disc.if_left, edge_int)
-                np.add.at(
-                    G,
-                    disc.if_right[disc.if_has_right],
-                    edge_int[disc.if_has_right],
-                )
+                np.add.at(G, disc.if_right, edge_int)
                 ratio = delem / (disc.mesh.diameters**2 * np.maximum(G, 1e-300))
                 ratios.append(ratio.max())
                 st = new

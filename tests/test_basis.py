@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import off_seam_elements, reference_pair
 from oracles import eval_basis, integrate_edge, integrate_element
 from rdeuler.basis import (
     bernstein_to_lagrange,
@@ -68,9 +69,8 @@ def test_bernstein_to_lagrange_rows_convex():
 
 
 def test_integrate_element_basis_and_constant():
-    mesh = build_mesh([(0, 0), (1, 0), (0, 1)], [(0, 1, 2)])
-    dm = build_dofmap(mesh, "s2", "lagrange", 1)
-    disc = Discretization(mesh, dm)
+    disc = reference_pair()
+    mesh = disc.mesh
     for j in range(3):
         val = integrate_element(
             mesh, 0, lambda x, j=j: _p1_value(disc, x)[j]
@@ -133,7 +133,9 @@ def test_partition_of_unity_random_points(kind, p):
 @pytest.mark.parametrize("kind", ["lagrange", "bernstein"])
 @pytest.mark.parametrize("p", [1, 2])
 def test_interpolation_reproduces_polynomials(kind, p, gas):
-    mesh = structured_square(2, side=1.0, periodic=False)
+    # a polynomial that is not periodic is reproduced inside every element
+    # off the periodic seam, where shared DOFs hold its own values
+    mesh = structured_square(6, side=1.0)
     disc = Discretization(mesh, build_dofmap(mesh, "s2", kind, p))
 
     def poly(x, y):
@@ -144,7 +146,11 @@ def test_interpolation_reproduces_polynomials(kind, p, gas):
 
     w = disc.interpolate(poly)
     rng = np.random.default_rng(5)
-    pts = rng.uniform(-0.45, 0.45, size=(200, 2))
+    inner = np.flatnonzero(off_seam_elements(disc))
+    assert inner.size > 0
+    elems = rng.choice(inner, size=200)
+    lam = rng.dirichlet((1, 1, 1), size=200)
+    pts = np.einsum("pc,pcd->pd", lam, disc.corner_coords[elems])
     vals = disc.evaluate_at_points(w, pts)[:, 0]
     assert np.abs(vals - poly(pts[:, 0], pts[:, 1])[:, 0]).max() < 1e-13
 
@@ -160,8 +166,7 @@ def test_shared_edge_quadrature_points_match():
     p1 = Discretization(mesh, build_dofmap(mesh, "s1", "lagrange", 1))
     x_l, x_r = p1.traces(disc.corner_coords)
     x_l = x_l + mesh.edge_translation[:, None, :]
-    has = disc.if_has_right
-    assert np.abs((x_r - x_l)[has]).max() < 1e-13
+    assert np.abs(x_r - x_l).max() < 1e-13
 
 
 def _interpolate_by_scan(disc, fn):

@@ -21,12 +21,13 @@ from rdeuler.basis import (
     lagrange_points,
 )
 from rdeuler.config import parse_config
-from rdeuler.discretization import Discretization, elem_mean
-from rdeuler.errors import NonConforming
+from rdeuler.discretization import Discretization, elem_mean, make_discretization
+from rdeuler.errors import ConfigError, NonConforming
 from rdeuler.mesh import build_mesh, structured_square
 from rdeuler.verification import random_admissible_field
 
-from test_mesh import _scrambled
+from conftest import scrambled
+
 
 def _signed_zero_square():
     """A periodic square in the negative quadrant whose zero coordinates
@@ -40,9 +41,9 @@ MESHES = {
     "square4": lambda: structured_square(4, side=2.0),
     "signed_zero": _signed_zero_square,
     "square16": lambda: structured_square(16),
-    "scrambled_a": lambda: build_mesh(*_scrambled(12, 10, seed=1), periodic=True),
-    "scrambled_b": lambda: build_mesh(*_scrambled(12, 10, seed=2), periodic=True),
-    "scrambled_c": lambda: build_mesh(*_scrambled(12, 10, seed=3), periodic=True),
+    "scrambled_a": lambda: build_mesh(*scrambled(12, 10, seed=1), periodic=True),
+    "scrambled_b": lambda: build_mesh(*scrambled(12, 10, seed=2), periodic=True),
+    "scrambled_c": lambda: build_mesh(*scrambled(12, 10, seed=3), periodic=True),
 }
 SPACES = [
     (space, basis, degree)
@@ -230,3 +231,17 @@ def test_non_pairing_periodic_interfaces_rejected():
     bad = dataclasses.replace(mesh, edge_translation=shift)
     with pytest.raises(NonConforming, match="do not pair up"):
         Discretization(bad, build_dofmap(bad, "s2", "lagrange", 1))
+
+
+@pytest.mark.parametrize("space", ["s1", "s2"])
+def test_every_interface_has_two_owners(mesh, space):
+    disc = Discretization(mesh, build_dofmap(mesh, space, "lagrange", 1))
+    assert (disc.if_right >= 0).all()
+
+
+def test_open_mesh_rejected():
+    mesh = structured_square(4, periodic=False)
+    with pytest.raises(ConfigError, match="requires a periodic mesh"):
+        Discretization(mesh, build_dofmap(mesh, "s2", "lagrange", 1))
+    with pytest.raises(ConfigError, match="requires a periodic mesh"):
+        make_discretization(mesh)

@@ -207,6 +207,17 @@ def test_cli_run_and_exit_codes(tmp_path, capsys):
     assert main(["frobnicate"]) == 2
 
 
+@pytest.mark.parametrize(
+    "scheme", ["galerkin+interp", "dg+interp", "lxf+interp+interp", "lxf+ec+ec"]
+)
+def test_cli_run_rejects_meaningless_scheme(tmp_path, scheme, capsys):
+    path = tmp_path / "run.cfg"
+    space = "s1" if scheme.startswith("dg") else "s2"
+    path.write_text(_cfg_text(tmp_path, scheme=scheme, space=space))
+    assert main(["run", str(path)]) == 2
+    assert "configuration error" in capsys.readouterr().err
+
+
 def test_cli_convergence(tmp_path, capsys):
     path = tmp_path / "conv.cfg"
     path.write_text(_cfg_text(tmp_path, problem="vortex", t_end="0.1", cfl="0.3"))

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from conftest import scrambled
 from rdeuler.basis import DofMap, build_dofmap, lagrange_points, n_local_dofs
 from rdeuler.errors import DegenerateTriangle, NonConforming, UnmatchedPeriodicEdge
 from rdeuler.mesh import (
@@ -510,27 +511,6 @@ def _hexagon():
     return [(0.0, 0.0)] + ring, [(0, 1 + i, 1 + (i + 1) % 6) for i in range(6)]
 
 
-def _scrambled(nx, ny, seed):
-    """A rectangle mesh with jittered interior nodes, relabelled nodes,
-    shuffled triangles, rotated vertex order and every third triangle
-    clockwise; its boundary nodes stay on the grid."""
-    rng = np.random.default_rng(seed)
-    grid = _ref_structured_rect(nx, ny, width=3.0, height=2.0, periodic=False)
-    nodes = grid.nodes.copy()
-    x0, x1, y0, y1 = grid.bbox
-    inner = (nodes[:, 0] > x0) & (nodes[:, 0] < x1) & (nodes[:, 1] > y0) & (nodes[:, 1] < y1)
-    h = min(3.0 / nx, 2.0 / ny)
-    nodes[inner] += rng.uniform(-0.2 * h, 0.2 * h, (int(inner.sum()), 2))
-    label = rng.permutation(len(nodes))
-    relabelled = np.empty_like(nodes)
-    relabelled[label] = nodes
-    tris = label[grid.tris][rng.permutation(grid.n_tris)]
-    roll = (np.arange(3) + rng.integers(0, 3, (len(tris), 1))) % 3
-    tris = np.take_along_axis(tris, roll, axis=1)
-    tris[::3] = tris[::3, [0, 2, 1]]
-    return relabelled, tris
-
-
 @pytest.mark.parametrize(
     "nx, ny", [(1, 1), (2, 2), (3, 3), (4, 4), (5, 3), (16, 16), (64, 8), (64, 64)]
 )
@@ -552,8 +532,8 @@ def test_open_structured_setup_matches_oracle(nx, ny):
     "raw",
     [
         lambda: _hexagon() + (False,),
-        lambda: _scrambled(7, 5, seed=11) + (False,),
-        lambda: _scrambled(6, 9, seed=12) + (True,),
+        lambda: scrambled(7, 5, seed=11) + (False,),
+        lambda: scrambled(6, 9, seed=12) + (True,),
     ],
     ids=["hexagon", "scrambled", "scrambled_periodic"],
 )
@@ -636,7 +616,7 @@ def _strip_with_hanging_nodes():
 
 _HANGING = {
     "hexagon": _hexagon,
-    "scrambled": lambda: _scrambled(7, 5, seed=11),
+    "scrambled": lambda: scrambled(7, 5, seed=11),
     "open_rect": lambda: (lambda m: (m.nodes, m.tris))(structured_rect(5, 3, periodic=False)),
     "tall_strip": lambda: (lambda m: (m.nodes, m.tris))(
         structured_rect(1, 40, width=0.5, height=20.0, periodic=False)
@@ -686,7 +666,7 @@ def test_periodic_edge_whose_nearest_partner_is_taken_rejected():
 
 @pytest.mark.parametrize(
     "make",
-    [lambda: structured_rect(5, 3), lambda: build_mesh(*_scrambled(7, 5, seed=11))],
+    [lambda: structured_rect(5, 3), lambda: build_mesh(*scrambled(7, 5, seed=11))],
     ids=["structured", "scrambled"],
 )
 def test_mesh_file_keeps_content_hash(tmp_path, make):
@@ -715,7 +695,7 @@ def _write_mesh_per_row(path, mesh):
 @pytest.mark.parametrize(
     "make",
     [lambda: structured_square(16), lambda: structured_rect(5, 3, periodic=False),
-     lambda: build_mesh(*_scrambled(7, 5, seed=11))],
+     lambda: build_mesh(*scrambled(7, 5, seed=11))],
     ids=["square", "open_rect", "scrambled"],
 )
 def test_mesh_file_bytes_match_the_per_row_writer(tmp_path, make):

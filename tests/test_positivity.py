@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import make_disc, random_states
+from conftest import make_disc, random_states, reference_pair, scrambled
 from oracles import split_1d_oracle
 from rdeuler import euler
 from rdeuler.basis import build_dofmap
@@ -19,34 +19,27 @@ from rdeuler.positivity import (
 from rdeuler.verification import positivity_stress
 
 
-def _ref_disc(scale=1.0):
-    mesh = build_mesh(
-        [(0, 0), (scale, 0), (0, scale)], [(0, 1, 2)], periodic=False
-    )
-    return Discretization(mesh, build_dofmap(mesh, "s2", "lagrange", 1))
+def _stagnant(disc, gas):
+    return np.tile(euler.conserved(1.0, 0.0, 0.0, 1.0, gas), (disc.dofmap.n_dofs, 1))
 
 
 def test_scaled_normals_row_sums(gas):
-    rng = np.random.default_rng(0)
-    for _ in range(10):
-        pts = rng.uniform(-1, 1, (3, 2))
-        pts[1] = pts[0] + [1.0, 0.1 * rng.standard_normal()]
-        pts[2] = pts[0] + [0.2, 1.0]
-        mesh = build_mesh(pts, [(0, 1, 2)])
+    for seed in range(10):
+        mesh = build_mesh(*scrambled(12, 10, seed), periodic=True)
         disc = Discretization(mesh, build_dofmap(mesh, "s2", "lagrange", 1))
         om = scaled_normals(disc)
         assert np.abs(om.sum(axis=2)).max() < 1e-14
 
 
 def test_scaled_normals_reference_value():
-    om = scaled_normals(_ref_disc())
+    om = scaled_normals(reference_pair())
     # int phi0 grad(phi0) = (-1/6, -1/6); omega = 2*3*that = (-1, -1)
     assert np.allclose(om[0, 0, 0], [-1.0, -1.0], atol=1e-13)
 
 
 def test_scaled_normals_scale_linearly():
-    om1 = scaled_normals(_ref_disc(1.0))[0]
-    om2 = scaled_normals(_ref_disc(2.0))[0]
+    om1 = scaled_normals(reference_pair(1.0))[0]
+    om2 = scaled_normals(reference_pair(2.0))[0]
     assert np.allclose(om2, 2.0 * om1, rtol=1e-12)
     # directions invariant
     n1 = om1 / np.linalg.norm(om1, axis=-1, keepdims=True)
@@ -55,8 +48,8 @@ def test_scaled_normals_scale_linearly():
 
 
 def test_alpha_interpolated_stagnant_state(gas):
-    disc = _ref_disc()
-    U = np.tile(euler.conserved(1.0, 0.0, 0.0, 1.0, gas), (3, 1))
+    disc = reference_pair()
+    U = _stagnant(disc, gas)
     a = alpha_interpolated(disc, gas, U)
     om = scaled_normals(disc)
     max_norm = np.linalg.norm(om, axis=-1).max()
@@ -65,8 +58,8 @@ def test_alpha_interpolated_stagnant_state(gas):
 
 
 def test_alpha_interpolated_grows_with_speed(gas):
-    disc = _ref_disc()
-    U = np.tile(euler.conserved(1.0, 0.0, 0.0, 1.0, gas), (3, 1))
+    disc = reference_pair()
+    U = _stagnant(disc, gas)
     a0 = alpha_interpolated(disc, gas, U)[0]
     U2 = U.copy()
     U2[1] = euler.conserved(1.0, 2.0, 0.5, 1.0, gas)
@@ -75,8 +68,8 @@ def test_alpha_interpolated_grows_with_speed(gas):
 
 
 def test_alpha_interpolated_requires_admissible(gas):
-    disc = _ref_disc()
-    U = np.tile([1.0, 3.0, 0.0, 1.0], (3, 1))
+    disc = reference_pair()
+    U = np.tile([1.0, 3.0, 0.0, 1.0], (disc.dofmap.n_dofs, 1))
     with pytest.raises(VacuumState):
         alpha_interpolated(disc, gas, U)
 
@@ -88,8 +81,8 @@ def test_geometry_vectors_gauss_identity(gas):
 
 
 def test_alpha_noninterpolated_stagnant(gas):
-    disc = _ref_disc()
-    U = np.tile(euler.conserved(1.0, 0.0, 0.0, 1.0, gas), (3, 1))
+    disc = reference_pair()
+    U = _stagnant(disc, gas)
     a = alpha_noninterpolated(disc, gas, U)
     max_norm = np.linalg.norm(geometry_vectors(disc), axis=-1).max()
     assert a[0] == pytest.approx(np.sqrt(1.4) * max_norm, rel=1e-12)
@@ -102,10 +95,10 @@ def test_alpha_noninterpolated_refinement_ratio(gas):
 
 
 def test_alpha_implicit_reference_value(gas):
-    disc = _ref_disc()
+    disc = reference_pair()
     norms = np.linalg.norm(disc.phi_grad_integrals, axis=-1)
     assert norms[0].max() == pytest.approx(np.sqrt(2.0) / 6.0, rel=1e-12)
-    U = np.tile(euler.conserved(1.0, 0.0, 0.0, 1.0, gas), (3, 1))
+    U = _stagnant(disc, gas)
     a = alpha_implicit(disc, gas, U)
     assert a[0] == pytest.approx(
         3 * np.sqrt(1.4) * np.sqrt(2.0) / 6.0, rel=1e-12
@@ -113,9 +106,9 @@ def test_alpha_implicit_reference_value(gas):
 
 
 def test_alpha_implicit_scales_with_mesh(gas):
-    U = np.tile(euler.conserved(1.0, 0.0, 0.0, 1.0, euler.GasModel()), (3, 1))
-    a1 = alpha_implicit(_ref_disc(1.0), gas, U)[0]
-    a2 = alpha_implicit(_ref_disc(2.0), gas, U)[0]
+    d1, d2 = reference_pair(1.0), reference_pair(2.0)
+    a1 = alpha_implicit(d1, gas, _stagnant(d1, gas))[0]
+    a2 = alpha_implicit(d2, gas, _stagnant(d2, gas))[0]
     assert a2 / a1 == pytest.approx(2.0, rel=1e-12)
 
 
@@ -125,10 +118,11 @@ def test_phi_grad_integrals_row_sums(gas):
 
 
 def test_admissible_timestep_arithmetic():
-    disc = _ref_disc()  # |K| = 1/2, |K_sigma| = 1/6, N_K = 3
-    dt = admissible_timestep(disc, np.array([2.0]), cfl=0.5)
+    disc = reference_pair()  # |K| = 1/2, |K_sigma| = 1/6, N_K = 3
+    alpha = np.full(disc.mesh.n_tris, 2.0)
+    dt = admissible_timestep(disc, alpha, cfl=0.5)
     assert dt == pytest.approx(1.0 / 72.0, rel=1e-14)
-    assert admissible_timestep(disc, np.array([2.0]), cfl=1.0) == pytest.approx(
+    assert admissible_timestep(disc, alpha, cfl=1.0) == pytest.approx(
         2 * dt, rel=1e-14
     )
 
@@ -144,11 +138,12 @@ def test_admissible_timestep_refinement(gas):
 
 
 def test_admissible_timestep_constant_flow_cap():
-    disc = _ref_disc()
-    dt = admissible_timestep(disc, np.array([0.0]), cfl=0.5, dt_max=0.25)
+    disc = reference_pair()
+    alpha = np.zeros(disc.mesh.n_tris)
+    dt = admissible_timestep(disc, alpha, cfl=0.5, dt_max=0.25)
     assert dt == pytest.approx(0.125)
     # default cap from the domain size
-    dt2 = admissible_timestep(disc, np.array([0.0]), cfl=1.0)
+    dt2 = admissible_timestep(disc, alpha, cfl=1.0)
     assert dt2 == pytest.approx(1e-2 * np.hypot(1.0, 1.0))
 
 

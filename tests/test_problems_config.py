@@ -6,6 +6,7 @@ from rdeuler import euler
 from rdeuler.config import parse_config
 from rdeuler.errors import ConfigError, InadmissibleParameters
 from rdeuler.problems import SmoothedSodProblem, VortexProblem, init_vortex
+from rdeuler.residuals import Scheme
 
 
 def _balanced_vortex_oracle(x, y, gas, beta=5.0, u_inf=1.0):
@@ -193,6 +194,31 @@ def test_config_scheme_objects():
     assert s.lambda_jump == 0.7 and s.zeta == 2.5
     cascade = cfg.cascade_objs()
     assert cascade[-1].base == "lxf"
+
+
+@pytest.mark.parametrize("text", [
+    "galerkin+interp", "dg+interp", "galerkin_jump+interp", "galerkin+ec+jump+interp",
+    "lxf+interp+interp", "lxf+ec+ec", "galerkin+jump+jump", "limited_lxf+ec+jump+ec",
+])
+def test_scheme_parse_rejects_meaningless_modifiers(text):
+    # +interp changes only the LxF family's flux, and a repeated modifier
+    # can only be a typo
+    with pytest.raises(ConfigError):
+        Scheme.parse(text)
+    with pytest.raises(ConfigError):
+        parse_config(f"mesh = structured:4\nscheme = {text}\n")
+
+
+def test_scheme_parse_accepts_each_modifier_once_in_any_order():
+    assert Scheme.parse("lxf+jump+interp+ec").label() == "lxf+ec+jump+interp"
+    assert Scheme.parse("limited_lxf+interp").flux_mode == "interpolated"
+    assert Scheme.parse("dg+ec+jump").label() == "dg+ec+jump"
+
+
+def test_scheme_rejects_interpolated_flux_outside_lxf_family():
+    assert Scheme(base="limited_lxf", flux_mode="interpolated").label() == "limited_lxf+interp"
+    with pytest.raises(ConfigError):
+        Scheme(base="galerkin", flux_mode="interpolated")
 
 
 def test_config_rejects_mood_with_implicit():

@@ -21,17 +21,11 @@ from rdeuler.stepping import FieldState
 RTOL = 1e-13
 
 
-def _trace_pair(disc, X_elem):
+def _traces(disc, X_elem):
     """One (nq, N) x (N, C) product per interface and side."""
-    rs = np.maximum(disc.if_right, 0)
     vals_L = disc.edge_vals[disc.mesh.edge_left_loc]
     vals_R = disc.edge_vals[disc.mesh.edge_right_loc][:, ::-1]
-    return np.matmul(vals_L, X_elem[disc.if_left]), np.matmul(vals_R, X_elem[rs])
-
-
-def _traces(disc, U_elem):
-    tL, tR = _trace_pair(disc, U_elem)
-    return tL, np.where(disc.if_has_right[:, None, None], tR, tL)
+    return np.matmul(vals_L, X_elem[disc.if_left]), np.matmul(vals_R, X_elem[disc.if_right])
 
 
 def _trace_grad(grads_T, owner_vals):
@@ -39,8 +33,7 @@ def _trace_grad(grads_T, owner_vals):
 
 
 def _grad_jump(disc, X_elem):
-    rs = np.maximum(disc.if_right, 0)
-    return (_trace_grad(disc.if_grads_R_T, X_elem[rs])
+    return (_trace_grad(disc.if_grads_R_T, X_elem[disc.if_right])
             - _trace_grad(disc.if_grads_L_T, X_elem[disc.if_left]))
 
 
@@ -80,7 +73,7 @@ def _oracle_base(disc, gas, U_elem, scheme, alpha):
         jw2 = (jump * disc.edge_weights[None, :, None, None]).transpose(0, 1, 3, 2).reshape(E, nq * 2, C)
         gL = disc.if_grads_L_T.transpose(0, 3, 1, 2).reshape(E, -1, nq * 2)
         gR = disc.if_grads_R_T.transpose(0, 3, 1, 2).reshape(E, -1, nq * 2)
-        w = (np.where(disc.if_has_right, disc.if_length**2, 0.0) * disc.if_length)[:, None, None]
+        w = (disc.if_length**2 * disc.if_length)[:, None, None]
         return phi + disc.scatter_interface(-np.matmul(gL, jw2) * w, np.matmul(gR, jw2) * w), total
     dev = U_elem - U_elem.mean(axis=1, keepdims=True)
     if scheme.flux_mode == "interpolated":
@@ -124,14 +117,12 @@ def _oracle_jump(disc, gas, U_elem, V_elem, zeta):
         jump = _grad_jump(disc, V_elem)
         D = lam_e * disc.if_h**zeta * disc.if_length * ((jump * jump).sum(axis=(2, 3)) @ disc.edge_weights)
     else:
-        VL, VR = _trace_pair(disc, V_elem)
+        VL, VR = _traces(disc, V_elem)
         jump = VR - VL
         D = lam_e * disc.if_length * ((jump * jump).sum(axis=2) @ disc.edge_weights)
-    D = np.where(disc.if_has_right, D, 0.0)
     lam_k = np.zeros(disc.mesh.n_tris)
     np.maximum.at(lam_k, disc.if_left, lam_e)
-    has_r = disc.if_has_right
-    np.maximum.at(lam_k, disc.if_right[has_r], lam_e[has_r])
+    np.maximum.at(lam_k, disc.if_right, lam_e)
     share = disc.scatter_interface(0.5 * D, 0.5 * D)
     psi, achieved = _distribute(_deviations(V_elem), share, lam_k * disc.mesh.diameters)
     return psi, achieved, D
@@ -157,7 +148,7 @@ def _oracle_theta(disc, gas, U, scheme, alpha):
 
 def _oracle_sweep(disc, gas, U_elem):
     e, side = disc.mesh.elem_edges, disc.mesh.elem_edge_side
-    tL, tR = _trace_pair(disc, U_elem)
+    tL, tR = _traces(disc, U_elem)
     own = np.where((side == 0)[..., None, None], tL[e], tR[e])          # (M, 3, nq, 4)
     points = np.concatenate(
         [U_elem, disc.interior_field(U_elem), own.reshape(len(U_elem), -1, 4)], axis=1

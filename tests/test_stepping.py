@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
-from conftest import make_disc, random_states, smooth_field
+from conftest import make_disc, random_states, reference_pair, smooth_field
 from rdeuler import euler
 from rdeuler.errors import AlphaTooSmall, ConfigError
 from rdeuler.positivity import (
@@ -48,17 +48,13 @@ def test_assemble_rhs_global_conservation(gas, small_disc):
 
 
 def test_single_element_rhs_equals_theta(gas):
-    from rdeuler.basis import build_dofmap
-    from rdeuler.discretization import Discretization
-    from rdeuler.mesh import build_mesh
-
-    mesh = build_mesh([(0, 0), (1, 0), (0, 1)], [(0, 1, 2)])
-    disc = Discretization(mesh, build_dofmap(mesh, "s2", "lagrange", 1))
+    # on the discontinuous space every DOF has a single owner element
+    disc = reference_pair()
     rng = np.random.default_rng(0)
-    U = random_states(rng, 3)
+    U = random_states(rng, disc.dofmap.n_dofs)
     res = element_theta(disc, gas, U, Scheme.parse("galerkin"), None)
     R = assembled_residual(disc, gas, U, Scheme.parse("galerkin"))
-    assert np.array_equal(R, res.theta[0])
+    assert np.array_equal(R[disc.dofmap.elem_dofs], res.theta)
 
 
 def test_forward_euler_identities(gas, small_disc):
