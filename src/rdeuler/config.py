@@ -7,6 +7,7 @@ time-step cap from the domain size).
 """
 
 from dataclasses import dataclass, field, fields
+from math import isfinite
 
 from .errors import ConfigError
 from .residuals import Scheme
@@ -65,14 +66,21 @@ class RunConfig:
             raise ConfigError("degree must be 1 or 2")
         if self.integrator not in ("fe", "ssprk2", "implicit"):
             raise ConfigError("integrator must be fe, ssprk2 or implicit")
-        if not 0.0 < self.cfl <= 1.0:
-            raise ConfigError("cfl must lie in (0, 1]")
-        if self.t_end <= 0.0:
-            raise ConfigError("t_end must be positive")
-        if self.gamma <= 1.0:
-            raise ConfigError("gamma must exceed 1")
-        if self.zeta < 2.0:
-            raise ConfigError("zeta must be >= 2")
+        # Each check is written so that NaN fails it; infinities fail isfinite.
+        _check(0.0 < self.cfl <= 1.0, "cfl must lie in (0, 1]")
+        _check(isfinite(self.t_end) and self.t_end > 0.0, "t_end must be positive and finite")
+        _check(isfinite(self.gamma) and self.gamma > 1.0, "gamma must be finite and exceed 1")
+        _check(isfinite(self.zeta) and self.zeta >= 2.0, "zeta must be finite and >= 2")
+        _check(_auto_or(self.lambda_jump, lambda v: v >= 0.0),
+               "lambda_jump must be auto or finite and >= 0")
+        _check(_auto_or(self.dt_max, lambda v: v > 0.0), "dt_max must be auto or finite and > 0")
+        _check(self.max_steps >= 1, "max_steps must be >= 1")
+        _check(isfinite(self.mood_delta_dmp) and self.mood_delta_dmp >= 0.0,
+               "mood.delta_dmp must be finite and >= 0")
+        _check(isfinite(self.mood_smooth_tol) and self.mood_smooth_tol > 0.0,
+               "mood.smooth_tol must be finite and > 0")
+        _check(_auto_or(self.mood_plateau, lambda v: v >= 0.0),
+               "mood.plateau must be auto or finite and >= 0")
         if self.output_every < 0 or self.diag_every < 1:
             raise ConfigError("bad output cadence")
         if self.mood_enabled and self.integrator == "implicit":
@@ -91,6 +99,16 @@ class RunConfig:
         return tuple(
             _with_jump_params(Scheme.parse(s), self) for s in self.cascade.split(",")
         )
+
+
+def _check(ok, message):
+    if not ok:
+        raise ConfigError(message)
+
+
+def _auto_or(value, ok):
+    """True for ``auto`` (None) or a finite value satisfying ``ok``."""
+    return value is None or (isfinite(value) and ok(value))
 
 
 def _with_jump_params(scheme, cfg):

@@ -13,7 +13,8 @@ tables behind ``cached``, among them the element-to-CSR map with which
 ``assemble`` sums element tables into sparse matrices.  No array
 changes once built.
 :class:`StageFields` holds the point values of one state on those
-tables.
+tables, and a :class:`Patch` restricts them to a set of elements and
+their edge neighbours, on which the kernels give the whole-mesh rows.
 """
 
 from functools import cached_property
@@ -230,6 +231,13 @@ class Discretization:
         data = np.bincount(slot, weights=tables.ravel(), minlength=len(indices))
         return sp.csr_matrix((data, indices, indptr), shape=(n, n))
 
+    # -- element patches ------------------------------------------------
+
+    def patch(self, elems):
+        """The Patch of the elements ``elems``: the cascade computes the
+        residual rows of a level's elements on it."""
+        return Patch(self, elems)
+
     # -- field helpers -------------------------------------------------
 
     def elem_values(self, U):
@@ -360,6 +368,166 @@ class Discretization:
         l12 = np.einsum("pij,pj->pi", Jinv, rel)
         l0 = 1.0 - l12.sum(axis=1)
         return np.concatenate([l0[:, None], l12], axis=1)
+
+
+def _rules(shared=(), elements=(), interfaces=(), **remapped):
+    """Patch rules: table name -> (rows gathered, id map applied to the values)."""
+    rules = dict.fromkeys(shared, (None, None))
+    rules.update(dict.fromkeys(elements, ("elems", None)))
+    rules.update(dict.fromkeys(interfaces, ("interfaces", None)))
+    rules.update(remapped)
+    return rules
+
+
+class _PatchView:
+    """Tables of ``_parent`` restricted to a patch, each gathered on first read.
+
+    ``_RULES`` says for each table which rows it keeps (all of them, or
+    those of ``_rows.elems`` or ``_rows.interfaces``) and whether its
+    values are element or interface ids to remap to the patch.  A table
+    without a rule is not read by the kernels and raises AttributeError.
+    """
+
+    _RULES = {}
+
+    def __getattr__(self, name):
+        if name.startswith("_") or name not in self._RULES:
+            raise AttributeError(f"{type(self).__name__} has no patch rule for {name!r}")
+        rows, ids = self._RULES[name]
+        value = getattr(self._parent, name)
+        if rows is not None:
+            value = value[getattr(self._rows, rows)]
+        if ids is not None:
+            value = getattr(self._rows, ids)[value]
+        self.__dict__[name] = value
+        return value
+
+
+class _PatchRows:
+    """Parent rows of a patch, ascending, and the parent-to-patch id maps."""
+
+    def __init__(self, n_elems, n_interfaces, elems, interfaces):
+        self.n_elems, self.n_interfaces = n_elems, n_interfaces
+        self.elems, self.interfaces = elems, interfaces
+
+    @cached_property
+    def elem_id(self):
+        """Patch id of each parent element, -1 outside the patch."""
+        ids = np.full(self.n_elems, -1, dtype=np.int64)
+        ids[self.elems] = np.arange(len(self.elems))
+        return ids
+
+    @cached_property
+    def interface_id(self):
+        """Patch id of each parent interface, 0 outside the patch."""
+        ids = np.zeros(self.n_interfaces, dtype=np.int64)
+        ids[self.interfaces] = np.arange(len(self.interfaces))
+        return ids
+
+
+class _PatchMesh(_PatchView):
+    _RULES = _rules(
+        shared=("nodes", "node_rep", "periodic", "bbox"),
+        elements=("tris", "areas", "diameters", "elem_edge_side", "elem_edge_normal",
+                  "elem_edge_length"),
+        interfaces=("edge_nodes", "edge_left_loc", "edge_right_loc", "edge_periodic",
+                    "edge_translation", "edge_length"),
+        edge_left=("interfaces", "elem_id"), edge_right=("interfaces", "elem_id"),
+        elem_edges=("elems", "interface_id"),
+    )
+
+    def __init__(self, mesh: Mesh, rows: _PatchRows):
+        self._parent, self._rows = mesh, rows
+        self.n_tris, self.n_edges = len(rows.elems), len(rows.interfaces)
+
+
+class _PatchDofMap(_PatchView):
+    _RULES = _rules(shared=("space", "basis", "degree", "dof_points", "n_dofs", "n_local"),
+                    elements=("elem_dofs",))
+
+    def __init__(self, dofmap: fb.DofMap, mesh: _PatchMesh, rows: _PatchRows):
+        self._parent, self._rows = dofmap, rows
+        self.mesh = mesh
+
+
+class _GatheredOrBuilt:
+    """A lazy table of Discretization on a Patch: the parent's, gathered,
+    once the parent has built it, else built on the patch."""
+
+    def __init__(self, rows):
+        self.rows = rows
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, patch, owner=None):
+        if patch is None:
+            return self
+        built = vars(patch._parent)
+        if self.name in built:
+            value = built[self.name][getattr(patch._rows, self.rows)]
+        else:
+            value = getattr(Discretization, self.name).func(patch)
+        patch.__dict__[self.name] = value
+        return value
+
+
+class Patch(_PatchView, Discretization):
+    """A set of elements of a Discretization with their edge neighbours,
+    on which every kernel runs unchanged.
+
+    The neighbours are a halo: the patch keeps only the interfaces whose
+    two owners both lie in it, in ascending order, so a requested
+    element keeps all its interfaces, each of its kernel rows sums in
+    the same order, and its rows come out as on the whole mesh.  The
+    rows of the halo elements miss interfaces and must not be read.
+
+    No table is recomputed and nothing is copied up front: element and
+    interface tables, and the per-element ``cached`` tables, are gathered
+    from the parent on first read, and a lazy table the parent has not
+    built is built on the patch.  Owner, neighbour and edge ids are
+    remapped to the patch (an interface outside it reads as interface 0,
+    a neighbour outside it as -1); the DOF map keeps the global DOF ids,
+    so kernels on the patch read the global DOF vector.
+
+    ``elems`` holds the parent ids of the patch elements in ascending
+    order and ``core`` the patch positions of the requested elements.
+    """
+
+    _RULES = _rules(
+        shared=("quad", "int_weights", "int_vals", "edge_weights", "edge_vals"),
+        elements=("jacobians", "jinv_T", "corner_coords", "lagrange_phys", "int_grads"),
+        interfaces=("if_normal", "if_length", "if_h", "if_vals_L_wl", "if_vals_R_wl"),
+        if_left=("interfaces", "elem_id"), if_right=("interfaces", "elem_id"),
+        elem_neighbors=("elems", "elem_id"),
+    )
+    # the ``cached`` tables of the cascade's kernels, one row (or a tuple
+    # of rows) per element; other keys are built on the patch
+    _PER_ELEMENT_CACHE = ("pgi", "gi", "omega_norms_units", "geometry_vector_norms")
+    int_gradw_mat = _GatheredOrBuilt("elems")
+    if_grads_L_T = _GatheredOrBuilt("interfaces")
+    if_grads_R_T = _GatheredOrBuilt("interfaces")
+
+    def __init__(self, parent: Discretization, elems):
+        req = np.asarray(elems, dtype=np.int64)
+        inside = np.zeros(parent.mesh.n_tris, dtype=bool)
+        inside[req] = True
+        inside[parent.elem_neighbors[req]] = True
+        rows = _PatchRows(len(inside), len(parent.if_left), np.flatnonzero(inside),
+                          np.flatnonzero(inside[parent.if_left] & inside[parent.if_right]))
+        self._parent, self._rows, self._cache = parent, rows, {}
+        self.elems = rows.elems
+        self.core = np.searchsorted(rows.elems, req)
+        self.mesh = _PatchMesh(parent.mesh, rows)
+        self.dofmap = _PatchDofMap(parent.dofmap, self.mesh, rows)
+
+    def cached(self, key, build):
+        """The parent's table gathered when it is per element and built, else ``build()``."""
+        if key not in self._cache and key in self._PER_ELEMENT_CACHE and key in self._parent._cache:
+            value = self._parent._cache[key]
+            self._cache[key] = (tuple(v[self.elems] for v in value) if isinstance(value, tuple)
+                                else value[self.elems])
+        return super().cached(key, build)
 
 
 class PointValues:

@@ -7,6 +7,14 @@ relaxed discrete maximum principle on the density with a smooth-extremum
 pardon.  Flagged elements are recomputed with the next scheme in the
 cascade; the final member (the most dissipative LxF distribution) is
 accepted once it passes the physical and computational checks.
+
+The recomputation is local.  Each candidate is one integrator call, in
+which every level computes residual rows only for its own elements, on
+element patches (``stepping.mixed_theta``): the first-stage rows of U^n
+accumulate over the candidates of a step, and a second-stage row is
+copied from the previous candidate where the element's stencil values
+are bit-identical.  The candidates, their detection and the reports are
+bit for bit those of recomputing every level on the whole mesh.
 """
 
 from dataclasses import dataclass, field
@@ -139,11 +147,13 @@ def smooth_pardon(disc: Discretization, rho, elems, smooth_tol):
 def detect(disc: Discretization, gas, cfg: CascadeConfig, candidate_U, previous_U):
     """Apply the four detectors; returns (fail, code, worst_dof, skips)."""
     dofs = disc.dofmap.elem_dofs
-    Uc = np.asarray(candidate_U)[dofs]                     # (M, N, 4)
+    U = np.asarray(candidate_U)
     M = disc.mesh.n_tris
 
-    finite = np.isfinite(Uc).all(axis=(1, 2))
-    pad_ok = euler.admissible(Uc, gas)
+    # each global DOF is tested once, then gathered per element
+    finite_dof = np.isfinite(U).all(axis=1)
+    finite = finite_dof[dofs].all(axis=1)
+    pad_ok = euler.admissible(U, gas)[dofs]
     pad_fail_dof = np.argmax(~pad_ok, axis=1)
     pad_fail = ~pad_ok.all(axis=1)
 
@@ -164,7 +174,8 @@ def detect(disc: Discretization, gas, cfg: CascadeConfig, candidate_U, previous_
     )
     plateau = rng < eps_plateau
 
-    cand_rho = np.where(np.isfinite(Uc[:, :, 0]), Uc[:, :, 0], np.inf)
+    rho = U[:, 0]
+    cand_rho = np.where(np.isfinite(rho), rho, np.inf)[dofs]
     delta = np.maximum(1e-6, cfg.delta_dmp * rng)
     low = (mn - delta)[:, None]
     high = (mx + delta)[:, None]
@@ -174,8 +185,7 @@ def detect(disc: Discretization, gas, cfg: CascadeConfig, candidate_U, previous_
 
     flagged = np.nonzero(nad_fail)[0]
     if flagged.size:
-        rho_full = np.asarray(candidate_U)[:, 0]
-        nad_fail[flagged[smooth_pardon(disc, rho_full, flagged, cfg.smooth_tol)]] = False
+        nad_fail[flagged[smooth_pardon(disc, rho, flagged, cfg.smooth_tol)]] = False
     code[nad_fail] = DET_NAD
     worst[nad_fail] = dofs[nad_fail, np.argmax(nad_viol[nad_fail], axis=1)]
     fail = fail | nad_fail
@@ -221,8 +231,7 @@ def mood_step(state, dt, cfg: CascadeConfig, integrator, gas):
         raise ParachutePadFailure("cascade loop failed to settle")
 
     candidate, fail, code, worst = last
-    pad_ok = euler.admissible(candidate.U[disc.dofmap.elem_dofs], gas).all(axis=1)
-    if n_levels > 1 and not np.all(pad_ok):
+    if n_levels > 1 and not np.all(euler.admissible(candidate.U, gas)):
         raise ParachutePadFailure("final state violates physical admissibility")
     counts["parachute"] = (
         int(np.sum(levels == n_levels - 1)) if n_levels > 1 else 0

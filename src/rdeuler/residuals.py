@@ -40,7 +40,7 @@ class Scheme:
             raise ConfigError(f"unknown flux mode {self.flux_mode!r}")
         if self.flux_mode == "interpolated" and self.base not in LXF_FAMILY:
             raise ConfigError(f"+interp applies to the LxF family only, not to {self.base!r}")
-        if self.zeta < 2.0:
+        if not self.zeta >= 2.0:                 # NaN fails too
             raise ConfigError("zeta must be >= 2")
 
     @classmethod

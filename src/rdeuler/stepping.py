@@ -29,9 +29,11 @@ class FieldState:
     U: np.ndarray            # (n_dofs, 4)
     disc: Discretization
     # Point values, alpha bounds and residuals of U, each computed on
-    # first use.  The field is never copied (dataclasses.replace starts
-    # it empty), so nothing cached outlives the state it was computed
-    # from; U must not be edited in place once a cached value has been read.
+    # first use, the residual rows of cascade levels, and under the
+    # cascade the latest first stage stepped from U.  The field is never
+    # copied (dataclasses.replace starts it empty), so nothing cached
+    # outlives the state it was computed from; U must not be edited in
+    # place once a cached value has been read.
     _memo: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def fields(self, gas):
@@ -62,14 +64,7 @@ class FieldState:
         """
         key = ("alpha", gas, mode)
         if key not in self._memo:
-            bounds = {
-                "interpolated": positivity.alpha_interpolated,
-                "pointwise": positivity.alpha_noninterpolated,
-                "implicit": positivity.alpha_implicit,
-            }
-            if mode not in bounds:
-                raise ConfigError(f"unknown flux mode {mode!r}")
-            self._memo[key] = bounds[mode](self.disc, gas, self.fields(gas))
+            self._memo[key] = _bound(mode)(self.disc, gas, self.fields(gas))
         return self._memo[key]
 
     def residual(self, gas, scheme: Scheme):
@@ -79,6 +74,73 @@ class FieldState:
             alpha = self.alpha(gas, scheme.flux_mode) if scheme.base in LXF_FAMILY else None
             self._memo[key] = element_theta(self.disc, gas, self.fields(gas), scheme, alpha)
         return self._memo[key]
+
+    def rows(self, gas, scheme: Scheme, pick, prior=None, reuse=None):
+        """theta of one scheme on the elements ``pick`` (M,) bool, (M, N, 4);
+        the other rows are undefined.
+
+        The full residual answers when the state has it or ``pick`` is
+        every element.  Otherwise the rows accumulate in the state's row
+        memo over calls: rows of ``prior`` (another state on the same
+        mesh) are copied where ``reuse`` (M,) says the element's stencil
+        values are bit-identical in both, and the rest are computed on
+        the patch of the missing elements.
+        """
+        full = self._memo.get(("residual", gas, scheme))
+        if full is None and pick.all():
+            full = self.residual(gas, scheme)
+        if full is not None:
+            return full.theta
+        key = ("rows", gas, scheme)
+        if key not in self._memo:
+            M, N = self.disc.dofmap.elem_dofs.shape
+            self._memo[key] = (np.empty((M, N, 4)), np.zeros(M, dtype=bool))
+        theta, have = self._memo[key]
+        need = pick & ~have
+        known = None if prior is None else prior._known_rows(gas, scheme)
+        if known is not None:
+            copy = np.flatnonzero(need & reuse & known[1])
+            theta[copy] = known[0][copy]
+            need[copy] = False
+        need = np.flatnonzero(need)
+        if len(need):
+            theta[need] = _patch_theta(self, gas, scheme, need)
+        have |= pick
+        return theta
+
+    def _known_rows(self, gas, scheme):
+        """(theta, have) of the rows of one scheme computed so far, or None."""
+        full = self._memo.get(("residual", gas, scheme))
+        if full is not None:
+            return full.theta, np.ones(len(full.theta), dtype=bool)
+        return self._memo.get(("rows", gas, scheme))
+
+
+def _bound(mode):
+    """The alpha bound function of ``mode``, looked up when called."""
+    bounds = {
+        "interpolated": positivity.alpha_interpolated,
+        "pointwise": positivity.alpha_noninterpolated,
+        "implicit": positivity.alpha_implicit,
+    }
+    if mode not in bounds:
+        raise ConfigError(f"unknown flux mode {mode!r}")
+    return bounds[mode]
+
+
+def _patch_theta(state: FieldState, gas, scheme: Scheme, elems):
+    """theta rows of the elements ``elems`` computed on their patch.
+
+    An LxF-family scheme reads the state's bound when the state has it
+    (the dt clock computed it), else computes it on the patch.
+    """
+    patch = state.disc.patch(elems)
+    fields = StageFields(patch, gas, state.U)
+    alpha = None
+    if scheme.base in LXF_FAMILY:
+        full = state._memo.get(("alpha", gas, scheme.flux_mode))
+        alpha = full[patch.elems] if full is not None else _bound(scheme.flux_mode)(patch, gas, fields)
+    return element_theta(patch, gas, fields, scheme, alpha).theta[patch.core]
 
 
 def conserved_totals(disc: Discretization, U):
@@ -104,35 +166,62 @@ def scatter_residuals(disc: Discretization, theta):
     return column_bincount(disc.dofmap.elem_dofs.ravel(), theta.reshape(-1, 4), disc.dofmap.n_dofs)
 
 
-def mixed_theta(state: FieldState, gas, cascade, levels):
-    """Per-element residuals with a cascade level chosen per element,
-    from the state's memoised residuals."""
+def _same_stencil(disc: Discretization, U_old, U_new):
+    """(M,) True where every stencil DOF value of the element is bit-identical
+    in the two DOF vectors.  The bits are compared as integers, so -0.0
+    against 0.0 counts as changed, and so does any NaN."""
+    same = np.asarray(U_old).view(np.uint64) == np.asarray(U_new).view(np.uint64)
+    same = same.all(axis=1) & ~np.isnan(U_new).any(axis=1)
+    return same[mood._stencil_dofs(disc)].all(axis=1)
+
+
+def mixed_theta(state: FieldState, gas, cascade, levels, prior=None):
+    """Per-element residuals with a cascade level chosen per element.
+
+    Each level gives the rows of its own elements (``FieldState.rows``);
+    ``prior``, the same stage of the previous cascade candidate, lends
+    its rows where the element's stencil values did not change.
+    """
+    reuse = None if prior is None else _same_stencil(state.disc, prior.U, state.U)
     theta = None
-    for lv in np.unique(levels):
-        res = state.residual(gas, cascade[int(lv)]).theta
+    for lv, scheme in enumerate(cascade):
+        pick = levels == lv
+        if not pick.any():
+            continue
+        rows = state.rows(gas, scheme, pick, prior, reuse)
         if theta is None:
-            theta = res.copy()
+            theta = rows.copy()
         else:
-            pick = levels == lv
-            theta[pick] = res[pick]
+            pick = np.flatnonzero(pick)
+            theta[pick] = rows[pick]
     return theta
 
 
-def forward_euler_step(state: FieldState, scheme, dt, gas, levels=None) -> FieldState:
+def forward_euler_step(state: FieldState, scheme, dt, gas, levels=None, prior=None) -> FieldState:
+    """One Euler step; with ``levels``, ``scheme`` is the cascade and
+    ``prior`` the previous candidate's state at this stage (see mixed_theta)."""
     disc = state.disc
     if levels is None:
         R = scatter_residuals(disc, state.residual(gas, scheme).theta)
     else:
-        R = scatter_residuals(disc, mixed_theta(state, gas, scheme, levels))
+        R = scatter_residuals(disc, mixed_theta(state, gas, scheme, levels, prior))
     state.release_fields()
     U = state.U - (dt / disc.dual.c_sigma)[:, None] * R
     return FieldState(t=state.t + dt, U=U, disc=disc)
 
 
 def ssp_rk2_step(state: FieldState, scheme, dt, gas, levels=None) -> FieldState:
-    """Heun form: average of the state and a doubly advanced Euler stage."""
+    """Heun form: average of the state and a doubly advanced Euler stage.
+
+    Under the cascade the state keeps its latest first stage, so that the
+    next candidate's second stage can reuse its rows.
+    """
     s1 = forward_euler_step(state, scheme, dt, gas, levels=levels)
-    s2 = forward_euler_step(s1, scheme, dt, gas, levels=levels)
+    prior = None
+    if levels is not None:
+        prior = state._memo.get(("stage1",))
+        state._memo[("stage1",)] = s1
+    s2 = forward_euler_step(s1, scheme, dt, gas, levels=levels, prior=prior)
     U = 0.5 * (state.U + s2.U)
     return FieldState(t=state.t + dt, U=U, disc=state.disc)
 

@@ -194,3 +194,19 @@ def picard_elementwise(state, dt, gas, tol=1e-10, max_iter=50):
         if change <= tol or nonlinear <= tol:
             return Uk, sweep
     raise PicardDivergence(f"no contraction after {max_iter} sweeps")
+
+
+def mixed_theta_full(state, gas, cascade, levels, prior=None):
+    """Per-element residuals with a cascade level chosen per element, each
+    level computed on the whole mesh from the state's memoised residuals
+    (``prior`` is ignored): the cascade recomputation without element
+    patches, as a drop-in for ``stepping.mixed_theta``."""
+    theta = None
+    for lv in np.unique(levels):
+        res = state.residual(gas, cascade[int(lv)]).theta
+        if theta is None:
+            theta = res.copy()
+        else:
+            pick = levels == lv
+            theta[pick] = res[pick]
+    return theta

@@ -484,3 +484,15 @@ def test_missing_input_file_is_an_error_line(tmp_path, capsys, missing, code):
     assert err.startswith("configuration error: " if code == 2 else "error: ")
     assert len(err.splitlines()) == 1 and str(absent) in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("key, value", [
+    ("gamma", "nan"), ("zeta", "nan"), ("lambda_jump", "nan"), ("t_end", "nan"),
+    ("max_steps", "-3"), ("mood.smooth_tol", "-1"), ("mood.delta_dmp", "nan"),
+])
+def test_cli_rejects_nan_and_out_of_range_values(tmp_path, key, value, capsys):
+    path = tmp_path / "run.cfg"
+    path.write_text(_cfg_text(tmp_path, **{key: value}))
+    assert main(["run", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and key in err

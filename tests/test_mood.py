@@ -117,6 +117,35 @@ def test_detect_cad_failure(gas, small_disc):
     assert np.all(code[flagged] == DET_CAD)
 
 
+def test_detect_tests_each_dof_as_its_element_copies(gas):
+    # PAD and CAD read each global DOF once and gather the booleans; the
+    # oracle tests every element copy of every DOF, as the element loop did
+    disc = _strip_disc(12, 3)
+    prev = disc.interpolate(make_problem("sod_smooth", disc.mesh.bbox, gas).initial)
+    rng = np.random.default_rng(4)
+    dofs = disc.dofmap.elem_dofs
+    M = disc.mesh.n_tris
+    for _ in range(20):
+        cand = prev * (1.0 + 0.01 * rng.standard_normal(prev.shape))
+        bad = rng.choice(len(cand), 6, replace=False)
+        cand[bad[0], 0] = -0.1
+        cand[bad[1], 3] = 0.0
+        cand[bad[2], 2] = np.nan
+        cand[bad[3], 1] = np.inf
+        cand[bad[4], 0] = np.nan
+        cand[bad[5], 0] = 1e-14
+        fail, code, worst, _ = detect(disc, gas, CascadeConfig(), cand, prev)
+        Uc = cand[dofs]
+        finite = np.isfinite(Uc).all(axis=(1, 2))
+        pad_ok = euler.admissible(Uc, gas)
+        pad_fail = ~pad_ok.all(axis=1)
+        hard = pad_fail | ~finite
+        assert np.array_equal(fail & hard, hard)
+        assert np.array_equal(code[hard], np.where(finite, DET_PAD, DET_CAD)[hard])
+        assert np.array_equal(worst[hard], dofs[np.arange(M), np.argmax(~pad_ok, axis=1)][hard])
+        assert not np.any(code[~hard] == DET_PAD) and not np.any(code[~hard] == DET_CAD)
+
+
 def test_detect_plateau_skip(gas, small_disc):
     cfg = CascadeConfig()
     prev = uniform_field(small_disc, gas)

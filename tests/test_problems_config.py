@@ -226,3 +226,35 @@ def test_config_rejects_mood_with_implicit():
         parse_config(
             "mesh = structured:8\nmood.enabled = true\nintegrator = implicit\n"
         )
+
+
+@pytest.mark.parametrize("key, value", [
+    ("gamma", "nan"), ("gamma", "inf"), ("gamma", "1.0"),
+    ("zeta", "nan"), ("zeta", "inf"), ("zeta", "1.5"),
+    ("lambda_jump", "nan"), ("lambda_jump", "inf"), ("lambda_jump", "-0.1"),
+    ("t_end", "nan"), ("t_end", "inf"), ("t_end", "0"),
+    ("dt_max", "nan"), ("dt_max", "inf"), ("dt_max", "0"),
+    ("max_steps", "-3"), ("max_steps", "0"),
+    ("mood.delta_dmp", "nan"), ("mood.delta_dmp", "inf"), ("mood.delta_dmp", "-1e-3"),
+    ("mood.smooth_tol", "nan"), ("mood.smooth_tol", "inf"), ("mood.smooth_tol", "-1"),
+    ("mood.smooth_tol", "0"),
+    ("mood.plateau", "nan"), ("mood.plateau", "inf"), ("mood.plateau", "-1e-9"),
+    ("cfl", "nan"),
+])
+def test_config_rejects_nan_and_out_of_range_values(key, value):
+    with pytest.raises(ConfigError, match=key.replace(".", r"\.")):
+        parse_config(f"mesh = structured:8\n{key} = {value}\n")
+
+
+@pytest.mark.parametrize("key, value", [
+    ("lambda_jump", "auto"), ("lambda_jump", "0"), ("dt_max", "auto"), ("dt_max", "0.5"),
+    ("max_steps", "1"), ("mood.delta_dmp", "0"), ("mood.smooth_tol", "0.5"),
+    ("mood.plateau", "auto"), ("mood.plateau", "0"), ("zeta", "2"), ("t_end", "1e-3"),
+])
+def test_config_accepts_the_edges_of_each_range(key, value):
+    parse_config(f"mesh = structured:8\n{key} = {value}\n")
+
+
+def test_scheme_rejects_nan_zeta():
+    with pytest.raises(ConfigError):
+        Scheme(zeta=float("nan"))
