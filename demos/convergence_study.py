@@ -22,8 +22,8 @@ gas = GasModel()
 def run(n, scheme, t_end, cfl=0.3):
     disc = make_discretization(structured_square(n), "s2", "lagrange", 1)
     U0, problem = init_vortex(disc, gas)
-    state = FieldState(0.0, U0, disc)
-    for state, _, _ in advance(state, gas, scheme, "ssprk2", t_end, cfl):
+    state = FieldState(0.0, U0, disc, gas)
+    for state, _, _ in advance(state, scheme, "ssprk2", t_end, cfl):
         pass
     errs = primitive_errors(disc, gas, state.U, problem.state, state.t)
     return errs, disc.mesh.diameters.max()

@@ -20,11 +20,11 @@ U0, _ = init_vortex(disc, gas)
 
 scheme = Scheme.parse("galerkin+ec+jump")
 record = RunRecord(disc=disc, gas=gas, scheme=scheme)
-state = FieldState(0.0, U0, disc)
+state = FieldState(0.0, U0, disc, gas)
 record.times.append(0.0)
 record.states.append(state.U.copy())
 
-for state, dt, _ in advance(state, gas, scheme, "fe", 0.5, 0.3):
+for state, dt, _ in advance(state, scheme, "fe", 0.5, 0.3):
     record.times.append(state.t)
     record.states.append(state.U.copy())
     record.dts.append(dt)

@@ -11,7 +11,7 @@ import numpy as np
 
 from rdeuler import GasModel, euler
 from rdeuler.config import RunConfig
-from rdeuler.driver import build_discretization, cascade_config, initial_state
+from rdeuler.driver import build_discretization, initial_state
 from rdeuler.stepping import advance, conserved_totals
 
 gas = GasModel()
@@ -21,12 +21,12 @@ cfg = RunConfig(
 ).validate()
 disc = build_discretization(cfg)
 state, _ = initial_state(cfg, disc, gas)
-mood_cfg = cascade_config(cfg)
+mood_cfg = cfg.cascade_config()
 
 t_end, cfl = 0.8, 0.3
 start = conserved_totals(disc, state.U)
 print("   t     flagged  parachute  rho_min   mass drift")
-for state, _, report in advance(state, gas, None, "ssprk2", t_end, cfl, mood_cfg=mood_cfg):
+for state, _, report in advance(state, None, "ssprk2", t_end, cfl, mood_cfg=mood_cfg):
     flagged = int(np.sum(report.level > 0))
     totals = conserved_totals(disc, state.U)
     print(

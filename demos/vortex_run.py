@@ -20,13 +20,13 @@ disc = make_discretization(structured_square(24), "s2", "lagrange", 1)
 U0, problem = init_vortex(disc, gas)
 
 scheme = Scheme.parse("galerkin+ec+jump")
-state = FieldState(0.0, U0, disc)
+state = FieldState(0.0, U0, disc, gas)
 t_end, cfl = 1.0, 0.3
 
 start = conserved_totals(disc, state.U)
 print(f"mesh: {disc.mesh.n_tris} triangles, {disc.dofmap.n_dofs} DOFs")
 print("   t        mass drift    entropy       bv-seminorm^2")
-for step, (state, _, _) in enumerate(advance(state, gas, scheme, "ssprk2", t_end, cfl), 1):
+for step, (state, _, _) in enumerate(advance(state, scheme, "ssprk2", t_end, cfl), 1):
     if step % 10 == 0 or state.t >= t_end - 1e-12:
         totals = conserved_totals(disc, state.U)
         entropy = float(np.sum(disc.dual.c_sigma * euler.entropy_eta(state.U, gas)))

@@ -10,6 +10,7 @@ from dataclasses import dataclass, field, fields
 from math import isfinite
 
 from .errors import ConfigError
+from .mood import CascadeConfig
 from .residuals import Scheme
 
 _BOOL = {"true": True, "false": False, "on": True, "off": False}
@@ -75,29 +76,25 @@ class RunConfig:
                "lambda_jump must be auto or finite and >= 0")
         _check(_auto_or(self.dt_max, lambda v: v > 0.0), "dt_max must be auto or finite and > 0")
         _check(self.max_steps >= 1, "max_steps must be >= 1")
-        _check(isfinite(self.mood_delta_dmp) and self.mood_delta_dmp >= 0.0,
-               "mood.delta_dmp must be finite and >= 0")
-        _check(isfinite(self.mood_smooth_tol) and self.mood_smooth_tol > 0.0,
-               "mood.smooth_tol must be finite and > 0")
-        _check(_auto_or(self.mood_plateau, lambda v: v >= 0.0),
-               "mood.plateau must be auto or finite and >= 0")
+        self.cascade_config()    # the cascade and the mood.* keys, checked even when off
         if self.output_every < 0 or self.diag_every < 1:
             raise ConfigError("bad output cadence")
         if self.mood_enabled and self.integrator == "implicit":
             raise ConfigError("the detection cascade needs an explicit integrator")
         if Scheme.parse(self.scheme).label() != "lxf+interp" and self.integrator == "implicit":
             raise ConfigError("integrator = implicit needs scheme = lxf+interp, the scheme it solves")
-        for s in self.cascade.split(","):
-            Scheme.parse(s)
         return self
 
     def scheme_obj(self):
         s = Scheme.parse(self.scheme)
         return _with_jump_params(s, self)
 
-    def cascade_objs(self):
-        return tuple(
-            _with_jump_params(Scheme.parse(s), self) for s in self.cascade.split(",")
+    def cascade_config(self) -> CascadeConfig:
+        return CascadeConfig(
+            schemes=tuple(_with_jump_params(Scheme.parse(s), self) for s in self.cascade.split(",")),
+            delta_dmp=self.mood_delta_dmp,
+            plateau_eps=self.mood_plateau,
+            smooth_tol=self.mood_smooth_tol,
         )
 
 

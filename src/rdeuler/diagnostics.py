@@ -46,7 +46,7 @@ class RunRecord:
         U = self.states[n]
         st = self._field_states.get(n)
         if st is None or st.U is not U:
-            st = self._field_states[n] = FieldState(self.times[n], U, self.disc)
+            st = self._field_states[n] = FieldState(self.times[n], U, self.disc, self.gas)
         return st
 
 
@@ -149,9 +149,9 @@ def consistency_error(run: RunRecord, phi, grad_phi, component):
     for n, dt in enumerate(run.dts):
         state = run.state(n)
         U = state.U
-        res = state.residual(gas, run.scheme)
+        res = state.residual(run.scheme)
         theta = res.theta
-        galerkin = res if res.base.scheme == "galerkin" else state.residual(gas, Scheme())
+        galerkin = res if res.base.scheme == "galerkin" else state.residual(Scheme())
         gal = galerkin.base.phi
         phe = _test_values(phi, run.times[n], dofs_x, component)[disc.dofmap.elem_dofs]  # (M, N, C)
         if is_eta:
@@ -210,7 +210,7 @@ def entropy_budget(run: RunRecord):
         S1 = float(
             np.sum(disc.dual.c_sigma * euler.entropy_eta(run.states[n + 1], gas))
         )
-        prod = dt * float(np.sum(run.state(n).residual(gas, run.scheme).production))
+        prod = dt * float(np.sum(run.state(n).residual(run.scheme).production))
         rows.append(
             {
                 "t": run.times[n + 1],
@@ -229,7 +229,7 @@ def entropy_production_monitor(disc: Discretization, gas, U_n, U_np1, dt, scheme
     vanishes for a reproduced constant state and is quadratically small
     in dt.
     """
-    R = scatter_residuals(disc, FieldState(0.0, U_n, disc).residual(gas, scheme).theta)
+    R = scatter_residuals(disc, FieldState(0.0, U_n, disc, gas).residual(scheme).theta)
     V = euler.entropy_vars(U_n, gas)
     d = (
         euler.entropy_eta(U_np1, gas)

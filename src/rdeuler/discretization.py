@@ -570,9 +570,10 @@ class StageFields:
       gradient-jump integral of V or the element wavespeed sweep, which
       the modules that define them memoise here.
 
-    The residual, its entropy terms and the alpha bounds of one state
-    read one StageFields (``FieldState.fields``); a caller with a bare DOF
-    vector gets a throwaway set through ``StageFields.of``.
+    Every residual, entropy and alpha-bound kernel takes one StageFields
+    and reads ``disc``, ``gas`` and ``U`` from it; a state's set is
+    ``FieldState.fields``, and a caller with a bare DOF vector builds
+    ``StageFields(disc, gas, U)`` once.
     """
 
     def __init__(self, disc: Discretization, gas, U):
@@ -580,11 +581,6 @@ class StageFields:
         self.gas = gas
         self.U = U
         self._cache = {}
-
-    @classmethod
-    def of(cls, disc: Discretization, gas, U):
-        """U itself when it is already a StageFields, else the set of the DOF vector U."""
-        return U if isinstance(U, cls) else cls(disc, gas, U)
 
     def cached(self, key, build):
         """Value ``build()`` derived from these fields, computed on first use."""

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import diagnostics, euler, mood, problems, stepping
+from . import diagnostics, euler, problems, stepping
 from .config import RunConfig
 from .discretization import Discretization
 from .errors import ConfigError, MeshMismatch
@@ -39,15 +39,6 @@ def load_mesh(spec):
 def build_discretization(cfg: RunConfig) -> Discretization:
     mesh = load_mesh(cfg.mesh)
     return Discretization(mesh, build_dofmap(mesh, cfg.space, cfg.basis, cfg.degree))
-
-
-def cascade_config(cfg: RunConfig) -> mood.CascadeConfig:
-    return mood.CascadeConfig(
-        schemes=cfg.cascade_objs(),
-        delta_dmp=cfg.mood_delta_dmp,
-        plateau_eps=cfg.mood_plateau,
-        smooth_tol=cfg.mood_smooth_tol,
-    )
 
 
 def config_hash(cfg: RunConfig):
@@ -134,20 +125,21 @@ def initial_state(cfg: RunConfig, disc: Discretization, gas):
             raise MeshMismatch(
                 f"snapshot was written on mesh {meta['mesh_hash']}, not on {mesh_hash}"
             )
-        return stepping.FieldState(t=t, U=U, disc=disc), None
+        return stepping.FieldState(t=t, U=U, disc=disc, gas=gas), None
     kwargs = {"beta": cfg.beta} if cfg.problem == "vortex" else {}
     prob = problems.make_problem(cfg.problem, disc.mesh.bbox, gas, **kwargs)
     U = disc.interpolate(prob.initial)
-    return stepping.FieldState(t=0.0, U=U, disc=disc), prob
+    return stepping.FieldState(t=0.0, U=U, disc=disc, gas=gas), prob
 
 
-def _diag_row(disc, gas, state, scheme, step, dt, mood_counts):
+def _diag_row(state, scheme, step, dt, mood_counts):
+    disc, gas = state.disc, state.gas
     totals = stepping.conserved_totals(disc, state.U)
     entropy = float(np.sum(disc.dual.c_sigma * euler.entropy_eta(state.U, gas)))
     prod, grad_jump = 0.0, None
     if scheme.diffusion:
         # The state's memoised residual: the next step's first stage reuses it.
-        res = state.residual(gas, scheme)
+        res = state.residual(scheme)
         prod, grad_jump = float(np.sum(res.production)), res.grad_jump
     bv = diagnostics.weak_bv_norm(disc, gas, state.U, zeta=scheme.zeta, grad_jump=grad_jump)
     return {
@@ -172,7 +164,6 @@ def run(cfg: RunConfig, record=False) -> RunResult:
     disc = build_discretization(cfg)
     state, prob = initial_state(cfg, disc, gas)
     scheme = cfg.scheme_obj()
-    mood_cfg = cascade_config(cfg)  # checks the cascade even when it is off
 
     rec = diagnostics.RunRecord(disc=disc, gas=gas, scheme=scheme) if record else None
     if rec is not None:
@@ -181,17 +172,17 @@ def run(cfg: RunConfig, record=False) -> RunResult:
 
     os.makedirs(cfg.output_dir, exist_ok=True)
     chash = config_hash(cfg)
-    rows = [_diag_row(disc, gas, state, scheme, 0, 0.0, {})]
+    rows = [_diag_row(state, scheme, 0, 0.0, {})]
     step = 0
     for state, dt, report in stepping.advance(
-        state, gas, scheme, cfg.integrator, cfg.t_end, cfg.cfl,
-        mood_cfg=mood_cfg if cfg.mood_enabled else None,
+        state, scheme, cfg.integrator, cfg.t_end, cfg.cfl,
+        mood_cfg=cfg.cascade_config() if cfg.mood_enabled else None,
         dt_max=cfg.dt_max, max_steps=cfg.max_steps,
     ):
         step += 1
         if step % cfg.diag_every == 0:
             counts = report.counts if report is not None else {}
-            rows.append(_diag_row(disc, gas, state, scheme, step, dt, counts))
+            rows.append(_diag_row(state, scheme, step, dt, counts))
         if cfg.output_every and step % cfg.output_every == 0:
             write_snapshot(
                 os.path.join(cfg.output_dir, f"snap_{step:06d}.csv"), state, chash

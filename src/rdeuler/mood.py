@@ -14,10 +14,12 @@ element patches (``stepping.mixed_theta``): the first-stage rows of U^n
 accumulate over the candidates of a step, and a second-stage row is
 copied from the previous candidate where the element's stencil values
 are bit-identical.  The candidates, their detection and the reports are
-bit for bit those of recomputing every level on the whole mesh.
+bit for bit those of recomputing every level on the whole mesh.  The
+maximum-principle bounds of U^n are computed once per step (``dmp_bounds``).
 """
 
 from dataclasses import dataclass, field
+from math import isfinite
 
 import numpy as np
 
@@ -50,6 +52,14 @@ class CascadeConfig:
             raise ConfigError("cascade must not be empty")
         if self.schemes[-1].base != "lxf":
             raise ConfigError("the cascade must end in the LxF distribution")
+        # Each check is written so that NaN fails it; infinities fail isfinite.
+        if not (isfinite(self.delta_dmp) and self.delta_dmp >= 0.0):
+            raise ConfigError("mood.delta_dmp must be finite and >= 0")
+        if not (isfinite(self.smooth_tol) and self.smooth_tol > 0.0):
+            raise ConfigError("mood.smooth_tol must be finite and > 0")
+        if not (self.plateau_eps is None
+                or (isfinite(self.plateau_eps) and self.plateau_eps >= 0.0)):
+            raise ConfigError("mood.plateau must be auto or finite and >= 0")
 
 
 @dataclass
@@ -144,8 +154,24 @@ def smooth_pardon(disc: Discretization, rho, elems, smooth_tol):
     return resid <= smooth_tol * np.maximum(spread, 1e-300)
 
 
-def detect(disc: Discretization, gas, cfg: CascadeConfig, candidate_U, previous_U):
-    """Apply the four detectors; returns (fail, code, worst_dof, skips)."""
+def dmp_bounds(disc: Discretization, cfg: CascadeConfig, previous_U):
+    """Relaxed maximum principle of the previous state, fixed for a step:
+    (low, high, plateau), the stencil minimum and maximum of its density
+    widened by delta, each (M, 1), and the mask (M,) of the elements
+    whose stencil range is below the plateau tolerance."""
+    sten = _stencil_dofs(disc)
+    prev_rho = np.asarray(previous_U)[:, 0]
+    mn = prev_rho[sten].min(axis=1)
+    mx = prev_rho[sten].max(axis=1)
+    rng = mx - mn
+    eps_plateau = disc.mesh.diameters**3 if cfg.plateau_eps is None else cfg.plateau_eps
+    delta = np.maximum(1e-6, cfg.delta_dmp * rng)
+    return (mn - delta)[:, None], (mx + delta)[:, None], rng < eps_plateau
+
+
+def detect(disc: Discretization, gas, cfg: CascadeConfig, candidate_U, bounds):
+    """Apply the four detectors, ``bounds`` being the ``dmp_bounds`` of the
+    previous state; returns (fail, code, worst_dof, skips)."""
     dofs = disc.dofmap.elem_dofs
     U = np.asarray(candidate_U)
     M = disc.mesh.n_tris
@@ -164,21 +190,9 @@ def detect(disc: Discretization, gas, cfg: CascadeConfig, candidate_U, previous_
     worst = np.where(fail, dofs[np.arange(M), pad_fail_dof], -1)
 
     # plateau exemption and relaxed maximum principle on the density
-    sten = _stencil_dofs(disc)
-    prev_rho = np.asarray(previous_U)[:, 0]
-    mn = prev_rho[sten].min(axis=1)
-    mx = prev_rho[sten].max(axis=1)
-    rng = mx - mn
-    eps_plateau = (
-        disc.mesh.diameters**3 if cfg.plateau_eps is None else cfg.plateau_eps
-    )
-    plateau = rng < eps_plateau
-
+    low, high, plateau = bounds
     rho = U[:, 0]
     cand_rho = np.where(np.isfinite(rho), rho, np.inf)[dofs]
-    delta = np.maximum(1e-6, cfg.delta_dmp * rng)
-    low = (mn - delta)[:, None]
-    high = (mx + delta)[:, None]
     nad_viol = (cand_rho < low) | (cand_rho > high)
     nad_fail = nad_viol.any(axis=1) & ~plateau & ~fail
     skips = int(np.sum(plateau & nad_viol.any(axis=1) & ~fail))
@@ -192,7 +206,7 @@ def detect(disc: Discretization, gas, cfg: CascadeConfig, candidate_U, previous_
     return fail, code, worst, skips
 
 
-def mood_step(state, dt, cfg: CascadeConfig, integrator, gas):
+def mood_step(state, dt, cfg: CascadeConfig, integrator):
     """Advance one step under the cascade.
 
     ``integrator(state, dt, levels)`` must perform a full step with the
@@ -201,7 +215,8 @@ def mood_step(state, dt, cfg: CascadeConfig, integrator, gas):
     at the final level only the physical/computational checks apply and
     a failure there is raised loudly.
     """
-    disc = state.disc
+    disc, gas = state.disc, state.gas
+    bounds = dmp_bounds(disc, cfg, state.U)
     M = disc.mesh.n_tris
     n_levels = len(cfg.schemes)
     levels = np.zeros(M, dtype=np.int64)
@@ -210,7 +225,7 @@ def mood_step(state, dt, cfg: CascadeConfig, integrator, gas):
     last = None
     for _ in range(M * n_levels + 2):
         candidate = integrator(state, dt, levels)
-        fail, code, worst, skips = detect(disc, gas, cfg, candidate.U, state.U)
+        fail, code, worst, skips = detect(disc, gas, cfg, candidate.U, bounds)
         skips_total += skips
         at_last = levels == n_levels - 1
         hard = fail & at_last & ((code == DET_PAD) | (code == DET_CAD))

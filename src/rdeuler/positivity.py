@@ -39,7 +39,7 @@ def _check_admissible(fields: StageFields):
         raise VacuumState("inadmissible state in alpha bound")
 
 
-def alpha_interpolated(disc: Discretization, gas, U):
+def alpha_interpolated(fields: StageFields):
     """Upper bound on the spectral radius of A(U).omega over DOFs and pairs, (M,).
 
     The Euler eigenvalues along a direction n are u.n and u.n +- a|n|,
@@ -48,14 +48,13 @@ def alpha_interpolated(disc: Discretization, gas, U):
     It runs over the DOF states first: rounding is monotone, so the
     product of their maximum with |omega| >= 0 is the maximum product.
     """
-    fields = StageFields.of(disc, gas, U)
+    disc, U_elem = fields.disc, fields.U_elem
     _check_admissible(fields)
-    U_elem = fields.U_elem
     norms, unit = disc.cached(
         "omega_norms_units", lambda: _norms_and_units(scaled_normals(disc))
     )
     u = euler.velocity(U_elem)                                     # (M,N,2)
-    a = euler.sound_speed(U_elem, gas, p=fields.dofs.p)            # (M,N)
+    a = euler.sound_speed(U_elem, fields.gas, p=fields.dofs.p)     # (M,N)
     best = None
     for d in range(u.shape[1]):
         # u_d . unit summed over the two directions from zero, as np.einsum
@@ -96,29 +95,28 @@ def _wavespeed_sweep(fields: StageFields):
     return fields.cached("wavespeed", lambda: _element_max_wavespeed(fields))
 
 
-def alpha_noninterpolated(disc: Discretization, gas, U):
+def alpha_noninterpolated(fields: StageFields):
     """Wavespeed maximum times the largest ||N_{sigma sigma'}||, (M,).
 
-    U is a DOF vector or its StageFields; the pointwise and implicit
-    bounds of one StageFields share its wavespeed sweep.
+    The pointwise and implicit bounds of one StageFields share its
+    wavespeed sweep.
     """
-    fields = StageFields.of(disc, gas, U)
+    disc = fields.disc
     _check_admissible(fields)
     norms = disc.cached("geometry_vector_norms", lambda: _max_norms(geometry_vectors(disc)))
     return _wavespeed_sweep(fields) * norms
 
 
-def alpha_implicit(disc: Discretization, gas, U):
+def alpha_implicit(fields: StageFields):
     """Sign-condition bound for the implicit density system, (M,).
 
     The mean-value correction splits as alpha/N_K per off-diagonal
     entry, so alpha must dominate N_K times the advective coefficient
     ||int phi grad(phi')|| times the wavespeed bound on the velocity.
-    U is a DOF vector or its StageFields.
     """
+    disc = fields.disc
     norms = disc.cached("phi_grad_norms", lambda: _max_norms(disc.phi_grad_integrals))
-    wavespeed = _wavespeed_sweep(StageFields.of(disc, gas, U))
-    return disc.dofmap.n_local * wavespeed * norms
+    return disc.dofmap.n_local * _wavespeed_sweep(fields) * norms
 
 
 def admissible_timestep(disc: Discretization, alpha, cfl, dt_max=None):

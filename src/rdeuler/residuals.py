@@ -100,15 +100,15 @@ def rusanov_flux(U_L, U_R, n, gas):
     return _rusanov(L, R, np.asarray(n, dtype=float))
 
 
-def interface_flux(disc: Discretization, gas, U):
+def interface_flux(fields: StageFields):
     """Numerical flux (already dotted with the left normal) per interface.
 
     Continuous spaces use the single-valued trace evaluated once from
     the left owner; discontinuous spaces use the Rusanov flux of the two
     traces.  Returns shape (E, nq, 4).  Here and in the residuals below,
-    U is a DOF vector or its StageFields.
+    the kernel reads the space, the gas and U from ``fields``.
     """
-    fields = StageFields.of(disc, gas, U)
+    disc = fields.disc
     if disc.dofmap.space == "s2":
         return _normal_flux(fields.trace_L.flux, disc.if_normal[:, None, :])
     return _rusanov(fields.trace_L, fields.trace_R, disc.if_normal[:, None, :])
@@ -137,17 +137,16 @@ def _galerkin_parts(fields: StageFields, fnum):
     return bnd, vol
 
 
-def galerkin_residual(disc: Discretization, gas, U) -> ElementResidual:
+def galerkin_residual(fields: StageFields) -> ElementResidual:
     """Galerkin distribution: oint phi f.n - int grad(phi).f per DOF.
 
     On the discontinuous space f.n is the Rusanov interface flux, which
     makes this the discontinuous (``dg``) distribution.
     """
-    fields = StageFields.of(disc, gas, U)
-    fnum = interface_flux(disc, gas, fields)
+    fnum = interface_flux(fields)
     bnd, vol = _galerkin_parts(fields, fnum)
     return ElementResidual(
-        phi=bnd - vol, total=boundary_totals(disc, fnum), scheme="galerkin"
+        phi=bnd - vol, total=boundary_totals(fields.disc, fnum), scheme="galerkin"
     )
 
 
@@ -174,12 +173,12 @@ def gradient_jump_terms(disc: Discretization, U_elem, coeff):
     return disc.scatter_interface(con_L, con_R)
 
 
-def galerkin_jump_residual(disc: Discretization, gas, U, lambda_e=1.0) -> ElementResidual:
+def galerkin_jump_residual(fields: StageFields, lambda_e=1.0) -> ElementResidual:
     """Galerkin distribution plus lambda_e h_e^2 gradient-jump stabilization."""
+    disc = fields.disc
     if disc.dofmap.space != "s2":
         raise ConfigError("jump-stabilized Galerkin needs the continuous space")
-    fields = StageFields.of(disc, gas, U)
-    base = galerkin_residual(disc, gas, fields)
+    base = galerkin_residual(fields)
     jumps = gradient_jump_terms(disc, fields.U_elem, lambda_e * disc.if_length**2)
     return ElementResidual(
         phi=base.phi + jumps, total=base.total, scheme="galerkin_jump"
@@ -198,7 +197,7 @@ def _interpolated_lxf(fields: StageFields, alpha):
     return div_part + alpha[:, None, None] * dev, total
 
 
-def lxf_residual(disc: Discretization, gas, U, alpha, flux_mode="pointwise") -> ElementResidual:
+def lxf_residual(fields: StageFields, alpha, flux_mode="pointwise") -> ElementResidual:
     """Local Lax-Friedrichs distribution total/N_K + alpha (U_sigma - mean).
 
     ``pointwise`` evaluates the element total by boundary quadrature of
@@ -206,14 +205,14 @@ def lxf_residual(disc: Discretization, gas, U, alpha, flux_mode="pointwise") -> 
     interpolant, which is the form covered by the explicit positivity
     bound.
     """
+    disc = fields.disc
     alpha = np.broadcast_to(np.asarray(alpha, dtype=float), (disc.mesh.n_tris,))
     if np.any(alpha < 0):
         raise ValueError("alpha must be nonnegative")
-    fields = StageFields.of(disc, gas, U)
     if flux_mode == "interpolated":
         phi, total = _interpolated_lxf(fields, alpha)
         return ElementResidual(phi=phi, total=total, scheme="lxf", alpha=alpha)
-    total = boundary_totals(disc, interface_flux(disc, gas, fields))
+    total = boundary_totals(disc, interface_flux(fields))
     U_elem = fields.U_elem
     dev = U_elem - elem_mean(U_elem)[:, None]
     phi = total[:, None, :] / disc.dofmap.n_local + alpha[:, None, None] * dev
@@ -235,7 +234,7 @@ def beta_coefficients(x, guard=1e-14):
 
 
 def limited_lxf_residual(
-    disc: Discretization, gas, U, alpha, flux_mode="pointwise", guard=1e-14
+    fields: StageFields, alpha, flux_mode="pointwise", guard=1e-14
 ) -> ElementResidual:
     """Limited distribution beta_sigma * total, componentwise.
 
@@ -244,7 +243,7 @@ def limited_lxf_residual(
     the guard, or whose positive-part sum degenerates, keep the
     unlimited LxF distribution.
     """
-    base = lxf_residual(disc, gas, U, alpha, flux_mode=flux_mode)
+    base = lxf_residual(fields, alpha, flux_mode=flux_mode)
     total = base.total                                             # (M, 4)
     small = np.abs(total) < guard
     denom = np.where(small, 1.0, total)
@@ -257,13 +256,14 @@ def limited_lxf_residual(
     return ElementResidual(phi=phi, total=total, scheme="limited_lxf", alpha=base.alpha)
 
 
-def conservation_defect(disc: Discretization, gas, U, res: ElementResidual):
+def conservation_defect(fields: StageFields, res: ElementResidual):
     """Scaled distance between the per-DOF sum and the element flux total.
 
     The scale is the boundary quadrature of the flux magnitude, floored
     at one so that injected O(1) errors read off directly.
     """
-    fnum = interface_flux(disc, gas, U)
+    disc = fields.disc
+    fnum = interface_flux(fields)
     mag = disc.if_length * np.einsum(
         "q,eq->e", disc.edge_weights, np.linalg.norm(fnum, axis=-1)
     )
@@ -272,20 +272,19 @@ def conservation_defect(disc: Discretization, gas, U, res: ElementResidual):
     return defect / scale
 
 
-def base_residual(disc: Discretization, gas, U, scheme: Scheme, alpha=None) -> ElementResidual:
+def base_residual(fields: StageFields, scheme: Scheme, alpha=None) -> ElementResidual:
     """Dispatch on the scheme base; alpha is required for the LxF family."""
-    fields = StageFields.of(disc, gas, U)
     if scheme.base == "galerkin":
-        return galerkin_residual(disc, gas, fields)
+        return galerkin_residual(fields)
     if scheme.base == "galerkin_jump":
         lam = 1.0 if scheme.lambda_jump is None else scheme.lambda_jump
-        return galerkin_jump_residual(disc, gas, fields, lambda_e=lam)
+        return galerkin_jump_residual(fields, lambda_e=lam)
     if scheme.base == "dg":
-        if disc.dofmap.space != "s1":
+        if fields.disc.dofmap.space != "s1":
             raise ConfigError("the discontinuous distribution needs the S1 space")
-        return galerkin_residual(disc, gas, fields)
+        return galerkin_residual(fields)
     if alpha is None:
         raise ValueError("LxF-family schemes need the dissipation bound alpha")
     if scheme.base == "lxf":
-        return lxf_residual(disc, gas, fields, alpha, flux_mode=scheme.flux_mode)
-    return limited_lxf_residual(disc, gas, fields, alpha, flux_mode=scheme.flux_mode)
+        return lxf_residual(fields, alpha, flux_mode=scheme.flux_mode)
+    return limited_lxf_residual(fields, alpha, flux_mode=scheme.flux_mode)

@@ -44,22 +44,22 @@ def _entropy_rusanov(L, R, n):
     )
 
 
-def interface_entropy_flux(disc: Discretization, gas, U):
+def interface_entropy_flux(fields: StageFields):
     """g_num per interface quadrature point (E, nq), left normal.
 
-    Here and below, U is a DOF vector or its StageFields.
+    Here and below, the kernels read the space, the gas and U from ``fields``.
     """
-    fields = StageFields.of(disc, gas, U)
-    tL = fields.trace_L
+    disc, tL = fields.disc, fields.trace_L
     if disc.dofmap.space == "s2":
-        g = euler.entropy_flux(tL.U, gas, p=tL.p)
+        g = euler.entropy_flux(tL.U, fields.gas, p=tL.p)
         return np.einsum("eqi,ei->eq", g, disc.if_normal)
     return _entropy_rusanov(tL, fields.trace_R, disc.if_normal[:, None, :])
 
 
-def element_entropy_boundary(disc: Discretization, gas, U):
+def element_entropy_boundary(fields: StageFields):
     """oint_dK g_num per element, (M,); telescopes globally."""
-    gq = interface_entropy_flux(disc, gas, U)
+    disc = fields.disc
+    gq = interface_entropy_flux(fields)
     G = disc.if_length * (gq @ disc.edge_weights)
     return disc.scatter_interface(G, -G)
 
@@ -106,14 +106,14 @@ def _field_grad_jump(fields: StageFields):
     return fields.cached("grad_jump", lambda: grad_jump_integral(fields.disc, fields.V_elem))
 
 
-def edge_jump_production(disc: Discretization, gas, U, lam=None, zeta=2.0):
+def edge_jump_production(fields: StageFields, lam=None, zeta=2.0):
     """Entropy production per interface, (E,), plus the lambda_e used.
 
     Continuous space: lam_e h_e^zeta oint ||[grad V]||^2; discontinuous
     space: lam_e oint ||[V]||^2.  lam defaults to the maximum wavespeed
     over the interface traces.
     """
-    fields = StageFields.of(disc, gas, U)
+    disc = fields.disc
     if lam is None:
         lam_e = JUMP_COEFF * np.maximum(
             fields.trace_L.peak_wavespeed, fields.trace_R.peak_wavespeed
@@ -147,7 +147,7 @@ def _distribute(deviations, target, a_max):
     return psi, achieved
 
 
-def jump_diffusion(disc: Discretization, gas, U, lam=None, zeta=2.0):
+def jump_diffusion(fields: StageFields, lam=None, zeta=2.0):
     """Entropy-dissipative interface diffusion.
 
     Returns (psi, achieved, edge_production): per-DOF signals (M, N, 4)
@@ -157,8 +157,8 @@ def jump_diffusion(disc: Discretization, gas, U, lam=None, zeta=2.0):
     coefficient capped at lam_K h_K (lam_K the largest lambda_e of its
     interfaces).
     """
-    fields = StageFields.of(disc, gas, U)
-    D, lam_e = edge_jump_production(disc, gas, fields, lam=lam, zeta=zeta)
+    disc = fields.disc
+    D, lam_e = edge_jump_production(fields, lam=lam, zeta=zeta)
     share = disc.scatter_interface(0.5 * D, 0.5 * D)
     lam_k = last_axis_max(lam_e[disc.mesh.elem_edges])
     a_max = lam_k * disc.mesh.diameters
@@ -179,14 +179,13 @@ class CorrectedResidual:
     grad_jump: np.ndarray = None  # (E,) grad_jump_integral; +jump on the continuous space only
 
 
-def corrected_residual(disc: Discretization, gas, U, scheme: Scheme, alpha=None):
+def corrected_residual(fields: StageFields, scheme: Scheme, alpha=None):
     """Base residual plus entropy correction and jump diffusion.
 
     A scheme with neither term does no entropy work: theta is base.phi.
-    U is a DOF vector or its StageFields.
     """
-    fields = StageFields.of(disc, gas, U)
-    base = base_residual(disc, gas, fields, scheme, alpha=alpha)
+    disc = fields.disc
+    base = base_residual(fields, scheme, alpha=alpha)
     M = base.phi.shape[0]
     e_corr = np.zeros(M)
     alpha_corr = np.zeros(M)
@@ -195,7 +194,7 @@ def corrected_residual(disc: Discretization, gas, U, scheme: Scheme, alpha=None)
     g_bnd = r = grad_jump = None
     theta = base.phi
     if scheme.correction or scheme.diffusion:
-        g_bnd = element_entropy_boundary(disc, gas, fields)
+        g_bnd = element_entropy_boundary(fields)
         r = psi = np.zeros_like(base.phi)
         if scheme.correction:
             r, alpha_corr, e_corr = _correction(
@@ -205,7 +204,7 @@ def corrected_residual(disc: Discretization, gas, U, scheme: Scheme, alpha=None)
             if disc.dofmap.space == "s2":
                 grad_jump = _field_grad_jump(fields)
             psi, production, edge_production = jump_diffusion(
-                disc, gas, fields, lam=scheme.lambda_jump, zeta=scheme.zeta
+                fields, lam=scheme.lambda_jump, zeta=scheme.zeta
             )
         theta = base.phi + r
         theta += psi

@@ -28,6 +28,7 @@ class FieldState:
     t: float
     U: np.ndarray            # (n_dofs, 4)
     disc: Discretization
+    gas: euler.GasModel      # every state stepped from this one keeps it
     # Point values, alpha bounds and residuals of U, each computed on
     # first use, the residual rows of cascade levels, and under the
     # cascade the latest first stage stepped from U.  The field is never
@@ -36,12 +37,12 @@ class FieldState:
     # place once a cached value has been read.
     _memo: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
-    def fields(self, gas):
-        """Point values of U for ``gas`` (StageFields), filled on first use."""
-        key = ("fields", gas)
-        if key not in self._memo:
-            self._memo[key] = StageFields.of(self.disc, gas, self.U)
-        return self._memo[key]
+    @property
+    def fields(self):
+        """Point values of U (StageFields), filled on first use."""
+        if ("fields",) not in self._memo:
+            self._memo[("fields",)] = StageFields(self.disc, self.gas, self.U)
+        return self._memo[("fields",)]
 
     def release_fields(self):
         """Drop the stage fields; the bounds and residuals read from them stay.
@@ -52,30 +53,29 @@ class FieldState:
         it once it has both bounds.  A residual asked for later (another
         cascade level) builds the fields again.
         """
-        for key in [k for k in self._memo if k[0] == "fields"]:
-            del self._memo[key]
+        self._memo.pop(("fields",), None)
 
-    def alpha(self, gas, mode="pointwise"):
+    def alpha(self, mode="pointwise"):
         """Dissipation bound of U, (M,).
 
         ``mode`` is an LxF flux mode (``pointwise``, ``interpolated``) or
         ``implicit``, the sign-condition bound of the density solve.  The
         pointwise and implicit bounds share one wavespeed sweep of U.
         """
-        key = ("alpha", gas, mode)
+        key = ("alpha", mode)
         if key not in self._memo:
-            self._memo[key] = _bound(mode)(self.disc, gas, self.fields(gas))
+            self._memo[key] = _bound(mode)(self.fields)
         return self._memo[key]
 
-    def residual(self, gas, scheme: Scheme):
+    def residual(self, scheme: Scheme):
         """Corrected residual of U for one scheme (CorrectedResidual)."""
-        key = ("residual", gas, scheme)
+        key = ("residual", scheme)
         if key not in self._memo:
-            alpha = self.alpha(gas, scheme.flux_mode) if scheme.base in LXF_FAMILY else None
-            self._memo[key] = element_theta(self.disc, gas, self.fields(gas), scheme, alpha)
+            alpha = self.alpha(scheme.flux_mode) if scheme.base in LXF_FAMILY else None
+            self._memo[key] = element_theta(self.fields, scheme, alpha)
         return self._memo[key]
 
-    def rows(self, gas, scheme: Scheme, pick, prior=None, reuse=None):
+    def rows(self, scheme: Scheme, pick, prior=None, reuse=None):
         """theta of one scheme on the elements ``pick`` (M,) bool, (M, N, 4);
         the other rows are undefined.
 
@@ -86,34 +86,34 @@ class FieldState:
         values are bit-identical in both, and the rest are computed on
         the patch of the missing elements.
         """
-        full = self._memo.get(("residual", gas, scheme))
+        full = self._memo.get(("residual", scheme))
         if full is None and pick.all():
-            full = self.residual(gas, scheme)
+            full = self.residual(scheme)
         if full is not None:
             return full.theta
-        key = ("rows", gas, scheme)
+        key = ("rows", scheme)
         if key not in self._memo:
             M, N = self.disc.dofmap.elem_dofs.shape
             self._memo[key] = (np.empty((M, N, 4)), np.zeros(M, dtype=bool))
         theta, have = self._memo[key]
         need = pick & ~have
-        known = None if prior is None else prior._known_rows(gas, scheme)
+        known = None if prior is None else prior._known_rows(scheme)
         if known is not None:
             copy = np.flatnonzero(need & reuse & known[1])
             theta[copy] = known[0][copy]
             need[copy] = False
         need = np.flatnonzero(need)
         if len(need):
-            theta[need] = _patch_theta(self, gas, scheme, need)
+            theta[need] = _patch_theta(self, scheme, need)
         have |= pick
         return theta
 
-    def _known_rows(self, gas, scheme):
+    def _known_rows(self, scheme):
         """(theta, have) of the rows of one scheme computed so far, or None."""
-        full = self._memo.get(("residual", gas, scheme))
+        full = self._memo.get(("residual", scheme))
         if full is not None:
             return full.theta, np.ones(len(full.theta), dtype=bool)
-        return self._memo.get(("rows", gas, scheme))
+        return self._memo.get(("rows", scheme))
 
 
 def _bound(mode):
@@ -128,19 +128,19 @@ def _bound(mode):
     return bounds[mode]
 
 
-def _patch_theta(state: FieldState, gas, scheme: Scheme, elems):
+def _patch_theta(state: FieldState, scheme: Scheme, elems):
     """theta rows of the elements ``elems`` computed on their patch.
 
     An LxF-family scheme reads the state's bound when the state has it
     (the dt clock computed it), else computes it on the patch.
     """
     patch = state.disc.patch(elems)
-    fields = StageFields(patch, gas, state.U)
+    fields = StageFields(patch, state.gas, state.U)
     alpha = None
     if scheme.base in LXF_FAMILY:
-        full = state._memo.get(("alpha", gas, scheme.flux_mode))
-        alpha = full[patch.elems] if full is not None else _bound(scheme.flux_mode)(patch, gas, fields)
-    return element_theta(patch, gas, fields, scheme, alpha).theta[patch.core]
+        full = state._memo.get(("alpha", scheme.flux_mode))
+        alpha = full[patch.elems] if full is not None else _bound(scheme.flux_mode)(fields)
+    return element_theta(fields, scheme, alpha).theta[patch.core]
 
 
 def conserved_totals(disc: Discretization, U):
@@ -148,17 +148,17 @@ def conserved_totals(disc: Discretization, U):
     return np.einsum("s,sc->c", disc.dual.c_sigma, np.asarray(U))
 
 
-def element_theta(disc: Discretization, gas, U, scheme: Scheme, alpha):
+def element_theta(fields: StageFields, scheme: Scheme, alpha):
     """Corrected per-element residuals for one scheme.
 
-    U is a DOF vector or its StageFields (``FieldState.residual`` passes
-    the state's).  ``alpha`` is the LxF dissipation bound (None outside
+    ``fields`` are the point values of the state (``FieldState.residual``
+    passes the state's).  ``alpha`` is the LxF dissipation bound (None outside
     the LxF family): the state's bound of the scheme's flux mode from
     ``FieldState.residual``.  It stays a function of its own so that
     each explicit right-hand side is one call to count; a Picard sweep
     of the implicit step is one ``interpolated_lxf_rhs`` call instead.
     """
-    return corrected_residual(disc, gas, U, scheme, alpha=alpha)
+    return corrected_residual(fields, scheme, alpha=alpha)
 
 
 def scatter_residuals(disc: Discretization, theta):
@@ -175,7 +175,7 @@ def _same_stencil(disc: Discretization, U_old, U_new):
     return same[mood._stencil_dofs(disc)].all(axis=1)
 
 
-def mixed_theta(state: FieldState, gas, cascade, levels, prior=None):
+def mixed_theta(state: FieldState, cascade, levels, prior=None):
     """Per-element residuals with a cascade level chosen per element.
 
     Each level gives the rows of its own elements (``FieldState.rows``);
@@ -188,7 +188,7 @@ def mixed_theta(state: FieldState, gas, cascade, levels, prior=None):
         pick = levels == lv
         if not pick.any():
             continue
-        rows = state.rows(gas, scheme, pick, prior, reuse)
+        rows = state.rows(scheme, pick, prior, reuse)
         if theta is None:
             theta = rows.copy()
         else:
@@ -197,33 +197,33 @@ def mixed_theta(state: FieldState, gas, cascade, levels, prior=None):
     return theta
 
 
-def forward_euler_step(state: FieldState, scheme, dt, gas, levels=None, prior=None) -> FieldState:
+def forward_euler_step(state: FieldState, scheme, dt, levels=None, prior=None) -> FieldState:
     """One Euler step; with ``levels``, ``scheme`` is the cascade and
     ``prior`` the previous candidate's state at this stage (see mixed_theta)."""
     disc = state.disc
     if levels is None:
-        R = scatter_residuals(disc, state.residual(gas, scheme).theta)
+        R = scatter_residuals(disc, state.residual(scheme).theta)
     else:
-        R = scatter_residuals(disc, mixed_theta(state, gas, scheme, levels, prior))
+        R = scatter_residuals(disc, mixed_theta(state, scheme, levels, prior))
     state.release_fields()
     U = state.U - (dt / disc.dual.c_sigma)[:, None] * R
-    return FieldState(t=state.t + dt, U=U, disc=disc)
+    return FieldState(t=state.t + dt, U=U, disc=disc, gas=state.gas)
 
 
-def ssp_rk2_step(state: FieldState, scheme, dt, gas, levels=None) -> FieldState:
+def ssp_rk2_step(state: FieldState, scheme, dt, levels=None) -> FieldState:
     """Heun form: average of the state and a doubly advanced Euler stage.
 
     Under the cascade the state keeps its latest first stage, so that the
     next candidate's second stage can reuse its rows.
     """
-    s1 = forward_euler_step(state, scheme, dt, gas, levels=levels)
+    s1 = forward_euler_step(state, scheme, dt, levels=levels)
     prior = None
     if levels is not None:
         prior = state._memo.get(("stage1",))
         state._memo[("stage1",)] = s1
-    s2 = forward_euler_step(s1, scheme, dt, gas, levels=levels, prior=prior)
+    s2 = forward_euler_step(s1, scheme, dt, levels=levels, prior=prior)
     U = 0.5 * (state.U + s2.U)
-    return FieldState(t=state.t + dt, U=U, disc=state.disc)
+    return FieldState(t=state.t + dt, U=U, disc=state.disc, gas=state.gas)
 
 
 @dataclass
@@ -271,7 +271,7 @@ def interpolated_lxf_rhs(disc: Discretization, gas, U, dissipation):
     return R
 
 
-def assemble_density_system(disc: Discretization, gas, U, dt, alpha):
+def assemble_density_system(disc: Discretization, U, dt, alpha):
     """Implicit-Euler density matrix diag(|C_sigma|) + dt A, velocities frozen at U.
 
     Diagonal entries are |C_sigma| plus a nonnegative dissipation term,
@@ -289,7 +289,7 @@ def assemble_density_system(disc: Discretization, gas, U, dt, alpha):
                          dissipation=disc.assemble(_lxf_dissipation(alpha, nk)))
 
 
-def implicit_euler_step(state: FieldState, dt, gas, tol=1e-10, max_iter=50) -> FieldState:
+def implicit_euler_step(state: FieldState, dt, tol=1e-10, max_iter=50) -> FieldState:
     """Implicit Euler for the interpolated-flux LxF scheme.
 
     Picard iterations solve the frozen-velocity M-matrix system with a
@@ -301,11 +301,11 @@ def implicit_euler_step(state: FieldState, dt, gas, tol=1e-10, max_iter=50) -> F
     bound and the sign-condition bound, and the matrix builder checks
     the sign condition in every step.
     """
-    disc = state.disc
+    disc, gas = state.disc, state.gas
     Un = state.U
-    alpha = np.maximum(state.alpha(gas, "interpolated"), state.alpha(gas, "implicit"))
+    alpha = np.maximum(state.alpha("interpolated"), state.alpha("implicit"))
     state.release_fields()
-    system = assemble_density_system(disc, gas, Un, dt, alpha)
+    system = assemble_density_system(disc, Un, dt, alpha)
     # Minimum degree on A^T + A fills the LU of this pattern about half
     # as much as the default COLAMD ordering.
     lu = spla.splu(system.matrix.tocsc(), permc_spec="MMD_AT_PLUS_A")
@@ -336,12 +336,12 @@ def implicit_euler_step(state: FieldState, dt, gas, tol=1e-10, max_iter=50) -> F
             float(np.max(np.abs(csig * Un))), 1e-300
         )
         if change <= tol or nonlinear <= tol:
-            return FieldState(t=state.t + dt, U=Uk, disc=disc)
+            return FieldState(t=state.t + dt, U=Uk, disc=disc, gas=gas)
     raise PicardDivergence(f"no contraction after {max_iter} sweeps")
 
 
 def advance(
-    state: FieldState, gas, scheme, integrator, t_end, cfl, *,
+    state: FieldState, scheme, integrator, t_end, cfl, *,
     mood_cfg=None, dt_max=None, max_steps=None,
 ):
     """Step ``state`` toward ``t_end``; yields (state, dt, report) per step.
@@ -369,18 +369,18 @@ def advance(
 
     def step(st, dt, levels=None):
         if integrator == "implicit":
-            return implicit_euler_step(st, dt, gas)
+            return implicit_euler_step(st, dt)
         sch = scheme if levels is None else mood_cfg.schemes
         explicit = forward_euler_step if integrator == "fe" else ssp_rk2_step
-        return explicit(st, sch, dt, gas, levels=levels)
+        return explicit(st, sch, dt, levels=levels)
 
     n = 0
     while state.t < t_end - 1e-12 and (max_steps is None or n < max_steps):
-        alpha = np.maximum.reduce([state.alpha(gas, m) for m in modes])
+        alpha = np.maximum.reduce([state.alpha(m) for m in modes])
         dt = min(positivity.admissible_timestep(state.disc, alpha, cfl, dt_max), t_end - state.t)
         if mood_cfg is None:
             state, report = step(state, dt), None
         else:
-            state, report = mood.mood_step(state, dt, mood_cfg, step, gas)
+            state, report = mood.mood_step(state, dt, mood_cfg, step)
         n += 1
         yield state, dt, report

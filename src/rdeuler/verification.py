@@ -9,7 +9,7 @@ import numpy as np
 from . import diagnostics, euler, stepping
 from .basis import bernstein_to_lagrange, build_dofmap
 from .config import parse_config
-from .discretization import Discretization
+from .discretization import Discretization, StageFields
 from .errors import ConfigError
 from .mesh import structured_square
 from .residuals import Scheme
@@ -69,8 +69,9 @@ def check_entropy_balance(n_fields=100, n=4, seed=7, tol_eq=1e-11, tol_ineq=1e-1
     worst_eq, worst_ineq = 0.0, 0.0
     for _ in range(n_fields):
         U = random_admissible_field(disc, gas, rng)
-        res = corrected_residual(disc, gas, U, scheme)
-        V = euler.entropy_vars(disc.elem_values(U), gas)
+        fields = StageFields(disc, gas, U)
+        res = corrected_residual(fields, scheme)
+        V = fields.V_elem
         lhs = np.einsum("mnc,mnc->m", V, res.base.phi + res.correction)
         scale = np.maximum(np.abs(res.g_boundary), 1.0)
         worst_eq = max(worst_eq, float(np.max(np.abs(lhs - res.g_boundary) / scale)))
@@ -96,7 +97,7 @@ def positivity_stress(
     for _ in range(n_fields):
         U = random_admissible_field(disc, gas, rng, near_vacuum=True)
         steps = stepping.advance(
-            FieldState(t=0.0, U=U, disc=disc), gas, scheme, "fe", np.inf, cfl, max_steps=n_steps
+            FieldState(t=0.0, U=U, disc=disc, gas=gas), scheme, "fe", np.inf, cfl, max_steps=n_steps
         )
         for state, _, _ in steps:
             if not np.all(euler.admissible(state.U, gas)):
@@ -128,7 +129,7 @@ def check_positivity(n_fields=500, n_steps=50, n=4, seed=11):
 def run_mood_sod(nx=32, ny=4, t_end=0.6, cfl=0.3, cascade=None, integrator="ssprk2"):
     """Smoothed-Sod strip under the cascade; returns summary data."""
     from .config import RunConfig
-    from .driver import build_discretization, cascade_config, initial_state
+    from .driver import build_discretization, initial_state
 
     cfg = RunConfig(
         problem="sod_smooth",
@@ -148,7 +149,7 @@ def run_mood_sod(nx=32, ny=4, t_end=0.6, cfl=0.3, cascade=None, integrator="sspr
     activations = 0
     steps = 0
     for state, _, report in stepping.advance(
-        state, gas, cfg.scheme_obj(), integrator, t_end, cfl, mood_cfg=cascade_config(cfg)
+        state, cfg.scheme_obj(), integrator, t_end, cfl, mood_cfg=cfg.cascade_config()
     ):
         activations += int(np.sum(report.level > 0))
         steps += 1
@@ -159,7 +160,7 @@ def run_mood_sod(nx=32, ny=4, t_end=0.6, cfl=0.3, cascade=None, integrator="sspr
         "ok_pad": True,
         "activations": activations,
         "steps": steps,
-        "drift": drift,
+        "drift": drift.tolist(),
         "final": state,
         "disc": disc,
     }
@@ -170,7 +171,7 @@ def check_mood(nx=24, ny=3, t_end=0.4):
     ok = (
         info["ok_pad"]
         and info["activations"] >= 1
-        and bool(np.all(info.get("drift", np.inf) <= 1e-11))
+        and max(info.get("drift", [np.inf])) <= 1e-11
     )
     return ok, {k: v for k, v in info.items() if k not in ("final", "disc")}
 

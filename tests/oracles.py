@@ -11,6 +11,7 @@ import scipy.sparse.linalg as spla
 
 from rdeuler import euler
 from rdeuler.basis import basis_ref_grads, basis_values, default_quadrature, edge_barycentric
+from rdeuler.discretization import StageFields
 from rdeuler.errors import NonPositivePressure, PicardDivergence, VacuumState
 
 
@@ -166,7 +167,7 @@ def picard_elementwise(state, dt, gas, tol=1e-10, max_iter=50):
 
     disc, Un = state.disc, state.U
     scheme = Scheme(base="lxf", flux_mode="interpolated")
-    alpha = np.maximum(state.alpha(gas, "interpolated"), state.alpha(gas, "implicit"))
+    alpha = np.maximum(state.alpha("interpolated"), state.alpha("implicit"))
     A = coo_lxf_operator(disc, alpha, euler.velocity(Un))
     lu = spla.splu((sp.diags(disc.dual.c_sigma) + dt * A).tocsc(), permc_spec="MMD_AT_PLUS_A")
     csig = disc.dual.c_sigma[:, None]
@@ -186,7 +187,7 @@ def picard_elementwise(state, dt, gas, tol=1e-10, max_iter=50):
                 raise PicardDivergence("density positivity lost in Picard sweep")
         change = float(np.max(np.abs(X - Uk))) / scale
         Uk = X
-        R = scatter_residuals(disc, element_theta(disc, gas, Uk, scheme, alpha).theta)
+        R = scatter_residuals(disc, element_theta(StageFields(disc, gas, Uk), scheme, alpha).theta)
         defect = R - A @ Uk
         nonlinear = float(np.max(np.abs(csig * (Uk - Un) + dt * R))) / max(
             float(np.max(np.abs(csig * Un))), 1e-300
@@ -196,14 +197,14 @@ def picard_elementwise(state, dt, gas, tol=1e-10, max_iter=50):
     raise PicardDivergence(f"no contraction after {max_iter} sweeps")
 
 
-def mixed_theta_full(state, gas, cascade, levels, prior=None):
+def mixed_theta_full(state, cascade, levels, prior=None):
     """Per-element residuals with a cascade level chosen per element, each
     level computed on the whole mesh from the state's memoised residuals
     (``prior`` is ignored): the cascade recomputation without element
     patches, as a drop-in for ``stepping.mixed_theta``."""
     theta = None
     for lv in np.unique(levels):
-        res = state.residual(gas, cascade[int(lv)]).theta
+        res = state.residual(cascade[int(lv)]).theta
         if theta is None:
             theta = res.copy()
         else:

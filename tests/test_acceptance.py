@@ -15,7 +15,7 @@ from rdeuler.diagnostics import (
     entropy_production_monitor,
     weak_form_defect,
 )
-from rdeuler.discretization import Discretization, make_discretization
+from rdeuler.discretization import Discretization, StageFields, make_discretization
 from rdeuler.mesh import structured_square
 from rdeuler.positivity import (
     admissible_timestep,
@@ -47,13 +47,13 @@ def _report(name, ok, detail):
 
 
 def _advance(disc, U0, scheme, t_end, cfl, integrator="ssprk2", record=False):
-    st = FieldState(0.0, U0.copy(), disc)
+    st = FieldState(0.0, U0.copy(), disc, GAS)
     rec = None
     if record:
         rec = RunRecord(disc=disc, gas=GAS, scheme=scheme)
         rec.times.append(0.0)
         rec.states.append(st.U.copy())
-    for st, dt, _ in advance(st, GAS, scheme, integrator, t_end, cfl):
+    for st, dt, _ in advance(st, scheme, integrator, t_end, cfl):
         if rec is not None:
             rec.times.append(st.t)
             rec.states.append(st.U.copy())
@@ -142,10 +142,11 @@ def test_criterion_5_implicit_m_matrix():
     for n in (1, 10):  # 2 and 200 elements
         disc = make_disc(n, side=2.0)
         U = random_states(rng, disc.dofmap.n_dofs)
-        a_imp = alpha_implicit(disc, GAS, U)
-        a_exp = alpha_interpolated(disc, GAS, U)
+        fields = StageFields(disc, GAS, U)
+        a_imp = alpha_implicit(fields)
+        a_exp = alpha_interpolated(fields)
         dt_exp = admissible_timestep(disc, a_exp, cfl=1.0)
-        sys = assemble_density_system(disc, GAS, U, 10.0 * dt_exp, a_imp)
+        sys = assemble_density_system(disc, U, 10.0 * dt_exp, a_imp)
         A = sys.matrix.toarray()
         diag = np.diag(A)
         off = A - np.diag(diag)
@@ -234,7 +235,7 @@ def test_criterion_8_entropy_consistency_scaling():
         totals.append(abs(terms["total"]))
         # per-step production is nonnegative by construction; re-check
         for t, U in zip(rec.times, rec.states[:-1]):
-            prod = FieldState(t, U, disc).residual(GAS, rec.scheme).production
+            prod = FieldState(t, U, disc, GAS).residual(rec.scheme).production
             iv_ok = iv_ok and bool(np.all(prod >= 0.0))
     exponent = float(np.log2(totals[0] / totals[1]))
     ok = exponent >= 1.0 and iv_ok
@@ -256,12 +257,12 @@ def test_criterion_9_entropy_production_monitor():
         ratios = []
         for _ in range(3):
             U = random_states(rng, disc.dofmap.n_dofs)
-            st = FieldState(0.0, U, disc)
+            st = FieldState(0.0, U, disc, GAS)
             for _ in range(10):
                 S0 = float(np.sum(disc.dual.c_sigma * euler.entropy_eta(st.U, GAS)))
-                a = alpha_noninterpolated(disc, GAS, st.U)
+                a = alpha_noninterpolated(StageFields(disc, GAS, st.U))
                 dt = admissible_timestep(disc, a, cfl=0.4)
-                new = forward_euler_step(st, scheme, dt, GAS)
+                new = forward_euler_step(st, scheme, dt)
                 S1 = float(np.sum(disc.dual.c_sigma * euler.entropy_eta(new.U, GAS)))
                 mono_ok = mono_ok and (S1 - S0 <= 1e-10 * abs(S0))
                 d = entropy_production_monitor(disc, GAS, st.U, new.U, dt, scheme)

@@ -119,7 +119,7 @@ def test_the_scan_sees_definitions_and_uses():
             with open(full) as fh:
                 names |= {q for q, *_ in _public_definitions(full, ast.parse(fh.read()))}
     assert {"stepping.advance", "discretization.Discretization.traces",
-            "discretization.StageFields.of"} <= names
+            "discretization.StageFields.cached"} <= names
     tree = ast.parse('"""doc: unread_word"""\nx = f("a.read_word")\n')
     words = {name for name, _ in _uses(tree)}
     assert {"x", "f", "read_word"} <= words and "unread_word" not in words

@@ -17,7 +17,7 @@ from oracles import mixed_theta_full
 from rdeuler import basis, euler, stepping
 from rdeuler.config import RunConfig
 from rdeuler.discretization import Discretization, StageFields
-from rdeuler.driver import build_discretization, cascade_config, initial_state
+from rdeuler.driver import build_discretization, initial_state
 from rdeuler.mesh import Mesh, structured_rect
 from rdeuler.positivity import alpha_interpolated, alpha_noninterpolated
 from rdeuler.residuals import Scheme
@@ -78,12 +78,12 @@ def _rows(disc, gas, U, scheme, elems=None):
     their patch, or of every element on the whole mesh."""
     d = disc if elems is None else disc.patch(elems)
     fields = StageFields(d, gas, U)
-    a_point = alpha_noninterpolated(d, gas, fields)
-    a_interp = alpha_interpolated(d, gas, fields)
+    a_point = alpha_noninterpolated(fields)
+    a_interp = alpha_interpolated(fields)
     alpha = None
     if scheme.base in ("lxf", "limited_lxf"):
         alpha = a_interp if scheme.flux_mode == "interpolated" else a_point
-    theta = stepping.element_theta(d, gas, fields, scheme, alpha).theta
+    theta = stepping.element_theta(fields, scheme, alpha).theta
     if elems is None:
         return theta, a_point, a_interp
     return theta[d.core], a_point[d.core], a_interp[d.core]
@@ -186,7 +186,7 @@ def _cascade_run(nx, ny, t_end, cascade, integrator):
     disc = build_discretization(cfg)
     state, _ = initial_state(cfg, disc, gas)
     return [(s.U.copy(), dt, report) for s, dt, report in stepping.advance(
-        state, gas, cfg.scheme_obj(), integrator, t_end, cfg.cfl, mood_cfg=cascade_config(cfg))]
+        state, cfg.scheme_obj(), integrator, t_end, cfg.cfl, mood_cfg=cfg.cascade_config())]
 
 
 @pytest.mark.parametrize("integrator", ["fe", "ssprk2"])
@@ -218,9 +218,9 @@ def test_runs_without_the_cascade_compute_no_rows(monkeypatch, gas):
     monkeypatch.setattr(stepping.FieldState, "rows", lambda *args: calls.append("rows"))
     monkeypatch.setattr(Discretization, "patch", lambda *args: calls.append("patch"))
     disc = _disc("s2", "lagrange", 1)
-    state = stepping.FieldState(0.0, _field(disc, gas, seed=14), disc)
+    state = stepping.FieldState(0.0, _field(disc, gas, seed=14), disc, gas)
     for integrator in ("fe", "ssprk2", "implicit"):
         scheme = Scheme.parse("lxf+interp" if integrator == "implicit" else "galerkin+ec+jump")
-        steps = list(stepping.advance(state, gas, scheme, integrator, 1.0, 0.2, max_steps=2))
+        steps = list(stepping.advance(state, scheme, integrator, 1.0, 0.2, max_steps=2))
         assert len(steps) == 2
     assert not calls

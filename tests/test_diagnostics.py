@@ -18,7 +18,7 @@ from rdeuler.diagnostics import (
     weak_bv_norm,
     weak_form_defect,
 )
-from rdeuler.discretization import Discretization
+from rdeuler.discretization import Discretization, StageFields
 from rdeuler.mesh import structured_square
 from rdeuler.positivity import admissible_timestep, alpha_interpolated, alpha_noninterpolated
 from rdeuler.residuals import Scheme
@@ -77,13 +77,13 @@ def test_weak_bv_refinement_exponent(gas):
 
 def _record_run(disc, gas, scheme, U0, n_steps, cfl=0.3):
     rec = RunRecord(disc=disc, gas=gas, scheme=scheme)
-    st = FieldState(0.0, U0, disc)
+    st = FieldState(0.0, U0, disc, gas)
     rec.times.append(st.t)
     rec.states.append(st.U.copy())
     for _ in range(n_steps):
-        a = alpha_noninterpolated(disc, gas, st.U)
+        a = alpha_noninterpolated(StageFields(disc, gas, st.U))
         dt = admissible_timestep(disc, a, cfl)
-        st = forward_euler_step(st, scheme, dt, gas)
+        st = forward_euler_step(st, scheme, dt)
         rec.times.append(st.t)
         rec.states.append(st.U.copy())
         rec.dts.append(dt)
@@ -160,7 +160,7 @@ def test_consistency_total_reproduces_weak_defect_for_every_component(gas, name)
     U0, _ = init_vortex(disc, gas)
     scheme = Scheme.parse(name)
     rec = RunRecord(disc=disc, gas=gas, scheme=scheme, times=[0.0], states=[U0.copy()])
-    for st, dt, _ in advance(FieldState(0.0, U0.copy(), disc), gas, scheme, "fe", 0.2, 0.3):
+    for st, dt, _ in advance(FieldState(0.0, U0.copy(), disc, gas), scheme, "fe", 0.2, 0.3):
         rec.times.append(st.t)
         rec.states.append(st.U.copy())
         rec.dts.append(dt)
@@ -232,13 +232,13 @@ def test_entropy_budget_defect_shrinks_with_dt(gas):
 
     def total_defect(cfl, t_end=0.2):
         rec = RunRecord(disc=disc, gas=gas, scheme=scheme)
-        st = FieldState(0.0, U0.copy(), disc)
+        st = FieldState(0.0, U0.copy(), disc, gas)
         rec.times.append(0.0)
         rec.states.append(st.U.copy())
         while st.t < t_end - 1e-12:
-            a = alpha_noninterpolated(disc, gas, st.U)
+            a = alpha_noninterpolated(StageFields(disc, gas, st.U))
             dt = min(admissible_timestep(disc, a, cfl), t_end - st.t)
-            st = forward_euler_step(st, scheme, dt, gas)
+            st = forward_euler_step(st, scheme, dt)
             rec.times.append(st.t)
             rec.states.append(st.U.copy())
             rec.dts.append(dt)
@@ -279,12 +279,12 @@ def test_entropy_production_monitor_dt_decay(gas):
     scheme = Scheme.parse("lxf")
 
     def monitor(dt):
-        st = forward_euler_step(FieldState(0.0, U, disc), scheme, dt, gas)
+        st = forward_euler_step(FieldState(0.0, U, disc, gas), scheme, dt)
         return np.abs(
             entropy_production_monitor(disc, gas, U, st.U, dt, scheme)
         ).max()
 
-    a = alpha_noninterpolated(disc, gas, U)
+    a = alpha_noninterpolated(StageFields(disc, gas, U))
     dt0 = admissible_timestep(disc, a, 0.2)
     r = monitor(dt0) / monitor(dt0 / 2)
     assert 3.0 <= r <= 5.0
@@ -337,12 +337,11 @@ def test_diagnostics_residuals_use_the_matching_bound(gas, small_disc, name, mon
 
     def oracle(bound):
         class Residual:
-            def __init__(self, t, U, disc):
-                self.U, self.disc = U, disc
+            def __init__(self, t, U, disc, gas):
+                self.U, self.fields = U, StageFields(disc, gas, U)
 
-            def residual(self, gas, scheme):
-                alpha = bound(self.disc, gas, self.U)
-                return corrected_residual(self.disc, gas, self.U, scheme, alpha=alpha)
+            def residual(self, scheme):
+                return corrected_residual(self.fields, scheme, alpha=bound(self.fields))
 
         return Residual
 
@@ -407,11 +406,11 @@ def test_cesaro_vortex_family(gas):
     for n in (8, 12, 16):
         disc = make_disc(n, side=10.0)
         U0, prob = init_vortex(disc, gas)
-        st = FieldState(0.0, U0, disc)
+        st = FieldState(0.0, U0, disc, gas)
         while st.t < t_end - 1e-12:
-            a = alpha_noninterpolated(disc, gas, st.U)
+            a = alpha_noninterpolated(StageFields(disc, gas, st.U))
             dt = min(admissible_timestep(disc, a, 0.3), t_end - st.t)
-            st = forward_euler_step(st, Scheme.parse("galerkin+ec+jump"), dt, gas)
+            st = forward_euler_step(st, Scheme.parse("galerkin+ec+jump"), dt)
         snaps.append((disc, st.U))
 
     g = np.linspace(-4.9, 4.9, 64)

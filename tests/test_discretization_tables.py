@@ -21,7 +21,7 @@ from rdeuler.basis import (
     lagrange_points,
 )
 from rdeuler.config import parse_config
-from rdeuler.discretization import Discretization, elem_mean, make_discretization
+from rdeuler.discretization import Discretization, StageFields, elem_mean, make_discretization
 from rdeuler.errors import ConfigError, NonConforming
 from rdeuler.mesh import build_mesh, structured_square
 from rdeuler.verification import random_admissible_field
@@ -177,7 +177,7 @@ def test_alpha_interpolated_equals_its_einsum(mesh, space, basis, degree, gas):
         random_admissible_field(disc, gas, rng, near_vacuum=nv) for nv in (False, True)
     ]
     for U in fields:
-        _assert_same_bytes(positivity.alpha_interpolated(disc, gas, U),
+        _assert_same_bytes(positivity.alpha_interpolated(StageFields(disc, gas, U)),
                            _einsum_alpha_interpolated(disc, gas, U))
 
 

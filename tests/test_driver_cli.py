@@ -6,6 +6,7 @@ import pytest
 from rdeuler import driver, euler
 from rdeuler.cli import main
 from rdeuler.config import parse_config
+from rdeuler.discretization import StageFields
 from rdeuler.errors import ConfigError, NonPositivePressure, VacuumState
 
 
@@ -125,7 +126,7 @@ def test_snapshot_bytes_match_the_per_row_writer(tmp_path, gas, space, basis, de
 
     disc = make_discretization(structured_square(6, side=3.0), space, basis, degree)
     U = random_admissible_field(disc, gas, np.random.default_rng(11), near_vacuum=True)
-    state = FieldState(0.1 / 3.0, U, disc)
+    state = FieldState(0.1 / 3.0, U, disc, gas)
     new, old = tmp_path / "new.csv", tmp_path / "old.csv"
     driver.write_snapshot(new, state, "abc123")
     _write_snapshot_per_row(old, state, "abc123")
@@ -231,6 +232,14 @@ def test_cli_verify_entropy(capsys):
     assert "PASS entropy" in capsys.readouterr().out
 
 
+def test_cli_verify_mood_prints_plain_numbers(capsys):
+    # the result line holds plain floats, not a numpy repr
+    assert main(["verify", "mood"]) == 0
+    out = capsys.readouterr().out
+    assert "PASS mood" in out and "'drift': [" in out
+    assert "array(" not in out
+
+
 def test_non_periodic_mesh_rejected(tmp_path):
     from rdeuler.mesh import structured_square, write_mesh
 
@@ -324,7 +333,7 @@ def test_near_vacuum_run_stays_admissible(tmp_path, gas, scheme, basis, degree):
     rng = np.random.default_rng(2024)
     for _ in range(100):
         U = random_admissible_field(disc, gas, rng, near_vacuum=True)
-        driver.write_snapshot(snap, FieldState(0.0, U, disc))
+        driver.write_snapshot(snap, FieldState(0.0, U, disc, gas))
         result = driver.run(cfg)
         assert result.n_steps == 5
         assert np.all(euler.admissible(result.state.U, gas))
@@ -399,8 +408,8 @@ def test_diag_row_reuses_the_step_residual(tmp_path, monkeypatch):
     got = [float(line.split(",")[col]) for line in lines]
     scheme = cfg.scheme_obj()
     want = [
-        float(np.sum(original(result.disc, result.gas, U, lam=scheme.lambda_jump,
-                              zeta=scheme.zeta)[1]))
+        float(np.sum(original(StageFields(result.disc, result.gas, U),
+                              lam=scheme.lambda_jump, zeta=scheme.zeta)[1]))
         for U in result.record.states
     ]
     assert len(got) == n + 1

@@ -5,7 +5,7 @@ from conftest import make_disc, random_states, reference_pair, scrambled
 from oracles import split_1d_oracle
 from rdeuler import euler
 from rdeuler.basis import build_dofmap
-from rdeuler.discretization import Discretization
+from rdeuler.discretization import Discretization, StageFields
 from rdeuler.errors import VacuumState
 from rdeuler.mesh import build_mesh, structured_square
 from rdeuler.positivity import (
@@ -50,7 +50,7 @@ def test_scaled_normals_scale_linearly():
 def test_alpha_interpolated_stagnant_state(gas):
     disc = reference_pair()
     U = _stagnant(disc, gas)
-    a = alpha_interpolated(disc, gas, U)
+    a = alpha_interpolated(StageFields(disc, gas, U))
     om = scaled_normals(disc)
     max_norm = np.linalg.norm(om, axis=-1).max()
     assert max_norm == pytest.approx(np.sqrt(2.0), rel=1e-13)
@@ -60,10 +60,10 @@ def test_alpha_interpolated_stagnant_state(gas):
 def test_alpha_interpolated_grows_with_speed(gas):
     disc = reference_pair()
     U = _stagnant(disc, gas)
-    a0 = alpha_interpolated(disc, gas, U)[0]
+    a0 = alpha_interpolated(StageFields(disc, gas, U))[0]
     U2 = U.copy()
     U2[1] = euler.conserved(1.0, 2.0, 0.5, 1.0, gas)
-    a1 = alpha_interpolated(disc, gas, U2)[0]
+    a1 = alpha_interpolated(StageFields(disc, gas, U2))[0]
     assert a1 > a0
 
 
@@ -71,7 +71,7 @@ def test_alpha_interpolated_requires_admissible(gas):
     disc = reference_pair()
     U = np.tile([1.0, 3.0, 0.0, 1.0], (disc.dofmap.n_dofs, 1))
     with pytest.raises(VacuumState):
-        alpha_interpolated(disc, gas, U)
+        alpha_interpolated(StageFields(disc, gas, U))
 
 
 def test_geometry_vectors_gauss_identity(gas):
@@ -83,7 +83,7 @@ def test_geometry_vectors_gauss_identity(gas):
 def test_alpha_noninterpolated_stagnant(gas):
     disc = reference_pair()
     U = _stagnant(disc, gas)
-    a = alpha_noninterpolated(disc, gas, U)
+    a = alpha_noninterpolated(StageFields(disc, gas, U))
     max_norm = np.linalg.norm(geometry_vectors(disc), axis=-1).max()
     assert a[0] == pytest.approx(np.sqrt(1.4) * max_norm, rel=1e-12)
 
@@ -99,7 +99,7 @@ def test_alpha_implicit_reference_value(gas):
     norms = np.linalg.norm(disc.phi_grad_integrals, axis=-1)
     assert norms[0].max() == pytest.approx(np.sqrt(2.0) / 6.0, rel=1e-12)
     U = _stagnant(disc, gas)
-    a = alpha_implicit(disc, gas, U)
+    a = alpha_implicit(StageFields(disc, gas, U))
     assert a[0] == pytest.approx(
         3 * np.sqrt(1.4) * np.sqrt(2.0) / 6.0, rel=1e-12
     )
@@ -107,8 +107,8 @@ def test_alpha_implicit_reference_value(gas):
 
 def test_alpha_implicit_scales_with_mesh(gas):
     d1, d2 = reference_pair(1.0), reference_pair(2.0)
-    a1 = alpha_implicit(d1, gas, _stagnant(d1, gas))[0]
-    a2 = alpha_implicit(d2, gas, _stagnant(d2, gas))[0]
+    a1 = alpha_implicit(StageFields(d1, gas, _stagnant(d1, gas)))[0]
+    a2 = alpha_implicit(StageFields(d2, gas, _stagnant(d2, gas)))[0]
     assert a2 / a1 == pytest.approx(2.0, rel=1e-12)
 
 
@@ -132,7 +132,7 @@ def test_admissible_timestep_refinement(gas):
     for n in (4, 8):
         disc = make_disc(n, 2.0)
         U = np.tile(euler.conserved(1.0, 0.3, 0.1, 1.0, euler.GasModel()), (disc.dofmap.n_dofs, 1))
-        a = alpha_interpolated(disc, gas, U)
+        a = alpha_interpolated(StageFields(disc, gas, U))
         rngs.append(admissible_timestep(disc, a, cfl=0.5))
     assert abs(rngs[0] / rngs[1] - 2.0) < 0.3  # dt halves within 15 percent
 
@@ -230,7 +230,6 @@ def _element_max_wavespeed_loop(disc, gas, U_elem):
 @pytest.mark.parametrize("space", ["s2", "s1"])
 @pytest.mark.parametrize("basis,degree", [("lagrange", 1), ("bernstein", 2)])
 def test_stacked_wavespeed_sweep_is_bitwise_the_loop(gas, space, basis, degree):
-    from rdeuler.discretization import StageFields
     from rdeuler.positivity import _element_max_wavespeed
 
     disc = make_disc(6, 10.0, space, basis, degree)
@@ -251,9 +250,8 @@ def test_stacked_wavespeed_sweep_is_bitwise_the_loop(gas, space, basis, degree):
 
 def test_bounds_reuse_a_given_wavespeed_sweep(gas, small_disc, monkeypatch):
     # the pointwise and implicit bounds of one StageFields share its sweep,
-    # and equal the bounds of the bare DOF vector
+    # and equal the bounds of a fresh set of the same DOF vector
     from rdeuler import positivity
-    from rdeuler.discretization import StageFields
 
     sweeps = []
     original = positivity._element_max_wavespeed
@@ -265,11 +263,11 @@ def test_bounds_reuse_a_given_wavespeed_sweep(gas, small_disc, monkeypatch):
     monkeypatch.setattr(positivity, "_element_max_wavespeed", counted)
     rng = np.random.default_rng(13)
     U = random_states(rng, small_disc.dofmap.n_dofs)
-    fields = StageFields.of(small_disc, gas, U)
-    pointwise = alpha_noninterpolated(small_disc, gas, fields)
-    implicit = alpha_implicit(small_disc, gas, fields)
+    fields = StageFields(small_disc, gas, U)
+    pointwise = alpha_noninterpolated(fields)
+    implicit = alpha_implicit(fields)
     assert sweeps == [fields]
     assert fields.cached("wavespeed", lambda: None) is not None
     for fn, bound in ((alpha_noninterpolated, pointwise), (alpha_implicit, implicit)):
-        again = fn(small_disc, gas, U)
+        again = fn(StageFields(small_disc, gas, U))
         assert np.array_equal(again, bound)

@@ -192,7 +192,7 @@ def test_config_scheme_objects():
     s = cfg.scheme_obj()
     assert s.base == "galerkin" and s.correction and s.diffusion
     assert s.lambda_jump == 0.7 and s.zeta == 2.5
-    cascade = cfg.cascade_objs()
+    cascade = cfg.cascade_config().schemes
     assert cascade[-1].base == "lxf"
 
 

@@ -4,7 +4,7 @@ import pytest
 from conftest import make_disc, off_seam_elements, random_states, smooth_field
 from rdeuler import euler
 from rdeuler.basis import build_dofmap
-from rdeuler.discretization import Discretization
+from rdeuler.discretization import Discretization, StageFields
 from rdeuler.errors import ConfigError
 from rdeuler.mesh import build_mesh, structured_square
 from rdeuler.positivity import alpha_noninterpolated
@@ -65,7 +65,7 @@ def constant_state_field(disc, gas):
 
 def test_galerkin_constant_field_zero(gas, small_disc):
     U = constant_state_field(small_disc, gas)
-    res = galerkin_residual(small_disc, gas, U)
+    res = galerkin_residual(StageFields(small_disc, gas, U))
     assert np.abs(res.phi).max() < 1e-14
 
 
@@ -74,7 +74,7 @@ def test_galerkin_total_matches_requadrature(gas, small_disc):
 
     disc = small_disc
     U = smooth_field(disc, gas)
-    res = galerkin_residual(disc, gas, U)
+    res = galerkin_residual(StageFields(disc, gas, U))
     mesh = disc.mesh
     got = res.phi.sum(axis=1)
     for k in (0, 5, 17):
@@ -105,7 +105,7 @@ def test_galerkin_linear_density_hand_quadrature(gas):
         return euler.conserved(rho, u[0] + 0 * x, u[1] + 0 * x, 1.0 + 0 * x, gas)
 
     U = disc.interpolate(fn)
-    res = galerkin_residual(disc, gas, U)
+    res = galerkin_residual(StageFields(disc, gas, U))
     c = u @ grad_rho
     dE_drho = 0.5 * (u @ u)  # E = p/(g-1) + rho |u|^2 / 2
     expect = np.array([c, c * u[0], c * u[1], (dE_drho + 0.0) * c + c * dE_drho])
@@ -130,8 +130,9 @@ def test_galerkin_jump_linear_field_unchanged(gas):
         )
 
     U = disc.interpolate(fn)
-    base = galerkin_residual(disc, gas, U)
-    jum = galerkin_jump_residual(disc, gas, U, lambda_e=2.0)
+    fields = StageFields(disc, gas, U)
+    base = galerkin_residual(fields)
+    jum = galerkin_jump_residual(fields, lambda_e=2.0)
     # the conserved vector is not linear (E is quadratic in x), so allow
     # the quadratic part's jump only in the energy row of gradients: use
     # a strictly linear conserved field instead
@@ -144,22 +145,25 @@ def test_galerkin_jump_linear_field_unchanged(gas):
         ],
         axis=-1,
     )
-    b2 = galerkin_residual(disc, gas, lin)
-    j2 = galerkin_jump_residual(disc, gas, lin, lambda_e=2.0)
+    fields = StageFields(disc, gas, lin)
+    b2 = galerkin_residual(fields)
+    j2 = galerkin_jump_residual(fields, lambda_e=2.0)
     assert np.abs((j2.phi - b2.phi)[off_seam_elements(disc)]).max() < 1e-13
 
 
 def test_galerkin_jump_lambda_zero(gas, small_disc):
     U = smooth_field(small_disc, gas)
-    a = galerkin_residual(small_disc, gas, U)
-    b = galerkin_jump_residual(small_disc, gas, U, lambda_e=0.0)
+    fields = StageFields(small_disc, gas, U)
+    a = galerkin_residual(fields)
+    b = galerkin_jump_residual(fields, lambda_e=0.0)
     assert np.array_equal(a.phi, b.phi)
 
 
 def test_galerkin_jump_union_conservation(gas, small_disc):
     U = smooth_field(small_disc, gas)
-    base = galerkin_residual(small_disc, gas, U)
-    jum = galerkin_jump_residual(small_disc, gas, U, lambda_e=1.5)
+    fields = StageFields(small_disc, gas, U)
+    base = galerkin_residual(fields)
+    jum = galerkin_jump_residual(fields, lambda_e=1.5)
     # per-element totals unchanged by the jump terms
     assert np.abs((jum.phi - base.phi).sum(axis=1)).max() < 1e-13
 
@@ -184,8 +188,9 @@ def test_jump_term_h2_scaling(gas):
     mags = []
     for disc in (make_disc(n=8, side=2.0), make_disc(n=16, side=2.0)):
         U = _hat_field(disc, gas, native)
-        base = galerkin_residual(disc, gas, U)
-        jum = galerkin_jump_residual(disc, gas, U, lambda_e=1.0)
+        fields = StageFields(disc, gas, U)
+        base = galerkin_residual(fields)
+        jum = galerkin_jump_residual(fields, lambda_e=1.0)
         contrib = jum.phi - base.phi
         apex = int(np.argmin(np.abs(disc.dofmap.dof_points).sum(axis=1)))
         rows = disc.dofmap.elem_dofs == apex
@@ -197,23 +202,24 @@ def test_jump_term_h2_scaling(gas):
 
 def test_dg_constant_zero(gas, small_disc_s1):
     U = constant_state_field(small_disc_s1, gas)
-    res = galerkin_residual(small_disc_s1, gas, U)
+    res = galerkin_residual(StageFields(small_disc_s1, gas, U))
     assert np.abs(res.phi).max() < 1e-14
 
 
 def test_dg_base_needs_s1_space(gas, small_disc):
     U = constant_state_field(small_disc, gas)
     with pytest.raises(ConfigError):
-        base_residual(small_disc, gas, U, Scheme(base="dg"))
+        base_residual(StageFields(small_disc, gas, U), Scheme(base="dg"))
 
 
 def test_dg_conservation_requadrature(gas, small_disc_s1):
     disc = small_disc_s1
     U = smooth_field(disc, gas)
-    res = galerkin_residual(disc, gas, U)
+    fields = StageFields(disc, gas, U)
+    res = galerkin_residual(fields)
     # per-element sum equals the Rusanov boundary quadrature computed
     # independently from the interface traces
-    fnum = interface_flux(disc, gas, U)
+    fnum = interface_flux(fields)
     w = disc.edge_weights
     T = disc.if_length[:, None] * np.einsum("q,eqc->ec", w, fnum)
     totals = np.zeros((disc.mesh.n_tris, 4))
@@ -230,7 +236,7 @@ def test_dg_two_element_periodic_telescoping(gas):
     disc = Discretization(mesh, build_dofmap(mesh, "s1", "lagrange", 1))
     rng = np.random.default_rng(2)
     U = random_states(rng, disc.dofmap.n_dofs)
-    res = galerkin_residual(disc, gas, U)
+    res = galerkin_residual(StageFields(disc, gas, U))
     total = res.phi.sum(axis=(0, 1))
     scale = np.abs(res.phi).sum()
     assert np.abs(total).max() < 1e-12 * max(scale, 1.0)
@@ -239,8 +245,9 @@ def test_dg_two_element_periodic_telescoping(gas):
 def test_lxf_formula_and_telescoping(gas, small_disc):
     disc = small_disc
     U = smooth_field(disc, gas)
-    alpha = alpha_noninterpolated(disc, gas, U)
-    res = lxf_residual(disc, gas, U, alpha)
+    fields = StageFields(disc, gas, U)
+    alpha = alpha_noninterpolated(fields)
+    res = lxf_residual(fields, alpha)
     U_elem = disc.elem_values(U)
     dev = U_elem - U_elem.mean(axis=1, keepdims=True)
     assert np.abs(dev.sum(axis=1)).max() < 1e-13
@@ -251,7 +258,7 @@ def test_lxf_formula_and_telescoping(gas, small_disc):
 
 def test_lxf_constant_field(gas, small_disc):
     U = constant_state_field(small_disc, gas)
-    res = lxf_residual(small_disc, gas, U, 2.0)
+    res = lxf_residual(StageFields(small_disc, gas, U), 2.0)
     assert np.abs(res.total).max() < 1e-13
     assert np.abs(res.phi).max() < 1e-13
 
@@ -277,27 +284,30 @@ def test_beta_coefficients_examples():
 def test_limited_lxf_properties(gas, small_disc):
     disc = small_disc
     U = smooth_field(disc, gas)
-    alpha = alpha_noninterpolated(disc, gas, U)
-    lim = limited_lxf_residual(disc, gas, U, alpha)
-    lxf = lxf_residual(disc, gas, U, alpha)
+    fields = StageFields(disc, gas, U)
+    alpha = alpha_noninterpolated(fields)
+    lim = limited_lxf_residual(fields, alpha)
+    lxf = lxf_residual(fields, alpha)
     # identical totals: scheme-swap-safe conservation
     assert np.abs(lim.total - lxf.total).max() < 1e-13
     assert np.abs(lim.phi.sum(axis=1) - lim.total).max() < 1e-12
     # constant field falls back to the unlimited distribution bitwise
     Uc = constant_state_field(disc, gas)
-    a2 = alpha_noninterpolated(disc, gas, Uc)
+    fields = StageFields(disc, gas, Uc)
+    a2 = alpha_noninterpolated(fields)
     assert np.array_equal(
-        limited_lxf_residual(disc, gas, Uc, a2).phi,
-        lxf_residual(disc, gas, Uc, a2).phi,
+        limited_lxf_residual(fields, a2).phi,
+        lxf_residual(fields, a2).phi,
     )
 
 
 def _schemes(disc, gas, U):
-    alpha = alpha_noninterpolated(disc, gas, U)
-    yield "galerkin", galerkin_residual(disc, gas, U)
-    yield "galerkin_jump", galerkin_jump_residual(disc, gas, U, 1.0)
-    yield "lxf", lxf_residual(disc, gas, U, alpha)
-    yield "limited", limited_lxf_residual(disc, gas, U, alpha)
+    fields = StageFields(disc, gas, U)
+    alpha = alpha_noninterpolated(fields)
+    yield "galerkin", galerkin_residual(fields)
+    yield "galerkin_jump", galerkin_jump_residual(fields, 1.0)
+    yield "lxf", lxf_residual(fields, alpha)
+    yield "limited", limited_lxf_residual(fields, alpha)
 
 
 def test_conservation_defect_random_fields(gas, small_disc):
@@ -305,7 +315,7 @@ def test_conservation_defect_random_fields(gas, small_disc):
     for _ in range(100):
         U = random_states(rng, small_disc.dofmap.n_dofs)
         for name, res in _schemes(small_disc, gas, U):
-            d = conservation_defect(small_disc, gas, U, res)
+            d = conservation_defect(StageFields(small_disc, gas, U), res)
             assert d.max() < 1e-12, name
 
 
@@ -314,9 +324,10 @@ def test_conservation_defect_detects_corruption(gas):
     # injected unit error reads off directly
     disc = make_disc(n=2, side=1.0)
     U = np.tile(euler.conserved(1e-3, 0.0, 0.0, 1e-4, euler.GasModel()), (disc.dofmap.n_dofs, 1))
-    res = galerkin_residual(disc, gas, U)
+    fields = StageFields(disc, gas, U)
+    res = galerkin_residual(fields)
     res.phi[0, 0, 0] += 1.0
-    d = conservation_defect(disc, gas, U, res)
+    d = conservation_defect(fields, res)
     assert d[0] == pytest.approx(1.0, rel=1e-10)
     assert d[1:].max() < 1e-12
 
@@ -371,7 +382,6 @@ def _interpolated_lxf_einsum(disc, gas, U_elem, alpha):
 @pytest.mark.parametrize("space", ["s2", "s1"])
 @pytest.mark.parametrize("basis,degree", [("lagrange", 1), ("bernstein", 2)])
 def test_interpolated_lxf_matches_einsum_oracle(gas, space, basis, degree):
-    from rdeuler.discretization import StageFields
     from rdeuler.residuals import _interpolated_lxf
 
     disc = make_disc(6, 10.0, space, basis, degree)
@@ -380,7 +390,7 @@ def test_interpolated_lxf_matches_einsum_oracle(gas, space, basis, degree):
         U_elem = disc.elem_values(U)
         alpha = rng.uniform(0.0, 3.0, disc.mesh.n_tris)
         for got, want in zip(
-            _interpolated_lxf(StageFields.of(disc, gas, U), alpha),
+            _interpolated_lxf(StageFields(disc, gas, U), alpha),
             _interpolated_lxf_einsum(disc, gas, U_elem, alpha),
         ):
             assert got.shape == want.shape

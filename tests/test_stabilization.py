@@ -4,7 +4,7 @@ import pytest
 from conftest import make_disc, off_seam, random_states, smooth_field
 from oracles import integrate_edge, state_from_entropy_vars
 from rdeuler import euler
-from rdeuler.discretization import PointValues
+from rdeuler.discretization import PointValues, StageFields
 from rdeuler.residuals import Scheme
 from rdeuler.stabilization import (
     _correction,
@@ -50,7 +50,7 @@ def test_correction_restores_entropy_balance(gas, small_disc):
     rng = np.random.default_rng(0)
     for _ in range(50):
         U = random_states(rng, small_disc.dofmap.n_dofs)
-        res = corrected_residual(small_disc, gas, U, Scheme.parse("galerkin+ec"))
+        res = corrected_residual(StageFields(small_disc, gas, U), Scheme.parse("galerkin+ec"))
         V = euler.entropy_vars(small_disc.elem_values(U), gas)
         lhs = np.einsum("mnc,mnc->m", V, res.base.phi + res.correction)
         scale = np.maximum(np.abs(res.g_boundary), 1.0)
@@ -73,9 +73,10 @@ def test_jump_diffusion_zero_cases(gas):
         axis=-1,
     )
     U = state_from_entropy_vars(V, gas)
-    D, _ = edge_jump_production(disc, gas, U)
+    fields = StageFields(disc, gas, U)
+    D, _ = edge_jump_production(fields)
     assert D[off_seam(disc)].max() < 1e-22
-    psi, achieved, D2 = jump_diffusion(disc, gas, U, lam=0.0)
+    psi, achieved, D2 = jump_diffusion(fields, lam=0.0)
     assert np.all(psi == 0.0) and np.all(D2 == 0.0)
 
 
@@ -86,7 +87,7 @@ def test_jump_diffusion_hat_production_requadrature(gas):
     U = U * (1.0 + 0.05 * rng.standard_normal(U.shape))
     U_elem = disc.elem_values(U)
     V_elem = euler.entropy_vars(U_elem, gas)
-    D, lam_e = edge_jump_production(disc, gas, U, zeta=2.0)
+    D, lam_e = edge_jump_production(StageFields(disc, gas, U), zeta=2.0)
     # independent per-edge re-quadrature through the generic edge helper
     mesh = disc.mesh
     for e in (0, 7, 23):
@@ -117,7 +118,7 @@ def test_jump_diffusion_production_nonnegative_and_conservative(gas, small_disc)
     rng = np.random.default_rng(2)
     for _ in range(20):
         U = random_states(rng, small_disc.dofmap.n_dofs)
-        psi, achieved, D = jump_diffusion(small_disc, gas, U)
+        psi, achieved, D = jump_diffusion(StageFields(small_disc, gas, U))
         assert np.all(D >= 0)
         assert np.all(achieved >= 0)
         assert np.abs(psi.sum(axis=1)).max() < 1e-11
@@ -137,7 +138,7 @@ def test_distribute_production_cap():
 def test_corrected_residual_constant_field(gas, small_disc):
     U0 = euler.conserved(1.0, 0.3, 0.0, 1.0, gas)
     U = np.tile(U0, (small_disc.dofmap.n_dofs, 1))
-    res = corrected_residual(small_disc, gas, U, Scheme.parse("galerkin+ec+jump"))
+    res = corrected_residual(StageFields(small_disc, gas, U), Scheme.parse("galerkin+ec+jump"))
     assert np.abs(res.theta).max() < 1e-13
 
 
@@ -146,7 +147,7 @@ def test_corrected_residual_entropy_inequality(gas, small_disc):
     scheme = Scheme.parse("galerkin+ec+jump")
     for _ in range(100):
         U = random_states(rng, small_disc.dofmap.n_dofs)
-        res = corrected_residual(small_disc, gas, U, scheme)
+        res = corrected_residual(StageFields(small_disc, gas, U), scheme)
         V = euler.entropy_vars(small_disc.elem_values(U), gas)
         full = np.einsum("mnc,mnc->m", V, res.theta)
         assert (full - res.g_boundary).min() > -1e-12
@@ -180,7 +181,7 @@ def test_entropy_numerical_flux(gas):
 
 def test_entropy_boundary_telescopes(gas, small_disc):
     U = smooth_field(small_disc, gas)
-    g = element_entropy_boundary(small_disc, gas, U)
+    g = element_entropy_boundary(StageFields(small_disc, gas, U))
     assert abs(g.sum()) < 1e-12 * max(np.abs(g).max(), 1.0)
 
 
@@ -198,12 +199,12 @@ def test_corrections_do_not_degrade_vortex_error(gas):
     U0, prob = init_vortex(disc, gas)
     errs = {}
     for label in ("galerkin", "galerkin+ec+jump"):
-        st = FieldState(0.0, U0.copy(), disc)
+        st = FieldState(0.0, U0.copy(), disc, gas)
         sch = Scheme.parse(label)
         while st.t < 0.5 - 1e-12:
-            a = positivity.alpha_noninterpolated(disc, gas, st.U)
+            a = positivity.alpha_noninterpolated(StageFields(disc, gas, st.U))
             dt = min(positivity.admissible_timestep(disc, a, 0.3), 0.5 - st.t)
-            st = ssp_rk2_step(st, sch, dt, gas)
+            st = ssp_rk2_step(st, sch, dt)
         errs[label] = primitive_errors(disc, gas, st.U, prob.state, st.t)["rho"]
     rel = abs(errs["galerkin+ec+jump"] - errs["galerkin"]) / errs["galerkin"]
     assert rel < 0.2
@@ -219,5 +220,5 @@ def test_plain_scheme_theta_is_base_residual(gas, small_disc, monkeypatch, name)
     monkeypatch.setattr(euler, "entropy_flux", forbidden)
     U = random_states(np.random.default_rng(4), small_disc.dofmap.n_dofs)
     alpha = np.full(small_disc.mesh.n_tris, 3.0)
-    res = corrected_residual(small_disc, gas, U, Scheme.parse(name), alpha=alpha)
+    res = corrected_residual(StageFields(small_disc, gas, U), Scheme.parse(name), alpha=alpha)
     assert res.theta.tobytes() == res.base.phi.tobytes()

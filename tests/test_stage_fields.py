@@ -182,13 +182,13 @@ def test_stage_fields_match_the_per_function_composition(gas, space, basis, degr
     norms = np.linalg.norm(geometry_vectors(disc), axis=-1).max(axis=(1, 2))
     # every scheme once on a throwaway field set and all of them on one
     # FieldState, whose fields the later schemes find filled
-    state = FieldState(0.0, U, disc)
-    assert _close(state.alpha(gas), _oracle_sweep(disc, gas, U_elem) * norms)
+    state = FieldState(0.0, U, disc, gas)
+    assert _close(state.alpha(), _oracle_sweep(disc, gas, U_elem) * norms)
     for scheme in _schemes(space):
-        alpha = state.alpha(gas, scheme.flux_mode)
+        alpha = state.alpha(scheme.flux_mode)
         want = _oracle_theta(disc, gas, U, scheme, alpha)
-        for res in (corrected_residual(disc, gas, U, scheme, alpha=alpha),
-                    state.residual(gas, scheme)):
+        for res in (corrected_residual(StageFields(disc, gas, U), scheme, alpha=alpha),
+                    state.residual(scheme)):
             assert _close(res.base.phi, want["phi"]), scheme.label()
             assert _close(res.base.total, want["total"]), scheme.label()
             assert _close(res.theta, want["theta"]), scheme.label()
@@ -220,22 +220,30 @@ def test_residual_and_sweep_evaluate_each_point_set_once(gas, space, basis, degr
     log = {}
     _count_calls(monkeypatch, Discretization, "traces", log)
     _count_calls(monkeypatch, euler, "pressure", log)
-    state = FieldState(0.0, U, disc)
-    state.residual(gas, Scheme.parse("galerkin+ec+jump" if space == "s2" else "dg+ec+jump"))
-    state.alpha(gas)
-    state.alpha(gas, "implicit")
+    state = FieldState(0.0, U, disc, gas)
+    state.residual(Scheme.parse("galerkin+ec+jump" if space == "s2" else "dg+ec+jump"))
+    state.alpha()
+    state.alpha("implicit")
     # on S1 the jump of V takes the traces of the entropy variables too
     assert log["traces"] == (1 if space == "s2" else 2)
     assert log["pressure"] == 4
 
 
-def test_bounds_on_fields_equal_bounds_on_the_dof_vector(gas):
+def test_kernels_read_the_gas_of_their_fields(gas):
+    # the fields carry the gas: a state's bounds and residual are those of
+    # a fresh set for the state's gas, and another gas changes them
     disc = make_disc(6, 10.0, "s2", "bernstein", 2)
     U = random_states(np.random.default_rng(8), disc.dofmap.n_dofs)
-    fields = StageFields.of(disc, gas, U)
-    assert StageFields.of(disc, gas, fields) is fields
-    for bound in (alpha_noninterpolated, alpha_implicit):
-        assert np.array_equal(bound(disc, gas, fields), bound(disc, gas, U))
+    gas53 = euler.GasModel(gamma=5.0 / 3.0)
+    state = FieldState(0.0, U, disc, gas53)
+    scheme = Scheme.parse("galerkin+ec+jump")
+    same, default = StageFields(disc, gas53, U), StageFields(disc, gas, U)
+    for mode, bound in (("pointwise", alpha_noninterpolated), ("implicit", alpha_implicit)):
+        assert np.array_equal(state.alpha(mode), bound(same))
+        assert not np.array_equal(state.alpha(mode), bound(default))
+    theta = state.residual(scheme).theta
+    assert np.array_equal(theta, corrected_residual(same, scheme).theta)
+    assert not np.array_equal(theta, corrected_residual(default, scheme).theta)
 
 
 def test_explicit_step_releases_the_fields_of_its_input(gas):
@@ -246,13 +254,13 @@ def test_explicit_step_releases_the_fields_of_its_input(gas):
     disc = make_disc(4, 2.0)
     U = smooth_field(disc, gas)
     scheme, other = Scheme.parse("galerkin+ec+jump"), Scheme.parse("lxf")
-    state = FieldState(0.0, U, disc)
-    res, alpha = state.residual(gas, scheme), state.alpha(gas)
-    forward_euler_step(state, scheme, 1e-3, gas)
-    assert ("fields", gas) not in state._memo
-    assert state.residual(gas, scheme) is res and state.alpha(gas) is alpha
-    again = state.residual(gas, other).theta
-    assert np.array_equal(again, FieldState(0.0, U, disc).residual(gas, other).theta)
+    state = FieldState(0.0, U, disc, gas)
+    res, alpha = state.residual(scheme), state.alpha()
+    forward_euler_step(state, scheme, 1e-3)
+    assert ("fields",) not in state._memo
+    assert state.residual(scheme) is res and state.alpha() is alpha
+    again = state.residual(other).theta
+    assert np.array_equal(again, FieldState(0.0, U, disc, gas).residual(other).theta)
 
 
 def test_implicit_step_releases_the_fields_of_its_input(gas):
@@ -261,10 +269,10 @@ def test_implicit_step_releases_the_fields_of_its_input(gas):
 
     disc = make_disc(4, 2.0, "s2", "lagrange", 1)
     U = smooth_field(disc, gas)
-    state = FieldState(0.0, U, disc)
-    implicit_euler_step(state, 1e-3, gas)
-    assert ("fields", gas) not in state._memo
-    fresh = FieldState(0.0, U, disc)
+    state = FieldState(0.0, U, disc, gas)
+    implicit_euler_step(state, 1e-3)
+    assert ("fields",) not in state._memo
+    fresh = FieldState(0.0, U, disc, gas)
     for mode in ("interpolated", "implicit"):
-        assert np.array_equal(state.alpha(gas, mode), fresh.alpha(gas, mode))
-    assert ("fields", gas) not in state._memo
+        assert np.array_equal(state.alpha(mode), fresh.alpha(mode))
+    assert ("fields",) not in state._memo

@@ -4,6 +4,7 @@ import scipy.sparse.linalg as spla
 
 from conftest import make_disc, random_states, reference_pair, smooth_field
 from rdeuler import euler
+from rdeuler.discretization import StageFields
 from rdeuler.errors import AlphaTooSmall, ConfigError
 from rdeuler.positivity import (
     admissible_timestep,
@@ -31,7 +32,7 @@ def constant_field(disc, gas, u=(0.2, -0.1)):
 
 def assembled_residual(disc, gas, U, scheme):
     """Global residual sum R_sigma over the owner elements of theta."""
-    return scatter_residuals(disc, FieldState(0.0, U, disc).residual(gas, scheme).theta)
+    return scatter_residuals(disc, FieldState(0.0, U, disc, gas).residual(scheme).theta)
 
 
 def test_assemble_rhs_constant_zero(gas, small_disc):
@@ -52,7 +53,7 @@ def test_single_element_rhs_equals_theta(gas):
     disc = reference_pair()
     rng = np.random.default_rng(0)
     U = random_states(rng, disc.dofmap.n_dofs)
-    res = element_theta(disc, gas, U, Scheme.parse("galerkin"), None)
+    res = element_theta(StageFields(disc, gas, U), Scheme.parse("galerkin"), None)
     R = assembled_residual(disc, gas, U, Scheme.parse("galerkin"))
     assert np.array_equal(R[disc.dofmap.elem_dofs], res.theta)
 
@@ -60,13 +61,13 @@ def test_single_element_rhs_equals_theta(gas):
 def test_forward_euler_identities(gas, small_disc):
     disc = small_disc
     U = constant_field(disc, gas)
-    st = FieldState(0.0, U, disc)
-    out = forward_euler_step(st, Scheme.parse("galerkin"), 0.01, gas)
+    st = FieldState(0.0, U, disc, gas)
+    out = forward_euler_step(st, Scheme.parse("galerkin"), 0.01)
     assert np.abs(out.U - U).max() < 1e-14
     # mass conservation on a smooth field
     U = smooth_field(disc, gas)
-    st = FieldState(0.0, U, disc)
-    out = forward_euler_step(st, Scheme.parse("galerkin+ec+jump"), 1e-3, gas)
+    st = FieldState(0.0, U, disc, gas)
+    out = forward_euler_step(st, Scheme.parse("galerkin+ec+jump"), 1e-3)
     t0 = conserved_totals(disc, U)
     t1 = conserved_totals(disc, out.U)
     scale = np.einsum("s,sc->c", disc.dual.c_sigma, np.abs(U))
@@ -80,9 +81,10 @@ def test_forward_euler_convex_decomposition(gas, small_disc):
     rng = np.random.default_rng(1)
     U = random_states(rng, disc.dofmap.n_dofs)
     scheme = Scheme(base="lxf", flux_mode="interpolated")
-    alpha = alpha_interpolated(disc, gas, U)
+    fields = StageFields(disc, gas, U)
+    alpha = alpha_interpolated(fields)
     dt = admissible_timestep(disc, alpha, cfl=0.9)
-    res = element_theta(disc, gas, U, scheme, alpha=alpha)
+    res = element_theta(fields, scheme, alpha=alpha)
     k_sigma = disc.dual.k_sigma
     U_star = (
         U[disc.dofmap.elem_dofs]
@@ -90,7 +92,7 @@ def test_forward_euler_convex_decomposition(gas, small_disc):
     )
     weighted = k_sigma[:, None, None] * U_star
     combo = scatter_residuals(disc, weighted) / disc.dual.c_sigma[:, None]
-    stepped = forward_euler_step(FieldState(0.0, U, disc), scheme, dt, gas)
+    stepped = forward_euler_step(FieldState(0.0, U, disc, gas), scheme, dt)
     assert np.abs(combo - stepped.U).max() < 1e-13
 
 
@@ -104,7 +106,7 @@ class _StubScheme:
 
 def _stub_stepper(state, dt, rate):
     U = state.U + dt * rate
-    return FieldState(state.t + dt, U, state.disc)
+    return FieldState(state.t + dt, U, state.disc, state.gas)
 
 
 def test_ssp_rk2_exact_for_constant_rate(gas, small_disc):
@@ -114,7 +116,7 @@ def test_ssp_rk2_exact_for_constant_rate(gas, small_disc):
     rng = np.random.default_rng(2)
     U = random_states(rng, disc.dofmap.n_dofs)
     rate = rng.standard_normal(U.shape)
-    s1 = _stub_stepper(FieldState(0.0, U, disc), 0.3, rate)
+    s1 = _stub_stepper(FieldState(0.0, U, disc, gas), 0.3, rate)
     s2 = _stub_stepper(s1, 0.3, rate)
     heun = 0.5 * (U + s2.U)
     assert np.allclose(heun, U + 0.3 * rate, atol=1e-14)
@@ -138,9 +140,9 @@ def test_ssp_rk2_temporal_order(gas):
     t_end = 0.2
 
     def advance(dt0):
-        st = FieldState(0.0, U0.copy(), disc)
+        st = FieldState(0.0, U0.copy(), disc, gas)
         while st.t < t_end - 1e-12:
-            st = ssp_rk2_step(st, scheme, min(dt0, t_end - st.t), gas)
+            st = ssp_rk2_step(st, scheme, min(dt0, t_end - st.t))
         return st.U
 
     ref = advance(0.0025)
@@ -168,8 +170,8 @@ def test_density_system_dt_zero(gas, small_disc):
     disc = small_disc
     rng = np.random.default_rng(4)
     U = random_states(rng, disc.dofmap.n_dofs)
-    alpha = alpha_implicit(disc, gas, U)
-    sys = assemble_density_system(disc, gas, U, 0.0, alpha)
+    alpha = alpha_implicit(StageFields(disc, gas, U))
+    sys = assemble_density_system(disc, U, 0.0, alpha)
     rho = spla.spsolve(sys.matrix, disc.dual.c_sigma * U[:, 0])
     assert np.allclose(rho, U[:, 0], rtol=1e-13)
     assert np.allclose(_row_sums(sys.matrix), disc.dual.c_sigma, rtol=1e-13)
@@ -178,8 +180,8 @@ def test_density_system_dt_zero(gas, small_disc):
 def test_density_system_stagnant_symmetric(gas):
     disc = make_disc(2, 1.0)
     U = constant_field(disc, gas, u=(0.0, 0.0))
-    alpha = alpha_implicit(disc, gas, U)
-    sys = assemble_density_system(disc, gas, U, 0.05, alpha)
+    alpha = alpha_implicit(StageFields(disc, gas, U))
+    sys = assemble_density_system(disc, U, 0.05, alpha)
     A = sys.matrix.toarray()
     assert np.abs(A - A.T).max() < 1e-14
     assert np.allclose(_row_sums(sys.matrix), disc.dual.c_sigma, atol=1e-14)
@@ -193,14 +195,14 @@ def test_density_system_alpha_too_small(gas, small_disc):
     disc = small_disc
     U = constant_field(disc, gas, u=(3.0, 0.0))
     with pytest.raises(AlphaTooSmall):
-        assemble_density_system(disc, gas, U, 0.1, np.full(disc.mesh.n_tris, 1e-6))
+        assemble_density_system(disc, U, 0.1, np.full(disc.mesh.n_tris, 1e-6))
 
 
 def test_implicit_constant_state_fixed_point(gas, small_disc):
     disc = small_disc
     U = constant_field(disc, gas)
-    st = FieldState(0.0, U, disc)
-    out = implicit_euler_step(st, 0.05, gas)
+    st = FieldState(0.0, U, disc, gas)
+    out = implicit_euler_step(st, 0.05)
     assert np.abs(out.U - U).max() < 1e-12
 
 
@@ -212,9 +214,9 @@ def test_implicit_matches_explicit_at_small_dt(gas):
     scheme = Scheme(base="lxf", flux_mode="interpolated")
 
     def gap(dt):
-        st = FieldState(0.0, U.copy(), disc)
-        ex = forward_euler_step(st, scheme, dt, gas)
-        im = implicit_euler_step(st, dt, gas, tol=1e-13)
+        st = FieldState(0.0, U.copy(), disc, gas)
+        ex = forward_euler_step(st, scheme, dt)
+        im = implicit_euler_step(st, dt, tol=1e-13)
         return np.abs(ex.U - im.U).max()
 
     g1, g2 = gap(2e-3), gap(1e-3)
@@ -225,16 +227,17 @@ def test_implicit_large_dt_density_positive(gas, small_disc):
     disc = small_disc
     rng = np.random.default_rng(5)
     U = random_states(rng, disc.dofmap.n_dofs, near_vacuum=True)
-    alpha = alpha_interpolated(disc, gas, U)
+    fields = StageFields(disc, gas, U)
+    alpha = alpha_interpolated(fields)
     dt_exp = admissible_timestep(disc, alpha, cfl=1.0)
     # the standalone M-matrix solve stays positive at ten times the
     # explicit bound
-    a_imp = np.maximum(alpha, alpha_implicit(disc, gas, U))
-    sys = assemble_density_system(disc, gas, U, 10 * dt_exp, a_imp)
+    a_imp = np.maximum(alpha, alpha_implicit(fields))
+    sys = assemble_density_system(disc, U, 10 * dt_exp, a_imp)
     rho = spla.spsolve(sys.matrix, disc.dual.c_sigma * U[:, 0])
     assert np.all(rho > 0)
     # and the full Picard step reports positive density as well
-    out = implicit_euler_step(FieldState(0.0, U, disc), 10 * dt_exp, gas, max_iter=200)
+    out = implicit_euler_step(FieldState(0.0, U, disc, gas), 10 * dt_exp, max_iter=200)
     assert np.all(out.U[:, 0] > 0)
 
 
@@ -243,14 +246,14 @@ def test_implicit_step_checks_the_sign_condition(gas, small_disc, monkeypatch):
     # bound too small for the frozen velocity fails the M-matrix check
     from rdeuler import positivity
 
-    def tiny(disc, gas, U):
-        return np.full(disc.mesh.n_tris, 1e-6)
+    def tiny(fields):
+        return np.full(fields.disc.mesh.n_tris, 1e-6)
 
     monkeypatch.setattr(positivity, "alpha_implicit", tiny)
     monkeypatch.setattr(positivity, "alpha_interpolated", tiny)
-    st = FieldState(0.0, constant_field(small_disc, gas, u=(3.0, 0.0)), small_disc)
+    st = FieldState(0.0, constant_field(small_disc, gas, u=(3.0, 0.0)), small_disc, gas)
     with pytest.raises(AlphaTooSmall):
-        implicit_euler_step(st, 0.1, gas)
+        implicit_euler_step(st, 0.1)
 
 
 def test_entropy_monotone_parachute_steps(gas):
@@ -263,12 +266,12 @@ def test_entropy_monotone_parachute_steps(gas):
 
     for _ in range(3):
         U = random_states(rng, disc.dofmap.n_dofs)
-        st = FieldState(0.0, U, disc)
+        st = FieldState(0.0, U, disc, gas)
         for _ in range(15):
             S0 = float(np.sum(disc.dual.c_sigma * euler.entropy_eta(st.U, gas)))
-            a = alpha_noninterpolated(disc, gas, st.U)
+            a = alpha_noninterpolated(StageFields(disc, gas, st.U))
             dt = admissible_timestep(disc, a, cfl=0.2)
-            st = forward_euler_step(st, scheme, dt, gas)
+            st = forward_euler_step(st, scheme, dt)
             S1 = float(np.sum(disc.dual.c_sigma * euler.entropy_eta(st.U, gas)))
             assert S1 - S0 <= 1e-10 * abs(S0)
 
@@ -281,13 +284,14 @@ def test_field_state_cache_is_not_copied(gas, small_disc):
     U = smooth_field(small_disc, gas)
     U2 = smooth_field(small_disc, gas, amp=0.05)
     scheme = Scheme.parse("limited_lxf")
-    st = FieldState(0.0, U, small_disc)
-    st.residual(gas, scheme)
-    alpha2 = alpha_noninterpolated(small_disc, gas, U2)
+    st = FieldState(0.0, U, small_disc, gas)
+    st.residual(scheme)
+    fields = StageFields(small_disc, gas, U2)
+    alpha2 = alpha_noninterpolated(fields)
     moved = replace(st, U=U2)
-    assert np.array_equal(moved.alpha(gas), alpha2)
+    assert np.array_equal(moved.alpha(), alpha2)
     assert np.array_equal(
-        moved.residual(gas, scheme).theta, element_theta(small_disc, gas, U2, scheme, alpha2).theta
+        moved.residual(scheme).theta, element_theta(fields, scheme, alpha2).theta
     )
 
 
@@ -323,7 +327,7 @@ def _vortex_state(gas, n=16):
 
     disc = make_discretization(structured_square(n), "s2", "lagrange", 1)
     U0, _ = init_vortex(disc, gas)
-    return FieldState(0.0, U0, disc)
+    return FieldState(0.0, U0, disc, gas)
 
 
 def test_lu_multi_rhs_solve_is_bitwise_the_column_solves(gas):
@@ -334,8 +338,8 @@ def test_lu_multi_rhs_solve_is_bitwise_the_column_solves(gas):
 
     st = _vortex_state(gas)
     disc = st.disc
-    alpha = np.maximum(st.alpha(gas, "interpolated"), st.alpha(gas, "implicit"))
-    dt = admissible_timestep(disc, st.alpha(gas), cfl=1.0)
+    alpha = np.maximum(st.alpha("interpolated"), st.alpha("implicit"))
+    dt = admissible_timestep(disc, st.alpha(), cfl=1.0)
     A, _ = _lxf_operator(disc, alpha, euler.velocity(st.U))
     lu = spla.splu((sp.diags(disc.dual.c_sigma) + dt * A).tocsc(), permc_spec="MMD_AT_PLUS_A")
     rhs = disc.dual.c_sigma[:, None] * st.U
@@ -352,7 +356,7 @@ def test_implicit_step_ordering_matches_colamd(gas, monkeypatch):
     from rdeuler import stepping
 
     st = _vortex_state(gas)
-    dt = admissible_timestep(st.disc, st.alpha(gas), cfl=1.0)
+    dt = admissible_timestep(st.disc, st.alpha(), cfl=1.0)
     original_splu, original_rhs = spla.splu, stepping.interpolated_lxf_rhs
     orders, sweeps = [], []
 
@@ -369,7 +373,7 @@ def test_implicit_step_ordering_matches_colamd(gas, monkeypatch):
     out = {}
     for ordering in ("MMD_AT_PLUS_A", "COLAMD"):
         sweeps.append(0)
-        out[ordering] = implicit_euler_step(FieldState(st.t, st.U, st.disc), dt, gas).U
+        out[ordering] = implicit_euler_step(FieldState(st.t, st.U, st.disc, gas), dt).U
     assert orders == ["MMD_AT_PLUS_A", "MMD_AT_PLUS_A"]
     assert sweeps[0] == sweeps[1] > 1
     got, want = out["MMD_AT_PLUS_A"], out["COLAMD"]
@@ -390,19 +394,20 @@ def test_implicit_advance_sweeps_wavespeed_once_per_step(gas, small_disc, monkey
         return original(*args, **kwargs)
 
     monkeypatch.setattr(positivity, "_element_max_wavespeed", counted)
-    st = FieldState(0.0, smooth_field(small_disc, gas), small_disc)
-    steps = list(advance(st, gas, Scheme.parse("lxf+interp"), "implicit", 10.0, 1.0, max_steps=3))
+    st = FieldState(0.0, smooth_field(small_disc, gas), small_disc, gas)
+    steps = list(advance(st, Scheme.parse("lxf+interp"), "implicit", 10.0, 1.0, max_steps=3))
     assert len(steps) == 3
     assert len(calls) == 3
 
 
 def test_field_state_implicit_bound(gas, small_disc):
     U = smooth_field(small_disc, gas)
-    st = FieldState(0.0, U, small_disc)
-    assert np.array_equal(st.alpha(gas, "implicit"), alpha_implicit(small_disc, gas, U))
-    assert np.array_equal(st.alpha(gas), alpha_noninterpolated(small_disc, gas, U))
+    st = FieldState(0.0, U, small_disc, gas)
+    fields = StageFields(small_disc, gas, U)
+    assert np.array_equal(st.alpha("implicit"), alpha_implicit(fields))
+    assert np.array_equal(st.alpha(), alpha_noninterpolated(fields))
     with pytest.raises(ConfigError):
-        st.alpha(gas, "pointwise+interp")
+        st.alpha("pointwise+interp")
 
 
 # -- assembled operators of the implicit step ------------------------------
@@ -428,9 +433,10 @@ def test_assembled_rhs_equals_scattered_element_residual(gas, space, basis, degr
     disc = make_disc(6, 10.0, space, basis, degree)
     scheme = Scheme(base="lxf", flux_mode="interpolated")
     for name, U in _fields(disc, gas, np.random.default_rng(31)).items():
-        alpha = alpha_interpolated(disc, gas, U)
+        fields = StageFields(disc, gas, U)
+        alpha = alpha_interpolated(fields)
         dissipation = disc.assemble(_lxf_dissipation(alpha, disc.dofmap.n_local))
-        want = scatter_residuals(disc, element_theta(disc, gas, U, scheme, alpha).theta)
+        want = scatter_residuals(disc, element_theta(fields, scheme, alpha).theta)
         got = interpolated_lxf_rhs(disc, gas, U, dissipation)
         gap = np.abs(got - want).max(axis=0)
         assert np.all(gap <= 1e-13 * np.abs(want).max(axis=0)), (name, gap)
@@ -472,11 +478,11 @@ def test_implicit_run_matches_element_path_oracle(gas):
         mp.setattr(stepping, "interpolated_lxf_rhs", rhs)
         for _ in range(4):
             sweeps.append(0)
-            st = implicit_euler_step(st, admissible_timestep(st.disc, st.alpha(gas), 1.0), gas)
+            st = implicit_euler_step(st, admissible_timestep(st.disc, st.alpha(), 1.0))
     for _ in range(4):
-        dt = admissible_timestep(oracle.disc, oracle.alpha(gas), 1.0)
+        dt = admissible_timestep(oracle.disc, oracle.alpha(), 1.0)
         U, n = picard_elementwise(oracle, dt, gas)
-        oracle = FieldState(oracle.t + dt, U, oracle.disc)
+        oracle = FieldState(oracle.t + dt, U, oracle.disc, gas)
         oracle_sweeps.append(n)
     assert sweeps == oracle_sweeps and min(sweeps) > 1
     assert np.all(np.abs(st.U - oracle.U).max(axis=0) <= 1e-13 * np.abs(oracle.U).max(axis=0))
@@ -490,6 +496,45 @@ def test_implicit_step_makes_no_element_residual(gas, small_disc, monkeypatch):
 
     monkeypatch.setattr(stepping, "element_theta", forbidden)
     monkeypatch.setattr(stepping, "scatter_residuals", forbidden)
-    st = FieldState(0.0, smooth_field(small_disc, gas), small_disc)
-    out = implicit_euler_step(st, admissible_timestep(small_disc, st.alpha(gas), 1.0), gas)
+    st = FieldState(0.0, smooth_field(small_disc, gas), small_disc, gas)
+    out = implicit_euler_step(st, admissible_timestep(small_disc, st.alpha(), 1.0))
     assert np.all(out.U[:, 0] > 0)
+
+
+def test_every_state_keeps_the_gas_it_was_stepped_with(monkeypatch):
+    # a non-default gas stepped through advance under SSP-RK2, the cascade
+    # and the implicit step: every state carries it, the cascade's patch
+    # rows equal the whole-mesh rows of the state, and one explicit step is
+    # the scatter of the corrected residual for that gas, so a default gas
+    # creeping back into any step changes the bits
+    from oracles import mixed_theta_full
+    from rdeuler import make_discretization, stepping
+    from rdeuler.mesh import structured_rect
+    from rdeuler.mood import CascadeConfig
+    from rdeuler.problems import make_problem
+    from rdeuler.stabilization import corrected_residual
+
+    gas53 = euler.GasModel(gamma=5.0 / 3.0)
+    disc = make_discretization(structured_rect(24, 3, width=10.0, height=1.25), "s2", "lagrange", 1)
+    U0 = disc.interpolate(make_problem("sod_smooth", disc.mesh.bbox, gas53).initial)
+    scheme = Scheme.parse("galerkin+ec+jump")
+    cascade = CascadeConfig(schemes=tuple(Scheme.parse(s) for s in ("galerkin", "limited_lxf", "lxf")))
+
+    def run(sch, integrator, mood_cfg=None, n=3):
+        start = FieldState(0.0, U0.copy(), disc, gas53)
+        steps = list(stepping.advance(start, sch, integrator, 10.0, 0.3, mood_cfg=mood_cfg,
+                                      max_steps=n))
+        assert len(steps) == n and all(st.gas is gas53 for st, _, _ in steps)
+        return steps
+
+    run(scheme, "ssprk2")
+    run(Scheme.parse("lxf+interp"), "implicit")
+    got = run(scheme, "ssprk2", cascade, n=18)           # the cascade first bumps in step 18
+    assert np.any(got[-1][2].level > 0)
+    monkeypatch.setattr(stepping, "mixed_theta", mixed_theta_full)
+    want = run(scheme, "ssprk2", cascade, n=18)
+    assert all(np.array_equal(a.U, b.U) for (a, _, _), (b, _, _) in zip(got, want))
+
+    (st, dt, _), = run(scheme, "fe", n=1)
+    R = scatter_residuals(disc, corrected_residual(StageFields(disc, gas53, U0), scheme).theta)
+    assert np.array_equal(st.U, U0 - (dt / disc.dual.c_sigma)[:, None] * R)
