@@ -1,5 +1,6 @@
-"""Run diagnostics: weak-BV norm, consistency errors, entropy budget,
-entropy-production monitor, Cesaro averages and error norms.
+"""Run diagnostics: weak-BV norm, consistency errors and their period-10
+cosine test functions, entropy budget, entropy-production monitor,
+Cesaro averages and error norms.
 
 The consistency decomposition follows a fixed discrete-time convention:
 time integrals use the rectangle rule at the stage-start state, the
@@ -197,6 +198,39 @@ def consistency_error(run: RunRecord, phi, grad_phi, component):
     else:
         out["total"] = term_I + term_II + term_III
     return out
+
+
+_K10 = 2.0 * np.pi / 10.0
+
+
+def cos_phi(t, x, y):
+    """cos(kx) cos(ky) with k = 2 pi / 10, a scalar test function periodic
+    on the 10 x 10 square, for 'rho' and 'eta'."""
+    return np.cos(_K10 * x) * np.cos(_K10 * y)
+
+
+def cos_grad_phi(t, x, y):
+    k = _K10
+    return np.stack(
+        [-k * np.sin(k * x) * np.cos(k * y), -k * np.cos(k * x) * np.sin(k * y)], axis=-1
+    )
+
+
+def cos_phi_m(t, x, y):
+    """(cos(kx) cos(ky), sin(kx) cos(ky)), the test function for 'm'."""
+    return np.stack([cos_phi(t, x, y), np.sin(_K10 * x) * np.cos(_K10 * y)], axis=-1)
+
+
+def cos_grad_phi_m(t, x, y):
+    k = _K10
+    g2 = np.stack(
+        [k * np.cos(k * x) * np.cos(k * y), -k * np.sin(k * x) * np.sin(k * y)], axis=-1
+    )
+    return np.stack([cos_grad_phi(t, x, y), g2], axis=-2)
+
+
+# component -> (phi, grad_phi) of the period-10 cosine test functions
+COSINE_TEST_FUNCTIONS = {"rho": (cos_phi, cos_grad_phi), "m": (cos_phi_m, cos_grad_phi_m)}
 
 
 def entropy_budget(run: RunRecord):

@@ -1,14 +1,22 @@
 """Built-in self checks behind the ``verify`` command.
 
-Each check is parameterized so the test suite can run it at full
-acceptance scale while the command line uses quicker settings.
+This module holds the one definition of each acceptance criterion that
+the command line covers: 1 ``check_conservation``, 2
+``check_entropy_balance``, 4 ``check_positivity``, 7 ``check_mood`` and
+10 ``check_consistency``.  Each takes its size, seed and tolerance as
+parameters and returns ``(ok, info)`` with plain numbers; the defaults
+are the quick settings of ``rdeuler verify``, and the acceptance suite
+calls the same functions at its committed settings.  The checks that run
+``driver.run`` do so in a temporary directory, so they write no files.
 """
+
+import tempfile
 
 import numpy as np
 
-from . import diagnostics, euler, stepping
+from . import diagnostics, driver, euler, stepping
 from .basis import bernstein_to_lagrange, build_dofmap
-from .config import parse_config
+from .config import RunConfig, parse_config
 from .discretization import Discretization, StageFields
 from .errors import ConfigError
 from .mesh import structured_square
@@ -17,9 +25,8 @@ from .stabilization import corrected_residual
 from .stepping import FieldState
 
 
-def random_admissible_field(disc, gas, rng, near_vacuum=False):
-    """Random DOF states; near_vacuum stresses the admissibility floors."""
-    n = disc.dofmap.n_dofs
+def random_admissible_field(n, gas, rng, near_vacuum=False):
+    """n random admissible states; near_vacuum stresses the floors."""
     if near_vacuum:
         rho = 10.0 ** rng.uniform(-6, 0, n)
         rho_e = 10.0 ** rng.uniform(np.log10(10.0 * gas.e_floor), 0, n)
@@ -42,16 +49,20 @@ def _drift(disc, U0, U1):
     return np.abs(t1 - t0) / max(scale, 1e-300)
 
 
+def _run(text, record=False):
+    """``driver.run`` of a config text, its output in a temporary
+    directory that is gone when the run returns."""
+    with tempfile.TemporaryDirectory() as out:
+        cfg = parse_config(f"{text}output.dir = {out}\noutput.diag_every = 1000000\n")
+        return driver.run(cfg, record=record)
+
+
 def check_conservation(n=16, t_end=0.5, cfl=0.3, tol=1e-11):
     """Vortex run keeps total mass, momentum and energy to round-off."""
-    cfg = parse_config(
+    result = _run(
         f"mesh = structured:{n}\nproblem = vortex\nintegrator = ssprk2\n"
-        f"cfl = {cfl}\nt_end = {t_end}\noutput.dir = out/verify_conservation\n"
-        "output.diag_every = 1000000\n"
+        f"cfl = {cfl}\nt_end = {t_end}\n"
     )
-    from .driver import run
-
-    result = run(cfg)
     U0 = result.disc.interpolate(result.problem.initial)
     drift = _drift(result.disc, U0, result.state.U)
     ok = bool(np.all(drift <= tol))
@@ -68,7 +79,7 @@ def check_entropy_balance(n_fields=100, n=4, seed=7, tol_eq=1e-11, tol_ineq=1e-1
     scheme = Scheme.parse("galerkin+ec+jump")
     worst_eq, worst_ineq = 0.0, 0.0
     for _ in range(n_fields):
-        U = random_admissible_field(disc, gas, rng)
+        U = random_admissible_field(disc.dofmap.n_dofs, gas, rng)
         fields = StageFields(disc, gas, U)
         res = corrected_residual(fields, scheme)
         V = fields.V_elem
@@ -95,7 +106,7 @@ def positivity_stress(
     if check_lagrange_points:
         Mmap = bernstein_to_lagrange(disc.dofmap.degree)
     for _ in range(n_fields):
-        U = random_admissible_field(disc, gas, rng, near_vacuum=True)
+        U = random_admissible_field(disc.dofmap.n_dofs, gas, rng, near_vacuum=True)
         steps = stepping.advance(
             FieldState(t=0.0, U=U, disc=disc, gas=gas), scheme, "fe", np.inf, cfl, max_steps=n_steps
         )
@@ -126,98 +137,57 @@ def check_positivity(n_fields=500, n_steps=50, n=4, seed=11):
     return v1 == 0 and v2 == 0, {"lagrange_violations": v1, "bernstein_violations": v2}
 
 
-def run_mood_sod(nx=32, ny=4, t_end=0.6, cfl=0.3, cascade=None, integrator="ssprk2"):
+def run_mood_sod(nx=32, ny=4, t_end=0.6):
     """Smoothed-Sod strip under the cascade; returns summary data."""
-    from .config import RunConfig
-    from .driver import build_discretization, initial_state
-
     cfg = RunConfig(
         problem="sod_smooth",
         mesh=f"structured:{nx}x{ny}",
         basis="lagrange",
-        integrator=integrator,
-        cfl=cfl,
+        cfl=0.3,
         t_end=t_end,
         mood_enabled=True,
-        cascade=cascade or "galerkin,limited_lxf,lxf",
+        cascade="galerkin,limited_lxf,lxf",
         scheme="lxf",
     ).validate()
     gas = euler.GasModel()
-    disc = build_discretization(cfg)
-    state, _ = initial_state(cfg, disc, gas)
+    disc = driver.build_discretization(cfg)
+    state, _ = driver.initial_state(cfg, disc, gas)
     U0 = state.U.copy()
     activations = 0
     steps = 0
     for state, _, report in stepping.advance(
-        state, cfg.scheme_obj(), integrator, t_end, cfl, mood_cfg=cfg.cascade_config()
+        state, cfg.scheme_obj(), cfg.integrator, t_end, cfg.cfl, mood_cfg=cfg.cascade_config()
     ):
         activations += int(np.sum(report.level > 0))
         steps += 1
         if not np.all(euler.admissible(state.U, gas)):
             return {"ok_pad": False, "activations": activations, "steps": steps}
     drift = _drift(disc, U0, state.U)
-    return {
-        "ok_pad": True,
-        "activations": activations,
-        "steps": steps,
-        "drift": drift.tolist(),
-        "final": state,
-        "disc": disc,
-    }
+    return {"ok_pad": True, "activations": activations, "steps": steps, "drift": drift.tolist()}
 
 
-def check_mood(nx=24, ny=3, t_end=0.4):
+def check_mood(nx=24, ny=3, t_end=0.4, tol=1e-11):
+    """The cascade keeps the strip admissible, acts at least once and
+    conserves the totals."""
     info = run_mood_sod(nx=nx, ny=ny, t_end=t_end)
-    ok = (
-        info["ok_pad"]
-        and info["activations"] >= 1
-        and max(info.get("drift", [np.inf])) <= 1e-11
-    )
-    return ok, {k: v for k, v in info.items() if k not in ("final", "disc")}
+    ok = info["ok_pad"] and info["activations"] >= 1 and max(info.get("drift", [np.inf])) <= tol
+    return ok, info
 
 
 def check_consistency(n=8, t_end=0.1, tol=1e-9):
     """Terms (I)-(III) reproduce the brute-force weak-form defect."""
-    cfg = parse_config(
+    result = _run(
         f"mesh = structured:{n}\nproblem = vortex\nintegrator = fe\n"
-        f"cfl = 0.3\nt_end = {t_end}\noutput.dir = out/verify_consistency\n"
-        "output.diag_every = 1000000\n"
+        f"cfl = 0.3\nt_end = {t_end}\n",
+        record=True,
     )
-    from .driver import run
-
-    result = run(cfg, record=True)
-    k = 2.0 * np.pi / 10.0
-
-    def phi(t, x, y):
-        return np.cos(k * x) * np.cos(k * y)
-
-    def grad_phi(t, x, y):
-        return np.stack(
-            [-k * np.sin(k * x) * np.cos(k * y), -k * np.cos(k * x) * np.sin(k * y)],
-            axis=-1,
-        )
-
-    def phi_m(t, x, y):
-        return np.stack([phi(t, x, y), np.sin(k * x) * np.cos(k * y)], axis=-1)
-
-    def grad_phi_m(t, x, y):
-        g1 = grad_phi(t, x, y)
-        g2 = np.stack(
-            [k * np.cos(k * x) * np.cos(k * y), -k * np.sin(k * x) * np.sin(k * y)],
-            axis=-1,
-        )
-        return np.stack([g1, g2], axis=-2)
-
     out = {}
     ok = True
-    for comp, (p, g) in {
-        "rho": (phi, grad_phi),
-        "m": (phi_m, grad_phi_m),
-    }.items():
-        terms = diagnostics.consistency_error(result.record, p, g, comp)
-        defect = diagnostics.weak_form_defect(result.record, p, g, comp)
-        rel = abs(terms["total"] - defect) / max(abs(defect), 1e-300)
-        out[comp] = {"total": terms["total"], "defect": defect, "rel": rel}
+    for comp, (phi, grad_phi) in diagnostics.COSINE_TEST_FUNCTIONS.items():
+        total = diagnostics.consistency_error(result.record, phi, grad_phi, comp)["total"]
+        defect = diagnostics.weak_form_defect(result.record, phi, grad_phi, comp)
+        rel = abs(total - defect) / max(abs(defect), 1e-300)
+        out[comp] = {"total": total, "defect": defect, "rel": rel}
         ok = ok and rel <= tol
     return ok, out
 

@@ -5,6 +5,7 @@ from rdeuler import euler
 from rdeuler.basis import build_dofmap
 from rdeuler.discretization import Discretization
 from rdeuler.mesh import build_mesh, structured_square
+from rdeuler.verification import random_admissible_field
 
 
 @pytest.fixture(scope="session")
@@ -84,18 +85,7 @@ def scrambled(nx, ny, seed):
 
 
 def random_states(rng, n, near_vacuum=False, gas=None):
-    gas = gas or euler.GasModel()
-    if near_vacuum:
-        rho = 10.0 ** rng.uniform(-6, 0, n)
-        rho_e = 10.0 ** rng.uniform(np.log10(10 * gas.e_floor), 0, n)
-        u = rng.uniform(-3, 3, (n, 2))
-    else:
-        rho = rng.uniform(0.3, 2.0, n)
-        p = rng.uniform(0.3, 2.0, n)
-        rho_e = p / (gas.gamma - 1.0)
-        u = rng.uniform(-1, 1, (n, 2))
-    E = rho_e + 0.5 * rho * (u[:, 0] ** 2 + u[:, 1] ** 2)
-    return np.stack([rho, rho * u[:, 0], rho * u[:, 1], E], axis=-1)
+    return random_admissible_field(n, gas or euler.GasModel(), rng, near_vacuum)
 
 
 def smooth_field(disc, gas, amp=0.15):

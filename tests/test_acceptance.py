@@ -7,35 +7,31 @@ import scipy.sparse.linalg as spla
 from conftest import make_disc, random_states
 from oracles import trace_grads
 from rdeuler import euler
-from rdeuler.basis import basis_values, build_dofmap
+from rdeuler.basis import basis_values
+from rdeuler.config import parse_config
 from rdeuler.diagnostics import (
-    RunRecord,
     consistency_error,
-    primitive_errors,
+    cos_grad_phi,
+    cos_phi,
     entropy_production_monitor,
-    weak_form_defect,
+    primitive_errors,
 )
-from rdeuler.discretization import Discretization, StageFields, make_discretization
-from rdeuler.mesh import structured_square
+from rdeuler.discretization import StageFields
+from rdeuler.driver import run
 from rdeuler.positivity import (
     admissible_timestep,
     alpha_implicit,
     alpha_interpolated,
     alpha_noninterpolated,
 )
-from rdeuler.problems import init_vortex
 from rdeuler.residuals import Scheme
-from rdeuler.stepping import (
-    FieldState,
-    advance,
-    assemble_density_system,
-    forward_euler_step,
-)
+from rdeuler.stepping import FieldState, assemble_density_system, forward_euler_step
 from rdeuler.verification import (
-    _drift,
+    check_consistency,
+    check_conservation,
     check_entropy_balance,
-    positivity_stress,
-    run_mood_sod,
+    check_mood,
+    check_positivity,
 )
 
 GAS = euler.GasModel()
@@ -46,32 +42,25 @@ def _report(name, ok, detail):
     assert ok, f"{name}: {detail}"
 
 
-def _advance(disc, U0, scheme, t_end, cfl, integrator="ssprk2", record=False):
-    st = FieldState(0.0, U0.copy(), disc, GAS)
-    rec = None
-    if record:
-        rec = RunRecord(disc=disc, gas=GAS, scheme=scheme)
-        rec.times.append(0.0)
-        rec.states.append(st.U.copy())
-    for st, dt, _ in advance(st, scheme, integrator, t_end, cfl):
-        if rec is not None:
-            rec.times.append(st.t)
-            rec.states.append(st.U.copy())
-            rec.dts.append(dt)
-    return st, rec
+def _vortex_run(tmp_path, n, scheme, integrator, cfl, t_end, record=False):
+    """``driver.run`` of the vortex on the n x n square, P1 Lagrange."""
+    cfg = parse_config(
+        f"mesh = structured:{n}\nproblem = vortex\nbasis = lagrange\nscheme = {scheme}\n"
+        f"integrator = {integrator}\ncfl = {cfl}\nt_end = {t_end}\n"
+        f"output.dir = {tmp_path / f'{scheme}_{n}'}\noutput.diag_every = 1000000\n"
+    )
+    return run(cfg, record=record)
 
 
 def test_criterion_1_conservation():
     # vortex, P1 continuous, GalerkinEC+jump, SSP-RK2, cfl 0.2, t_end 1,
     # about 2k triangles: conserved totals drift below 1e-11
-    disc = make_discretization(structured_square(32), "s2", "lagrange", 1)
-    U0, _ = init_vortex(disc, GAS)
-    st, _ = _advance(disc, U0, Scheme.parse("galerkin+ec+jump"), 1.0, 0.2)
-    drift = _drift(disc, U0, st.U)
+    n = 32
+    ok, info = check_conservation(n=n, t_end=1.0, cfl=0.2, tol=1e-11)
     _report(
         "criterion-1 conservation",
-        bool(np.all(drift <= 1e-11)),
-        f"max relative drift {drift.max():.3e} over {disc.mesh.n_tris} triangles",
+        ok,
+        f"max relative drift {max(info['drift']):.3e} over {2 * n * n} triangles",
     )
 
 
@@ -85,14 +74,18 @@ def test_criterion_2_entropy_balance():
     )
 
 
-def test_criterion_3_grid_convergence():
+def _primitive_errors(result):
+    return primitive_errors(
+        result.disc, result.gas, result.state.U, result.problem.state, result.state.t
+    )
+
+
+def test_criterion_3_grid_convergence(tmp_path):
     # high-order study at t_end = 2 on h, h/2, h/4
-    errs = []
-    for n in (16, 32, 64):
-        disc = make_discretization(structured_square(n), "s2", "lagrange", 1)
-        U0, prob = init_vortex(disc, GAS)
-        st, _ = _advance(disc, U0, Scheme.parse("galerkin+ec+jump"), 2.0, 0.3)
-        errs.append(primitive_errors(disc, GAS, st.U, prob.state, st.t))
+    errs = [
+        _primitive_errors(_vortex_run(tmp_path, n, "galerkin+ec+jump", "ssprk2", 0.3, 2.0))
+        for n in (16, 32, 64)
+    ]
     decreasing = all(
         errs[i][c] > errs[i + 1][c] for i in range(2) for c in ("rho", "u", "p")
     )
@@ -102,12 +95,9 @@ def test_criterion_3_grid_convergence():
     # first-order parachute on the finest pair; at t_end = 2 the scheme
     # saturates the coarse core, so its order window is certified at
     # t_end = 1 (see the notes ledger)
-    perrs = []
-    for n in (32, 64):
-        disc = make_discretization(structured_square(n), "s2", "lagrange", 1)
-        U0, prob = init_vortex(disc, GAS)
-        st, _ = _advance(disc, U0, Scheme.parse("lxf"), 1.0, 0.4)
-        perrs.append(primitive_errors(disc, GAS, st.U, prob.state, st.t))
+    perrs = [
+        _primitive_errors(_vortex_run(tmp_path, n, "lxf", "ssprk2", 0.4, 1.0)) for n in (32, 64)
+    ]
     porders = {c: float(np.log2(perrs[0][c] / perrs[1][c])) for c in ("rho", "u", "p")}
     pdec = all(perrs[0][c] > perrs[1][c] for c in ("rho", "u", "p"))
     ok_par = pdec and all(0.6 <= o <= 1.4 for o in porders.values())
@@ -120,18 +110,12 @@ def test_criterion_3_grid_convergence():
 
 
 def test_criterion_4_explicit_positivity():
-    mesh = structured_square(4, side=2.0)
-    rng = np.random.default_rng(2024)
-    disc1 = Discretization(mesh, build_dofmap(mesh, "s2", "lagrange", 1))
-    v1 = positivity_stress(disc1, GAS, rng, n_fields=500, n_steps=50)
-    disc2 = Discretization(mesh, build_dofmap(mesh, "s2", "bernstein", 2))
-    v2 = positivity_stress(
-        disc2, GAS, rng, n_fields=500, n_steps=50, check_lagrange_points=True
-    )
+    ok, info = check_positivity(n_fields=500, n_steps=50, n=4, seed=2024)
     _report(
         "criterion-4 explicit positivity",
-        v1 == 0 and v2 == 0,
-        f"violations: lagrange {v1}, bernstein {v2} (500 fields x 50 steps each)",
+        ok,
+        f"violations: lagrange {info['lagrange_violations']}, "
+        f"bernstein {info['bernstein_violations']} (500 fields x 50 steps each)",
     )
 
 
@@ -199,9 +183,8 @@ def test_criterion_6_bernstein_convexity():
 
 
 def test_criterion_7_mood_safety_and_necessity():
-    info = run_mood_sod(nx=32, ny=4, t_end=0.8)
-    drift = float(np.max(info.get("drift", np.inf)))
-    ok = info["ok_pad"] and info["activations"] >= 1 and drift <= 1e-11
+    ok, info = check_mood(nx=32, ny=4, t_end=0.8, tol=1e-11)
+    drift = max(info.get("drift", [np.inf]))
     _report(
         "criterion-7 mood safety/necessity",
         ok,
@@ -210,32 +193,15 @@ def test_criterion_7_mood_safety_and_necessity():
     )
 
 
-def test_criterion_8_entropy_consistency_scaling():
-    k = 2.0 * np.pi / 10.0
-
-    def phi(t, x, y):
-        return np.cos(k * x) * np.cos(k * y)
-
-    def grad_phi(t, x, y):
-        return np.stack(
-            [-k * np.sin(k * x) * np.cos(k * y), -k * np.cos(k * x) * np.sin(k * y)],
-            axis=-1,
-        )
-
+def test_criterion_8_entropy_consistency_scaling(tmp_path):
     totals = []
     iv_ok = True
     for n in (8, 16):
-        disc = make_discretization(structured_square(n), "s2", "lagrange", 1)
-        U0, _ = init_vortex(disc, GAS)
-        _, rec = _advance(
-            disc, U0, Scheme.parse("galerkin+ec+jump"), 0.4, 0.3,
-            integrator="fe", record=True,
-        )
-        terms = consistency_error(rec, phi, grad_phi, "eta")
-        totals.append(abs(terms["total"]))
+        rec = _vortex_run(tmp_path, n, "galerkin+ec+jump", "fe", 0.3, 0.4, record=True).record
+        totals.append(abs(consistency_error(rec, cos_phi, cos_grad_phi, "eta")["total"]))
         # per-step production is nonnegative by construction; re-check
-        for t, U in zip(rec.times, rec.states[:-1]):
-            prod = FieldState(t, U, disc, GAS).residual(rec.scheme).production
+        for i in range(len(rec.dts)):
+            prod = rec.state(i).residual(rec.scheme).production
             iv_ok = iv_ok and bool(np.all(prod >= 0.0))
     exponent = float(np.log2(totals[0] / totals[1]))
     ok = exponent >= 1.0 and iv_ok
@@ -289,42 +255,6 @@ def test_criterion_9_entropy_production_monitor():
 
 
 def test_criterion_10_consistency_oracle_equivalence():
-    disc = make_discretization(structured_square(8), "s2", "lagrange", 1)
-    U0, _ = init_vortex(disc, GAS)
-    _, rec = _advance(
-        disc, U0, Scheme.parse("galerkin+ec+jump"), 0.2, 0.3,
-        integrator="fe", record=True,
-    )
-    k = 2.0 * np.pi / 10.0
-
-    def phi(t, x, y):
-        return np.cos(k * x) * np.cos(k * y)
-
-    def grad_phi(t, x, y):
-        return np.stack(
-            [-k * np.sin(k * x) * np.cos(k * y), -k * np.cos(k * x) * np.sin(k * y)],
-            axis=-1,
-        )
-
-    def phi_m(t, x, y):
-        return np.stack([phi(t, x, y), np.sin(k * x) * np.cos(k * y)], axis=-1)
-
-    def grad_phi_m(t, x, y):
-        g1 = grad_phi(t, x, y)
-        g2 = np.stack(
-            [k * np.cos(k * x) * np.cos(k * y), -k * np.sin(k * x) * np.sin(k * y)],
-            axis=-1,
-        )
-        return np.stack([g1, g2], axis=-2)
-
-    rels = {}
-    for comp, (p, g) in {"rho": (phi, grad_phi), "m": (phi_m, grad_phi_m)}.items():
-        total = consistency_error(rec, p, g, comp)["total"]
-        defect = weak_form_defect(rec, p, g, comp)
-        rels[comp] = abs(total - defect) / max(abs(defect), 1e-300)
-    ok = all(r <= 1e-9 for r in rels.values())
-    _report(
-        "criterion-10 consistency oracle equivalence",
-        ok,
-        f"relative deviations {rels}",
-    )
+    ok, info = check_consistency(n=8, t_end=0.2, tol=1e-9)
+    rels = {comp: terms["rel"] for comp, terms in info.items()}
+    _report("criterion-10 consistency oracle equivalence", ok, f"relative deviations {rels}")

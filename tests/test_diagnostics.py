@@ -8,10 +8,13 @@ from oracles import state_from_entropy_vars, trace_grads
 from rdeuler import euler
 from rdeuler.basis import build_dofmap
 from rdeuler.diagnostics import (
+    COSINE_TEST_FUNCTIONS,
     RunRecord,
     cesaro_average,
     consistency_error,
     convergence_order,
+    cos_grad_phi,
+    cos_phi,
     entropy_budget,
     entropy_production_monitor,
     primitive_errors,
@@ -132,19 +135,8 @@ def test_consistency_total_reproduces_weak_defect(gas):
 
     U0, _ = init_vortex(disc, gas)
     rec = _record_run(disc, gas, Scheme.parse("galerkin+ec+jump"), U0, 5)
-    k = 2 * np.pi / 10.0
-
-    def phi(t, x, y):
-        return np.cos(k * x) * np.cos(k * y)
-
-    def grad_phi(t, x, y):
-        return np.stack(
-            [-k * np.sin(k * x) * np.cos(k * y), -k * np.cos(k * x) * np.sin(k * y)],
-            axis=-1,
-        )
-
-    terms = consistency_error(rec, phi, grad_phi, "rho")
-    defect = weak_form_defect(rec, phi, grad_phi, "rho")
+    terms = consistency_error(rec, cos_phi, cos_grad_phi, "rho")
+    defect = weak_form_defect(rec, cos_phi, cos_grad_phi, "rho")
     scale = max(abs(defect), 1e-12)
     assert abs(terms["total"] - defect) <= 1e-10 * max(scale, 1.0)
 
@@ -164,43 +156,13 @@ def test_consistency_total_reproduces_weak_defect_for_every_component(gas, name)
         rec.times.append(st.t)
         rec.states.append(st.U.copy())
         rec.dts.append(dt)
-    k = 2 * np.pi / 10.0
-
-    def phi(t, x, y):
-        return np.cos(k * x) * np.cos(k * y)
-
-    def grad_phi(t, x, y):
-        return np.stack(
-            [-k * np.sin(k * x) * np.cos(k * y), -k * np.cos(k * x) * np.sin(k * y)], axis=-1
-        )
-
-    def phi_m(t, x, y):
-        return np.stack([phi(t, x, y), np.sin(k * x) * np.cos(k * y)], axis=-1)
-
-    def grad_phi_m(t, x, y):
-        g2 = np.stack(
-            [k * np.cos(k * x) * np.cos(k * y), -k * np.sin(k * x) * np.sin(k * y)], axis=-1
-        )
-        return np.stack([grad_phi(t, x, y), g2], axis=-2)
-
-    for comp, (p, g) in {"rho": (phi, grad_phi), "m": (phi_m, grad_phi_m)}.items():
+    for comp, (p, g) in COSINE_TEST_FUNCTIONS.items():
         total = consistency_error(rec, p, g, comp)["total"]
         defect = weak_form_defect(rec, p, g, comp)
         assert abs(total - defect) <= 1e-9 * abs(defect), (comp, total, defect)
 
 
 def test_consistency_decreases_under_refinement(gas):
-    k = 2 * np.pi / 10.0
-
-    def phi(t, x, y):
-        return np.cos(k * x) * np.cos(k * y)
-
-    def grad_phi(t, x, y):
-        return np.stack(
-            [-k * np.sin(k * x) * np.cos(k * y), -k * np.cos(k * x) * np.sin(k * y)],
-            axis=-1,
-        )
-
     totals = []
     from rdeuler.problems import init_vortex
 
@@ -209,7 +171,7 @@ def test_consistency_decreases_under_refinement(gas):
         U0, _ = init_vortex(disc, gas)
         # fixed physical horizon: same number of steps at halved dt
         rec = _record_run(disc, gas, Scheme.parse("galerkin+ec+jump"), U0, 4 * (n // 8))
-        totals.append(abs(consistency_error(rec, phi, grad_phi, "rho")["total"]))
+        totals.append(abs(consistency_error(rec, cos_phi, cos_grad_phi, "rho")["total"]))
     assert totals[0] / totals[1] >= 1.5
 
 

@@ -174,7 +174,8 @@ def test_alpha_interpolated_equals_its_einsum(mesh, space, basis, degree, gas):
     disc = Discretization(mesh, build_dofmap(mesh, space, basis, degree))
     rng = np.random.default_rng(5)
     fields = [disc.interpolate(_smooth)] + [
-        random_admissible_field(disc, gas, rng, near_vacuum=nv) for nv in (False, True)
+        random_admissible_field(disc.dofmap.n_dofs, gas, rng, near_vacuum=nv)
+        for nv in (False, True)
     ]
     for U in fields:
         _assert_same_bytes(positivity.alpha_interpolated(StageFields(disc, gas, U)),

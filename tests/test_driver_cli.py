@@ -125,7 +125,8 @@ def test_snapshot_bytes_match_the_per_row_writer(tmp_path, gas, space, basis, de
     from rdeuler.verification import random_admissible_field
 
     disc = make_discretization(structured_square(6, side=3.0), space, basis, degree)
-    U = random_admissible_field(disc, gas, np.random.default_rng(11), near_vacuum=True)
+    rng = np.random.default_rng(11)
+    U = random_admissible_field(disc.dofmap.n_dofs, gas, rng, near_vacuum=True)
     state = FieldState(0.1 / 3.0, U, disc, gas)
     new, old = tmp_path / "new.csv", tmp_path / "old.csv"
     driver.write_snapshot(new, state, "abc123")
@@ -240,6 +241,16 @@ def test_cli_verify_mood_prints_plain_numbers(capsys):
     assert "array(" not in out
 
 
+def test_cli_verify_writes_no_files(tmp_path, monkeypatch, capsys):
+    # the two suites that go through driver.run leave the caller's
+    # working directory as they found it
+    monkeypatch.chdir(tmp_path)
+    assert main(["verify", "conservation"]) == 0
+    assert main(["verify", "consistency"]) == 0
+    assert "PASS conservation" in capsys.readouterr().out
+    assert os.listdir(tmp_path) == []
+
+
 def test_non_periodic_mesh_rejected(tmp_path):
     from rdeuler.mesh import structured_square, write_mesh
 
@@ -332,7 +343,7 @@ def test_near_vacuum_run_stays_admissible(tmp_path, gas, scheme, basis, degree):
     disc = driver.build_discretization(cfg)
     rng = np.random.default_rng(2024)
     for _ in range(100):
-        U = random_admissible_field(disc, gas, rng, near_vacuum=True)
+        U = random_admissible_field(disc.dofmap.n_dofs, gas, rng, near_vacuum=True)
         driver.write_snapshot(snap, FieldState(0.0, U, disc, gas))
         result = driver.run(cfg)
         assert result.n_steps == 5
