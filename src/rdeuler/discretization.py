@@ -4,17 +4,21 @@ A :class:`Discretization` binds a mesh and a DOF map and caches the
 arrays every kernel needs: physical basis gradients at interior and
 edge quadrature points, interface trace tables (with the right side
 enumerated in reversed order so both sides see the same physical
-points), dual volumes and neighbor lists.  The tables that only some
-runs read are built on first use: the interface gradient tables
-``if_grads_L_T``/``if_grads_R_T`` (gradient-jump kernels), the
-weighted volume table ``int_gradw_mat`` (Galerkin volume term), the
-interior quadrature points ``int_phys`` (diagnostics), the integral
-tables behind ``cached``, among them the element-to-CSR map with which
-``assemble`` sums element tables into sparse matrices.  No array
-changes once built.
+points), dual volumes and neighbor lists.  Each integrand has its own
+edge rule: the fluxes and the jump of V on the discontinuous space take
+the 3-point Gauss rule, the squared gradient jump of degree-p fields
+(degree 2(p - 1)) the p-point Gauss rule, which integrates it exactly.
+The tables that only some runs read are built on first use and then
+kept: the gradient-jump table ``if_jump_grads``, the weighted volume
+table ``int_gradw_mat`` (Galerkin volume term), the interior quadrature
+points ``int_phys`` (diagnostics), the integral tables behind
+``cached``, among them the element-to-CSR map with which ``assemble``
+sums element tables into sparse matrices.  No array changes once built.
 :class:`StageFields` holds the point values of one state on those
-tables, and a :class:`Patch` restricts them to a set of elements and
-their edge neighbours, on which the kernels give the whole-mesh rows.
+tables, each interface point and each DOF evaluated once on the
+continuous space, and a :class:`Patch` restricts them to a set of
+elements and their edge neighbours, on which the kernels give the
+whole-mesh rows.
 """
 
 from functools import cached_property
@@ -92,16 +96,17 @@ class Discretization:
                                * self.int_weights[None, :, None, None])
         return np.ascontiguousarray(gw.transpose(0, 2, 1, 3).reshape(M, nk, nq * 2))
 
-    def _edge_lam(self):
-        """Barycentric coordinates of the edge quadrature points, (3, nq, 3)."""
-        return np.stack([fb.edge_barycentric(loc, self.quad.edge_t) for loc in range(3)])
+    def _edge_lam(self, t):
+        """Barycentric coordinates of the edge points t on each local edge, (3, len(t), 3)."""
+        return np.stack([fb.edge_barycentric(loc, t) for loc in range(3)])
 
     def _build_interface_tables(self):
         mesh = self.mesh
         kind, p = self.dofmap.basis, self.dofmap.degree
-        lam = self._edge_lam()
+        lam = self._edge_lam(self.quad.edge_t)
         self.edge_weights = self.quad.edge_weights
         self.edge_vals = fb.basis_values(kind, p, lam)                   # (3, nq, N)
+        self.jump_t, self.jump_weights = fb.JUMP_RULES[p]
         li, ll = mesh.edge_left, mesh.edge_left_loc
         ri, rl = mesh.edge_right, mesh.edge_right_loc
         self.if_left = li
@@ -118,30 +123,34 @@ class Discretization:
         self.if_vals_L_wl = np.ascontiguousarray((vals_L * wl).transpose(0, 2, 1))
         self.if_vals_R_wl = np.ascontiguousarray((vals_R * wl).transpose(0, 2, 1))
 
-    def _if_grads_T(self, right=False):
-        """Owner basis gradients at the interface points, (E, nq, 2, N): the
-        left owner's, or the right owner's with its points reversed to
-        pair with the left ones."""
-        if right:
-            elems, locs = self.if_right, self.mesh.edge_right_loc
-        else:
-            elems, locs = self.if_left, self.mesh.edge_left_loc
-        ref = fb.basis_ref_grads(self.dofmap.basis, self.dofmap.degree, self._edge_lam())[locs]
-        E, nq, N = ref.shape[:3]
-        g = np.empty((E, nq, 2, N))
-        physical_grads(self.jinv_T[elems, None], ref[:, ::-1] if right else ref,
-                       out=g.swapaxes(-1, -2))
+    @cached_property
+    def if_jump_grads(self):
+        """[grad X] at the points of the p-point gradient-jump rule as a map
+        of the owner values (left, then right), (E, p, 2, 2N): minus the
+        left owner's basis gradients and the right owner's, its points
+        reversed to pair with the left ones."""
+        kind, p = self.dofmap.basis, self.dofmap.degree
+        ref = fb.basis_ref_grads(kind, p, self._edge_lam(self.jump_t))  # (3, p, N, 2)
+        mesh, N = self.mesh, ref.shape[2]
+        g = np.empty((len(self.if_left), p, 2, 2 * N))
+        physical_grads(self.jinv_T[self.if_left, None], ref[mesh.edge_left_loc],
+                       out=g[..., :N].swapaxes(-1, -2))
+        physical_grads(self.jinv_T[self.if_right, None], ref[mesh.edge_right_loc][:, ::-1],
+                       out=g[..., N:].swapaxes(-1, -2))
+        np.negative(g[..., :N], out=g[..., :N])
         return g
 
     @cached_property
-    def if_grads_L_T(self):
-        """Left-owner gradient table of the gradient-jump kernels."""
-        return self._if_grads_T()
+    def if_owners(self):
+        """Left and right owner of each interface, (E, 2)."""
+        return np.stack([self.if_left, self.if_right], axis=1)
 
     @cached_property
-    def if_grads_R_T(self):
-        """Right-owner gradient table of the gradient-jump kernels."""
-        return self._if_grads_T(right=True)
+    def touched_dofs(self):
+        """The DOFs the elements touch, ascending, (K,), and ``elem_dofs``
+        as positions among them, (M, N): every DOF on the whole mesh."""
+        ids, local = np.unique(self.dofmap.elem_dofs, return_inverse=True)
+        return ids, local.reshape(self.dofmap.elem_dofs.shape)
 
     def _build_neighbors(self):
         mesh = self.mesh
@@ -155,7 +164,7 @@ class Discretization:
     def _check_trace_pairing(self):
         """Both owners must enumerate the same physical quadrature points."""
         mesh = self.mesh
-        edge_phys = fb.physical_points(self._edge_lam(), self.corner_coords)  # (M, 3, nq, 2)
+        edge_phys = fb.physical_points(self._edge_lam(self.quad.edge_t), self.corner_coords)
         x_r = edge_phys[self.if_right, mesh.edge_right_loc][:, ::-1]     # (E, nq, 2)
         x_l = edge_phys[self.if_left, mesh.edge_left_loc] + mesh.edge_translation[:, None, :]
         err = np.abs(x_r - x_l)
@@ -255,39 +264,27 @@ class Discretization:
 
         One product per element with the stacked edge table gives the
         element's own edge points; the traces are gathered from them,
-        the right one reversed to pair with the left points.
+        the right one reversed to pair with the left points.  On the
+        continuous space the trace is single-valued: only the left
+        owner's is gathered, and it stands for both.
         """
         M, N = X_elem.shape[:2]
         pts = np.matmul(self.edge_vals.reshape(-1, N), X_elem)
         pts = pts.reshape(M, 3, len(self.edge_weights), -1)                # (M, 3, nq, C)
-        return (pts[self.if_left, self.mesh.edge_left_loc],
-                pts[self.if_right, self.mesh.edge_right_loc][:, ::-1])
+        left = pts[self.if_left, self.mesh.edge_left_loc]
+        if self.dofmap.space == "s2":
+            return left, left
+        return left, pts[self.if_right, self.mesh.edge_right_loc][:, ::-1]
 
-    def trace_grad_jump(self, X_elem, keep=True):
-        """[grad X], the right minus the left trace gradient, (E, nq, C, 2).
-
-        With ``keep=False`` (a one-off reader, such as the weak-BV norm of
-        a diagnostics row) gradient tables not built yet are built for
-        this call only.  Keeping them instead would hold them for the
-        whole run: on the ``implicit_lxf`` benchmark (n = 64, P1, about
-        3.5 MB of tables) that raised ``peak_rss_mb`` from 92.45 to
-        95.73 MB in 5 of 5 A/B pairs (2-core x86 box, Python 3.11,
-        numpy 2.4), while ``run_s`` went from 0.728 to 0.697 s.
-        """
-        if keep or {"if_grads_L_T", "if_grads_R_T"} <= self.__dict__.keys():
-            gL, gR = self.if_grads_L_T, self.if_grads_R_T
-        else:
-            gL, gR = self._if_grads_T(), self._if_grads_T(right=True)
-        jump = self._trace_grad(gR, X_elem[self.if_right])
-        jump -= self._trace_grad(gL, X_elem[self.if_left])
-        return jump
-
-    @staticmethod
-    def _trace_grad(grads_T, owner_vals):
-        """One (nq 2, N) x (N, C) product per interface, viewed as (E, nq, C, 2)."""
-        E, nq, _, N = grads_T.shape
-        out = np.matmul(grads_T.reshape(E, nq * 2, N), owner_vals)
-        return out.reshape(E, nq, 2, -1).swapaxes(-1, -2)
+    def trace_grad_jump(self, X_elem):
+        """[grad X], the right minus the left trace gradient at the points
+        of the p-point gradient-jump rule, (E, p, C, 2): one (2p, 2N) x
+        (2N, C) product per interface with ``if_jump_grads``."""
+        G = self.if_jump_grads
+        E, p = G.shape[:2]
+        owners = X_elem[self.if_owners]                                    # (E, 2, N, C)
+        out = np.matmul(G.reshape(E, 2 * p, -1), owners.reshape(E, G.shape[-1], -1))
+        return out.reshape(E, p, 2, -1).swapaxes(-1, -2)
 
     def scatter_interface(self, contrib_L, contrib_R):
         """Accumulate per-interface contributions into element arrays.
@@ -495,7 +492,8 @@ class Patch(_PatchView, Discretization):
     """
 
     _RULES = _rules(
-        shared=("quad", "int_weights", "int_vals", "edge_weights", "edge_vals"),
+        shared=("quad", "int_weights", "int_vals", "edge_weights", "edge_vals", "jump_t",
+                "jump_weights"),
         elements=("jacobians", "jinv_T", "corner_coords", "lagrange_phys", "int_grads"),
         interfaces=("if_normal", "if_length", "if_h", "if_vals_L_wl", "if_vals_R_wl"),
         if_left=("interfaces", "elem_id"), if_right=("interfaces", "elem_id"),
@@ -505,8 +503,7 @@ class Patch(_PatchView, Discretization):
     # of rows) per element; other keys are built on the patch
     _PER_ELEMENT_CACHE = ("pgi", "gi", "omega_norms_units", "geometry_vector_norms")
     int_gradw_mat = _GatheredOrBuilt("elems")
-    if_grads_L_T = _GatheredOrBuilt("interfaces")
-    if_grads_R_T = _GatheredOrBuilt("interfaces")
+    if_jump_grads = _GatheredOrBuilt("interfaces")
 
     def __init__(self, parent: Discretization, elems):
         req = np.asarray(elems, dtype=np.int64)
@@ -536,16 +533,27 @@ class PointValues:
     The wavespeed and the flux are computed from that pressure, so the
     point set costs one pressure evaluation however many consumers read
     it.  Of these only the largest wavespeed per row is kept.
+
+    With ``rows``, ``U`` holds distinct states and the points are
+    ``U[rows]``: each value is computed once per state and read at the
+    points (``at_points``), bitwise as on the points themselves.
     """
 
-    def __init__(self, U, gas):
-        self.U = U
-        self.gas = gas
-        self.p = euler.pressure(U, gas)
+    def __init__(self, U, gas, rows=None):
+        self.U, self.gas, self.rows = U, gas, rows
+        self.state_p = euler.pressure(U, gas)
+
+    def at_points(self, values):
+        """Values per state of U, read at the points."""
+        return values if self.rows is None else values[self.rows]
+
+    @cached_property
+    def p(self):
+        return self.at_points(self.state_p)
 
     @property
     def wavespeed(self):
-        return euler.max_wavespeed(self.U, self.gas, p=self.p)
+        return self.at_points(euler.max_wavespeed(self.U, self.gas, p=self.state_p))
 
     @cached_property
     def peak_wavespeed(self):
@@ -554,7 +562,9 @@ class PointValues:
 
     @property
     def flux(self):
-        return euler.flux(self.U, self.gas, p=self.p)
+        # read in the (..., 2, 4) memory order of the flux table
+        f = euler.flux(self.U, self.gas, p=self.state_p)
+        return self.at_points(f.swapaxes(-1, -2)).swapaxes(-1, -2)
 
 
 class StageFields:
@@ -562,10 +572,14 @@ class StageFields:
 
     - ``U``: the DOF vector the set was built from (n_dofs, 4);
     - ``U_elem``: its element DOF values (M, N, 4); ``dofs`` is their
-      PointValues and ``V_elem`` their entropy variables;
+      PointValues and ``V_elem`` their entropy variables, each computed
+      once per DOF the elements touch (``Discretization.touched_dofs``,
+      the states ``dofs.U``) and read through the DOF map;
     - ``interior``: PointValues at the interior quadrature points, (M, nq, 4);
     - ``trace_L``, ``trace_R``: PointValues of the interface traces of the
       left and right owners, (E, nq, 4), from one ``Discretization.traces``;
+      on the continuous space the trace is single-valued and ``trace_R``
+      is ``trace_L``, so a state costs 3 pressure evaluations there;
     - ``cached(key, build)``: values derived from these, such as the
       gradient-jump integral of V or the element wavespeed sweep, which
       the modules that define them memoise here.
@@ -594,11 +608,13 @@ class StageFields:
 
     @cached_property
     def dofs(self):
-        return PointValues(self.U_elem, self.gas)
+        ids, local = self.disc.touched_dofs
+        return PointValues(np.asarray(self.U)[ids], self.gas, rows=local)
 
     @cached_property
     def V_elem(self):
-        return euler.entropy_vars(self.U_elem, self.gas, p=self.dofs.p)
+        d = self.dofs
+        return d.at_points(euler.entropy_vars(d.U, self.gas, p=d.state_p))
 
     @cached_property
     def interior(self):
@@ -614,7 +630,8 @@ class StageFields:
 
     @cached_property
     def trace_R(self):
-        return PointValues(self._traces[1], self.gas)
+        left, right = self._traces
+        return self.trace_L if right is left else PointValues(right, self.gas)
 
 
 def physical_grads(jinv_T, ref, out=None):

@@ -78,7 +78,8 @@ def _element_max_wavespeed(fields: StageFields):
 
     An element's edge points are its own side of the interface traces:
     the left trace where it owns an interface on the left, the right
-    trace where it owns it on the right.
+    trace where it owns it on the right; on the continuous space the
+    two are one single-valued trace.
     """
     mesh = fields.disc.mesh
     e = mesh.elem_edges

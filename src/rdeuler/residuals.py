@@ -155,22 +155,19 @@ def gradient_jump_terms(disc: Discretization, U_elem, coeff):
 
     For each interface the jump of the field gradient is tested against
     minus the own-side basis gradient on the left and the own-side basis
-    gradient on the right; each element's contributions then sum to zero
-    because the basis gradients do.  ``coeff`` has shape (E,) and carries
-    the lambda_e h_e^2 weight.
+    gradient on the right, on the p-point rule of the jump; each
+    element's contributions then sum to zero because the basis gradients
+    do.  ``coeff`` has shape (E,) and carries the lambda_e h_e^2 weight.
     """
-    jump = disc.trace_grad_jump(U_elem)                              # (E, nq, C, 2)
-    w = disc.edge_weights
-    jw = jump * w[None, :, None, None]
-    # contract gradients against the jump over (q, i)
-    E, nq, C = jump.shape[:3]
-    jw2 = jw.transpose(0, 1, 3, 2).reshape(E, nq * 2, C)
-    gL = disc.if_grads_L_T.reshape(E, nq * 2, -1).swapaxes(1, 2)
-    gR = disc.if_grads_R_T.reshape(E, nq * 2, -1).swapaxes(1, 2)
-    base = (coeff * disc.if_length)[:, None, None]
-    con_L = -np.matmul(gL, jw2) * base
-    con_R = np.matmul(gR, jw2) * base
-    return disc.scatter_interface(con_L, con_R)
+    jump = disc.trace_grad_jump(U_elem)                              # (E, p, C, 2)
+    E, p, C = jump.shape[:3]
+    jw = (jump * disc.jump_weights[None, :, None, None]).swapaxes(-1, -2).reshape(E, 2 * p, C)
+    # contract the owner gradients against the jump over (q, i)
+    G = disc.if_jump_grads
+    con = np.matmul(G.reshape(E, 2 * p, -1).swapaxes(1, 2), jw)       # (E, 2N, C)
+    con *= (coeff * disc.if_length)[:, None, None]
+    N = G.shape[-1] // 2
+    return disc.scatter_interface(con[:, :N], con[:, N:])
 
 
 def galerkin_jump_residual(fields: StageFields, lambda_e=1.0) -> ElementResidual:

@@ -91,14 +91,11 @@ def _field_deviations(fields: StageFields):
     return fields.cached("deviations", lambda: _deviations(fields.V_elem))
 
 
-def grad_jump_integral(disc: Discretization, V_elem, keep=True):
-    """oint_e ||[grad V]||^2 per interface, (E,).
-
-    ``keep`` is passed to ``Discretization.trace_grad_jump``.
-    """
-    jump = disc.trace_grad_jump(V_elem, keep)                         # (E,nq,C,2)
+def grad_jump_integral(disc: Discretization, V_elem):
+    """oint_e ||[grad V]||^2 per interface, (E,), on the p-point rule of the jump."""
+    jump = disc.trace_grad_jump(V_elem)                               # (E,p,C,2)
     jump *= jump
-    return jump.sum(axis=(2, 3)) @ disc.edge_weights
+    return jump.sum(axis=(2, 3)) @ disc.jump_weights
 
 
 def _field_grad_jump(fields: StageFields):

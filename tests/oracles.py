@@ -110,12 +110,46 @@ def integrate_edge(mesh, edge, side, f, quad=None):
     )
 
 
+def owner_grads(disc):
+    """Left- and right-owner physical basis gradients at the 3-point edge
+    points, each (E, 3, N, 2): the reference gradients through the
+    owner's inverse Jacobian, the right owner's points reversed to pair
+    with the left ones."""
+    lam = np.stack([edge_barycentric(loc, default_quadrature().edge_t) for loc in range(3)])
+    ref = basis_ref_grads(disc.dofmap.basis, disc.dofmap.degree, lam)   # (3, 3, N, 2)
+    mesh = disc.mesh
+    return (np.einsum("eij,eqnj->eqni", disc.jinv_T[disc.if_left], ref[mesh.edge_left_loc]),
+            np.einsum("eij,eqnj->eqni", disc.jinv_T[disc.if_right],
+                      ref[mesh.edge_right_loc][:, ::-1]))
+
+
 def trace_grads(disc, X_elem):
-    """Left- and right-owner gradients of X at the interface points, each
-    (E, nq, C, 2): the einsum of the owner's gradient table with its
-    DOF values (the right owner's points reversed, as in the tables)."""
-    return (np.einsum("eqin,enc->eqci", disc.if_grads_L_T, X_elem[disc.if_left]),
-            np.einsum("eqin,enc->eqci", disc.if_grads_R_T, X_elem[disc.if_right]))
+    """Left- and right-owner gradients of X at the 3-point edge points,
+    each (E, 3, C, 2): the owner's basis gradients against its DOF values."""
+    gL, gR = owner_grads(disc)
+    return (np.einsum("eqni,enc->eqci", gL, X_elem[disc.if_left]),
+            np.einsum("eqni,enc->eqci", gR, X_elem[disc.if_right]))
+
+
+def grad_jump_integral_3pt(disc, V_elem):
+    """oint_e ||[grad V]||^2 per interface on the 3-point edge rule, (E,)."""
+    gL, gR = trace_grads(disc, V_elem)
+    jump = gR - gL
+    return np.einsum("q,eqci->e", default_quadrature().edge_weights, jump * jump)
+
+
+def gradient_jump_terms_3pt(disc, U_elem, coeff):
+    """The gradient-jump penalty on the 3-point edge rule, (M, N, C): per
+    interface, coeff |e| oint [grad U] . grad(phi) with minus the left
+    owner's basis gradients and the right owner's, summed into the owners."""
+    gL, gR = owner_grads(disc)
+    tL, tR = trace_grads(disc, U_elem)
+    w = default_quadrature().edge_weights
+    scale = (coeff * disc.if_length)[:, None, None]
+    out = np.zeros(U_elem.shape)
+    np.add.at(out, disc.if_left, -scale * np.einsum("q,eqni,eqci->enc", w, gL, tR - tL))
+    np.add.at(out, disc.if_right, scale * np.einsum("q,eqni,eqci->enc", w, gR, tR - tL))
+    return out
 
 
 def split_1d_oracle(U_left, U_mid, U_right, nu, ratio, gas):

@@ -137,6 +137,41 @@ def test_ab_states_the_final_u_change_of_differing_digests(tmp_path, monkeypatch
     assert tool.relative_change(same, same) == [0.0, 0.0, 0.0, 0.0]
 
 
+def test_ab_summarizes_and_records_the_final_u_change_over_pairs(tmp_path, monkeypatch, capsys):
+    tool = _load_tool()
+    base = [[1.0, 0.5, -0.25, 2.0], [2.0, -1.0, 0.5, 4.0]]
+    # pair 1 moves rho by 1e-10 of its largest value, pair 2 E by 4e-12
+    # and rho by 5e-11; pair 3 has no snapshot on the change side
+    moved = {1: [[1.0, 0.5, -0.25, 2.0], [2.0 + 2e-10, -1.0, 0.5, 4.0]],
+             2: [[1.0 + 1e-10, 0.5, -0.25, 2.0], [2.0, -1.0, 0.5, 4.0 - 1.6e-11]]}
+
+    def fake_run(tree, workload, seed, seconds):
+        side = os.path.basename(tree)
+        snap = tmp_path / side / ".bench_out" / workload / "out" / "snap_final.csv"
+        if side == "change" and seed == 3:
+            snap.unlink()
+        else:
+            _write_final_snapshot(tmp_path / side, workload, moved[seed] if side == "change" else base)
+        return _result([1.0], "new" if side == "change" else "old")
+
+    for side in ("parent", "change"):
+        (tmp_path / side).mkdir()
+        (tmp_path / side / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [
+            {"name": "run_s", "better": "lower"}]}))
+    trajectory = tmp_path / "BENCH_trajectory.json"
+    monkeypatch.setattr(tool, "run_side", fake_run)
+    monkeypatch.setattr(tool, "TRAJECTORY", str(trajectory))
+    assert tool.main(["--base", str(tmp_path / "parent"), "--change", str(tmp_path / "change"),
+                      "--workload", "vortex_ec", "--pairs", "3", "--seconds", "1",
+                      "--record", "test"]) == 0
+    out = capsys.readouterr().out
+    assert "final U max relative change over pairs: 1e-10 0 0 4e-12\n" in out
+    entry = json.loads(trajectory.read_text())[-1]
+    assert entry["final_u_change"] == pytest.approx([1e-10, 0.0, 0.0, 4e-12], rel=1e-5)
+    # without any pair of snapshots there is no change to state
+    assert tool.max_over_pairs([None, None]) is None
+
+
 def test_ab_reads_each_final_u_before_the_other_side_runs(tmp_path, monkeypatch, capsys):
     # a tree against itself: both sides write the same snapshot file, and
     # a second run that moves rho must still show up

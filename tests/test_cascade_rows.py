@@ -114,7 +114,7 @@ def test_patch_before_the_parent_builds_its_lazy_tables(gas, space, kind, degree
         fresh = _disc(space, kind, degree)
         elems = _element_sets(fresh)["random"]
         got = _rows(fresh, gas, U, scheme, elems)
-        assert not any(k in vars(fresh) for k in ("int_gradw_mat", "if_grads_L_T"))
+        assert not any(k in vars(fresh) for k in ("int_gradw_mat", "if_jump_grads"))
         full = _rows(_disc(space, kind, degree), gas, U, scheme)
         for g, f in zip(got, full):
             assert _same_bits(g, f[elems]), label

@@ -11,7 +11,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from rdeuler import driver, euler, positivity
+from rdeuler import diagnostics, driver, euler, positivity
 from rdeuler.basis import (
     basis_ref_grads,
     basis_values,
@@ -50,7 +50,7 @@ SPACES = [
     for space in ("s1", "s2")
     for basis, degree in (("lagrange", 1), ("lagrange", 2), ("bernstein", 2))
 ]
-LAZY = ("if_grads_L_T", "if_grads_R_T", "int_gradw_mat", "int_phys")
+LAZY = ("if_jump_grads", "int_gradw_mat", "int_phys")
 
 
 @pytest.fixture(scope="module", params=sorted(MESHES))
@@ -85,20 +85,21 @@ def _einsum_tables(mesh, dofmap, quad):
                           basis_ref_grads(kind, deg, quad.interior_points))
     gw = int_grads * (mesh.areas[:, None, None, None]
                       * quad.interior_weights[None, :, None, None])
-    lam = np.stack([edge_barycentric(loc, quad.edge_t) for loc in range(3)])
+    # the gradient-jump table on the deg-point Gauss rule
+    x, _ = np.polynomial.legendre.leggauss(deg)
+    lam = np.stack([edge_barycentric(loc, 0.5 * (1.0 + x)) for loc in range(3)])
     edge_grads = np.einsum("mij,lqnj->mlqni", jinv_T, basis_ref_grads(kind, deg, lam))
     li, ll = mesh.edge_left, mesh.edge_left_loc
-    rs, rl = np.maximum(mesh.edge_right, 0), mesh.edge_right_loc
+    ri, rl = mesh.edge_right, mesh.edge_right_loc
     return {
         "jinv_T": jinv_T,
         "lagrange_phys": np.einsum("lk,mkx->mlx", lagrange_points(deg), p),
         "int_grads": int_grads,
         "int_phys": np.einsum("qk,mkx->mqx", quad.interior_points, p),
         "int_gradw_mat": np.ascontiguousarray(gw.transpose(0, 2, 1, 3).reshape(M, nk, nq * 2)),
-        "if_grads_L_T": np.ascontiguousarray(edge_grads[li, ll].transpose(0, 1, 3, 2)),
-        "if_grads_R_T": np.ascontiguousarray(
-            edge_grads[rs, rl][:, ::-1].transpose(0, 1, 3, 2)
-        ),
+        "if_jump_grads": np.ascontiguousarray(np.concatenate(
+            [-edge_grads[li, ll].transpose(0, 1, 3, 2),
+             edge_grads[ri, rl][:, ::-1].transpose(0, 1, 3, 2)], axis=-1)),
         "phi_grad_integrals": np.einsum(
             "q,qn,mqki->mnki", quad.interior_weights, int_vals, int_grads
         ) * mesh.areas[:, None, None, None],
@@ -200,15 +201,20 @@ def test_elem_mean_equals_mean(shape):
         _assert_same_bytes(elem_mean(A), A.mean(axis=1))
 
 
-def test_one_off_trace_grad_jump_keeps_no_table(gas):
+@pytest.mark.parametrize("basis, degree", [("lagrange", 1), ("lagrange", 2), ("bernstein", 2)])
+def test_weak_bv_norm_builds_and_keeps_the_p_point_table(gas, basis, degree):
+    # a diagnostics row of a run whose kernels never built the gradient-jump
+    # table builds it on the degree-point rule once and keeps it
     mesh = structured_square(4, side=2.0)
-    disc = Discretization(mesh, build_dofmap(mesh, "s2", "lagrange", 2))
-    V = euler.entropy_vars(disc.elem_values(disc.interpolate(_smooth)), gas)
-    once = disc.trace_grad_jump(V, keep=False)
-    assert "if_grads_L_T" not in disc.__dict__ and "if_grads_R_T" not in disc.__dict__
-    _assert_same_bytes(once, disc.trace_grad_jump(V, keep=False))
-    _assert_same_bytes(once, disc.trace_grad_jump(V))
-    assert "if_grads_L_T" in disc.__dict__ and "if_grads_R_T" in disc.__dict__
+    disc = Discretization(mesh, build_dofmap(mesh, "s2", basis, degree))
+    U = disc.interpolate(_smooth)
+    assert "if_jump_grads" not in disc.__dict__
+    bv = diagnostics.weak_bv_norm(disc, gas, U)
+    table = disc.__dict__["if_jump_grads"]
+    assert table.shape == (mesh.n_edges, degree, 2, 2 * disc.dofmap.n_local)
+    assert diagnostics.weak_bv_norm(disc, gas, U) == bv
+    assert disc.if_jump_grads is table
+    assert disc.jump_weights.shape == (degree,)
 
 
 def test_implicit_interpolated_run_builds_no_lazy_table(tmp_path):
@@ -219,8 +225,10 @@ def test_implicit_interpolated_run_builds_no_lazy_table(tmp_path):
     )
     result = driver.run(cfg)
     assert result.n_steps >= 2
+    # the implicit kernels build none; the weak-BV norm of the step-0
+    # diagnostics row builds the (small, p-point) gradient-jump table and keeps it
     for name in LAZY:
-        assert name not in result.disc.__dict__, name
+        assert (name in result.disc.__dict__) == (name == "if_jump_grads"), name
 
 
 def test_non_pairing_periodic_interfaces_rejected():

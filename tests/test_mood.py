@@ -21,7 +21,7 @@ from rdeuler.positivity import admissible_timestep, alpha_noninterpolated
 from rdeuler.problems import make_problem
 from rdeuler.residuals import Scheme
 from rdeuler.stepping import FieldState, forward_euler_step, ssp_rk2_step
-from rdeuler.verification import run_mood_sod
+from rdeuler.verification import check_mood, run_mood_sod
 
 
 def uniform_field(disc, gas):
@@ -231,11 +231,10 @@ def test_mood_cascade_length_one_is_parachute(gas, small_disc):
     assert np.array_equal(out.U, plain.U)
 
 
-def test_mood_sod_strip_flags_and_conserves(gas):
-    info = run_mood_sod(nx=24, ny=3, t_end=0.4)
-    assert info["ok_pad"]
-    assert info["activations"] >= 1
-    assert max(info["drift"]) <= 1e-11
+def test_mood_sod_strip_flags_and_conserves():
+    # admissible, at least one activation and drift <= 1e-11 on the
+    # 24 x 3 strip to t = 0.4: check_mood at its defaults
+    assert check_mood()[0]
 
 
 def test_mood_termination_levels_bounded(gas):

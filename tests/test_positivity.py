@@ -210,13 +210,19 @@ def test_explicit_positivity_reduced(gas):
 
 def _own_trace_peaks(disc, gas, U_elem):
     """Per element, the max wavespeed over its own side of the interface
-    traces of its three edges, one element and edge at a time (oracle)."""
-    peaks = [euler.max_wavespeed(t, gas).max(axis=1) for t in disc.traces(U_elem)]
+    traces of its three edges (on S2 the left owner's trace), one element
+    and edge at a time (oracle)."""
     mesh = disc.mesh
+    vals_L = disc.edge_vals[mesh.edge_left_loc]
+    vals_R = disc.edge_vals[mesh.edge_right_loc][:, ::-1]
+    traces = (np.matmul(vals_L, U_elem[disc.if_left]), np.matmul(vals_R, U_elem[disc.if_right]))
+    peaks = [euler.max_wavespeed(t, gas).max(axis=1) for t in traces]
     out = np.zeros(mesh.n_tris)
     for m in range(mesh.n_tris):
         for loc in range(3):
-            out[m] = max(out[m], peaks[mesh.elem_edge_side[m, loc]][mesh.elem_edges[m, loc]])
+            # the continuous trace is single-valued: the left owner's serves both
+            side = 0 if disc.dofmap.space == "s2" else mesh.elem_edge_side[m, loc]
+            out[m] = max(out[m], peaks[side][mesh.elem_edges[m, loc]])
     return out
 
 

@@ -222,3 +222,25 @@ def test_plain_scheme_theta_is_base_residual(gas, small_disc, monkeypatch, name)
     alpha = np.full(small_disc.mesh.n_tris, 3.0)
     res = corrected_residual(StageFields(small_disc, gas, U), Scheme.parse(name), alpha=alpha)
     assert res.theta.tobytes() == res.base.phi.tobytes()
+
+
+@pytest.mark.parametrize("basis, degree", [("lagrange", 1), ("lagrange", 2), ("bernstein", 2)])
+def test_gradient_jumps_on_the_p_point_rule_equal_the_3_point_requadrature(gas, basis, degree):
+    # the squared gradient jump and the penalty integrand have degree
+    # 2(p - 1): the p-point rule integrates them as exactly as the 3-point
+    # flux rule; the jump cancels, so the error is bounded against the
+    # largest entry, not edge by edge
+    from oracles import grad_jump_integral_3pt, gradient_jump_terms_3pt
+    from rdeuler.problems import make_problem
+    from rdeuler.residuals import gradient_jump_terms
+    from rdeuler.stabilization import grad_jump_integral
+
+    disc = make_disc(32, 10.0, "s2", basis, degree)
+    U = disc.interpolate(make_problem("vortex", disc.mesh.bbox, gas, beta=5.0).initial)
+    V_elem = StageFields(disc, gas, U).V_elem
+    coeff = 0.01 * disc.if_length**2
+    for got, want in ((grad_jump_integral(disc, V_elem), grad_jump_integral_3pt(disc, V_elem)),
+                      (gradient_jump_terms(disc, V_elem, coeff),
+                       gradient_jump_terms_3pt(disc, V_elem, coeff))):
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()

@@ -5,14 +5,17 @@ the traces in the interface flux, the entropy flux and the jump
 coefficient, the interior points in the volume term, the entropy
 variables and the deviations once per consumer, and the alpha sweep on
 the DOFs, the interior points and each element's own side of the traces.
+The gradient jumps are re-integrated on the 3-point edge rule.
 """
 
 import numpy as np
 import pytest
 
 from conftest import make_disc, random_states, smooth_field
+from oracles import grad_jump_integral_3pt, gradient_jump_terms_3pt
 from rdeuler import euler
-from rdeuler.discretization import Discretization, StageFields
+from rdeuler.discretization import Discretization, PointValues, StageFields
+from rdeuler.errors import NonPositivePressure, VacuumState
 from rdeuler.positivity import alpha_implicit, alpha_noninterpolated, geometry_vectors
 from rdeuler.residuals import Scheme, beta_coefficients
 from rdeuler.stabilization import JUMP_COEFF, _correction, _deviations, _distribute, corrected_residual
@@ -26,15 +29,6 @@ def _traces(disc, X_elem):
     vals_L = disc.edge_vals[disc.mesh.edge_left_loc]
     vals_R = disc.edge_vals[disc.mesh.edge_right_loc][:, ::-1]
     return np.matmul(vals_L, X_elem[disc.if_left]), np.matmul(vals_R, X_elem[disc.if_right])
-
-
-def _trace_grad(grads_T, owner_vals):
-    return np.matmul(grads_T, owner_vals[:, None]).swapaxes(-1, -2)
-
-
-def _grad_jump(disc, X_elem):
-    return (_trace_grad(disc.if_grads_R_T, X_elem[disc.if_right])
-            - _trace_grad(disc.if_grads_L_T, X_elem[disc.if_left]))
 
 
 def _oracle_fnum(disc, gas, U_elem):
@@ -68,13 +62,7 @@ def _oracle_base(disc, gas, U_elem, scheme, alpha):
         return _oracle_galerkin(disc, gas, U_elem)
     if scheme.base == "galerkin_jump":
         phi, total = _oracle_galerkin(disc, gas, U_elem)
-        jump = _grad_jump(disc, U_elem)
-        E, nq, C = jump.shape[:3]
-        jw2 = (jump * disc.edge_weights[None, :, None, None]).transpose(0, 1, 3, 2).reshape(E, nq * 2, C)
-        gL = disc.if_grads_L_T.transpose(0, 3, 1, 2).reshape(E, -1, nq * 2)
-        gR = disc.if_grads_R_T.transpose(0, 3, 1, 2).reshape(E, -1, nq * 2)
-        w = (disc.if_length**2 * disc.if_length)[:, None, None]
-        return phi + disc.scatter_interface(-np.matmul(gL, jw2) * w, np.matmul(gR, jw2) * w), total
+        return phi + gradient_jump_terms_3pt(disc, U_elem, disc.if_length**2), total
     dev = U_elem - U_elem.mean(axis=1, keepdims=True)
     if scheme.flux_mode == "interpolated":
         M, N = U_elem.shape[:2]
@@ -114,8 +102,7 @@ def _oracle_jump(disc, gas, U_elem, V_elem, zeta):
         euler.max_wavespeed(tL, gas).max(axis=1), euler.max_wavespeed(tR, gas).max(axis=1)
     )
     if disc.dofmap.space == "s2":
-        jump = _grad_jump(disc, V_elem)
-        D = lam_e * disc.if_h**zeta * disc.if_length * ((jump * jump).sum(axis=(2, 3)) @ disc.edge_weights)
+        D = lam_e * disc.if_h**zeta * disc.if_length * grad_jump_integral_3pt(disc, V_elem)
     else:
         VL, VR = _traces(disc, V_elem)
         jump = VR - VL
@@ -211,10 +198,11 @@ def _count_calls(monkeypatch, owner, name, log):
 def test_residual_and_sweep_evaluate_each_point_set_once(gas, space, basis, degree, monkeypatch):
     # one +ec+jump residual plus the pointwise and implicit bounds of one
     # state: the traces come from one product per element, and each point
-    # set gets one pressure (DOFs, interior points, left and right traces;
-    # the sweep reads the element's own side of the traces); the
-    # per-function composition made 4 trace evaluations and 7 pressure
-    # calls on S2
+    # set gets one pressure (DOFs, interior points, the traces; the sweep
+    # reads the element's own side of the traces); on S2 the trace is
+    # single-valued, so there is one trace set and 3 pressure calls, on S1
+    # a left and a right one and 4; the per-function composition made 4
+    # trace evaluations and 7 pressure calls on S2
     disc = make_disc(4, 2.0, space, basis, degree)
     U = smooth_field(disc, gas)
     log = {}
@@ -226,7 +214,7 @@ def test_residual_and_sweep_evaluate_each_point_set_once(gas, space, basis, degr
     state.alpha("implicit")
     # on S1 the jump of V takes the traces of the entropy variables too
     assert log["traces"] == (1 if space == "s2" else 2)
-    assert log["pressure"] == 4
+    assert log["pressure"] == (3 if space == "s2" else 4)
 
 
 def test_kernels_read_the_gas_of_their_fields(gas):
@@ -276,3 +264,65 @@ def test_implicit_step_releases_the_fields_of_its_input(gas):
     for mode in ("interpolated", "implicit"):
         assert np.array_equal(state.alpha(mode), fresh.alpha(mode))
     assert ("fields",) not in state._memo
+
+
+@pytest.mark.parametrize("space,basis,degree", SPACES)
+def test_one_trace_set_on_the_continuous_space(gas, space, basis, degree):
+    # the S2 trace is single-valued: one set serves both sides; S1 keeps two
+    disc = make_disc(4, 2.0, space, basis, degree)
+    fields = StageFields(disc, gas, random_states(np.random.default_rng(4), disc.dofmap.n_dofs))
+    if space == "s2":
+        assert fields.trace_R is fields.trace_L
+    else:
+        assert fields.trace_R is not fields.trace_L
+        assert not np.array_equal(fields.trace_R.U, fields.trace_L.U)
+    tL, tR = _traces(disc, fields.U_elem)
+    assert np.array_equal(fields.trace_L.U, tL)
+    assert np.array_equal(fields.trace_R.U, tL if space == "s2" else tR)
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(np.ascontiguousarray(a).view(np.uint64),
+                                                 np.ascontiguousarray(b).view(np.uint64))
+
+
+@pytest.mark.parametrize("space,basis,degree", SPACES + [("s2", "lagrange", 2)])
+def test_dof_values_are_bitwise_the_element_wise_evaluation(gas, space, basis, degree):
+    # computed once per DOF the elements touch and gathered, on the whole
+    # mesh and on a patch, equal to the evaluation at every element DOF
+    disc = make_disc(6, 10.0, space, basis, degree)
+    U = random_states(np.random.default_rng(9), disc.dofmap.n_dofs)
+    for d in (disc, disc.patch([0, 7, 40])):
+        fields = StageFields(d, gas, U)
+        U_elem = d.elem_values(U)
+        want = PointValues(U_elem, gas)
+        assert _same_bits(fields.dofs.p, want.p)
+        assert _same_bits(fields.dofs.peak_wavespeed, want.peak_wavespeed)
+        assert _same_bits(fields.dofs.flux, want.flux)
+        assert fields.dofs.flux.strides == want.flux.strides
+        assert _same_bits(fields.V_elem, euler.entropy_vars(U_elem, gas, p=want.p))
+        ids, local = d.touched_dofs
+        assert np.array_equal(ids[local], d.dofmap.elem_dofs)
+
+
+@pytest.mark.parametrize("component, error", [(0, VacuumState), (3, NonPositivePressure)])
+def test_dof_values_raise_as_the_element_wise_evaluation(gas, component, error):
+    # one inadmissible DOF: the whole mesh raises what the element-wise
+    # evaluation raises; a patch that does not touch it returns its rows,
+    # equal to those of the admissible state
+    disc = make_disc(6, 10.0, "s2", "lagrange", 2)
+    U = smooth_field(disc, gas)
+    bad = U.copy()
+    dof = disc.dofmap.elem_dofs[50, 4]
+    bad[dof, component] = -1.0
+    with pytest.raises(error):
+        PointValues(disc.elem_values(bad), gas)
+    with pytest.raises(error):
+        StageFields(disc, gas, bad).dofs
+    elems = np.flatnonzero(~np.any(disc.dofmap.elem_dofs == dof, axis=1))[:5]
+    patch = disc.patch(elems)
+    assert dof not in patch.touched_dofs[0]
+    scheme = Scheme.parse("galerkin+ec+jump")
+    rows = corrected_residual(StageFields(patch, gas, bad), scheme).theta[patch.core]
+    want = corrected_residual(StageFields(disc, gas, U), scheme).theta[elems]
+    assert _same_bits(rows, want)

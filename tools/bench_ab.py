@@ -16,10 +16,13 @@ whether the final-U digests of the two sides are equal.  Each pair also
 prints the largest relative change of the final U per component, read
 from the two trees' ``.bench_out/<W>/out/snap_final.csv`` (the last
 repetition of that seed): 0 when the digests are equal, and otherwise a
-bound on the change of bits.
+bound on the change of bits.  The summary closes with the largest of
+these over the pairs, per component (``n/a`` when no pair had both
+snapshots).
 
 ``--record LABEL`` appends the summary as one entry to
-``BENCH_trajectory.json`` at the root of this script's repository.  Each
+``BENCH_trajectory.json`` at the root of this script's repository, the
+final-U change over the pairs as ``final_u_change``.  Each
 side is named by its git HEAD or, for a tree that is not a git checkout,
 by a content hash of its library source (``src-sha256:<16 hex>``).  The exit
 code is 1 if any run failed its output checks or gave no result.
@@ -86,6 +89,13 @@ def relative_change(parent, change):
         scale = max(abs(row[c]) for row in parent) or 1.0
         out.append(max(abs(a[c] - b[c]) for a, b in zip(parent, change)) / scale)
     return out
+
+
+def max_over_pairs(changes):
+    """Per component, the largest relative change over the pairs; None
+    when no pair had both snapshots."""
+    changes = [c for c in changes if c is not None]
+    return [max(col) for col in zip(*changes)] if changes else None
 
 
 def run_side(tree, workload, seed, seconds):
@@ -172,7 +182,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     trees = {"parent": os.path.abspath(args.base), "change": os.path.abspath(args.change)}
-    pairs, seeds, digest_pairs, env, failed = [], [], [], {}, 0
+    pairs, seeds, digest_pairs, changes, env, failed = [], [], [], [], {}, 0
     for i in range(args.pairs):
         seed = args.first_seed + i
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
@@ -194,6 +204,7 @@ def main(argv=None):
               f"{metrics['parent'].get('run_s', float('nan')):.4f} -> "
               f"{metrics['change'].get('run_s', float('nan')):.4f}")
         rel = relative_change(finals["parent"], finals["change"])
+        changes.append(rel)
         if rel is not None:
             print(f"# pair {i + 1} seed {seed}: final U max relative change per component "
                   + " ".join(f"{r:.3g}" for r in rel))
@@ -208,6 +219,9 @@ def main(argv=None):
     equal = bool(digest_pairs) and all(p == c for p, c in digest_pairs)
     shown = sorted({d for _, c in digest_pairs for d in c})
     print(f"digests equal: {'yes' if equal else 'no'} (change {', '.join(shown)})")
+    final_change = max_over_pairs(changes)
+    print("final U max relative change over pairs: "
+          + (" ".join(f"{r:.3g}" for r in final_change) if final_change else "n/a"))
 
     if args.record:
         parent_commit, _ = git_commit(trees["parent"])
@@ -227,6 +241,7 @@ def main(argv=None):
             "metrics": summary,
             "digests_equal": equal,
             "digests": {"parent": sorted({d for p, _ in digest_pairs for d in p}), "change": shown},
+            "final_u_change": final_change,
         }
         entries = []
         if os.path.exists(TRAJECTORY):
