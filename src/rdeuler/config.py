@@ -71,6 +71,10 @@ class RunConfig:
         _check(0.0 < self.cfl <= 1.0, "cfl must lie in (0, 1]")
         _check(isfinite(self.t_end) and self.t_end > 0.0, "t_end must be positive and finite")
         _check(isfinite(self.gamma) and self.gamma > 1.0, "gamma must be finite and exceed 1")
+        _check(isfinite(self.rho_floor) and self.rho_floor >= 0.0,
+               "rho_floor must be finite and >= 0")
+        _check(isfinite(self.e_floor) and self.e_floor >= 0.0, "e_floor must be finite and >= 0")
+        _check(isfinite(self.beta), "problem.beta must be finite")
         _check(isfinite(self.zeta) and self.zeta >= 2.0, "zeta must be finite and >= 2")
         _check(_auto_or(self.lambda_jump, lambda v: v >= 0.0),
                "lambda_jump must be auto or finite and >= 0")

@@ -28,7 +28,7 @@ import scipy.sparse as sp
 
 from . import basis as fb
 from . import euler
-from .errors import ConfigError, NonConforming
+from .errors import NonConforming
 from .mesh import Mesh, dual_volumes
 
 # Nearest element centroids that evaluate_at_points tries for each point
@@ -41,8 +41,6 @@ class Discretization:
     has a left and a right owner."""
 
     def __init__(self, mesh: Mesh, dofmap: fb.DofMap):
-        if not mesh.periodic:
-            raise ConfigError("the solver requires a periodic mesh")
         if dofmap.mesh is not mesh:
             raise ValueError("dofmap was built on a different mesh")
         self.mesh = mesh
@@ -424,11 +422,10 @@ class _PatchRows:
 
 class _PatchMesh(_PatchView):
     _RULES = _rules(
-        shared=("nodes", "node_rep", "periodic", "bbox"),
+        shared=("nodes", "node_rep", "bbox"),
         elements=("tris", "areas", "diameters", "elem_edge_side", "elem_edge_normal",
                   "elem_edge_length"),
-        interfaces=("edge_nodes", "edge_left_loc", "edge_right_loc", "edge_periodic",
-                    "edge_translation", "edge_length"),
+        interfaces=("edge_left_loc", "edge_right_loc", "edge_translation", "edge_length"),
         edge_left=("interfaces", "elem_id"), edge_right=("interfaces", "elem_id"),
         elem_edges=("elems", "interface_id"),
     )
@@ -482,10 +479,11 @@ class Patch(_PatchView, Discretization):
     No table is recomputed and nothing is copied up front: element and
     interface tables, and the per-element ``cached`` tables, are gathered
     from the parent on first read, and a lazy table the parent has not
-    built is built on the patch.  Owner, neighbour and edge ids are
-    remapped to the patch (an interface outside it reads as interface 0,
-    a neighbour outside it as -1); the DOF map keeps the global DOF ids,
-    so kernels on the patch read the global DOF vector.
+    built is built on the patch.  Owner and edge ids are remapped to the
+    patch (an interface outside it reads as interface 0); the DOF map
+    keeps the global DOF ids, so kernels on the patch read the global DOF
+    vector.  The neighbour table has no patch rule: only the cascade
+    reads it, on the whole mesh.
 
     ``elems`` holds the parent ids of the patch elements in ascending
     order and ``core`` the patch positions of the requested elements.
@@ -497,7 +495,6 @@ class Patch(_PatchView, Discretization):
         elements=("jacobians", "jinv_T", "corner_coords", "lagrange_phys", "int_grads"),
         interfaces=("if_normal", "if_length", "if_h", "if_vals_L_wl", "if_vals_R_wl"),
         if_left=("interfaces", "elem_id"), if_right=("interfaces", "elem_id"),
-        elem_neighbors=("elems", "elem_id"),
     )
     # the ``cached`` tables of the cascade's kernels, one row (or a tuple
     # of rows) per element; other keys are built on the patch

@@ -1,20 +1,23 @@
-"""Conformal triangular meshes with periodic identification.
+"""Conformal triangular meshes of periodic rectangles.
 
-The mesh stores, besides nodes and triangles, an interface table: one
-entry per internal edge and one per matched periodic edge couple.  Every
-interface has a left owner (the element that traverses the edge in its
-own counterclockwise orientation) and, when present, a right owner that
-traverses it in the opposite direction.  For periodic couples a
-translation vector maps left-side coordinates onto the right side.
+Every mesh is a torus: its boundary edges are paired across the
+bounding box, and a mesh whose boundary does not pair is rejected.  The
+mesh stores, besides nodes and triangles, an interface table: one entry
+per internal edge and one per periodic edge couple.  Every interface has
+a left owner (the element that traverses the edge in its own
+counterclockwise orientation) and a right owner that traverses it in
+the opposite direction.  For periodic couples a translation vector maps
+left-side coordinates onto the right side.
 """
 
 import hashlib
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
+    ConfigError,
     DegenerateTriangle,
     NonConforming,
     UnmatchedPeriodicEdge,
@@ -28,12 +31,10 @@ class Mesh:
     areas: np.ndarray          # (n_tris,)
     diameters: np.ndarray      # (n_tris,) longest edge
     # interface table
-    edge_nodes: np.ndarray     # (n_edges, 2) ordered along the left traversal
     edge_left: np.ndarray      # (n_edges,)
     edge_left_loc: np.ndarray  # (n_edges,)
-    edge_right: np.ndarray     # (n_edges,) or -1 for an unpaired boundary edge
+    edge_right: np.ndarray     # (n_edges,) the owner traversing the edge backwards
     edge_right_loc: np.ndarray
-    edge_periodic: np.ndarray      # (n_edges,) bool
     edge_translation: np.ndarray   # (n_edges, 2): x_right = x_left + t
     edge_length: np.ndarray
     # per-element edge data
@@ -42,8 +43,7 @@ class Mesh:
     elem_edge_normal: np.ndarray  # (n_tris, 3, 2) unit outward
     elem_edge_length: np.ndarray  # (n_tris, 3)
     node_rep: np.ndarray         # (n_nodes,) periodic-identified representative
-    periodic: bool
-    bbox: tuple = field(default=None)
+    bbox: tuple                  # (xmin, xmax, ymin, ymax)
 
     @property
     def n_nodes(self):
@@ -61,7 +61,7 @@ class Mesh:
         h = hashlib.sha256()
         h.update(np.ascontiguousarray(self.nodes).tobytes())
         h.update(np.ascontiguousarray(self.tris).tobytes())
-        h.update(b"periodic" if self.periodic else b"open")
+        h.update(b"periodic")   # the domain tag, as in hashes of earlier snapshots
         return h.hexdigest()[:16]
 
 
@@ -77,12 +77,12 @@ def _signed_area2(nodes, tris):
     return a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
 
 
-def build_mesh(raw_nodes, raw_triangles, periodic=False, periodic_tolerance=None):
-    """Build connectivity, geometry and (optionally) periodic pairing.
+def build_mesh(raw_nodes, raw_triangles, periodic_tolerance=None):
+    """Build connectivity, geometry and the periodic pairing.
 
     Clockwise triangles are re-oriented in place; non-finite nodes,
-    zero-area triangles, hanging nodes and edges with more than two
-    owners are rejected.
+    zero-area triangles, hanging nodes, edges with more than two owners
+    and boundary edges without a periodic partner are rejected.
     """
     nodes = np.asarray(raw_nodes, dtype=float).copy()
     tris = np.asarray(raw_triangles, dtype=np.int64).copy()
@@ -136,45 +136,31 @@ def build_mesh(raw_nodes, raw_triangles, periodic=False, periodic_tolerance=None
     boundary = boundary[np.argsort(owner1[boundary])]   # file order
     _reject_hanging_nodes(nodes, key_lo[boundary], key_hi[boundary], tol=1e-12 * scale)
 
-    matched = np.zeros(count.size, dtype=bool)
-    low = high = np.zeros(0, dtype=np.int64)
-    shift = np.zeros((0, 2))
-    if periodic:
-        low, high, shift = _pair_periodic_edges(
-            nodes, key_lo[boundary], key_hi[boundary], periodic_tolerance
-        )
-        low, high = boundary[low], boundary[high]
-        by_left = np.lexsort((key_hi[low], key_lo[low]))
-        low, high, shift = low[by_left], high[by_left], shift[by_left]
-        matched[low] = matched[high] = True
+    # Every boundary edge is paired, or _pair_periodic_edges raises.
+    low, high, shift = _pair_periodic_edges(
+        nodes, key_lo[boundary], key_hi[boundary], periodic_tolerance
+    )
+    low, high = boundary[low], boundary[high]
+    by_left = np.lexsort((key_hi[low], key_lo[low]))
+    low, high, shift = low[by_left], high[by_left], shift[by_left]
 
-    same_sense = (count == 2) & (a[owner1] == a[owner2])   # same start node
-    unmatched = (count == 1) & ~matched & bool(periodic)
-    bad = np.flatnonzero(same_sense | unmatched)
-    if bad.size:
-        g = bad[0]
-        if same_sense[g]:
-            raise NonConforming(f"edge {key(g)} traversed twice in the same sense")
-        raise UnmatchedPeriodicEdge(f"boundary edge {key(g)} has no partner")
+    same_sense = np.flatnonzero((count == 2) & (a[owner1] == a[owner2]))   # same start node
+    if same_sense.size:
+        raise NonConforming(f"edge {key(same_sense[0])} traversed twice in the same sense")
 
     # Interfaces: edges in key order, then periodic couples in left-key order.
-    plain = np.flatnonzero(~matched)
+    plain = np.flatnonzero(count == 2)
     left = np.concatenate([owner1[plain], owner1[low]])
-    right = np.concatenate([np.where(count[plain] == 2, owner2[plain], -1), owner1[high]])
+    right = np.concatenate([owner2[plain], owner1[high]])
     n_edges = left.size
-    paired = right >= 0
-    edge_nodes = np.stack([a[left], b[left]], axis=1)
     edge_left, edge_left_loc = left // 3, left % 3
-    edge_right = np.where(paired, right // 3, -1)
-    edge_right_loc = np.where(paired, right % 3, -1)
-    edge_periodic = np.arange(n_edges) >= plain.size
+    edge_right, edge_right_loc = right // 3, right % 3
     edge_translation = np.concatenate([np.zeros((plain.size, 2)), shift])
 
     elem_edges = np.full(3 * M, -1, dtype=np.int64)
     elem_edge_side = np.zeros(3 * M, dtype=np.int64)
-    elem_edges[left] = np.arange(n_edges)
-    elem_edges[right[paired]] = np.flatnonzero(paired)
-    elem_edge_side[right[paired]] = 1
+    elem_edges[left] = elem_edges[right] = np.arange(n_edges)
+    elem_edge_side[right] = 1
     elem_edges = elem_edges.reshape(M, 3)
     elem_edge_side = elem_edge_side.reshape(M, 3)
     if np.any(elem_edges < 0):
@@ -189,11 +175,10 @@ def build_mesh(raw_nodes, raw_triangles, periodic=False, periodic_tolerance=None
     diameters = lengths.max(axis=1)
     edge_length = lengths[edge_left, edge_left_loc]
 
-    if periodic:
-        right_len = lengths[edge_right, edge_right_loc]
-        rel = np.abs(edge_length - right_len) / edge_length
-        if np.any(rel > 1e-9):
-            raise UnmatchedPeriodicEdge("paired edges differ in length")
+    right_len = lengths[edge_right, edge_right_loc]
+    rel = np.abs(edge_length - right_len) / edge_length
+    if np.any(rel > 1e-9):
+        raise UnmatchedPeriodicEdge("paired edges differ in length")
 
     node_rep = _identify_nodes(nodes, a, b, owner1[low], owner1[high], shift)
 
@@ -202,12 +187,10 @@ def build_mesh(raw_nodes, raw_triangles, periodic=False, periodic_tolerance=None
         tris=tris,
         areas=areas,
         diameters=diameters,
-        edge_nodes=edge_nodes,
         edge_left=edge_left,
         edge_left_loc=edge_left_loc,
         edge_right=edge_right,
         edge_right_loc=edge_right_loc,
-        edge_periodic=edge_periodic,
         edge_translation=edge_translation,
         edge_length=edge_length,
         elem_edges=elem_edges,
@@ -215,7 +198,6 @@ def build_mesh(raw_nodes, raw_triangles, periodic=False, periodic_tolerance=None
         elem_edge_normal=normals,
         elem_edge_length=lengths,
         node_rep=node_rep,
-        periodic=periodic,
         bbox=(
             float(nodes[:, 0].min()),
             float(nodes[:, 0].max()),
@@ -394,8 +376,8 @@ def dual_volumes(mesh: Mesh, dofmap) -> DualVolumes:
     return DualVolumes(c_sigma=c_sigma, k_sigma=k_sigma)
 
 
-def structured_rect(nx, ny, width=10.0, height=10.0, center=(0.0, 0.0), periodic=True):
-    """Uniform right-triangle mesh of a rectangle, 2*nx*ny elements."""
+def structured_rect(nx, ny, width=10.0, height=10.0, center=(0.0, 0.0)):
+    """Uniform right-triangle mesh of a periodic rectangle, 2*nx*ny elements."""
     xs = np.linspace(center[0] - width / 2.0, center[0] + width / 2.0, nx + 1)
     ys = np.linspace(center[1] - height / 2.0, center[1] + height / 2.0, ny + 1)
     X, Y = np.meshgrid(xs, ys, indexing="ij")
@@ -407,19 +389,21 @@ def structured_rect(nx, ny, width=10.0, height=10.0, center=(0.0, 0.0), periodic
     a = i * (ny + 1) + j
     b, c, d = a + ny + 1, a + ny + 2, a + 1
     tris = np.stack([a, b, c, a, c, d], axis=-1).reshape(-1, 3)
-    return build_mesh(nodes, tris, periodic=periodic)
+    return build_mesh(nodes, tris)
 
 
-def structured_square(n, side=10.0, center=(0.0, 0.0), periodic=True):
-    """Uniform right-triangle mesh of a square, 2*n*n elements."""
-    return structured_rect(n, n, width=side, height=side, center=center, periodic=periodic)
+def structured_square(n, side=10.0, center=(0.0, 0.0)):
+    """Uniform right-triangle mesh of a periodic square, 2*n*n elements."""
+    return structured_rect(n, n, width=side, height=side, center=center)
 
 
 def read_mesh(path):
     """Read the plain-text mesh format (header ``rdmesh 1``).
 
     A missing or malformed file raises ``NonConforming`` naming the file
-    and, for a bad number, the token.
+    and, for a bad number, the token.  A file without the closing
+    ``periodic auto`` line raises ``ConfigError``: the solver requires a
+    periodic mesh.
     """
     try:
         with open(path) as fh:
@@ -476,14 +460,12 @@ def read_mesh(path):
     if take("triangles") != "triangles":
         raise bad("expected 'triangles'")
     tris = take_rows(take_count("triangle count"), "ijk", np.int64, "triangle index")
-    periodic = False
-    rest = tokens[pos:]
-    if rest[:2] == ["periodic", "auto"]:
-        periodic = True
-        rest = rest[2:]
+    if tokens[pos:pos + 2] != ["periodic", "auto"]:
+        raise ConfigError(f"{path}: no 'periodic auto' line; the solver requires a periodic mesh")
+    rest = tokens[pos + 2:]
     if rest:
         raise bad(f"trailing tokens in mesh file: {rest[:4]}")
-    return build_mesh(nodes, tris, periodic=periodic)
+    return build_mesh(nodes, tris)
 
 
 def write_mesh(path, mesh: Mesh):
@@ -493,5 +475,4 @@ def write_mesh(path, mesh: Mesh):
         fh.writelines(f"{x!r} {y!r}\n" for x, y in np.asarray(mesh.nodes, dtype=float).tolist())
         fh.write(f"triangles {mesh.n_tris}\n")
         fh.writelines(f"{i} {j} {k}\n" for i, j, k in np.asarray(mesh.tris).tolist())
-        if mesh.periodic:
-            fh.write("periodic auto\n")
+        fh.write("periodic auto\n")

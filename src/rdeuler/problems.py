@@ -23,8 +23,11 @@ class VortexProblem:
         self.v_inf = float(v_inf)
         self.center = np.asarray(center, dtype=float)
         g = gas.gamma
-        t_center = 1.0 - (g - 1.0) * self.beta**2 / (8.0 * g * np.pi**2) * np.exp(1.0)
-        if t_center <= gas.e_floor:
+        try:
+            t_center = 1.0 - (g - 1.0) * self.beta**2 / (8.0 * g * np.pi**2) * np.exp(1.0)
+        except OverflowError:
+            t_center = -np.inf      # beta**2 beyond the float range
+        if not t_center > gas.e_floor:
             raise InadmissibleParameters(
                 f"beta={beta} drives the core temperature to {t_center}"
             )

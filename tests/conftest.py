@@ -37,7 +37,7 @@ def reference_pair(scale=1.0, basis="lagrange", degree=1):
     (s,0), (0,s) with DOFs 0..N-1, and its tables equal those of the
     lone triangle byte for byte."""
     s = scale
-    mesh = build_mesh([(0, 0), (s, 0), (0, s), (s, s)], [(0, 1, 2), (1, 3, 2)], periodic=True)
+    mesh = build_mesh([(0, 0), (s, 0), (0, s), (s, s)], [(0, 1, 2), (1, 3, 2)])
     return Discretization(mesh, build_dofmap(mesh, "s1", basis, degree))
 
 
@@ -51,7 +51,8 @@ def off_seam(disc):
     """
     dm = disc.dofmap
     own = np.abs(dm.dof_points[dm.elem_dofs] - disc.lagrange_phys).max(axis=(1, 2)) < 1e-12
-    return ~disc.mesh.edge_periodic & own[disc.if_left] & own[disc.if_right]
+    seam = np.any(disc.mesh.edge_translation != 0, axis=1)
+    return ~seam & own[disc.if_left] & own[disc.if_right]
 
 
 def off_seam_elements(disc):
@@ -63,7 +64,7 @@ def scrambled(nx, ny, seed):
     """Nodes and triangles of a 3 x 2 rectangle of nx x ny cells with
     jittered interior nodes, relabelled nodes, shuffled triangles,
     rotated vertex order and every third triangle clockwise; its boundary
-    nodes stay on the grid, so ``periodic=True`` pairs them."""
+    nodes stay on the grid, so ``build_mesh`` pairs them."""
     rng = np.random.default_rng(seed)
     X, Y = np.meshgrid(np.linspace(-1.5, 1.5, nx + 1), np.linspace(-1.0, 1.0, ny + 1),
                        indexing="ij")

@@ -99,8 +99,6 @@ def integrate_edge(mesh, edge, side, f, quad=None):
         elem, loc = mesh.edge_left[edge], mesh.edge_left_loc[edge]
     else:
         elem, loc = mesh.edge_right[edge], mesh.edge_right_loc[edge]
-        if elem < 0:
-            raise ValueError("interface has no right side")
     lam = edge_barycentric(int(loc), quad.edge_t)
     p = mesh.nodes[mesh.tris[elem]]
     xq = lam @ p

@@ -13,7 +13,7 @@ from rdeuler.basis import (
 )
 from rdeuler.discretization import Discretization
 from rdeuler.errors import UnsupportedDegree
-from rdeuler.mesh import build_mesh, structured_square
+from rdeuler.mesh import structured_square
 
 
 def test_p1_barycenter_partition():
@@ -24,7 +24,7 @@ def test_p1_barycenter_partition():
 
 
 def _ref_dofmap(kind, p):
-    mesh = build_mesh([(0, 0), (1, 0), (0, 1)], [(0, 1, 2)])
+    mesh = reference_pair().mesh   # element 0 is the reference triangle
     return build_dofmap(mesh, "s2", kind, p)
 
 
@@ -47,7 +47,7 @@ def test_out_of_element_rejected():
 
 
 def test_unsupported_degree():
-    mesh = build_mesh([(0, 0), (1, 0), (0, 1)], [(0, 1, 2)])
+    mesh = reference_pair().mesh
     with pytest.raises(UnsupportedDegree):
         build_dofmap(mesh, "s2", "lagrange", 3)
 
@@ -86,8 +86,9 @@ def _p1_value(disc, x):
 
 def test_integrate_edge_exactness():
     # quadratic and quintic over the unit edge against closed forms
-    mesh = build_mesh([(0, 0), (1, 0), (0, 1)], [(0, 1, 2)])
-    edge = int(np.nonzero((mesh.edge_nodes == [0, 1]).all(axis=1))[0][0])
+    mesh = reference_pair().mesh
+    edge = mesh.elem_edges[0, 0]   # (0, 0) -> (1, 0), traversed by element 0
+    assert mesh.elem_edge_side[0, 0] == 0
     val = integrate_edge(mesh, edge, 0, lambda x: x[0] ** 2)
     assert val == pytest.approx(1.0 / 3.0, rel=1e-15)
     val5 = integrate_edge(mesh, edge, 0, lambda x: x[0] ** 5)
@@ -203,7 +204,7 @@ def test_s2_shared_edge_dofs_identical():
     # for every internal interface the three edge DOFs seen from both
     # owners coincide as sets
     for e in range(mesh.n_edges):
-        if mesh.edge_right[e] < 0 or mesh.edge_periodic[e]:
+        if np.any(mesh.edge_translation[e] != 0):
             continue
         ldofs = set(dm.elem_dofs[mesh.edge_left[e]])
         rdofs = set(dm.elem_dofs[mesh.edge_right[e]])

@@ -144,7 +144,7 @@ def test_every_table_has_a_patch_rule(gas):
     disc.int_phys
     p = disc.patch([0, 5])
     for name in vars(disc):
-        if name not in ("mesh", "dofmap", "dual", "_cache"):
+        if name not in ("mesh", "dofmap", "dual", "elem_neighbors", "_cache"):
             getattr(p, name)
     for f in dataclasses.fields(Mesh):
         getattr(p.mesh, f.name)
@@ -153,8 +153,11 @@ def test_every_table_has_a_patch_rule(gas):
     for key in disc._cache:
         if key in p._PER_ELEMENT_CACHE:
             p.cached(key, None)
-    with pytest.raises(AttributeError):
-        p.dual
+    # no kernel reads these on a patch; a read raises rather than
+    # returning rows that are not the patch's
+    for name in ("dual", "elem_neighbors"):
+        with pytest.raises(AttributeError, match="no patch rule"):
+            getattr(p, name)
 
 
 def test_same_stencil_compares_bits():

@@ -21,8 +21,8 @@ from rdeuler.basis import (
     lagrange_points,
 )
 from rdeuler.config import parse_config
-from rdeuler.discretization import Discretization, StageFields, elem_mean, make_discretization
-from rdeuler.errors import ConfigError, NonConforming
+from rdeuler.discretization import Discretization, StageFields, elem_mean
+from rdeuler.errors import NonConforming
 from rdeuler.mesh import build_mesh, structured_square
 from rdeuler.verification import random_admissible_field
 
@@ -34,16 +34,16 @@ def _signed_zero_square():
     are -0.0: einsum gives +0.0 where each summed product is -0.0."""
     grid = structured_square(4, side=2.0)
     nodes = grid.nodes - grid.nodes.max(axis=0)
-    return build_mesh(np.where(nodes == 0.0, -0.0, nodes), grid.tris, periodic=True)
+    return build_mesh(np.where(nodes == 0.0, -0.0, nodes), grid.tris)
 
 
 MESHES = {
     "square4": lambda: structured_square(4, side=2.0),
     "signed_zero": _signed_zero_square,
     "square16": lambda: structured_square(16),
-    "scrambled_a": lambda: build_mesh(*scrambled(12, 10, seed=1), periodic=True),
-    "scrambled_b": lambda: build_mesh(*scrambled(12, 10, seed=2), periodic=True),
-    "scrambled_c": lambda: build_mesh(*scrambled(12, 10, seed=3), periodic=True),
+    "scrambled_a": lambda: build_mesh(*scrambled(12, 10, seed=1)),
+    "scrambled_b": lambda: build_mesh(*scrambled(12, 10, seed=2)),
+    "scrambled_c": lambda: build_mesh(*scrambled(12, 10, seed=3)),
 }
 SPACES = [
     (space, basis, degree)
@@ -236,7 +236,7 @@ def test_non_pairing_periodic_interfaces_rejected():
     Discretization(mesh, build_dofmap(mesh, "s2", "lagrange", 1))
     # a periodic couple whose translation misses its partner
     shift = mesh.edge_translation.copy()
-    shift[np.flatnonzero(mesh.edge_periodic)[0]] += 1e-6
+    shift[np.flatnonzero(np.any(shift != 0, axis=1))[0]] += 1e-6
     bad = dataclasses.replace(mesh, edge_translation=shift)
     with pytest.raises(NonConforming, match="do not pair up"):
         Discretization(bad, build_dofmap(bad, "s2", "lagrange", 1))
@@ -247,10 +247,3 @@ def test_every_interface_has_two_owners(mesh, space):
     disc = Discretization(mesh, build_dofmap(mesh, space, "lagrange", 1))
     assert (disc.if_right >= 0).all()
 
-
-def test_open_mesh_rejected():
-    mesh = structured_square(4, periodic=False)
-    with pytest.raises(ConfigError, match="requires a periodic mesh"):
-        Discretization(mesh, build_dofmap(mesh, "s2", "lagrange", 1))
-    with pytest.raises(ConfigError, match="requires a periodic mesh"):
-        make_discretization(mesh)

@@ -251,15 +251,26 @@ def test_cli_verify_writes_no_files(tmp_path, monkeypatch, capsys):
     assert os.listdir(tmp_path) == []
 
 
-def test_non_periodic_mesh_rejected(tmp_path):
+def test_non_periodic_mesh_rejected(tmp_path, capsys):
+    # a mesh file without its ``periodic auto`` line is a configuration
+    # error (exit 2); a NaN coordinate is a mesh error (exit 1)
     from rdeuler.mesh import structured_square, write_mesh
 
-    mesh = structured_square(4, periodic=False)
     path = tmp_path / "open.txt"
-    write_mesh(path, mesh)
+    write_mesh(path, structured_square(4))
+    text = path.read_text()
+    path.write_text(text.replace("periodic auto\n", ""))
     cfg = parse_config(_cfg_text(tmp_path, mesh=str(path)))
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="the solver requires a periodic mesh"):
         driver.run(cfg)
+    run_cfg = tmp_path / "run.cfg"
+    run_cfg.write_text(_cfg_text(tmp_path, mesh=str(path)))
+    assert main(["run", str(run_cfg)]) == 2
+    path.write_text(text.replace("\n0.0 ", "\nnan ", 1))
+    assert main(["run", str(run_cfg)]) == 1
+    err = capsys.readouterr().err
+    assert "requires a periodic mesh" in err and "non-finite" in err
+    assert "Traceback" not in err
 
 
 def test_rdeuler_threads_env(tmp_path, monkeypatch):
@@ -506,9 +517,19 @@ def test_missing_input_file_is_an_error_line(tmp_path, capsys, missing, code):
     assert "Traceback" not in err
 
 
+def test_cli_overflowing_beta_is_a_solver_error(tmp_path, capsys):
+    path = tmp_path / "run.cfg"
+    path.write_text(_cfg_text(tmp_path, problem="vortex", **{"problem.beta": "1e300"}))
+    assert main(["run", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "beta=1e+300" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("key, value", [
     ("gamma", "nan"), ("zeta", "nan"), ("lambda_jump", "nan"), ("t_end", "nan"),
     ("max_steps", "-3"), ("mood.smooth_tol", "-1"), ("mood.delta_dmp", "nan"),
+    ("rho_floor", "nan"), ("rho_floor", "-1"), ("e_floor", "nan"), ("problem.beta", "nan"),
 ])
 def test_cli_rejects_nan_and_out_of_range_values(tmp_path, key, value, capsys):
     path = tmp_path / "run.cfg"

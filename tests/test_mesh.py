@@ -5,7 +5,7 @@ import pytest
 
 from conftest import scrambled
 from rdeuler.basis import DofMap, build_dofmap, lagrange_points, n_local_dofs
-from rdeuler.errors import DegenerateTriangle, NonConforming, UnmatchedPeriodicEdge
+from rdeuler.errors import ConfigError, DegenerateTriangle, NonConforming, UnmatchedPeriodicEdge
 from rdeuler.mesh import (
     Mesh,
     _reject_hanging_nodes,
@@ -20,24 +20,52 @@ from rdeuler.mesh import (
 )
 
 
+_SQUARE = [(0, 0), (1, 0), (0, 1), (1, 1)]
+
+# the unit square cut along its anti-diagonal: element 0 is the
+# reference triangle (0, 0), (1, 0), (0, 1)
+_PAIR = [(0, 1, 2), (1, 3, 2)]
+
+
 def _edge_counts(mesh):
-    """Interior edges, periodic pairs and unpaired boundary edges."""
-    paired = mesh.edge_right >= 0
-    return (int(np.sum(paired & ~mesh.edge_periodic)), int(np.sum(mesh.edge_periodic)),
-            int(np.sum(~paired)))
+    """Interior edges and periodic couples."""
+    periodic = np.any(mesh.edge_translation != 0, axis=1)
+    return int(np.sum(~periodic)), int(np.sum(periodic))
 
 
-def test_single_reference_triangle():
-    mesh = build_mesh([(0, 0), (1, 0), (0, 1)], [(0, 1, 2)])
-    assert mesh.n_tris == 1
-    assert _edge_counts(mesh) == (0, 0, 3)
+def test_reference_triangle_in_a_periodic_square():
+    mesh = build_mesh(_SQUARE, _PAIR)
+    assert mesh.n_tris == 2
+    assert _edge_counts(mesh) == (1, 2)
     assert mesh.areas[0] == pytest.approx(0.5, abs=1e-15)
 
 
 def test_two_triangle_periodic_square():
     nodes = [(0, 0), (1, 0), (1, 1), (0, 1)]
-    mesh = build_mesh(nodes, [(0, 1, 2), (0, 2, 3)], periodic=True)
-    assert _edge_counts(mesh) == (1, 2, 0)
+    mesh = build_mesh(nodes, [(0, 1, 2), (0, 2, 3)])
+    assert _edge_counts(mesh) == (1, 2)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: build_mesh(_SQUARE, _PAIR), lambda: structured_rect(5, 3),
+     lambda: build_mesh(*scrambled(7, 5, seed=11))],
+    ids=["pair", "rect", "scrambled"],
+)
+def test_every_interface_has_two_owners(make):
+    mesh = make()
+    assert (mesh.edge_right >= 0).all() and (mesh.edge_right_loc >= 0).all()
+    # each element edge is one side of exactly one interface
+    sides = np.zeros((mesh.n_tris, 3), dtype=int)
+    np.add.at(sides, (mesh.edge_left, mesh.edge_left_loc), 1)
+    np.add.at(sides, (mesh.edge_right, mesh.edge_right_loc), 1)
+    assert (sides == 1).all()
+
+
+def test_content_hash_is_pinned():
+    # snapshots record this hash; a restart accepts only an equal one
+    assert structured_square(4).content_hash() == "69be7d808c488d97"
+    assert structured_rect(64, 8, width=10.0, height=1.25).content_hash() == "3bac372d63b0e95e"
 
 
 def test_hanging_node_rejected():
@@ -63,7 +91,7 @@ def test_degenerate_triangle_rejected():
 
 
 def test_orientation_autofix():
-    mesh = build_mesh([(0, 0), (1, 0), (0, 1)], [(0, 2, 1)])  # clockwise input
+    mesh = build_mesh(_SQUARE, [(0, 2, 1), (1, 3, 2)])  # element 0 clockwise
     assert mesh.areas[0] > 0
     p = mesh.nodes[mesh.tris[0]]
     a, b = p[1] - p[0], p[2] - p[0]
@@ -74,11 +102,11 @@ def test_unmatched_periodic_edge():
     # a non-rectangular domain cannot pair its slanted boundary
     nodes = [(0, 0), (1, 0), (0.6, 1.0)]
     with pytest.raises(UnmatchedPeriodicEdge):
-        build_mesh(nodes, [(0, 1, 2)], periodic=True)
+        build_mesh(nodes, [(0, 1, 2)])
 
 
 def test_shape_regularity_reference():
-    mesh = build_mesh([(0, 0), (1, 0), (0, 1)], [(0, 1, 2)])
+    mesh = build_mesh(_SQUARE, _PAIR)
     sr = shape_regularity(mesh)
     assert sr["min"] == pytest.approx(4.0, rel=1e-14)
     assert sr["max"] == pytest.approx(4.0, rel=1e-14)
@@ -91,33 +119,33 @@ def test_shape_regularity_congruent():
 
 
 def test_shape_regularity_needle_reported():
-    mesh = build_mesh([(0, 0), (1, 0), (0.5, 1e-6)], [(0, 1, 2)])
+    # a 1 x 1e-6 strip cut along its diagonal
+    mesh = build_mesh([(0, 0), (1, 0), (0, 1e-6), (1, 1e-6)], [(0, 1, 3), (0, 3, 2)])
     sr = shape_regularity(mesh)
     assert sr["max"] == pytest.approx(2e6, rel=1e-3)
 
 
-def test_dual_volumes_single_triangle():
-    mesh = build_mesh([(0, 0), (1, 0), (0, 1)], [(0, 1, 2)])
+def test_dual_volumes_reference_pair():
+    # the four corners of the periodic square are one vertex, the only
+    # P1 DOF: it holds both triangles
+    mesh = build_mesh(_SQUARE, _PAIR)
     dm = build_dofmap(mesh, "s2", "lagrange", 1)
     dv = dual_volumes(mesh, dm)
-    assert np.allclose(dv.c_sigma, 1.0 / 6.0, rtol=1e-14)
+    assert dm.n_dofs == 1
+    assert dv.c_sigma[0] == pytest.approx(1.0, rel=1e-14)
     assert dv.k_sigma[0] == pytest.approx(0.5 / 3.0)
 
 
 def test_dual_volume_hexagon_vertex():
-    # center vertex shared by 6 congruent triangles of area A -> 2A
-    center = np.array([0.0, 0.0])
-    ring = [
-        (np.cos(a), np.sin(a)) for a in np.linspace(0, 2 * np.pi, 7)[:-1]
-    ]
-    nodes = [tuple(center)] + ring
-    tris = [(0, 1 + i, 1 + (i + 1) % 6) for i in range(6)]
-    mesh = build_mesh(nodes, tris)
+    # every vertex of the periodic structured square is shared by 6
+    # congruent triangles of area A, so its dual volume is 2A
+    mesh = structured_square(4, side=3.0)
     dm = build_dofmap(mesh, "s2", "lagrange", 1)
     dv = dual_volumes(mesh, dm)
     A = mesh.areas[0]
     assert np.allclose(mesh.areas, A, rtol=1e-13)
-    assert dv.c_sigma[0] == pytest.approx(2 * A, rel=1e-13)
+    assert np.bincount(dm.elem_dofs.ravel()).tolist() == [6] * dm.n_dofs
+    assert np.allclose(dv.c_sigma, 2 * A, rtol=1e-13)
 
 
 def test_dual_volumes_discontinuous():
@@ -144,20 +172,15 @@ def test_opposite_normals_and_polygon_closure():
     )
     assert np.abs(closure).max() < 1e-14 * mesh.diameters.max()
     # opposite outward normals across every interface
-    has_r = mesh.edge_right >= 0
     nl = mesh.elem_edge_normal[mesh.edge_left, mesh.edge_left_loc]
-    nr = mesh.elem_edge_normal[
-        np.maximum(mesh.edge_right, 0), mesh.edge_right_loc
-    ]
-    assert np.abs((nl + nr)[has_r]).max() < 1e-14
+    nr = mesh.elem_edge_normal[mesh.edge_right, mesh.edge_right_loc]
+    assert np.abs(nl + nr).max() < 1e-14
 
 
 def test_periodic_pair_lengths_match():
     mesh = structured_square(4)
-    per = mesh.edge_periodic
-    lr = mesh.elem_edge_length[
-        np.maximum(mesh.edge_right, 0), mesh.edge_right_loc
-    ]
+    per = np.any(mesh.edge_translation != 0, axis=1)
+    lr = mesh.elem_edge_length[mesh.edge_right, mesh.edge_right_loc]
     rel = np.abs(mesh.edge_length - lr)[per] / mesh.edge_length[per]
     assert rel.max() < 1e-9
 
@@ -169,7 +192,23 @@ def test_mesh_file_roundtrip(tmp_path):
     back = read_mesh(path)
     assert np.array_equal(back.tris, mesh.tris)
     assert np.array_equal(back.nodes, mesh.nodes)
-    assert back.periodic
+    assert path.read_text().endswith("periodic auto\n")
+
+
+def test_mesh_file_without_periodic_line_is_a_config_error(tmp_path):
+    path = tmp_path / "m.txt"
+    write_mesh(path, structured_square(3))
+    text = path.read_text()
+    path.write_text(text.replace("periodic auto\n", ""))
+    with pytest.raises(ConfigError, match=r"m\.txt: .*the solver requires a periodic mesh"):
+        read_mesh(path)
+    # anything in place of the line is no better
+    path.write_text(text.replace("periodic auto\n", "periodic none\n"))
+    with pytest.raises(ConfigError, match="the solver requires a periodic mesh"):
+        read_mesh(path)
+    path.write_text(text + "0 1 2\n")
+    with pytest.raises(NonConforming, match="trailing tokens"):
+        read_mesh(path)
 
 
 def test_mesh_file_rejects_garbage(tmp_path):
@@ -187,13 +226,13 @@ def test_non_finite_node_named(bad):
         build_mesh(nodes, [(0, 1, 2), (1, 3, 2)])
     nodes[3, 0] = bad
     with pytest.raises(NonConforming, match="node 2 "):
-        build_mesh(nodes, [(0, 1, 2), (1, 3, 2)], periodic=True)
+        build_mesh(nodes, [(0, 1, 2), (1, 3, 2)])
 
 
 # -- reference set-up: the element-by-element loops ---------------------
 
 
-def _ref_build_mesh(raw_nodes, raw_triangles, periodic=False, periodic_tolerance=None):
+def _ref_build_mesh(raw_nodes, raw_triangles, periodic_tolerance=None):
     """Oracle for build_mesh: an owner dict and one row per interface."""
     nodes = np.asarray(raw_nodes, dtype=float).copy()
     tris = np.asarray(raw_triangles, dtype=np.int64).copy()
@@ -229,14 +268,10 @@ def _ref_build_mesh(raw_nodes, raw_triangles, periodic=False, periodic_tolerance
     boundary = [(key, lst[0]) for key, lst in owners.items() if len(lst) == 1]
     _ref_reject_hanging_nodes(nodes, boundary, tol=1e-12 * scale)
 
-    pairs = {}
-    translations = {}
-    if periodic:
-        pairs, translations = _ref_pair_periodic_edges(
-            nodes, tris, boundary, periodic_tolerance, scale
-        )
+    pairs, translations = _ref_pair_periodic_edges(
+        nodes, tris, boundary, periodic_tolerance, scale
+    )
 
-    matched = set(pairs) | set(pairs.values())
     edge_rows = []
     for key, lst in sorted(owners.items()):
         if len(lst) == 2:
@@ -248,13 +283,6 @@ def _ref_build_mesh(raw_nodes, raw_triangles, periodic=False, periodic_tolerance
             if (a1, b1) == (a2, b2):
                 raise NonConforming(f"edge {key} traversed twice in the same sense")
             edge_rows.append((a1, b1, k1, loc1, k2, loc2, False, 0.0, 0.0))
-        elif key not in matched:
-            (k1, loc1) = lst[0]
-            a1 = int(tris[k1, loc1])
-            b1 = int(tris[k1, (loc1 + 1) % 3])
-            if periodic:
-                raise UnmatchedPeriodicEdge(f"boundary edge {key} has no partner")
-            edge_rows.append((a1, b1, k1, loc1, -1, -1, False, 0.0, 0.0))
     for key_l, key_r in sorted(pairs.items()):
         (k1, loc1) = owners[key_l][0]
         (k2, loc2) = owners[key_r][0]
@@ -264,12 +292,10 @@ def _ref_build_mesh(raw_nodes, raw_triangles, periodic=False, periodic_tolerance
         edge_rows.append((a1, b1, k1, loc1, k2, loc2, True, t[0], t[1]))
 
     n_edges = len(edge_rows)
-    edge_nodes = np.array([(r[0], r[1]) for r in edge_rows], dtype=np.int64)
     edge_left = np.array([r[2] for r in edge_rows], dtype=np.int64)
     edge_left_loc = np.array([r[3] for r in edge_rows], dtype=np.int64)
     edge_right = np.array([r[4] for r in edge_rows], dtype=np.int64)
     edge_right_loc = np.array([r[5] for r in edge_rows], dtype=np.int64)
-    edge_periodic = np.array([r[6] for r in edge_rows], dtype=bool)
     edge_translation = np.array([(r[7], r[8]) for r in edge_rows], dtype=float)
 
     elem_edges = np.full((tris.shape[0], 3), -1, dtype=np.int64)
@@ -277,9 +303,8 @@ def _ref_build_mesh(raw_nodes, raw_triangles, periodic=False, periodic_tolerance
     for e in range(n_edges):
         elem_edges[edge_left[e], edge_left_loc[e]] = e
         elem_edge_side[edge_left[e], edge_left_loc[e]] = 0
-        if edge_right[e] >= 0:
-            elem_edges[edge_right[e], edge_right_loc[e]] = e
-            elem_edge_side[edge_right[e], edge_right_loc[e]] = 1
+        elem_edges[edge_right[e], edge_right_loc[e]] = e
+        elem_edge_side[edge_right[e], edge_right_loc[e]] = 1
     if np.any(elem_edges < 0):
         raise NonConforming("element edge without interface entry")
 
@@ -292,11 +317,10 @@ def _ref_build_mesh(raw_nodes, raw_triangles, periodic=False, periodic_tolerance
     diameters = lengths.max(axis=1)
     edge_length = lengths[edge_left, edge_left_loc]
 
-    if periodic:
-        right_len = lengths[edge_right, edge_right_loc]
-        rel = np.abs(edge_length - right_len) / edge_length
-        if np.any(rel > 1e-9):
-            raise UnmatchedPeriodicEdge("paired edges differ in length")
+    right_len = lengths[edge_right, edge_right_loc]
+    rel = np.abs(edge_length - right_len) / edge_length
+    if np.any(rel > 1e-9):
+        raise UnmatchedPeriodicEdge("paired edges differ in length")
 
     node_rep = _ref_identify_nodes(nodes, edge_rows, tris)
 
@@ -305,12 +329,10 @@ def _ref_build_mesh(raw_nodes, raw_triangles, periodic=False, periodic_tolerance
         tris=tris,
         areas=areas,
         diameters=diameters,
-        edge_nodes=edge_nodes,
         edge_left=edge_left,
         edge_left_loc=edge_left_loc,
         edge_right=edge_right,
         edge_right_loc=edge_right_loc,
-        edge_periodic=edge_periodic,
         edge_translation=edge_translation,
         edge_length=edge_length,
         elem_edges=elem_edges,
@@ -318,7 +340,6 @@ def _ref_build_mesh(raw_nodes, raw_triangles, periodic=False, periodic_tolerance
         elem_edge_normal=normals,
         elem_edge_length=lengths,
         node_rep=node_rep,
-        periodic=periodic,
         bbox=(
             float(nodes[:, 0].min()),
             float(nodes[:, 0].max()),
@@ -462,7 +483,7 @@ def _ref_build_dofmap(mesh, space, basis, degree):
     return DofMap(mesh, space, basis, degree, elem_dofs, dof_points, n_dofs)
 
 
-def _ref_structured_rect(nx, ny, width=10.0, height=10.0, center=(0.0, 0.0), periodic=True):
+def _ref_structured_rect(nx, ny, width=10.0, height=10.0, center=(0.0, 0.0)):
     """Oracle for structured_rect: triangles cell by cell."""
     xs = np.linspace(center[0] - width / 2.0, center[0] + width / 2.0, nx + 1)
     ys = np.linspace(center[1] - height / 2.0, center[1] + height / 2.0, ny + 1)
@@ -479,7 +500,7 @@ def _ref_structured_rect(nx, ny, width=10.0, height=10.0, center=(0.0, 0.0), per
             c, d = nid(i + 1, j + 1), nid(i, j + 1)
             tris.append((a, b, c))
             tris.append((a, c, d))
-    return _ref_build_mesh(nodes, np.array(tris), periodic=periodic)
+    return _ref_build_mesh(nodes, np.array(tris))
 
 
 def _assert_same_fields(got, want):
@@ -521,50 +542,42 @@ def test_structured_setup_matches_oracle(nx, ny):
     )
 
 
-@pytest.mark.parametrize("nx, ny", [(1, 1), (3, 3), (5, 3)])
-def test_open_structured_setup_matches_oracle(nx, ny):
-    _assert_same_setup(
-        structured_rect(nx, ny, periodic=False), _ref_structured_rect(nx, ny, periodic=False)
-    )
-
-
 @pytest.mark.parametrize(
     "raw",
-    [
-        lambda: _hexagon() + (False,),
-        lambda: scrambled(7, 5, seed=11) + (False,),
-        lambda: scrambled(6, 9, seed=12) + (True,),
-    ],
-    ids=["hexagon", "scrambled", "scrambled_periodic"],
+    [lambda: scrambled(7, 5, seed=11), lambda: scrambled(6, 9, seed=12)],
+    ids=["scrambled_7x5", "scrambled_6x9"],
 )
 def test_unstructured_setup_matches_oracle(raw):
-    nodes, tris, periodic = raw()
-    _assert_same_setup(
-        build_mesh(nodes, tris, periodic=periodic),
-        _ref_build_mesh(nodes, tris, periodic=periodic),
-    )
+    nodes, tris = raw()
+    _assert_same_setup(build_mesh(nodes, tris), _ref_build_mesh(nodes, tris))
 
 
-_SQUARE = [(0, 0), (1, 0), (0, 1), (1, 1)]
+def _folded_square():
+    """The 2 x 2 structured square with its centre node moved past the
+    edge (3, 7): triangle (3, 7, 4) folds over its neighbour (0, 3, 4),
+    and both traverse the edge (3, 4) in the same sense.  The boundary
+    still pairs."""
+    grid = structured_rect(2, 2, width=2.0, height=2.0)
+    nodes = grid.nodes.copy()
+    nodes[4] = (0.75, -0.5)
+    return nodes, grid.tris
 
-_OPEN, _PERIODIC = {"periodic": False}, {"periodic": True}
 
 _MALFORMED = {
     "triple_owner": ([(0, 0), (1, 0), (0, 1), (1, 1), (-1, 1)],
-                     [(0, 1, 2), (1, 3, 2), (2, 0, 4), (0, 2, 3)], _OPEN),
+                     [(0, 1, 2), (1, 3, 2), (2, 0, 4), (0, 2, 3)], {}),
     "hanging_node": ([(0, 0), (2, 0), (2, 2), (2, 1), (3, 1)],
-                     [(0, 1, 3), (0, 3, 2), (1, 4, 2)], _OPEN),
-    "same_sense": (_SQUARE, [(0, 1, 2), (0, 1, 3)], _OPEN),
-    "degenerate": ([(0, 0), (1, 0), (2, 0)], [(0, 1, 2)], _OPEN),
-    "off_the_box": ([(0, 0), (1, 0), (0.6, 1.0)], [(0, 1, 2)], _PERIODIC),
+                     [(0, 1, 3), (0, 3, 2), (1, 4, 2)], {}),
+    "same_sense": _folded_square() + ({},),
+    "degenerate": ([(0, 0), (1, 0), (2, 0)], [(0, 1, 2)], {}),
+    "off_the_box": ([(0, 0), (1, 0), (0.6, 1.0)], [(0, 1, 2)], {}),
     # xmin is split at y = 0.5, xmax is not
     "no_partner": ([(0, 0), (1, 0), (1, 1), (0, 1), (0, 0.5)],
-                   [(0, 1, 4), (1, 2, 4), (2, 3, 4)], _PERIODIC),
+                   [(0, 1, 4), (1, 2, 4), (2, 3, 4)], {}),
     # xmax is split at y = 0.5, xmin is not; the tolerance lets the one
     # xmin edge reach either xmax edge
     "unpaired_remain": ([(0, 0), (1, 0), (1, 1), (0, 1), (1, 0.5)],
-                        [(0, 4, 3), (4, 2, 3), (0, 1, 4)],
-                        {"periodic": True, "periodic_tolerance": 0.3}),
+                        [(0, 4, 3), (4, 2, 3), (0, 1, 4)], {"periodic_tolerance": 0.3}),
 }
 
 
@@ -576,6 +589,7 @@ def test_malformed_mesh_error_matches_oracle(case):
     with pytest.raises(want.type) as got:
         build_mesh(nodes, tris, **kwargs)
     assert str(got.value) == str(want.value)
+    assert case != "same_sense" or "same sense" in str(got.value)
 
 
 def _first_boundary_owners(tris):
@@ -608,7 +622,7 @@ def _hanging_node_outcomes(nodes, boundary, max_pairs):
 
 def _strip_with_hanging_nodes():
     """A one-cell strip of 40 rows and three loose nodes on boundary edges."""
-    strip = structured_rect(1, 40, width=0.5, height=20.0, periodic=False)
+    strip = structured_rect(1, 40, width=0.5, height=20.0)
     x0, x1, y0, y1 = strip.bbox
     extra = [(x1, y0 + 30.25), (x0, y0 + 7.25), (0.5 * (x0 + x1), y1)]
     return np.vstack([strip.nodes, extra]), strip.tris
@@ -617,9 +631,9 @@ def _strip_with_hanging_nodes():
 _HANGING = {
     "hexagon": _hexagon,
     "scrambled": lambda: scrambled(7, 5, seed=11),
-    "open_rect": lambda: (lambda m: (m.nodes, m.tris))(structured_rect(5, 3, periodic=False)),
+    "rect": lambda: (lambda m: (m.nodes, m.tris))(structured_rect(5, 3)),
     "tall_strip": lambda: (lambda m: (m.nodes, m.tris))(
-        structured_rect(1, 40, width=0.5, height=20.0, periodic=False)
+        structured_rect(1, 40, width=0.5, height=20.0)
     ),
     "tall_strip_hanging": _strip_with_hanging_nodes,
     "hanging_node": lambda: _MALFORMED["hanging_node"][:2],
@@ -661,7 +675,7 @@ def test_periodic_edge_whose_nearest_partner_is_taken_rejected():
     nodes = [(0, 0), (1, 0), (1, 1), (0, 1), (0, 0.2), (1, 0.9)]
     tris = [(0, 1, 4), (1, 5, 4), (5, 2, 3), (5, 3, 4)]
     with pytest.raises(UnmatchedPeriodicEdge, match=r"no unique partner for boundary edge \(3, 4\)"):
-        build_mesh(nodes, tris, periodic=True, periodic_tolerance=0.4)
+        build_mesh(nodes, tris, periodic_tolerance=0.4)
 
 
 @pytest.mark.parametrize(
@@ -688,15 +702,14 @@ def _write_mesh_per_row(path, mesh):
         fh.write(f"triangles {mesh.n_tris}\n")
         for i, j, k in mesh.tris:
             fh.write(f"{i} {j} {k}\n")
-        if mesh.periodic:
-            fh.write("periodic auto\n")
+        fh.write("periodic auto\n")
 
 
 @pytest.mark.parametrize(
     "make",
-    [lambda: structured_square(16), lambda: structured_rect(5, 3, periodic=False),
+    [lambda: structured_square(16), lambda: structured_rect(5, 3),
      lambda: build_mesh(*scrambled(7, 5, seed=11))],
-    ids=["square", "open_rect", "scrambled"],
+    ids=["square", "rect", "scrambled"],
 )
 def test_mesh_file_bytes_match_the_per_row_writer(tmp_path, make):
     mesh = make()

@@ -36,18 +36,14 @@ def _stencil2_dofs(disc, elem):
     nbr = disc.elem_neighbors
     ring = {int(elem)}
     for k in nbr[elem]:
-        if k >= 0:
-            ring.add(int(k))
+        ring.add(int(k))
     for k in list(ring):
         for k2 in nbr[k]:
-            if k2 >= 0:
-                ring.add(int(k2))
+            ring.add(int(k2))
     return np.unique(disc.dofmap.elem_dofs[sorted(ring)])
 
 
 def _wrap(delta, period):
-    if period is None:
-        return delta
     return delta - period * np.round(delta / period)
 
 
@@ -58,7 +54,7 @@ def _smooth_extremum(disc, smooth_tol, rho, elem):
     own = disc.dofmap.dof_points[disc.dofmap.elem_dofs[elem]]
     center = own.mean(axis=0)
     (x0, x1, y0, y1) = disc.mesh.bbox
-    per = (x1 - x0, y1 - y0) if disc.mesh.periodic else (None, None)
+    per = (x1 - x0, y1 - y0)
     dx = _wrap(pts[:, 0] - center[0], per[0])
     dy = _wrap(pts[:, 1] - center[1], per[1])
     vals = rho[sten]

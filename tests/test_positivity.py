@@ -25,7 +25,7 @@ def _stagnant(disc, gas):
 
 def test_scaled_normals_row_sums(gas):
     for seed in range(10):
-        mesh = build_mesh(*scrambled(12, 10, seed), periodic=True)
+        mesh = build_mesh(*scrambled(12, 10, seed))
         disc = Discretization(mesh, build_dofmap(mesh, "s2", "lagrange", 1))
         om = scaled_normals(disc)
         assert np.abs(om.sum(axis=2)).max() < 1e-14

@@ -51,9 +51,11 @@ def test_vortex_beta_zero_free_stream(gas):
     assert np.abs(got - free).max() < 1e-15
 
 
-def test_vortex_inadmissible_beta(gas):
+@pytest.mark.parametrize("beta", [40.0, -40.0, 1e155, 1e300, float("nan")])
+def test_vortex_inadmissible_beta(gas, beta):
+    # a beta whose square overflows is as inadmissible as any large one
     with pytest.raises(InadmissibleParameters):
-        VortexProblem((-5.0, 5.0, -5.0, 5.0), gas, beta=40.0)
+        VortexProblem((-5.0, 5.0, -5.0, 5.0), gas, beta=beta)
 
 
 def test_vortex_translation_wraps(gas):
@@ -240,6 +242,9 @@ def test_config_rejects_mood_with_implicit():
     ("mood.smooth_tol", "0"),
     ("mood.plateau", "nan"), ("mood.plateau", "inf"), ("mood.plateau", "-1e-9"),
     ("cfl", "nan"),
+    ("rho_floor", "nan"), ("rho_floor", "inf"), ("rho_floor", "-1"),
+    ("e_floor", "nan"), ("e_floor", "inf"), ("e_floor", "-1e-12"),
+    ("problem.beta", "nan"), ("problem.beta", "inf"), ("problem.beta", "-inf"),
 ])
 def test_config_rejects_nan_and_out_of_range_values(key, value):
     with pytest.raises(ConfigError, match=key.replace(".", r"\.")):
@@ -250,6 +255,7 @@ def test_config_rejects_nan_and_out_of_range_values(key, value):
     ("lambda_jump", "auto"), ("lambda_jump", "0"), ("dt_max", "auto"), ("dt_max", "0.5"),
     ("max_steps", "1"), ("mood.delta_dmp", "0"), ("mood.smooth_tol", "0.5"),
     ("mood.plateau", "auto"), ("mood.plateau", "0"), ("zeta", "2"), ("t_end", "1e-3"),
+    ("rho_floor", "0"), ("e_floor", "0"), ("problem.beta", "-5"),
 ])
 def test_config_accepts_the_edges_of_each_range(key, value):
     parse_config(f"mesh = structured:8\n{key} = {value}\n")

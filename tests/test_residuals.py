@@ -230,9 +230,7 @@ def test_dg_conservation_requadrature(gas, small_disc_s1):
 
 
 def test_dg_two_element_periodic_telescoping(gas):
-    mesh = build_mesh(
-        [(0, 0), (1, 0), (1, 1), (0, 1)], [(0, 1, 2), (0, 2, 3)], periodic=True
-    )
+    mesh = build_mesh([(0, 0), (1, 0), (1, 1), (0, 1)], [(0, 1, 2), (0, 2, 3)])
     disc = Discretization(mesh, build_dofmap(mesh, "s1", "lagrange", 1))
     rng = np.random.default_rng(2)
     U = random_states(rng, disc.dofmap.n_dofs)
