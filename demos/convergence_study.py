@@ -1,50 +1,28 @@
 """Grid-refinement study on the moving vortex.
 
 Runs the high-order distribution on three nested meshes and the
-first-order LxF distribution on the finer pair, then prints L1 errors
-and observed orders.  Expect about two for the former and about one for
-the latter.
+first-order LxF distribution on the finer pair through the convergence
+harness of ``rdeuler convergence``, then prints L1 errors and observed
+orders.  Expect about two for the former and about one for the latter.
 """
 
+import tempfile
 import time
 
-import numpy as np
+from rdeuler import driver
+from rdeuler.config import parse_config
 
-from rdeuler import GasModel, make_discretization, structured_square
-from rdeuler.diagnostics import convergence_order, primitive_errors
-from rdeuler.problems import init_vortex
-from rdeuler.residuals import Scheme
-from rdeuler.stepping import FieldState, advance
-
-gas = GasModel()
-
-
-def run(n, scheme, t_end, cfl=0.3):
-    disc = make_discretization(structured_square(n), "s2", "lagrange", 1)
-    U0, problem = init_vortex(disc, gas)
-    state = FieldState(0.0, U0, disc, gas)
-    for state, _, _ in advance(state, scheme, "ssprk2", t_end, cfl):
-        pass
-    errs = primitive_errors(disc, gas, state.U, problem.state, state.t)
-    return errs, disc.mesh.diameters.max()
-
-
-for label, meshes, t_end in (
-    ("galerkin+ec+jump", (16, 32, 64), 1.0),
-    ("lxf", (16, 32), 1.0),
-):
-    scheme = Scheme.parse(label)
-    errs, hs = [], []
-    print(f"== {label}, t_end = {t_end}")
-    for n in meshes:
-        t0 = time.time()
-        e, h = run(n, scheme, t_end)
-        errs.append(e)
-        hs.append(h)
-        print(
-            f"  n={n:3d} h={h:.3f}  rho {e['rho']:.3e}  u {e['u']:.3e}  "
-            f"p {e['p']:.3e}   ({time.time() - t0:.1f}s)"
+for label, meshes in (("galerkin+ec+jump", (16, 32, 64)), ("lxf", (16, 32))):
+    t0 = time.time()
+    with tempfile.TemporaryDirectory() as out:
+        cfg = parse_config(
+            f"problem = vortex\nmesh = structured:{meshes[0]}\nbasis = lagrange\n"
+            f"scheme = {label}\nintegrator = ssprk2\ncfl = 0.3\nt_end = 1.0\noutput.dir = {out}\n"
         )
-    for comp in ("rho", "u", "p"):
-        orders = convergence_order([e[comp] for e in errs], hs)
-        print(f"  observed orders ({comp}): {np.round(orders, 2)}")
+        rows = driver.convergence(cfg, [f"structured:{n}" for n in meshes])
+    print(f"== {label}, t_end = 1.0   ({time.time() - t0:.1f}s)")
+    for r in rows:
+        print(
+            f"  h={r['mesh_h']:.3f}  rho {r['err_rho_L1']:.3e}  u {r['err_u_L1']:.3e}  "
+            f"p {r['err_p_L1']:.3e}   orders {r['order_rho']:.2f} {r['order_u']:.2f} {r['order_p']:.2f}"
+        )

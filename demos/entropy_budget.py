@@ -8,28 +8,19 @@ by the accumulated production; the per-step defect reported below is
 the forward-Euler time-discretization remainder.
 """
 
-from rdeuler import GasModel, make_discretization, structured_square
-from rdeuler.diagnostics import RunRecord, entropy_budget
-from rdeuler.problems import init_vortex
-from rdeuler.residuals import Scheme
-from rdeuler.stepping import FieldState, advance
+import tempfile
 
-gas = GasModel()
-disc = make_discretization(structured_square(12), "s2", "lagrange", 1)
-U0, _ = init_vortex(disc, gas)
+from rdeuler import driver
+from rdeuler.config import parse_config
+from rdeuler.diagnostics import entropy_budget
 
-scheme = Scheme.parse("galerkin+ec+jump")
-record = RunRecord(disc=disc, gas=gas, scheme=scheme)
-state = FieldState(0.0, U0, disc, gas)
-record.times.append(0.0)
-record.states.append(state.U.copy())
+with tempfile.TemporaryDirectory() as out:
+    cfg = parse_config(
+        "problem = vortex\nmesh = structured:12\nbasis = lagrange\n"
+        f"scheme = galerkin+ec+jump\nintegrator = fe\ncfl = 0.3\nt_end = 0.5\noutput.dir = {out}\n"
+    )
+    rows = entropy_budget(driver.run(cfg, record=True).record)
 
-for state, dt, _ in advance(state, scheme, "fe", 0.5, 0.3):
-    record.times.append(state.t)
-    record.states.append(state.U.copy())
-    record.dts.append(dt)
-
-rows = entropy_budget(record)
 print("   t       dS per step    production    defect")
 for r in rows[::4]:
     print(

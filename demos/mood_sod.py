@@ -9,30 +9,24 @@ totals remain conserved.
 
 import numpy as np
 
-from rdeuler import GasModel, euler
-from rdeuler.config import RunConfig
-from rdeuler.driver import build_discretization, initial_state
-from rdeuler.stepping import advance, conserved_totals
+from rdeuler import driver, euler
+from rdeuler.config import parse_config
+from rdeuler.stepping import conserved_totals
 
-gas = GasModel()
-cfg = RunConfig(
-    problem="sod_smooth", mesh="structured:32x4", basis="lagrange",
-    cascade="galerkin,limited_lxf,lxf",
-).validate()
-disc = build_discretization(cfg)
-state, _ = initial_state(cfg, disc, gas)
-mood_cfg = cfg.cascade_config()
-
-t_end, cfl = 0.8, 0.3
-start = conserved_totals(disc, state.U)
+cfg = parse_config(
+    "problem = sod_smooth\nmesh = structured:32x4\nbasis = lagrange\n"
+    "cfl = 0.3\nt_end = 0.8\nmood.enabled = true\ncascade = galerkin,limited_lxf,lxf\n"
+)
+state, _ = driver.start(cfg)
+start = conserved_totals(state.disc, state.U)
 print("   t     flagged  parachute  rho_min   mass drift")
-for state, _, report in advance(state, None, "ssprk2", t_end, cfl, mood_cfg=mood_cfg):
+for state, _, report in driver.steps(cfg, state):
     flagged = int(np.sum(report.level > 0))
-    totals = conserved_totals(disc, state.U)
+    totals = conserved_totals(state.disc, state.U)
     print(
         f"{state.t:6.3f}   {flagged:5d}   {report.counts['parachute']:6d}"
         f"   {state.U[:, 0].min():8.5f}  {abs(totals[0] - start[0]):.2e}"
     )
 
-assert np.all(euler.admissible(state.U, gas))
+assert np.all(euler.admissible(state.U, state.gas))
 print("final state admissible at every DOF")

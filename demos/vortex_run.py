@@ -8,26 +8,23 @@ put to round-off; total entropy may only decrease.
 
 import numpy as np
 
-from rdeuler import GasModel, make_discretization, structured_square
-from rdeuler import euler
+from rdeuler import driver, euler
+from rdeuler.config import parse_config
 from rdeuler.diagnostics import primitive_errors, weak_bv_norm
-from rdeuler.problems import init_vortex
-from rdeuler.residuals import Scheme
-from rdeuler.stepping import FieldState, advance, conserved_totals
+from rdeuler.stepping import conserved_totals
 
-gas = GasModel()
-disc = make_discretization(structured_square(24), "s2", "lagrange", 1)
-U0, problem = init_vortex(disc, gas)
-
-scheme = Scheme.parse("galerkin+ec+jump")
-state = FieldState(0.0, U0, disc, gas)
-t_end, cfl = 1.0, 0.3
+cfg = parse_config(
+    "problem = vortex\nmesh = structured:24\nbasis = lagrange\n"
+    "scheme = galerkin+ec+jump\nintegrator = ssprk2\ncfl = 0.3\nt_end = 1.0\n"
+)
+state, problem = driver.start(cfg)
+disc, gas = state.disc, state.gas
 
 start = conserved_totals(disc, state.U)
 print(f"mesh: {disc.mesh.n_tris} triangles, {disc.dofmap.n_dofs} DOFs")
 print("   t        mass drift    entropy       bv-seminorm^2")
-for step, (state, _, _) in enumerate(advance(state, scheme, "ssprk2", t_end, cfl), 1):
-    if step % 10 == 0 or state.t >= t_end - 1e-12:
+for step, (state, _, _) in enumerate(driver.steps(cfg, state), 1):
+    if step % 10 == 0 or state.t >= cfg.t_end - 1e-12:
         totals = conserved_totals(disc, state.U)
         entropy = float(np.sum(disc.dual.c_sigma * euler.entropy_eta(state.U, gas)))
         bv = weak_bv_norm(disc, gas, state.U)

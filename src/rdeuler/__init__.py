@@ -2,7 +2,7 @@
 Euler equations on periodic triangular meshes."""
 
 from .basis import DofMap, Quadrature, bernstein_to_lagrange, build_dofmap
-from .discretization import Discretization, make_discretization
+from .discretization import Discretization
 from .euler import GasModel
 from .mesh import (
     Mesh,
@@ -23,7 +23,6 @@ __all__ = [
     "bernstein_to_lagrange",
     "build_dofmap",
     "Discretization",
-    "make_discretization",
     "GasModel",
     "Mesh",
     "build_mesh",

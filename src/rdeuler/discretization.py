@@ -683,7 +683,3 @@ def column_bincount(index, weights, n):
     return np.column_stack(
         [np.bincount(index, weights=weights[:, c], minlength=n) for c in range(weights.shape[1])]
     )
-
-
-def make_discretization(mesh, space="s2", basis="lagrange", degree=1):
-    return Discretization(mesh, fb.build_dofmap(mesh, space, basis, degree))

@@ -1,5 +1,6 @@
-"""Run orchestration: problem setup, time loop, snapshots, diagnostics
-CSV and the grid-convergence harness."""
+"""Run orchestration: the one mapping from a ``RunConfig`` to a stepped
+trajectory (``start`` and ``steps``), snapshots, the diagnostics CSV and
+the grid-convergence harness."""
 
 import hashlib
 import os
@@ -11,7 +12,7 @@ import numpy as np
 from . import diagnostics, euler, problems, stepping
 from .config import RunConfig
 from .discretization import Discretization
-from .errors import ConfigError, MeshMismatch
+from .errors import ConfigError, InadmissibleParameters, MeshMismatch
 from .basis import build_dofmap
 from .mesh import read_mesh, structured_rect, structured_square
 
@@ -159,10 +160,34 @@ def _diag_row(state, scheme, step, dt, mood_counts):
     }
 
 
-def run(cfg: RunConfig, record=False) -> RunResult:
+def start(cfg: RunConfig):
+    """(state, problem) that the run ``cfg`` starts from: the gas and
+    floors of ``cfg``, its discretization and its initial state (problem
+    None for a snapshot).  A zeta for which h**zeta overflows on the mesh
+    raises InadmissibleParameters."""
     gas = euler.GasModel(gamma=cfg.gamma, rho_floor=cfg.rho_floor, e_floor=cfg.e_floor)
     disc = build_discretization(cfg)
-    state, prob = initial_state(cfg, disc, gas)
+    h = disc.if_h.max()
+    with np.errstate(over="ignore"):
+        if not np.isfinite(h**cfg.zeta):
+            raise InadmissibleParameters(f"zeta={cfg.zeta} overflows h**zeta at h={h:.6g}")
+    return initial_state(cfg, disc, gas)
+
+
+def steps(cfg: RunConfig, state):
+    """``stepping.advance`` of ``state`` with every argument that ``cfg``
+    decides: the scheme or the cascade, the integrator, t_end, cfl,
+    dt_max and max_steps."""
+    return stepping.advance(
+        state, cfg.scheme_obj(), cfg.integrator, cfg.t_end, cfg.cfl,
+        mood_cfg=cfg.cascade_config() if cfg.mood_enabled else None,
+        dt_max=cfg.dt_max, max_steps=cfg.max_steps,
+    )
+
+
+def run(cfg: RunConfig, record=False) -> RunResult:
+    state, prob = start(cfg)
+    disc, gas = state.disc, state.gas
     scheme = cfg.scheme_obj()
 
     rec = diagnostics.RunRecord(disc=disc, gas=gas, scheme=scheme) if record else None
@@ -174,11 +199,7 @@ def run(cfg: RunConfig, record=False) -> RunResult:
     chash = config_hash(cfg)
     rows = [_diag_row(state, scheme, 0, 0.0, {})]
     step = 0
-    for state, dt, report in stepping.advance(
-        state, scheme, cfg.integrator, cfg.t_end, cfg.cfl,
-        mood_cfg=cfg.cascade_config() if cfg.mood_enabled else None,
-        dt_max=cfg.dt_max, max_steps=cfg.max_steps,
-    ):
+    for state, dt, report in steps(cfg, state):
         step += 1
         if step % cfg.diag_every == 0:
             counts = report.counts if report is not None else {}
@@ -193,16 +214,8 @@ def run(cfg: RunConfig, record=False) -> RunResult:
             rec.dts.append(dt)
     write_snapshot(os.path.join(cfg.output_dir, "snap_final.csv"), state, chash)
     _write_csv(os.path.join(cfg.output_dir, "diagnostics.csv"), DIAG_HEADER.split(","), rows)
-    return RunResult(
-        cfg=cfg,
-        disc=disc,
-        gas=gas,
-        state=state,
-        rows=rows,
-        record=rec,
-        problem=prob,
-        n_steps=step,
-    )
+    return RunResult(cfg=cfg, disc=disc, gas=gas, state=state, rows=rows, record=rec,
+                     problem=prob, n_steps=step)
 
 
 def _write_csv(path, keys, rows):

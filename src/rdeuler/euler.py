@@ -144,6 +144,6 @@ def admissible(U, gas: GasModel):
     with np.errstate(invalid="ignore", divide="ignore"):
         ok = np.isfinite(U).all(axis=-1)
         rho_ok = U[..., 0] >= gas.rho_floor
-        e = U[..., 3] - 0.5 * (U[..., 1] ** 2 + U[..., 2] ** 2) / U[..., 0]
+        e = internal_energy(U)
         e_ok = e >= gas.e_floor
     return ok & rho_ok & np.where(np.isfinite(e), e_ok, False)

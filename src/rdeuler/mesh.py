@@ -77,7 +77,7 @@ def _signed_area2(nodes, tris):
     return a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
 
 
-def build_mesh(raw_nodes, raw_triangles, periodic_tolerance=None):
+def build_mesh(raw_nodes, raw_triangles):
     """Build connectivity, geometry and the periodic pairing.
 
     Clockwise triangles are re-oriented in place; non-finite nodes,
@@ -137,9 +137,7 @@ def build_mesh(raw_nodes, raw_triangles, periodic_tolerance=None):
     _reject_hanging_nodes(nodes, key_lo[boundary], key_hi[boundary], tol=1e-12 * scale)
 
     # Every boundary edge is paired, or _pair_periodic_edges raises.
-    low, high, shift = _pair_periodic_edges(
-        nodes, key_lo[boundary], key_hi[boundary], periodic_tolerance
-    )
+    low, high, shift = _pair_periodic_edges(nodes, key_lo[boundary], key_hi[boundary])
     low, high = boundary[low], boundary[high]
     by_left = np.lexsort((key_hi[low], key_lo[low]))
     low, high, shift = low[by_left], high[by_left], shift[by_left]
@@ -258,20 +256,20 @@ def _reject_hanging_nodes(nodes, ends_a, ends_b, tol, max_pairs=1 << 16):
         lo = hi
 
 
-def _pair_periodic_edges(nodes, ends_a, ends_b, tol):
+def _pair_periodic_edges(nodes, ends_a, ends_b):
     """Pair the boundary edges (a, b) across the bounding box.
 
     Returns (low, high, shift): boundary edge low[i], on the xmin or ymin
     side, maps onto edge high[i] on the opposite side by x + shift[i].
     Each low edge, in the given order, takes the nearest edge of the
     opposite side whose midpoint is within tol of its translated
-    midpoint (the first on a tie).  A low edge whose nearest edge an
-    earlier one took is rejected, not paired with a farther edge.
+    midpoint (the first on a tie), tol = 1e-9 times the larger side of
+    the box.  A low edge whose nearest edge an earlier one took is
+    rejected, not paired with a farther edge.
     """
     xmin, ymin = nodes.min(axis=0)
     xmax, ymax = nodes.max(axis=0)
-    if tol is None:
-        tol = 1e-9 * max(xmax - xmin, ymax - ymin)
+    tol = 1e-9 * max(xmax - xmin, ymax - ymin)
     pa, pb = nodes[ends_a], nodes[ends_b]
     names = ("xmin", "xmax", "ymin", "ymax")
     on_side = [

@@ -114,11 +114,3 @@ def make_problem(name, bbox, gas, **params):
         return ConstantProblem(gas, **params)
     raise ConfigError(f"unknown problem {name!r}")
 
-
-def init_vortex(disc, gas, beta=5.0, u_inf=1.0, v_inf=0.0, center=(0.0, 0.0)):
-    """DOF vector of the vortex (pointwise at the Lagrange points)."""
-    prob = VortexProblem(disc.mesh.bbox, gas, beta, u_inf, v_inf, center)
-    U = disc.interpolate(prob.initial)
-    if not np.all(euler.admissible(U, gas)):
-        raise InadmissibleParameters("vortex interpolation left inadmissible DOFs")
-    return U, prob

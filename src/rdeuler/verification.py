@@ -16,7 +16,7 @@ import numpy as np
 
 from . import diagnostics, driver, euler, stepping
 from .basis import bernstein_to_lagrange, build_dofmap
-from .config import RunConfig, parse_config
+from .config import parse_config
 from .discretization import Discretization, StageFields
 from .errors import ConfigError
 from .mesh import structured_square
@@ -139,30 +139,21 @@ def check_positivity(n_fields=500, n_steps=50, n=4, seed=11):
 
 def run_mood_sod(nx=32, ny=4, t_end=0.6):
     """Smoothed-Sod strip under the cascade; returns summary data."""
-    cfg = RunConfig(
-        problem="sod_smooth",
-        mesh=f"structured:{nx}x{ny}",
-        basis="lagrange",
-        cfl=0.3,
-        t_end=t_end,
-        mood_enabled=True,
-        cascade="galerkin,limited_lxf,lxf",
-        scheme="lxf",
-    ).validate()
-    gas = euler.GasModel()
-    disc = driver.build_discretization(cfg)
-    state, _ = driver.initial_state(cfg, disc, gas)
+    cfg = parse_config(
+        f"problem = sod_smooth\nmesh = structured:{nx}x{ny}\nbasis = lagrange\n"
+        f"cfl = 0.3\nt_end = {t_end!r}\nmood.enabled = true\n"
+        "cascade = galerkin,limited_lxf,lxf\nscheme = lxf\n"
+    )
+    state, _ = driver.start(cfg)
     U0 = state.U.copy()
     activations = 0
     steps = 0
-    for state, _, report in stepping.advance(
-        state, cfg.scheme_obj(), cfg.integrator, t_end, cfg.cfl, mood_cfg=cfg.cascade_config()
-    ):
+    for state, _, report in driver.steps(cfg, state):
         activations += int(np.sum(report.level > 0))
         steps += 1
-        if not np.all(euler.admissible(state.U, gas)):
+        if not np.all(euler.admissible(state.U, state.gas)):
             return {"ok_pad": False, "activations": activations, "steps": steps}
-    drift = _drift(disc, U0, state.U)
+    drift = _drift(state.disc, U0, state.U)
     return {"ok_pad": True, "activations": activations, "steps": steps, "drift": drift.tolist()}
 
 

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from rdeuler import euler
+from rdeuler import driver, euler
 from rdeuler.basis import build_dofmap
+from rdeuler.config import parse_config
 from rdeuler.discretization import Discretization
 from rdeuler.mesh import build_mesh, structured_square
 from rdeuler.verification import random_admissible_field
@@ -29,6 +30,15 @@ def small_disc_s1():
 def make_disc(n=4, side=2.0, space="s2", basis="lagrange", degree=1):
     mesh = structured_square(n, side=side)
     return Discretization(mesh, build_dofmap(mesh, space, basis, degree))
+
+
+def vortex_start(n, text=""):
+    """``driver.start`` of the vortex on ``structured:n`` (the 10 x 10
+    square), P1 Lagrange unless ``text``, further config lines, says
+    otherwise: (state, problem)."""
+    return driver.start(
+        parse_config(f"problem = vortex\nmesh = structured:{n}\nbasis = lagrange\n{text}")
+    )
 
 
 def reference_pair(scale=1.0, basis="lagrange", degree=1):

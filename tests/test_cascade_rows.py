@@ -14,10 +14,9 @@ import numpy as np
 import pytest
 
 from oracles import mixed_theta_full
-from rdeuler import basis, euler, stepping
-from rdeuler.config import RunConfig
+from rdeuler import basis, driver, euler, stepping
+from rdeuler.config import parse_config
 from rdeuler.discretization import Discretization, StageFields
-from rdeuler.driver import build_discretization, initial_state
 from rdeuler.mesh import Mesh, structured_rect
 from rdeuler.positivity import alpha_interpolated, alpha_noninterpolated
 from rdeuler.residuals import Scheme
@@ -182,14 +181,13 @@ def test_same_stencil_compares_bits():
 
 def _cascade_run(nx, ny, t_end, cascade, integrator):
     """(U, dt, report) of every step of a smoothed-Sod strip under the cascade."""
-    cfg = RunConfig(problem="sod_smooth", mesh=f"structured:{nx}x{ny}", basis="lagrange",
-                    integrator=integrator, cfl=0.3, t_end=t_end, mood_enabled=True,
-                    cascade=cascade, scheme="lxf").validate()
-    gas = euler.GasModel()
-    disc = build_discretization(cfg)
-    state, _ = initial_state(cfg, disc, gas)
-    return [(s.U.copy(), dt, report) for s, dt, report in stepping.advance(
-        state, cfg.scheme_obj(), integrator, t_end, cfg.cfl, mood_cfg=cfg.cascade_config())]
+    cfg = parse_config(
+        f"problem = sod_smooth\nmesh = structured:{nx}x{ny}\nbasis = lagrange\n"
+        f"integrator = {integrator}\ncfl = 0.3\nt_end = {t_end!r}\nmood.enabled = true\n"
+        f"cascade = {cascade}\nscheme = lxf\n"
+    )
+    state, _ = driver.start(cfg)
+    return [(s.U.copy(), dt, report) for s, dt, report in driver.steps(cfg, state)]
 
 
 @pytest.mark.parametrize("integrator", ["fe", "ssprk2"])

@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import make_disc, off_seam, random_states, smooth_field
+from conftest import make_disc, off_seam, random_states, smooth_field, vortex_start
 from oracles import state_from_entropy_vars, trace_grads
 from rdeuler import euler
 from rdeuler.basis import build_dofmap
@@ -130,11 +130,8 @@ def test_consistency_term_three_zero_for_discrete_phi(gas, small_disc):
 
 
 def test_consistency_total_reproduces_weak_defect(gas):
-    disc = make_disc(6, side=10.0)
-    from rdeuler.problems import init_vortex
-
-    U0, _ = init_vortex(disc, gas)
-    rec = _record_run(disc, gas, Scheme.parse("galerkin+ec+jump"), U0, 5)
+    start, _ = vortex_start(6)
+    rec = _record_run(start.disc, gas, Scheme.parse("galerkin+ec+jump"), start.U, 5)
     terms = consistency_error(rec, cos_phi, cos_grad_phi, "rho")
     defect = weak_form_defect(rec, cos_phi, cos_grad_phi, "rho")
     scale = max(abs(defect), 1e-12)
@@ -142,20 +139,17 @@ def test_consistency_total_reproduces_weak_defect(gas):
 
 
 @pytest.mark.parametrize("name", ["galerkin+ec+jump", "lxf+interp", "limited_lxf+interp"])
-def test_consistency_total_reproduces_weak_defect_for_every_component(gas, name):
+def test_consistency_total_reproduces_weak_defect_for_every_component(tmp_path, name):
     # the criterion-10 set-up; the interpolated-flux schemes have element
     # totals other than the Galerkin ones, which term I must keep
-    from rdeuler.problems import init_vortex
-    from rdeuler.stepping import advance
+    from rdeuler import driver
+    from rdeuler.config import parse_config
 
-    disc = make_disc(8, side=10.0)
-    U0, _ = init_vortex(disc, gas)
-    scheme = Scheme.parse(name)
-    rec = RunRecord(disc=disc, gas=gas, scheme=scheme, times=[0.0], states=[U0.copy()])
-    for st, dt, _ in advance(FieldState(0.0, U0.copy(), disc, gas), scheme, "fe", 0.2, 0.3):
-        rec.times.append(st.t)
-        rec.states.append(st.U.copy())
-        rec.dts.append(dt)
+    cfg = parse_config(
+        f"mesh = structured:8\nbasis = lagrange\nscheme = {name}\nintegrator = fe\n"
+        f"cfl = 0.3\nt_end = 0.2\noutput.dir = {tmp_path}\n"
+    )
+    rec = driver.run(cfg, record=True).record
     for comp, (p, g) in COSINE_TEST_FUNCTIONS.items():
         total = consistency_error(rec, p, g, comp)["total"]
         defect = weak_form_defect(rec, p, g, comp)
@@ -164,13 +158,10 @@ def test_consistency_total_reproduces_weak_defect_for_every_component(gas, name)
 
 def test_consistency_decreases_under_refinement(gas):
     totals = []
-    from rdeuler.problems import init_vortex
-
     for n in (8, 16):
-        disc = make_disc(n, side=10.0)
-        U0, _ = init_vortex(disc, gas)
+        start, _ = vortex_start(n)
         # fixed physical horizon: same number of steps at halved dt
-        rec = _record_run(disc, gas, Scheme.parse("galerkin+ec+jump"), U0, 4 * (n // 8))
+        rec = _record_run(start.disc, gas, Scheme.parse("galerkin+ec+jump"), start.U, 4 * (n // 8))
         totals.append(abs(consistency_error(rec, cos_phi, cos_grad_phi, "rho")["total"]))
     assert totals[0] / totals[1] >= 1.5
 
@@ -186,10 +177,8 @@ def test_entropy_budget_constant_run(gas, small_disc):
 
 
 def test_entropy_budget_defect_shrinks_with_dt(gas):
-    disc = make_disc(6, side=10.0)
-    from rdeuler.problems import init_vortex
-
-    U0, _ = init_vortex(disc, gas)
+    start, _ = vortex_start(6)
+    disc, U0 = start.disc, start.U
     scheme = Scheme.parse("galerkin+ec+jump")
 
     def total_defect(cfl, t_end=0.2):
@@ -360,15 +349,12 @@ def test_convergence_order_arithmetic():
 def test_cesaro_vortex_family(gas):
     # the average over a refinement family is at least as close to the
     # exact field as the coarsest member
-    from rdeuler.problems import init_vortex
-
     snaps = []
     prob = None
     t_end = 0.2
     for n in (8, 12, 16):
-        disc = make_disc(n, side=10.0)
-        U0, prob = init_vortex(disc, gas)
-        st = FieldState(0.0, U0, disc, gas)
+        st, prob = vortex_start(n)
+        disc = st.disc
         while st.t < t_end - 1e-12:
             a = alpha_noninterpolated(StageFields(disc, gas, st.U))
             dt = min(admissible_timestep(disc, a, 0.3), t_end - st.t)

@@ -119,12 +119,11 @@ def _write_snapshot_per_row(path, state, cfg_hash=""):
 
 @pytest.mark.parametrize("space,basis,degree", [("s2", "lagrange", 1), ("s1", "bernstein", 2)])
 def test_snapshot_bytes_match_the_per_row_writer(tmp_path, gas, space, basis, degree):
-    from rdeuler.discretization import make_discretization
-    from rdeuler.mesh import structured_square
+    from conftest import make_disc
     from rdeuler.stepping import FieldState
     from rdeuler.verification import random_admissible_field
 
-    disc = make_discretization(structured_square(6, side=3.0), space, basis, degree)
+    disc = make_disc(6, side=3.0, space=space, basis=basis, degree=degree)
     rng = np.random.default_rng(11)
     U = random_admissible_field(disc.dofmap.n_dofs, gas, rng, near_vacuum=True)
     state = FieldState(0.1 / 3.0, U, disc, gas)
@@ -524,6 +523,32 @@ def test_cli_overflowing_beta_is_a_solver_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "beta=1e+300" in err
     assert "Traceback" not in err
+
+
+def test_cli_overflowing_zeta_is_a_solver_error(tmp_path, capsys):
+    # h_K > 1 on structured:4 (side 10), so h**zeta overflows: the run is
+    # refused before its first step, without an overflow warning
+    import warnings
+
+    path = tmp_path / "run.cfg"
+    path.write_text(_cfg_text(tmp_path, problem="vortex", mesh="structured:4", zeta="1e308"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "zeta=1e+308" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_start_takes_the_gas_and_floors_from_the_config(tmp_path):
+    # a zeta with h**zeta large but finite (h = 2.36 here) is accepted
+    cfg = parse_config(_cfg_text(tmp_path, problem="vortex", gamma="1.3",
+                                 rho_floor="1e-9", e_floor="2e-10", zeta="700"))
+    state, prob = driver.start(cfg)
+    assert state.gas == euler.GasModel(1.3, 1e-9, 2e-10)
+    assert prob.gas is state.gas and state.t == 0.0
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("key, value", [

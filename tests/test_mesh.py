@@ -232,7 +232,7 @@ def test_non_finite_node_named(bad):
 # -- reference set-up: the element-by-element loops ---------------------
 
 
-def _ref_build_mesh(raw_nodes, raw_triangles, periodic_tolerance=None):
+def _ref_build_mesh(raw_nodes, raw_triangles):
     """Oracle for build_mesh: an owner dict and one row per interface."""
     nodes = np.asarray(raw_nodes, dtype=float).copy()
     tris = np.asarray(raw_triangles, dtype=np.int64).copy()
@@ -268,9 +268,7 @@ def _ref_build_mesh(raw_nodes, raw_triangles, periodic_tolerance=None):
     boundary = [(key, lst[0]) for key, lst in owners.items() if len(lst) == 1]
     _ref_reject_hanging_nodes(nodes, boundary, tol=1e-12 * scale)
 
-    pairs, translations = _ref_pair_periodic_edges(
-        nodes, tris, boundary, periodic_tolerance, scale
-    )
+    pairs, translations = _ref_pair_periodic_edges(nodes, boundary)
 
     edge_rows = []
     for key, lst in sorted(owners.items()):
@@ -380,11 +378,10 @@ def _ref_edge_side_of_box(nodes, key, bbox, tol):
     return None
 
 
-def _ref_pair_periodic_edges(nodes, tris, boundary, tol, scale):
+def _ref_pair_periodic_edges(nodes, boundary):
     xmin, ymin = nodes.min(axis=0)
     xmax, ymax = nodes.max(axis=0)
-    if tol is None:
-        tol = 1e-9 * max(xmax - xmin, ymax - ymin)
+    tol = 1e-9 * max(xmax - xmin, ymax - ymin)
     bbox = (xmin, xmax, ymin, ymax)
     sides = {"xmin": [], "xmax": [], "ymin": [], "ymax": []}
     for key, _ in boundary:
@@ -565,29 +562,29 @@ def _folded_square():
 
 _MALFORMED = {
     "triple_owner": ([(0, 0), (1, 0), (0, 1), (1, 1), (-1, 1)],
-                     [(0, 1, 2), (1, 3, 2), (2, 0, 4), (0, 2, 3)], {}),
+                     [(0, 1, 2), (1, 3, 2), (2, 0, 4), (0, 2, 3)]),
     "hanging_node": ([(0, 0), (2, 0), (2, 2), (2, 1), (3, 1)],
-                     [(0, 1, 3), (0, 3, 2), (1, 4, 2)], {}),
-    "same_sense": _folded_square() + ({},),
-    "degenerate": ([(0, 0), (1, 0), (2, 0)], [(0, 1, 2)], {}),
-    "off_the_box": ([(0, 0), (1, 0), (0.6, 1.0)], [(0, 1, 2)], {}),
+                     [(0, 1, 3), (0, 3, 2), (1, 4, 2)]),
+    "same_sense": _folded_square(),
+    "degenerate": ([(0, 0), (1, 0), (2, 0)], [(0, 1, 2)]),
+    "off_the_box": ([(0, 0), (1, 0), (0.6, 1.0)], [(0, 1, 2)]),
     # xmin is split at y = 0.5, xmax is not
     "no_partner": ([(0, 0), (1, 0), (1, 1), (0, 1), (0, 0.5)],
-                   [(0, 1, 4), (1, 2, 4), (2, 3, 4)], {}),
-    # xmax is split at y = 0.5, xmin is not; the tolerance lets the one
-    # xmin edge reach either xmax edge
-    "unpaired_remain": ([(0, 0), (1, 0), (1, 1), (0, 1), (1, 0.5)],
-                        [(0, 4, 3), (4, 2, 3), (0, 1, 4)], {"periodic_tolerance": 0.3}),
+                   [(0, 1, 4), (1, 2, 4), (2, 3, 4)]),
+    # xmax is split at y = 0.25 and 0.75, xmin is not: the one xmin edge
+    # takes the middle xmax edge, whose midpoint its own maps onto
+    "unpaired_remain": ([(0, 0), (1, 0), (1, 1), (0, 1), (1, 0.25), (1, 0.75)],
+                        [(0, 1, 4), (0, 4, 5), (0, 5, 3), (5, 2, 3)]),
 }
 
 
 @pytest.mark.parametrize("case", sorted(_MALFORMED))
 def test_malformed_mesh_error_matches_oracle(case):
-    nodes, tris, kwargs = _MALFORMED[case]
+    nodes, tris = _MALFORMED[case]
     with pytest.raises(Exception) as want:
-        _ref_build_mesh(nodes, tris, **kwargs)
+        _ref_build_mesh(nodes, tris)
     with pytest.raises(want.type) as got:
-        build_mesh(nodes, tris, **kwargs)
+        build_mesh(nodes, tris)
     assert str(got.value) == str(want.value)
     assert case != "same_sense" or "same sense" in str(got.value)
 
@@ -669,13 +666,14 @@ def test_hanging_node_test_matches_oracle_on_lattice_segments(max_pairs):
 
 
 def test_periodic_edge_whose_nearest_partner_is_taken_rejected():
-    # xmin is split at y = 0.2 and xmax at y = 0.9.  Within the tolerance
-    # the xmin edge (3, 4) is nearest to the xmax edge that (0, 4), first
-    # in the file, already took; it is not paired with a farther edge.
-    nodes = [(0, 0), (1, 0), (1, 1), (0, 1), (0, 0.2), (1, 0.9)]
-    tris = [(0, 1, 4), (1, 5, 4), (5, 2, 3), (5, 3, 4)]
-    with pytest.raises(UnmatchedPeriodicEdge, match=r"no unique partner for boundary edge \(3, 4\)"):
-        build_mesh(nodes, tris, periodic_tolerance=0.4)
+    # two coincident copies of the unit square (nodes 4..7 repeat 0..3):
+    # each side has two edges on the same midpoint, and the xmin edge
+    # (4, 7) of the second copy is nearest to the xmax edge that (0, 3),
+    # first in the file, already took
+    square = [(0, 0), (1, 0), (1, 1), (0, 1)]
+    tris = [(0, 1, 2), (0, 2, 3), (4, 5, 6), (4, 6, 7)]
+    with pytest.raises(UnmatchedPeriodicEdge, match=r"no unique partner for boundary edge \(4, 7\)"):
+        build_mesh(square + square, tris)
 
 
 @pytest.mark.parametrize(

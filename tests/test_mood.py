@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from conftest import make_disc, smooth_field
-from rdeuler import euler, make_discretization, mood
-from rdeuler.discretization import StageFields
+from conftest import make_disc, smooth_field, vortex_start
+from rdeuler import euler, mood
+from rdeuler.basis import build_dofmap
+from rdeuler.discretization import Discretization, StageFields
 from rdeuler.errors import ConfigError
 from rdeuler.mesh import structured_rect
 from rdeuler.mood import (
@@ -77,7 +78,8 @@ def _assert_pardon_matches_oracle(disc, rho, elems, smooth_tol=0.01):
 
 def _strip_disc(nx, ny):
     """The smoothed-Sod strip of run_mood_sod."""
-    return make_discretization(structured_rect(nx, ny, width=10.0, height=10.0 * ny / nx))
+    mesh = structured_rect(nx, ny, width=10.0, height=10.0 * ny / nx)
+    return Discretization(mesh, build_dofmap(mesh, "s2", "lagrange", 1))
 
 
 def _pardon_fields(disc, rng):
@@ -187,11 +189,8 @@ def test_detect_nad_and_smooth_pardon(gas):
 
 
 def test_mood_smooth_vortex_no_flags(gas):
-    from rdeuler.problems import init_vortex
-
-    disc = make_disc(12, 10.0)
-    U, _ = init_vortex(disc, gas)
-    st = FieldState(0.0, U, disc, gas)
+    st, _ = vortex_start(12)
+    disc, U = st.disc, st.U
     cfg = CascadeConfig()
     a = alpha_noninterpolated(StageFields(disc, gas, U))
     dt = admissible_timestep(disc, a, cfl=0.3)

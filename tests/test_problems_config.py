@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from conftest import make_disc
+from conftest import vortex_start
 from rdeuler import euler
 from rdeuler.config import parse_config
 from rdeuler.errors import ConfigError, InadmissibleParameters
-from rdeuler.problems import SmoothedSodProblem, VortexProblem, init_vortex
+from rdeuler.problems import SmoothedSodProblem, VortexProblem
 from rdeuler.residuals import Scheme
 
 
@@ -67,9 +67,9 @@ def test_vortex_translation_wraps(gas):
     assert np.abs(a - b).max() < 1e-12
 
 
-def test_init_vortex_dofs_admissible(gas):
-    disc = make_disc(8, side=10.0)
-    U, prob = init_vortex(disc, gas)
+def test_vortex_start_dofs_admissible(gas):
+    state, prob = vortex_start(8)
+    disc, U = state.disc, state.U
     assert np.all(euler.admissible(U, gas))
     # pointwise at the Lagrange points
     pts = disc.dofmap.dof_points
@@ -77,14 +77,11 @@ def test_init_vortex_dofs_admissible(gas):
     assert np.abs(U - expect).max() < 1e-14
 
 
-def test_init_vortex_bernstein_coefficients(gas):
-    from rdeuler.basis import bernstein_to_lagrange, build_dofmap
-    from rdeuler.discretization import Discretization
-    from rdeuler.mesh import structured_square
+def test_vortex_start_bernstein_coefficients(gas):
+    from rdeuler.basis import bernstein_to_lagrange
 
-    mesh = structured_square(6, side=10.0)
-    disc = Discretization(mesh, build_dofmap(mesh, "s2", "bernstein", 2))
-    U, prob = init_vortex(disc, gas)
+    state, prob = vortex_start(6, "basis = bernstein\ndegree = 2\n")
+    disc, U = state.disc, state.U
     # mapping the coefficients to the Lagrange points reproduces the
     # pointwise samples away from the periodic seam (the vortex tail is
     # not exactly periodic, so identified seam DOFs carry one side)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import make_disc, off_seam, random_states, smooth_field
+from conftest import make_disc, off_seam, random_states, smooth_field, vortex_start
 from oracles import integrate_edge, state_from_entropy_vars
 from rdeuler import euler
 from rdeuler.discretization import PointValues, StageFields
@@ -190,13 +190,10 @@ def test_corrections_do_not_degrade_vortex_error(gas):
     # changes the density error by less than 20 percent
     from rdeuler import positivity
     from rdeuler.diagnostics import primitive_errors
-    from rdeuler.discretization import make_discretization
-    from rdeuler.mesh import structured_square
-    from rdeuler.problems import init_vortex
     from rdeuler.stepping import FieldState, ssp_rk2_step
 
-    disc = make_discretization(structured_square(24), "s2", "lagrange", 1)
-    U0, prob = init_vortex(disc, gas)
+    start, prob = vortex_start(24)
+    disc, U0 = start.disc, start.U
     errs = {}
     for label in ("galerkin", "galerkin+ec+jump"):
         st = FieldState(0.0, U0.copy(), disc, gas)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
-from conftest import make_disc, random_states, reference_pair, smooth_field
+from conftest import make_disc, random_states, reference_pair, smooth_field, vortex_start
 from rdeuler import euler
 from rdeuler.discretization import StageFields
 from rdeuler.errors import AlphaTooSmall, ConfigError
@@ -132,10 +132,8 @@ def test_ssp_rk2_convexity_of_average(gas, small_disc):
 def test_ssp_rk2_temporal_order(gas):
     # halving dt at frozen spatial resolution shrinks the temporal error
     # by about four
-    disc = make_disc(8, 10.0)
-    from rdeuler.problems import init_vortex
-
-    U0, prob = init_vortex(disc, gas)
+    start, _ = vortex_start(8)
+    disc, U0 = start.disc, start.U
     scheme = Scheme.parse("galerkin")
     t_end = 0.2
 
@@ -320,23 +318,13 @@ def test_lxf_operator_matches_einsum_oracle(gas, space, basis, degree):
         assert np.abs(c - want).max() <= 1e-14 * np.abs(want).max()
 
 
-def _vortex_state(gas, n=16):
-    from rdeuler.mesh import structured_square
-    from rdeuler.problems import init_vortex
-    from rdeuler.discretization import make_discretization
-
-    disc = make_discretization(structured_square(n), "s2", "lagrange", 1)
-    U0, _ = init_vortex(disc, gas)
-    return FieldState(0.0, U0, disc, gas)
-
-
 def test_lu_multi_rhs_solve_is_bitwise_the_column_solves(gas):
     import scipy.sparse as sp
     import scipy.sparse.linalg as spla
 
     from rdeuler.stepping import _lxf_operator
 
-    st = _vortex_state(gas)
+    st, _ = vortex_start(16)
     disc = st.disc
     alpha = np.maximum(st.alpha("interpolated"), st.alpha("implicit"))
     dt = admissible_timestep(disc, st.alpha(), cfl=1.0)
@@ -355,7 +343,7 @@ def test_implicit_step_ordering_matches_colamd(gas, monkeypatch):
 
     from rdeuler import stepping
 
-    st = _vortex_state(gas)
+    st, _ = vortex_start(16)
     dt = admissible_timestep(st.disc, st.alpha(), cfl=1.0)
     original_splu, original_rhs = spla.splu, stepping.interpolated_lxf_rhs
     orders, sweeps = [], []
@@ -465,7 +453,7 @@ def test_implicit_run_matches_element_path_oracle(gas):
     from oracles import picard_elementwise
     from rdeuler import stepping
 
-    st = _vortex_state(gas)
+    st, _ = vortex_start(16)
     sweeps = []
     original = stepping.interpolated_lxf_rhs
 
@@ -502,39 +490,42 @@ def test_implicit_step_makes_no_element_residual(gas, small_disc, monkeypatch):
 
 
 def test_every_state_keeps_the_gas_it_was_stepped_with(monkeypatch):
-    # a non-default gas stepped through advance under SSP-RK2, the cascade
+    # a non-default gas stepped by the driver under SSP-RK2, the cascade
     # and the implicit step: every state carries it, the cascade's patch
     # rows equal the whole-mesh rows of the state, and one explicit step is
     # the scatter of the corrected residual for that gas, so a default gas
     # creeping back into any step changes the bits
+    from dataclasses import replace
+
     from oracles import mixed_theta_full
-    from rdeuler import make_discretization, stepping
-    from rdeuler.mesh import structured_rect
-    from rdeuler.mood import CascadeConfig
-    from rdeuler.problems import make_problem
+    from rdeuler import driver, stepping
+    from rdeuler.config import parse_config
     from rdeuler.stabilization import corrected_residual
 
     gas53 = euler.GasModel(gamma=5.0 / 3.0)
-    disc = make_discretization(structured_rect(24, 3, width=10.0, height=1.25), "s2", "lagrange", 1)
-    U0 = disc.interpolate(make_problem("sod_smooth", disc.mesh.bbox, gas53).initial)
-    scheme = Scheme.parse("galerkin+ec+jump")
-    cascade = CascadeConfig(schemes=tuple(Scheme.parse(s) for s in ("galerkin", "limited_lxf", "lxf")))
+    cfg = parse_config(
+        f"problem = sod_smooth\nmesh = structured:24x3\nbasis = lagrange\ngamma = {5.0 / 3.0!r}\n"
+        "scheme = galerkin+ec+jump\ncascade = galerkin,limited_lxf,lxf\ncfl = 0.3\nt_end = 10.0\n"
+    )
 
-    def run(sch, integrator, mood_cfg=None, n=3):
-        start = FieldState(0.0, U0.copy(), disc, gas53)
-        steps = list(stepping.advance(start, sch, integrator, 10.0, 0.3, mood_cfg=mood_cfg,
-                                      max_steps=n))
-        assert len(steps) == n and all(st.gas is gas53 for st, _, _ in steps)
+    def run(n=3, **keys):
+        sub = replace(cfg, max_steps=n, **keys)
+        start, _ = driver.start(sub)
+        assert start.gas == gas53
+        steps = list(driver.steps(sub, start))
+        assert len(steps) == n and all(st.gas is start.gas for st, _, _ in steps)
         return steps
 
-    run(scheme, "ssprk2")
-    run(Scheme.parse("lxf+interp"), "implicit")
-    got = run(scheme, "ssprk2", cascade, n=18)           # the cascade first bumps in step 18
+    run()
+    run(scheme="lxf+interp", integrator="implicit")
+    got = run(n=18, mood_enabled=True)           # the cascade first bumps in step 18
     assert np.any(got[-1][2].level > 0)
     monkeypatch.setattr(stepping, "mixed_theta", mixed_theta_full)
-    want = run(scheme, "ssprk2", cascade, n=18)
+    want = run(n=18, mood_enabled=True)
     assert all(np.array_equal(a.U, b.U) for (a, _, _), (b, _, _) in zip(got, want))
 
-    (st, dt, _), = run(scheme, "fe", n=1)
-    R = scatter_residuals(disc, corrected_residual(StageFields(disc, gas53, U0), scheme).theta)
+    start, _ = driver.start(cfg)
+    disc, U0 = start.disc, start.U.copy()
+    (st, dt, _), = run(n=1, integrator="fe")
+    R = scatter_residuals(disc, corrected_residual(StageFields(disc, gas53, U0), cfg.scheme_obj()).theta)
     assert np.array_equal(st.U, U0 - (dt / disc.dual.c_sigma)[:, None] * R)
