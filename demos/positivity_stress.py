@@ -22,7 +22,7 @@ mesh = structured_square(4, side=2.0)
 rng = np.random.default_rng(1)
 
 for basis, degree, check_pts in (("lagrange", 1, False), ("bernstein", 2, True)):
-    disc = Discretization(mesh, build_dofmap(mesh, "s2", basis, degree))
+    disc = Discretization(build_dofmap(mesh, "s2", basis, degree))
     t0 = time.time()
     violations = positivity_stress(
         disc, gas, rng, n_fields=200, n_steps=25, check_lagrange_points=check_pts

@@ -1,7 +1,7 @@
 """Residual-distribution solver laboratory for the 2D compressible
 Euler equations on periodic triangular meshes."""
 
-from .basis import DofMap, Quadrature, bernstein_to_lagrange, build_dofmap
+from .basis import DofMap, bernstein_to_lagrange, build_dofmap
 from .discretization import Discretization
 from .euler import GasModel
 from .mesh import (
@@ -19,7 +19,6 @@ from .stepping import FieldState, forward_euler_step, implicit_euler_step, ssp_r
 
 __all__ = [
     "DofMap",
-    "Quadrature",
     "bernstein_to_lagrange",
     "build_dofmap",
     "Discretization",

@@ -116,7 +116,7 @@ def bernstein_to_lagrange(p):
 _A1, _B1, _W1 = 0.816847572980459, 0.091576213509771, 0.109951743655322
 _A2, _B2, _W2 = 0.108103018168070, 0.445948490915965, 0.223381589678011
 
-_INTERIOR_POINTS = np.array(
+INTERIOR_POINTS = np.array(
     [
         [_A1, _B1, _B1],
         [_B1, _A1, _B1],
@@ -126,12 +126,14 @@ _INTERIOR_POINTS = np.array(
         [_B2, _B2, _A2],
     ]
 )
-_INTERIOR_WEIGHTS = np.array([_W1, _W1, _W1, _W2, _W2, _W2])
+INTERIOR_WEIGHTS = np.array([_W1, _W1, _W1, _W2, _W2, _W2])
 
 # Edge rule: 3-point Gauss on [0, 1], exact through degree 5.
 _G = np.sqrt(0.6)
-_EDGE_T = np.array([0.5 * (1 - _G), 0.5, 0.5 * (1 + _G)])
-_EDGE_W = np.array([5.0, 8.0, 5.0]) / 18.0
+EDGE_T = np.array([0.5 * (1 - _G), 0.5, 0.5 * (1 + _G)])
+EDGE_WEIGHTS = np.array([5.0, 8.0, 5.0]) / 18.0
+for _rule in (INTERIOR_POINTS, INTERIOR_WEIGHTS, EDGE_T, EDGE_WEIGHTS):
+    _rule.flags.writeable = False       # every Discretization shares these arrays
 
 # Gradient-jump rules, (points, weights) on [0, 1] per degree p: p-point
 # Gauss, exact through degree 2p - 1, so for the squared gradient jump of
@@ -140,23 +142,6 @@ _EDGE_W = np.array([5.0, 8.0, 5.0]) / 18.0
 # 0.2 ms, a sixth of a Discretization of 1024 triangles (2-core x86, numpy 2.4).
 _GAUSS = {p: np.polynomial.legendre.leggauss(p) for p in (1, 2)}
 JUMP_RULES = {p: (0.5 * (1.0 + x), 0.5 * w) for p, (x, w) in _GAUSS.items()}
-
-
-@dataclass(frozen=True)
-class Quadrature:
-    interior_points: np.ndarray
-    interior_weights: np.ndarray
-    edge_t: np.ndarray
-    edge_weights: np.ndarray
-
-
-def default_quadrature():
-    return Quadrature(
-        interior_points=_INTERIOR_POINTS.copy(),
-        interior_weights=_INTERIOR_WEIGHTS.copy(),
-        edge_t=_EDGE_T.copy(),
-        edge_weights=_EDGE_W.copy(),
-    )
 
 
 def edge_barycentric(loc, t):
@@ -206,6 +191,9 @@ class DofMap:
     elem_dofs: np.ndarray   # (n_tris, N_K)
     dof_points: np.ndarray  # (n_dofs, 2) coordinates of the Lagrange points
     n_dofs: int
+    # (n_dofs,) first slot of each DOF in elem_dofs.ravel(): the first
+    # owner in element order fixes the coordinates and value of a shared DOF
+    first_slot: np.ndarray
 
     @property
     def n_local(self):
@@ -224,9 +212,10 @@ def build_dofmap(mesh: Mesh, space="s2", basis="lagrange", degree=1) -> DofMap:
     pts = lagrange_points(degree)
 
     if space == "s1":
-        elem_dofs = np.arange(M * nk, dtype=np.int64).reshape(M, nk)
+        slots = np.arange(M * nk, dtype=np.int64)
         dof_points = physical_points(pts, mesh.nodes[mesh.tris]).reshape(M * nk, 2)
-        return DofMap(mesh, space, basis, degree, elem_dofs, dof_points, M * nk)
+        return DofMap(mesh, space, basis, degree, slots.reshape(M, nk), dof_points, M * nk,
+                      slots)
 
     # S2: vertices share through periodic-identified nodes, midpoints
     # through the interface table.
@@ -240,8 +229,7 @@ def build_dofmap(mesh: Mesh, space="s2", basis="lagrange", degree=1) -> DofMap:
         n_dofs = n_vert + mesh.n_edges
 
     phys = physical_points(pts, mesh.nodes[mesh.tris])
-    # First owner in element order fixes the coordinates of a shared DOF.
-    owned, first = np.unique(elem_dofs.ravel(), return_index=True)
-    dof_points = np.zeros((n_dofs, 2))
-    dof_points[owned] = phys.reshape(M * nk, 2)[first]
-    return DofMap(mesh, space, basis, degree, elem_dofs, dof_points, n_dofs)
+    # every DOF 0..n-1 occurs, so the first occurrences come in DOF order
+    _, first = np.unique(elem_dofs.ravel(), return_index=True)
+    dof_points = phys.reshape(M * nk, 2)[first]
+    return DofMap(mesh, space, basis, degree, elem_dofs, dof_points, n_dofs, first)

@@ -51,8 +51,8 @@ class RunRecord:
         return st
 
 
-def weak_bv_norm(disc: Discretization, gas, U, lam=1.0, zeta=2.0, grad_jump=None):
-    """Edge-jump seminorm (squared): sum_e lam h_e^zeta d oint ||[grad V]||^2.
+def weak_bv_norm(disc: Discretization, gas, U, zeta=2.0, grad_jump=None):
+    """Edge-jump seminorm (squared): sum_e h_e^zeta d oint ||[grad V]||^2.
 
     ``grad_jump`` is the per-interface integral of U when the caller has
     it (CorrectedResidual.grad_jump); otherwise it is computed here, on
@@ -61,7 +61,7 @@ def weak_bv_norm(disc: Discretization, gas, U, lam=1.0, zeta=2.0, grad_jump=None
     if grad_jump is None:
         grad_jump = grad_jump_integral(disc, StageFields(disc, gas, U).V_elem)
     d = 2.0
-    return float(np.sum(lam * disc.if_h**zeta * d * disc.if_length * grad_jump))
+    return float(np.sum(disc.if_h**zeta * d * disc.if_length * grad_jump))
 
 
 def _test_values(fn, t, X, component, grad=False):

@@ -1,6 +1,6 @@
 """Precomputed geometry, quadrature and trace tables for one space.
 
-A :class:`Discretization` binds a mesh and a DOF map and caches the
+A :class:`Discretization` binds a DOF map and its mesh and caches the
 arrays every kernel needs: physical basis gradients at interior and
 edge quadrature points, interface trace tables (with the right side
 enumerated in reversed order so both sides see the same physical
@@ -40,17 +40,14 @@ class Discretization:
     """The tables of one space on a periodic mesh, where every interface
     has a left and a right owner."""
 
-    def __init__(self, mesh: Mesh, dofmap: fb.DofMap):
-        if dofmap.mesh is not mesh:
-            raise ValueError("dofmap was built on a different mesh")
-        self.mesh = mesh
+    def __init__(self, dofmap: fb.DofMap):
+        self.mesh = dofmap.mesh
         self.dofmap = dofmap
-        self.quad = fb.default_quadrature()
         self._cache = {}
         self._build_geometry()
         self._build_interior_tables()
         self._build_interface_tables()
-        self.dual = dual_volumes(mesh, dofmap)
+        self.dual = dual_volumes(self.mesh, dofmap)
         self._build_neighbors()
         self._check_trace_pairing()
 
@@ -73,17 +70,16 @@ class Discretization:
         self.lagrange_phys = fb.physical_points(fb.lagrange_points(self.dofmap.degree), p)
 
     def _build_interior_tables(self):
-        q = self.quad
         kind, p = self.dofmap.basis, self.dofmap.degree
-        self.int_weights = q.interior_weights
-        self.int_vals = fb.basis_values(kind, p, q.interior_points)      # (nq, N)
-        ref = fb.basis_ref_grads(kind, p, q.interior_points)             # (nq, N, 2)
+        self.int_weights = fb.INTERIOR_WEIGHTS
+        self.int_vals = fb.basis_values(kind, p, fb.INTERIOR_POINTS)     # (nq, N)
+        ref = fb.basis_ref_grads(kind, p, fb.INTERIOR_POINTS)            # (nq, N, 2)
         self.int_grads = physical_grads(self.jinv_T[:, None], ref)       # (M, nq, N, 2)
 
     @cached_property
     def int_phys(self):
         """Physical interior quadrature points, (M, nq, 2)."""
-        return fb.physical_points(self.quad.interior_points, self.corner_coords)
+        return fb.physical_points(fb.INTERIOR_POINTS, self.corner_coords)
 
     @cached_property
     def int_gradw_mat(self):
@@ -101,8 +97,8 @@ class Discretization:
     def _build_interface_tables(self):
         mesh = self.mesh
         kind, p = self.dofmap.basis, self.dofmap.degree
-        lam = self._edge_lam(self.quad.edge_t)
-        self.edge_weights = self.quad.edge_weights
+        lam = self._edge_lam(fb.EDGE_T)
+        self.edge_weights = fb.EDGE_WEIGHTS
         self.edge_vals = fb.basis_values(kind, p, lam)                   # (3, nq, N)
         self.jump_t, self.jump_weights = fb.JUMP_RULES[p]
         li, ll = mesh.edge_left, mesh.edge_left_loc
@@ -162,7 +158,7 @@ class Discretization:
     def _check_trace_pairing(self):
         """Both owners must enumerate the same physical quadrature points."""
         mesh = self.mesh
-        edge_phys = fb.physical_points(self._edge_lam(self.quad.edge_t), self.corner_coords)
+        edge_phys = fb.physical_points(self._edge_lam(fb.EDGE_T), self.corner_coords)
         x_r = edge_phys[self.if_right, mesh.edge_right_loc][:, ::-1]     # (E, nq, 2)
         x_l = edge_phys[self.if_left, mesh.edge_left_loc] + mesh.edge_translation[:, None, :]
         err = np.abs(x_r - x_l)
@@ -304,17 +300,15 @@ class Discretization:
 
         Lagrange DOFs take point values; Bernstein coefficients solve the
         local value problem through the inverse Bernstein-to-Lagrange
-        map.  The first owner element (lowest id) fixes shared DOFs.
+        map.  The first owner element (lowest id) fixes shared DOFs: the
+        values are read at ``DofMap.first_slot``.
         """
         X = self.lagrange_phys
         vals = np.asarray(fn(X[..., 0], X[..., 1]), dtype=float)
         if self.dofmap.basis == "bernstein" and self.dofmap.degree > 1:
             Minv = np.linalg.inv(fb.bernstein_to_lagrange(self.dofmap.degree))
             vals = np.einsum("ln,mn...->ml...", Minv, vals)
-        # every DOF 0..n-1 occurs, so the first occurrences come in DOF order
-        _, first = np.unique(self.dofmap.elem_dofs.ravel(), return_index=True)
-        flat_vals = vals.reshape((-1,) + vals.shape[2:])
-        return flat_vals[first]
+        return vals.reshape((-1,) + vals.shape[2:])[self.dofmap.first_slot]
 
     def evaluate_at_points(self, U, points):
         """Evaluate the finite-element field at arbitrary physical points."""
@@ -490,7 +484,7 @@ class Patch(_PatchView, Discretization):
     """
 
     _RULES = _rules(
-        shared=("quad", "int_weights", "int_vals", "edge_weights", "edge_vals", "jump_t",
+        shared=("int_weights", "int_vals", "edge_weights", "edge_vals", "jump_t",
                 "jump_weights"),
         elements=("jacobians", "jinv_T", "corner_coords", "lagrange_phys", "int_grads"),
         interfaces=("if_normal", "if_length", "if_h", "if_vals_L_wl", "if_vals_R_wl"),

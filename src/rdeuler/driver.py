@@ -4,8 +4,7 @@ the grid-convergence harness."""
 
 import hashlib
 import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -38,8 +37,7 @@ def load_mesh(spec):
 
 
 def build_discretization(cfg: RunConfig) -> Discretization:
-    mesh = load_mesh(cfg.mesh)
-    return Discretization(mesh, build_dofmap(mesh, cfg.space, cfg.basis, cfg.degree))
+    return Discretization(build_dofmap(load_mesh(cfg.mesh), cfg.space, cfg.basis, cfg.degree))
 
 
 def config_hash(cfg: RunConfig):
@@ -127,8 +125,7 @@ def initial_state(cfg: RunConfig, disc: Discretization, gas):
                 f"snapshot was written on mesh {meta['mesh_hash']}, not on {mesh_hash}"
             )
         return stepping.FieldState(t=t, U=U, disc=disc, gas=gas), None
-    kwargs = {"beta": cfg.beta} if cfg.problem == "vortex" else {}
-    prob = problems.make_problem(cfg.problem, disc.mesh.bbox, gas, **kwargs)
+    prob = problems.make_problem(cfg.problem, disc.mesh.bbox, gas, cfg.beta)
     U = disc.interpolate(prob.initial)
     return stepping.FieldState(t=0.0, U=U, disc=disc, gas=gas), prob
 
@@ -238,11 +235,8 @@ def convergence(cfg: RunConfig, mesh_specs):
     """Run one problem over a mesh family; report errors and orders."""
     if cfg.problem not in ("vortex", "constant"):
         raise ConfigError("convergence needs a problem with a known solution")
-    workers = _worker_count()
-
-    def one(spec):
-        from dataclasses import replace
-
+    rows = []
+    for spec in mesh_specs:
         sub = replace(cfg, mesh=spec, output_dir=os.path.join(cfg.output_dir, _safe(spec)))
         sub.raw = dict(cfg.raw)
         result = run(sub)
@@ -253,20 +247,14 @@ def convergence(cfg: RunConfig, mesh_specs):
             result.problem.state,
             result.state.t,
         )
-        return {
+        rows.append({
             "mesh": spec,
             "mesh_h": float(result.disc.mesh.diameters.max()),
             "n_elems": result.disc.mesh.n_tris,
             "err_rho_L1": errs["rho"],
             "err_u_L1": errs["u"],
             "err_p_L1": errs["p"],
-        }
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(one, mesh_specs))
-    else:
-        rows = [one(spec) for spec in mesh_specs]
+        })
 
     hs = [r["mesh_h"] for r in rows]
     for key in ("rho", "u", "p"):
@@ -282,19 +270,6 @@ def convergence(cfg: RunConfig, mesh_specs):
     ]
     _write_csv(os.path.join(cfg.output_dir, "errors.csv"), keys, rows)
     return rows
-
-
-def _worker_count():
-    """Concurrent convergence meshes from RDEULER_THREADS (default 1)."""
-    raw = os.environ.get("RDEULER_THREADS", "1")
-    bad = ConfigError(f"RDEULER_THREADS must be a positive integer, got {raw!r}")
-    try:
-        workers = int(raw)
-    except ValueError:
-        raise bad from None
-    if workers < 1:
-        raise bad
-    return workers
 
 
 def _safe(spec):

@@ -59,15 +59,15 @@ def pressure(U, gas: GasModel, check=True):
     return p
 
 
-def _given_or_pressure(U, gas, check, p):
-    return pressure(U, gas, check=check) if p is None else p
+def _given_or_pressure(U, gas, p):
+    return pressure(U, gas) if p is None else p
 
 
-def sound_speed(U, gas: GasModel, check=True, p=None):
-    return np.sqrt(gas.gamma * _given_or_pressure(U, gas, check, p) / np.asarray(U)[..., 0])
+def sound_speed(U, gas: GasModel, p=None):
+    return np.sqrt(gas.gamma * _given_or_pressure(U, gas, p) / np.asarray(U)[..., 0])
 
 
-def flux(U, gas: GasModel, check=True, p=None):
+def flux(U, gas: GasModel, p=None):
     """Euler flux table, shape (..., 4, 2).
 
     Column m holds (rho u_m, u_m m + p e_m, u_m (E + p)).  Here and in
@@ -75,7 +75,7 @@ def flux(U, gas: GasModel, check=True, p=None):
     it (checked when it was computed); it is then not recomputed.
     """
     U = np.asarray(U, dtype=float)
-    p = _given_or_pressure(U, gas, check, p)
+    p = _given_or_pressure(U, gas, p)
     rho = U[..., 0]
     mx = U[..., 1]
     my = U[..., 2]
@@ -95,25 +95,25 @@ def flux(U, gas: GasModel, check=True, p=None):
     return f
 
 
-def entropy_eta(U, gas: GasModel, check=True, p=None):
+def entropy_eta(U, gas: GasModel, p=None):
     """Mathematical entropy eta = -rho s / (gamma - 1), s = log(p / rho^gamma)."""
     U = np.asarray(U, dtype=float)
-    p = _given_or_pressure(U, gas, check, p)
+    p = _given_or_pressure(U, gas, p)
     rho = U[..., 0]
     s = np.log(p) - gas.gamma * np.log(rho)
     return -rho * s / (gas.gamma - 1.0)
 
 
-def entropy_flux(U, gas: GasModel, check=True, p=None):
+def entropy_flux(U, gas: GasModel, p=None):
     """Entropy flux g = eta * u, shape (..., 2)."""
-    eta = entropy_eta(U, gas, check=check, p=p)
+    eta = entropy_eta(U, gas, p=p)
     return eta[..., None] * velocity(U)
 
 
-def entropy_vars(U, gas: GasModel, check=True, p=None):
+def entropy_vars(U, gas: GasModel, p=None):
     """Entropy variables V = d eta / d U, shape (..., 4)."""
     U = np.asarray(U, dtype=float)
-    p = _given_or_pressure(U, gas, check, p)
+    p = _given_or_pressure(U, gas, p)
     rho = U[..., 0]
     g = gas.gamma
     s = np.log(p) - g * np.log(rho)
@@ -127,10 +127,10 @@ def entropy_vars(U, gas: GasModel, check=True, p=None):
     return V
 
 
-def max_wavespeed(U, gas: GasModel, check=True, p=None):
+def max_wavespeed(U, gas: GasModel, p=None):
     """|u| + a with sound speed a = sqrt(gamma p / rho)."""
     U = np.asarray(U, dtype=float)
-    a = sound_speed(U, gas, check=check, p=p)
+    a = sound_speed(U, gas, p=p)
     rho = U[..., 0]
     return np.hypot(U[..., 1] / rho, U[..., 2] / rho) + a
 

@@ -374,10 +374,11 @@ def dual_volumes(mesh: Mesh, dofmap) -> DualVolumes:
     return DualVolumes(c_sigma=c_sigma, k_sigma=k_sigma)
 
 
-def structured_rect(nx, ny, width=10.0, height=10.0, center=(0.0, 0.0)):
-    """Uniform right-triangle mesh of a periodic rectangle, 2*nx*ny elements."""
-    xs = np.linspace(center[0] - width / 2.0, center[0] + width / 2.0, nx + 1)
-    ys = np.linspace(center[1] - height / 2.0, center[1] + height / 2.0, ny + 1)
+def structured_rect(nx, ny, width=10.0, height=10.0):
+    """Uniform right-triangle mesh of a periodic rectangle centred at the
+    origin, 2*nx*ny elements."""
+    xs = np.linspace(-width / 2.0, width / 2.0, nx + 1)
+    ys = np.linspace(-height / 2.0, height / 2.0, ny + 1)
     X, Y = np.meshgrid(xs, ys, indexing="ij")
     nodes = np.stack([X.ravel(), Y.ravel()], axis=-1)
 
@@ -390,9 +391,10 @@ def structured_rect(nx, ny, width=10.0, height=10.0, center=(0.0, 0.0)):
     return build_mesh(nodes, tris)
 
 
-def structured_square(n, side=10.0, center=(0.0, 0.0)):
-    """Uniform right-triangle mesh of a periodic square, 2*n*n elements."""
-    return structured_rect(n, n, width=side, height=side, center=center)
+def structured_square(n, side=10.0):
+    """Uniform right-triangle mesh of a periodic square centred at the
+    origin, 2*n*n elements."""
+    return structured_rect(n, n, width=side, height=side)
 
 
 def read_mesh(path):

@@ -20,6 +20,9 @@ BASES = ("galerkin", "galerkin_jump", "dg", "lxf", "limited_lxf")
 LXF_FAMILY = ("lxf", "limited_lxf")
 MODIFIERS = {"ec": ("correction", True), "jump": ("diffusion", True),
              "interp": ("flux_mode", "interpolated")}
+# The limited distribution keeps the LxF one where an element total or a
+# positive-part sum falls below this.
+LIMITER_GUARD = 1e-14
 
 
 @dataclass(frozen=True)
@@ -216,36 +219,34 @@ def lxf_residual(fields: StageFields, alpha, flux_mode="pointwise") -> ElementRe
     return ElementResidual(phi=phi, total=total, scheme="lxf", alpha=alpha)
 
 
-def beta_coefficients(x, guard=1e-14):
+def beta_coefficients(x):
     """Limiter weights max(x,0)/sum(max(x,0)) along axis 0.
 
     Returns (beta, valid) where ``valid`` is False when the positive
-    part sums below the guard and the caller must fall back.
+    part sums below LIMITER_GUARD and the caller must fall back.
     """
     x = np.asarray(x, dtype=float)
     pos = np.maximum(x, 0.0)
     s = pos.sum(axis=0)
-    valid = s >= guard
+    valid = s >= LIMITER_GUARD
     beta = pos / np.where(valid, s, 1.0)
     return beta, valid
 
 
-def limited_lxf_residual(
-    fields: StageFields, alpha, flux_mode="pointwise", guard=1e-14
-) -> ElementResidual:
+def limited_lxf_residual(fields: StageFields, alpha, flux_mode="pointwise") -> ElementResidual:
     """Limited distribution beta_sigma * total, componentwise.
 
     Ratios x_sigma = phi_sigma^LxF / total are limited to nonnegative
     weights summing to one.  Components whose element total falls below
-    the guard, or whose positive-part sum degenerates, keep the
+    LIMITER_GUARD, or whose positive-part sum degenerates, keep the
     unlimited LxF distribution.
     """
     base = lxf_residual(fields, alpha, flux_mode=flux_mode)
     total = base.total                                             # (M, 4)
-    small = np.abs(total) < guard
+    small = np.abs(total) < LIMITER_GUARD
     denom = np.where(small, 1.0, total)
     x = base.phi / denom[:, None, :]
-    beta, valid = beta_coefficients(np.moveaxis(x, 1, 0), guard=guard)
+    beta, valid = beta_coefficients(np.moveaxis(x, 1, 0))
     beta = np.moveaxis(beta, 0, 1)
     limited = beta * total[:, None, :]
     use_lxf = (small | ~valid)[:, None, :]

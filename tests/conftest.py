@@ -18,18 +18,18 @@ def gas():
 def small_disc():
     """4x4 periodic square, P1 Lagrange, continuous."""
     mesh = structured_square(4, side=2.0)
-    return Discretization(mesh, build_dofmap(mesh, "s2", "lagrange", 1))
+    return Discretization(build_dofmap(mesh, "s2", "lagrange", 1))
 
 
 @pytest.fixture(scope="session")
 def small_disc_s1():
     mesh = structured_square(4, side=2.0)
-    return Discretization(mesh, build_dofmap(mesh, "s1", "lagrange", 1))
+    return Discretization(build_dofmap(mesh, "s1", "lagrange", 1))
 
 
 def make_disc(n=4, side=2.0, space="s2", basis="lagrange", degree=1):
     mesh = structured_square(n, side=side)
-    return Discretization(mesh, build_dofmap(mesh, space, basis, degree))
+    return Discretization(build_dofmap(mesh, space, basis, degree))
 
 
 def vortex_start(n, text=""):
@@ -48,7 +48,7 @@ def reference_pair(scale=1.0, basis="lagrange", degree=1):
     lone triangle byte for byte."""
     s = scale
     mesh = build_mesh([(0, 0), (s, 0), (0, s), (s, s)], [(0, 1, 2), (1, 3, 2)])
-    return Discretization(mesh, build_dofmap(mesh, "s1", basis, degree))
+    return Discretization(build_dofmap(mesh, "s1", basis, degree))
 
 
 def off_seam(disc):

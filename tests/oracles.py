@@ -10,7 +10,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from rdeuler import euler
-from rdeuler.basis import basis_ref_grads, basis_values, default_quadrature, edge_barycentric
+from rdeuler.basis import (EDGE_T, EDGE_WEIGHTS, INTERIOR_POINTS, INTERIOR_WEIGHTS,
+                           basis_ref_grads, basis_values, edge_barycentric)
 from rdeuler.discretization import StageFields
 from rdeuler.errors import NonPositivePressure, PicardDivergence, VacuumState
 
@@ -83,28 +84,26 @@ def eval_basis(dofmap, element, lam, tol=1e-12):
     return {"values": vals, "gradients": grads}
 
 
-def integrate_element(mesh, element, f, quad=None):
+def integrate_element(mesh, element, f):
     """Quadrature of a pointwise integrand f(x) over one element."""
-    quad = quad or default_quadrature()
     p = mesh.nodes[mesh.tris[element]]
-    xq = quad.interior_points @ p
+    xq = INTERIOR_POINTS @ p
     vals = np.array([f(x) for x in xq])
-    return mesh.areas[element] * np.tensordot(quad.interior_weights, vals, axes=1)
+    return mesh.areas[element] * np.tensordot(INTERIOR_WEIGHTS, vals, axes=1)
 
 
-def integrate_edge(mesh, edge, side, f, quad=None):
+def integrate_edge(mesh, edge, side, f):
     """Quadrature of f(x) over an interface, traversed by the given side."""
-    quad = quad or default_quadrature()
     if side == 0:
         elem, loc = mesh.edge_left[edge], mesh.edge_left_loc[edge]
     else:
         elem, loc = mesh.edge_right[edge], mesh.edge_right_loc[edge]
-    lam = edge_barycentric(int(loc), quad.edge_t)
+    lam = edge_barycentric(int(loc), EDGE_T)
     p = mesh.nodes[mesh.tris[elem]]
     xq = lam @ p
     vals = np.array([f(x) for x in xq])
     return mesh.elem_edge_length[elem, loc] * np.tensordot(
-        quad.edge_weights, vals, axes=1
+        EDGE_WEIGHTS, vals, axes=1
     )
 
 
@@ -113,7 +112,7 @@ def owner_grads(disc):
     points, each (E, 3, N, 2): the reference gradients through the
     owner's inverse Jacobian, the right owner's points reversed to pair
     with the left ones."""
-    lam = np.stack([edge_barycentric(loc, default_quadrature().edge_t) for loc in range(3)])
+    lam = np.stack([edge_barycentric(loc, EDGE_T) for loc in range(3)])
     ref = basis_ref_grads(disc.dofmap.basis, disc.dofmap.degree, lam)   # (3, 3, N, 2)
     mesh = disc.mesh
     return (np.einsum("eij,eqnj->eqni", disc.jinv_T[disc.if_left], ref[mesh.edge_left_loc]),
@@ -133,7 +132,7 @@ def grad_jump_integral_3pt(disc, V_elem):
     """oint_e ||[grad V]||^2 per interface on the 3-point edge rule, (E,)."""
     gL, gR = trace_grads(disc, V_elem)
     jump = gR - gL
-    return np.einsum("q,eqci->e", default_quadrature().edge_weights, jump * jump)
+    return np.einsum("q,eqci->e", EDGE_WEIGHTS, jump * jump)
 
 
 def gradient_jump_terms_3pt(disc, U_elem, coeff):
@@ -142,7 +141,7 @@ def gradient_jump_terms_3pt(disc, U_elem, coeff):
     owner's basis gradients and the right owner's, summed into the owners."""
     gL, gR = owner_grads(disc)
     tL, tR = trace_grads(disc, U_elem)
-    w = default_quadrature().edge_weights
+    w = EDGE_WEIGHTS
     scale = (coeff * disc.if_length)[:, None, None]
     out = np.zeros(U_elem.shape)
     np.add.at(out, disc.if_left, -scale * np.einsum("q,eqni,eqci->enc", w, gL, tR - tL))

@@ -4,11 +4,13 @@ import pytest
 from conftest import off_seam_elements, reference_pair
 from oracles import eval_basis, integrate_edge, integrate_element
 from rdeuler.basis import (
+    EDGE_WEIGHTS,
+    INTERIOR_POINTS,
+    INTERIOR_WEIGHTS,
     bernstein_to_lagrange,
     basis_ref_grads,
     basis_values,
     build_dofmap,
-    default_quadrature,
     lagrange_points,
 )
 from rdeuler.discretization import Discretization
@@ -96,15 +98,13 @@ def test_integrate_edge_exactness():
 
 
 def test_quadrature_weights_normalized():
-    q = default_quadrature()
-    assert q.interior_weights.sum() == pytest.approx(1.0, rel=1e-15)
-    assert q.edge_weights.sum() == pytest.approx(1.0, rel=1e-15)
-    assert np.all(q.interior_weights > 0) and np.all(q.edge_weights > 0)
+    assert INTERIOR_WEIGHTS.sum() == pytest.approx(1.0, rel=1e-15)
+    assert EDGE_WEIGHTS.sum() == pytest.approx(1.0, rel=1e-15)
+    assert np.all(INTERIOR_WEIGHTS > 0) and np.all(EDGE_WEIGHTS > 0)
 
 
 def test_interior_rule_degree_4_exact():
     # integrate monomials l1^a l2^b over the reference triangle
-    q = default_quadrature()
     import math
 
     for a in range(5):
@@ -113,9 +113,9 @@ def test_interior_rule_degree_4_exact():
                 math.factorial(a) * math.factorial(b) / math.factorial(a + b + 2)
             )  # int over unit simplex of x^a y^b
             got = 0.5 * np.sum(
-                q.interior_weights
-                * q.interior_points[:, 1] ** a
-                * q.interior_points[:, 2] ** b
+                INTERIOR_WEIGHTS
+                * INTERIOR_POINTS[:, 1] ** a
+                * INTERIOR_POINTS[:, 2] ** b
             )
             assert got == pytest.approx(exact * 0.5 / 0.5, rel=1e-13), (a, b)
 
@@ -137,7 +137,7 @@ def test_interpolation_reproduces_polynomials(kind, p, gas):
     # a polynomial that is not periodic is reproduced inside every element
     # off the periodic seam, where shared DOFs hold its own values
     mesh = structured_square(6, side=1.0)
-    disc = Discretization(mesh, build_dofmap(mesh, "s2", kind, p))
+    disc = Discretization(build_dofmap(mesh, "s2", kind, p))
 
     def poly(x, y):
         out = 1.0 + 2 * x - 3 * y
@@ -161,10 +161,10 @@ def test_shared_edge_quadrature_points_match():
     # across periodic couples after translation
     mesh = structured_square(3)
     dm = build_dofmap(mesh, "s2", "lagrange", 2)
-    disc = Discretization(mesh, dm)
+    disc = Discretization(dm)
     # the physical points are the traces of the corner coordinates on
     # the P1 Lagrange space of the same mesh
-    p1 = Discretization(mesh, build_dofmap(mesh, "s1", "lagrange", 1))
+    p1 = Discretization(build_dofmap(mesh, "s1", "lagrange", 1))
     x_l, x_r = p1.traces(disc.corner_coords)
     x_l = x_l + mesh.edge_translation[:, None, :]
     assert np.abs(x_r - x_l).max() < 1e-13
@@ -190,7 +190,7 @@ def test_interpolate_takes_the_first_owner_like_the_scan(space, kind, p):
     # a field that differs between the owners of a shared DOF: the
     # periodic images of a node sit a side length apart
     mesh = structured_square(5, side=2.0)
-    disc = Discretization(mesh, build_dofmap(mesh, space, kind, p))
+    disc = Discretization(build_dofmap(mesh, space, kind, p))
 
     def fn(x, y):
         return np.stack([np.sin(3 * x) + y, x * y, np.exp(x - y), 1.0 + x], axis=-1)

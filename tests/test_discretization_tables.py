@@ -13,6 +13,8 @@ import pytest
 
 from rdeuler import diagnostics, driver, euler, positivity
 from rdeuler.basis import (
+    INTERIOR_POINTS,
+    INTERIOR_WEIGHTS,
     basis_ref_grads,
     basis_values,
     bernstein_to_lagrange,
@@ -66,7 +68,7 @@ def _assert_same_bytes(got, want):
     assert got.tobytes() == want.tobytes()
 
 
-def _einsum_tables(mesh, dofmap, quad):
+def _einsum_tables(mesh, dofmap):
     """Every geometry table as einsum expressions of the corners and Jacobians."""
     p = mesh.nodes[mesh.tris]
     J = np.stack([p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]], axis=-1)
@@ -79,12 +81,12 @@ def _einsum_tables(mesh, dofmap, quad):
     jinv_T = np.swapaxes(Jinv, -1, -2)
     kind, deg = dofmap.basis, dofmap.degree
     M = mesh.n_tris
-    int_vals = basis_values(kind, deg, quad.interior_points)
+    int_vals = basis_values(kind, deg, INTERIOR_POINTS)
     nq, nk = int_vals.shape
     int_grads = np.einsum("mij,qnj->mqni", jinv_T,
-                          basis_ref_grads(kind, deg, quad.interior_points))
+                          basis_ref_grads(kind, deg, INTERIOR_POINTS))
     gw = int_grads * (mesh.areas[:, None, None, None]
-                      * quad.interior_weights[None, :, None, None])
+                      * INTERIOR_WEIGHTS[None, :, None, None])
     # the gradient-jump table on the deg-point Gauss rule
     x, _ = np.polynomial.legendre.leggauss(deg)
     lam = np.stack([edge_barycentric(loc, 0.5 * (1.0 + x)) for loc in range(3)])
@@ -95,16 +97,16 @@ def _einsum_tables(mesh, dofmap, quad):
         "jinv_T": jinv_T,
         "lagrange_phys": np.einsum("lk,mkx->mlx", lagrange_points(deg), p),
         "int_grads": int_grads,
-        "int_phys": np.einsum("qk,mkx->mqx", quad.interior_points, p),
+        "int_phys": np.einsum("qk,mkx->mqx", INTERIOR_POINTS, p),
         "int_gradw_mat": np.ascontiguousarray(gw.transpose(0, 2, 1, 3).reshape(M, nk, nq * 2)),
         "if_jump_grads": np.ascontiguousarray(np.concatenate(
             [-edge_grads[li, ll].transpose(0, 1, 3, 2),
              edge_grads[ri, rl][:, ::-1].transpose(0, 1, 3, 2)], axis=-1)),
         "phi_grad_integrals": np.einsum(
-            "q,qn,mqki->mnki", quad.interior_weights, int_vals, int_grads
+            "q,qn,mqki->mnki", INTERIOR_WEIGHTS, int_vals, int_grads
         ) * mesh.areas[:, None, None, None],
         "grad_integrals": np.einsum(
-            "q,mqni->mni", quad.interior_weights, int_grads
+            "q,mqni->mni", INTERIOR_WEIGHTS, int_grads
         ) * mesh.areas[:, None, None],
     }
 
@@ -151,8 +153,8 @@ def _einsum_alpha_interpolated(disc, gas, U):
 @pytest.mark.parametrize("space, basis, degree", SPACES)
 def test_tables_equal_their_einsum(mesh, space, basis, degree):
     dofmap = build_dofmap(mesh, space, basis, degree)
-    disc = Discretization(mesh, dofmap)
-    want = _einsum_tables(mesh, dofmap, disc.quad)
+    disc = Discretization(dofmap)
+    want = _einsum_tables(mesh, dofmap)
     for name in LAZY:
         assert name not in disc.__dict__, name
     for name, table in want.items():
@@ -166,13 +168,13 @@ def test_tables_equal_their_einsum(mesh, space, basis, degree):
 def test_lagrange_points_equal_their_einsum(mesh, space, basis, degree):
     dofmap = build_dofmap(mesh, space, basis, degree)
     _assert_same_bytes(dofmap.dof_points, _einsum_dof_points(mesh, dofmap))
-    disc = Discretization(mesh, dofmap)
+    disc = Discretization(dofmap)
     _assert_same_bytes(disc.interpolate(_smooth), _einsum_interpolate(disc, _smooth))
 
 
 @pytest.mark.parametrize("space, basis, degree", SPACES)
 def test_alpha_interpolated_equals_its_einsum(mesh, space, basis, degree, gas):
-    disc = Discretization(mesh, build_dofmap(mesh, space, basis, degree))
+    disc = Discretization(build_dofmap(mesh, space, basis, degree))
     rng = np.random.default_rng(5)
     fields = [disc.interpolate(_smooth)] + [
         random_admissible_field(disc.dofmap.n_dofs, gas, rng, near_vacuum=nv)
@@ -206,7 +208,7 @@ def test_weak_bv_norm_builds_and_keeps_the_p_point_table(gas, basis, degree):
     # a diagnostics row of a run whose kernels never built the gradient-jump
     # table builds it on the degree-point rule once and keeps it
     mesh = structured_square(4, side=2.0)
-    disc = Discretization(mesh, build_dofmap(mesh, "s2", basis, degree))
+    disc = Discretization(build_dofmap(mesh, "s2", basis, degree))
     U = disc.interpolate(_smooth)
     assert "if_jump_grads" not in disc.__dict__
     bv = diagnostics.weak_bv_norm(disc, gas, U)
@@ -233,17 +235,41 @@ def test_implicit_interpolated_run_builds_no_lazy_table(tmp_path):
 
 def test_non_pairing_periodic_interfaces_rejected():
     mesh = structured_square(4, side=2.0)
-    Discretization(mesh, build_dofmap(mesh, "s2", "lagrange", 1))
+    Discretization(build_dofmap(mesh, "s2", "lagrange", 1))
     # a periodic couple whose translation misses its partner
     shift = mesh.edge_translation.copy()
     shift[np.flatnonzero(np.any(shift != 0, axis=1))[0]] += 1e-6
     bad = dataclasses.replace(mesh, edge_translation=shift)
     with pytest.raises(NonConforming, match="do not pair up"):
-        Discretization(bad, build_dofmap(bad, "s2", "lagrange", 1))
+        Discretization(build_dofmap(bad, "s2", "lagrange", 1))
 
 
 @pytest.mark.parametrize("space", ["s1", "s2"])
 def test_every_interface_has_two_owners(mesh, space):
-    disc = Discretization(mesh, build_dofmap(mesh, space, "lagrange", 1))
+    disc = Discretization(build_dofmap(mesh, space, "lagrange", 1))
     assert (disc.if_right >= 0).all()
 
+
+
+@pytest.mark.parametrize("space", ["s1", "s2"])
+def test_first_slot_is_the_first_owner_of_each_dof(space):
+    # the slot of elem_dofs.ravel() at which each DOF first occurs, in
+    # element order; on the discontinuous space every slot is its own DOF
+    mesh = build_mesh(*scrambled(12, 10, seed=1))
+    dofmap = build_dofmap(mesh, space, "bernstein", 2)
+    flat = dofmap.elem_dofs.ravel()
+    want = np.full(dofmap.n_dofs, -1, dtype=np.int64)
+    for slot, d in enumerate(flat):
+        if want[d] < 0:
+            want[d] = slot
+    _assert_same_bytes(dofmap.first_slot, want)
+    assert (flat[dofmap.first_slot] == np.arange(dofmap.n_dofs)).all()
+    if space == "s1":
+        assert (dofmap.first_slot == np.arange(flat.size)).all()
+
+
+def test_discretization_reads_the_mesh_of_its_dofmap():
+    mesh = structured_square(4, side=2.0)
+    dofmap = build_dofmap(mesh, "s2", "lagrange", 1)
+    disc = Discretization(dofmap)
+    assert disc.dofmap is dofmap and disc.mesh is mesh

@@ -272,24 +272,6 @@ def test_non_periodic_mesh_rejected(tmp_path, capsys):
     assert "Traceback" not in err
 
 
-def test_rdeuler_threads_env(tmp_path, monkeypatch):
-    monkeypatch.setenv("RDEULER_THREADS", "2")
-    cfg = parse_config(_cfg_text(tmp_path, problem="vortex", t_end="0.05", cfl="0.4"))
-    rows = driver.convergence(cfg, ["structured:4", "structured:6"])
-    assert len(rows) == 2 and rows[0]["n_elems"] < rows[1]["n_elems"]
-
-
-@pytest.mark.parametrize("value", ["abc", "0", "-1", ""])
-def test_rdeuler_threads_malformed(tmp_path, monkeypatch, value):
-    monkeypatch.setenv("RDEULER_THREADS", value)
-    text = _cfg_text(tmp_path, problem="vortex", t_end="0.05")
-    with pytest.raises(ConfigError):
-        driver.convergence(parse_config(text), ["structured:4"])
-    path = tmp_path / "conv.cfg"
-    path.write_text(text)
-    assert main(["convergence", str(path), "--meshes", "structured:4"]) == 2
-
-
 def test_driver_implicit_integrator(tmp_path):
     cfg = parse_config(
         _cfg_text(
@@ -539,6 +521,17 @@ def test_cli_overflowing_zeta_is_a_solver_error(tmp_path, capsys):
     assert err.startswith("error: ") and "zeta=1e+308" in err
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+def test_cli_overflowing_gamma_is_blamed_on_gamma(tmp_path, capsys):
+    # (gamma - 1) beta^2 / (8 gamma pi^2) is inf / inf at gamma = 1e308:
+    # the vortex names gamma with beta, not beta alone
+    path = tmp_path / "run.cfg"
+    path.write_text(_cfg_text(tmp_path, problem="vortex", mesh="structured:4", gamma="1e308"))
+    assert main(["run", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "gamma=1e+308" in err and "beta=5.0" in err
+    assert "Traceback" not in err
 
 
 def test_start_takes_the_gas_and_floors_from_the_config(tmp_path):

@@ -456,8 +456,9 @@ def _ref_build_dofmap(mesh, space, basis, degree):
     pts = lagrange_points(degree)
     phys = np.einsum("lk,mkx->mlx", pts, mesh.nodes[mesh.tris])
     if space == "s1":
-        elem_dofs = np.arange(M * nk, dtype=np.int64).reshape(M, nk)
-        return DofMap(mesh, space, basis, degree, elem_dofs, phys.reshape(M * nk, 2), M * nk)
+        slots = np.arange(M * nk, dtype=np.int64)
+        return DofMap(mesh, space, basis, degree, slots.reshape(M, nk), phys.reshape(M * nk, 2),
+                      M * nk, slots)
     reps = np.unique(mesh.node_rep)
     vert_id = {int(r): i for i, r in enumerate(reps)}
     n_vert = len(reps)
@@ -470,20 +471,20 @@ def _ref_build_dofmap(mesh, space, basis, degree):
         elem_dofs[:, 3:6] = n_vert + mesh.elem_edges
         n_dofs = n_vert + mesh.n_edges
     dof_points = np.zeros((n_dofs, 2))
-    seen = np.zeros(n_dofs, dtype=bool)
+    first_slot = np.full(n_dofs, -1, dtype=np.int64)
     for k in range(M):
         for l in range(nk):
             d = elem_dofs[k, l]
-            if not seen[d]:
+            if first_slot[d] < 0:
                 dof_points[d] = phys[k, l]
-                seen[d] = True
-    return DofMap(mesh, space, basis, degree, elem_dofs, dof_points, n_dofs)
+                first_slot[d] = k * nk + l
+    return DofMap(mesh, space, basis, degree, elem_dofs, dof_points, n_dofs, first_slot)
 
 
-def _ref_structured_rect(nx, ny, width=10.0, height=10.0, center=(0.0, 0.0)):
+def _ref_structured_rect(nx, ny, width=10.0, height=10.0):
     """Oracle for structured_rect: triangles cell by cell."""
-    xs = np.linspace(center[0] - width / 2.0, center[0] + width / 2.0, nx + 1)
-    ys = np.linspace(center[1] - height / 2.0, center[1] + height / 2.0, ny + 1)
+    xs = np.linspace(-width / 2.0, width / 2.0, nx + 1)
+    ys = np.linspace(-height / 2.0, height / 2.0, ny + 1)
     X, Y = np.meshgrid(xs, ys, indexing="ij")
     nodes = np.stack([X.ravel(), Y.ravel()], axis=-1)
 

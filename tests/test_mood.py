@@ -19,7 +19,7 @@ from rdeuler.mood import (
     smooth_pardon,
 )
 from rdeuler.positivity import admissible_timestep, alpha_noninterpolated
-from rdeuler.problems import make_problem
+from rdeuler.problems import SmoothedSodProblem
 from rdeuler.residuals import Scheme
 from rdeuler.stepping import FieldState, forward_euler_step, ssp_rk2_step
 from rdeuler.verification import check_mood, run_mood_sod
@@ -79,7 +79,7 @@ def _assert_pardon_matches_oracle(disc, rho, elems, smooth_tol=0.01):
 def _strip_disc(nx, ny):
     """The smoothed-Sod strip of run_mood_sod."""
     mesh = structured_rect(nx, ny, width=10.0, height=10.0 * ny / nx)
-    return Discretization(mesh, build_dofmap(mesh, "s2", "lagrange", 1))
+    return Discretization(build_dofmap(mesh, "s2", "lagrange", 1))
 
 
 def _pardon_fields(disc, rng):
@@ -122,7 +122,7 @@ def test_detect_tests_each_dof_as_its_element_copies(gas):
     # PAD and CAD read each global DOF once and gather the booleans; the
     # oracle tests every element copy of every DOF, as the element loop did
     disc = _strip_disc(12, 3)
-    prev = disc.interpolate(make_problem("sod_smooth", disc.mesh.bbox, gas).initial)
+    prev = disc.interpolate(SmoothedSodProblem(disc.mesh.bbox, gas).initial)
     rng = np.random.default_rng(4)
     dofs = disc.dofmap.elem_dofs
     M = disc.mesh.n_tris
@@ -292,7 +292,7 @@ def test_pardon_matches_oracle_on_thin_strip(gas):
     rng = np.random.default_rng(9)
     for rho in _pardon_fields(disc, rng):
         _assert_pardon_matches_oracle(disc, rho, elems)
-    prob = make_problem("sod_smooth", disc.mesh.bbox, gas)
+    prob = SmoothedSodProblem(disc.mesh.bbox, gas)
     _assert_pardon_matches_oracle(disc, disc.interpolate(prob.initial)[:, 0], elems)
 
 
@@ -319,7 +319,7 @@ def test_pardon_matches_oracle_on_criterion_7_run(monkeypatch):
 def test_consecutive_mood_steps_match_fresh_ones(gas):
     # cached residuals and alpha of one step must not leak into the next
     disc = _strip_disc(24, 3)
-    prob = make_problem("sod_smooth", disc.mesh.bbox, gas)
+    prob = SmoothedSodProblem(disc.mesh.bbox, gas)
     cfg = CascadeConfig(schemes=tuple(Scheme.parse(s) for s in ("galerkin", "limited_lxf", "lxf")))
 
     def integ(s, dt, levels=None):

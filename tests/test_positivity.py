@@ -26,7 +26,7 @@ def _stagnant(disc, gas):
 def test_scaled_normals_row_sums(gas):
     for seed in range(10):
         mesh = build_mesh(*scrambled(12, 10, seed))
-        disc = Discretization(mesh, build_dofmap(mesh, "s2", "lagrange", 1))
+        disc = Discretization(build_dofmap(mesh, "s2", "lagrange", 1))
         om = scaled_normals(disc)
         assert np.abs(om.sum(axis=2)).max() < 1e-14
 
@@ -197,9 +197,9 @@ def test_explicit_positivity_reduced(gas):
     # acceptance suite)
     mesh = structured_square(4, side=2.0)
     rng = np.random.default_rng(7)
-    disc1 = Discretization(mesh, build_dofmap(mesh, "s2", "lagrange", 1))
+    disc1 = Discretization(build_dofmap(mesh, "s2", "lagrange", 1))
     assert positivity_stress(disc1, gas, rng, n_fields=50, n_steps=10) == 0
-    disc2 = Discretization(mesh, build_dofmap(mesh, "s2", "bernstein", 2))
+    disc2 = Discretization(build_dofmap(mesh, "s2", "bernstein", 2))
     assert (
         positivity_stress(
             disc2, gas, rng, n_fields=25, n_steps=10, check_lagrange_points=True

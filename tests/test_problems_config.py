@@ -58,6 +58,24 @@ def test_vortex_inadmissible_beta(gas, beta):
         VortexProblem((-5.0, 5.0, -5.0, 5.0), gas, beta=beta)
 
 
+def test_vortex_overflowing_dip_names_gamma_and_beta():
+    # (gamma - 1) beta^2 / (8 gamma pi^2) is inf / inf at gamma = 1e308
+    from rdeuler.euler import GasModel
+
+    with pytest.raises(InadmissibleParameters, match=r"gamma=1e\+308 and beta=5\.0"):
+        VortexProblem((-5.0, 5.0, -5.0, 5.0), GasModel(gamma=1e308))
+
+
+def test_vortex_starts_at_the_origin_in_the_free_stream(gas):
+    # at time t the field is the initial one shifted by t (1, 0)
+    prob = VortexProblem((-5.0, 5.0, -5.0, 5.0), gas)
+    x = np.linspace(-2.0, 2.0, 9)
+    y = np.linspace(-1.5, 1.5, 9)
+    assert np.abs(prob.state(1.25, x + 1.25, y) - prob.initial(x, y)).max() < 1e-14
+    rho = prob.initial(x[:, None], y[None, :])[..., 0]
+    assert rho.argmin() == np.ravel_multi_index((4, 4), rho.shape)   # the core at (0, 0)
+
+
 def test_vortex_translation_wraps(gas):
     prob = VortexProblem((-5.0, 5.0, -5.0, 5.0), gas)
     x = np.linspace(-4.7, 4.7, 11)
@@ -261,3 +279,21 @@ def test_config_accepts_the_edges_of_each_range(key, value):
 def test_scheme_rejects_nan_zeta():
     with pytest.raises(ConfigError):
         Scheme(zeta=float("nan"))
+
+
+@pytest.mark.parametrize("length", [10.0, 4.0])
+def test_sod_states_and_width_are_the_documented_ones(gas, length):
+    # (rho, p) = (1, 1) between the transitions, (0.125, 0.1) outside,
+    # joined by tanh transitions of width L/40 at x0 + L/4 and x0 + 3L/4
+    x0 = -0.5 * length
+    prob = SmoothedSodProblem((x0, x0 + length, 0.0, 1.0), gas)
+    w = length / 40.0
+    x = np.array([x0, x0 + 0.25 * length, x0 + 0.25 * length + w, x0 + 0.5 * length])
+    got = prob.initial(x, np.zeros_like(x))
+    rho, p = got[:, 0], euler.pressure(got, gas)
+    s = 0.5 * (np.tanh((x - (x0 + 0.25 * length)) / w) - np.tanh((x - (x0 + 0.75 * length)) / w))
+    assert np.abs(rho - (0.125 + 0.875 * s)).max() < 1e-15
+    assert np.abs(p - (0.1 + 0.9 * s)).max() < 1e-15
+    assert s[0] < 1e-8 and abs(s[1] - 0.5) < 1e-8 and abs(s[3] - 1.0) < 1e-8
+    assert abs(s[2] - 0.5 * (1.0 + np.tanh(1.0))) < 1e-8
+    assert np.all(got[:, 1:3] == 0.0)

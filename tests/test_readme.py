@@ -1,0 +1,25 @@
+"""The README's library tour runs as printed."""
+
+import os
+import re
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def _python_blocks():
+    with open(os.path.join(ROOT, "README.md")) as fh:
+        return re.findall(r"^```python\n(.*?)^```$", fh.read(), flags=re.M | re.S)
+
+
+def test_the_two_tour_blocks_step_the_same_state():
+    # the config path and the constructor path of the tour are one run
+    blocks = _python_blocks()
+    assert len(blocks) == 2
+    finals = []
+    for code in blocks:
+        scope = {}
+        exec(compile(code, "README.md", "exec"), scope)
+        finals.append(scope["state"])
+    a, b = finals
+    assert a.t == b.t == 1.0
+    assert a.U.shape == b.U.shape and a.U.tobytes() == b.U.tobytes()

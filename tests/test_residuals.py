@@ -122,7 +122,7 @@ def test_galerkin_linear_density_hand_quadrature(gas):
 def test_galerkin_jump_linear_field_unchanged(gas):
     # a linear field has no gradient jump off the periodic seam
     mesh = structured_square(6, side=1.0)
-    disc = Discretization(mesh, build_dofmap(mesh, "s2", "lagrange", 1))
+    disc = Discretization(build_dofmap(mesh, "s2", "lagrange", 1))
 
     def fn(x, y):
         return euler.conserved(
@@ -231,7 +231,7 @@ def test_dg_conservation_requadrature(gas, small_disc_s1):
 
 def test_dg_two_element_periodic_telescoping(gas):
     mesh = build_mesh([(0, 0), (1, 0), (1, 1), (0, 1)], [(0, 1, 2), (0, 2, 3)])
-    disc = Discretization(mesh, build_dofmap(mesh, "s1", "lagrange", 1))
+    disc = Discretization(build_dofmap(mesh, "s1", "lagrange", 1))
     rng = np.random.default_rng(2)
     U = random_states(rng, disc.dofmap.n_dofs)
     res = galerkin_residual(StageFields(disc, gas, U))

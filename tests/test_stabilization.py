@@ -228,12 +228,12 @@ def test_gradient_jumps_on_the_p_point_rule_equal_the_3_point_requadrature(gas, 
     # flux rule; the jump cancels, so the error is bounded against the
     # largest entry, not edge by edge
     from oracles import grad_jump_integral_3pt, gradient_jump_terms_3pt
-    from rdeuler.problems import make_problem
+    from rdeuler.problems import VortexProblem
     from rdeuler.residuals import gradient_jump_terms
     from rdeuler.stabilization import grad_jump_integral
 
     disc = make_disc(32, 10.0, "s2", basis, degree)
-    U = disc.interpolate(make_problem("vortex", disc.mesh.bbox, gas, beta=5.0).initial)
+    U = disc.interpolate(VortexProblem(disc.mesh.bbox, gas).initial)
     V_elem = StageFields(disc, gas, U).V_elem
     coeff = 0.01 * disc.if_length**2
     for got, want in ((grad_jump_integral(disc, V_elem), grad_jump_integral_3pt(disc, V_elem)),
