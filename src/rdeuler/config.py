@@ -15,6 +15,10 @@ from .residuals import Scheme
 
 _BOOL = {"true": True, "false": False, "on": True, "off": False}
 
+# The bases that run on one space only: the gradient-jump stabilization
+# of the continuous space, and the discontinuous distribution.
+_SPACE_OF_BASE = {"galerkin_jump": "s2", "dg": "s1"}
+
 
 def _key(default, key=None, auto=False):
     """A field read from config key ``key`` (default: the field name);
@@ -80,7 +84,10 @@ class RunConfig:
                "lambda_jump must be auto or finite and >= 0")
         _check(_auto_or(self.dt_max, lambda v: v > 0.0), "dt_max must be auto or finite and > 0")
         _check(self.max_steps >= 1, "max_steps must be >= 1")
-        self.cascade_config()    # the cascade and the mood.* keys, checked even when off
+        # the cascade and the mood.* keys are checked even when the cascade is off
+        for scheme in (Scheme.parse(self.scheme), *self.cascade_config().schemes):
+            need = _SPACE_OF_BASE.get(scheme.base, self.space)
+            _check(need == self.space, f"scheme {scheme.label()} needs space = {need}")
         if self.output_every < 0 or self.diag_every < 1:
             raise ConfigError("bad output cadence")
         if self.mood_enabled and self.integrator == "implicit":

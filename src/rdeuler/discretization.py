@@ -13,7 +13,8 @@ kept: the gradient-jump table ``if_jump_grads``, the weighted volume
 table ``int_gradw_mat`` (Galerkin volume term), the interior quadrature
 points ``int_phys`` (diagnostics), the integral tables behind
 ``cached``, among them the element-to-CSR map with which ``assemble``
-sums element tables into sparse matrices.  No array changes once built.
+sums element tables into sparse matrices and the flat bins of the
+scatters.  No array changes once built.
 :class:`StageFields` holds the point values of one state on those
 tables, each interface point and each DOF evaluated once on the
 continuous space, and a :class:`Patch` restricts them to a set of
@@ -21,6 +22,7 @@ elements and their edge neighbours, on which the kernels give the
 whole-mesh rows.
 """
 
+import math
 from functools import cached_property
 
 import numpy as np
@@ -47,7 +49,7 @@ class Discretization:
         self._build_geometry()
         self._build_interior_tables()
         self._build_interface_tables()
-        self.dual = dual_volumes(self.mesh, dofmap)
+        self.dual = dual_volumes(dofmap)
         self._build_neighbors()
         self._check_trace_pairing()
 
@@ -190,10 +192,11 @@ class Discretization:
 
     @property
     def phi_phi_normal_integrals(self):
-        """oint_dK phi_sigma phi_sigma' n dgamma, shape (M, N, N, 2)."""
-        return self.cached("ppn", self._phi_phi_normal_integrals)
+        """oint_dK phi_sigma phi_sigma' n dgamma, shape (M, N, N, 2).
 
-    def _phi_phi_normal_integrals(self):
+        Computed on each read and not kept: its one reader builds the
+        cached geometry norms of the alpha bounds from it.
+        """
         mesh = self.mesh
         out = np.zeros((mesh.n_tris, self.dofmap.n_local, self.dofmap.n_local, 2))
         for loc in range(3):
@@ -285,15 +288,33 @@ class Discretization:
 
         contrib_L/contrib_R have shape (E, ...) and are added to the
         left/right owner rows of a fresh (M, ...) array; this is the one
-        edge-to-element reduction.  Each element sums its left-owned
-        contributions, then its right-owned ones, in interface order.
+        edge-to-element reduction.  Each entry of an element sums its
+        left-owned contributions in interface order from 0.0, then adds
+        the sum of its right-owned ones, made the same way.
         """
         M = self.mesh.n_tris
-        flatL = contrib_L.reshape(contrib_L.shape[0], -1)
-        flatR = contrib_R.reshape(flatL.shape)
-        out = (column_bincount(self.if_left, flatL, M)
-               + column_bincount(self.if_right, flatR, M))
-        return out.reshape((M,) + contrib_L.shape[1:])
+        out = self.owner_sum("left", self.if_left, M, contrib_L)
+        out += self.owner_sum("right", self.if_right, M, contrib_R)
+        return out
+
+    def owner_sum(self, name, owners, n, X):
+        """Sum the rows of X (K, ...) into a fresh (n, ...) array, row k
+        into row ``owners[k]``: each entry sums its rows in row order
+        from 0.0, as one ``np.bincount`` per column would.
+
+        It is one ``np.bincount`` of X flattened to (K*C,) over the flat
+        bins ``owners[k]*C + c``, built on first use per ``name`` and C
+        and then kept (int32 when the n*C bins allow it, else int64), so
+        a ``name`` always stands for the same owners.
+        """
+        C = math.prod(X.shape[1:])
+
+        def flat_bins():
+            idx = np.int32 if n * C < 2**31 else np.int64
+            return (owners.astype(idx)[:, None] * C + np.arange(C, dtype=idx)).ravel()
+
+        bins = self.cached(("bins", name, C), flat_bins)
+        return np.bincount(bins, weights=X.ravel(), minlength=n * C).reshape((n,) + X.shape[1:])
 
     def interpolate(self, fn):
         """Interpolate fn(x, y) -> (..., ncomp) onto the DOF vector.
@@ -666,14 +687,3 @@ def last_axis_max(a):
     for j in range(1, a.shape[-1]):
         np.maximum(out, a[..., j], out=out)
     return out
-
-
-def column_bincount(index, weights, n):
-    """Sum the rows of ``weights`` (K, C) into ``n`` bins by ``index`` (K,).
-
-    One ``np.bincount`` per column, so each bin adds its rows in index
-    order and the result is bitwise reproducible; shape (n, C).
-    """
-    return np.column_stack(
-        [np.bincount(index, weights=weights[:, c], minlength=n) for c in range(weights.shape[1])]
-    )

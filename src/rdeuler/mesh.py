@@ -366,11 +366,12 @@ def shape_regularity(mesh: Mesh):
     return {"min": float(ratio.min()), "max": float(ratio.max())}
 
 
-def dual_volumes(mesh: Mesh, dofmap) -> DualVolumes:
-    """Dual volumes |C_sigma| = sum over owner elements of |K| / N_K."""
-    k_sigma = mesh.areas / dofmap.n_local
-    c_sigma = np.zeros(dofmap.n_dofs)
-    np.add.at(c_sigma, dofmap.elem_dofs, k_sigma[:, None])
+def dual_volumes(dofmap) -> DualVolumes:
+    """Dual volumes |C_sigma| = sum over owner elements of |K| / N_K, on
+    the mesh of the DOF map; each DOF sums its owners in element order."""
+    k_sigma = dofmap.mesh.areas / dofmap.n_local
+    c_sigma = np.bincount(dofmap.elem_dofs.ravel(), weights=np.repeat(k_sigma, dofmap.n_local),
+                          minlength=dofmap.n_dofs)
     return DualVolumes(c_sigma=c_sigma, k_sigma=k_sigma)
 
 

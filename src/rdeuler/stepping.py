@@ -17,7 +17,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import euler, mood, positivity
-from .discretization import Discretization, StageFields, column_bincount, elem_mean
+from .discretization import Discretization, StageFields, elem_mean
 from .errors import AlphaTooSmall, ConfigError, PicardDivergence
 from .residuals import LXF_FAMILY, Scheme
 from .stabilization import corrected_residual
@@ -162,8 +162,11 @@ def element_theta(fields: StageFields, scheme: Scheme, alpha):
 
 
 def scatter_residuals(disc: Discretization, theta):
-    """Ordered gather of per-element signals into the global DOF vector."""
-    return column_bincount(disc.dofmap.elem_dofs.ravel(), theta.reshape(-1, 4), disc.dofmap.n_dofs)
+    """Sum the per-element signals theta (M, N, 4) into the global DOF
+    vector, (n_dofs, 4): each DOF sums its element signals in element
+    order from 0.0."""
+    dm = disc.dofmap
+    return disc.owner_sum("dofs", dm.elem_dofs.ravel(), dm.n_dofs, theta.reshape(-1, 4))
 
 
 def _same_stencil(disc: Discretization, U_old, U_new):

@@ -242,3 +242,14 @@ def mixed_theta_full(state, cascade, levels, prior=None):
             pick = levels == lv
             theta[pick] = res[pick]
     return theta
+
+
+def column_bincount(index, weights, n):
+    """Sum the rows of ``weights`` (K, C) into ``n`` bins by ``index`` (K,).
+
+    One ``np.bincount`` per column, so each bin adds its rows in index
+    order, from 0.0; shape (n, C).
+    """
+    return np.column_stack(
+        [np.bincount(index, weights=weights[:, c], minlength=n) for c in range(weights.shape[1])]
+    )

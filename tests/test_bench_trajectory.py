@@ -87,6 +87,32 @@ def test_ab_summary_alternates_sides_and_records(tmp_path, monkeypatch):
     assert entry["digests_equal"] is True
 
 
+def test_ab_prints_the_median_paired_difference_in_the_metric_unit(tmp_path, monkeypatch, capsys):
+    tool = _load_tool()
+    rss = {("parent", 1): 70.0, ("change", 1): 70.2, ("parent", 2): 71.0, ("change", 2): 71.3,
+           ("parent", 3): 70.5, ("change", 3): 70.6}
+
+    def fake_run(tree, workload, seed, seconds):
+        side = os.path.basename(tree)
+        result = _result([1.0], "d")
+        result["reps"][0]["peak_rss_mb"] = rss[side, seed]
+        return result
+
+    for side in ("parent", "change"):
+        (tmp_path / side).mkdir()
+        (tmp_path / side / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [
+            {"name": "peak_rss_mb", "unit": "MB", "better": "lower"},
+            {"name": "run_s", "better": "lower"}]}))
+    monkeypatch.setattr(tool, "run_side", fake_run)
+    assert tool.main(["--base", str(tmp_path / "parent"), "--change", str(tmp_path / "change"),
+                      "--workload", "vortex_ec", "--pairs", "3", "--seconds", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    # the differences are +0.2, +0.3 and +0.1 MB; a metric without a unit prints none
+    assert [ln for ln in lines if ln.startswith("peak_rss_mb")][0].endswith(
+        "; paired difference +0.2 MB")
+    assert [ln for ln in lines if ln.startswith("run_s")][0].endswith("; paired difference +0")
+
+
 def test_ab_run_metrics_skip_failed_repetitions():
     tool = _load_tool()
     result = _result([1.0, 3.0], "d")

@@ -1,9 +1,10 @@
-"""Geometry tables, Lagrange points, the interpolated alpha bound and
-elem_mean against their einsum expressions, byte for byte.
+"""Geometry tables, Lagrange points, the interpolated alpha bound,
+elem_mean and the scatters against their reference forms, byte for byte.
 
 The oracles are the plain ``np.einsum`` / ``.mean`` forms the ordered
-broadcasts replace; every table must equal them in dtype, shape, memory
-order and bytes (so also in the sign of its zeros).
+broadcasts replace, and one ``np.bincount`` per column for the scatters;
+every table must equal them in dtype, shape, memory order and bytes (so
+also in the sign of its zeros).
 """
 
 import dataclasses
@@ -26,9 +27,11 @@ from rdeuler.config import parse_config
 from rdeuler.discretization import Discretization, StageFields, elem_mean
 from rdeuler.errors import NonConforming
 from rdeuler.mesh import build_mesh, structured_square
+from rdeuler.stepping import scatter_residuals
 from rdeuler.verification import random_admissible_field
 
 from conftest import scrambled
+from oracles import column_bincount
 
 
 def _signed_zero_square():
@@ -201,6 +204,50 @@ def test_elem_mean_equals_mean(shape):
     X[::2] = Z[::2]
     for A in (Z, X):
         _assert_same_bytes(elem_mean(A), A.mean(axis=1))
+
+
+def _signed_contributions(rng, shape):
+    """Normal samples with about a fifth of the entries -0.0 and one
+    row all -0.0."""
+    X = rng.standard_normal(shape)
+    X[rng.random(shape) < 0.2] = -0.0
+    X[0] = -0.0
+    return X
+
+
+def _oracle_scatter(disc, L, R):
+    M, E = disc.mesh.n_tris, len(L)
+    out = (column_bincount(disc.if_left, L.reshape(E, -1), M)
+           + column_bincount(disc.if_right, R.reshape(E, -1), M))
+    return out.reshape((M,) + L.shape[1:])
+
+
+SCATTER_SPACES = [(space, basis, degree) for space in ("s1", "s2")
+                  for basis, degree in (("lagrange", 1), ("bernstein", 2))]
+
+
+@pytest.mark.parametrize("space, basis, degree", SCATTER_SPACES)
+def test_scatters_equal_the_per_column_bincount(mesh, space, basis, degree):
+    # C = 1, 4 and 4N columns (12 at P1, 24 at P2), on the whole mesh and
+    # on a patch; every mesh has elements that own no left interface
+    disc = Discretization(build_dofmap(mesh, space, basis, degree))
+    patch = disc.patch(np.arange(0, mesh.n_tris, 3))
+    rng = np.random.default_rng(11)
+    E, N = len(disc.if_left), disc.dofmap.n_local
+    for tail in ((), (4,), (N, 4)):
+        L = _signed_contributions(rng, (E,) + tail)
+        R = _signed_contributions(rng, (E,) + tail)
+        whole = disc.scatter_interface(L, R)
+        _assert_same_bytes(whole, _oracle_scatter(disc, L, R))
+        on = patch._rows.interfaces
+        rows = patch.scatter_interface(L[on], R[on])
+        _assert_same_bytes(rows, _oracle_scatter(patch, L[on], R[on]))
+        _assert_same_bytes(rows[patch.core], whole[patch.elems[patch.core]])
+    for d in (disc, patch):
+        assert (np.bincount(d.if_left, minlength=d.mesh.n_tris) == 0).any()
+        theta = _signed_contributions(rng, (d.mesh.n_tris, N, 4))
+        _assert_same_bytes(scatter_residuals(d, theta), column_bincount(
+            d.dofmap.elem_dofs.ravel(), theta.reshape(-1, 4), d.dofmap.n_dofs))
 
 
 @pytest.mark.parametrize("basis, degree", [("lagrange", 1), ("lagrange", 2), ("bernstein", 2)])

@@ -544,6 +544,21 @@ def test_start_takes_the_gas_and_floors_from_the_config(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("space, scheme, cascade", [
+    ("s1", "galerkin_jump", "galerkin,limited_lxf,lxf"), ("s2", "dg", "galerkin,limited_lxf,lxf"),
+    ("s1", "lxf", "galerkin_jump,lxf"), ("s2", "lxf", "dg,lxf"),
+])
+def test_cli_rejects_a_scheme_on_the_wrong_space_before_making_the_output(
+        tmp_path, space, scheme, cascade, capsys):
+    path = tmp_path / "run.cfg"
+    path.write_text(_cfg_text(tmp_path, space=space, scheme=scheme, cascade=cascade,
+                              **{"mood.enabled": "true"}))
+    assert main(["run", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and "needs space" in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("key, value", [
     ("gamma", "nan"), ("zeta", "nan"), ("lambda_jump", "nan"), ("t_end", "nan"),
     ("max_steps", "-3"), ("mood.smooth_tol", "-1"), ("mood.delta_dmp", "nan"),

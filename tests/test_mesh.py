@@ -130,7 +130,7 @@ def test_dual_volumes_reference_pair():
     # P1 DOF: it holds both triangles
     mesh = build_mesh(_SQUARE, _PAIR)
     dm = build_dofmap(mesh, "s2", "lagrange", 1)
-    dv = dual_volumes(mesh, dm)
+    dv = dual_volumes(dm)
     assert dm.n_dofs == 1
     assert dv.c_sigma[0] == pytest.approx(1.0, rel=1e-14)
     assert dv.k_sigma[0] == pytest.approx(0.5 / 3.0)
@@ -141,7 +141,7 @@ def test_dual_volume_hexagon_vertex():
     # congruent triangles of area A, so its dual volume is 2A
     mesh = structured_square(4, side=3.0)
     dm = build_dofmap(mesh, "s2", "lagrange", 1)
-    dv = dual_volumes(mesh, dm)
+    dv = dual_volumes(dm)
     A = mesh.areas[0]
     assert np.allclose(mesh.areas, A, rtol=1e-13)
     assert np.bincount(dm.elem_dofs.ravel()).tolist() == [6] * dm.n_dofs
@@ -151,16 +151,34 @@ def test_dual_volume_hexagon_vertex():
 def test_dual_volumes_discontinuous():
     mesh = structured_square(2, side=1.0)
     dm = build_dofmap(mesh, "s1", "lagrange", 1)
-    dv = dual_volumes(mesh, dm)
+    dv = dual_volumes(dm)
     expect = np.repeat(mesh.areas / 3.0, 3)
     assert np.allclose(dv.c_sigma, expect, rtol=1e-14)
+
+
+def test_dual_volumes_read_the_mesh_of_the_dofmap():
+    # no mesh argument to mismatch: a 10 x 10 square has dual volumes
+    # summing to 100, whatever other mesh is at hand
+    dm = build_dofmap(structured_square(4, side=10.0))
+    assert dual_volumes(dm).c_sigma.sum() == pytest.approx(100.0, rel=1e-13)
+
+
+@pytest.mark.parametrize("space, basis, degree", [("s2", "lagrange", 1), ("s2", "bernstein", 2),
+                                                  ("s1", "lagrange", 1), ("s1", "lagrange", 2)])
+def test_dual_volumes_equal_the_add_at_sums(space, basis, degree):
+    mesh = build_mesh(*scrambled(12, 10, seed=4))
+    dm = build_dofmap(mesh, space, basis, degree)
+    want = np.zeros(dm.n_dofs)
+    np.add.at(want, dm.elem_dofs, (mesh.areas / dm.n_local)[:, None])
+    got = dual_volumes(dm).c_sigma
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def test_dual_volumes_partition_total_area():
     mesh = structured_square(5, side=7.0)
     for space, deg in (("s2", 1), ("s2", 2), ("s1", 2)):
         dm = build_dofmap(mesh, space, "lagrange", deg)
-        dv = dual_volumes(mesh, dm)
+        dv = dual_volumes(dm)
         assert np.sum(dv.c_sigma) == pytest.approx(np.sum(mesh.areas), rel=1e-12)
 
 

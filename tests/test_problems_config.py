@@ -245,6 +245,31 @@ def test_config_rejects_mood_with_implicit():
         )
 
 
+# galerkin_jump runs on the continuous space only and dg on the
+# discontinuous one, as the scheme or as any cascade level, with the
+# cascade on or off
+SPACE_MISMATCHES = [
+    "space = s1\nscheme = galerkin_jump\n",
+    "space = s2\nscheme = dg\n",
+    "space = s1\nscheme = dg+ec+jump\ncascade = galerkin_jump,lxf\nmood.enabled = true\n",
+    "space = s2\nscheme = lxf\ncascade = galerkin,dg,lxf\nmood.enabled = true\n",
+    "space = s2\nscheme = galerkin\ncascade = dg+jump,lxf\n",
+]
+
+
+@pytest.mark.parametrize("lines", SPACE_MISMATCHES)
+def test_config_rejects_a_scheme_on_the_wrong_space(lines):
+    with pytest.raises(ConfigError, match="needs space = s[12]"):
+        parse_config("mesh = structured:8\n" + lines)
+
+
+def test_config_accepts_each_scheme_on_its_space():
+    parse_config("mesh = structured:8\nspace = s2\nscheme = galerkin_jump\n"
+                 "cascade = galerkin_jump,lxf\nmood.enabled = true\n")
+    parse_config("mesh = structured:8\nspace = s1\nscheme = dg\n"
+                 "cascade = dg,limited_lxf,lxf\nmood.enabled = true\n")
+
+
 @pytest.mark.parametrize("key, value", [
     ("gamma", "nan"), ("gamma", "inf"), ("gamma", "1.0"),
     ("zeta", "nan"), ("zeta", "inf"), ("zeta", "1.5"),

@@ -11,7 +11,9 @@ on both sides; the parent (``--base``) goes first in even pairs and the
 change in odd ones.  A run's end-to-end metrics are the medians over its
 repetitions, read from ``.bench_out/<W>/result_seed<S>_trace0.json`` in
 its tree.  The summary gives, per metric and side, the median and the
-quartiles over the pairs, the number of pairs the change won, and
+quartiles over the pairs, the number of pairs the change won, the ratio
+of the medians, the median over the pairs of the change minus the parent
+in the metric's unit (so a fixed-size cache reads as megabytes), and
 whether the final-U digests of the two sides are equal.  Each pair also
 prints the largest relative change of the final U per component, read
 from the two trees' ``.bench_out/<W>/out/snap_final.csv`` (the last
@@ -133,6 +135,11 @@ def summarize(pairs, directions):
     return out
 
 
+def median_difference(pairs, name):
+    """Median over the pairs of the change's value minus the parent's."""
+    return statistics.median([c[name] - p[name] for p, c in pairs if name in p and name in c])
+
+
 def src_hash(tree):
     """``src-sha256:`` and the first 16 hex digits of a hash over the name
     and bytes of every ``.py`` file of ``tree/src/rdeuler``, in name
@@ -165,9 +172,10 @@ def git_commit(tree):
     return head or "unknown", bool(dirty)
 
 
-def directions_of(tree):
+def end_to_end_of(tree):
+    """The end-to-end metrics of the tree's BENCHMARK.json by name."""
     with open(os.path.join(tree, "BENCHMARK.json")) as fh:
-        return {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
+        return {m["name"]: m for m in json.load(fh)["end_to_end"]}
 
 
 def main(argv=None):
@@ -209,13 +217,16 @@ def main(argv=None):
             print(f"# pair {i + 1} seed {seed}: final U max relative change per component "
                   + " ".join(f"{r:.3g}" for r in rel))
 
-    summary = summarize(pairs, directions_of(trees["change"]))
+    metrics = end_to_end_of(trees["change"])
+    summary = summarize(pairs, {name: m["better"] for name, m in metrics.items()})
     for name, s in summary.items():
         p, c = s["parent"], s["change"]
+        unit = metrics[name].get("unit", "")
         print(f"{name} [{s['better']}]: parent {p['median']:.6g} (p25 {p['p25']:.6g}, "
               f"p75 {p['p75']:.6g}); change {c['median']:.6g} (p25 {c['p25']:.6g}, "
               f"p75 {c['p75']:.6g}); change better in {s['change_wins']} of {s['pairs']} pairs; "
-              f"ratio {c['median'] / p['median']:.3f}")
+              f"ratio {c['median'] / p['median']:.3f}; "
+              f"paired difference {median_difference(pairs, name):+.3g} {unit}".rstrip())
     equal = bool(digest_pairs) and all(p == c for p, c in digest_pairs)
     shown = sorted({d for _, c in digest_pairs for d in c})
     print(f"digests equal: {'yes' if equal else 'no'} (change {', '.join(shown)})")
