@@ -27,7 +27,7 @@ for step, (state, _, _) in enumerate(driver.steps(cfg, state), 1):
     if step % 10 == 0 or state.t >= cfg.t_end - 1e-12:
         totals = conserved_totals(disc, state.U)
         entropy = float(np.sum(disc.dual.c_sigma * euler.entropy_eta(state.U, gas)))
-        bv = weak_bv_norm(disc, gas, state.U)
+        bv = weak_bv_norm(state.fields)
         print(
             f"{state.t:7.4f}  {abs(totals[0] - start[0]):.3e}   "
             f"{entropy:+.6f}   {bv:.3e}"

@@ -16,7 +16,10 @@ from .residuals import Scheme
 _BOOL = {"true": True, "false": False, "on": True, "off": False}
 
 # The bases that run on one space only: the gradient-jump stabilization
-# of the continuous space, and the discontinuous distribution.
+# of the continuous space, and the discontinuous distribution.  The
+# interpolated flux (+interp) needs the continuous space too: on the
+# discontinuous one its residual has no interface term, so the elements
+# neither couple nor conserve.
 _SPACE_OF_BASE = {"galerkin_jump": "s2", "dg": "s1"}
 
 
@@ -86,7 +89,8 @@ class RunConfig:
         _check(self.max_steps >= 1, "max_steps must be >= 1")
         # the cascade and the mood.* keys are checked even when the cascade is off
         for scheme in (Scheme.parse(self.scheme), *self.cascade_config().schemes):
-            need = _SPACE_OF_BASE.get(scheme.base, self.space)
+            need = ("s2" if scheme.flux_mode == "interpolated"
+                    else _SPACE_OF_BASE.get(scheme.base, self.space))
             _check(need == self.space, f"scheme {scheme.label()} needs space = {need}")
         if self.output_every < 0 or self.diag_every < 1:
             raise ConfigError("bad output cadence")

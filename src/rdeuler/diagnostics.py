@@ -51,17 +51,15 @@ class RunRecord:
         return st
 
 
-def weak_bv_norm(disc: Discretization, gas, U, zeta=2.0, grad_jump=None):
+def weak_bv_norm(fields: StageFields, zeta=2.0):
     """Edge-jump seminorm (squared): sum_e h_e^zeta d oint ||[grad V]||^2.
 
-    ``grad_jump`` is the per-interface integral of U when the caller has
-    it (CorrectedResidual.grad_jump); otherwise it is computed here, on
-    the p-point rule of the jump, from the entropy variables of the DOFs.
+    The integral is the fields' ``grad_jump_integral``, which the jump
+    diffusion of the same fields shares.
     """
-    if grad_jump is None:
-        grad_jump = grad_jump_integral(disc, StageFields(disc, gas, U).V_elem)
+    disc = fields.disc
     d = 2.0
-    return float(np.sum(disc.if_h**zeta * d * disc.if_length * grad_jump))
+    return float(np.sum(disc.if_h**zeta * d * disc.if_length * grad_jump_integral(fields)))
 
 
 def _test_values(fn, t, X, component, grad=False):

@@ -8,18 +8,18 @@ points), dual volumes and neighbor lists.  Each integrand has its own
 edge rule: the fluxes and the jump of V on the discontinuous space take
 the 3-point Gauss rule, the squared gradient jump of degree-p fields
 (degree 2(p - 1)) the p-point Gauss rule, which integrates it exactly.
-The tables that only some runs read are built on first use and then
-kept: the gradient-jump table ``if_jump_grads``, the weighted volume
-table ``int_gradw_mat`` (Galerkin volume term), the interior quadrature
-points ``int_phys`` (diagnostics), the integral tables behind
-``cached``, among them the element-to-CSR map with which ``assemble``
-sums element tables into sparse matrices and the flat bins of the
-scatters.  No array changes once built.
+The tables that only some runs read are built by ``cached`` on first
+use and then kept: the gradient-jump table ``if_jump_grads``, the
+weighted volume table ``int_gradw_mat`` (Galerkin volume term), the
+interior quadrature points ``int_phys`` (diagnostics), the integral
+tables, the element-to-CSR map with which ``assemble`` sums element
+tables into sparse matrices and the flat bins of the scatters.  No
+array changes once built.
 :class:`StageFields` holds the point values of one state on those
 tables, each interface point and each DOF evaluated once on the
 continuous space, and a :class:`Patch` restricts them to a set of
 elements and their edge neighbours, on which the kernels give the
-whole-mesh rows.
+whole-mesh rows; it gathers every table of its parent and builds none.
 """
 
 import math
@@ -36,6 +36,15 @@ from .mesh import Mesh, dual_volumes
 # Nearest element centroids that evaluate_at_points tries for each point
 # before its brute-force search.
 EVAL_CANDIDATES = 12
+
+
+def _table(rows):
+    """A lazy table of the decorated builder: a property over ``cached``
+    under the builder's name, with one row per element or per interface
+    (``rows``), so that a Patch gathers it from its parent."""
+    def wrap(build):
+        return property(lambda self: self.cached(build.__name__, build, rows), doc=build.__doc__)
+    return wrap
 
 
 class Discretization:
@@ -78,12 +87,12 @@ class Discretization:
         ref = fb.basis_ref_grads(kind, p, fb.INTERIOR_POINTS)            # (nq, N, 2)
         self.int_grads = physical_grads(self.jinv_T[:, None], ref)       # (M, nq, N, 2)
 
-    @cached_property
+    @_table("elems")
     def int_phys(self):
         """Physical interior quadrature points, (M, nq, 2)."""
         return fb.physical_points(fb.INTERIOR_POINTS, self.corner_coords)
 
-    @cached_property
+    @_table("elems")
     def int_gradw_mat(self):
         """Area- and weight-folded gradient table (M, N, nq*2) for volume terms."""
         M = self.mesh.n_tris
@@ -119,7 +128,7 @@ class Discretization:
         self.if_vals_L_wl = np.ascontiguousarray((vals_L * wl).transpose(0, 2, 1))
         self.if_vals_R_wl = np.ascontiguousarray((vals_R * wl).transpose(0, 2, 1))
 
-    @cached_property
+    @_table("interfaces")
     def if_jump_grads(self):
         """[grad X] at the points of the p-point gradient-jump rule as a map
         of the owner values (left, then right), (E, p, 2, 2N): minus the
@@ -170,25 +179,25 @@ class Discretization:
 
     # -- lazy integral tables -----------------------------------------
 
-    def cached(self, key, build):
-        """Geometry-only table ``build()``, computed on first use only."""
+    def cached(self, key, build, rows=None):
+        """Geometry-only table ``build(self)``, computed on first use only.
+        ``rows`` is ``"elems"`` or ``"interfaces"`` for a table with one
+        row (or a tuple of rows) per element or per interface."""
         if key not in self._cache:
-            self._cache[key] = build()
+            self._cache[key] = build(self)
         return self._cache[key]
 
-    @property
+    @_table("elems")
     def phi_grad_integrals(self):
         """int_K phi_sigma grad(phi_sigma') dx, shape (M, N, N, 2)."""
-        return self.cached("pgi", lambda: np.einsum(
-            "q,qn,mqki->mnki", self.int_weights, self.int_vals, self.int_grads
-        ) * self.mesh.areas[:, None, None, None])
+        return np.einsum("q,qn,mqki->mnki", self.int_weights, self.int_vals,
+                         self.int_grads) * self.mesh.areas[:, None, None, None]
 
-    @property
+    @_table("elems")
     def grad_integrals(self):
         """int_K grad(phi_sigma) dx, shape (M, N, 2)."""
-        return self.cached("gi", lambda: np.einsum(
-            "q,mqni->mni", self.int_weights, self.int_grads
-        ) * self.mesh.areas[:, None, None])
+        return np.einsum("q,mqni->mni", self.int_weights,
+                         self.int_grads) * self.mesh.areas[:, None, None]
 
     @property
     def phi_phi_normal_integrals(self):
@@ -232,7 +241,7 @@ class Discretization:
         matrix shares one pattern and one element-to-CSR map, built from
         the DOF map on first use.
         """
-        indptr, indices, slot = self.cached("element_csr", self._element_csr)
+        indptr, indices, slot = self.cached("element_csr", Discretization._element_csr)
         n = self.dofmap.n_dofs
         data = np.bincount(slot, weights=tables.ravel(), minlength=len(indices))
         return sp.csr_matrix((data, indices, indptr), shape=(n, n))
@@ -304,14 +313,13 @@ class Discretization:
 
         It is one ``np.bincount`` of X flattened to (K*C,) over the flat
         bins ``owners[k]*C + c``, built on first use per ``name`` and C
-        and then kept (int32 when the n*C bins allow it, else int64), so
-        a ``name`` always stands for the same owners.
+        and then kept as ``np.intp``, which ``np.bincount`` reads without
+        a copy, so a ``name`` always stands for the same owners.
         """
         C = math.prod(X.shape[1:])
 
-        def flat_bins():
-            idx = np.int32 if n * C < 2**31 else np.int64
-            return (owners.astype(idx)[:, None] * C + np.arange(C, dtype=idx)).ravel()
+        def flat_bins(_):
+            return (owners.astype(np.intp)[:, None] * C + np.arange(C, dtype=np.intp)).ravel()
 
         bins = self.cached(("bins", name, C), flat_bins)
         return np.bincount(bins, weights=X.ravel(), minlength=n * C).reshape((n,) + X.shape[1:])
@@ -459,28 +467,6 @@ class _PatchDofMap(_PatchView):
         self.mesh = mesh
 
 
-class _GatheredOrBuilt:
-    """A lazy table of Discretization on a Patch: the parent's, gathered,
-    once the parent has built it, else built on the patch."""
-
-    def __init__(self, rows):
-        self.rows = rows
-
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, patch, owner=None):
-        if patch is None:
-            return self
-        built = vars(patch._parent)
-        if self.name in built:
-            value = built[self.name][getattr(patch._rows, self.rows)]
-        else:
-            value = getattr(Discretization, self.name).func(patch)
-        patch.__dict__[self.name] = value
-        return value
-
-
 class Patch(_PatchView, Discretization):
     """A set of elements of a Discretization with their edge neighbours,
     on which every kernel runs unchanged.
@@ -492,9 +478,9 @@ class Patch(_PatchView, Discretization):
     rows of the halo elements miss interfaces and must not be read.
 
     No table is recomputed and nothing is copied up front: element and
-    interface tables, and the per-element ``cached`` tables, are gathered
-    from the parent on first read, and a lazy table the parent has not
-    built is built on the patch.  Owner and edge ids are remapped to the
+    interface tables, and the lazy tables of ``cached`` with ``rows``,
+    are gathered from the parent on first read; the parent builds a lazy
+    table it lacks, once.  Owner and edge ids are remapped to the
     patch (an interface outside it reads as interface 0); the DOF map
     keeps the global DOF ids, so kernels on the patch read the global DOF
     vector.  The neighbour table has no patch rule: only the cascade
@@ -511,11 +497,6 @@ class Patch(_PatchView, Discretization):
         interfaces=("if_normal", "if_length", "if_h", "if_vals_L_wl", "if_vals_R_wl"),
         if_left=("interfaces", "elem_id"), if_right=("interfaces", "elem_id"),
     )
-    # the ``cached`` tables of the cascade's kernels, one row (or a tuple
-    # of rows) per element; other keys are built on the patch
-    _PER_ELEMENT_CACHE = ("pgi", "gi", "omega_norms_units", "geometry_vector_norms")
-    int_gradw_mat = _GatheredOrBuilt("elems")
-    if_jump_grads = _GatheredOrBuilt("interfaces")
 
     def __init__(self, parent: Discretization, elems):
         req = np.asarray(elems, dtype=np.int64)
@@ -530,12 +511,13 @@ class Patch(_PatchView, Discretization):
         self.mesh = _PatchMesh(parent.mesh, rows)
         self.dofmap = _PatchDofMap(parent.dofmap, self.mesh, rows)
 
-    def cached(self, key, build):
-        """The parent's table gathered when it is per element and built, else ``build()``."""
-        if key not in self._cache and key in self._PER_ELEMENT_CACHE and key in self._parent._cache:
-            value = self._parent._cache[key]
-            self._cache[key] = (tuple(v[self.elems] for v in value) if isinstance(value, tuple)
-                                else value[self.elems])
+    def cached(self, key, build, rows=None):
+        """With ``rows``, the parent's table gathered by the patch's rows;
+        without, ``build(self)`` on the patch (the flat scatter bins)."""
+        if rows is not None and key not in self._cache:
+            value, at = self._parent.cached(key, build, rows), getattr(self._rows, rows)
+            self._cache[key] = (tuple(v[at] for v in value) if isinstance(value, tuple)
+                                else value[at])
         return super().cached(key, build)
 
 

@@ -134,12 +134,11 @@ def _diag_row(state, scheme, step, dt, mood_counts):
     disc, gas = state.disc, state.gas
     totals = stepping.conserved_totals(disc, state.U)
     entropy = float(np.sum(disc.dual.c_sigma * euler.entropy_eta(state.U, gas)))
-    prod, grad_jump = 0.0, None
+    prod = 0.0
     if scheme.diffusion:
         # The state's memoised residual: the next step's first stage reuses it.
-        res = state.residual(scheme)
-        prod, grad_jump = float(np.sum(res.production)), res.grad_jump
-    bv = diagnostics.weak_bv_norm(disc, gas, state.U, zeta=scheme.zeta, grad_jump=grad_jump)
+        prod = float(np.sum(state.residual(scheme).production))
+    bv = diagnostics.weak_bv_norm(state.fields, zeta=scheme.zeta)
     return {
         "step": step,
         "t": state.t,
@@ -160,15 +159,27 @@ def _diag_row(state, scheme, step, dt, mood_counts):
 def start(cfg: RunConfig):
     """(state, problem) that the run ``cfg`` starts from: the gas and
     floors of ``cfg``, its discretization and its initial state (problem
-    None for a snapshot).  A zeta for which h**zeta overflows on the mesh
-    raises InadmissibleParameters."""
+    None for a snapshot).  A zeta for which h**zeta overflows on the mesh,
+    or an initial state with an inadmissible DOF, raises
+    InadmissibleParameters."""
     gas = euler.GasModel(gamma=cfg.gamma, rho_floor=cfg.rho_floor, e_floor=cfg.e_floor)
     disc = build_discretization(cfg)
     h = disc.if_h.max()
     with np.errstate(over="ignore"):
         if not np.isfinite(h**cfg.zeta):
             raise InadmissibleParameters(f"zeta={cfg.zeta} overflows h**zeta at h={h:.6g}")
-    return initial_state(cfg, disc, gas)
+    state, prob = initial_state(cfg, disc, gas)
+    bad = np.flatnonzero(~euler.admissible(state.U, gas))
+    if len(bad):
+        source = f"problem {cfg.problem}" if prob is not None else f"snapshot {cfg.problem_file}"
+        with np.errstate(divide="ignore", invalid="ignore"):
+            e = euler.internal_energy(state.U[bad[0]])
+        raise InadmissibleParameters(
+            f"{source} with the {cfg.basis} basis of degree {cfg.degree} has {len(bad)} "
+            f"inadmissible initial DOF states; the first is DOF {bad[0]}, with density "
+            f"{state.U[bad[0], 0]:.6g} and internal energy density {e:.6g}"
+        )
+    return state, prob
 
 
 def steps(cfg: RunConfig, state):

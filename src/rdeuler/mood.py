@@ -74,8 +74,8 @@ class DetectorReport:
 
 def _stencil_dofs(disc: Discretization):
     """Own plus edge-neighbor DOFs per element."""
-    def build():
-        dofs, nbr = disc.dofmap.elem_dofs, disc.elem_neighbors
+    def build(d):
+        dofs, nbr = d.dofmap.elem_dofs, d.elem_neighbors
         return np.concatenate([dofs] + [dofs[nbr[:, j]] for j in range(3)], axis=1)
 
     return disc.cached("stencil", build)
@@ -146,7 +146,7 @@ def smooth_pardon(disc: Discretization, rho, elems, smooth_tol):
     relative residual.  The fit depends only on geometry and is built
     once per discretization.
     """
-    table, mask, proj = disc.cached("smooth_fit", lambda: _smooth_fit(disc))
+    table, mask, proj = disc.cached("smooth_fit", _smooth_fit)
     vals = rho[table[elems]]
     keep = mask[elems]
     resid = np.abs(np.matmul(proj[elems], vals[..., None])[..., 0]).max(axis=1)

@@ -51,7 +51,7 @@ def alpha_interpolated(fields: StageFields):
     disc, U_elem = fields.disc, fields.U_elem
     _check_admissible(fields)
     norms, unit = disc.cached(
-        "omega_norms_units", lambda: _norms_and_units(scaled_normals(disc))
+        "omega_norms_units", lambda d: _norms_and_units(scaled_normals(d)), rows="elems"
     )
     u = euler.velocity(U_elem)                                     # (M,N,2)
     a = euler.sound_speed(U_elem, fields.gas, p=fields.dofs.p)     # (M,N)
@@ -104,7 +104,8 @@ def alpha_noninterpolated(fields: StageFields):
     """
     disc = fields.disc
     _check_admissible(fields)
-    norms = disc.cached("geometry_vector_norms", lambda: _max_norms(geometry_vectors(disc)))
+    norms = disc.cached("geometry_vector_norms", lambda d: _max_norms(geometry_vectors(d)),
+                        rows="elems")
     return _wavespeed_sweep(fields) * norms
 
 
@@ -116,7 +117,7 @@ def alpha_implicit(fields: StageFields):
     ||int phi grad(phi')|| times the wavespeed bound on the velocity.
     """
     disc = fields.disc
-    norms = disc.cached("phi_grad_norms", lambda: _max_norms(disc.phi_grad_integrals))
+    norms = disc.cached("phi_grad_norms", lambda d: _max_norms(d.phi_grad_integrals), rows="elems")
     return disc.dofmap.n_local * _wavespeed_sweep(fields) * norms
 
 

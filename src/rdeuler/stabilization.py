@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import euler
-from .discretization import Discretization, StageFields, elem_mean, last_axis_max
+from .discretization import StageFields, elem_mean, last_axis_max
 from .residuals import ElementResidual, Scheme, base_residual
 
 DENOM_GUARD = 1e-14
@@ -91,16 +91,16 @@ def _field_deviations(fields: StageFields):
     return fields.cached("deviations", lambda: _deviations(fields.V_elem))
 
 
-def grad_jump_integral(disc: Discretization, V_elem):
-    """oint_e ||[grad V]||^2 per interface, (E,), on the p-point rule of the jump."""
-    jump = disc.trace_grad_jump(V_elem)                               # (E,p,C,2)
-    jump *= jump
-    return jump.sum(axis=(2, 3)) @ disc.jump_weights
+def grad_jump_integral(fields: StageFields):
+    """oint_e ||[grad V]||^2 per interface of the fields' entropy variables,
+    (E,), on the p-point rule of the jump; computed once per fields."""
+    def build():
+        disc = fields.disc
+        jump = disc.trace_grad_jump(fields.V_elem)                    # (E,p,C,2)
+        jump *= jump
+        return jump.sum(axis=(2, 3)) @ disc.jump_weights
 
-
-def _field_grad_jump(fields: StageFields):
-    """grad_jump_integral of the fields' entropy variables, computed once per fields."""
-    return fields.cached("grad_jump", lambda: grad_jump_integral(fields.disc, fields.V_elem))
+    return fields.cached("grad_jump", build)
 
 
 def edge_jump_production(fields: StageFields, lam=None, zeta=2.0):
@@ -118,7 +118,7 @@ def edge_jump_production(fields: StageFields, lam=None, zeta=2.0):
     else:
         lam_e = np.full(disc.if_length.shape[0], float(lam))
     if disc.dofmap.space == "s2":
-        D = lam_e * disc.if_h**zeta * disc.if_length * _field_grad_jump(fields)
+        D = lam_e * disc.if_h**zeta * disc.if_length * grad_jump_integral(fields)
     else:
         VL, VR = disc.traces(fields.V_elem)
         jump = VR - VL                                                # (E,nq,4)
@@ -173,7 +173,6 @@ class CorrectedResidual:
     g_boundary: np.ndarray        # (M,); None without +ec and +jump
     production: np.ndarray        # (M,) achieved entropy production
     edge_production: np.ndarray   # (E,)
-    grad_jump: np.ndarray = None  # (E,) grad_jump_integral; +jump on the continuous space only
 
 
 def corrected_residual(fields: StageFields, scheme: Scheme, alpha=None):
@@ -188,7 +187,7 @@ def corrected_residual(fields: StageFields, scheme: Scheme, alpha=None):
     alpha_corr = np.zeros(M)
     production = np.zeros(M)
     edge_production = np.zeros(disc.if_length.shape[0])
-    g_bnd = r = grad_jump = None
+    g_bnd = r = None
     theta = base.phi
     if scheme.correction or scheme.diffusion:
         g_bnd = element_entropy_boundary(fields)
@@ -198,8 +197,6 @@ def corrected_residual(fields: StageFields, scheme: Scheme, alpha=None):
                 fields.V_elem, _field_deviations(fields), base.phi, g_bnd
             )
         if scheme.diffusion:
-            if disc.dofmap.space == "s2":
-                grad_jump = _field_grad_jump(fields)
             psi, production, edge_production = jump_diffusion(
                 fields, lam=scheme.lambda_jump, zeta=scheme.zeta
             )
@@ -214,5 +211,4 @@ def corrected_residual(fields: StageFields, scheme: Scheme, alpha=None):
         g_boundary=g_bnd,
         production=production,
         edge_production=edge_production,
-        grad_jump=grad_jump,
     )

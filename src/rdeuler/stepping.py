@@ -265,8 +265,8 @@ def interpolated_lxf_rhs(disc: Discretization, gas, U, dissipation):
     ``dissipation`` is L_alpha of the step's DensitySystem.  One checked
     pressure and one flux over the DOFs; each Picard sweep is one call.
     """
-    Bx, By = disc.cached("phi_grad_csr", lambda: tuple(
-        disc.assemble(disc.phi_grad_integrals[..., i]) for i in range(2)))
+    Bx, By = disc.cached("phi_grad_csr", lambda d: tuple(
+        d.assemble(d.phi_grad_integrals[..., i]) for i in range(2)))
     f = euler.flux(U, gas)
     R = Bx @ f[..., 0]
     R += By @ f[..., 1]

@@ -113,6 +113,23 @@ def test_ab_prints_the_median_paired_difference_in_the_metric_unit(tmp_path, mon
     assert [ln for ln in lines if ln.startswith("run_s")][0].endswith("; paired difference +0")
 
 
+def test_ab_prints_the_src_line_count_of_both_trees(tmp_path, monkeypatch, capsys):
+    tool = _load_tool()
+    monkeypatch.setattr(tool, "run_side", lambda tree, workload, seed, seconds: _result([1.0], "d"))
+    for side, files in (("parent", {"a.py": "x = 1\ny = 2\n", "b.py": "z = 3\n"}),
+                        ("change", {"a.py": "x = 1\n", "notes.txt": "not\ncounted\n"})):
+        lib = tmp_path / side / "src" / "rdeuler"
+        lib.mkdir(parents=True)
+        for name, text in files.items():
+            (lib / name).write_text(text)
+        (tmp_path / side / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [
+            {"name": "run_s", "better": "lower"}]}))
+    assert tool.main(["--base", str(tmp_path / "parent"), "--change", str(tmp_path / "change"),
+                      "--workload", "vortex_ec", "--pairs", "1", "--seconds", "1"]) == 0
+    assert "src lines: parent 3, change 1" in capsys.readouterr().out.splitlines()
+    assert tool.src_lines(str(tmp_path / "missing")) == "n/a"
+
+
 def test_ab_run_metrics_skip_failed_repetitions():
     tool = _load_tool()
     result = _result([1.0, 3.0], "d")

@@ -102,21 +102,41 @@ def test_patch_rows_equal_whole_mesh_rows_bitwise(gas, space, kind, degree, labe
 
 
 @pytest.mark.parametrize("space, kind, degree", SPACES)
-def test_patch_before_the_parent_builds_its_lazy_tables(gas, space, kind, degree):
-    # a patch builds the lazy tables its parent lacks on itself; its rows
-    # still equal those of a discretization that built them whole
+def test_patches_of_a_fresh_discretization_gather_what_the_parent_builds_once(
+        monkeypatch, gas, space, kind, degree):
+    # every applicable scheme runs on patches before the whole mesh has
+    # built any lazy table: no builder of a table with rows sees a patch,
+    # each such table is built once, on the parent, and a patch builds
+    # nothing but the flat bins of its own scatters
+    labels = [s for s in SCHEMES if _applicable(space, s)]
     U = _field(_disc(space, kind, degree), gas, seed=12)
-    labels = [s for s in ("galerkin+ec+jump", "galerkin_jump", "lxf+interp", "limited_lxf", "dg")
-              if _applicable(space, s)]
+    whole = _disc(space, kind, degree)
+    full = {label: _rows(whole, gas, U, Scheme.parse(label)) for label in labels}
+    builds = []
+    cached = Discretization.cached
+
+    def spy(self, key, build, rows=None):
+        def spied(d):
+            builds.append((key, rows, d))
+            return build(d)
+        return cached(self, key, spied, rows)
+
+    monkeypatch.setattr(Discretization, "cached", spy)
+    fresh = _disc(space, kind, degree)
     for label in labels:
-        scheme = Scheme.parse(label)
-        fresh = _disc(space, kind, degree)
-        elems = _element_sets(fresh)["random"]
-        got = _rows(fresh, gas, U, scheme, elems)
-        assert not any(k in vars(fresh) for k in ("int_gradw_mat", "if_jump_grads"))
-        full = _rows(_disc(space, kind, degree), gas, U, scheme)
-        for g, f in zip(got, full):
-            assert _same_bits(g, f[elems]), label
+        for name, elems in _element_sets(fresh).items():
+            if name != "all":
+                got = _rows(fresh, gas, U, Scheme.parse(label), elems)
+                for g, f in zip(got, full[label]):
+                    assert _same_bits(g, f[elems]), (label, name)
+    on_rows = [key for key, rows, d in builds if rows is not None]
+    assert all(d is fresh for key, rows, d in builds if rows is not None)
+    assert sorted(on_rows) == sorted(set(on_rows))
+    assert {"phi_grad_integrals", "grad_integrals", "int_gradw_mat", "omega_norms_units",
+            "geometry_vector_norms"} <= set(on_rows)
+    assert ("if_jump_grads" in on_rows) == (space == "s2")
+    on_patches = [key for key, rows, d in builds if d is not fresh]
+    assert on_patches and all(key[0] == "bins" for key in on_patches)
 
 
 def test_patch_keeps_the_interfaces_of_its_elements():
@@ -150,9 +170,11 @@ def test_every_table_has_a_patch_rule(gas):
     for f in dataclasses.fields(basis.DofMap):
         if f.name != "first_slot":
             getattr(p.dofmap, f.name)
-    for key in disc._cache:
-        if key in p._PER_ELEMENT_CACHE:
-            p.cached(key, None)
+    # the lazy tables with rows, which the patch gathers from its parent
+    for name, rows in (("int_phys", p.elems), ("int_gradw_mat", p.elems),
+                       ("phi_grad_integrals", p.elems), ("grad_integrals", p.elems),
+                       ("if_jump_grads", p._rows.interfaces)):
+        assert _same_bits(getattr(p, name), getattr(disc, name)[rows]), name
     # no kernel reads these on a patch; a read raises rather than
     # returning rows that are not the patch's
     for name in ("dual", "elem_neighbors"):

@@ -45,7 +45,7 @@ def test_weak_bv_zero_for_polynomial_entropy_vars(gas):
         axis=-1,
     )
     U = state_from_entropy_vars(V, gas)
-    grad_jump = grad_jump_integral(disc, euler.entropy_vars(disc.elem_values(U), gas))
+    grad_jump = grad_jump_integral(StageFields(disc, gas, U))
     assert grad_jump[off_seam(disc)].max() < 1e-24
 
 
@@ -53,7 +53,7 @@ def test_weak_bv_matches_requadrature(gas, small_disc):
     disc = small_disc
     rng = np.random.default_rng(0)
     U = smooth_field(disc, gas) * (1 + 0.05 * rng.standard_normal((disc.dofmap.n_dofs, 4)))
-    got = weak_bv_norm(disc, gas, U, zeta=2.0)
+    got = weak_bv_norm(StageFields(disc, gas, U), zeta=2.0)
     # independent accumulation per interface
     V_elem = euler.entropy_vars(disc.elem_values(U), gas)
     total = 0.0
@@ -73,7 +73,7 @@ def test_weak_bv_refinement_exponent(gas):
     for n in (8, 16):
         disc = make_disc(n, side=2.0)
         U = smooth_field(disc, gas)
-        vals.append(weak_bv_norm(disc, gas, U))
+        vals.append(weak_bv_norm(StageFields(disc, gas, U)))
     exponent = np.log2(vals[0] / vals[1])
     assert abs(exponent - 3.0) <= 0.3
 

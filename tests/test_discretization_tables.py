@@ -159,7 +159,7 @@ def test_tables_equal_their_einsum(mesh, space, basis, degree):
     disc = Discretization(dofmap)
     want = _einsum_tables(mesh, dofmap)
     for name in LAZY:
-        assert name not in disc.__dict__, name
+        assert name not in disc._cache, name
     for name, table in want.items():
         _assert_same_bytes(getattr(disc, name), table)
     for name in LAZY:
@@ -250,6 +250,19 @@ def test_scatters_equal_the_per_column_bincount(mesh, space, basis, degree):
             d.dofmap.elem_dofs.ravel(), theta.reshape(-1, 4), d.dofmap.n_dofs))
 
 
+def test_the_flat_scatter_bins_are_kept_as_intp():
+    # np.bincount reads intp bins as they are; bins of another integer
+    # type would be cast to a fresh intp copy on every scatter
+    disc = Discretization(build_dofmap(structured_square(4, side=2.0), "s2", "lagrange", 1))
+    for d in (disc, disc.patch([0, 5])):
+        scatter_residuals(d, np.ones((d.mesh.n_tris, d.dofmap.n_local, 4)))
+        ones = np.ones((len(d.if_left), 4))
+        d.scatter_interface(ones, ones)
+        bins = {key: v for key, v in d._cache.items() if key[0] == "bins"}
+        assert sorted(bins) == [("bins", "dofs", 4), ("bins", "left", 4), ("bins", "right", 4)]
+        assert all(v.dtype == np.intp for v in bins.values())
+
+
 @pytest.mark.parametrize("basis, degree", [("lagrange", 1), ("lagrange", 2), ("bernstein", 2)])
 def test_weak_bv_norm_builds_and_keeps_the_p_point_table(gas, basis, degree):
     # a diagnostics row of a run whose kernels never built the gradient-jump
@@ -257,11 +270,11 @@ def test_weak_bv_norm_builds_and_keeps_the_p_point_table(gas, basis, degree):
     mesh = structured_square(4, side=2.0)
     disc = Discretization(build_dofmap(mesh, "s2", basis, degree))
     U = disc.interpolate(_smooth)
-    assert "if_jump_grads" not in disc.__dict__
-    bv = diagnostics.weak_bv_norm(disc, gas, U)
-    table = disc.__dict__["if_jump_grads"]
+    assert "if_jump_grads" not in disc._cache
+    bv = diagnostics.weak_bv_norm(StageFields(disc, gas, U))
+    table = disc._cache["if_jump_grads"]
     assert table.shape == (mesh.n_edges, degree, 2, 2 * disc.dofmap.n_local)
-    assert diagnostics.weak_bv_norm(disc, gas, U) == bv
+    assert diagnostics.weak_bv_norm(StageFields(disc, gas, U)) == bv
     assert disc.if_jump_grads is table
     assert disc.jump_weights.shape == (degree,)
 
@@ -277,7 +290,7 @@ def test_implicit_interpolated_run_builds_no_lazy_table(tmp_path):
     # the implicit kernels build none; the weak-BV norm of the step-0
     # diagnostics row builds the (small, p-point) gradient-jump table and keeps it
     for name in LAZY:
-        assert (name in result.disc.__dict__) == (name == "if_jump_grads"), name
+        assert (name in result.disc._cache) == (name == "if_jump_grads"), name
 
 
 def test_non_pairing_periodic_interfaces_rejected():

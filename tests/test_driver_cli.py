@@ -7,7 +7,7 @@ from rdeuler import driver, euler
 from rdeuler.cli import main
 from rdeuler.config import parse_config
 from rdeuler.discretization import StageFields
-from rdeuler.errors import ConfigError, NonPositivePressure, VacuumState
+from rdeuler.errors import ConfigError, InadmissibleParameters, NonPositivePressure, VacuumState
 
 
 def _assert_numeric_csv(path):
@@ -422,18 +422,21 @@ def test_diag_row_reuses_the_step_residual(tmp_path, monkeypatch):
 
 def test_diag_row_bv_norm_reuses_the_residual_jump_integral(tmp_path, monkeypatch):
     # the row's bv_norm is the weighted sum of the gradient-jump integral
-    # the state's memoised residual already holds: the row computes no
-    # integral of its own, and every cell equals weak_bv_norm from scratch
+    # that the jump diffusion of the state's residual memoised on its
+    # fields: the gradient jumps are evaluated once per residual (the two
+    # stages of each SSP-RK2 step, and the last row's state) and never for
+    # a row of its own, and every cell equals weak_bv_norm from scratch
     from rdeuler import diagnostics
+    from rdeuler.discretization import Discretization
 
     calls = []
-    original = diagnostics.grad_jump_integral
+    original = Discretization.trace_grad_jump
 
     def counted(*args, **kwargs):
         calls.append(1)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(diagnostics, "grad_jump_integral", counted)
+    monkeypatch.setattr(Discretization, "trace_grad_jump", counted)
     n = 4
     cfg = parse_config(
         _cfg_text(tmp_path, problem="vortex", mesh="structured:8", integrator="ssprk2",
@@ -442,7 +445,7 @@ def test_diag_row_bv_norm_reuses_the_residual_jump_integral(tmp_path, monkeypatc
     )
     result = driver.run(cfg, record=True)
     assert result.n_steps == n
-    assert calls == []
+    assert len(calls) == 2 * n + 1
     monkeypatch.undo()
 
     with open(os.path.join(cfg.output_dir, "diagnostics.csv")) as fh:
@@ -451,7 +454,7 @@ def test_diag_row_bv_norm_reuses_the_residual_jump_integral(tmp_path, monkeypatc
     got = [float(line.split(",")[col]) for line in lines]
     zeta = cfg.scheme_obj().zeta
     want = [
-        diagnostics.weak_bv_norm(result.disc, result.gas, U, zeta=zeta)
+        diagnostics.weak_bv_norm(StageFields(result.disc, result.gas, U), zeta=zeta)
         for U in result.record.states
     ]
     assert len(got) == n + 1
@@ -544,9 +547,55 @@ def test_start_takes_the_gas_and_floors_from_the_config(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("mesh, n_bad", [("structured:4", 16), ("structured:8", 32)])
+def test_an_inadmissible_initial_state_is_named_before_the_run(tmp_path, capsys, mesh, n_bad):
+    # the P2 Bernstein coefficients of the smoothed Sod jump undershoot to a
+    # negative density on coarse meshes: start names the problem, the basis,
+    # the degree and the first bad DOF, and the run exits 1 with no output
+    text = _cfg_text(tmp_path, problem="sod_smooth", mesh=mesh, basis="bernstein", degree="2")
+    with pytest.raises(InadmissibleParameters) as info:
+        driver.start(parse_config(text))
+    msg = str(info.value)
+    assert msg.startswith(f"problem sod_smooth with the bernstein basis of degree 2 has {n_bad} ")
+    assert "the first is DOF " in msg and "with density -" in msg
+    path = tmp_path / "run.cfg"
+    path.write_text(text)
+    assert main(["run", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error: problem sod_smooth")
+    assert not (tmp_path / "out").exists()
+
+
+def test_an_inadmissible_snapshot_is_named_by_its_file(tmp_path):
+    cfg = parse_config(_cfg_text(tmp_path, problem="vortex", mesh="structured:4", t_end="0.02"))
+    driver.run(cfg)
+    lines = open(os.path.join(cfg.output_dir, "snap_final.csv")).read().splitlines()
+    at = next(i for i, line in enumerate(lines) if line.startswith("7,"))
+    cells = lines[at].split(",")
+    cells[3] = "-0.5"                 # the density of DOF 7
+    lines[at] = ",".join(cells)
+    snap = tmp_path / "bad_snap.csv"
+    snap.write_text("\n".join(lines) + "\n")
+    restart = _cfg_text(tmp_path, problem="from_file", mesh="structured:4",
+                        **{"problem.file": str(snap)})
+    with pytest.raises(InadmissibleParameters) as info:
+        driver.start(parse_config(restart))
+    assert str(info.value).startswith(
+        f"snapshot {snap} with the bernstein basis of degree 1 has 1 inadmissible initial "
+        "DOF states; the first is DOF 7, with density -0.5 ")
+
+
+def test_a_fine_enough_mesh_starts_the_p2_bernstein_sod_problem(tmp_path):
+    cfg = parse_config(_cfg_text(tmp_path, problem="sod_smooth", mesh="structured:16",
+                                 basis="bernstein", degree="2", max_steps="2"))
+    state, _ = driver.start(cfg)
+    assert euler.admissible(state.U, state.gas).all()
+    assert len(list(driver.steps(cfg, state))) == 2
+
+
 @pytest.mark.parametrize("space, scheme, cascade", [
     ("s1", "galerkin_jump", "galerkin,limited_lxf,lxf"), ("s2", "dg", "galerkin,limited_lxf,lxf"),
     ("s1", "lxf", "galerkin_jump,lxf"), ("s2", "lxf", "dg,lxf"),
+    ("s1", "lxf+interp", "dg,lxf"), ("s1", "dg", "dg,limited_lxf+interp,lxf"),
 ])
 def test_cli_rejects_a_scheme_on_the_wrong_space_before_making_the_output(
         tmp_path, space, scheme, cascade, capsys):

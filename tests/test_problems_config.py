@@ -257,7 +257,19 @@ SPACE_MISMATCHES = [
 ]
 
 
-@pytest.mark.parametrize("lines", SPACE_MISMATCHES)
+# the interpolated LxF residual of the discontinuous space has no
+# interface term: its elements neither couple nor conserve, so +interp
+# (and the implicit integrator, which steps lxf+interp) needs s2
+INTERP_ON_S1 = [
+    "space = s1\nscheme = lxf+interp\n",
+    "space = s1\nscheme = limited_lxf+interp\nintegrator = fe\n",
+    "space = s1\nscheme = lxf+interp\nintegrator = implicit\n",
+    "space = s1\nscheme = dg\ncascade = dg,limited_lxf+interp,lxf\n",
+    "space = s1\nscheme = dg\ncascade = dg,lxf+interp\nmood.enabled = true\n",
+]
+
+
+@pytest.mark.parametrize("lines", SPACE_MISMATCHES + INTERP_ON_S1)
 def test_config_rejects_a_scheme_on_the_wrong_space(lines):
     with pytest.raises(ConfigError, match="needs space = s[12]"):
         parse_config("mesh = structured:8\n" + lines)

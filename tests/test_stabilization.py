@@ -234,9 +234,10 @@ def test_gradient_jumps_on_the_p_point_rule_equal_the_3_point_requadrature(gas, 
 
     disc = make_disc(32, 10.0, "s2", basis, degree)
     U = disc.interpolate(VortexProblem(disc.mesh.bbox, gas).initial)
-    V_elem = StageFields(disc, gas, U).V_elem
+    fields = StageFields(disc, gas, U)
+    V_elem = fields.V_elem
     coeff = 0.01 * disc.if_length**2
-    for got, want in ((grad_jump_integral(disc, V_elem), grad_jump_integral_3pt(disc, V_elem)),
+    for got, want in ((grad_jump_integral(fields), grad_jump_integral_3pt(disc, V_elem)),
                       (gradient_jump_terms(disc, V_elem, coeff),
                        gradient_jump_terms_3pt(disc, V_elem, coeff))):
         assert got.shape == want.shape

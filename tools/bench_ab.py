@@ -20,7 +20,8 @@ from the two trees' ``.bench_out/<W>/out/snap_final.csv`` (the last
 repetition of that seed): 0 when the digests are equal, and otherwise a
 bound on the change of bits.  The summary closes with the largest of
 these over the pairs, per component (``n/a`` when no pair had both
-snapshots).
+snapshots), and the last line gives the number of lines of
+``src/rdeuler/*.py`` in each tree.
 
 ``--record LABEL`` appends the summary as one entry to
 ``BENCH_trajectory.json`` at the root of this script's repository, the
@@ -157,6 +158,21 @@ def src_hash(tree):
     return "src-sha256:" + h.hexdigest()[:16]
 
 
+def src_lines(tree):
+    """Number of lines of the ``.py`` files of ``tree/src/rdeuler``, or
+    ``n/a`` for a tree without them."""
+    lib = os.path.join(tree, "src", "rdeuler")
+    try:
+        names = sorted(n for n in os.listdir(lib) if n.endswith(".py"))
+    except OSError:
+        return "n/a"
+    total = 0
+    for name in names:
+        with open(os.path.join(lib, name), "rb") as fh:
+            total += fh.read().count(b"\n")
+    return total
+
+
 def git_commit(tree):
     """HEAD of the tree and whether its library differs from it; a tree
     that is not a git checkout is named by ``src_hash``."""
@@ -233,6 +249,7 @@ def main(argv=None):
     final_change = max_over_pairs(changes)
     print("final U max relative change over pairs: "
           + (" ".join(f"{r:.3g}" for r in final_change) if final_change else "n/a"))
+    print(f"src lines: parent {src_lines(trees['parent'])}, change {src_lines(trees['change'])}")
 
     if args.record:
         parent_commit, _ = git_commit(trees["parent"])
