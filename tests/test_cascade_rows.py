@@ -102,8 +102,7 @@ def test_patch_rows_equal_whole_mesh_rows_bitwise(gas, space, kind, degree, labe
 
 
 @pytest.mark.parametrize("space, kind, degree", SPACES)
-def test_patches_of_a_fresh_discretization_gather_what_the_parent_builds_once(
-        monkeypatch, gas, space, kind, degree):
+def test_patch_before_the_parent_builds_its_lazy_tables(monkeypatch, gas, space, kind, degree):
     # every applicable scheme runs on patches before the whole mesh has
     # built any lazy table: no builder of a table with rows sees a patch,
     # each such table is built once, on the parent, and a patch builds
