@@ -11,10 +11,10 @@ the 3-point Gauss rule, the squared gradient jump of degree-p fields
 The tables that only some runs read are built by ``cached`` on first
 use and then kept: the gradient-jump table ``if_jump_grads``, the
 weighted volume table ``int_gradw_mat`` (Galerkin volume term), the
-interior quadrature points ``int_phys`` (diagnostics), the integral
-tables, the element-to-CSR map with which ``assemble`` sums element
-tables into sparse matrices and the flat bins of the scatters.  No
-array changes once built.
+interior quadrature points ``int_phys`` (diagnostics), the one geometry
+table of the LxF family ``phi_grad_integrals``, the element-to-CSR map
+with which ``assemble`` sums element tables into sparse matrices and
+the flat bins of the scatters.  No array changes once built.
 :class:`StageFields` holds the point values of one state on those
 tables, each interface point and each DOF evaluated once on the
 continuous space, and a :class:`Patch` restricts them to a set of
@@ -189,33 +189,10 @@ class Discretization:
 
     @_table("elems")
     def phi_grad_integrals(self):
-        """int_K phi_sigma grad(phi_sigma') dx, shape (M, N, N, 2)."""
+        """int_K phi_sigma grad(phi_sigma') dx, shape (M, N, N, 2): the c_ij of
+        Guermond and Popov and the one geometry table of the LxF family."""
         return np.einsum("q,qn,mqki->mnki", self.int_weights, self.int_vals,
                          self.int_grads) * self.mesh.areas[:, None, None, None]
-
-    @_table("elems")
-    def grad_integrals(self):
-        """int_K grad(phi_sigma) dx, shape (M, N, 2)."""
-        return np.einsum("q,mqni->mni", self.int_weights,
-                         self.int_grads) * self.mesh.areas[:, None, None]
-
-    @property
-    def phi_phi_normal_integrals(self):
-        """oint_dK phi_sigma phi_sigma' n dgamma, shape (M, N, N, 2).
-
-        Computed on each read and not kept: its one reader builds the
-        cached geometry norms of the alpha bounds from it.
-        """
-        mesh = self.mesh
-        out = np.zeros((mesh.n_tris, self.dofmap.n_local, self.dofmap.n_local, 2))
-        for loc in range(3):
-            v = self.edge_vals[loc]                                      # (nq, N)
-            pp = np.einsum("q,qn,qk->nk", self.edge_weights, v, v)
-            seg = mesh.elem_edge_length[:, loc, None, None, None] * (
-                pp[None, :, :, None] * mesh.elem_edge_normal[:, loc][:, None, None, :]
-            )
-            out += seg
-        return out
 
     # -- element-to-CSR assembly --------------------------------------
 

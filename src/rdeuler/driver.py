@@ -3,6 +3,7 @@ trajectory (``start`` and ``steps``), snapshots, the diagnostics CSV and
 the grid-convergence harness."""
 
 import hashlib
+import math
 import os
 from dataclasses import dataclass, field, replace
 
@@ -64,9 +65,9 @@ def write_snapshot(path, state: stepping.FieldState, cfg_hash=""):
 
 def read_snapshot(path):
     """(U, t, meta) of a snapshot file; a file that cannot be read, a
-    malformed header value or row, or dof_ids that are not a permutation
-    of 0..n-1 for n rows, raise ConfigError naming the file (and the
-    line)."""
+    malformed header value or row, a time that is not finite, or dof_ids
+    that are not a permutation of 0..n-1 for n rows, raise ConfigError
+    naming the file (and the line)."""
     meta = {}
     rows = []
     t = 0.0
@@ -81,6 +82,8 @@ def read_snapshot(path):
             if line.startswith("#"):
                 meta.update(tok.split("=", 1) for tok in line.lstrip("# ").split() if "=" in tok)
                 t = float(meta.get("t", t))
+                if not math.isfinite(t):
+                    raise ValueError(f"time t={t} is not finite")
             elif line and not line.startswith("dof_id"):
                 cells = line.split(",")
                 if len(cells) != 7:

@@ -48,15 +48,21 @@ def internal_energy(U):
     return U[..., 3] - 0.5 * m2 / U[..., 0]
 
 
+def _above(x, floor):
+    """x in (floor, inf), elementwise; NaN is not."""
+    return (x > floor) & (x < np.inf)
+
+
 def pressure(U, gas: GasModel, check=True):
-    """Pressure p = (gamma-1) * rho*e of a perfect gas."""
+    """Pressure p = (gamma-1) * rho*e of a perfect gas; checked, it is
+    defined exactly on the admissible states (``admissible``)."""
     U = np.asarray(U, dtype=float)
-    if check and np.any(~(U[..., 0] > gas.rho_floor)):
-        raise VacuumState("density at or below floor")
-    p = (gas.gamma - 1.0) * internal_energy(U)
-    if check and np.any(~(p > 0.0)):
-        raise NonPositivePressure("pressure not positive")
-    return p
+    if check and not np.all(_above(U[..., 0], gas.rho_floor)):
+        raise VacuumState("density at or below floor, or not finite")
+    rho_e = internal_energy(U)
+    if check and not np.all(_above(rho_e, gas.e_floor)):
+        raise NonPositivePressure("internal energy at or below floor, or not finite")
+    return (gas.gamma - 1.0) * rho_e
 
 
 def _given_or_pressure(U, gas, p):
@@ -136,14 +142,11 @@ def max_wavespeed(U, gas: GasModel, p=None):
 
 
 def admissible(U, gas: GasModel):
-    """Membership in the admissible set: rho and internal energy above floors.
+    """Membership in the admissible set: rho and rho*e above their floors
+    and finite, the states on which the checked ``pressure`` is defined.
 
-    NaN or Inf entries yield False.
+    A state with a NaN or Inf entry is not admissible.
     """
     U = np.asarray(U, dtype=float)
     with np.errstate(invalid="ignore", divide="ignore"):
-        ok = np.isfinite(U).all(axis=-1)
-        rho_ok = U[..., 0] >= gas.rho_floor
-        e = internal_energy(U)
-        e_ok = e >= gas.e_floor
-    return ok & rho_ok & np.where(np.isfinite(e), e_ok, False)
+        return _above(U[..., 0], gas.rho_floor) & _above(internal_energy(U), gas.e_floor)

@@ -5,6 +5,11 @@ per analyzed configuration: interpolated nodal flux (spectral radius
 against the scaled normals omega), pointwise quadrature flux (wavespeed
 times the norms of the N_sigma_sigma' geometry vectors), and the
 implicit density solve (sign condition on the off-diagonal entries).
+All three read one geometry table, ``phi_grad_integrals``: by the
+divergence theorem N_sigma_sigma' = int_K phi_sigma grad(phi_sigma'),
+so the pointwise bound is the wavespeed sweep times
+max_sigma_sigma' |int_K phi_sigma grad(phi_sigma')|, and the implicit
+bound is N_K times the pointwise one.
 The admissible time step turns alpha into a CFL bound under which the
 forward-Euler LxF update is a convex combination of admissible states.
 """
@@ -26,11 +31,6 @@ def _norms_and_units(omega):
     norms = np.linalg.norm(omega, axis=-1)
     safe = np.where(norms > 0, norms, 1.0)
     return norms, omega / safe[..., None]
-
-
-def _max_norms(vectors):
-    """Largest vector norm per element of an (M, N, N, 2) table."""
-    return np.linalg.norm(vectors, axis=-1).max(axis=(1, 2))
 
 
 def _check_admissible(fields: StageFields):
@@ -68,11 +68,6 @@ def alpha_interpolated(fields: StageFields):
     return best.reshape(len(best), -1).max(axis=1)
 
 
-def geometry_vectors(disc: Discretization):
-    """N_{sigma sigma'} = -int grad(phi_sigma) phi_sigma' + oint phi phi' n."""
-    return -disc.phi_grad_integrals.swapaxes(1, 2) + disc.phi_phi_normal_integrals
-
-
 def _element_max_wavespeed(fields: StageFields):
     """Max wavespeed over DOF values, interior and edge quadrature points.
 
@@ -96,17 +91,21 @@ def _wavespeed_sweep(fields: StageFields):
     return fields.cached("wavespeed", lambda: _element_max_wavespeed(fields))
 
 
+def _phi_grad_norms(disc: Discretization):
+    """Largest |int_K phi_sigma grad(phi_sigma')| per element, (M,), kept."""
+    return disc.cached("phi_grad_norms", lambda d: np.linalg.norm(
+        d.phi_grad_integrals, axis=-1).max(axis=(1, 2)), rows="elems")
+
+
 def alpha_noninterpolated(fields: StageFields):
     """Wavespeed maximum times the largest ||N_{sigma sigma'}||, (M,).
 
-    The pointwise and implicit bounds of one StageFields share its
-    wavespeed sweep.
+    N_{sigma sigma'} = int_K phi_sigma grad(phi_sigma'), the entries of
+    ``phi_grad_integrals``; the pointwise and implicit bounds of one
+    StageFields share its wavespeed sweep and that table's norms.
     """
-    disc = fields.disc
     _check_admissible(fields)
-    norms = disc.cached("geometry_vector_norms", lambda d: _max_norms(geometry_vectors(d)),
-                        rows="elems")
-    return _wavespeed_sweep(fields) * norms
+    return _wavespeed_sweep(fields) * _phi_grad_norms(fields.disc)
 
 
 def alpha_implicit(fields: StageFields):
@@ -114,11 +113,11 @@ def alpha_implicit(fields: StageFields):
 
     The mean-value correction splits as alpha/N_K per off-diagonal
     entry, so alpha must dominate N_K times the advective coefficient
-    ||int phi grad(phi')|| times the wavespeed bound on the velocity.
+    ||int phi grad(phi')|| times the wavespeed bound on the velocity:
+    N_K times the pointwise bound.
     """
     disc = fields.disc
-    norms = disc.cached("phi_grad_norms", lambda d: _max_norms(d.phi_grad_integrals), rows="elems")
-    return disc.dofmap.n_local * _wavespeed_sweep(fields) * norms
+    return disc.dofmap.n_local * _wavespeed_sweep(fields) * _phi_grad_norms(disc)
 
 
 def admissible_timestep(disc: Discretization, alpha, cfl, dt_max=None):

@@ -192,7 +192,7 @@ def _interpolated_lxf(fields: StageFields, alpha):
     # contract over (k, i) as batched matmuls against views of the tables
     f2 = f_dofs.transpose(0, 1, 3, 2).reshape(M, 2 * N, 4)
     div_part = np.matmul(disc.phi_grad_integrals.reshape(M, N, 2 * N), f2)
-    total = np.matmul(disc.grad_integrals.reshape(M, 1, 2 * N), f2)[:, 0]
+    total = div_part.sum(axis=1)                  # sum_sigma phi_sigma = 1
     dev = U_elem - elem_mean(U_elem)[:, None]
     return div_part + alpha[:, None, None] * dev, total
 

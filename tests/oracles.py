@@ -149,6 +149,31 @@ def gradient_jump_terms_3pt(disc, U_elem, coeff):
     return out
 
 
+def geometry_vectors(disc):
+    """N_{sigma sigma'} = -int_K grad(phi_sigma) phi_sigma' + oint_dK
+    phi_sigma phi_sigma' n, (M, N, N, 2): the volume term on the interior
+    rule through each element's inverse Jacobian, the boundary term on the
+    3-point edge rule, one local edge at a time."""
+    mesh, kind, deg = disc.mesh, disc.dofmap.basis, disc.dofmap.degree
+    p = mesh.nodes[mesh.tris]
+    JinvT = np.linalg.inv(np.stack([p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]], axis=-1)).swapaxes(1, 2)
+    grads = np.einsum("mij,qnj->mqni", JinvT, basis_ref_grads(kind, deg, INTERIOR_POINTS))
+    vals = basis_values(kind, deg, INTERIOR_POINTS)
+    out = -np.einsum("q,m,mqni,qk->mnki", INTERIOR_WEIGHTS, mesh.areas, grads, vals)
+    for loc in range(3):
+        v = basis_values(kind, deg, edge_barycentric(loc, EDGE_T))
+        pp = np.einsum("q,qn,qk->nk", EDGE_WEIGHTS, v, v)
+        out += np.einsum("m,nk,mi->mnki", mesh.elem_edge_length[:, loc], pp,
+                         mesh.elem_edge_normal[:, loc])
+    return out
+
+
+def grad_integrals(disc):
+    """int_K grad(phi_sigma) dx, (M, N, 2), by einsum over the interior rule."""
+    areas = disc.mesh.areas[:, None, None]
+    return np.einsum("q,mqni->mni", INTERIOR_WEIGHTS, disc.int_grads) * areas
+
+
 def split_1d_oracle(U_left, U_mid, U_right, nu, ratio, gas):
     """One LLF update of the middle state, as the mean of two split steps.
 

@@ -140,6 +140,46 @@ def test_ab_run_metrics_skip_failed_repetitions():
     assert m["elem_steps_per_s"] == pytest.approx(0.5 * (50.0 + 50.0 / 3.0))
 
 
+def test_ab_verdict_against_the_bound():
+    tool = _load_tool()
+
+    def pairs(parent, change, name="run_s"):
+        return [({name: p}, {name: c}) for p, c in zip(parent, change)]
+
+    tight = [1.0, 1.01, 0.99, 1.0, 1.02, 0.98, 1.0, 1.0]
+    # spread 0.02 of the median: the medians decide
+    assert tool.verdict(pairs(tight, [1.2] * 8), "run_s", "lower", 0.25) == "no worse"
+    assert tool.verdict(pairs(tight, [1.3] * 8), "run_s", "lower", 0.25) == "worse"
+    assert tool.verdict(pairs(tight, [0.5] * 8), "run_s", "lower", 0.25) == "no worse"
+    # a higher-is-better rate: a lower change median is the worse one
+    assert tool.verdict(pairs(tight, [0.7] * 8, "r"), "r", "higher", 0.25) == "worse"
+    assert tool.verdict(pairs(tight, [0.8] * 8, "r"), "r", "higher", 0.25) == "no worse"
+    # parent p25-p75 spread 0.5 of its median, wider than the bound
+    wide = [0.5, 0.6, 1.0, 1.0, 1.0, 1.4, 1.5, 1.0]
+    assert tool.verdict(pairs(wide, [1.0] * 8), "run_s", "lower", 0.25) == "unresolved"
+    assert tool.verdict(pairs(wide, [2.0] * 8), "run_s", "lower", 0.25) == "unresolved"
+    # unless every change run beats every parent run
+    assert tool.verdict(pairs(wide, [0.4] * 8), "run_s", "lower", 0.25) == "no worse"
+    assert tool.verdict(pairs(wide, [1.6] * 8, "r"), "r", "higher", 0.25) == "no worse"
+
+
+def test_ab_prints_a_verdict_for_each_metric_with_a_bound(tmp_path, monkeypatch, capsys):
+    tool = _load_tool()
+    times = {"parent": [2.0], "change": [3.0]}
+    monkeypatch.setattr(tool, "run_side", lambda tree, workload, seed, seconds: _result(
+        times[os.path.basename(tree)], "d"))
+    for side in ("parent", "change"):
+        (tmp_path / side).mkdir()
+        (tmp_path / side / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [
+            {"name": "run_s", "better": "lower", "bound": 0.25},
+            {"name": "peak_rss_mb", "better": "lower"}]}))
+    assert tool.main(["--base", str(tmp_path / "parent"), "--change", str(tmp_path / "change"),
+                      "--workload", "vortex_ec", "--pairs", "2", "--seconds", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "run_s verdict (bound 0.25): worse" in lines
+    assert not [ln for ln in lines if ln.startswith("peak_rss_mb verdict")]
+
+
 def _write_final_snapshot(tree, workload, U):
     out = tree / ".bench_out" / workload / "out"
     out.mkdir(parents=True, exist_ok=True)

@@ -131,8 +131,8 @@ def test_patch_before_the_parent_builds_its_lazy_tables(monkeypatch, gas, space,
     on_rows = [key for key, rows, d in builds if rows is not None]
     assert all(d is fresh for key, rows, d in builds if rows is not None)
     assert sorted(on_rows) == sorted(set(on_rows))
-    assert {"phi_grad_integrals", "grad_integrals", "int_gradw_mat", "omega_norms_units",
-            "geometry_vector_norms"} <= set(on_rows)
+    assert {"phi_grad_integrals", "int_gradw_mat", "omega_norms_units",
+            "phi_grad_norms"} <= set(on_rows)
     assert ("if_jump_grads" in on_rows) == (space == "s2")
     on_patches = [key for key, rows, d in builds if d is not fresh]
     assert on_patches and all(key[0] == "bins" for key in on_patches)
@@ -171,7 +171,7 @@ def test_every_table_has_a_patch_rule(gas):
             getattr(p.dofmap, f.name)
     # the lazy tables with rows, which the patch gathers from its parent
     for name, rows in (("int_phys", p.elems), ("int_gradw_mat", p.elems),
-                       ("phi_grad_integrals", p.elems), ("grad_integrals", p.elems),
+                       ("phi_grad_integrals", p.elems),
                        ("if_jump_grads", p._rows.interfaces)):
         assert _same_bits(getattr(p, name), getattr(disc, name)[rows]), name
     # no kernel reads these on a patch; a read raises rather than

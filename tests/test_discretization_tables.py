@@ -108,9 +108,6 @@ def _einsum_tables(mesh, dofmap):
         "phi_grad_integrals": np.einsum(
             "q,qn,mqki->mnki", INTERIOR_WEIGHTS, int_vals, int_grads
         ) * mesh.areas[:, None, None, None],
-        "grad_integrals": np.einsum(
-            "q,mqni->mni", INTERIOR_WEIGHTS, int_grads
-        ) * mesh.areas[:, None, None],
     }
 
 

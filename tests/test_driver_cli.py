@@ -44,10 +44,18 @@ def test_run_constant_state_stays_constant(tmp_path, gas):
     assert np.abs(last - first).max() < 1e-14
 
 
-def test_run_vortex_completes_and_conserves(tmp_path):
+@pytest.mark.parametrize("over", [
+    {},
+    {"space": "s1", "scheme": "dg+ec+jump", "basis": "lagrange"},
+    {"space": "s1", "scheme": "dg+ec+jump", "degree": "2"},
+    {"scheme": "lxf", "integrator": "fe", "basis": "lagrange"},
+    {"scheme": "lxf", "integrator": "fe", "degree": "2"},
+], ids=["s2-ec-jump", "s1-dg-p1-lagrange", "s1-dg-p2-bernstein", "lxf-fe-p1-lagrange",
+        "lxf-fe-p2-bernstein"])
+def test_run_vortex_completes_and_conserves(tmp_path, over):
+    over = {"integrator": "ssprk2", **over}
     cfg = parse_config(
-        _cfg_text(tmp_path, problem="vortex", integrator="ssprk2", t_end="0.2",
-                  mesh="structured:8", cfl="0.3")
+        _cfg_text(tmp_path, problem="vortex", t_end="0.2", mesh="structured:8", cfl="0.3", **over)
     )
     result = driver.run(cfg)
     r0, rn = result.rows[0], result.rows[-1]
@@ -379,6 +387,27 @@ def test_malformed_snapshot_is_config_error(tmp_path, capsys, column, value):
     )
     assert main(["run", str(path)]) == 2
     assert f"{bad}:6" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("t", ["nan", "inf", "1e400", "-inf"])
+def test_snapshot_with_a_non_finite_time_is_config_error(tmp_path, capsys, t):
+    # a NaN or infinite start time never meets t_end, or meets it at once:
+    # the run is refused before any output is made
+    state, _ = driver.start(parse_config(_cfg_text(tmp_path, problem="vortex", mesh="structured:4")))
+    snap = tmp_path / "snap.csv"
+    driver.write_snapshot(snap, state)
+    lines = snap.read_text().splitlines()
+    assert " t=0.0 " in lines[1]
+    lines[1] = lines[1].replace(" t=0.0 ", f" t={t} ")
+    snap.write_text("\n".join(lines) + "\n")
+    path = tmp_path / "restart.cfg"
+    path.write_text(_cfg_text(tmp_path, problem="from_file", mesh="structured:4", t_end="0.1",
+                              max_steps="3", **{"problem.file": str(snap)}))
+    assert main(["run", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and f"{snap}:2" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_diag_row_reuses_the_step_residual(tmp_path, monkeypatch):

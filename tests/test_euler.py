@@ -205,6 +205,35 @@ def test_internal_energy_concave(gas):
     assert np.all(e_mid - combo >= -1e-12)
 
 
+@pytest.mark.parametrize("floors", [(1e-3, 1e-3), (1e-12, 1e-12), (0.0, 0.0)])
+def test_admissible_exactly_where_the_checked_pressure_is_defined(floors):
+    # one admissible set, strict at both floors: at rho_floor = e_floor = 0
+    # it excludes vacuum and is p > 0
+    gas = euler.GasModel(rho_floor=floors[0], e_floor=floors[1])
+    r, e = floors
+    states = [
+        (max(r, 1e-3), 0.0, 0.0, 1.0), (1.0, 0.0, 0.0, 5e-4),
+        (r, 0.0, 0.0, 1.0), (1.0, 0.0, 0.0, e),              # exactly at a floor
+        (np.nextafter(r, 1.0), 0.0, 0.0, 1.0), (1.0, 0.0, 0.0, np.nextafter(e, 1.0)),
+        (1.0, 2.0, 0.0, 1.0), (-1.0, 0.0, 0.0, 1.0), (1.0, 0.0, 0.0, 1.0),
+        (np.nan, 0.0, 0.0, 1.0), (1.0, np.inf, 0.0, 1.0), (np.inf, 0.0, 0.0, 1.0),
+        (1.0, 0.0, 0.0, np.inf), (1.0, 1e200, 0.0, 1.0),
+    ]
+    for U in np.array(states):
+        with np.errstate(over="ignore"):               # (1, 1e200, 0, 1) overflows |m|^2
+            try:
+                euler.pressure(U, gas)
+                defined = True
+            except (VacuumState, NonPositivePressure):
+                defined = False
+            assert bool(euler.admissible(U, gas)) == defined, U
+    # the two states on which the predicates disagreed at (1e-3, 1e-3)
+    if floors == (1e-3, 1e-3):
+        assert not euler.admissible(np.array([1e-3, 0.0, 0.0, 1.0]), gas)
+        with pytest.raises(NonPositivePressure):
+            euler.pressure(np.array([1.0, 0.0, 0.0, 5e-4]), gas)
+
+
 def test_pressure_floor_errors(gas):
     with pytest.raises(NonPositivePressure):
         euler.pressure(np.array([1.0, 2.0, 0.0, 1.0]), gas)

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from conftest import make_disc, random_states, reference_pair, scrambled
-from oracles import split_1d_oracle
+from conftest import make_disc, random_states, reference_pair, scrambled, smooth_field
+from oracles import geometry_vectors, split_1d_oracle
 from rdeuler import euler
 from rdeuler.basis import build_dofmap
 from rdeuler.discretization import Discretization, StageFields
@@ -13,7 +13,6 @@ from rdeuler.positivity import (
     alpha_implicit,
     alpha_interpolated,
     alpha_noninterpolated,
-    geometry_vectors,
     scaled_normals,
 )
 from rdeuler.verification import positivity_stress
@@ -78,6 +77,34 @@ def test_geometry_vectors_gauss_identity(gas):
     for disc in (make_disc(3, 2.0), make_disc(3, 2.0, degree=2)):
         N = geometry_vectors(disc)
         assert np.abs(N.sum(axis=2)).max() < 1e-13
+
+
+@pytest.mark.parametrize("space", ["s1", "s2"])
+@pytest.mark.parametrize("basis,degree", [("lagrange", 1), ("lagrange", 2), ("bernstein", 2)])
+@pytest.mark.parametrize("mesh", ["square", "perturbed"])
+def test_geometry_vectors_are_phi_grad_integrals(gas, space, basis, degree, mesh):
+    # N_sigma sigma' by boundary quadrature equals int phi_sigma grad(phi_sigma'),
+    # so the pointwise bound and the implicit one read one table and
+    # differ by the factor N_K
+    m = structured_square(8) if mesh == "square" else build_mesh(*scrambled(12, 10, seed=4))
+    disc = Discretization(build_dofmap(m, space, basis, degree))
+    table = disc.phi_grad_integrals
+    assert np.abs(geometry_vectors(disc) - table).max() <= 1e-14 * np.abs(table).max()
+    rng = np.random.default_rng(23)
+    n = disc.dofmap.n_dofs
+    states = [smooth_field(disc, gas) * (1.0 + 0.05 * rng.uniform(-1.0, 1.0, (n, 4)))]
+    if (basis, degree) != ("lagrange", 2):
+        # P1 Lagrange and Bernstein point values are convex combinations
+        # of the DOF values, hence admissible
+        states += [random_states(rng, n, near_vacuum=nv) for nv in (False, True)]
+    for U in states:
+        fields = StageFields(disc, gas, U)
+        pointwise = alpha_noninterpolated(fields)
+        implicit = alpha_implicit(fields)
+        nk = disc.dofmap.n_local
+        assert np.abs(implicit - nk * pointwise).max() <= 1e-14 * np.abs(implicit).max()
+    # one norm table serves both bounds
+    assert set(disc._cache) == {"phi_grad_integrals", "phi_grad_norms"}
 
 
 def test_alpha_noninterpolated_stagnant(gas):

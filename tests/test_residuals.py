@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import make_disc, off_seam_elements, random_states, smooth_field
+from oracles import grad_integrals
 from rdeuler import euler
 from rdeuler.basis import build_dofmap
 from rdeuler.discretization import Discretization, StageFields
@@ -372,7 +373,7 @@ def _interpolated_lxf_einsum(disc, gas, U_elem, alpha):
     """The einsum form of the interpolated-flux LxF residual (oracle)."""
     f_dofs = euler.flux(U_elem, gas)
     div_part = np.einsum("mnki,mkci->mnc", disc.phi_grad_integrals, f_dofs)
-    total = np.einsum("mki,mkci->mc", disc.grad_integrals, f_dofs)
+    total = np.einsum("mki,mkci->mc", grad_integrals(disc), f_dofs)
     dev = U_elem - U_elem.mean(axis=1, keepdims=True)
     return div_part + alpha[:, None, None] * dev, total
 

@@ -12,11 +12,12 @@ import numpy as np
 import pytest
 
 from conftest import make_disc, random_states, smooth_field
-from oracles import grad_jump_integral_3pt, gradient_jump_terms_3pt
+from oracles import (geometry_vectors, grad_integrals, grad_jump_integral_3pt,
+                     gradient_jump_terms_3pt)
 from rdeuler import euler
 from rdeuler.discretization import Discretization, PointValues, StageFields
 from rdeuler.errors import NonPositivePressure, VacuumState
-from rdeuler.positivity import alpha_implicit, alpha_noninterpolated, geometry_vectors
+from rdeuler.positivity import alpha_implicit, alpha_noninterpolated
 from rdeuler.residuals import Scheme, beta_coefficients
 from rdeuler.stabilization import JUMP_COEFF, _correction, _deviations, _distribute, corrected_residual
 from rdeuler.stepping import FieldState
@@ -68,7 +69,7 @@ def _oracle_base(disc, gas, U_elem, scheme, alpha):
         M, N = U_elem.shape[:2]
         f2 = euler.flux(U_elem, gas).transpose(0, 1, 3, 2).reshape(M, 2 * N, 4)
         phi = np.matmul(disc.phi_grad_integrals.reshape(M, N, 2 * N), f2) + alpha[:, None, None] * dev
-        total = np.matmul(disc.grad_integrals.reshape(M, 1, 2 * N), f2)[:, 0]
+        total = np.matmul(grad_integrals(disc).reshape(M, 1, 2 * N), f2)[:, 0]
     else:
         total = _oracle_totals(disc, _oracle_fnum(disc, gas, U_elem))
         phi = total[:, None, :] / disc.dofmap.n_local + alpha[:, None, None] * dev

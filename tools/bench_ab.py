@@ -13,7 +13,9 @@ repetitions, read from ``.bench_out/<W>/result_seed<S>_trace0.json`` in
 its tree.  The summary gives, per metric and side, the median and the
 quartiles over the pairs, the number of pairs the change won, the ratio
 of the medians, the median over the pairs of the change minus the parent
-in the metric's unit (so a fixed-size cache reads as megabytes), and
+in the metric's unit (so a fixed-size cache reads as megabytes), a
+verdict against the metric's relative ``bound`` in BENCHMARK.json
+(``unresolved``, ``worse`` or ``no worse``; see ``verdict``), and
 whether the final-U digests of the two sides are equal.  Each pair also
 prints the largest relative change of the final U per component, read
 from the two trees' ``.bench_out/<W>/out/snap_final.csv`` (the last
@@ -136,6 +138,24 @@ def summarize(pairs, directions):
     return out
 
 
+def verdict(pairs, name, better, bound):
+    """The no-regression verdict on one metric against its relative bound:
+    ``unresolved`` when the parent's p25-p75 spread over its median exceeds
+    the bound, unless every change run beats every parent run; else
+    ``worse`` when the change median is worse than the parent's by more
+    than the bound times the parent's median; else ``no worse``."""
+    parent = [p[name] for p, c in pairs if name in p and name in c]
+    change = [c[name] for p, c in pairs if name in p and name in c]
+    sign = 1.0 if better == "lower" else -1.0
+    q1, med, q3 = quartiles(parent)
+    dominates = max(sign * v for v in change) < min(sign * v for v in parent)
+    if (q3 - q1) > bound * abs(med) and not dominates:
+        return "unresolved"
+    if sign * (statistics.median(change) - med) > bound * abs(med):
+        return "worse"
+    return "no worse"
+
+
 def median_difference(pairs, name):
     """Median over the pairs of the change's value minus the parent's."""
     return statistics.median([c[name] - p[name] for p, c in pairs if name in p and name in c])
@@ -243,6 +263,10 @@ def main(argv=None):
               f"p75 {c['p75']:.6g}); change better in {s['change_wins']} of {s['pairs']} pairs; "
               f"ratio {c['median'] / p['median']:.3f}; "
               f"paired difference {median_difference(pairs, name):+.3g} {unit}".rstrip())
+        if "bound" in metrics[name]:
+            bound = metrics[name]["bound"]
+            print(f"{name} verdict (bound {bound:g}): "
+                  f"{verdict(pairs, name, s['better'], bound)}")
     equal = bool(digest_pairs) and all(p == c for p, c in digest_pairs)
     shown = sorted({d for _, c in digest_pairs for d in c})
     print(f"digests equal: {'yes' if equal else 'no'} (change {', '.join(shown)})")
