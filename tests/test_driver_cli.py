@@ -393,7 +393,8 @@ def test_malformed_snapshot_is_config_error(tmp_path, capsys, column, value):
 def test_snapshot_with_a_non_finite_time_is_config_error(tmp_path, capsys, t):
     # a NaN or infinite start time never meets t_end, or meets it at once:
     # the run is refused before any output is made
-    state, _ = driver.start(parse_config(_cfg_text(tmp_path, problem="vortex", mesh="structured:4")))
+    cfg = parse_config(_cfg_text(tmp_path, problem="vortex", mesh="structured:4"))
+    state, _ = driver.start(cfg)
     snap = tmp_path / "snap.csv"
     driver.write_snapshot(snap, state)
     lines = snap.read_text().splitlines()
