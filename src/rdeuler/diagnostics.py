@@ -270,21 +270,6 @@ def entropy_production_monitor(disc: Discretization, gas, U_n, U_np1, dt, scheme
     return d
 
 
-def cesaro_average(snapshots, probe_points, gas):
-    """Arithmetic mean of fields over a refinement family at probe points.
-
-    ``snapshots`` is a sequence of (disc, U); the result holds the four
-    conserved components plus the entropy, shape (n_points, 5).
-    """
-    probe_points = np.asarray(probe_points, dtype=float)
-    acc = np.zeros((probe_points.shape[0], 5))
-    for disc, U in snapshots:
-        vals = disc.evaluate_at_points(U, probe_points)
-        acc[:, :4] += vals
-        acc[:, 4] += euler.entropy_eta(vals, gas)
-    return acc / len(snapshots)
-
-
 def primitive_errors(disc: Discretization, gas, U, exact_fn, t):
     """Quadrature L1 errors of rho, x-velocity and pressure vs a reference,
     divided by the domain area.
@@ -304,7 +289,8 @@ def primitive_errors(disc: Discretization, gas, U, exact_fn, t):
 
 
 def convergence_order(errors, h_list):
-    """Pairwise observed orders log(e_c/e_f)/log(h_c/h_f)."""
+    """Pairwise observed orders log(e_c/e_f)/log(h_c/h_f); two zero
+    errors, as a reproduced state gives, leave the order nan."""
     errors = np.asarray(errors, dtype=float)
     h = np.asarray(h_list, dtype=float)
     orders = []
@@ -313,5 +299,6 @@ def convergence_order(errors, h_list):
             warnings.warn("identical mesh sizes, order undefined")
             orders.append(float("nan"))
         else:
-            orders.append(float(np.log(errors[i] / errors[i + 1]) / np.log(h[i] / h[i + 1])))
+            with np.errstate(divide="ignore", invalid="ignore"):
+                orders.append(float(np.log(errors[i] / errors[i + 1]) / np.log(h[i] / h[i + 1])))
     return orders

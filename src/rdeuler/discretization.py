@@ -33,10 +33,6 @@ from . import euler
 from .errors import NonConforming
 from .mesh import Mesh, dual_volumes
 
-# Nearest element centroids that evaluate_at_points tries for each point
-# before its brute-force search.
-EVAL_CANDIDATES = 12
-
 
 def _table(rows):
     """A lazy table of the decorated builder: a property over ``cached``
@@ -238,8 +234,6 @@ class Discretization:
 
     def interior_field(self, U_elem):
         """Field at interior quadrature points, (M, nq, ncomp)."""
-        if U_elem.ndim == 2:
-            return U_elem @ self.int_vals.T
         return np.matmul(self.int_vals[None], U_elem)
 
     def traces(self, X_elem):
@@ -315,54 +309,6 @@ class Discretization:
             Minv = np.linalg.inv(fb.bernstein_to_lagrange(self.dofmap.degree))
             vals = np.einsum("ln,mn...->ml...", Minv, vals)
         return vals.reshape((-1,) + vals.shape[2:])[self.dofmap.first_slot]
-
-    def evaluate_at_points(self, U, points):
-        """Evaluate the finite-element field at arbitrary physical points."""
-        from scipy.spatial import cKDTree
-
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        centroids = self.corner_coords.mean(axis=1)
-        tree = cKDTree(centroids)
-        k = min(EVAL_CANDIDATES, self.mesh.n_tris)
-        _, cand = tree.query(points, k=k)
-        cand = np.atleast_2d(cand)
-        U_elem = self.elem_values(U)
-        ncomp = U_elem.shape[-1]
-        out = np.empty((points.shape[0], ncomp))
-        found = np.zeros(points.shape[0], dtype=bool)
-        for j in range(cand.shape[1]):
-            todo = np.nonzero(~found)[0]
-            if todo.size == 0:
-                break
-            elems = cand[todo, j]
-            lam = self._barycentric(points[todo], elems)
-            ok = np.all(lam > -1e-10, axis=1)
-            hit = todo[ok]
-            if hit.size:
-                lam_ok = np.clip(lam[ok], 0.0, 1.0)
-                vals = fb.basis_values(self.dofmap.basis, self.dofmap.degree, lam_ok)
-                out[hit] = np.einsum("pn,pnc->pc", vals, U_elem[elems[ok]])
-                found[hit] = True
-        if not np.all(found):
-            # brute-force fallback for stragglers
-            for i in np.nonzero(~found)[0]:
-                lam_all = self._barycentric(
-                    np.repeat(points[i][None], self.mesh.n_tris, axis=0),
-                    np.arange(self.mesh.n_tris),
-                )
-                e = int(np.argmax(lam_all.min(axis=1)))
-                lam = np.clip(lam_all[e], 0.0, 1.0)
-                vals = fb.basis_values(self.dofmap.basis, self.dofmap.degree, lam)
-                out[i] = vals @ U_elem[e]
-        return out
-
-    def _barycentric(self, pts, elems):
-        p0 = self.corner_coords[elems, 0]
-        rel = pts - p0
-        Jinv = np.linalg.inv(self.jacobians[elems])
-        l12 = np.einsum("pij,pj->pi", Jinv, rel)
-        l0 = 1.0 - l12.sum(axis=1)
-        return np.concatenate([l0[:, None], l12], axis=1)
 
 
 def _rules(shared=(), elements=(), interfaces=(), **remapped):

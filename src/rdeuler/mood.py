@@ -26,23 +26,14 @@ import numpy as np
 from . import euler
 from .discretization import Discretization
 from .errors import ConfigError, ParachutePadFailure
-from .residuals import Scheme
 
 DET_NONE, DET_PAD, DET_CAD, DET_NAD = 0, 1, 2, 3
 DETECTOR_NAMES = {DET_NONE: "", DET_PAD: "PAD", DET_CAD: "CAD", DET_NAD: "NAD"}
 
 
-def default_cascade():
-    return (
-        Scheme.parse("galerkin+ec+jump"),
-        Scheme.parse("limited_lxf"),
-        Scheme.parse("lxf"),
-    )
-
-
 @dataclass
 class CascadeConfig:
-    schemes: tuple = field(default_factory=default_cascade)
+    schemes: tuple                 # the levels; the default is config.RunConfig.cascade
     delta_dmp: float = 1e-3
     plateau_eps: float = None      # None: h_K^3 per element
     smooth_tol: float = 0.01

@@ -254,22 +254,6 @@ def limited_lxf_residual(fields: StageFields, alpha, flux_mode="pointwise") -> E
     return ElementResidual(phi=phi, total=total, scheme="limited_lxf", alpha=base.alpha)
 
 
-def conservation_defect(fields: StageFields, res: ElementResidual):
-    """Scaled distance between the per-DOF sum and the element flux total.
-
-    The scale is the boundary quadrature of the flux magnitude, floored
-    at one so that injected O(1) errors read off directly.
-    """
-    disc = fields.disc
-    fnum = interface_flux(fields)
-    mag = disc.if_length * np.einsum(
-        "q,eq->e", disc.edge_weights, np.linalg.norm(fnum, axis=-1)
-    )
-    scale = np.maximum(disc.scatter_interface(mag, mag), 1.0)
-    defect = np.linalg.norm(res.phi.sum(axis=1) - res.total, axis=-1)
-    return defect / scale
-
-
 def base_residual(fields: StageFields, scheme: Scheme, alpha=None) -> ElementResidual:
     """Dispatch on the scheme base; alpha is required for the LxF family."""
     if scheme.base == "galerkin":

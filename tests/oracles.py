@@ -14,6 +14,7 @@ from rdeuler.basis import (EDGE_T, EDGE_WEIGHTS, INTERIOR_POINTS, INTERIOR_WEIGH
                            basis_ref_grads, basis_values, edge_barycentric)
 from rdeuler.discretization import StageFields
 from rdeuler.errors import NonPositivePressure, PicardDivergence, VacuumState
+from rdeuler.residuals import interface_flux
 
 
 def wu_shu_functional(U, v_star):
@@ -66,7 +67,30 @@ def entropy_hessian(U, gas, step=1e-6):
 
 def element_jacobian(mesh, element):
     p = mesh.nodes[mesh.tris[element]]
-    return np.stack([p[1] - p[0], p[2] - p[0]], axis=-1)
+    return np.stack([p[..., 1, :] - p[..., 0, :], p[..., 2, :] - p[..., 0, :]], axis=-1)
+
+
+def barycentric(mesh, elements, x):
+    """Barycentric coordinates of the points x (..., 2) in the elements
+    (...), (..., 3)."""
+    p0 = mesh.nodes[mesh.tris[elements, 0]]
+    l12 = np.linalg.solve(element_jacobian(mesh, elements), (x - p0)[..., None])[..., 0]
+    return np.concatenate([1.0 - l12.sum(axis=-1, keepdims=True), l12], axis=-1)
+
+
+def evaluate_in_element(disc, U, elements, x):
+    """The field U at the points x (..., 2), each in its element of
+    ``elements`` (...), (..., C)."""
+    vals = basis_values(disc.dofmap.basis, disc.dofmap.degree, barycentric(disc.mesh, elements, x))
+    return np.einsum("...n,...nc->...c", vals, np.asarray(U)[disc.dofmap.elem_dofs[elements]])
+
+
+def evaluate_at_points(disc, U, points):
+    """The field U at the points (P, 2), (P, C): each point is evaluated in
+    the element whose smallest barycentric coordinate there is largest,
+    found by a search over every element."""
+    lam = barycentric(disc.mesh, np.arange(disc.mesh.n_tris), points[:, None])    # (P, M, 3)
+    return evaluate_in_element(disc, U, lam.min(axis=-1).argmax(axis=1), points)
 
 
 def eval_basis(dofmap, element, lam, tol=1e-12):
@@ -172,6 +196,18 @@ def grad_integrals(disc):
     """int_K grad(phi_sigma) dx, (M, N, 2), by einsum over the interior rule."""
     areas = disc.mesh.areas[:, None, None]
     return np.einsum("q,mqni->mni", INTERIOR_WEIGHTS, disc.int_grads) * areas
+
+
+def conservation_defect(fields, res):
+    """Per element, the distance between the DOF sum of the residual and
+    its flux total, scaled by the boundary quadrature of the flux
+    magnitude floored at one, so that injected O(1) errors read off
+    directly."""
+    disc = fields.disc
+    fnum = interface_flux(fields)
+    mag = disc.if_length * np.einsum("q,eq->e", disc.edge_weights, np.linalg.norm(fnum, axis=-1))
+    scale = np.maximum(disc.scatter_interface(mag, mag), 1.0)
+    return np.linalg.norm(res.phi.sum(axis=1) - res.total, axis=-1) / scale
 
 
 def split_1d_oracle(U_left, U_mid, U_right, nu, ratio, gas):

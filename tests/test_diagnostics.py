@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 
 from conftest import make_disc, off_seam, random_states, smooth_field, vortex_start
-from oracles import state_from_entropy_vars, trace_grads
+from oracles import evaluate_at_points, state_from_entropy_vars, trace_grads
 from rdeuler import euler
 from rdeuler.basis import build_dofmap
 from rdeuler.diagnostics import (
     COSINE_TEST_FUNCTIONS,
     RunRecord,
-    cesaro_average,
     consistency_error,
     convergence_order,
     cos_grad_phi,
@@ -120,7 +119,7 @@ def test_consistency_term_three_zero_for_discrete_phi(gas, small_disc):
     def phi(t, x, y):
         x = np.asarray(x, dtype=float)
         pts = np.stack([x.ravel(), np.asarray(y, dtype=float).ravel()], axis=-1)
-        return disc.evaluate_at_points(w, pts)[:, 0].reshape(x.shape)
+        return evaluate_at_points(disc, w, pts)[:, 0].reshape(x.shape)
 
     def grad_phi(t, x, y):
         return grads
@@ -309,21 +308,6 @@ def test_diagnostics_residuals_use_the_matching_bound(gas, small_disc, name, mon
     assert consistency_error(replace(rec), phi, grad_phi, "rho")["I"] != got[0]["I"]
 
 
-def test_cesaro_identical_and_alternating(gas, small_disc):
-    disc = small_disc
-    U = smooth_field(disc, gas)
-    pts = np.array([[0.1, 0.2], [-0.4, 0.3], [0.0, 0.0]])
-    avg = cesaro_average([(disc, U), (disc, U)], pts, gas)
-    one = cesaro_average([(disc, U)], pts, gas)
-    assert np.allclose(avg, one, rtol=1e-14)
-    # alternating perturbation cancels for even N
-    delta = np.zeros_like(U)
-    delta[:, 0] = 0.01
-    avg2 = cesaro_average([(disc, U + delta), (disc, U - delta)], pts, gas)
-    vals = disc.evaluate_at_points(U, pts)
-    assert np.allclose(avg2[:, :4], vals, atol=1e-12)
-
-
 def test_primitive_errors_same_interpolant_zero(gas, small_disc):
     disc = small_disc
     U = smooth_field(disc, gas)
@@ -331,7 +315,7 @@ def test_primitive_errors_same_interpolant_zero(gas, small_disc):
     def exact(t, x, y):
         x = np.asarray(x, dtype=float)
         pts = np.stack([x.ravel(), np.asarray(y, dtype=float).ravel()], axis=-1)
-        vals = disc.evaluate_at_points(U, pts)
+        vals = evaluate_at_points(disc, U, pts)
         return vals.reshape(x.shape + (4,))
 
     errs = primitive_errors(disc, gas, U, exact, 0.0)
@@ -344,32 +328,6 @@ def test_convergence_order_arithmetic():
     with pytest.warns(UserWarning):
         orders = convergence_order([0.1, 0.1], [1.0, 1.0])
     assert np.isnan(orders[0])
-
-
-def test_cesaro_vortex_family(gas):
-    # the average over a refinement family is at least as close to the
-    # exact field as the coarsest member
-    snaps = []
-    prob = None
-    t_end = 0.2
-    for n in (8, 12, 16):
-        st, prob = vortex_start(n)
-        disc = st.disc
-        while st.t < t_end - 1e-12:
-            a = alpha_noninterpolated(StageFields(disc, gas, st.U))
-            dt = min(admissible_timestep(disc, a, 0.3), t_end - st.t)
-            st = forward_euler_step(st, Scheme.parse("galerkin+ec+jump"), dt)
-        snaps.append((disc, st.U))
-
-    g = np.linspace(-4.9, 4.9, 64)
-    X, Y = np.meshgrid(g, g)
-    pts = np.stack([X.ravel(), Y.ravel()], axis=-1)
-    exact = prob.state(t_end, pts[:, 0], pts[:, 1])
-    avg = cesaro_average(snaps, pts, gas)
-    err_avg = np.abs(avg[:, 0] - exact[:, 0]).mean()
-    coarse = snaps[0][0].evaluate_at_points(snaps[0][1], pts)
-    err_coarse = np.abs(coarse[:, 0] - exact[:, 0]).mean()
-    assert err_avg <= err_coarse
 
 
 def test_record_diagnostics_share_one_residual_per_state(gas, small_disc, monkeypatch):

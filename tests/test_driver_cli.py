@@ -235,6 +235,47 @@ def test_cli_convergence(tmp_path, capsys):
     assert "order_rho" in capsys.readouterr().out
 
 
+def test_cli_convergence_on_the_constant_problem_has_nan_orders_and_no_warning(
+        tmp_path, capsys):
+    # the constant state is reproduced to round-off, so the velocity error
+    # is exactly 0 on both meshes: its order 0/0 is undefined and reads
+    # nan, with no numpy warning (which -W error turns into a traceback)
+    import warnings
+
+    from rdeuler.mesh import structured_square, write_mesh
+
+    meshes = []
+    for n in (4, 8):
+        meshes.append(str(tmp_path / f"sq{n}.rdmesh"))
+        write_mesh(meshes[-1], structured_square(n))
+    path = tmp_path / "conv.cfg"
+    path.write_text(_cfg_text(tmp_path))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["convergence", str(path), "--meshes", ",".join(meshes)]) == 0
+    assert "order_rho=" in capsys.readouterr().out
+    with open(tmp_path / "out" / "errors.csv") as fh:
+        header, *lines = fh.read().splitlines()
+    rows = [dict(zip(header.split(","), map(float, line.split(",")))) for line in lines]
+    assert len(rows) == 2
+    for key in ("rho", "u", "p"):
+        errs = [r[f"err_{key}_L1"] for r in rows]
+        assert max(errs) <= 1e-14, key
+        assert np.isnan(rows[0][f"order_{key}"])
+        if errs == [0.0, 0.0]:
+            assert np.isnan(rows[1][f"order_{key}"]), key
+    assert rows[0]["err_u_L1"] == rows[1]["err_u_L1"] == 0.0
+
+
+def test_cli_convergence_needs_a_problem_with_a_known_solution(tmp_path, capsys):
+    path = tmp_path / "conv.cfg"
+    path.write_text(_cfg_text(tmp_path, problem="sod_smooth"))
+    assert main(["convergence", str(path), "--meshes", "structured:4,structured:8"]) == 2
+    err = capsys.readouterr().err
+    assert err == "configuration error: convergence needs a problem with a known solution\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_verify_entropy(capsys):
     assert main(["verify", "entropy"]) == 0
     assert "PASS entropy" in capsys.readouterr().out
@@ -565,6 +606,20 @@ def test_cli_overflowing_gamma_is_blamed_on_gamma(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "gamma=1e+308" in err and "beta=5.0" in err
     assert "Traceback" not in err
+
+
+def test_vortex_below_the_energy_floor_names_the_first_inadmissible_dof(tmp_path, capsys):
+    # e_floor bounds the internal-energy density, not the temperature:
+    # the vortex core (rho e = 0.93 < 1) fails the per-DOF check of
+    # driver.start, which names the DOF, and beta is not blamed
+    path = tmp_path / "run.cfg"
+    path.write_text(_cfg_text(tmp_path, problem="vortex", mesh="structured:4", e_floor="1"))
+    assert main(["run", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: problem vortex with the bernstein basis of degree 1 has ")
+    assert "inadmissible initial DOF states; the first is DOF " in err
+    assert "beta" not in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_start_takes_the_gas_and_floors_from_the_config(tmp_path):

@@ -229,10 +229,19 @@ def test_mesh_file_without_periodic_line_is_a_config_error(tmp_path):
         read_mesh(path)
 
 
-def test_mesh_file_rejects_garbage(tmp_path):
+@pytest.mark.parametrize("text, match", [
+    ("rdmesh 2\nnodes 0\ntriangles 0\n", "not an rdmesh-1 file"),
+    ("rdmesh 1\nnodes", "truncated mesh file, expected node count"),
+    ("rdmesh 1\nnodes 2\n0 0\n1", "truncated mesh file, expected y"),
+    ("rdmesh 1\nnodes 1\n0 0\ntriangles 1\n0", "truncated mesh file, expected j"),
+    ("rdmesh 1\nvertices 0\ntriangles 0\n", "expected 'nodes'"),
+    ("rdmesh 1\nnodes 0\ntris 0\n", "expected 'triangles'"),
+], ids=["version", "header", "node-block", "triangle-block", "nodes-keyword",
+        "triangles-keyword"])
+def test_mesh_file_rejects_garbage(tmp_path, text, match):
     path = tmp_path / "bad.txt"
-    path.write_text("rdmesh 2\nnodes 0\ntriangles 0\n")
-    with pytest.raises(NonConforming):
+    path.write_text(text)
+    with pytest.raises(NonConforming, match=rf"bad\.txt: {match}"):
         read_mesh(path)
 
 

@@ -4,6 +4,7 @@ import pytest
 from conftest import make_disc, smooth_field, vortex_start
 from rdeuler import euler, mood
 from rdeuler.basis import build_dofmap
+from rdeuler.config import RunConfig
 from rdeuler.discretization import Discretization, StageFields
 from rdeuler.errors import ConfigError
 from rdeuler.mesh import structured_rect
@@ -12,7 +13,6 @@ from rdeuler.mood import (
     DET_NAD,
     DET_PAD,
     CascadeConfig,
-    default_cascade,
     detect,
     dmp_bounds,
     mood_step,
@@ -23,6 +23,10 @@ from rdeuler.problems import SmoothedSodProblem
 from rdeuler.residuals import Scheme
 from rdeuler.stepping import FieldState, forward_euler_step, ssp_rk2_step
 from rdeuler.verification import check_mood, run_mood_sod
+
+
+# the levels of the one default cascade, config.RunConfig.cascade
+CASCADE = tuple(Scheme.parse(s) for s in RunConfig.cascade.split(","))
 
 
 def uniform_field(disc, gas):
@@ -96,7 +100,7 @@ def _pardon_fields(disc, rng):
 
 
 def test_detect_pad_failure(gas, small_disc):
-    cfg = CascadeConfig()
+    cfg = CascadeConfig(CASCADE)
     prev = uniform_field(small_disc, gas)
     cand = prev.copy()
     cand[3, 0] = -0.1
@@ -108,7 +112,7 @@ def test_detect_pad_failure(gas, small_disc):
 
 
 def test_detect_cad_failure(gas, small_disc):
-    cfg = CascadeConfig()
+    cfg = CascadeConfig(CASCADE)
     prev = uniform_field(small_disc, gas)
     cand = prev.copy()
     cand[5, 3] = np.nan
@@ -126,7 +130,7 @@ def test_detect_tests_each_dof_as_its_element_copies(gas):
     rng = np.random.default_rng(4)
     dofs = disc.dofmap.elem_dofs
     M = disc.mesh.n_tris
-    cfg = CascadeConfig()
+    cfg = CascadeConfig(CASCADE)
     bounds = dmp_bounds(disc, cfg, prev)
     for _ in range(20):
         cand = prev * (1.0 + 0.01 * rng.standard_normal(prev.shape))
@@ -150,7 +154,7 @@ def test_detect_tests_each_dof_as_its_element_copies(gas):
 
 
 def test_detect_plateau_skip(gas, small_disc):
-    cfg = CascadeConfig()
+    cfg = CascadeConfig(CASCADE)
     prev = uniform_field(small_disc, gas)
     cand = prev.copy()
     cand[:, 0] += 1e-10  # ripple far below the plateau tolerance h^3
@@ -163,7 +167,7 @@ def test_detect_nad_and_smooth_pardon(gas):
     # exemption (eps = h^3); a sharp new spike then trips the relaxed
     # maximum principle while a locally parabolic extremum is pardoned
     disc = make_disc(16, 10.0)
-    cfg = CascadeConfig(plateau_eps=1e-6)
+    cfg = CascadeConfig(CASCADE, plateau_eps=1e-6)
     pts = disc.dofmap.dof_points
     base = 1.0 + 0.05 * np.sin(2 * np.pi * pts[:, 0] / 10.0)
     zero = np.zeros_like(base)
@@ -191,7 +195,7 @@ def test_detect_nad_and_smooth_pardon(gas):
 def test_mood_smooth_vortex_no_flags(gas):
     st, _ = vortex_start(12)
     disc, U = st.disc, st.U
-    cfg = CascadeConfig()
+    cfg = CascadeConfig(CASCADE)
     a = alpha_noninterpolated(StageFields(disc, gas, U))
     dt = admissible_timestep(disc, a, cfl=0.3)
 
@@ -239,11 +243,13 @@ def test_mood_termination_levels_bounded(gas):
 
 
 def test_default_cascade_shape():
-    schemes = default_cascade()
+    schemes = RunConfig().cascade_config().schemes
     assert schemes[0].base == "galerkin" and schemes[0].correction
     assert schemes[-1].base == "lxf"
     with pytest.raises(Exception):
         CascadeConfig(schemes=())
+    with pytest.raises(TypeError):
+        CascadeConfig()                 # the levels have no second default
 
 
 NAN, INF = float("nan"), float("inf")
@@ -262,7 +268,7 @@ def test_cascade_config_rejects_out_of_range_parameters(kwargs, key):
     # built directly, as a library caller does: with a NaN delta_dmp the
     # DMP bounds would be NaN and no element could fail NAD
     with pytest.raises(ConfigError, match=key.replace(".", r"\.")):
-        CascadeConfig(**kwargs)
+        CascadeConfig(CASCADE, **kwargs)
 
 
 def test_pardon_matches_oracle_periodic_square():
