@@ -218,8 +218,9 @@ def build_dofmap(mesh: Mesh, space="s2", basis="lagrange", degree=1) -> DofMap:
                       slots)
 
     # S2: vertices share through periodic-identified nodes, midpoints
-    # through the interface table.
-    reps = np.unique(mesh.node_rep)
+    # through the interface table.  (The return_index form gives the same
+    # sorted values; numpy's plain form imports numpy.ma on first call.)
+    reps, _ = np.unique(mesh.node_rep, return_index=True)
     n_vert = len(reps)
     elem_dofs = np.empty((M, nk), dtype=np.int64)
     elem_dofs[:, :3] = np.searchsorted(reps, mesh.node_rep[mesh.tris])

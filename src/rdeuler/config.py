@@ -64,8 +64,6 @@ class RunConfig:
             raise ConfigError(f"unknown problem {self.problem!r}")
         if self.problem == "from_file" and not self.problem_file:
             raise ConfigError("problem.file required for problem = from_file")
-        if self.mesh is None:
-            raise ConfigError("mesh is required")
         if self.space not in ("s1", "s2"):
             raise ConfigError("space must be s1 or s2")
         if self.basis not in ("lagrange", "bernstein"):
@@ -98,6 +96,10 @@ class RunConfig:
             raise ConfigError("the detection cascade needs an explicit integrator")
         if Scheme.parse(self.scheme).label() != "lxf+interp" and self.integrator == "implicit":
             raise ConfigError("integrator = implicit needs scheme = lxf+interp, the scheme it solves")
+        if self.integrator == "implicit":
+            # The implicit step's sparse solver, the one use of scipy: loaded
+            # here so that the run itself does not pay for the import.
+            import scipy.sparse.linalg  # noqa: F401
         return self
 
     def scheme_obj(self):

@@ -26,7 +26,6 @@ import math
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import basis as fb
 from . import euler
@@ -212,8 +211,11 @@ class Discretization:
         Row dofs[m, n], column dofs[m, k] receives tables[m, n, k]; each
         entry sums its element contributions in element order.  Every
         matrix shares one pattern and one element-to-CSR map, built from
-        the DOF map on first use.
+        the DOF map on first use.  Only the implicit step assembles, so
+        scipy is imported here and not with the module.
         """
+        import scipy.sparse as sp
+
         indptr, indices, slot = self.cached("element_csr", Discretization._element_csr)
         n = self.dofmap.n_dofs
         data = np.bincount(slot, weights=tables.ravel(), minlength=len(indices))

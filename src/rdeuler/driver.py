@@ -38,6 +38,10 @@ def load_mesh(spec):
 
 
 def build_discretization(cfg: RunConfig) -> Discretization:
+    # Checked here, not by the config: a convergence study takes its
+    # meshes from the command line and never reads cfg.mesh.
+    if cfg.mesh is None:
+        raise ConfigError("mesh is required")
     return Discretization(build_dofmap(load_mesh(cfg.mesh), cfg.space, cfg.basis, cfg.degree))
 
 

@@ -8,13 +8,17 @@ system; the implicit Euler step solves the interpolated-flux LxF scheme
 through Picard iterations preconditioned by a frozen-velocity M-matrix,
 on operators assembled into sparse matrices.  ``advance`` is the one
 time loop: it picks dt, dispatches the integrator and runs the cascade.
+
+scipy is imported by the implicit functions that use it, so an explicit
+run never loads it; ``config.RunConfig.validate`` loads it for a run
+that names ``integrator = implicit``.
 """
+
+from __future__ import annotations
 
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from . import euler, mood, positivity
 from .discretization import Discretization, StageFields, elem_mean
@@ -281,6 +285,8 @@ def assemble_density_system(disc: Discretization, U, dt, alpha):
     off-diagonals must come out nonpositive (otherwise AlphaTooSmall),
     and every row sums to |C_sigma| exactly.
     """
+    import scipy.sparse as sp
+
     U = np.asarray(U, dtype=float)
     alpha = np.broadcast_to(np.asarray(alpha, dtype=float), (disc.mesh.n_tris,))
     A, c = _lxf_operator(disc, alpha, euler.velocity(U))
@@ -304,6 +310,8 @@ def implicit_euler_step(state: FieldState, dt, tol=1e-10, max_iter=50) -> FieldS
     bound and the sign-condition bound, and the matrix builder checks
     the sign condition in every step.
     """
+    import scipy.sparse.linalg as spla
+
     disc, gas = state.disc, state.gas
     Un = state.U
     alpha = np.maximum(state.alpha("interpolated"), state.alpha("implicit"))

@@ -330,6 +330,16 @@ def test_convergence_order_arithmetic():
     assert np.isnan(orders[0])
 
 
+def test_convergence_order_below_the_roundoff_floor_is_nan():
+    # errors of 2.93e-16 on both meshes compare round-off, not a
+    # discretization error; one error above the floor gives an order
+    e = [2.93e-16, 2.93e-16, 1e-3, 2.5e-4]
+    orders = convergence_order(e, [1.0, 0.5, 0.25, 0.125])
+    assert np.isnan(orders[0])
+    assert orders[1] < 0.0
+    assert orders[2] == pytest.approx(2.0, rel=1e-12)
+
+
 def test_record_diagnostics_share_one_residual_per_state(gas, small_disc, monkeypatch):
     # rho and eta consistency plus the entropy budget of a 5-step record
     # evaluate each stored state's residual once (5 calls, not 15), and

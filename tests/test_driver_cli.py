@@ -30,7 +30,7 @@ def _cfg_text(tmp_path, **over):
         "output.dir": str(tmp_path / "out"),
     }
     base.update(over)
-    return "\n".join(f"{k} = {v}" for k, v in base.items()) + "\n"
+    return "\n".join(f"{k} = {v}" for k, v in base.items() if v is not None) + "\n"
 
 
 def test_run_constant_state_stays_constant(tmp_path, gas):
@@ -235,11 +235,23 @@ def test_cli_convergence(tmp_path, capsys):
     assert "order_rho" in capsys.readouterr().out
 
 
+def test_cli_convergence_reads_no_mesh_key(tmp_path, capsys):
+    # every mesh of the study comes from --meshes, so the config may leave
+    # out its own mesh; a run of the same config still needs one
+    path = tmp_path / "conv.cfg"
+    path.write_text(_cfg_text(tmp_path, problem="vortex", t_end="0.05", mesh=None))
+    assert main(["convergence", str(path), "--meshes", "structured:4,structured:8"]) == 0
+    assert capsys.readouterr().out.count("order_rho=") == 2
+    assert main(["run", str(path)]) == 2
+    assert capsys.readouterr().err == "configuration error: mesh is required\n"
+
+
 def test_cli_convergence_on_the_constant_problem_has_nan_orders_and_no_warning(
         tmp_path, capsys):
-    # the constant state is reproduced to round-off, so the velocity error
-    # is exactly 0 on both meshes: its order 0/0 is undefined and reads
-    # nan, with no numpy warning (which -W error turns into a traceback)
+    # the constant state is reproduced to round-off, so every error lies
+    # below the round-off floor on both meshes (the velocity error is
+    # exactly 0) and every order reads nan, with no numpy warning (which
+    # -W error turns into a traceback)
     import warnings
 
     from rdeuler.mesh import structured_square, write_mesh
@@ -262,8 +274,7 @@ def test_cli_convergence_on_the_constant_problem_has_nan_orders_and_no_warning(
         errs = [r[f"err_{key}_L1"] for r in rows]
         assert max(errs) <= 1e-14, key
         assert np.isnan(rows[0][f"order_{key}"])
-        if errs == [0.0, 0.0]:
-            assert np.isnan(rows[1][f"order_{key}"]), key
+        assert np.isnan(rows[1][f"order_{key}"]), key
     assert rows[0]["err_u_L1"] == rows[1]["err_u_L1"] == 0.0
 
 

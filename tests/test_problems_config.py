@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import vortex_start
-from rdeuler import euler
+from rdeuler import driver, euler
 from rdeuler.config import parse_config
 from rdeuler.errors import ConfigError, InadmissibleParameters
 from rdeuler.problems import SmoothedSodProblem, VortexProblem
@@ -200,8 +200,10 @@ def test_config_rejects_bad_values():
         parse_config("mesh = structured:8\ndegree = 7\n")
     with pytest.raises(ConfigError):
         parse_config("mesh = structured:8\nscheme = wild\n")
-    with pytest.raises(ConfigError):
-        parse_config("t_end = 1.0\n")  # mesh missing
+    # a missing mesh is rejected where a run reads it (rdeuler convergence
+    # takes its meshes from the command line and parses such a config)
+    with pytest.raises(ConfigError, match="^mesh is required$"):
+        driver.start(parse_config("t_end = 1.0\n"))
 
 
 def test_config_scheme_objects():

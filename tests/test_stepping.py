@@ -5,7 +5,7 @@ import scipy.sparse.linalg as spla
 from conftest import make_disc, random_states, reference_pair, smooth_field, vortex_start
 from rdeuler import euler
 from rdeuler.discretization import StageFields
-from rdeuler.errors import AlphaTooSmall, ConfigError
+from rdeuler.errors import AlphaTooSmall, ConfigError, PicardDivergence
 from rdeuler.positivity import (
     admissible_timestep,
     alpha_implicit,
@@ -252,6 +252,78 @@ def test_implicit_step_checks_the_sign_condition(gas, small_disc, monkeypatch):
     st = FieldState(0.0, constant_field(small_disc, gas, u=(3.0, 0.0)), small_disc, gas)
     with pytest.raises(AlphaTooSmall):
         implicit_euler_step(st, 0.1)
+
+
+def _implicit_start(gas, small_disc):
+    """A smooth state on the small square and the step's own clock dt."""
+    st = FieldState(0.0, smooth_field(small_disc, gas), small_disc, gas)
+    alpha = np.maximum(st.alpha("interpolated"), st.alpha("implicit"))
+    return st, admissible_timestep(small_disc, alpha, cfl=1.0)
+
+
+def _perturbed_first_sweep(monkeypatch, bump):
+    """Record every LU solve and every iterate handed to the residual,
+    in order, and add ``bump`` to the residual of the first sweep only:
+    the second sweep then solves for a defect that is ``bump`` too large."""
+    from rdeuler import stepping
+
+    solves, iterates = [], []
+    splu, rhs = spla.splu, stepping.interpolated_lxf_rhs
+
+    class RecordingLU:
+        def __init__(self, lu):
+            self.lu = lu
+
+        def solve(self, b):
+            solves.append(self.lu.solve(b))
+            return solves[-1]
+
+    def bumped(disc, gas, U, dissipation):
+        iterates.append(U.copy())
+        R = rhs(disc, gas, U, dissipation)
+        return R + bump if len(iterates) == 1 else R
+
+    monkeypatch.setattr(spla, "splu", lambda A, **kw: RecordingLU(splu(A, **kw)))
+    monkeypatch.setattr(stepping, "interpolated_lxf_rhs", bumped)
+    return solves, iterates
+
+
+def test_implicit_step_without_contraction_raises_after_max_iter(gas, small_disc):
+    st, dt = _implicit_start(gas, small_disc)
+    with pytest.raises(PicardDivergence, match="no contraction after 2 sweeps"):
+        implicit_euler_step(st, dt, tol=0.0, max_iter=2)
+    out = implicit_euler_step(FieldState(0.0, st.U, small_disc, gas), dt)
+    assert np.all(out.U[:, 0] > 0.0)
+
+
+def test_implicit_step_damps_a_sweep_that_loses_positivity(gas, small_disc, monkeypatch):
+    # a first-sweep residual 1000 density units too large at DOF 0 makes
+    # the second solve's density negative there; the sweep is halved
+    # toward the first (positive) iterate until every density is positive,
+    # and the sweeps on the true residual then converge
+    st, dt = _implicit_start(gas, small_disc)
+    bump = np.zeros_like(st.U)
+    bump[0, 0] = 1e3 * small_disc.dual.c_sigma[0] / dt
+    solves, iterates = _perturbed_first_sweep(monkeypatch, bump)
+    out = implicit_euler_step(st, dt)
+    assert np.all(solves[0][:, 0] > 0.0) and np.array_equal(iterates[0], solves[0])
+    assert solves[1][0, 0] < 0.0
+    damped = [j for j in range(1, 41) if np.array_equal(
+        iterates[1], 0.5**j * solves[1] + (1.0 - 0.5**j) * solves[0])]
+    assert len(damped) == 1 and damped[0] > 1
+    assert np.all(iterates[1][:, 0] > 0.0)
+    assert np.all(out.U[:, 0] > 0.0)
+
+
+def test_implicit_step_raises_when_damping_cannot_restore_positivity(gas, small_disc,
+                                                                     monkeypatch):
+    # a defect so large that 40 halvings toward the previous iterate
+    # leave a negative density
+    st, dt = _implicit_start(gas, small_disc)
+    solves, _ = _perturbed_first_sweep(monkeypatch, np.full_like(st.U, 1e200))
+    with pytest.raises(PicardDivergence, match="density positivity lost in Picard sweep"):
+        implicit_euler_step(st, dt)
+    assert len(solves) == 2 and np.all(solves[1][:, 0] < 0.0)
 
 
 def test_entropy_monotone_parachute_steps(gas):
