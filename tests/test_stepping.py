@@ -297,8 +297,8 @@ def test_implicit_step_without_contraction_raises_after_max_iter(gas, small_disc
 
 
 def test_implicit_step_damps_a_sweep_that_loses_positivity(gas, small_disc, monkeypatch):
-    # a first-sweep residual 1000 density units too large at DOF 0 makes
-    # the second solve's density negative there; the sweep is halved
+    # a first-sweep residual that asks DOF 0 to lose about 1000 in density
+    # makes the second solve's density negative there; the sweep is halved
     # toward the first (positive) iterate until every density is positive,
     # and the sweeps on the true residual then converge
     st, dt = _implicit_start(gas, small_disc)
