@@ -14,7 +14,7 @@ from .mesh import (
     structured_square,
     write_mesh,
 )
-from .residuals import ElementResidual, Scheme, rusanov_flux
+from .residuals import Scheme, rusanov_flux
 from .stepping import FieldState, forward_euler_step, implicit_euler_step, ssp_rk2_step
 
 __all__ = [
@@ -31,7 +31,6 @@ __all__ = [
     "structured_rect",
     "structured_square",
     "write_mesh",
-    "ElementResidual",
     "Scheme",
     "rusanov_flux",
     "FieldState",

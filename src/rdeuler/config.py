@@ -1,9 +1,11 @@
 """Flat ``key = value`` run configuration with dotted keys.
 
 Unknown keys are rejected; every numeric field is range-checked.  The
-special value ``auto`` keeps a context-dependent default (jump
-coefficient from the local wavespeed, plateau tolerance from h_K^3,
-time-step cap from the domain size).
+special value ``auto`` keeps a context-dependent default (plateau
+tolerance from h_K^3, time-step cap from the domain size, and two jump
+coefficients: lambda_e = 1 in the ``galerkin_jump`` base, and
+``stabilization.JUMP_COEFF`` times the interface's max wavespeed in the
+``+jump`` diffusion; a number sets both).
 """
 
 from dataclasses import dataclass, field, fields
@@ -46,7 +48,8 @@ class RunConfig:
     gamma: float = 1.4
     rho_floor: float = 1e-12
     e_floor: float = 1e-12
-    lambda_jump: float = _key(None, auto=True)  # None: local max wavespeed
+    # None: 1 in the galerkin_jump base, JUMP_COEFF x wavespeed in +jump
+    lambda_jump: float = _key(None, auto=True)
     zeta: float = 2.0
     mood_enabled: bool = _key(False, "mood.enabled")
     mood_delta_dmp: float = _key(1e-3, "mood.delta_dmp")

@@ -149,8 +149,7 @@ def consistency_error(run: RunRecord, phi, grad_phi, component):
         U = state.U
         res = state.residual(run.scheme)
         theta = res.theta
-        galerkin = res if res.base.scheme == "galerkin" else state.residual(Scheme())
-        gal = galerkin.base.phi
+        gal = state.residual(Scheme()).theta
         phe = _test_values(phi, run.times[n], dofs_x, component)[disc.dofmap.elem_dofs]  # (M, N, C)
         if is_eta:
             V_elem = euler.entropy_vars(disc.elem_values(U), gas)

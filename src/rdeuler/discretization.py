@@ -69,7 +69,6 @@ class Discretization:
         Jinv[:, 0, 1] = -J[:, 0, 1] / det
         Jinv[:, 1, 0] = -J[:, 1, 0] / det
         Jinv[:, 1, 1] = J[:, 0, 0] / det
-        self.jacobians = J
         self.jinv_T = np.swapaxes(Jinv, -1, -2)
         self.corner_coords = p
         # Physical coordinates of the local Lagrange points.
@@ -418,7 +417,7 @@ class Patch(_PatchView, Discretization):
     _RULES = _rules(
         shared=("int_weights", "int_vals", "edge_weights", "edge_vals", "jump_t",
                 "jump_weights"),
-        elements=("jacobians", "jinv_T", "corner_coords", "lagrange_phys", "int_grads"),
+        elements=("jinv_T", "corner_coords", "lagrange_phys", "int_grads"),
         interfaces=("if_normal", "if_length", "if_h", "if_vals_L_wl", "if_vals_R_wl"),
         if_left=("interfaces", "elem_id"), if_right=("interfaces", "elem_id"),
     )

@@ -1,7 +1,9 @@
 """Element residual catalog.
 
 Every residual splits an element's total boundary-flux integral into
-per-DOF signals that sum back to that total.  The catalog covers the
+per-DOF signals that sum back to that total; a kernel returns the
+signals, (M, N_K, 4), and the sum is a property the tests check
+against ``boundary_totals``.  The catalog covers the
 pure (continuous) Galerkin form, Galerkin with gradient-jump
 stabilization, the discontinuous form with a Rusanov interface flux,
 the local Lax-Friedrichs distribution in its pointwise-flux and
@@ -9,7 +11,7 @@ interpolated-flux versions, and the nonlinear limited distribution
 built on top of it.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,7 +34,7 @@ class Scheme:
     base: str = "galerkin"
     correction: bool = False      # entropy correction term
     diffusion: bool = False       # entropy jump diffusion
-    lambda_jump: float = None     # None: local max wavespeed
+    lambda_jump: float = None     # None: 1 in galerkin_jump, JUMP_COEFF x wavespeed in +jump
     zeta: float = 2.0
     flux_mode: str = "pointwise"  # "pointwise" | "interpolated" (lxf family)
 
@@ -64,16 +66,6 @@ class Scheme:
     def label(self):
         mods = (m for m, (key, value) in MODIFIERS.items() if getattr(self, key) == value)
         return "+".join((self.base, *mods))
-
-
-@dataclass
-class ElementResidual:
-    """Per-DOF signals and element totals for one residual evaluation."""
-
-    phi: np.ndarray          # (M, N_K, 4)
-    total: np.ndarray        # (M, 4)
-    scheme: str
-    alpha: np.ndarray = field(default=None)   # (M,) for the LxF family
 
 
 def _normal_flux(f, n):
@@ -140,17 +132,14 @@ def _galerkin_parts(fields: StageFields, fnum):
     return bnd, vol
 
 
-def galerkin_residual(fields: StageFields) -> ElementResidual:
+def galerkin_residual(fields: StageFields):
     """Galerkin distribution: oint phi f.n - int grad(phi).f per DOF.
 
     On the discontinuous space f.n is the Rusanov interface flux, which
     makes this the discontinuous (``dg``) distribution.
     """
-    fnum = interface_flux(fields)
-    bnd, vol = _galerkin_parts(fields, fnum)
-    return ElementResidual(
-        phi=bnd - vol, total=boundary_totals(fields.disc, fnum), scheme="galerkin"
-    )
+    bnd, vol = _galerkin_parts(fields, interface_flux(fields))
+    return bnd - vol
 
 
 def gradient_jump_terms(disc: Discretization, U_elem, coeff):
@@ -173,16 +162,13 @@ def gradient_jump_terms(disc: Discretization, U_elem, coeff):
     return disc.scatter_interface(con[:, :N], con[:, N:])
 
 
-def galerkin_jump_residual(fields: StageFields, lambda_e=1.0) -> ElementResidual:
+def galerkin_jump_residual(fields: StageFields, lambda_e=1.0):
     """Galerkin distribution plus lambda_e h_e^2 gradient-jump stabilization."""
     disc = fields.disc
     if disc.dofmap.space != "s2":
         raise ConfigError("jump-stabilized Galerkin needs the continuous space")
-    base = galerkin_residual(fields)
-    jumps = gradient_jump_terms(disc, fields.U_elem, lambda_e * disc.if_length**2)
-    return ElementResidual(
-        phi=base.phi + jumps, total=base.total, scheme="galerkin_jump"
-    )
+    phi = galerkin_residual(fields)
+    return phi + gradient_jump_terms(disc, fields.U_elem, lambda_e * disc.if_length**2)
 
 
 def _interpolated_lxf(fields: StageFields, alpha):
@@ -197,7 +183,21 @@ def _interpolated_lxf(fields: StageFields, alpha):
     return div_part + alpha[:, None, None] * dev, total
 
 
-def lxf_residual(fields: StageFields, alpha, flux_mode="pointwise") -> ElementResidual:
+def _lxf(fields: StageFields, alpha, flux_mode):
+    """(phi, total) of the LxF distribution; see ``lxf_residual``."""
+    disc = fields.disc
+    alpha = np.broadcast_to(np.asarray(alpha, dtype=float), (disc.mesh.n_tris,))
+    if np.any(alpha < 0):
+        raise ValueError("alpha must be nonnegative")
+    if flux_mode == "interpolated":
+        return _interpolated_lxf(fields, alpha)
+    total = boundary_totals(disc, interface_flux(fields))
+    U_elem = fields.U_elem
+    dev = U_elem - elem_mean(U_elem)[:, None]
+    return total[:, None, :] / disc.dofmap.n_local + alpha[:, None, None] * dev, total
+
+
+def lxf_residual(fields: StageFields, alpha, flux_mode="pointwise"):
     """Local Lax-Friedrichs distribution total/N_K + alpha (U_sigma - mean).
 
     ``pointwise`` evaluates the element total by boundary quadrature of
@@ -205,18 +205,7 @@ def lxf_residual(fields: StageFields, alpha, flux_mode="pointwise") -> ElementRe
     interpolant, which is the form covered by the explicit positivity
     bound.
     """
-    disc = fields.disc
-    alpha = np.broadcast_to(np.asarray(alpha, dtype=float), (disc.mesh.n_tris,))
-    if np.any(alpha < 0):
-        raise ValueError("alpha must be nonnegative")
-    if flux_mode == "interpolated":
-        phi, total = _interpolated_lxf(fields, alpha)
-        return ElementResidual(phi=phi, total=total, scheme="lxf", alpha=alpha)
-    total = boundary_totals(disc, interface_flux(fields))
-    U_elem = fields.U_elem
-    dev = U_elem - elem_mean(U_elem)[:, None]
-    phi = total[:, None, :] / disc.dofmap.n_local + alpha[:, None, None] * dev
-    return ElementResidual(phi=phi, total=total, scheme="lxf", alpha=alpha)
+    return _lxf(fields, alpha, flux_mode)[0]
 
 
 def beta_coefficients(x):
@@ -233,7 +222,7 @@ def beta_coefficients(x):
     return beta, valid
 
 
-def limited_lxf_residual(fields: StageFields, alpha, flux_mode="pointwise") -> ElementResidual:
+def limited_lxf_residual(fields: StageFields, alpha, flux_mode="pointwise"):
     """Limited distribution beta_sigma * total, componentwise.
 
     Ratios x_sigma = phi_sigma^LxF / total are limited to nonnegative
@@ -241,21 +230,20 @@ def limited_lxf_residual(fields: StageFields, alpha, flux_mode="pointwise") -> E
     LIMITER_GUARD, or whose positive-part sum degenerates, keep the
     unlimited LxF distribution.
     """
-    base = lxf_residual(fields, alpha, flux_mode=flux_mode)
-    total = base.total                                             # (M, 4)
+    phi, total = _lxf(fields, alpha, flux_mode)                    # (M, N, 4), (M, 4)
     small = np.abs(total) < LIMITER_GUARD
     denom = np.where(small, 1.0, total)
-    x = base.phi / denom[:, None, :]
+    x = phi / denom[:, None, :]
     beta, valid = beta_coefficients(np.moveaxis(x, 1, 0))
     beta = np.moveaxis(beta, 0, 1)
     limited = beta * total[:, None, :]
     use_lxf = (small | ~valid)[:, None, :]
-    phi = np.where(use_lxf, base.phi, limited)
-    return ElementResidual(phi=phi, total=total, scheme="limited_lxf", alpha=base.alpha)
+    return np.where(use_lxf, phi, limited)
 
 
-def base_residual(fields: StageFields, scheme: Scheme, alpha=None) -> ElementResidual:
-    """Dispatch on the scheme base; alpha is required for the LxF family."""
+def base_residual(fields: StageFields, scheme: Scheme, alpha=None):
+    """Per-DOF signals (M, N, 4) of the scheme base; alpha is required for
+    the LxF family."""
     if scheme.base == "galerkin":
         return galerkin_residual(fields)
     if scheme.base == "galerkin_jump":

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import euler
 from .discretization import StageFields, elem_mean, last_axis_max
-from .residuals import ElementResidual, Scheme, base_residual
+from .residuals import Scheme, base_residual
 
 DENOM_GUARD = 1e-14
 
@@ -78,12 +78,12 @@ def _correction(V_elem, deviations, phi, g_boundary):
     alpha matches the mismatch E = g_boundary - sum<V, phi>; the guard
     zeroes the correction on (numerically) constant elements, where E
     vanishes as well.  ``deviations`` is ``_deviations(V_elem)``.
-    Returns (r, alpha, E).
+    Returns r, (M, N, 4).
     """
     E = g_boundary - np.einsum("mnc,mnc->m", V_elem, phi)
     dev, denom, ok = deviations
     alpha = np.where(ok, E / np.where(ok, denom, 1.0), 0.0)
-    return alpha[:, None, None] * dev, alpha, E
+    return alpha[:, None, None] * dev
 
 
 def _field_deviations(fields: StageFields):
@@ -147,68 +147,44 @@ def _distribute(deviations, target, a_max):
 def jump_diffusion(fields: StageFields, lam=None, zeta=2.0):
     """Entropy-dissipative interface diffusion.
 
-    Returns (psi, achieved, edge_production): per-DOF signals (M, N, 4)
-    with zero element sums, the per-element achieved production, and the
-    per-interface target production.  Each owner element is asked to
-    carry half of its interfaces' production, with the redistribution
-    coefficient capped at lam_K h_K (lam_K the largest lambda_e of its
-    interfaces).
+    Returns (psi, achieved): per-DOF signals (M, N, 4) with zero element
+    sums and the per-element achieved production.  Each owner element is
+    asked to carry half of its interfaces' production
+    (``edge_jump_production``), with the redistribution coefficient
+    capped at lam_K h_K (lam_K the largest lambda_e of its interfaces).
     """
     disc = fields.disc
     D, lam_e = edge_jump_production(fields, lam=lam, zeta=zeta)
     share = disc.scatter_interface(0.5 * D, 0.5 * D)
     lam_k = last_axis_max(lam_e[disc.mesh.elem_edges])
     a_max = lam_k * disc.mesh.diameters
-    psi, achieved = _distribute(_field_deviations(fields), share, a_max)
-    return psi, achieved, D
+    return _distribute(_field_deviations(fields), share, a_max)
 
 
 @dataclass
 class CorrectedResidual:
-    base: ElementResidual
-    correction: np.ndarray        # (M, N, 4); None without +ec and +jump
-    theta: np.ndarray             # (M, N, 4)
-    e_corr: np.ndarray            # (M,)
-    alpha_corr: np.ndarray        # (M,)
-    g_boundary: np.ndarray        # (M,); None without +ec and +jump
+    theta: np.ndarray             # (M, N, 4) per-DOF signals
     production: np.ndarray        # (M,) achieved entropy production
-    edge_production: np.ndarray   # (E,)
 
 
 def corrected_residual(fields: StageFields, scheme: Scheme, alpha=None):
     """Base residual plus entropy correction and jump diffusion.
 
-    A scheme with neither term does no entropy work: theta is base.phi.
+    A scheme with neither term does no entropy work: theta is the base
+    residual.  The entropy boundary flux is computed under ``+ec`` only,
+    and the production is zero without ``+jump``.
     """
-    disc = fields.disc
-    base = base_residual(fields, scheme, alpha=alpha)
-    M = base.phi.shape[0]
-    e_corr = np.zeros(M)
-    alpha_corr = np.zeros(M)
-    production = np.zeros(M)
-    edge_production = np.zeros(disc.if_length.shape[0])
-    g_bnd = r = None
-    theta = base.phi
-    if scheme.correction or scheme.diffusion:
-        g_bnd = element_entropy_boundary(fields)
-        r = psi = np.zeros_like(base.phi)
-        if scheme.correction:
-            r, alpha_corr, e_corr = _correction(
-                fields.V_elem, _field_deviations(fields), base.phi, g_bnd
-            )
-        if scheme.diffusion:
-            psi, production, edge_production = jump_diffusion(
-                fields, lam=scheme.lambda_jump, zeta=scheme.zeta
-            )
-        theta = base.phi + r
-        theta += psi
-    return CorrectedResidual(
-        base=base,
-        correction=r,
-        theta=theta,
-        e_corr=e_corr,
-        alpha_corr=alpha_corr,
-        g_boundary=g_bnd,
-        production=production,
-        edge_production=edge_production,
-    )
+    phi = base_residual(fields, scheme, alpha=alpha)
+    production = np.zeros(phi.shape[0])
+    if not (scheme.correction or scheme.diffusion):
+        return CorrectedResidual(theta=phi, production=production)
+    r = psi = np.zeros_like(phi)
+    if scheme.correction:
+        r = _correction(fields.V_elem, _field_deviations(fields), phi,
+                        element_entropy_boundary(fields))
+    if scheme.diffusion:
+        psi, production = jump_diffusion(fields, lam=scheme.lambda_jump, zeta=scheme.zeta)
+    # (phi + r) + psi, with r = 0 without +ec: the order fixes the bits
+    theta = phi + r
+    theta += psi
+    return CorrectedResidual(theta=theta, production=production)

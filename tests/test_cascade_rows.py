@@ -249,3 +249,26 @@ def test_runs_without_the_cascade_compute_no_rows(monkeypatch, gas):
         steps = list(stepping.advance(state, scheme, integrator, 1.0, 0.2, max_steps=2))
         assert len(steps) == 2
     assert not calls
+
+
+def test_residuals_compute_only_the_totals_they_read(monkeypatch, gas):
+    # a residual's output is its signals: the Galerkin family computes no
+    # element flux total, and the entropy boundary flux runs under +ec only
+    from rdeuler import residuals, stabilization
+
+    calls = []
+    for owner, name in ((residuals, "boundary_totals"),
+                        (stabilization, "element_entropy_boundary")):
+        def spy(*args, _original=getattr(owner, name), _name=name):
+            calls.append(_name)
+            return _original(*args)
+
+        monkeypatch.setattr(owner, name, spy)
+    want = {"galerkin": [], "galerkin+jump": [], "dg": [],
+            "galerkin+ec": ["element_entropy_boundary"]}
+    for label, expected in want.items():
+        disc = _disc("s1" if label == "dg" else "s2", "lagrange", 1)
+        state = stepping.FieldState(0.0, _field(disc, gas, seed=14), disc, gas)
+        calls.clear()
+        state.residual(Scheme.parse(label))
+        assert calls == expected, label

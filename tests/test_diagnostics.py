@@ -342,8 +342,9 @@ def test_convergence_order_below_the_roundoff_floor_is_nan():
 
 def test_record_diagnostics_share_one_residual_per_state(gas, small_disc, monkeypatch):
     # rho and eta consistency plus the entropy budget of a 5-step record
-    # evaluate each stored state's residual once (5 calls, not 15), and
-    # give the numbers each diagnostic gives on a record of its own
+    # evaluate each stored state's residual and its Galerkin residual (term
+    # I of the consistency) once: 10 calls, not 25, and give the numbers
+    # each diagnostic gives on a record of its own
     from rdeuler import stepping
 
     scheme = Scheme.parse("galerkin+ec+jump")
@@ -374,7 +375,7 @@ def test_record_diagnostics_share_one_residual_per_state(gas, small_disc, monkey
 
     monkeypatch.setattr(stepping, "element_theta", counted)
     shared = outputs(iter([rec] * 3))
-    assert len(calls) == 5
+    assert len(calls) == 2 * 5
     separate = outputs(replace(rec) for _ in range(3))
-    assert len(calls) == 5 + 3 * 5
+    assert len(calls) == 2 * 5 + (2 * 5 + 2 * 5 + 5)
     assert shared == separate

@@ -402,6 +402,46 @@ def test_near_vacuum_run_stays_admissible(tmp_path, gas, scheme, basis, degree):
         assert np.all(euler.admissible(result.state.U, gas))
 
 
+def test_the_cascade_writes_no_inadmissible_state(tmp_path, gas, capsys):
+    # one forward-Euler step under the cascade on near-vacuum data: a run
+    # exits 0 with an admissible final snapshot, or exits 1 naming the
+    # final cascade level; a one-level cascade fails on the same fields
+    # as the two-level one, since the last-level rule holds for both
+    from rdeuler.stepping import FieldState
+    from rdeuler.verification import random_admissible_field
+
+    snap = tmp_path / "near_vacuum.csv"
+    cfg_path = tmp_path / "run.cfg"
+
+    def run(cascade):
+        out = tmp_path / "out"
+        cfg_path.write_text(_cfg_text(
+            tmp_path, problem="from_file", mesh="structured:4", scheme="lxf", cfl="1.0",
+            t_end="1e9", max_steps="1", cascade=cascade,
+            **{"problem.file": str(snap), "mood.enabled": "true",
+               "output.diag_every": "1000", "output.dir": str(out)},
+        ))
+        code = main(["run", str(cfg_path)])
+        err = capsys.readouterr().err
+        if code == 0:
+            U, _, _ = driver.read_snapshot(out / "snap_final.csv")
+            assert np.all(euler.admissible(U, gas)), cascade
+        else:
+            assert code == 1 and "final cascade level" in err, (cascade, err)
+        return code
+
+    disc = driver.build_discretization(parse_config(_cfg_text(tmp_path, mesh="structured:4")))
+    rng = np.random.default_rng(3)
+    failed = 0
+    for _ in range(20):
+        U = random_admissible_field(disc.dofmap.n_dofs, gas, rng, near_vacuum=True)
+        driver.write_snapshot(snap, FieldState(0.0, U, disc, gas))
+        code = run("lxf")
+        assert run("galerkin,lxf") == code
+        failed += code == 1
+    assert failed > 0
+
+
 @pytest.mark.parametrize("spec", ["structured:abc", "structured:0", "structured:4x", "structured:2x3x4"])
 def test_bad_structured_mesh_spec(tmp_path, spec):
     with pytest.raises(ConfigError):

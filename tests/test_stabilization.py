@@ -5,7 +5,7 @@ from conftest import make_disc, off_seam, random_states, smooth_field, vortex_st
 from oracles import barycentric, integrate_edge, state_from_entropy_vars
 from rdeuler import euler
 from rdeuler.discretization import PointValues, StageFields
-from rdeuler.residuals import Scheme
+from rdeuler.residuals import Scheme, base_residual
 from rdeuler.stabilization import (
     _correction,
     _deviations,
@@ -26,9 +26,10 @@ def _entropy_flux(U_L, U_R, n, gas):
 def test_correction_constant_element_guard(gas):
     V = np.tile([1.0, 0.2, -0.1, -0.5], (1, 3, 1))
     phi = np.zeros((1, 3, 4))
-    r, alpha, E = _correction(V, _deviations(V), phi, np.array([0.0]))
+    deviations = _deviations(V)
+    r = _correction(V, deviations, phi, np.array([0.0]))
     assert np.all(r == 0.0)
-    assert alpha[0] == 0.0
+    assert not deviations[2][0]                  # the guard, not 0/0, zeroes it
 
 
 def test_correction_scalar_emulation():
@@ -38,9 +39,11 @@ def test_correction_scalar_emulation():
     V[0, :, 0] = [1.0, 2.0, 3.0]
     phi = np.zeros((1, 3, 4))
     E = 0.7
-    r, alpha, e_corr = _correction(V, _deviations(V), phi, np.array([E]))
-    assert e_corr[0] == pytest.approx(E)
-    assert alpha[0] == pytest.approx(E / 2.0)
+    g = np.array([E])
+    r = _correction(V, _deviations(V), phi, g)
+    mismatch = g - np.einsum("mnc,mnc->m", V, phi)
+    assert mismatch[0] == pytest.approx(E)
+    assert r[0, 2, 0] == pytest.approx(E / 2.0)  # alpha times a unit deviation
     assert np.allclose(r[0, :, 0], [-E / 2, 0.0, E / 2])
     assert np.einsum("nc,nc->", V[0], r[0]) == pytest.approx(E, rel=1e-14)
     assert np.abs(r[0].sum(axis=0)).max() < 1e-15
@@ -50,12 +53,16 @@ def test_correction_restores_entropy_balance(gas, small_disc):
     rng = np.random.default_rng(0)
     for _ in range(50):
         U = random_states(rng, small_disc.dofmap.n_dofs)
-        res = corrected_residual(StageFields(small_disc, gas, U), Scheme.parse("galerkin+ec"))
+        fields = StageFields(small_disc, gas, U)
+        scheme = Scheme.parse("galerkin+ec")
+        res = corrected_residual(fields, scheme)
+        g = element_entropy_boundary(fields)
         V = euler.entropy_vars(small_disc.elem_values(U), gas)
-        lhs = np.einsum("mnc,mnc->m", V, res.base.phi + res.correction)
-        scale = np.maximum(np.abs(res.g_boundary), 1.0)
-        assert np.abs((lhs - res.g_boundary) / scale).max() < 1e-12
-        assert np.abs(res.correction.sum(axis=1)).max() < 1e-12
+        lhs = np.einsum("mnc,mnc->m", V, res.theta)
+        scale = np.maximum(np.abs(g), 1.0)
+        assert np.abs((lhs - g) / scale).max() < 1e-12
+        correction = res.theta - base_residual(fields, scheme)
+        assert np.abs(correction.sum(axis=1)).max() < 1e-12
 
 
 def test_jump_diffusion_zero_cases(gas):
@@ -76,7 +83,8 @@ def test_jump_diffusion_zero_cases(gas):
     fields = StageFields(disc, gas, U)
     D, _ = edge_jump_production(fields)
     assert D[off_seam(disc)].max() < 1e-22
-    psi, achieved, D2 = jump_diffusion(fields, lam=0.0)
+    psi, achieved = jump_diffusion(fields, lam=0.0)
+    D2, _ = edge_jump_production(fields, lam=0.0)
     assert np.all(psi == 0.0) and np.all(D2 == 0.0)
 
 
@@ -118,7 +126,9 @@ def test_jump_diffusion_production_nonnegative_and_conservative(gas, small_disc)
     rng = np.random.default_rng(2)
     for _ in range(20):
         U = random_states(rng, small_disc.dofmap.n_dofs)
-        psi, achieved, D = jump_diffusion(StageFields(small_disc, gas, U))
+        fields = StageFields(small_disc, gas, U)
+        psi, achieved = jump_diffusion(fields)
+        D, _ = edge_jump_production(fields)
         assert np.all(D >= 0)
         assert np.all(achieved >= 0)
         assert np.abs(psi.sum(axis=1)).max() < 1e-11
@@ -147,13 +157,14 @@ def test_corrected_residual_entropy_inequality(gas, small_disc):
     scheme = Scheme.parse("galerkin+ec+jump")
     for _ in range(100):
         U = random_states(rng, small_disc.dofmap.n_dofs)
-        res = corrected_residual(StageFields(small_disc, gas, U), scheme)
+        fields = StageFields(small_disc, gas, U)
+        res = corrected_residual(fields, scheme)
         V = euler.entropy_vars(small_disc.elem_values(U), gas)
         full = np.einsum("mnc,mnc->m", V, res.theta)
-        assert (full - res.g_boundary).min() > -1e-12
+        assert (full - element_entropy_boundary(fields)).min() > -1e-12
         # totals unchanged by the corrections
         assert (
-            np.abs((res.theta - res.base.phi).sum(axis=1)).max() < 1e-11
+            np.abs((res.theta - base_residual(fields, scheme)).sum(axis=1)).max() < 1e-11
         )
 
 
@@ -217,8 +228,9 @@ def test_plain_scheme_theta_is_base_residual(gas, small_disc, monkeypatch, name)
     monkeypatch.setattr(euler, "entropy_flux", forbidden)
     U = random_states(np.random.default_rng(4), small_disc.dofmap.n_dofs)
     alpha = np.full(small_disc.mesh.n_tris, 3.0)
-    res = corrected_residual(StageFields(small_disc, gas, U), Scheme.parse(name), alpha=alpha)
-    assert res.theta.tobytes() == res.base.phi.tobytes()
+    fields, scheme = StageFields(small_disc, gas, U), Scheme.parse(name)
+    res = corrected_residual(fields, scheme, alpha=alpha)
+    assert res.theta.tobytes() == base_residual(fields, scheme, alpha=alpha).tobytes()
 
 
 @pytest.mark.parametrize("basis, degree", [("lagrange", 1), ("lagrange", 2), ("bernstein", 2)])
