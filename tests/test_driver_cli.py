@@ -414,17 +414,15 @@ def test_the_cascade_writes_no_inadmissible_state(tmp_path, gas, capsys):
     cfg_path = tmp_path / "run.cfg"
 
     def run(cascade):
-        out = tmp_path / "out"
         cfg_path.write_text(_cfg_text(
             tmp_path, problem="from_file", mesh="structured:4", scheme="lxf", cfl="1.0",
             t_end="1e9", max_steps="1", cascade=cascade,
-            **{"problem.file": str(snap), "mood.enabled": "true",
-               "output.diag_every": "1000", "output.dir": str(out)},
+            **{"problem.file": str(snap), "mood.enabled": "true", "output.diag_every": "1000"},
         ))
         code = main(["run", str(cfg_path)])
         err = capsys.readouterr().err
         if code == 0:
-            U, _, _ = driver.read_snapshot(out / "snap_final.csv")
+            U, _, _ = driver.read_snapshot(tmp_path / "out" / "snap_final.csv")
             assert np.all(euler.admissible(U, gas)), cascade
         else:
             assert code == 1 and "final cascade level" in err, (cascade, err)

@@ -249,7 +249,7 @@ def test_a_one_level_cascade_raises_where_its_level_fails_pad(gas):
         dt = admissible_timestep(disc, st.alpha(), cfl=1.0)
         plain = forward_euler_step(st, cfg.schemes[0], dt)
         if np.all(euler.admissible(plain.U, gas)):
-            out, report = mood_step(st, dt, cfg, integ)
+            out, _ = mood_step(st, dt, cfg, integ)
             assert np.array_equal(out.U, plain.U)
         else:
             raised += 1
@@ -258,7 +258,7 @@ def test_a_one_level_cascade_raises_where_its_level_fails_pad(gas):
     assert raised > 0
 
 
-# Known defect (ROADMAP item 11): under SSP-RK2 the first stage is
+# Known defect: under SSP-RK2 the first stage of a cascade step is
 # stepped at the candidate's levels and is not detected, so an
 # inadmissible first stage raises from the second stage's residual
 # before the cascade sees the candidate.  Forward Euler finishes the
