@@ -10,7 +10,7 @@ import sys
 from . import driver
 from .config import load_config
 from .errors import ConfigError, RDError
-from .verification import SUITES, verify_suite
+from .verification import SUITES
 
 
 def _build_parser():
@@ -58,7 +58,7 @@ def main(argv=None):
                 )
             return 0
         if args.command == "verify":
-            ok, info = verify_suite(args.suite)
+            ok, info = SUITES[args.suite]()
             print(f"{'PASS' if ok else 'FAIL'} {args.suite}: {info}")
             return 0 if ok else 1
     except ConfigError as exc:

@@ -1,18 +1,12 @@
 """Flat ``key = value`` run configuration with dotted keys.
 
-Unknown keys are rejected; every numeric field is range-checked.  The
-special value ``auto`` keeps a context-dependent default (plateau
-tolerance from h_K^3, time-step cap from the domain size, and two jump
-coefficients: lambda_e = 1 in the ``galerkin_jump`` base, and
-``stabilization.JUMP_COEFF`` times the interface's max wavespeed in the
-``+jump`` diffusion; a number sets both).
+Unknown keys are rejected; every numeric field is range-checked.
 """
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from math import isfinite
 
 from .errors import ConfigError
-from .mood import CascadeConfig
 from .residuals import Scheme
 
 _BOOL = {"true": True, "false": False, "on": True, "off": False}
@@ -25,10 +19,9 @@ _BOOL = {"true": True, "false": False, "on": True, "off": False}
 _SPACE_OF_BASE = {"galerkin_jump": "s2", "dg": "s1"}
 
 
-def _key(default, key=None, auto=False):
-    """A field read from config key ``key`` (default: the field name);
-    with ``auto`` the value ``auto`` stands for None."""
-    return field(default=default, metadata={"key": key, "auto": auto})
+def _key(default, key):
+    """A field read from config key ``key`` instead of its own name."""
+    return field(default=default, metadata={"key": key})
 
 
 @dataclass
@@ -48,17 +41,11 @@ class RunConfig:
     gamma: float = 1.4
     rho_floor: float = 1e-12
     e_floor: float = 1e-12
-    # None: 1 in the galerkin_jump base, JUMP_COEFF x wavespeed in +jump
-    lambda_jump: float = _key(None, auto=True)
     zeta: float = 2.0
     mood_enabled: bool = _key(False, "mood.enabled")
-    mood_delta_dmp: float = _key(1e-3, "mood.delta_dmp")
-    mood_plateau: float = _key(None, "mood.plateau", auto=True)  # None: h_K^3
-    mood_smooth_tol: float = _key(0.01, "mood.smooth_tol")
     output_dir: str = _key("out", "output.dir")
     output_every: int = _key(0, "output.every")  # snapshot cadence in steps; 0 = final only
     diag_every: int = _key(1, "output.diag_every")
-    dt_max: float = _key(None, auto=True)
     max_steps: int = 10_000_000
     raw: dict = field(default_factory=dict)  # key -> value text as parsed; not a key
 
@@ -84,17 +71,16 @@ class RunConfig:
         _check(isfinite(self.e_floor) and self.e_floor >= 0.0, "e_floor must be finite and >= 0")
         _check(isfinite(self.beta), "problem.beta must be finite")
         _check(isfinite(self.zeta) and self.zeta >= 2.0, "zeta must be finite and >= 2")
-        _check(_auto_or(self.lambda_jump, lambda v: v >= 0.0),
-               "lambda_jump must be auto or finite and >= 0")
-        _check(_auto_or(self.dt_max, lambda v: v > 0.0), "dt_max must be auto or finite and > 0")
         _check(self.max_steps >= 1, "max_steps must be >= 1")
-        # the cascade and the mood.* keys are checked even when the cascade is off
-        for scheme in (Scheme.parse(self.scheme), *self.cascade_config().schemes):
+        # the cascade is checked even when it is off
+        cascade = self.cascade_config()
+        _check(cascade[-1].base == "lxf", "the cascade must end in the LxF distribution")
+        for scheme in (Scheme.parse(self.scheme), *cascade):
             need = ("s2" if scheme.flux_mode == "interpolated"
                     else _SPACE_OF_BASE.get(scheme.base, self.space))
             _check(need == self.space, f"scheme {scheme.label()} needs space = {need}")
-        if self.output_every < 0 or self.diag_every < 1:
-            raise ConfigError("bad output cadence")
+        _check(self.output_every >= 0, "output.every must be >= 0")
+        _check(self.diag_every >= 1, "output.diag_every must be >= 1")
         if self.mood_enabled and self.integrator == "implicit":
             raise ConfigError("the detection cascade needs an explicit integrator")
         if Scheme.parse(self.scheme).label() != "lxf+interp" and self.integrator == "implicit":
@@ -105,17 +91,12 @@ class RunConfig:
             import scipy.sparse.linalg  # noqa: F401
         return self
 
-    def scheme_obj(self):
-        s = Scheme.parse(self.scheme)
-        return _with_jump_params(s, self)
+    def scheme_obj(self) -> Scheme:
+        return replace(Scheme.parse(self.scheme), zeta=self.zeta)
 
-    def cascade_config(self) -> CascadeConfig:
-        return CascadeConfig(
-            schemes=tuple(_with_jump_params(Scheme.parse(s), self) for s in self.cascade.split(",")),
-            delta_dmp=self.mood_delta_dmp,
-            plateau_eps=self.mood_plateau,
-            smooth_tol=self.mood_smooth_tol,
-        )
+    def cascade_config(self) -> tuple:
+        """The cascade levels, a tuple of Schemes."""
+        return tuple(replace(Scheme.parse(s), zeta=self.zeta) for s in self.cascade.split(","))
 
 
 def _check(ok, message):
@@ -123,20 +104,9 @@ def _check(ok, message):
         raise ConfigError(message)
 
 
-def _auto_or(value, ok):
-    """True for ``auto`` (None) or a finite value satisfying ``ok``."""
-    return value is None or (isfinite(value) and ok(value))
-
-
-def _with_jump_params(scheme, cfg):
-    from dataclasses import replace
-
-    return replace(scheme, lambda_jump=cfg.lambda_jump, zeta=cfg.zeta)
-
-
 # config key -> (field, conversion), from the field metadata
 _KEYMAP = {
-    f.metadata.get("key") or f.name: (f.name, "auto_float" if f.metadata.get("auto") else f.type)
+    f.metadata.get("key") or f.name: (f.name, f.type)
     for f in fields(RunConfig)
     if f.name != "raw"
 }
@@ -148,8 +118,6 @@ def _convert(key, kind, value):
             if value.lower() not in _BOOL:
                 raise ValueError(value)
             return _BOOL[value.lower()]
-        if kind == "auto_float":
-            return None if value.lower() == "auto" else float(value)
         return kind(value)
     except ValueError:
         raise ConfigError(f"bad value {value!r} for key {key!r}") from None

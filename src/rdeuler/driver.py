@@ -191,12 +191,12 @@ def start(cfg: RunConfig):
 
 def steps(cfg: RunConfig, state):
     """``stepping.advance`` of ``state`` with every argument that ``cfg``
-    decides: the scheme or the cascade, the integrator, t_end, cfl,
-    dt_max and max_steps."""
+    decides: the scheme or the cascade, the integrator, t_end, cfl and
+    max_steps."""
     return stepping.advance(
         state, cfg.scheme_obj(), cfg.integrator, cfg.t_end, cfg.cfl,
-        mood_cfg=cfg.cascade_config() if cfg.mood_enabled else None,
-        dt_max=cfg.dt_max, max_steps=cfg.max_steps,
+        cascade=cfg.cascade_config() if cfg.mood_enabled else None,
+        max_steps=cfg.max_steps,
     )
 
 

@@ -19,38 +19,23 @@ maximum-principle bounds of U^n are computed once per step (``dmp_bounds``).
 """
 
 from dataclasses import dataclass, field
-from math import isfinite
 
 import numpy as np
 
 from . import euler
 from .discretization import Discretization
-from .errors import ConfigError, ParachutePadFailure
+from .errors import ParachutePadFailure
 
 DET_NONE, DET_PAD, DET_CAD, DET_NAD = 0, 1, 2, 3
 DETECTOR_NAMES = {DET_NONE: "", DET_PAD: "PAD", DET_CAD: "CAD", DET_NAD: "NAD"}
-
-
-@dataclass
-class CascadeConfig:
-    schemes: tuple                 # the levels; the default is config.RunConfig.cascade
-    delta_dmp: float = 1e-3
-    plateau_eps: float = None      # None: h_K^3 per element
-    smooth_tol: float = 0.01
-
-    def __post_init__(self):
-        if len(self.schemes) == 0:
-            raise ConfigError("cascade must not be empty")
-        if self.schemes[-1].base != "lxf":
-            raise ConfigError("the cascade must end in the LxF distribution")
-        # Each check is written so that NaN fails it; infinities fail isfinite.
-        if not (isfinite(self.delta_dmp) and self.delta_dmp >= 0.0):
-            raise ConfigError("mood.delta_dmp must be finite and >= 0")
-        if not (isfinite(self.smooth_tol) and self.smooth_tol > 0.0):
-            raise ConfigError("mood.smooth_tol must be finite and > 0")
-        if not (self.plateau_eps is None
-                or (isfinite(self.plateau_eps) and self.plateau_eps >= 0.0)):
-            raise ConfigError("mood.plateau must be auto or finite and >= 0")
+# The relaxation, plateau and smoothness constants of the MOOD detectors
+# (after Clain, Diot & Loubere, JCP 2011) are fixed, since no run varies
+# them: the maximum principle is relaxed by DELTA_DMP times the stencil
+# range (and at least 1e-6), an element whose previous stencil range is
+# below h_K^3 is a plateau, and a quadratic that fits the two-ring data
+# to within SMOOTH_TOL times its spread pardons a smooth extremum.
+DELTA_DMP = 1e-3
+SMOOTH_TOL = 0.01
 
 
 @dataclass
@@ -126,9 +111,9 @@ def _smooth_fit(disc: Discretization):
     return table, mask, proj
 
 
-def smooth_pardon(disc: Discretization, rho, elems, smooth_tol):
+def smooth_pardon(disc: Discretization, rho, elems):
     """Pardon test per element of ``elems``: a quadratic over the
-    two-ring stencil reproduces the data to within smooth_tol times its
+    two-ring stencil reproduces the data to within SMOOTH_TOL times its
     spread.
 
     A smooth extremum is locally parabolic, so the least-squares
@@ -142,25 +127,24 @@ def smooth_pardon(disc: Discretization, rho, elems, smooth_tol):
     keep = mask[elems]
     resid = np.abs(np.matmul(proj[elems], vals[..., None])[..., 0]).max(axis=1)
     spread = np.where(keep, vals, -np.inf).max(axis=1) - np.where(keep, vals, np.inf).min(axis=1)
-    return resid <= smooth_tol * np.maximum(spread, 1e-300)
+    return resid <= SMOOTH_TOL * np.maximum(spread, 1e-300)
 
 
-def dmp_bounds(disc: Discretization, cfg: CascadeConfig, previous_U):
+def dmp_bounds(disc: Discretization, previous_U):
     """Relaxed maximum principle of the previous state, fixed for a step:
     (low, high, plateau), the stencil minimum and maximum of its density
     widened by delta, each (M, 1), and the mask (M,) of the elements
-    whose stencil range is below the plateau tolerance."""
+    whose stencil range is below h_K^3."""
     sten = _stencil_dofs(disc)
     prev_rho = np.asarray(previous_U)[:, 0]
     mn = prev_rho[sten].min(axis=1)
     mx = prev_rho[sten].max(axis=1)
     rng = mx - mn
-    eps_plateau = disc.mesh.diameters**3 if cfg.plateau_eps is None else cfg.plateau_eps
-    delta = np.maximum(1e-6, cfg.delta_dmp * rng)
-    return (mn - delta)[:, None], (mx + delta)[:, None], rng < eps_plateau
+    delta = np.maximum(1e-6, DELTA_DMP * rng)
+    return (mn - delta)[:, None], (mx + delta)[:, None], rng < disc.mesh.diameters**3
 
 
-def detect(disc: Discretization, gas, cfg: CascadeConfig, candidate_U, bounds):
+def detect(disc: Discretization, gas, candidate_U, bounds):
     """Apply the four detectors, ``bounds`` being the ``dmp_bounds`` of the
     previous state; returns (fail, code, worst_dof, skips)."""
     dofs = disc.dofmap.elem_dofs
@@ -190,15 +174,15 @@ def detect(disc: Discretization, gas, cfg: CascadeConfig, candidate_U, bounds):
 
     flagged = np.nonzero(nad_fail)[0]
     if flagged.size:
-        nad_fail[flagged[smooth_pardon(disc, rho, flagged, cfg.smooth_tol)]] = False
+        nad_fail[flagged[smooth_pardon(disc, rho, flagged)]] = False
     code[nad_fail] = DET_NAD
     worst[nad_fail] = dofs[nad_fail, np.argmax(nad_viol[nad_fail], axis=1)]
     fail = fail | nad_fail
     return fail, code, worst, skips
 
 
-def mood_step(state, dt, cfg: CascadeConfig, integrator):
-    """Advance one step under the cascade.
+def mood_step(state, dt, schemes, integrator):
+    """Advance one step under the cascade ``schemes``, a tuple of Schemes.
 
     ``integrator(state, dt, levels)`` must perform a full step with the
     cascade scheme chosen per element.  Elements failing detection are
@@ -207,9 +191,9 @@ def mood_step(state, dt, cfg: CascadeConfig, integrator):
     a failure there is raised loudly.
     """
     disc, gas = state.disc, state.gas
-    bounds = dmp_bounds(disc, cfg, state.U)
+    bounds = dmp_bounds(disc, state.U)
     M = disc.mesh.n_tris
-    n_levels = len(cfg.schemes)
+    n_levels = len(schemes)
     levels = np.zeros(M, dtype=np.int64)
     counts = {"pad": 0, "cad": 0, "nad": 0}
     skips_total = 0
@@ -218,7 +202,7 @@ def mood_step(state, dt, cfg: CascadeConfig, integrator):
     # admissible: every DOF lies in an element that passed PAD and CAD.
     while True:
         candidate = integrator(state, dt, levels)
-        fail, code, worst, skips = detect(disc, gas, cfg, candidate.U, bounds)
+        fail, code, worst, skips = detect(disc, gas, candidate.U, bounds)
         skips_total += skips
         at_last = levels == n_levels - 1
         hard = fail & at_last & ((code == DET_PAD) | (code == DET_CAD))

@@ -120,21 +120,19 @@ def alpha_implicit(fields: StageFields):
     return disc.dofmap.n_local * _wavespeed_sweep(fields) * _phi_grad_norms(disc)
 
 
-def admissible_timestep(disc: Discretization, alpha, cfl, dt_max=None):
+def admissible_timestep(disc: Discretization, alpha, cfl):
     """cfl * min over elements of |K_sigma| / (N_K alpha_K).
 
     Elements with vanishing alpha impose no constraint; a uniformly
-    constant flow falls back to cfl * dt_max.
+    constant flow falls back to cfl times 1e-2 of the box diagonal.
     """
     if not 0.0 < cfl <= 1.0:
         raise ValueError("cfl must lie in (0, 1]")
     alpha = np.asarray(alpha, dtype=float)
     nk = disc.dofmap.n_local
     k_sigma = disc.dual.k_sigma
-    if dt_max is None:
-        (x0, x1, y0, y1) = disc.mesh.bbox
-        dt_max = 1e-2 * float(np.hypot(x1 - x0, y1 - y0))
     active = alpha > 1e-300
     if not np.any(active):
-        return cfl * dt_max
+        (x0, x1, y0, y1) = disc.mesh.bbox
+        return cfl * (1e-2 * float(np.hypot(x1 - x0, y1 - y0)))
     return cfl * float(np.min(k_sigma[active] / (nk * alpha[active])))

@@ -34,7 +34,6 @@ class Scheme:
     base: str = "galerkin"
     correction: bool = False      # entropy correction term
     diffusion: bool = False       # entropy jump diffusion
-    lambda_jump: float = None     # None: 1 in galerkin_jump, JUMP_COEFF x wavespeed in +jump
     zeta: float = 2.0
     flux_mode: str = "pointwise"  # "pointwise" | "interpolated" (lxf family)
 
@@ -247,8 +246,7 @@ def base_residual(fields: StageFields, scheme: Scheme, alpha=None):
     if scheme.base == "galerkin":
         return galerkin_residual(fields)
     if scheme.base == "galerkin_jump":
-        lam = 1.0 if scheme.lambda_jump is None else scheme.lambda_jump
-        return galerkin_jump_residual(fields, lambda_e=lam)
+        return galerkin_jump_residual(fields)
     if scheme.base == "dg":
         if fields.disc.dofmap.space != "s1":
             raise ConfigError("the discontinuous distribution needs the S1 space")

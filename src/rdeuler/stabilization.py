@@ -107,8 +107,8 @@ def edge_jump_production(fields: StageFields, lam=None, zeta=2.0):
     """Entropy production per interface, (E,), plus the lambda_e used.
 
     Continuous space: lam_e h_e^zeta oint ||[grad V]||^2; discontinuous
-    space: lam_e oint ||[V]||^2.  lam defaults to the maximum wavespeed
-    over the interface traces.
+    space: lam_e oint ||[V]||^2.  lam defaults to JUMP_COEFF times the
+    maximum wavespeed over the interface traces.
     """
     disc = fields.disc
     if lam is None:
@@ -183,7 +183,7 @@ def corrected_residual(fields: StageFields, scheme: Scheme, alpha=None):
         r = _correction(fields.V_elem, _field_deviations(fields), phi,
                         element_entropy_boundary(fields))
     if scheme.diffusion:
-        psi, production = jump_diffusion(fields, lam=scheme.lambda_jump, zeta=scheme.zeta)
+        psi, production = jump_diffusion(fields, zeta=scheme.zeta)
     # (phi + r) + psi, with r = 0 without +ec: the order fixes the bits
     theta = phi + r
     theta += psi

@@ -353,13 +353,13 @@ def implicit_euler_step(state: FieldState, dt, tol=1e-10, max_iter=50) -> FieldS
 
 def advance(
     state: FieldState, scheme, integrator, t_end, cfl, *,
-    mood_cfg=None, dt_max=None, max_steps=None,
+    cascade=None, max_steps=None,
 ):
     """Step ``state`` toward ``t_end``; yields (state, dt, report) per step.
 
     ``integrator`` is ``fe``, ``ssprk2`` or ``implicit`` (which always
-    steps ``lxf+interp``).  With ``mood_cfg`` every step runs the
-    detection cascade over ``mood_cfg.schemes`` in place of ``scheme``
+    steps ``lxf+interp``).  With ``cascade``, a tuple of Schemes, every
+    step runs the detection cascade over its levels in place of ``scheme``
     and ``report`` is its DetectorReport; otherwise it is None.  The loop
     stops at ``t_end`` (the last step is clamped to land on it) or after
     ``max_steps`` steps.
@@ -371,9 +371,9 @@ def advance(
     the LxF family.  The implicit step is positive for any dt, so the
     pointwise bound only sets its accuracy clock.
     """
-    if mood_cfg is not None and integrator == "implicit":
+    if cascade is not None and integrator == "implicit":
         raise ConfigError("the detection cascade needs an explicit integrator")
-    stepped = (scheme,) if mood_cfg is None else mood_cfg.schemes
+    stepped = (scheme,) if cascade is None else cascade
     modes = sorted({s.flux_mode for s in stepped if s.base in LXF_FAMILY})
     if integrator == "implicit" or not modes:
         modes = ["pointwise"]
@@ -381,17 +381,17 @@ def advance(
     def step(st, dt, levels=None):
         if integrator == "implicit":
             return implicit_euler_step(st, dt)
-        sch = scheme if levels is None else mood_cfg.schemes
+        sch = scheme if levels is None else cascade
         explicit = forward_euler_step if integrator == "fe" else ssp_rk2_step
         return explicit(st, sch, dt, levels=levels)
 
     n = 0
     while state.t < t_end - 1e-12 and (max_steps is None or n < max_steps):
         alpha = np.maximum.reduce([state.alpha(m) for m in modes])
-        dt = min(positivity.admissible_timestep(state.disc, alpha, cfl, dt_max), t_end - state.t)
-        if mood_cfg is None:
+        dt = min(positivity.admissible_timestep(state.disc, alpha, cfl), t_end - state.t)
+        if cascade is None:
             state, report = step(state, dt), None
         else:
-            state, report = mood.mood_step(state, dt, mood_cfg, step)
+            state, report = mood.mood_step(state, dt, cascade, step)
         n += 1
         yield state, dt, report

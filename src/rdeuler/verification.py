@@ -18,7 +18,6 @@ from . import diagnostics, driver, euler, stepping
 from .basis import bernstein_to_lagrange, build_dofmap
 from .config import parse_config
 from .discretization import Discretization, StageFields
-from .errors import ConfigError
 from .mesh import structured_square
 from .residuals import Scheme
 from .stabilization import corrected_residual, element_entropy_boundary
@@ -193,11 +192,3 @@ SUITES = {
     "mood": check_mood,
     "consistency": check_consistency,
 }
-
-
-def verify_suite(name):
-    if name not in SUITES:
-        raise ConfigError(
-            f"unknown suite {name!r}; choose from {sorted(SUITES)}"
-        )
-    return SUITES[name]()

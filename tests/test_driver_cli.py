@@ -531,8 +531,7 @@ def test_diag_row_reuses_the_step_residual(tmp_path, monkeypatch):
     got = [float(line.split(",")[col]) for line in lines]
     scheme = cfg.scheme_obj()
     want = [
-        float(np.sum(original(StageFields(result.disc, result.gas, U),
-                              lam=scheme.lambda_jump, zeta=scheme.zeta)[1]))
+        float(np.sum(original(StageFields(result.disc, result.gas, U), zeta=scheme.zeta)[1]))
         for U in result.record.states
     ]
     assert len(got) == n + 1
@@ -743,9 +742,9 @@ def test_cli_rejects_a_scheme_on_the_wrong_space_before_making_the_output(
 
 
 @pytest.mark.parametrize("key, value", [
-    ("gamma", "nan"), ("zeta", "nan"), ("lambda_jump", "nan"), ("t_end", "nan"),
-    ("max_steps", "-3"), ("mood.smooth_tol", "-1"), ("mood.delta_dmp", "nan"),
+    ("gamma", "nan"), ("zeta", "nan"), ("t_end", "nan"), ("max_steps", "-3"),
     ("rho_floor", "nan"), ("rho_floor", "-1"), ("e_floor", "nan"), ("problem.beta", "nan"),
+    ("output.every", "-1"), ("output.diag_every", "0"),
 ])
 def test_cli_rejects_nan_and_out_of_range_values(tmp_path, key, value, capsys):
     path = tmp_path / "run.cfg"
@@ -753,3 +752,12 @@ def test_cli_rejects_nan_and_out_of_range_values(tmp_path, key, value, capsys):
     assert main(["run", str(path)]) == 2
     err = capsys.readouterr().err
     assert "configuration error" in err and key in err
+
+
+def test_cli_rejects_a_removed_key_before_making_the_output(tmp_path, capsys):
+    # dt_max is a constant now (1e-2 of the box diagonal), not a key
+    path = tmp_path / "run.cfg"
+    path.write_text(_cfg_text(tmp_path, dt_max="0.1"))
+    assert main(["run", str(path)]) == 2
+    assert "unknown key 'dt_max'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

@@ -6,13 +6,12 @@ from rdeuler import euler, mood
 from rdeuler.basis import build_dofmap
 from rdeuler.config import RunConfig
 from rdeuler.discretization import Discretization, StageFields
-from rdeuler.errors import ConfigError, ParachutePadFailure, VacuumState
+from rdeuler.errors import ParachutePadFailure, VacuumState
 from rdeuler.mesh import structured_rect
 from rdeuler.mood import (
     DET_CAD,
     DET_NAD,
     DET_PAD,
-    CascadeConfig,
     detect,
     dmp_bounds,
     mood_step,
@@ -52,7 +51,7 @@ def _wrap(delta, period):
     return delta - period * np.round(delta / period)
 
 
-def _smooth_extremum(disc, smooth_tol, rho, elem):
+def _smooth_extremum(disc, rho, elem):
     """Oracle for smooth_pardon: lstsq quadratic over the two-ring stencil."""
     sten = _stencil2_dofs(disc, elem)
     pts = disc.dofmap.dof_points[sten]
@@ -69,13 +68,13 @@ def _smooth_extremum(disc, smooth_tol, rho, elem):
     cq, *_ = np.linalg.lstsq(quad, vals, rcond=None)
     resid = float(np.max(np.abs(quad @ cq - vals)))
     spread = max(float(vals.max() - vals.min()), 1e-300)
-    return resid <= smooth_tol * spread
+    return resid <= mood.SMOOTH_TOL * spread
 
 
-def _assert_pardon_matches_oracle(disc, rho, elems, smooth_tol=0.01):
+def _assert_pardon_matches_oracle(disc, rho, elems):
     """Batched decisions equal the per-element fit's; returns them."""
-    got = smooth_pardon(disc, rho, elems, smooth_tol)
-    want = np.array([_smooth_extremum(disc, smooth_tol, rho, int(k)) for k in elems])
+    got = smooth_pardon(disc, rho, elems)
+    want = np.array([_smooth_extremum(disc, rho, int(k)) for k in elems])
     assert np.array_equal(got, want), np.nonzero(got != want)[0]
     return got
 
@@ -100,11 +99,10 @@ def _pardon_fields(disc, rng):
 
 
 def test_detect_pad_failure(gas, small_disc):
-    cfg = CascadeConfig(CASCADE)
     prev = uniform_field(small_disc, gas)
     cand = prev.copy()
     cand[3, 0] = -0.1
-    fail, code, worst, _ = detect(small_disc, gas, cfg, cand, dmp_bounds(small_disc, cfg, prev))
+    fail, code, worst, _ = detect(small_disc, gas, cand, dmp_bounds(small_disc, prev))
     flagged = np.nonzero(fail)[0]
     assert len(flagged) > 0
     assert np.all(code[flagged] == DET_PAD)
@@ -112,11 +110,10 @@ def test_detect_pad_failure(gas, small_disc):
 
 
 def test_detect_cad_failure(gas, small_disc):
-    cfg = CascadeConfig(CASCADE)
     prev = uniform_field(small_disc, gas)
     cand = prev.copy()
     cand[5, 3] = np.nan
-    fail, code, worst, _ = detect(small_disc, gas, cfg, cand, dmp_bounds(small_disc, cfg, prev))
+    fail, code, worst, _ = detect(small_disc, gas, cand, dmp_bounds(small_disc, prev))
     flagged = np.nonzero(fail)[0]
     assert len(flagged) > 0
     assert np.all(code[flagged] == DET_CAD)
@@ -130,8 +127,7 @@ def test_detect_tests_each_dof_as_its_element_copies(gas):
     rng = np.random.default_rng(4)
     dofs = disc.dofmap.elem_dofs
     M = disc.mesh.n_tris
-    cfg = CascadeConfig(CASCADE)
-    bounds = dmp_bounds(disc, cfg, prev)
+    bounds = dmp_bounds(disc, prev)
     for _ in range(20):
         cand = prev * (1.0 + 0.01 * rng.standard_normal(prev.shape))
         bad = rng.choice(len(cand), 6, replace=False)
@@ -141,7 +137,7 @@ def test_detect_tests_each_dof_as_its_element_copies(gas):
         cand[bad[3], 1] = np.inf
         cand[bad[4], 0] = np.nan
         cand[bad[5], 0] = 1e-14
-        fail, code, worst, _ = detect(disc, gas, cfg, cand, bounds)
+        fail, code, worst, _ = detect(disc, gas, cand, bounds)
         Uc = cand[dofs]
         finite = np.isfinite(Uc).all(axis=(1, 2))
         pad_ok = euler.admissible(Uc, gas)
@@ -154,40 +150,44 @@ def test_detect_tests_each_dof_as_its_element_copies(gas):
 
 
 def test_detect_plateau_skip(gas, small_disc):
-    cfg = CascadeConfig(CASCADE)
     prev = uniform_field(small_disc, gas)
     cand = prev.copy()
     cand[:, 0] += 1e-10  # ripple far below the plateau tolerance h^3
-    fail, code, worst, skips = detect(small_disc, gas, cfg, cand, dmp_bounds(small_disc, cfg, prev))
+    fail, code, worst, skips = detect(small_disc, gas, cand, dmp_bounds(small_disc, prev))
     assert not np.any(fail)
 
 
 def test_detect_nad_and_smooth_pardon(gas):
     # the previous state needs enough variation to defeat the plateau
-    # exemption (eps = h^3); a sharp new spike then trips the relaxed
-    # maximum principle while a locally parabolic extremum is pardoned
-    disc = make_disc(16, 10.0)
-    cfg = CascadeConfig(CASCADE, plateau_eps=1e-6)
+    # exemption (h_K^3): on the unit square h_K^3 is 7e-4, far below the
+    # stencil ranges of a 5% sine; a sharp new spike then trips the
+    # relaxed maximum principle while a locally parabolic extremum is
+    # pardoned
+    side = 1.0
+    disc = make_disc(16, side)
     pts = disc.dofmap.dof_points
-    base = 1.0 + 0.05 * np.sin(2 * np.pi * pts[:, 0] / 10.0)
+    base = 1.0 + 0.05 * np.sin(2 * np.pi * pts[:, 0] / side)
     zero = np.zeros_like(base)
     prev = euler.conserved(base, zero + 0.1, zero, np.ones_like(base), euler.GasModel())
+    bounds = dmp_bounds(disc, prev)
+    assert not np.any(bounds[2])
     cand = prev.copy()
     spike = np.argmin(np.abs(pts).sum(axis=1))
     cand[spike, 0] += 0.5
-    fail, code, _, _ = detect(disc, gas, cfg, cand, dmp_bounds(disc, cfg, prev))
+    fail, code, _, _ = detect(disc, gas, cand, bounds)
     assert np.any(fail & (code == DET_NAD))
     # a candidate whose density is one global quadratic is reproduced
     # exactly by the quadratic fit and pardoned (away from the periodic
     # seam, where a non-periodic quadratic cannot be smooth)
-    rho_q = 1.3 - 0.01 * (pts[:, 0] ** 2 + 0.5 * pts[:, 1] ** 2)
+    x, y = 10.0 * pts[:, 0] / side, 10.0 * pts[:, 1] / side
+    rho_q = 1.3 - 0.01 * (x**2 + 0.5 * y**2)
     cand2 = prev.copy()
     cand2[:, 0] = rho_q
-    fail2, code2, _, _ = detect(disc, gas, cfg, cand2, dmp_bounds(disc, cfg, prev))
+    fail2, code2, _, _ = detect(disc, gas, cand2, bounds)
     from rdeuler.mood import _stencil_dofs
 
     sten_pts = disc.dofmap.dof_points[_stencil_dofs(disc)]
-    interior = np.all(np.abs(sten_pts) < 4.0, axis=(1, 2))
+    interior = np.all(np.abs(sten_pts) < 0.4 * side, axis=(1, 2))
     assert np.any(interior)
     assert not np.any(fail2 & (code2 == DET_NAD) & interior)
 
@@ -195,19 +195,18 @@ def test_detect_nad_and_smooth_pardon(gas):
 def test_mood_smooth_vortex_no_flags(gas):
     st, _ = vortex_start(12)
     disc, U = st.disc, st.U
-    cfg = CascadeConfig(CASCADE)
     a = alpha_noninterpolated(StageFields(disc, gas, U))
     dt = admissible_timestep(disc, a, cfl=0.3)
 
     def integ(s, dt, levels=None):
         return ssp_rk2_step(
-            s, cfg.schemes if levels is not None else cfg.schemes[0], dt,
+            s, CASCADE if levels is not None else CASCADE[0], dt,
             levels=levels,
         )
 
-    out, report = mood_step(st, dt, cfg, integ)
+    out, report = mood_step(st, dt, CASCADE, integ)
     assert np.all(report.level == 0)
-    plain = ssp_rk2_step(st, cfg.schemes[0], dt)
+    plain = ssp_rk2_step(st, CASCADE[0], dt)
     assert np.array_equal(out.U, plain.U)
 
 
@@ -215,18 +214,18 @@ def test_mood_cascade_length_one_is_parachute(gas, small_disc):
     disc = small_disc
     U = smooth_field(disc, gas)
     st = FieldState(0.0, U, disc, gas)
-    cfg = CascadeConfig(schemes=(Scheme.parse("lxf"),))
+    schemes = (Scheme.parse("lxf"),)
     a = alpha_noninterpolated(StageFields(disc, gas, U))
     dt = admissible_timestep(disc, a, cfl=0.4)
 
     def integ(s, dt, levels=None):
         return forward_euler_step(
-            s, cfg.schemes if levels is not None else cfg.schemes[0], dt,
+            s, schemes if levels is not None else schemes[0], dt,
             levels=levels,
         )
 
-    out, report = mood_step(st, dt, cfg, integ)
-    plain = forward_euler_step(st, cfg.schemes[0], dt)
+    out, report = mood_step(st, dt, schemes, integ)
+    plain = forward_euler_step(st, schemes[0], dt)
     assert np.array_equal(out.U, plain.U)
 
 
@@ -236,25 +235,25 @@ def test_a_one_level_cascade_raises_where_its_level_fails_pad(gas):
     # plain lxf step leaves an inadmissible DOF, and returns that step
     # where it does not
     disc = make_disc(4, 2.0)
-    cfg = CascadeConfig(schemes=(Scheme.parse("lxf"),))
+    schemes = (Scheme.parse("lxf"),)
     rng = np.random.default_rng(3)
 
     def integ(s, dt, levels):
-        return forward_euler_step(s, cfg.schemes, dt, levels=levels)
+        return forward_euler_step(s, schemes, dt, levels=levels)
 
     raised = 0
     for _ in range(20):
         U = random_admissible_field(disc.dofmap.n_dofs, gas, rng, near_vacuum=True)
         st = FieldState(0.0, U, disc, gas)
         dt = admissible_timestep(disc, st.alpha(), cfl=1.0)
-        plain = forward_euler_step(st, cfg.schemes[0], dt)
+        plain = forward_euler_step(st, schemes[0], dt)
         if np.all(euler.admissible(plain.U, gas)):
-            out, _ = mood_step(st, dt, cfg, integ)
+            out, _ = mood_step(st, dt, schemes, integ)
             assert np.array_equal(out.U, plain.U)
         else:
             raised += 1
             with pytest.raises(ParachutePadFailure, match="final cascade level"):
-                mood_step(st, dt, cfg, integ)
+                mood_step(st, dt, schemes, integ)
     assert raised > 0
 
 
@@ -294,32 +293,10 @@ def test_mood_termination_levels_bounded(gas):
 
 
 def test_default_cascade_shape():
-    schemes = RunConfig().cascade_config().schemes
+    schemes = RunConfig().cascade_config()
     assert schemes[0].base == "galerkin" and schemes[0].correction
     assert schemes[-1].base == "lxf"
-    with pytest.raises(Exception):
-        CascadeConfig(schemes=())
-    with pytest.raises(TypeError):
-        CascadeConfig()                 # the levels have no second default
-
-
-NAN, INF = float("nan"), float("inf")
-
-
-@pytest.mark.parametrize("kwargs, key", [
-    ({"delta_dmp": NAN}, "mood.delta_dmp"), ({"delta_dmp": INF}, "mood.delta_dmp"),
-    ({"delta_dmp": -1e-3}, "mood.delta_dmp"),
-    ({"smooth_tol": NAN}, "mood.smooth_tol"), ({"smooth_tol": INF}, "mood.smooth_tol"),
-    ({"smooth_tol": -1.0}, "mood.smooth_tol"), ({"smooth_tol": 0.0}, "mood.smooth_tol"),
-    ({"plateau_eps": NAN}, "mood.plateau"), ({"plateau_eps": INF}, "mood.plateau"),
-    ({"plateau_eps": -1e-9}, "mood.plateau"),
-    ({"delta_dmp": NAN, "smooth_tol": -1.0, "plateau_eps": NAN}, "mood."),
-])
-def test_cascade_config_rejects_out_of_range_parameters(kwargs, key):
-    # built directly, as a library caller does: with a NaN delta_dmp the
-    # DMP bounds would be NaN and no element could fail NAD
-    with pytest.raises(ConfigError, match=key.replace(".", r"\.")):
-        CascadeConfig(CASCADE, **kwargs)
+    assert schemes == CASCADE
 
 
 def test_pardon_matches_oracle_periodic_square():
@@ -333,7 +310,8 @@ def test_pardon_matches_oracle_periodic_square():
 
 
 def test_pardon_matches_oracle_quadratic_case(gas):
-    # the non-periodic quadratic data of test_detect_nad_and_smooth_pardon
+    # the non-periodic quadratic of test_detect_nad_and_smooth_pardon,
+    # on the 10 x 10 square
     disc = make_disc(16, 10.0)
     pts = disc.dofmap.dof_points
     rho_q = 1.3 - 0.01 * (pts[:, 0] ** 2 + 0.5 * pts[:, 1] ** 2)
@@ -357,17 +335,17 @@ def test_pardon_matches_oracle_on_criterion_7_run(monkeypatch):
     calls = []
     batched = mood.smooth_pardon
 
-    def spy(disc, rho, elems, smooth_tol):
-        out = batched(disc, rho, elems, smooth_tol)
-        calls.append((disc, rho.copy(), elems.copy(), smooth_tol, out))
+    def spy(disc, rho, elems):
+        out = batched(disc, rho, elems)
+        calls.append((disc, rho.copy(), elems.copy(), out))
         return out
 
     monkeypatch.setattr(mood, "smooth_pardon", spy)
     info = run_mood_sod(nx=32, ny=4, t_end=0.8)
     assert info["ok_pad"] and calls
     n_decisions = 0
-    for disc, rho, elems, tol, out in calls:
-        want = [_smooth_extremum(disc, tol, rho, int(k)) for k in elems]
+    for disc, rho, elems, out in calls:
+        want = [_smooth_extremum(disc, rho, int(k)) for k in elems]
         assert np.array_equal(out, want)
         n_decisions += len(want)
     assert n_decisions > 1000
@@ -377,15 +355,15 @@ def test_consecutive_mood_steps_match_fresh_ones(gas):
     # cached residuals and alpha of one step must not leak into the next
     disc = _strip_disc(24, 3)
     prob = SmoothedSodProblem(disc.mesh.bbox, gas)
-    cfg = CascadeConfig(schemes=tuple(Scheme.parse(s) for s in ("galerkin", "limited_lxf", "lxf")))
+    schemes = tuple(Scheme.parse(s) for s in ("galerkin", "limited_lxf", "lxf"))
 
     def integ(s, dt, levels=None):
-        return ssp_rk2_step(s, cfg.schemes if levels is not None else cfg.schemes[0], dt,
+        return ssp_rk2_step(s, schemes if levels is not None else schemes[0], dt,
                             levels=levels)
 
     def advance(state):
         dt = admissible_timestep(disc, alpha_noninterpolated(StageFields(disc, gas, state.U)), cfl=0.3)
-        return mood_step(state, dt, cfg, integ)
+        return mood_step(state, dt, schemes, integ)
 
     chained = FieldState(0.0, disc.interpolate(prob.initial), disc, gas)
     fresh = FieldState(0.0, chained.U.copy(), disc, gas)

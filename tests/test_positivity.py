@@ -167,11 +167,9 @@ def test_admissible_timestep_refinement(gas):
 def test_admissible_timestep_constant_flow_cap():
     disc = reference_pair()
     alpha = np.zeros(disc.mesh.n_tris)
-    dt = admissible_timestep(disc, alpha, cfl=0.5, dt_max=0.25)
-    assert dt == pytest.approx(0.125)
-    # default cap from the domain size
-    dt2 = admissible_timestep(disc, alpha, cfl=1.0)
-    assert dt2 == pytest.approx(1e-2 * np.hypot(1.0, 1.0))
+    # the cap from the domain size
+    dt = admissible_timestep(disc, alpha, cfl=1.0)
+    assert dt == pytest.approx(1e-2 * np.hypot(1.0, 1.0))
 
 
 def test_split_oracle_uniform_state(gas):

@@ -129,10 +129,9 @@ def test_config_defaults_and_parse():
     assert cfg.integrator == "ssprk2"
     assert cfg.cfl == 0.2
     cfg2 = parse_config(
-        "mesh = m.txt\nproblem = sod_smooth\ncfl = 0.4\nmood.enabled = true\n"
-        "lambda_jump = auto\nzeta = 3\n"
+        "mesh = m.txt\nproblem = sod_smooth\ncfl = 0.4\nmood.enabled = true\nzeta = 3\n"
     )
-    assert cfg2.mood_enabled and cfg2.zeta == 3.0 and cfg2.lambda_jump is None
+    assert cfg2.mood_enabled and cfg2.zeta == 3.0
 
 
 # Every config key, a value for it and the field it must set.
@@ -152,16 +151,11 @@ _EVERY_KEY = {
     "gamma": ("gamma", "1.67", 1.67),
     "rho_floor": ("rho_floor", "1e-10", 1e-10),
     "e_floor": ("e_floor", "1e-9", 1e-9),
-    "lambda_jump": ("lambda_jump", "0.5", 0.5),
     "zeta": ("zeta", "3", 3.0),
     "mood.enabled": ("mood_enabled", "on", True),
-    "mood.delta_dmp": ("mood_delta_dmp", "0.01", 0.01),
-    "mood.plateau": ("mood_plateau", "1e-6", 1e-6),
-    "mood.smooth_tol": ("mood_smooth_tol", "0.02", 0.02),
     "output.dir": ("output_dir", "elsewhere", "elsewhere"),
     "output.every": ("output_every", "5", 5),
     "output.diag_every": ("diag_every", "3", 3),
-    "dt_max": ("dt_max", "0.1", 0.1),
     "max_steps": ("max_steps", "7", 7),
 }
 
@@ -180,8 +174,11 @@ def test_config_every_key_sets_its_field():
         moved = [f.name for f in fields(RunConfig)
                  if f.name != "raw" and getattr(cfg, f.name) != getattr(base, f.name)]
         assert moved == [attr], key
-    for key in ("lambda_jump", "mood.plateau", "dt_max"):
-        assert getattr(parse_config(f"mesh = structured:4\n{key} = auto\n"), _KEYMAP[key][0]) is None
+    # no key takes the value auto
+    for key, (_, kind) in _KEYMAP.items():
+        if kind is not str:
+            with pytest.raises(ConfigError, match=f"bad value 'auto' for key '{key}'"):
+                parse_config(f"mesh = structured:4\n{key} = auto\n")
     with pytest.raises(ConfigError, match="bad value 'often' for key 'output.every'"):
         parse_config("mesh = structured:4\noutput.every = often\n")
     with pytest.raises(ConfigError, match="bad value 'maybe' for key 'mood.enabled'"):
@@ -191,6 +188,31 @@ def test_config_every_key_sets_its_field():
 def test_config_rejects_unknown_key():
     with pytest.raises(ConfigError):
         parse_config("mesh = structured:8\nbogus = 1\n")
+
+
+# Keys that no run set; their values are constants now: the jump
+# coefficients (stabilization.JUMP_COEFF, lambda_e = 1), the time-step
+# cap of a constant flow (1e-2 of the box diagonal) and the detector
+# constants (mood.DELTA_DMP, mood.SMOOTH_TOL, the h_K^3 plateau).
+REMOVED_KEYS = ["lambda_jump", "dt_max", "mood.delta_dmp", "mood.plateau", "mood.smooth_tol"]
+
+
+@pytest.mark.parametrize("key", REMOVED_KEYS)
+def test_config_rejects_the_removed_keys_as_unknown(key):
+    with pytest.raises(ConfigError, match=f"^line 2: unknown key '{key}'$"):
+        parse_config(f"mesh = structured:8\n{key} = 0.5\n")
+
+
+@pytest.mark.parametrize("cascade, message", [
+    ("", "unknown scheme base ''"),
+    ("galerkin,limited_lxf", "the cascade must end in the LxF distribution"),
+    ("lxf,galerkin", "the cascade must end in the LxF distribution"),
+])
+def test_config_rejects_a_cascade_without_its_lxf_end(cascade, message):
+    # checked where the cascade string is parsed, also with the cascade off
+    for enabled in ("true", "false"):
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            parse_config(f"mesh = structured:8\ncascade = {cascade}\nmood.enabled = {enabled}\n")
 
 
 def test_config_rejects_bad_values():
@@ -207,12 +229,14 @@ def test_config_rejects_bad_values():
 
 
 def test_config_scheme_objects():
-    cfg = parse_config("mesh = structured:4\nlambda_jump = 0.7\nzeta = 2.5\n")
+    cfg = parse_config("mesh = structured:4\nzeta = 2.5\n")
     s = cfg.scheme_obj()
     assert s.base == "galerkin" and s.correction and s.diffusion
-    assert s.lambda_jump == 0.7 and s.zeta == 2.5
-    cascade = cfg.cascade_config().schemes
-    assert cascade[-1].base == "lxf"
+    assert s.zeta == 2.5
+    cascade = cfg.cascade_config()
+    assert type(cascade) is tuple and all(type(level) is Scheme for level in cascade)
+    assert [level.label() for level in cascade] == ["galerkin+ec+jump", "limited_lxf", "lxf"]
+    assert all(level.zeta == 2.5 for level in cascade)
 
 
 @pytest.mark.parametrize("text", [
@@ -287,14 +311,9 @@ def test_config_accepts_each_scheme_on_its_space():
 @pytest.mark.parametrize("key, value", [
     ("gamma", "nan"), ("gamma", "inf"), ("gamma", "1.0"),
     ("zeta", "nan"), ("zeta", "inf"), ("zeta", "1.5"),
-    ("lambda_jump", "nan"), ("lambda_jump", "inf"), ("lambda_jump", "-0.1"),
     ("t_end", "nan"), ("t_end", "inf"), ("t_end", "0"),
-    ("dt_max", "nan"), ("dt_max", "inf"), ("dt_max", "0"),
     ("max_steps", "-3"), ("max_steps", "0"),
-    ("mood.delta_dmp", "nan"), ("mood.delta_dmp", "inf"), ("mood.delta_dmp", "-1e-3"),
-    ("mood.smooth_tol", "nan"), ("mood.smooth_tol", "inf"), ("mood.smooth_tol", "-1"),
-    ("mood.smooth_tol", "0"),
-    ("mood.plateau", "nan"), ("mood.plateau", "inf"), ("mood.plateau", "-1e-9"),
+    ("output.every", "-1"), ("output.diag_every", "0"), ("output.diag_every", "-1"),
     ("cfl", "nan"),
     ("rho_floor", "nan"), ("rho_floor", "inf"), ("rho_floor", "-1"),
     ("e_floor", "nan"), ("e_floor", "inf"), ("e_floor", "-1e-12"),
@@ -306,10 +325,9 @@ def test_config_rejects_nan_and_out_of_range_values(key, value):
 
 
 @pytest.mark.parametrize("key, value", [
-    ("lambda_jump", "auto"), ("lambda_jump", "0"), ("dt_max", "auto"), ("dt_max", "0.5"),
-    ("max_steps", "1"), ("mood.delta_dmp", "0"), ("mood.smooth_tol", "0.5"),
-    ("mood.plateau", "auto"), ("mood.plateau", "0"), ("zeta", "2"), ("t_end", "1e-3"),
+    ("max_steps", "1"), ("zeta", "2"), ("t_end", "1e-3"),
     ("rho_floor", "0"), ("e_floor", "0"), ("problem.beta", "-5"),
+    ("output.every", "0"), ("output.diag_every", "1"),
 ])
 def test_config_accepts_the_edges_of_each_range(key, value):
     parse_config(f"mesh = structured:8\n{key} = {value}\n")

@@ -154,8 +154,7 @@ def _library_parts(fields, scheme, alpha, res):
             g_boundary=g,
             mismatch=g - np.einsum("mnc,mnc->m", V_elem, phi),
             correction=_correction(V_elem, _deviations(V_elem), phi, g),
-            interface_production=edge_jump_production(
-                fields, lam=scheme.lambda_jump, zeta=scheme.zeta)[0],
+            interface_production=edge_jump_production(fields, zeta=scheme.zeta)[0],
         )
     return out
 
