@@ -1,4 +1,5 @@
-"""The README's library tour runs as printed."""
+"""The README's library tour runs as printed, and its configuration block
+lists the keys that parse_config reads."""
 
 import os
 import re
