@@ -7,6 +7,7 @@ from dataclasses import dataclass, field, fields, replace
 from math import isfinite
 
 from .errors import ConfigError
+from .mood import check_cascade
 from .residuals import Scheme
 
 _BOOL = {"true": True, "false": False, "on": True, "off": False}
@@ -74,7 +75,7 @@ class RunConfig:
         _check(self.max_steps >= 1, "max_steps must be >= 1")
         # the cascade is checked even when it is off
         cascade = self.cascade_config()
-        _check(cascade[-1].base == "lxf", "the cascade must end in the LxF distribution")
+        check_cascade(cascade)
         for scheme in (Scheme.parse(self.scheme), *cascade):
             need = ("s2" if scheme.flux_mode == "interpolated"
                     else _SPACE_OF_BASE.get(scheme.base, self.space))

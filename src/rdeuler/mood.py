@@ -24,7 +24,7 @@ import numpy as np
 
 from . import euler
 from .discretization import Discretization
-from .errors import ParachutePadFailure
+from .errors import ConfigError, ParachutePadFailure
 
 DET_NONE, DET_PAD, DET_CAD, DET_NAD = 0, 1, 2, 3
 DETECTOR_NAMES = {DET_NONE: "", DET_PAD: "PAD", DET_CAD: "CAD", DET_NAD: "NAD"}
@@ -36,6 +36,13 @@ DETECTOR_NAMES = {DET_NONE: "", DET_PAD: "PAD", DET_CAD: "CAD", DET_NAD: "NAD"}
 # to within SMOOTH_TOL times its spread pardons a smooth extremum.
 DELTA_DMP = 1e-3
 SMOOTH_TOL = 0.01
+
+
+def check_cascade(schemes):
+    """Raise ConfigError unless the tuple of Schemes ``schemes`` ends in
+    the LxF distribution, the level whose step stays admissible."""
+    if not schemes or schemes[-1].base != "lxf":
+        raise ConfigError("the cascade must end in the LxF distribution")
 
 
 @dataclass

@@ -373,6 +373,8 @@ def advance(
     """
     if cascade is not None and integrator == "implicit":
         raise ConfigError("the detection cascade needs an explicit integrator")
+    if cascade is not None:
+        mood.check_cascade(cascade)
     stepped = (scheme,) if cascade is None else cascade
     modes = sorted({s.flux_mode for s in stepped if s.base in LXF_FAMILY})
     if integrator == "implicit" or not modes:

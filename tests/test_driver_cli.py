@@ -754,10 +754,13 @@ def test_cli_rejects_nan_and_out_of_range_values(tmp_path, key, value, capsys):
     assert "configuration error" in err and key in err
 
 
-def test_cli_rejects_a_removed_key_before_making_the_output(tmp_path, capsys):
-    # dt_max is a constant now (1e-2 of the box diagonal), not a key
+@pytest.mark.parametrize("key", [
+    "lambda_jump", "dt_max", "mood.delta_dmp", "mood.plateau", "mood.smooth_tol",
+])
+def test_cli_rejects_a_removed_key_before_making_the_output(tmp_path, key, capsys):
+    # the five are constants now (test_problems_config.REMOVED_KEYS), not keys
     path = tmp_path / "run.cfg"
-    path.write_text(_cfg_text(tmp_path, dt_max="0.1"))
+    path.write_text(_cfg_text(tmp_path, **{key: "0.1"}))
     assert main(["run", str(path)]) == 2
-    assert "unknown key 'dt_max'" in capsys.readouterr().err
+    assert f"unknown key '{key}'" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()

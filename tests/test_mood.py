@@ -6,7 +6,7 @@ from rdeuler import euler, mood
 from rdeuler.basis import build_dofmap
 from rdeuler.config import RunConfig
 from rdeuler.discretization import Discretization, StageFields
-from rdeuler.errors import ParachutePadFailure, VacuumState
+from rdeuler.errors import ConfigError, ParachutePadFailure, VacuumState
 from rdeuler.mesh import structured_rect
 from rdeuler.mood import (
     DET_CAD,
@@ -20,7 +20,7 @@ from rdeuler.mood import (
 from rdeuler.positivity import admissible_timestep, alpha_noninterpolated
 from rdeuler.problems import SmoothedSodProblem
 from rdeuler.residuals import Scheme
-from rdeuler.stepping import FieldState, forward_euler_step, ssp_rk2_step
+from rdeuler.stepping import FieldState, advance, forward_euler_step, ssp_rk2_step
 from rdeuler.verification import check_mood, random_admissible_field, run_mood_sod
 
 
@@ -290,6 +290,58 @@ def test_mood_termination_levels_bounded(gas):
     info = run_mood_sod(nx=16, ny=2, t_end=0.2)
     # completing at all proves the loop settled; levels stay in range
     assert info["steps"] > 0
+
+
+def _density_case(name):
+    """(disc, density) of a named case of test_dmp_bounds_match_the_stencil_oracle."""
+    if name == "uniform":
+        disc = make_disc(8, 1.0)
+        return disc, np.ones(disc.dofmap.n_dofs)
+    if name == "half_random":
+        # random on the right half of the square, flat on the left
+        disc = make_disc(6, 2.0)
+        rand = np.random.default_rng(5).uniform(0.5, 1.5, disc.dofmap.n_dofs)
+        return disc, np.where(disc.dofmap.dof_points[:, 0] > 0.0, rand, 1.0)
+    side = {"sine_unit": 1.0, "sine_ten": 10.0}[name]
+    disc = make_disc(16, side)
+    x = disc.dofmap.dof_points[:, 0]
+    return disc, 1.0 + 0.05 * np.sin(2 * np.pi * x / side)
+
+
+@pytest.mark.parametrize("name, plateau", [
+    ("uniform", "all"), ("sine_unit", "none"), ("sine_ten", "all"), ("half_random", "some"),
+])
+def test_dmp_bounds_match_the_stencil_oracle(gas, name, plateau):
+    # per element, over its own and its edge neighbours' DOFs (read from
+    # the interface table): the density range widened by max(1e-6,
+    # 1e-3 range), and a plateau where the range is below h_K^3, h_K the
+    # longest edge
+    disc, rho = _density_case(name)
+    mesh = disc.mesh
+    corners = mesh.nodes[mesh.tris]
+    h = np.linalg.norm(corners - np.roll(corners, 1, axis=1), axis=2).max(axis=1)
+    U = euler.conserved(rho, 0.1 * rho, 0.0 * rho, np.ones_like(rho), gas)
+    low, high, flat = dmp_bounds(disc, U)
+    nbrs = [set() for _ in range(mesh.n_tris)]
+    for a, b in zip(mesh.edge_left, mesh.edge_right):
+        nbrs[a].add(int(b))
+        nbrs[b].add(int(a))
+    for k in range(mesh.n_tris):
+        vals = rho[disc.dofmap.elem_dofs[[k, *nbrs[k]]]]
+        rng = vals.max() - vals.min()
+        delta = max(1e-6, 1e-3 * rng)
+        assert low[k, 0] == vals.min() - delta and high[k, 0] == vals.max() + delta
+        assert flat[k] == (rng < h[k] ** 3)
+    assert {"all": flat.all(), "none": not flat.any(), "some": 0 < flat.sum() < len(flat)}[plateau]
+
+
+@pytest.mark.parametrize("levels", [(), ("galerkin",), ("lxf", "galerkin")])
+def test_advance_rejects_a_cascade_without_its_lxf_end(levels):
+    # a library caller's cascade meets the check of the config's
+    st, _ = vortex_start(4)
+    cascade = tuple(Scheme.parse(s) for s in levels)
+    with pytest.raises(ConfigError, match="^the cascade must end in the LxF distribution$"):
+        next(advance(st, CASCADE[0], "fe", 0.1, 0.3, cascade=cascade))
 
 
 def test_default_cascade_shape():

@@ -7,7 +7,7 @@ from rdeuler import euler
 from rdeuler.basis import build_dofmap
 from rdeuler.discretization import Discretization, StageFields
 from rdeuler.errors import VacuumState
-from rdeuler.mesh import build_mesh, structured_square
+from rdeuler.mesh import build_mesh, structured_rect, structured_square
 from rdeuler.positivity import (
     admissible_timestep,
     alpha_implicit,
@@ -170,6 +170,14 @@ def test_admissible_timestep_constant_flow_cap():
     # the cap from the domain size
     dt = admissible_timestep(disc, alpha, cfl=1.0)
     assert dt == pytest.approx(1e-2 * np.hypot(1.0, 1.0))
+
+
+@pytest.mark.parametrize("width, height, cfl", [(1.0, 1.0, 1.0), (10.0, 10.0, 0.3), (10.0, 1.25, 0.5)])
+def test_constant_flow_cap_is_a_hundredth_of_the_box_diagonal(width, height, cfl):
+    mesh = structured_rect(8, 4, width=width, height=height)
+    disc = Discretization(build_dofmap(mesh, "s2", "lagrange", 1))
+    dt = admissible_timestep(disc, np.zeros(mesh.n_tris), cfl=cfl)
+    assert dt == pytest.approx(cfl * 1e-2 * np.hypot(width, height), rel=1e-15)
 
 
 def test_split_oracle_uniform_state(gas):

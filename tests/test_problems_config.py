@@ -314,7 +314,8 @@ def test_config_accepts_each_scheme_on_its_space():
     ("t_end", "nan"), ("t_end", "inf"), ("t_end", "0"),
     ("max_steps", "-3"), ("max_steps", "0"),
     ("output.every", "-1"), ("output.diag_every", "0"), ("output.diag_every", "-1"),
-    ("cfl", "nan"),
+    ("gamma", "-inf"), ("zeta", "-inf"), ("t_end", "-1"),
+    ("cfl", "nan"), ("cfl", "inf"), ("cfl", "0"), ("cfl", "-0.5"), ("cfl", "1.5"),
     ("rho_floor", "nan"), ("rho_floor", "inf"), ("rho_floor", "-1"),
     ("e_floor", "nan"), ("e_floor", "inf"), ("e_floor", "-1e-12"),
     ("problem.beta", "nan"), ("problem.beta", "inf"), ("problem.beta", "-inf"),
@@ -327,7 +328,7 @@ def test_config_rejects_nan_and_out_of_range_values(key, value):
 @pytest.mark.parametrize("key, value", [
     ("max_steps", "1"), ("zeta", "2"), ("t_end", "1e-3"),
     ("rho_floor", "0"), ("e_floor", "0"), ("problem.beta", "-5"),
-    ("output.every", "0"), ("output.diag_every", "1"),
+    ("output.every", "0"), ("output.diag_every", "1"), ("cfl", "1"), ("gamma", "1.0001"),
 ])
 def test_config_accepts_the_edges_of_each_range(key, value):
     parse_config(f"mesh = structured:8\n{key} = {value}\n")
